@@ -7,9 +7,8 @@ use qdk_engine::{Retrieve, Strategy};
 use qdk_logic::parser::{parse_atom, parse_body};
 use std::hint::black_box;
 
-fn strategies() -> [(&'static str, Strategy); 4] {
+fn strategies() -> [(&'static str, Strategy); 3] {
     [
-        ("naive", Strategy::Naive),
         ("seminaive", Strategy::SemiNaive),
         ("topdown", Strategy::TopDown),
         ("qsq", Strategy::Qsq),

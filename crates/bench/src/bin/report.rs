@@ -25,7 +25,7 @@ use qdk_bench::{
     tower_hypothesis, tower_idb, university,
 };
 use qdk_core::{algo1, algo2, describe, Describe, DescribeOptions, TransformPolicy};
-use qdk_engine::{query, retrieve_with, EvalOptions, ProgramPlan, Retrieve, Strategy};
+use qdk_engine::{naive, query, retrieve_with, EvalOptions, ProgramPlan, Retrieve, Strategy};
 use qdk_logic::obs::{NullSink, ObsSink};
 use qdk_logic::parser::{parse_atom, parse_body};
 use qdk_logic::Parallelism;
@@ -47,22 +47,14 @@ fn median_micros(runs: usize, mut f: impl FnMut()) -> f64 {
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
-        Strategy::Naive => "naive",
         Strategy::SemiNaive => "semi-naive",
         Strategy::TopDown => "top-down",
-        Strategy::Magic => "magic",
         Strategy::Qsq => "qsq",
     }
 }
 
-/// All five retrieve strategies, in reporting order.
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::Naive,
-    Strategy::SemiNaive,
-    Strategy::TopDown,
-    Strategy::Magic,
-    Strategy::Qsq,
-];
+/// All three retrieve strategies, in reporting order.
+const STRATEGIES: [Strategy; 3] = [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq];
 
 /// Asserts every strategy returns the same answer set for `q` before any
 /// timing happens — a wrong-but-fast strategy must fail the bench, not
@@ -140,25 +132,35 @@ fn write_json(path: &str, records: &[String], run_id: &str) {
 
 fn p1_full_closure(records: &mut Vec<String>) {
     println!("## P1a — full transitive closure of a chain (µs, median of 5)\n");
-    println!("| n (edges) | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-----------|-------|------------|----------|-------|-----|");
+    println!("| n (edges) | naive | semi-naive | top-down | qsq |");
+    println!("|-----------|-------|------------|----------|-----|");
     let idb = prior_idb();
     let q = Retrieve::new(parse_atom("prior(X, Y)").unwrap(), vec![]);
     for n in [16usize, 32, 64, 128] {
         let edb = chain_edb(n);
         let mut row = format!("| {n} ");
-        for strategy in STRATEGIES {
-            let us = median_micros(5, || {
-                query::retrieve(&edb, &idb, &q, strategy).unwrap();
-            });
+        let mut column = |name: &str, us: f64| {
             row.push_str(&format!("| {us:.0} "));
             records.push(json_record(&[
                 ("section", json_str("p1_full_closure")),
                 ("workload", json_str("chain")),
                 ("n", n.to_string()),
-                ("strategy", json_str(strategy_name(strategy))),
+                ("strategy", json_str(name)),
                 ("micros", format!("{us:.1}")),
             ]));
+        };
+        // The reference evaluator is not a strategy: it is timed directly
+        // (compile + fixpoint, as the one-shot `query::retrieve` pays).
+        let us = median_micros(5, || {
+            let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+            naive::eval(&edb, &idb, &plan).unwrap();
+        });
+        column("naive", us);
+        for strategy in STRATEGIES {
+            let us = median_micros(5, || {
+                query::retrieve(&edb, &idb, &q, strategy).unwrap();
+            });
+            column(strategy_name(strategy), us);
         }
         println!("{row}|");
     }
@@ -168,14 +170,14 @@ fn p1_full_closure(records: &mut Vec<String>) {
 /// Bound queries are served from a compiled plan (the `KnowledgeBase`
 /// serving path): the `ProgramPlan` is compiled once per EDB and every
 /// strategy is timed through `retrieve_compiled`. Before any timing, all
-/// five strategies must return the same answer set — the per-row answer
+/// three strategies must return the same answer set — the per-row answer
 /// count is reported, and a disagreement aborts the bench.
 fn p1_bound_query(records: &mut Vec<String>) {
     println!(
         "## P1b — constant-bound prior(c0, Y) on random graphs, cached plan (µs, median of 15)\n"
     );
-    println!("| edges | answers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-------|---------|-------|------------|----------|-------|-----|");
+    println!("| edges | answers | semi-naive | top-down | qsq |");
+    println!("|-------|---------|------------|----------|-----|");
     let idb = prior_idb();
     for edges in [64usize, 128, 256, 512] {
         let edb = random_graph_edb(edges / 2, edges, 42);
@@ -211,8 +213,8 @@ fn p1_bound_query(records: &mut Vec<String>) {
 /// (see [`p1_bound_query`]).
 fn j1_join_heavy(records: &mut Vec<String>) {
     println!("## J1 — join-heavy queries on random graphs, cached plan (µs, median of 15)\n");
-    println!("| edges | query | answers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|-------|-------|---------|-------|------------|----------|-------|-----|");
+    println!("| edges | query | answers | semi-naive | top-down | qsq |");
+    println!("|-------|-------|---------|------------|----------|-----|");
     let idb = join_idb();
     for edges in [64usize, 128, 256] {
         let edb = random_graph_edb(edges / 2, edges, 42);
@@ -319,8 +321,8 @@ fn compiled_vs_percall(records: &mut Vec<String>) {
 /// byte-identical at every count; only latency moves.
 fn t1_retrieve_threads(records: &mut Vec<String>) {
     println!("## T1 — retrieve threads sweep, chain-128 full closure (µs, median of 5)\n");
-    println!("| workers | naive | semi-naive | top-down | magic | qsq |");
-    println!("|---------|-------|------------|----------|-------|-----|");
+    println!("| workers | semi-naive | top-down | qsq |");
+    println!("|---------|------------|----------|-----|");
     let idb = prior_idb();
     let edb = chain_edb(128);
     let q = Retrieve::new(parse_atom("prior(X, Y)").unwrap(), vec![]);
@@ -494,6 +496,7 @@ fn c1_concurrency(records: &mut Vec<String>) {
                                                 &q,
                                                 Strategy::SemiNaive,
                                                 EvalOptions::default(),
+                                                None,
                                             )
                                             .unwrap();
                                         assert_eq!(a.rows.len(), EXPECTED_ROWS);
@@ -530,11 +533,11 @@ fn c1_concurrency(records: &mut Vec<String>) {
                                         cell.refresh(&mut version, &mut state);
                                         let a = state
                                             .kb
-                                            .retrieve_with_plan(
-                                                &state.plan,
+                                            .retrieve_with_options(
                                                 &q,
                                                 Strategy::SemiNaive,
                                                 EvalOptions::default(),
+                                                Some(&state.plan),
                                             )
                                             .unwrap();
                                         assert_eq!(a.rows.len(), EXPECTED_ROWS);

@@ -163,7 +163,21 @@ pub fn university() -> qdk_lang::KnowledgeBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdk_engine::seminaive;
+    use qdk_engine::{seminaive, DerivedFacts, EvalOptions, ProgramPlan};
+
+    /// The full semi-naive closure of `idb` over `edb`.
+    fn closure(edb: &Edb, idb: &Idb) -> DerivedFacts {
+        let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+        seminaive::eval(
+            edb,
+            idb,
+            &plan,
+            None,
+            DerivedFacts::new(),
+            EvalOptions::default(),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn chain_has_n_edges() {
@@ -181,7 +195,7 @@ mod tests {
     #[test]
     fn chain_closure_size_is_triangular() {
         let edb = chain_edb(8);
-        let derived = seminaive::eval(&edb, &prior_idb()).unwrap();
+        let derived = closure(&edb, &prior_idb());
         assert_eq!(derived.relation("prior").unwrap().len(), 36);
     }
 
@@ -193,7 +207,7 @@ mod tests {
             edb.insert_fact(&parse_atom(&format!("prereq({a}, {b})")).unwrap())
                 .unwrap();
         }
-        let derived = seminaive::eval(&edb, &join_idb()).unwrap();
+        let derived = closure(&edb, &join_idb());
         // One 3-cycle, seen from each of its three rotations.
         assert_eq!(derived.relation("triangle").unwrap().len(), 3);
         // c0→c1→c2→{c0,c3}, c1→c2→c0→c1, c2→c0→c1→c2.
@@ -205,7 +219,7 @@ mod tests {
         // Over parallel chains of n edges, q(i, j) holds for every i < j
         // (n(n+1)/2 pairs) and p shifts each pair one r-hop further, so it
         // holds exactly for the pairs at distance ≥ 2 ((n-1)n/2 pairs).
-        let derived = seminaive::eval(&example8_edb(6), &example8_idb()).unwrap();
+        let derived = closure(&example8_edb(6), &example8_idb());
         assert_eq!(derived.relation("q").unwrap().len(), 21);
         assert_eq!(derived.relation("p").unwrap().len(), 15);
     }

@@ -1,19 +1,17 @@
-//! Adornment derivation and sideways information passing (SIP), shared
-//! by the magic-sets rewrite ([`crate::magic`]) and the QSQ net builder
-//! ([`crate::qsq`]).
+//! Adornment derivation and sideways information passing (SIP) for the
+//! QSQ net builder ([`crate::qsq`]).
 //!
-//! Both demand-driven strategies specialize predicates per *binding
+//! The demand-driven strategy specializes predicates per *binding
 //! pattern*: an adornment marks each argument position bound (`b`) or
 //! free (`f`), and a left-to-right walk over a rule body propagates
 //! bindings sideways — a positive database literal binds every variable
 //! it mentions, a built-in `=` binds both sides once either is bound,
 //! and other comparisons only filter. This module is the single source
-//! of truth for that walk, so magic and QSQ can never disagree about
-//! which adornment a body literal receives.
+//! of truth for which adornment a body literal receives.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use qdk_logic::{Atom, Literal, Sym, Term, Var};
+use qdk_logic::{Atom, Literal, Term, Var};
 use std::collections::HashSet;
 
 /// A binding pattern: `true` = bound, per argument position.
@@ -22,11 +20,6 @@ pub type Adornment = Vec<bool>;
 /// The `b`/`f` rendering of an adornment (`[true, false]` → `"bf"`).
 pub fn suffix(a: &Adornment) -> String {
     a.iter().map(|b| if *b { 'b' } else { 'f' }).collect()
-}
-
-/// Name of the adorned version of `pred` under adornment `a`.
-pub fn adorned_name(pred: &str, a: &Adornment) -> Sym {
-    Sym::new(&format!("{pred}__{}", suffix(a)))
 }
 
 /// Computes the adornment of `atom` given the set of bound variables:
@@ -49,31 +42,6 @@ pub fn bound_args(atom: &Atom, a: &Adornment) -> Vec<Term> {
         .filter(|(_, b)| **b)
         .map(|(t, _)| t.clone())
         .collect()
-}
-
-/// Builds the adornment and bindings for a query atom: constants are
-/// bound, variables free.
-pub fn query_pattern(subject: &Atom) -> (Adornment, Vec<Term>) {
-    let pattern: Adornment = subject.args.iter().map(Term::is_ground).collect();
-    let bindings: Vec<Term> = subject
-        .args
-        .iter()
-        .filter(|t| t.is_ground())
-        .cloned()
-        .collect();
-    (pattern, bindings)
-}
-
-/// Maps predicates of a rewritten program back to originals (for
-/// diagnostics): strips the magic/QSQ role prefix and the adornment
-/// suffix.
-pub fn original_of(adorned: &str) -> Option<&str> {
-    let stripped = adorned
-        .strip_prefix("m_")
-        .or_else(|| adorned.strip_prefix("input_"))
-        .or_else(|| adorned.strip_prefix("ans_"))
-        .unwrap_or(adorned);
-    stripped.rsplit_once("__").map(|(p, _)| p)
 }
 
 /// The sideways-information-passing walk over one rule body: tracks the
@@ -157,18 +125,6 @@ mod tests {
     fn suffix_renders_bound_free() {
         assert_eq!(suffix(&vec![true, false]), "bf");
         assert_eq!(suffix(&vec![]), "");
-        assert_eq!(
-            adorned_name("prior", &vec![true, false]).as_str(),
-            "prior__bf"
-        );
-    }
-
-    #[test]
-    fn query_pattern_binds_constants() {
-        let (pattern, bindings) = query_pattern(&parse_atom("prior(c3, Y)").unwrap());
-        assert_eq!(pattern, vec![true, false]);
-        assert_eq!(bindings.len(), 1);
-        assert_eq!(bindings[0].to_string(), "c3");
     }
 
     #[test]
@@ -216,105 +172,65 @@ mod tests {
         assert_eq!(bound_args(&atom, &walk.adorn(&atom)).len(), 1);
     }
 
-    #[test]
-    fn original_name_mapping_covers_all_roles() {
-        assert_eq!(original_of("prior__bf"), Some("prior"));
-        assert_eq!(original_of("m_prior__bf"), Some("prior"));
-        assert_eq!(original_of("input_prior__bf"), Some("prior"));
-        assert_eq!(original_of("ans_prior__bf"), Some("prior"));
-        assert_eq!(original_of("plain"), None);
-    }
-
-    /// The extraction must leave magic's adornments unchanged: the pinned
-    /// shapes here are exactly what `magic::rewrite` produced before the
-    /// shared module existed.
-    mod magic_pins {
-        use super::*;
+    /// The SIP decisions, pinned end to end through the net they drive:
+    /// which `pred[adornment]` subqueries a bound query demands.
+    mod sip_pins {
         use crate::idb::Idb;
-        use crate::magic;
-        use qdk_logic::parser::parse_program;
+        use crate::plan::ProgramPlan;
+        use crate::qsq::explain_net;
+        use crate::query::Retrieve;
+        use qdk_logic::parser::{parse_atom, parse_program};
+        use qdk_storage::Edb;
 
-        fn idb(src: &str) -> Idb {
-            Idb::from_rules(parse_program(src).unwrap().rules).unwrap()
+        /// The demanded `pred[adornment]` subqueries of `subject`, in the
+        /// net's BFS order, minus the per-query wrapper.
+        fn demanded(rules: &str, subject: &str) -> Vec<String> {
+            let idb = Idb::from_rules(parse_program(rules).unwrap().rules).unwrap();
+            let edb = Edb::new();
+            let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+            let query = Retrieve::new(parse_atom(subject).unwrap(), vec![]);
+            explain_net(&edb, &idb, &plan, &query)
+                .unwrap()
+                .lines()
+                .filter_map(|l| l.strip_prefix("subquery "))
+                .filter_map(|l| l.split_whitespace().next())
+                .filter(|s| !s.starts_with("__qsq_query"))
+                .map(str::to_string)
+                .collect()
         }
+
+        const PRIOR: &str = "prior(X, Y) :- prereq(X, Y).\n\
+             prior(X, Y) :- prereq(X, Z), prior(Z, Y).";
 
         #[test]
         fn transitive_closure_bound_first_adorns_bf_only() {
-            let idb = idb("prior(X, Y) :- prereq(X, Y).\n\
-                 prior(X, Y) :- prereq(X, Z), prior(Z, Y).");
-            let subject = parse_atom("prior(c3, Y)").unwrap();
-            let (pattern, bindings) = magic::query_pattern(&subject);
-            let magic = magic::rewrite(&idb, "prior", &pattern, &bindings).unwrap();
-            let variants: Vec<String> = magic::adorned_variants(&magic.idb, "prior")
-                .iter()
-                .map(|s| s.as_str().to_string())
-                .collect();
-            assert_eq!(variants, vec!["prior__bf"]);
-            assert_eq!(magic.seed.to_string(), "m_prior__bf(c3)");
-            // The rewritten rules, in emission order — adornment drift in
-            // the shared walk would reshuffle or rename these.
-            let rendered: Vec<String> = magic.idb.rules().iter().map(ToString::to_string).collect();
-            assert_eq!(
-                rendered,
-                vec![
-                    "m_prior__bf(c3).",
-                    "prior__bf(X, Y) :- m_prior__bf(X), prereq(X, Y).",
-                    "m_prior__bf(Z) :- m_prior__bf(X), prereq(X, Z).",
-                    "prior__bf(X, Y) :- m_prior__bf(X), prereq(X, Z), prior__bf(Z, Y).",
-                ]
-            );
+            assert_eq!(demanded(PRIOR, "prior(c3, Y)"), ["prior[bf]"]);
         }
 
         #[test]
         fn bound_second_adorns_fb() {
-            let idb = idb("prior(X, Y) :- prereq(X, Y).\n\
-                 prior(X, Y) :- prereq(X, Z), prior(Z, Y).");
-            let subject = parse_atom("prior(X, c2)").unwrap();
-            let (pattern, bindings) = magic::query_pattern(&subject);
-            let magic = magic::rewrite(&idb, "prior", &pattern, &bindings).unwrap();
-            let variants: Vec<String> = magic::adorned_variants(&magic.idb, "prior")
-                .iter()
-                .map(|s| s.as_str().to_string())
-                .collect();
             // The second rule's recursive occurrence prior(Z, Y) sees Y
             // bound (head) and Z bound sideways from prereq(X, Z) — the
             // bb variant appears alongside the query's fb.
-            assert_eq!(variants, vec!["prior__bb", "prior__fb"]);
+            assert_eq!(demanded(PRIOR, "prior(X, c2)"), ["prior[fb]", "prior[bb]"]);
         }
 
         #[test]
-        fn mutual_recursion_keeps_single_bound_adornment() {
-            let idb = idb("even(X) :- zero(X).\n\
+        fn mutual_recursion_adorns_both_predicates_bound() {
+            let rules = "even(X) :- zero(X).\n\
                  even(X) :- succ(Y, X), odd(Y).\n\
-                 odd(X) :- succ(Y, X), even(Y).");
-            let subject = parse_atom("even(n4)").unwrap();
-            let (pattern, bindings) = magic::query_pattern(&subject);
-            let magic = magic::rewrite(&idb, "even", &pattern, &bindings).unwrap();
-            let names = |p: &str| -> Vec<String> {
-                magic::adorned_variants(&magic.idb, p)
-                    .iter()
-                    .map(|s| s.as_str().to_string())
-                    .collect()
-            };
-            assert_eq!(names("even"), vec!["even__b"]);
-            assert_eq!(names("odd"), vec!["odd__b"]);
+                 odd(X) :- succ(Y, X), even(Y).";
+            assert_eq!(demanded(rules, "even(n4)"), ["even[b]", "odd[b]"]);
         }
 
         #[test]
-        fn equality_propagation_matches_magic() {
+        fn equality_propagates_bindings_into_the_demand() {
             // `=` with a bound left side binds W before r(W, Z) is
             // reached, so r is demanded with its first argument bound.
-            let idb = idb("p(X, Z) :- q(X, Y), Y = W, r(W, Z).\n\
+            let rules = "p(X, Z) :- q(X, Y), Y = W, r(W, Z).\n\
                  q(X, Y) :- e(X, Y).\n\
-                 r(X, Y) :- e(X, Y).");
-            let subject = parse_atom("p(c1, Z)").unwrap();
-            let (pattern, bindings) = magic::query_pattern(&subject);
-            let magic = magic::rewrite(&idb, "p", &pattern, &bindings).unwrap();
-            let r_variants: Vec<String> = magic::adorned_variants(&magic.idb, "r")
-                .iter()
-                .map(|s| s.as_str().to_string())
-                .collect();
-            assert_eq!(r_variants, vec!["r__bf"]);
+                 r(X, Y) :- e(X, Y).";
+            assert_eq!(demanded(rules, "p(c1, Z)"), ["p[bf]", "q[bf]", "r[bf]"]);
         }
     }
 }

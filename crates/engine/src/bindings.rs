@@ -12,8 +12,9 @@
 //! * [`exec`] — the plan executor: walks a [`RulePlan`]'s linear step
 //!   schedule over a flat [`Frame`], probing relation indexes with
 //!   borrowed keys and undoing bindings in place on backtrack;
-//! * [`fire_plan`] — fires one compiled rule against a view, inserting
-//!   new head tuples.
+//! * [`fire_rule_batch`] — fires one round of compiled rules against a
+//!   frozen view, buffering new head tuples and merging them in task
+//!   order.
 //!
 //! The literal *ordering* lives in [`crate::plan`]; by the time execution
 //! starts, every scheduling decision has already been made.
@@ -22,7 +23,9 @@ use crate::error::{EngineError, Result};
 use crate::plan::{Col, RulePlan, Step};
 use qdk_logic::fasthash::FxHashMap;
 use qdk_logic::governor::Governor;
-use qdk_logic::{Atom, Frame, IrTerm, Subst, Sym, Term};
+#[cfg(test)]
+use qdk_logic::Atom;
+use qdk_logic::{Frame, IrTerm, Subst, Sym, Term};
 use qdk_storage::{builtins, CompositeIndex, Edb, Relation, StorageError, Tuple, Value};
 use std::sync::Arc;
 use threadpool::Pool;
@@ -396,7 +399,7 @@ impl<'a> FactView<'a> {
 /// pattern is fully ground it skips the per-tuple clone entirely: the
 /// relation is deduplicated, so at most one tuple can match, and `subst`
 /// itself is the one answer.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub(crate) fn match_relation(rel: &Relation, atom: &Atom, subst: &Subst, out: &mut Vec<Subst>) {
     if atom.arity() != rel.arity() {
         return;
@@ -746,7 +749,7 @@ pub(crate) fn frame_subst(plan: &RulePlan, frame: &Frame) -> Subst {
 /// A frame that leaves a head variable unbound is a range-restriction
 /// violation; as in the dynamic evaluator, enumeration completes and the
 /// first such violation is then reported as an unsafe rule.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub(crate) fn fire_plan(
     plan: &RulePlan,
     view: &FactView<'_>,
@@ -788,11 +791,12 @@ pub(crate) fn fire_plan(
 /// produce nothing; the coordinator's per-task ticks still bound work.
 const FIRE_POLL_EMISSIONS: u64 = 4096;
 
-/// Like [`fire_plan`], but instead of inserting, collects the head tuples
+/// Fires a compiled rule once against a view, collecting the head tuples
 /// not already in the view's derived store into a buffer the coordinator
 /// inserts after the whole round has fired. The buffered content and order
-/// are exactly `fire_plan`'s emission order minus the already-known facts;
-/// the buffer may repeat a tuple (projections), which insertion dedups.
+/// are exactly the test-only reference `fire_plan`'s emission order minus
+/// the already-known facts; the buffer may repeat a tuple (projections),
+/// which insertion dedups.
 ///
 /// Buffering is what lets the derived store be the *only* store: firings
 /// read a frozen snapshot while new facts wait in the buffer, so the store

@@ -15,9 +15,10 @@
 //!   (literal order, index probes, slot read/write sets) is computed one
 //!   time per program instead of once per recursion step, and executed
 //!   over flat positional frames;
-//! * evaluation strategies: [`naive`] and [`seminaive`] bottom-up, and
-//!   [`topdown`] goal-directed evaluation (relevance-restricted, per-SCC
-//!   fixpoints) — all four run the compiled plans;
+//! * three evaluation strategies: [`seminaive`] bottom-up, [`topdown`]
+//!   goal-directed evaluation (relevance-restricted, per-SCC fixpoints)
+//!   and [`qsq`] demand-driven nets — all run the compiled plans, as does
+//!   the [`naive`] reference evaluator they are tested against;
 //! * [`query`] — the `retrieve p where ψ` statement itself.
 
 #![forbid(unsafe_code)]
@@ -30,9 +31,9 @@ mod bindings;
 mod error;
 pub mod graph;
 mod idb;
-pub mod magic;
 pub mod maintain;
 pub mod naive;
+mod options;
 pub mod plan;
 pub mod qsq;
 pub mod query;
@@ -44,7 +45,7 @@ pub use bindings::{DerivedFacts, FactView};
 pub use error::{EngineError, Result};
 pub use idb::Idb;
 pub use maintain::{MaintainStats, MaintainedStore, Retraction};
-pub use naive::EvalOptions;
+pub use options::EvalOptions;
 pub use plan::{ProgramPlan, RulePlan};
 pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use query::{

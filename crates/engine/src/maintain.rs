@@ -17,7 +17,7 @@
 //!   re-inserted tuples).
 //! * **Rule changes** invalidate only the affected predicates: relations of
 //!   the new head and everything depending on it are dropped and re-derived
-//!   with the settled lower strata as seed ([`crate::seminaive::eval_seeded`]);
+//!   with the settled lower strata as seed ([`crate::seminaive::eval`]);
 //!   per-stratum generation counters record which strata actually changed.
 //!
 //! Negation is where incremental maintenance stops being sound tuple-wise:
@@ -34,7 +34,7 @@ use crate::bindings::{exec, fire_rule_batch, DeltaRanges, DerivedFacts, FactView
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
+use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive;
 use crate::stratify::{stratify, Stratification};
@@ -146,6 +146,18 @@ fn maintenance_opts() -> EvalOptions {
     EvalOptions::default().with_parallelism(Parallelism::SEQUENTIAL)
 }
 
+/// The full fixpoint of the compiled program, from scratch.
+fn materialize(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
+    seminaive::eval(
+        edb,
+        idb,
+        plan,
+        None,
+        DerivedFacts::new(),
+        maintenance_opts(),
+    )
+}
+
 /// The delta-variant and head-bound plans for every rule of `plan`.
 fn compile_variants(plan: &ProgramPlan) -> (Vec<Vec<(usize, RulePlan)>>, Vec<RulePlan>) {
     let variants = plan
@@ -188,7 +200,7 @@ impl MaintainedStore {
     pub fn build(edb: &Edb, idb: &Idb, plan: Arc<ProgramPlan>) -> Result<MaintainedStore> {
         let strat = stratify(idb)?;
         let graph = DependencyGraph::build(idb);
-        let derived = seminaive::eval_compiled(edb, idb, &plan, None, maintenance_opts())?;
+        let derived = materialize(edb, idb, &plan)?;
         let (variants, bound_plans) = compile_variants(&plan);
         let gens = vec![0; strat.len()];
         Ok(MaintainedStore {
@@ -622,9 +634,7 @@ impl MaintainedStore {
             stats.derived_deleted += self.derived.remove_relation(p);
         }
         let seed = std::mem::take(&mut self.derived);
-        self.derived = seminaive::eval_seeded(edb, idb, &plan, Some(&affected), seed, {
-            maintenance_opts()
-        })?;
+        self.derived = seminaive::eval(edb, idb, &plan, Some(&affected), seed, maintenance_opts())?;
         stats.derived_added = affected
             .iter()
             .map(|p| self.derived.relation(p.as_str()).map_or(0, Relation::len))
@@ -656,7 +666,7 @@ impl MaintainedStore {
     /// Throws the maintained state away and re-derives everything from the
     /// current EDB — the fallback when an update is non-monotone.
     pub fn recompute(&mut self, edb: &Edb, idb: &Idb) -> Result<()> {
-        self.derived = seminaive::eval_compiled(edb, idb, &self.plan, None, maintenance_opts())?;
+        self.derived = materialize(edb, idb, &self.plan)?;
         Ok(())
     }
 }
@@ -738,7 +748,8 @@ mod tests {
     }
 
     fn assert_matches_fresh(store: &MaintainedStore, edb: &Edb, idb: &Idb) {
-        let fresh = seminaive::eval(edb, idb).unwrap();
+        let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+        let fresh = materialize(edb, idb, &plan).unwrap();
         assert!(
             same_facts(store.derived(), &fresh),
             "maintained {} facts, fresh {}",

@@ -1,193 +1,41 @@
-//! Naive bottom-up evaluation.
+//! Naive bottom-up evaluation — the reference evaluator.
 //!
 //! The textbook baseline: fire every rule against the full current fact
 //! set until a fixpoint is reached. Correct, simple — and it re-derives
 //! every fact on every iteration, which is what semi-naive evaluation
-//! avoids. Kept both as the reference implementation the others are tested
-//! against and as the baseline for the P1 performance experiment.
+//! avoids. Not a retrieve strategy: it is the reference the engine's
+//! agreement tests compare the strategies against, and the baseline
+//! column of the P1a performance experiment.
 
 use crate::bindings::{fire_rule_batch, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
 use crate::plan::ProgramPlan;
 use crate::stratify::stratify;
-use qdk_logic::governor::{CancelToken, Governor, ResourceLimits};
-use qdk_logic::obs::ObsSink;
-use qdk_logic::{Parallelism, Sym};
+use qdk_logic::governor::{Governor, ResourceLimits};
 use qdk_storage::Edb;
 use threadpool::Pool;
 
-/// Options controlling a bottom-up run: the unified [`ResourceLimits`]
-/// (work budget, deadline, fact count), an optional cooperative
-/// [`CancelToken`], and the worker count for parallel fixpoints.
-/// Exhaustion aborts with [`crate::EngineError::Exhausted`] carrying the
-/// governor's structured diagnostic.
-#[derive(Clone, Debug, Default)]
-pub struct EvalOptions {
-    /// Resource limits enforced during evaluation (`Default` = unbounded).
-    pub limits: ResourceLimits,
-    /// Cooperative cancellation token, checkable from another thread.
-    pub cancel: Option<CancelToken>,
-    /// Worker count for the parallel fixpoints (`Default` = available
-    /// cores; [`Parallelism::SEQUENTIAL`] pins the exact sequential path).
-    pub parallelism: Parallelism,
-    /// Observability sink; spans and counters are emitted here (the
-    /// default disabled sink records nothing and costs one branch).
-    pub sink: ObsSink,
-}
-
-impl EvalOptions {
-    /// Options enforcing the given limits.
-    pub fn with_limits(limits: ResourceLimits) -> Self {
-        EvalOptions {
-            limits,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Set the worker count.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Set a cooperative cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Install an observability sink.
-    #[must_use]
-    pub fn with_sink(mut self, sink: ObsSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Build the governor for one evaluation run.
-    pub(crate) fn governor(&self) -> Governor {
-        Governor::new(self.limits).with_cancel(self.cancel.clone())
-    }
-
-    /// Build the worker pool for one evaluation run.
-    pub(crate) fn pool(&self) -> Pool {
-        Pool::new(self.parallelism.get())
-    }
-}
-
 /// Computes the least fixpoint of the IDB over the EDB naively, stratum by
-/// stratum. Returns all derived facts.
-pub fn eval(edb: &Edb, idb: &Idb) -> Result<DerivedFacts> {
-    eval_with(edb, idb, EvalOptions::default())
-}
-
-/// [`eval`] with options. Compiles the program first — against the EDB's
-/// cardinality snapshot, so literal order follows the cost model; callers
-/// evaluating the same IDB repeatedly should compile once and use
-/// [`eval_compiled`].
-pub fn eval_with(edb: &Edb, idb: &Idb, opts: EvalOptions) -> Result<DerivedFacts> {
-    let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
-    eval_governed(edb, idb, &plan, None, &opts)
-}
-
-/// Like [`eval_with`], but restricted to the given predicates (used by the
-/// goal-directed strategy to skip irrelevant rules).
-pub fn eval_restricted(
-    edb: &Edb,
-    idb: &Idb,
-    relevant: &[Sym],
-    opts: EvalOptions,
-) -> Result<DerivedFacts> {
-    let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
-    eval_governed(edb, idb, &plan, Some(relevant), &opts)
-}
-
-/// Naive evaluation of an already compiled program. `plan` must be the
-/// compilation of `idb` (the knowledge-base layer caches it).
-pub fn eval_compiled(
-    edb: &Edb,
-    idb: &Idb,
-    plan: &ProgramPlan,
-    relevant: Option<&[Sym]>,
-    opts: EvalOptions,
-) -> Result<DerivedFacts> {
-    eval_governed(edb, idb, plan, relevant, &opts)
-}
-
-/// Shared fixpoint loop: one governor tick per rule firing, fact
-/// accounting per absorbed iteration delta.
+/// stratum, sequentially and without resource limits. `plan` must be the
+/// compilation of `idb`. Returns all derived facts.
 ///
 /// Each iteration fires every rule of the stratum against the facts known
-/// at the iteration's start (jacobi-style, so rule batches are independent
-/// and can run on worker threads) and merges the batches in rule order —
-/// the merged insertion order is identical whether the batches ran on one
-/// thread or many.
-fn eval_governed(
-    edb: &Edb,
-    idb: &Idb,
-    plan: &ProgramPlan,
-    relevant: Option<&[Sym]>,
-    opts: &EvalOptions,
-) -> Result<DerivedFacts> {
+/// at the iteration's start (jacobi-style) and merges the batches in rule
+/// order.
+pub fn eval(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
     let strat = stratify(idb)?;
     let mut derived = DerivedFacts::new();
-    let gov = opts.governor();
-    let pool = opts.pool();
-    let obs = &opts.sink;
-    let probes0 = if obs.enabled() {
-        edb.access_stats()
-    } else {
-        (0, 0)
-    };
-    let composite0 = if obs.enabled() {
-        edb.composite_probes()
-    } else {
-        0
-    };
-    for (si, stratum) in strat.strata().iter().enumerate() {
-        let rules: Vec<&crate::plan::RulePlan> = plan
+    let gov = Governor::new(ResourceLimits::default());
+    let pool = Pool::new(1);
+    for stratum in strat.strata() {
+        let tasks: Vec<RuleTask<'_>> = plan
             .plans()
             .iter()
-            .filter(|rp| {
-                let head = &rp.compiled.head.pred;
-                stratum.contains(head) && relevant.is_none_or(|r| r.contains(head))
-            })
+            .filter(|rp| stratum.contains(&rp.compiled.head.pred))
+            .map(RuleTask::total)
             .collect();
-        if rules.is_empty() {
-            continue;
-        }
-        let _stratum_span = obs.span("stratum", si as u64);
-        let mut iteration = 0u64;
-        loop {
-            let _iter_span = obs.span("iteration", iteration);
-            let firings0 = gov.work_spent();
-            let tasks: Vec<RuleTask<'_>> = rules.iter().map(|&rp| RuleTask::total(rp)).collect();
-            let added = fire_rule_batch(&pool, &gov, edb, &mut derived, None, &tasks)?;
-            gov.add_facts(added)?;
-            if obs.enabled() {
-                obs.counter("rule_firings", gov.work_spent().saturating_sub(firings0));
-                obs.counter("delta_facts", added as u64);
-            }
-            iteration += 1;
-            if added == 0 {
-                break;
-            }
-        }
-    }
-    if obs.enabled() {
-        let (p, s) = edb.access_stats();
-        let (dp, ds) = derived.iter().fold((0, 0), |(p, s), (_, r)| {
-            (p + r.index_probes(), s + r.full_scans())
-        });
-        obs.counter("index_probes", p.saturating_sub(probes0.0) + dp);
-        obs.counter("full_scans", s.saturating_sub(probes0.1) + ds);
-        let dc: u64 = derived.iter().map(|(_, r)| r.composite_probes()).sum();
-        obs.counter(
-            "composite_probes",
-            edb.composite_probes().saturating_sub(composite0) + dc,
-        );
+        while fire_rule_batch(&pool, &gov, edb, &mut derived, None, &tasks)? > 0 {}
     }
     Ok(derived)
 }
@@ -218,6 +66,10 @@ mod tests {
             .rules,
         )
         .unwrap()
+    }
+
+    fn eval(edb: &Edb, idb: &Idb) -> Result<DerivedFacts> {
+        super::eval(edb, idb, &ProgramPlan::compile_with_stats(idb, edb.stats()))
     }
 
     #[test]
@@ -269,83 +121,6 @@ mod tests {
         let ordinary = derived.relation("ordinary").unwrap();
         assert_eq!(ordinary.len(), 1);
         assert!(ordinary.contains(&qdk_storage::Tuple::new(vec![Value::sym("bob")])));
-    }
-
-    #[test]
-    fn budget_aborts_runaway() {
-        let edb = chain_edb(30);
-        let err = eval_with(
-            &edb,
-            &prior_idb(),
-            EvalOptions::with_limits(ResourceLimits::default().with_work_budget(3)),
-        )
-        .unwrap_err();
-        match err {
-            crate::EngineError::Exhausted(e) => {
-                assert_eq!(e.resource, qdk_logic::governor::Resource::WorkBudget);
-                assert_eq!(e.limit, 3);
-                assert!(e.spent > e.limit);
-            }
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn fact_limit_aborts_runaway() {
-        let edb = chain_edb(30);
-        let err = eval_with(
-            &edb,
-            &prior_idb(),
-            EvalOptions::with_limits(ResourceLimits::default().with_max_facts(10)),
-        )
-        .unwrap_err();
-        match err {
-            crate::EngineError::Exhausted(e) => {
-                assert_eq!(e.resource, qdk_logic::governor::Resource::Facts);
-                assert_eq!(e.limit, 10);
-            }
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cancel_token_aborts_evaluation() {
-        let edb = chain_edb(30);
-        let token = CancelToken::new();
-        token.cancel();
-        // The governor polls on its first tick, so a pre-cancelled token
-        // stops evaluation before any work happens.
-        let err = eval_with(
-            &edb,
-            &prior_idb(),
-            EvalOptions::default().with_cancel(token),
-        )
-        .unwrap_err();
-        match err {
-            crate::EngineError::Exhausted(e) => {
-                assert_eq!(e.resource, qdk_logic::governor::Resource::Cancelled);
-            }
-            other => panic!("expected Exhausted(Cancelled), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn restricted_eval_skips_irrelevant() {
-        let edb = chain_edb(3);
-        let idb = Idb::from_rules(
-            parse_program(
-                "prior(X, Y) :- prereq(X, Y).\n\
-                 prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n\
-                 noise(X) :- prereq(X, Y), prereq(Y, X).",
-            )
-            .unwrap()
-            .rules,
-        )
-        .unwrap();
-        let derived =
-            eval_restricted(&edb, &idb, &[Sym::new("prior")], EvalOptions::default()).unwrap();
-        assert!(derived.relation("prior").is_some());
-        assert!(derived.relation("noise").is_none());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 
 /// Fallback cardinality floor for predicates the stats snapshot doesn't
 /// cover (derived predicates, whose extension is unknown before the
-/// fixpoint runs). Kept modest so a bound magic-guard literal still
+/// fixpoint runs). Kept modest so a bound QSQ input-guard literal still
 /// schedules ahead of an unbound stored scan.
 const DEFAULT_CARD_FLOOR: usize = 16;
 

@@ -1,9 +1,7 @@
-//! Query-Subquery (QSQ) evaluation — the fifth retrieve strategy.
+//! Query-Subquery (QSQ) evaluation — the demand-driven retrieve strategy.
 //!
-//! Like magic sets, QSQ makes bottom-up evaluation goal-directed: only
-//! tuples relevant to the query's bindings are derived. Unlike our magic
-//! path — which rewrites the *source program* afresh on every call and
-//! recompiles the rewritten rules — QSQ compiles a **net** once per
+//! QSQ makes bottom-up evaluation goal-directed: only tuples relevant to
+//! the query's bindings are derived. It compiles a **net** once per
 //! (predicate, adornment) and caches it in the [`ProgramPlan`]:
 //!
 //! * an **input relation** `input_p^a` holding the bound-argument tuples
@@ -14,10 +12,8 @@
 //!   occurrence is collapsed into a **supplementary relation**
 //!   `sup{k}_{rule}_p^a` computed *once* and shared by the demand
 //!   projection (`input_q^a' ← sup…`) and the continuation
-//!   (`… ← sup…, ans_q^a', …`). The magic rewrite computes that prefix
-//!   join twice — once in the propagation rule and once in the adorned
-//!   rule — so on recursive programs the net does strictly less join
-//!   work per round.
+//!   (`… ← sup…, ans_q^a', …`), so on recursive programs no prefix join
+//!   is ever paid twice per round.
 //!
 //! The net rules form a positive (hence monotone) program, so the least
 //! fixpoint needs no stratification: a single semi-naive loop fires the
@@ -39,14 +35,13 @@
 //! (see [`bound_subject_substs`]). Everything else is a cache hit after
 //! the first bound query of a given shape, which is why QSQ wins every
 //! bound-query benchmark section: a warm call pays a hash lookup plus
-//! the relevant fixpoint, while magic re-pays the rewrite and a
-//! whole-program recompile.
+//! the relevant fixpoint.
 //!
 //! Shapes the net cannot host — negation anywhere in the demanded slice
 //! (the net is a positive program) or adornments whose filter chains
 //! cannot be scheduled (`UnsafeRule`) — surface as errors here; the
 //! dispatch layer retries with semi-naive and records a
-//! [`crate::query::Downgrade`], mirroring magic.
+//! [`crate::query::Downgrade`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -54,7 +49,7 @@ use crate::adorn::{bound_args, suffix, Adornment, SipWalk};
 use crate::bindings::{fire_rule_batch, DerivedFacts, RuleTask};
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
+use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::query::Retrieve;
 use crate::seminaive::{delta_ranges, head_lens, outermost_scan, DELTA_CHUNK_MIN};
@@ -215,8 +210,7 @@ fn build_fragment<'a>(
             let a = walk.adorn(atom);
             // Collapse a multi-literal prefix into a supplementary
             // relation: the prefix join is computed once, then shared by
-            // the demand projection and the continuation below (magic
-            // computes it twice).
+            // the demand projection and the continuation below.
             if prefix.len() > 1 {
                 let live = live_vars(&prefix, rule, i);
                 let sup = Atom::new(

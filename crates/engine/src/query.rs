@@ -11,11 +11,11 @@
 //! predicate altogether, in which case it is taken to be defined through
 //! `ψ` (the paper's Example 2 uses the fresh predicate `answer`).
 
-use crate::bindings::{exec, FactView};
+use crate::bindings::{exec, DerivedFacts, FactView};
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use crate::naive::{self, EvalOptions};
+use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive;
 use crate::topdown::Solver;
@@ -26,17 +26,11 @@ use std::fmt;
 /// Evaluation strategy for `retrieve`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Naive bottom-up (reference baseline).
-    Naive,
     /// Semi-naive bottom-up over the relevant predicates.
     #[default]
     SemiNaive,
     /// Goal-directed (relevance + constant propagation).
     TopDown,
-    /// Magic-sets rewriting + semi-naive evaluation of the rewritten
-    /// program. Falls back to semi-naive when the relevant slice uses
-    /// negation (the rewrite covers positive programs).
-    Magic,
     /// Query-Subquery: demand-driven set-at-a-time evaluation over QSQ
     /// nets cached per (predicate, adornment) in the compiled plan —
     /// the fastest strategy for bound queries served from a warm plan.
@@ -47,7 +41,7 @@ pub enum Strategy {
 }
 
 /// An evaluation mode a [`Downgrade`] can degrade from or to: one of the
-/// four retrieve strategies, or one of the two maintenance modes a live
+/// three retrieve strategies, or one of the two maintenance modes a live
 /// knowledge base keeps its derived state in — incremental (delta
 /// propagation / delete-and-rederive) and full recomputation.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -61,7 +55,7 @@ pub enum Mode {
 }
 
 impl fmt::Debug for Mode {
-    // Renders the inner strategy bare ("Magic", not "Strategy(Magic)") so
+    // Renders the inner strategy bare ("Qsq", not "Strategy(Qsq)") so
     // downgrade notes read the same as when `Downgrade` held strategies
     // directly.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -86,7 +80,7 @@ impl PartialEq<Strategy> for Mode {
 }
 
 /// A recorded degradation: the requested evaluation or maintenance mode
-/// could not complete (e.g. the magic-sets rewrite hit a non-stratified
+/// could not complete (e.g. the QSQ net met negation in the demanded
 /// slice, or delete-and-rederive met negation over an affected
 /// predicate), and a simpler mode produced the result instead of
 /// erroring.
@@ -101,7 +95,7 @@ pub struct Downgrade {
 }
 
 impl Downgrade {
-    /// A strategy-to-strategy downgrade (e.g. Magic → SemiNaive).
+    /// A strategy-to-strategy downgrade (e.g. Qsq → SemiNaive).
     pub fn strategy(from: Strategy, to: Strategy, reason: impl Into<String>) -> Self {
         Downgrade {
             from: Mode::Strategy(from),
@@ -262,34 +256,6 @@ pub fn retrieve_compiled(
             let mut solver = Solver::with_plan(edb, idb, plan, opts);
             solver.solve_all(&goals)?
         }
-        Strategy::Magic => {
-            let magic_span = obs.span("magic", 0);
-            match magic_substs(edb, idb, &columns, &goals, opts.clone()) {
-                Ok(s) => {
-                    drop(magic_span);
-                    s
-                }
-                // Graceful degradation: if the rewrite cannot apply
-                // (negation in the relevant slice) or the rewritten
-                // program exhausts its limits, retry with plain semi-naive
-                // and record the downgrade instead of erroring. The retry
-                // builds a fresh governor from the same limits, so a
-                // deadline restarts for the fallback attempt; if the
-                // fallback exhausts too, that error propagates.
-                Err(e @ (EngineError::NotStratified(_) | EngineError::Exhausted(_))) => {
-                    drop(magic_span);
-                    obs.counter("downgrade", 1);
-                    let mut answer =
-                        retrieve_compiled(edb, idb, plan, query, Strategy::SemiNaive, opts)?;
-                    answer.downgrades.insert(
-                        0,
-                        Downgrade::strategy(Strategy::Magic, Strategy::SemiNaive, e.to_string()),
-                    );
-                    return Ok(answer);
-                }
-                Err(e) => return Err(e),
-            }
-        }
         Strategy::Qsq => {
             let qsq_span = obs.span("qsq", 0);
             match crate::qsq::qsq_substs(edb, idb, plan, &columns, &goals, opts.clone()) {
@@ -297,10 +263,16 @@ pub fn retrieve_compiled(
                     drop(qsq_span);
                     s
                 }
-                // Same degradation contract as magic, plus `UnsafeRule`:
-                // an adornment whose filter chain cannot be scheduled
-                // surfaces at net execution, and plain semi-naive (which
-                // evaluates the original, safe rules) still answers.
+                // Graceful degradation: if the net cannot host the query
+                // (negation in the demanded slice, or an adornment whose
+                // filter chain cannot be scheduled surfaces `UnsafeRule`
+                // at net execution) or the net exhausts its limits, retry
+                // with plain semi-naive — which evaluates the original,
+                // safe rules — and record the downgrade instead of
+                // erroring. The retry builds a fresh governor from the
+                // same limits, so a deadline restarts for the fallback
+                // attempt; if the fallback exhausts too, that error
+                // propagates.
                 Err(
                     e @ (EngineError::NotStratified(_)
                     | EngineError::Exhausted(_)
@@ -319,16 +291,10 @@ pub fn retrieve_compiled(
                 Err(e) => return Err(e),
             }
         }
-        Strategy::Naive | Strategy::SemiNaive => {
+        Strategy::SemiNaive => {
             // Bottom-up: materialize the relevant predicates, then solve the
             // goal conjunction against EDB + materialized facts.
-            let strategy_span = obs.span(
-                match strategy {
-                    Strategy::Naive => "naive",
-                    _ => "seminaive",
-                },
-                0,
-            );
+            let strategy_span = obs.span("seminaive", 0);
             let graph = DependencyGraph::build(idb);
             let mut relevant = Vec::new();
             for g in &goals {
@@ -341,10 +307,8 @@ pub fn retrieve_compiled(
                     }
                 }
             }
-            let derived = match strategy {
-                Strategy::Naive => naive::eval_compiled(edb, idb, plan, Some(&relevant), opts)?,
-                _ => seminaive::eval_compiled(edb, idb, plan, Some(&relevant), opts)?,
-            };
+            let derived =
+                seminaive::eval(edb, idb, plan, Some(&relevant), DerivedFacts::new(), opts)?;
             drop(strategy_span);
             let _project_span = obs.span("project", 0);
             return solve_projected(edb, &derived, &goals, query, &columns);
@@ -402,7 +366,7 @@ pub(crate) fn query_goals(
 pub fn retrieve_precomputed(
     edb: &Edb,
     idb: &Idb,
-    derived: &crate::bindings::DerivedFacts,
+    derived: &DerivedFacts,
     query: &Retrieve,
 ) -> Result<DataAnswer> {
     let (columns, goals) = query_goals(edb, idb, query)?;
@@ -417,7 +381,7 @@ pub fn retrieve_precomputed(
 /// bottom-up answer fast path.
 fn solve_projected(
     edb: &Edb,
-    derived: &crate::bindings::DerivedFacts,
+    derived: &DerivedFacts,
     goals: &[Literal],
     query: &Retrieve,
     columns: &[Var],
@@ -480,7 +444,7 @@ fn solve_projected(
 /// that error).
 fn full_extension(
     edb: &Edb,
-    derived: &crate::bindings::DerivedFacts,
+    derived: &DerivedFacts,
     goals: &[Literal],
     columns: &[Var],
 ) -> Option<Vec<Tuple>> {
@@ -557,69 +521,6 @@ fn project_answer(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Resu
     Ok(answer)
 }
 
-/// Magic-sets evaluation of a goal conjunction: wrap the goals in a fresh
-/// query rule, rewrite for the query predicate, evaluate the rewritten
-/// program semi-naively, and read the query relation.
-fn magic_substs(
-    edb: &Edb,
-    idb: &Idb,
-    columns: &[Var],
-    goals: &[Literal],
-    opts: EvalOptions,
-) -> Result<Vec<Subst>> {
-    // Collect the goal conjunction's distinct variables (answers project
-    // onto these; `columns` are a subset for known subjects).
-    let mut vars: Vec<Var> = Vec::new();
-    for g in goals {
-        for v in g.atom.vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-    }
-    for v in columns {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let query_head = Atom::new(
-        "__magic_query",
-        vars.iter().cloned().map(Term::Var).collect(),
-    );
-    let wrapped = idb.extended([Rule::with_literals(query_head.clone(), goals.to_vec())])?;
-    let (pattern, bindings) = crate::magic::query_pattern(&query_head);
-    let rewritten = crate::magic::rewrite(&wrapped, "__magic_query", &pattern, &bindings)?;
-    let facts = seminaive::eval_with(edb, &rewritten.idb, opts)?;
-    let mut out = Vec::new();
-    if let Some(rel) = facts.relation(rewritten.query_pred.as_str()) {
-        for tuple in rel.iter() {
-            let s: Subst = vars
-                .iter()
-                .cloned()
-                .zip(tuple.values().iter().cloned().map(Term::Const))
-                .collect();
-            out.push(s);
-        }
-    }
-    Ok(out)
-}
-
-/// Looks up the full extension of a predicate after bottom-up evaluation —
-/// a convenience for examples and tests.
-pub fn extension(edb: &Edb, idb: &Idb, pred: &str) -> Result<Vec<Tuple>> {
-    if let Some(rel) = edb.relation(pred) {
-        return Ok(rel.iter().cloned().collect());
-    }
-    let derived = seminaive::eval(edb, idb)?;
-    let mut out = Vec::new();
-    if let Some(rel) = derived.relation(pred) {
-        for t in rel.iter() {
-            out.push(t.clone());
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,7 +572,7 @@ mod tests {
     }
 
     fn strategies() -> [Strategy; 3] {
-        [Strategy::Naive, Strategy::SemiNaive, Strategy::TopDown]
+        [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq]
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::bindings::{fire_rule_batch, DeltaRanges, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
+use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan, Step};
 use crate::stratify::stratify;
 use qdk_logic::Sym;
@@ -23,50 +23,18 @@ use qdk_storage::{Edb, Relation};
 /// Shared with the QSQ scheduler so both strategies chunk identically.
 pub(crate) const DELTA_CHUNK_MIN: usize = 64;
 
-/// Computes the least fixpoint of the IDB over the EDB semi-naively,
-/// stratum by stratum.
-pub fn eval(edb: &Edb, idb: &Idb) -> Result<DerivedFacts> {
-    eval_with(edb, idb, EvalOptions::default())
-}
-
-/// [`eval`] with options. Compiles the program first — against the EDB's
-/// cardinality snapshot, so literal order follows the cost model; callers
-/// evaluating the same IDB repeatedly should compile once and use
-/// [`eval_compiled`].
-pub fn eval_with(edb: &Edb, idb: &Idb, opts: EvalOptions) -> Result<DerivedFacts> {
-    let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
-    eval_compiled(edb, idb, &plan, None, opts)
-}
-
-/// Semi-naive evaluation restricted to `relevant` predicates.
-pub fn eval_restricted(
-    edb: &Edb,
-    idb: &Idb,
-    relevant: &[Sym],
-    opts: EvalOptions,
-) -> Result<DerivedFacts> {
-    let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
-    eval_compiled(edb, idb, &plan, Some(relevant), opts)
-}
-
-/// Semi-naive evaluation of an already compiled program. `plan` must be
-/// the compilation of `idb` (the knowledge-base layer caches it).
-pub fn eval_compiled(
-    edb: &Edb,
-    idb: &Idb,
-    plan: &ProgramPlan,
-    relevant: Option<&[Sym]>,
-    opts: EvalOptions,
-) -> Result<DerivedFacts> {
-    eval_seeded(edb, idb, plan, relevant, DerivedFacts::new(), opts)
-}
-
-/// [`eval_compiled`] starting from a pre-populated derived store: relations
-/// already in `seed` are treated as settled lower-stratum input, and only
-/// predicates passing the `relevant` filter are (re)derived into it. The
-/// incremental-maintenance layer uses this to rebuild just the strata a
-/// rule change touched.
-pub fn eval_seeded(
+/// Computes the least fixpoint of the compiled program over the EDB
+/// semi-naively, stratum by stratum. `plan` must be the compilation of
+/// `idb` (the knowledge-base layer caches it).
+///
+/// `relevant` restricts evaluation to the rules of the listed head
+/// predicates (the goal-directed callers skip irrelevant rules this way).
+/// `seed` is the derived store to start from: relations already in it are
+/// treated as settled lower-stratum input, and only predicates passing the
+/// `relevant` filter are (re)derived into it — the incremental-maintenance
+/// layer rebuilds just the strata a rule change touched this way; everyone
+/// else passes [`DerivedFacts::new`].
+pub fn eval(
     edb: &Edb,
     idb: &Idb,
     plan: &ProgramPlan,
@@ -270,6 +238,7 @@ pub(crate) fn outermost_scan(rp: &RulePlan, i: usize) -> bool {
 mod tests {
     use super::*;
     use crate::naive;
+    use qdk_logic::governor::{CancelToken, Resource, ResourceLimits};
     use qdk_logic::parser::{parse_atom, parse_program};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -295,6 +264,27 @@ mod tests {
         .unwrap()
     }
 
+    /// Compiles `idb` and runs the semi-naive evaluator from an empty seed.
+    fn run(
+        edb: &Edb,
+        idb: &Idb,
+        relevant: Option<&[Sym]>,
+        opts: EvalOptions,
+    ) -> Result<DerivedFacts> {
+        let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+        eval(edb, idb, &plan, relevant, DerivedFacts::new(), opts)
+    }
+
+    fn closure(edb: &Edb, idb: &Idb) -> DerivedFacts {
+        run(edb, idb, None, EvalOptions::default()).unwrap()
+    }
+
+    /// The naive reference evaluator's fixpoint.
+    fn reference(edb: &Edb, idb: &Idb) -> DerivedFacts {
+        let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+        naive::eval(edb, idb, &plan).unwrap()
+    }
+
     fn same_facts(a: &DerivedFacts, b: &DerivedFacts) -> bool {
         if a.len() != b.len() {
             return false;
@@ -309,8 +299,8 @@ mod tests {
     fn agrees_with_naive_on_chain() {
         let edb = chain_edb(8);
         let idb = prior_idb();
-        let n = naive::eval(&edb, &idb).unwrap();
-        let s = eval(&edb, &idb).unwrap();
+        let n = reference(&edb, &idb);
+        let s = closure(&edb, &idb);
         assert!(same_facts(&n, &s));
         assert_eq!(s.relation("prior").unwrap().len(), 36);
     }
@@ -329,8 +319,8 @@ mod tests {
                     .unwrap();
             }
             let idb = prior_idb();
-            let n = naive::eval(&edb, &idb).unwrap();
-            let s = eval(&edb, &idb).unwrap();
+            let n = reference(&edb, &idb);
+            let s = closure(&edb, &idb);
             assert!(same_facts(&n, &s), "case {case}");
         }
     }
@@ -355,8 +345,8 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let n = naive::eval(&edb, &idb).unwrap();
-        let s = eval(&edb, &idb).unwrap();
+        let n = reference(&edb, &idb);
+        let s = closure(&edb, &idb);
         assert!(same_facts(&n, &s));
         assert_eq!(s.relation("even").unwrap().len(), 4); // n0, n2, n4, n6
         assert_eq!(s.relation("odd").unwrap().len(), 3); // n1, n3, n5
@@ -379,8 +369,8 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let n = naive::eval(&edb, &idb).unwrap();
-        let s = eval(&edb, &idb).unwrap();
+        let n = reference(&edb, &idb);
+        let s = closure(&edb, &idb);
         assert!(same_facts(&n, &s));
     }
 
@@ -391,7 +381,7 @@ mod tests {
         for f in ["prereq(a, b)", "prereq(b, a)"] {
             edb.insert_fact(&parse_atom(f).unwrap()).unwrap();
         }
-        let s = eval(&edb, &prior_idb()).unwrap();
+        let s = closure(&edb, &prior_idb());
         assert_eq!(s.relation("prior").unwrap().len(), 4);
     }
 
@@ -408,13 +398,54 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let full = eval(&edb, &idb).unwrap();
-        let restricted =
-            eval_restricted(&edb, &idb, &[Sym::new("prior")], EvalOptions::default()).unwrap();
+        let full = closure(&edb, &idb);
+        let restricted = run(
+            &edb,
+            &idb,
+            Some(&[Sym::new("prior")]),
+            EvalOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
             full.relation("prior").unwrap().len(),
             restricted.relation("prior").unwrap().len()
         );
         assert!(restricted.relation("other").is_none());
+    }
+
+    fn exhausted(opts: EvalOptions) -> qdk_logic::governor::Exhausted {
+        match run(&chain_edb(30), &prior_idb(), None, opts).unwrap_err() {
+            crate::EngineError::Exhausted(e) => e,
+            other => panic!("expected Exhausted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_aborts_runaway() {
+        let e = exhausted(EvalOptions::with_limits(
+            ResourceLimits::default().with_work_budget(3),
+        ));
+        assert_eq!(e.resource, Resource::WorkBudget);
+        assert_eq!(e.limit, 3);
+        assert!(e.spent > e.limit);
+    }
+
+    #[test]
+    fn fact_limit_aborts_runaway() {
+        let e = exhausted(EvalOptions::with_limits(
+            ResourceLimits::default().with_max_facts(10),
+        ));
+        assert_eq!(e.resource, Resource::Facts);
+        assert_eq!(e.limit, 10);
+    }
+
+    #[test]
+    fn cancel_token_aborts_evaluation() {
+        let token = CancelToken::new();
+        token.cancel();
+        // The governor polls on its first tick, so a pre-cancelled token
+        // stops evaluation before any work happens.
+        let e = exhausted(EvalOptions::default().with_cancel(token));
+        assert_eq!(e.resource, Resource::Cancelled);
     }
 }

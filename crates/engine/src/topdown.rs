@@ -29,7 +29,7 @@ use crate::bindings::{frame_subst, match_cols_into, probe_ids, scan_relation, De
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use crate::naive::EvalOptions;
+use crate::options::EvalOptions;
 use crate::plan::{Col, ProgramPlan, RulePlan, Step};
 use crate::seminaive;
 use qdk_logic::governor::Governor;
@@ -37,23 +37,6 @@ use qdk_logic::{Frame, Interner, IrTerm, Literal, Parallelism, Subst, Sym, Var};
 use qdk_storage::{builtins, Edb, StorageError, Tuple, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
-
-/// The solver's view of the compiled program: owned when built from the
-/// IDB directly, borrowed when the caller (e.g. the knowledge base)
-/// already holds a cached compilation.
-enum PlanRef<'a> {
-    Owned(ProgramPlan),
-    Borrowed(&'a ProgramPlan),
-}
-
-impl PlanRef<'_> {
-    fn get(&self) -> &ProgramPlan {
-        match self {
-            PlanRef::Owned(p) => p,
-            PlanRef::Borrowed(p) => p,
-        }
-    }
-}
 
 /// A goal-directed solver for one (EDB, IDB) pair.
 pub struct Solver<'a> {
@@ -63,7 +46,7 @@ pub struct Solver<'a> {
     /// Closed relations for recursive SCCs, computed lazily per query.
     closed: DerivedFacts,
     /// The compiled program shared with the bottom-up strategies.
-    program: PlanRef<'a>,
+    program: &'a ProgramPlan,
     /// Rule indices into the program plan, grouped by head predicate.
     rules_by_head: HashMap<Sym, Vec<usize>>,
     /// Call plans: one specialization per (rule index, head-slot
@@ -77,31 +60,12 @@ pub struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    /// Creates a solver.
-    pub fn new(edb: &'a Edb, idb: &'a Idb) -> Self {
-        Solver::with_options(edb, idb, EvalOptions::default())
-    }
-
-    /// Creates a solver with evaluation options, compiling the program.
-    pub fn with_options(edb: &'a Edb, idb: &'a Idb, opts: EvalOptions) -> Self {
-        Solver::build(
-            edb,
-            idb,
-            PlanRef::Owned(ProgramPlan::compile_with_stats(idb, edb.stats())),
-            opts,
-        )
-    }
-
-    /// Creates a solver over an already compiled program. `plan` must be
-    /// the compilation of `idb`.
+    /// Creates a solver over a compiled program. `plan` must be the
+    /// compilation of `idb`.
     pub fn with_plan(edb: &'a Edb, idb: &'a Idb, plan: &'a ProgramPlan, opts: EvalOptions) -> Self {
-        Solver::build(edb, idb, PlanRef::Borrowed(plan), opts)
-    }
-
-    fn build(edb: &'a Edb, idb: &'a Idb, program: PlanRef<'a>, opts: EvalOptions) -> Self {
         let gov = opts.governor();
         let mut rules_by_head: HashMap<Sym, Vec<usize>> = HashMap::new();
-        for (i, rp) in program.get().plans().iter().enumerate() {
+        for (i, rp) in plan.plans().iter().enumerate() {
             rules_by_head
                 .entry(rp.compiled.head.pred.clone())
                 .or_default()
@@ -112,7 +76,7 @@ impl<'a> Solver<'a> {
             idb,
             graph: DependencyGraph::build(idb),
             closed: DerivedFacts::new(),
-            program,
+            program: plan,
             rules_by_head,
             call_plans: HashMap::new(),
             opts,
@@ -146,12 +110,8 @@ impl<'a> Solver<'a> {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", ");
-        let qplan = RulePlan::for_query(
-            goals,
-            rule_str,
-            &mut Interner::new(),
-            self.program.get().stats(),
-        );
+        let qplan =
+            RulePlan::for_query(goals, rule_str, &mut Interner::new(), self.program.stats());
         let mut frame = Frame::new(qplan.compiled.num_slots());
         let mut out = Vec::new();
         self.exec_plan(&qplan, 0, &mut frame, &mut |f| {
@@ -176,7 +136,7 @@ impl<'a> Solver<'a> {
     ) -> Result<Vec<Subst>> {
         let edb = self.edb;
         let idb = self.idb;
-        let plan = self.program.get();
+        let plan = self.program;
         let gov = &self.gov;
         let closed = &self.closed;
         // Sub-solvers are sequential: the component fan-out already uses
@@ -239,11 +199,12 @@ impl<'a> Solver<'a> {
             // (its SCC and anything below it) semi-naively, reusing the
             // compiled program.
             let relevant = self.graph.reachable_from(p.as_str());
-            let facts = seminaive::eval_compiled(
+            let facts = seminaive::eval(
                 self.edb,
                 self.idb,
-                self.program.get(),
+                self.program,
                 Some(&relevant),
+                DerivedFacts::new(),
                 self.opts.clone(),
             )?;
             self.closed.absorb(&facts)?;
@@ -476,11 +437,11 @@ impl<'a> Solver<'a> {
         let indices = self.rules_by_head.get(pred).cloned().unwrap_or_default();
         let mut rows: Vec<Vec<Option<Value>>> = Vec::new();
         'rules: for idx in indices {
-            let head_args = self.program.get().plans()[idx].compiled.head.args.clone();
+            let head_args = self.program.plans()[idx].compiled.head.args.clone();
             if head_args.len() != call_vals.len() {
                 continue; // the head cannot unify with the call
             }
-            let num_slots = self.program.get().plans()[idx].compiled.num_slots();
+            let num_slots = self.program.plans()[idx].compiled.num_slots();
             let mut bound = vec![false; num_slots];
             let mut frame = Frame::new(num_slots);
             for (arg, cell) in head_args.iter().zip(call_vals) {
@@ -508,12 +469,12 @@ impl<'a> Solver<'a> {
             let cplan = match self.call_plans.get(&key) {
                 Some(p) => Rc::clone(p),
                 None => {
-                    let rp = &self.program.get().plans()[idx];
+                    let rp = &self.program.plans()[idx];
                     let p = Rc::new(RulePlan::with_bound(
                         rp.compiled.clone(),
                         rp.rule_str.clone(),
                         key.1.clone(),
-                        self.program.get().stats(),
+                        self.program.stats(),
                     ));
                     self.call_plans.insert(key, Rc::clone(&p));
                     p
@@ -573,12 +534,6 @@ impl<'a> Solver<'a> {
         let call_vals: Vec<Option<Value>> = vals.iter().cloned().map(Some).collect();
         Ok(!self.solve_pred(pred, &call_vals)?.is_empty())
     }
-}
-
-/// Convenience: evaluates the full IDB goal-directedly for a single goal
-/// conjunction and returns the satisfying substitutions.
-pub fn solve(edb: &Edb, idb: &Idb, goals: &[Literal]) -> Result<Vec<Subst>> {
-    Solver::new(edb, idb).solve_all(goals)
 }
 
 /// Groups goal indices into variable-connected components (union-find over
@@ -662,6 +617,11 @@ mod tests {
         (edb, idb)
     }
 
+    fn solve(edb: &Edb, idb: &Idb, goals: &[Literal]) -> Result<Vec<Subst>> {
+        let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+        Solver::with_plan(edb, idb, &plan, EvalOptions::default()).solve_all(goals)
+    }
+
     fn names(substs: &[Subst], v: &str) -> Vec<String> {
         let mut n: Vec<String> = substs
             .iter()
@@ -711,7 +671,16 @@ mod tests {
             let goals = parse_body(goal).unwrap();
             let td = solve(&edb, &idb, &goals).unwrap();
             // Bottom-up reference.
-            let facts = crate::seminaive::eval(&edb, &idb).unwrap();
+            let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+            let facts = seminaive::eval(
+                &edb,
+                &idb,
+                &plan,
+                None,
+                DerivedFacts::new(),
+                EvalOptions::default(),
+            )
+            .unwrap();
             let pred = goals[0].atom.pred.as_str();
             let rel = facts.relation(pred).unwrap();
             let mut reference = Vec::new();
@@ -762,7 +731,8 @@ mod tests {
     #[test]
     fn call_plans_are_cached_per_adornment() {
         let (edb, idb) = setup();
-        let mut solver = Solver::new(&edb, &idb);
+        let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+        let mut solver = Solver::with_plan(&edb, &idb, &plan, EvalOptions::default());
         // Two calls with the same binding shape share one specialization.
         for goal in ["honor(ann)", "honor(bob)"] {
             let goals = parse_body(goal).unwrap();

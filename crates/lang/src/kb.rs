@@ -920,14 +920,14 @@ impl KnowledgeBase {
         }
     }
 
-    /// The maintained store, when `strategy` can serve from it: the
-    /// bottom-up strategies compute exactly the maintained fixpoint, so
-    /// the stored derived facts *are* their answer; the goal-directed
-    /// strategies keep their own evaluation.
+    /// The maintained store, when `strategy` can serve from it: semi-naive
+    /// computes exactly the maintained fixpoint, so the stored derived
+    /// facts *are* its answer; the goal-directed strategies keep their own
+    /// evaluation.
     fn maintained_for(&self, strategy: Strategy) -> Option<&MaintainedStore> {
         match strategy {
-            Strategy::Naive | Strategy::SemiNaive => self.maintained.as_ref(),
-            _ => None,
+            Strategy::SemiNaive => self.maintained.as_ref(),
+            Strategy::TopDown | Strategy::Qsq => None,
         }
     }
 
@@ -1070,20 +1070,28 @@ impl KnowledgeBase {
         eval.cancel = self.opts.cancel.clone();
         eval.parallelism = self.opts.parallelism;
         eval.sink = self.opts.sink.clone();
-        self.retrieve_with_options(r, self.strategy, eval)
+        self.retrieve_with_options(r, self.strategy, eval, None)
     }
 
     /// [`Self::retrieve`] with per-query strategy and evaluation options
-    /// (the hook the `Session` facade's request overrides go through). The
-    /// cached compiled program is reused; when the maintained store is
-    /// live and the strategy is bottom-up, the answer is projected
-    /// straight from the maintained derived facts — no fixpoint runs.
+    /// (the hook the `Session` facade's request overrides go through).
+    /// When the maintained store is live and the strategy is semi-naive,
+    /// the answer is projected straight from the maintained derived facts
+    /// — no fixpoint runs.
+    ///
+    /// `pinned` is the compiled program to evaluate. `None` resolves it
+    /// through the plan cache (counting a hit or a miss). `Some` is the
+    /// snapshot read path: an epoch snapshot pins the plan next to the
+    /// data it was compiled for, so its readers never consult the cache
+    /// (or its lock); the caller guarantees the plan was compiled from
+    /// this KB's IDB.
     #[doc(hidden)]
     pub fn retrieve_with_options(
         &self,
         r: &Retrieve,
         strategy: Strategy,
         eval: qdk_engine::EvalOptions,
+        pinned: Option<&ProgramPlan>,
     ) -> Result<qdk_engine::DataAnswer> {
         let obs = eval.sink.clone();
         if let Some(store) = self.maintained_for(strategy) {
@@ -1093,52 +1101,27 @@ impl KnowledgeBase {
             self.surface_pending(&mut answer, &obs);
             return Ok(answer);
         }
-        let plan = {
-            let _span = obs.span("plan", 0);
-            let (plan, hit) = self
-                .plan
-                .get_or_compile(self.rules_gen, &self.idb, &self.edb);
-            if obs.enabled() {
+        let cached;
+        let plan = match pinned {
+            Some(plan) => {
+                obs.counter("plan_cache_hit", 1);
+                plan
+            }
+            None => {
+                let _span = obs.span("plan", 0);
+                let (plan, hit) = self
+                    .plan
+                    .get_or_compile(self.rules_gen, &self.idb, &self.edb);
                 let name = if hit {
                     "plan_cache_hit"
                 } else {
                     "plan_cache_miss"
                 };
                 obs.counter(name, 1);
+                cached = plan;
+                &*cached
             }
-            plan
         };
-        let _span = obs.span("execute", 0);
-        let mut answer = query::retrieve_compiled(&self.edb, &self.idb, &plan, r, strategy, eval)?;
-        self.surface_pending(&mut answer, &obs);
-        Ok(answer)
-    }
-
-    /// [`Self::retrieve_with_options`] against an already-resolved
-    /// compiled program, bypassing the plan cache (and its lock)
-    /// entirely. This is the snapshot read path: an epoch snapshot pins
-    /// the plan next to the data it was compiled for, so its readers
-    /// never consult the cache. The caller guarantees `plan` was compiled
-    /// from this KB's IDB.
-    #[doc(hidden)]
-    pub fn retrieve_with_plan(
-        &self,
-        plan: &ProgramPlan,
-        r: &Retrieve,
-        strategy: Strategy,
-        eval: qdk_engine::EvalOptions,
-    ) -> Result<qdk_engine::DataAnswer> {
-        let obs = eval.sink.clone();
-        if let Some(store) = self.maintained_for(strategy) {
-            let _span = obs.span("execute", 0);
-            obs.counter("maintained_serve", 1);
-            let mut answer = query::retrieve_precomputed(&self.edb, &self.idb, store.derived(), r)?;
-            self.surface_pending(&mut answer, &obs);
-            return Ok(answer);
-        }
-        if obs.enabled() {
-            obs.counter("plan_cache_hit", 1);
-        }
         let _span = obs.span("execute", 0);
         let mut answer = query::retrieve_compiled(&self.edb, &self.idb, plan, r, strategy, eval)?;
         self.surface_pending(&mut answer, &obs);
@@ -1532,7 +1515,8 @@ mod tests {
                 sink: ObsSink::new(collect.clone()),
                 ..Default::default()
             };
-            kb.retrieve_with_options(&r, kb.strategy(), eval).unwrap();
+            kb.retrieve_with_options(&r, kb.strategy(), eval, None)
+                .unwrap();
             let hits = |wanted: &str| {
                 collect
                     .events()

@@ -157,11 +157,11 @@ mod tests {
         };
         let a1 = s1
             .kb
-            .retrieve_with_plan(&s1.plan, r1, s1.kb.strategy(), Default::default())
+            .retrieve_with_options(r1, s1.kb.strategy(), Default::default(), Some(&s1.plan))
             .unwrap();
         let a2 = s2
             .kb
-            .retrieve_with_plan(&s2.plan, r2, s2.kb.strategy(), Default::default())
+            .retrieve_with_options(r2, s2.kb.strategy(), Default::default(), Some(&s2.plan))
             .unwrap();
         // Non-recursive epoch: the two edges. Recursive epoch: plus a→c.
         assert_eq!(a1.rows.len(), 2);

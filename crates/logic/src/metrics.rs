@@ -574,8 +574,7 @@ fn span_metric(name: &str) -> Option<&'static str> {
         "plan" => "plan_span_micros",
         "execute" => "execute_span_micros",
         "seminaive" => "seminaive_span_micros",
-        "naive" => "naive_span_micros",
-        "magic" => "magic_span_micros",
+        "qsq" => "qsq_span_micros",
         "topdown" => "topdown_span_micros",
         "transform" => "transform_span_micros",
         "enumerate" => "enumerate_span_micros",
@@ -809,6 +808,11 @@ mod tests {
             arg: 0,
             micros: 120,
         });
+        sink.emit(Event::SpanEnd {
+            name: "qsq",
+            arg: 0,
+            micros: 80,
+        });
         sink.emit(Event::SpanStart {
             name: "stratum",
             arg: 0,
@@ -831,6 +835,7 @@ mod tests {
         assert_eq!(s.counter("checkpoints"), Some(1));
         assert_eq!(s.counter("recovery_replayed"), Some(3));
         assert_eq!(s.histogram("execute_span_micros").unwrap().count, 1);
+        assert_eq!(s.histogram("qsq_span_micros").unwrap().count, 1);
         assert!(s.histogram("stratum_span_micros").is_none());
     }
 

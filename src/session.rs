@@ -199,8 +199,8 @@ impl Response {
 
     /// Strategy downgrades recorded while answering: the requested
     /// strategy could not complete and a simpler one produced the answer
-    /// (e.g. magic-sets degrading to semi-naive on a non-stratified
-    /// slice). Empty for `describe` answers and for retrieves that ran as
+    /// (e.g. QSQ degrading to semi-naive when the demanded slice uses
+    /// negation). Empty for `describe` answers and for retrieves that ran as
     /// requested — check this to detect silent degradation without
     /// enabling tracing.
     pub fn downgrades(&self) -> &[Downgrade] {
@@ -659,10 +659,7 @@ fn retrieve_on(
     let started = Instant::now();
     let resolved = resolve_request(kb, &request, &obs)?;
     let query = Retrieve::new(resolved.subject, resolved.conjunction);
-    let answer = match plan {
-        Some(plan) => kb.retrieve_with_plan(plan, &query, resolved.strategy, resolved.eval)?,
-        None => kb.retrieve_with_options(&query, resolved.strategy, resolved.eval)?,
-    };
+    let answer = kb.retrieve_with_options(&query, resolved.strategy, resolved.eval, plan)?;
     let wall = started.elapsed().as_micros() as u64;
     let trace = finish_query(
         kb,
@@ -753,13 +750,7 @@ mod tests {
     #[test]
     fn per_request_strategy_and_parallelism() {
         let s = session();
-        for strategy in [
-            Strategy::Naive,
-            Strategy::SemiNaive,
-            Strategy::Magic,
-            Strategy::TopDown,
-            Strategy::Qsq,
-        ] {
+        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
             for workers in [1, 4] {
                 let r = s
                     .retrieve(

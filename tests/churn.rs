@@ -429,7 +429,7 @@ fn maintenance_fallback_surfaces_as_downgrade() {
 /// goal-directed ones that bypass the maintained store — answers bound
 /// and open queries identically off the mutated knowledge base.
 #[test]
-fn all_five_strategies_agree_after_churn() {
+fn all_strategies_agree_after_churn() {
     let mut session = Session::new();
     session
         .load(
@@ -450,13 +450,7 @@ fn all_five_strategies_agree_after_churn() {
         .unwrap();
     for subject in ["reach(a, Y)", "reach(X, Y)"] {
         let mut reference: Option<Vec<String>> = None;
-        for strategy in [
-            Strategy::Naive,
-            Strategy::SemiNaive,
-            Strategy::TopDown,
-            Strategy::Magic,
-            Strategy::Qsq,
-        ] {
+        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
             let response = session
                 .retrieve(Request::subject(subject).strategy(strategy))
                 .unwrap();

@@ -33,17 +33,11 @@ fn chain_kb(n: usize) -> KnowledgeBase {
 }
 
 #[test]
-fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
+fn all_strategies_report_the_same_exhaustion_diagnostic() {
     let session = Session::over(chain_kb(40));
     let limits = ResourceLimits::default().with_work_budget(25);
     let mut seen = Vec::new();
-    for strategy in [
-        Strategy::Naive,
-        Strategy::SemiNaive,
-        Strategy::Magic,
-        Strategy::TopDown,
-        Strategy::Qsq,
-    ] {
+    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
         let err = session
             .retrieve(
                 Request::subject("reach(X, Y)")
@@ -59,7 +53,7 @@ fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
         assert!(e.spent > e.limit, "{strategy:?}");
         seen.push(e.resource);
     }
-    // One diagnostic vocabulary across all five engines.
+    // One diagnostic vocabulary across all three engines.
     assert!(seen.iter().all(|r| *r == seen[0]));
 }
 
@@ -67,7 +61,7 @@ fn all_five_strategies_report_the_same_exhaustion_diagnostic() {
 fn fact_limit_bounds_bottom_up_strategies() {
     let session = Session::over(chain_kb(40));
     let limits = ResourceLimits::default().with_max_facts(10);
-    for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+    for strategy in [Strategy::SemiNaive, Strategy::Qsq] {
         let err = session
             .retrieve(
                 Request::subject("reach(X, Y)")
@@ -104,9 +98,10 @@ fn cancellation_aborts_retrieve() {
 /// Cancelled diagnostic long before the workload could have finished.
 #[test]
 fn mid_fixpoint_cancel_stops_parallel_workers() {
-    // Naive evaluation of a 400-node transitive closure re-derives the
-    // whole relation every iteration — seconds of work when left alone.
-    let session = Session::over(chain_kb(400));
+    // The semi-naive closure of an 800-edge chain derives 320k facts over
+    // 800 delta rounds — hundreds of milliseconds even in a release build,
+    // so a cancel 10ms in always lands mid-fixpoint.
+    let session = Session::over(chain_kb(800));
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
@@ -119,7 +114,7 @@ fn mid_fixpoint_cancel_stops_parallel_workers() {
     let err = session
         .retrieve(
             Request::subject("reach(X, Y)")
-                .strategy(Strategy::Naive)
+                .strategy(Strategy::SemiNaive)
                 .parallelism(Parallelism::workers(4))
                 .cancel(token),
         )

@@ -3,7 +3,7 @@
 //! * Enabling the [`qdk::MetricsSink`] — and arming slow-query capture,
 //!   which installs a collector on *every* query — must not change any
 //!   answer, row order, completeness tag, downgrade note or `Exhausted`
-//!   diagnostic, for all five strategies at 1, 2, 4 and 8 workers.
+//!   diagnostic, for all three strategies at 1, 2, 4 and 8 workers.
 //! * The Prometheus text exposition is deterministic and pinned by a
 //!   golden snapshot.
 //! * Counters stay monotone and converge to exact totals under 4
@@ -99,7 +99,7 @@ proptest! {
         let mut metered = chain_session(&edges);
         let buf = SharedBuf::default();
         metered.capture_slow_queries(1, buf.clone());
-        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::TopDown, Strategy::Magic, Strategy::Qsq] {
+        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
             for workers in [1usize, 2, 4, 8] {
                 let a = retrieve_outcome(&plain, "prior(X, Y)", strategy, workers);
                 let b = retrieve_outcome(&metered, "prior(X, Y)", strategy, workers);
@@ -110,8 +110,13 @@ proptest! {
         // threshold (all but possibly sub-microsecond outliers) logged
         // exactly one JSON line.
         let snap = metered.metrics_snapshot().unwrap();
-        prop_assert_eq!(snap.counter("retrieves"), Some(20));
-        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 20);
+        prop_assert_eq!(snap.counter("retrieves"), Some(12));
+        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 12);
+        // Every strategy's evaluation span reaches its own histogram: one
+        // observation per query that ran it.
+        for span in ["seminaive_span_micros", "topdown_span_micros", "qsq_span_micros"] {
+            prop_assert_eq!(snap.histogram(span).map(|h| h.count), Some(4), "{}", span);
+        }
         let slow = snap.counter("slow_queries").unwrap_or(0);
         prop_assert!(slow >= 1, "no query reached 1 µs of wall time");
         prop_assert_eq!(buf.contents().lines().count() as u64, slow);
@@ -167,6 +172,7 @@ fn prometheus_rendering_is_pinned() {
     for v in [100, 200, 300, 400] {
         reg.histogram_record("retrieve_micros", v);
     }
+    reg.histogram_record("qsq_span_micros", 8);
     let snap = reg.snapshot();
     assert_eq!(
         snap.render_prometheus(),
@@ -177,6 +183,14 @@ qdk_retrieves_total 3
 qdk_rule_firings_total 120
 # TYPE qdk_edb_facts gauge
 qdk_edb_facts 42
+# TYPE qdk_qsq_span_micros summary
+qdk_qsq_span_micros{quantile=\"0.5\"} 8
+qdk_qsq_span_micros{quantile=\"0.9\"} 8
+qdk_qsq_span_micros{quantile=\"0.99\"} 8
+qdk_qsq_span_micros_sum 8
+qdk_qsq_span_micros_count 1
+# TYPE qdk_qsq_span_micros_max gauge
+qdk_qsq_span_micros_max 8
 # TYPE qdk_retrieve_micros summary
 qdk_retrieve_micros{quantile=\"0.5\"} 207
 qdk_retrieve_micros{quantile=\"0.9\"} 400

@@ -2,13 +2,13 @@
 //!
 //! * A [`qdk::CollectSink`] installed for a query must not change any
 //!   answer, row order, completeness tag, or `Exhausted` diagnostic — for
-//!   all five strategies at 1, 2, 4 and 8 workers.
+//!   all three strategies at 1, 2, 4 and 8 workers.
 //! * Span streams nest correctly (every end matches the innermost open
 //!   start), because spans are only emitted from coordinator code paths.
 //! * `Response::trace()` returns a structured profile whose stage
 //!   timings tile the query's wall time, on the paper's Example 8
 //!   describe and a chain-128 retrieve.
-//! * Silent strategy downgrades (magic → semi-naive) surface on the
+//! * Silent strategy downgrades (QSQ → semi-naive) surface on the
 //!   response and in the trace.
 
 use proptest::prelude::*;
@@ -126,21 +126,26 @@ fn example8_describe_trace_profiles_the_enumeration() {
 }
 
 #[test]
-fn magic_downgrade_is_surfaced_on_response_and_trace() {
-    // The magic rewrite cannot handle negation in the relevant slice: it
-    // degrades to semi-naive. The response and its trace both say so.
+fn qsq_downgrade_is_surfaced_on_response_and_trace() {
+    // The QSQ net cannot host negation in the demanded slice: it degrades
+    // to semi-naive. The response, its rendering and its trace all say so.
     let kb = datasets::university_extended();
     let s = Session::over(kb);
     let req = || {
         Request::subject("answer(X)")
             .where_clause("enroll(X, databases), not honor(X)")
-            .strategy(Strategy::Magic)
+            .strategy(Strategy::Qsq)
     };
     let resp = s.retrieve(req()).unwrap();
     assert_eq!(resp.downgrades().len(), 1, "downgrade must be surfaced");
     let d = &resp.downgrades()[0];
-    assert_eq!(d.from, Strategy::Magic);
+    assert_eq!(d.from, Strategy::Qsq);
     assert_eq!(d.to, Strategy::SemiNaive);
+    let rendered = resp.to_string();
+    assert!(
+        rendered.contains("-- note: Qsq degraded to SemiNaive: "),
+        "{rendered}"
+    );
 
     let traced = s.retrieve(req().with_trace(true)).unwrap();
     let trace = traced.trace().unwrap();
@@ -149,9 +154,9 @@ fn magic_downgrade_is_surfaced_on_response_and_trace() {
     // The rendered trace carries the note.
     assert!(trace.to_string().contains("degraded to"), "{trace}");
 
-    // A query the rewrite handles records no downgrade.
+    // A query the net hosts records no downgrade.
     let clean = s
-        .retrieve(Request::subject("honor(X)").strategy(Strategy::Magic))
+        .retrieve(Request::subject("honor(X)").strategy(Strategy::Qsq))
         .unwrap();
     assert!(clean.downgrades().is_empty());
 }
@@ -162,13 +167,7 @@ fn spans_nest_correctly_across_both_statements() {
     let kb = datasets::university_extended()
         .with_describe_options(DescribeOptions::paper().with_sink(ObsSink::new(collector.clone())));
     let s = Session::over(kb);
-    for strategy in [
-        Strategy::Naive,
-        Strategy::SemiNaive,
-        Strategy::TopDown,
-        Strategy::Magic,
-        Strategy::Qsq,
-    ] {
+    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
         s.retrieve(Request::subject("prior(X, Y)").strategy(strategy))
             .unwrap();
     }
@@ -231,7 +230,7 @@ proptest! {
         for (a, b) in &edges {
             s.run(&format!("prereq(c{a}, c{b}).")).unwrap();
         }
-        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::TopDown, Strategy::Magic, Strategy::Qsq] {
+        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
             for workers in [1usize, 2, 4, 8] {
                 let plain = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, false);
                 let traced = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, true);

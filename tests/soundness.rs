@@ -13,10 +13,24 @@
 use proptest::prelude::*;
 use qdk::core::transform::{transform_idb, TransformedIdb};
 use qdk::core::{describe, Describe, DescribeOptions, TransformPolicy};
-use qdk::engine::{seminaive, Idb};
+use qdk::engine::{seminaive, DerivedFacts, EvalOptions, Idb, ProgramPlan};
 use qdk::logic::parser::{parse_atom, parse_body, parse_program};
 use qdk::logic::{Literal, Subst, Term};
 use qdk::storage::Edb;
+
+/// The full semi-naive model of `idb` over `edb`.
+fn model_of(edb: &Edb, idb: &Idb) -> DerivedFacts {
+    let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
+    seminaive::eval(
+        edb,
+        idb,
+        &plan,
+        None,
+        DerivedFacts::new(),
+        EvalOptions::default(),
+    )
+    .unwrap()
+}
 
 /// Builds a random prereq graph EDB.
 fn graph_edb(edges: &[(u8, u8)]) -> Edb {
@@ -60,7 +74,7 @@ fn check_soundness(edb: &Edb, idb: &Idb, subject: &str, hypothesis: &str, opts: 
     // Materialize the model over the *transformed* IDB so step predicates
     // appearing in answers have extensions too.
     let tidb: TransformedIdb = transform_idb(idb, opts.transform).unwrap();
-    let model = seminaive::eval(edb, &tidb.idb).unwrap();
+    let model = model_of(edb, &tidb.idb);
 
     for theorem in &answer.theorems {
         // Solve body ∧ hypothesis against the model.
@@ -201,10 +215,10 @@ proptest! {
     fn transformation_preserves_extension(edges in arb_edges()) {
         let edb = graph_edb(&edges);
         let idb = prior_idb();
-        let original = seminaive::eval(&edb, &idb).unwrap();
+        let original = model_of(&edb, &idb);
         for policy in [TransformPolicy::PreferModified, TransformPolicy::AlwaysArtificial] {
             let tidb = transform_idb(&idb, policy).unwrap();
-            let transformed = seminaive::eval(&edb, &tidb.idb).unwrap();
+            let transformed = model_of(&edb, &tidb.idb);
             let a = original.relation("prior").map(|r| {
                 let mut v: Vec<String> = r.iter().map(ToString::to_string).collect();
                 v.sort();

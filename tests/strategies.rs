@@ -1,5 +1,5 @@
-//! Cross-strategy agreement: naive, semi-naive and goal-directed
-//! evaluation must return identical answers for every `retrieve` query —
+//! Cross-strategy agreement: semi-naive, top-down and QSQ evaluation
+//! must return identical answers for every `retrieve` query —
 //! on the paper's database and on randomized workloads.
 
 use proptest::prelude::*;
@@ -18,22 +18,12 @@ fn rows(session: &Session, subject: &str, qualifier: &str, strategy: Strategy) -
 
 fn assert_agree(kb: &qdk::KnowledgeBase, subject: &str, qualifier: &str) {
     let session = Session::over(kb.clone());
-    let naive = rows(&session, subject, qualifier, Strategy::Naive);
     let semi = rows(&session, subject, qualifier, Strategy::SemiNaive);
     let top = rows(&session, subject, qualifier, Strategy::TopDown);
-    let magic = rows(&session, subject, qualifier, Strategy::Magic);
     let qsq = rows(&session, subject, qualifier, Strategy::Qsq);
-    assert_eq!(
-        naive, semi,
-        "naive vs semi-naive on {subject} / {qualifier}"
-    );
     assert_eq!(
         semi, top,
         "semi-naive vs top-down on {subject} / {qualifier}"
-    );
-    assert_eq!(
-        semi, magic,
-        "semi-naive vs magic on {subject} / {qualifier}"
     );
     assert_eq!(semi, qsq, "semi-naive vs qsq on {subject} / {qualifier}");
 }
