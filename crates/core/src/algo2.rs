@@ -1,26 +1,26 @@
 //! Algorithm 2 (§5.3, Figures 2–3): knowledge answers in the general
 //! case.
 //!
-//! Entry point that always prepares the IDB with the §5.2 transformation
-//! (per the options' [`crate::TransformPolicy`]) and runs the enumeration
-//! with tag bounding and typing-preserving identification enabled. This is
-//! what [`crate::describe::describe`] dispatches to when the subject
-//! involves recursion; calling it on a non-recursive subject is harmless
-//! (the transformation leaves such predicates alone and the typing check
-//! never triggers on conforming trees).
+//! Entry point that always runs over the §5.2-transformed rules (per the
+//! options' [`crate::TransformPolicy`]) with tag bounding and
+//! typing-preserving identification enabled. This is what
+//! [`crate::describe::describe`] dispatches to when the subject involves
+//! recursion; calling it on a non-recursive subject is harmless (the
+//! transformation leaves such predicates alone and the typing check never
+//! triggers on conforming trees). Like every `&Idb` entry point it builds
+//! a [`crate::PreparedIdb`] for the one call.
 
 use crate::config::DescribeOptions;
 use crate::describe::{self, Describe};
 use crate::error::Result;
-use crate::transform::transform_idb;
+use crate::prepared::PreparedIdb;
 use crate::DescribeAnswer;
 use qdk_engine::Idb;
 
 /// Runs Algorithm 2: transformation + tags + typing preservation.
 pub fn run(idb: &Idb, query: &Describe, opts: &DescribeOptions) -> Result<DescribeAnswer> {
     query.validate(idb)?;
-    let tidb = transform_idb(idb, opts.transform)?;
-    describe::run(&tidb, query, true, opts)
+    describe::run(PreparedIdb::for_call(idb, opts).rules()?, query, true, opts)
 }
 
 #[cfg(test)]

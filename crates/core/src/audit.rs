@@ -16,12 +16,11 @@
 //! generality-reducing identifications §6 warns about.
 
 use crate::answer::DescribeAnswer;
-use crate::config::{DescribeOptions, TransformPolicy};
+use crate::config::DescribeOptions;
 use crate::describe::{self, Describe};
 use crate::error::Result;
+use crate::prepared::PreparedIdb;
 use crate::redundancy;
-use crate::transform::{transform_idb, TransformedIdb};
-use qdk_engine::graph::DependencyGraph;
 use qdk_engine::Idb;
 use qdk_logic::{Literal, Rule};
 use std::fmt;
@@ -89,22 +88,12 @@ pub fn audit_against(
 ) -> Result<CompletenessReport> {
     // Exhaustive candidate enumeration at bounded depth, over the same
     // (possibly transformed) program the official run used.
-    let graph = DependencyGraph::build(idb);
-    let recursive = graph.involves_recursion(query.subject.pred.as_str());
-    let tidb: TransformedIdb = if recursive {
-        transform_idb(idb, opts.transform)?
-    } else {
-        TransformedIdb::untransformed(idb)
-    };
+    let prep = PreparedIdb::prepare(idb, opts.transform);
+    let (tidb, check_typing) = prep.rules_for_subject(query.subject.pred.as_str())?;
     let mut audit_opts = opts.clone();
     audit_opts.limits.max_depth = Some(depth);
     audit_opts.remove_redundant = false;
-    let candidates = describe::run_exhaustive(
-        &tidb,
-        query,
-        recursive && opts.transform != TransformPolicy::None,
-        &audit_opts,
-    )?;
+    let candidates = describe::run_exhaustive(tidb, query, check_typing, &audit_opts)?;
 
     let mut trans: Vec<qdk_logic::Sym> = tidb.step_preds.values().cloned().collect();
     trans.extend(tidb.modified.iter().cloned());

@@ -133,18 +133,7 @@ pub fn compare(
     let first_ge_second = dnf_le(&d2, &d1); // first subsumes second
     let second_ge_first = dnf_le(&d1, &d2);
 
-    // Maximal shared concept over the best pair of conjuncts.
-    let mut best: (usize, Vec<Literal>, Vec<Literal>, Vec<Literal>) =
-        (0, Vec::new(), Vec::new(), Vec::new());
-    for c1 in &d1 {
-        for c2 in &d2 {
-            let (shared, r1, r2) = shared_concept(c1, c2);
-            if shared.len() > best.0 || (best.0 == 0 && best.1.is_empty()) {
-                best = (shared.len(), shared, r1, r2);
-            }
-        }
-    }
-    let (_, shared, only_first, only_second) = best;
+    let (shared, only_first, only_second) = best_pair(&d1, &d2);
 
     let relationship = match (first_ge_second, second_ge_first) {
         (true, true) => Relationship::Equivalent,
@@ -192,6 +181,97 @@ fn definitions(
     expand_conjunction(idb, &atoms, opts)
 }
 
+/// What decides whether two literals can unify at all: sign, predicate
+/// and arity.
+type LiteralKey<'a> = (bool, &'a str, usize);
+
+fn literal_key(l: &Literal) -> LiteralKey<'_> {
+    (l.positive, l.atom.pred.as_str(), l.atom.arity())
+}
+
+/// A conjunct's literals counted by [`LiteralKey`], sorted by key.
+fn signature(c: &Conjunct) -> Vec<(LiteralKey<'_>, usize)> {
+    let mut keys: Vec<LiteralKey<'_>> = c.iter().map(literal_key).collect();
+    keys.sort_unstable();
+    let mut sig: Vec<(LiteralKey<'_>, usize)> = Vec::new();
+    for k in keys {
+        match sig.last_mut() {
+            Some((last, n)) if *last == k => *n += 1,
+            _ => sig.push((k, 1)),
+        }
+    }
+    sig
+}
+
+/// The size of the multiset intersection of two signatures: an upper
+/// bound on how many literals [`shared_concept`] can pair up, since it
+/// pairs each literal at most once and only with one of the same key.
+fn overlap(a: &[(LiteralKey<'_>, usize)], b: &[(LiteralKey<'_>, usize)]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += a[i].1.min(b[j].1);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// The maximal shared concept over the best pair of conjuncts, with each
+/// side's residue: the first pair (in `d1`-major order) whose shared
+/// literal count is the maximum. A pair whose signature overlap cannot
+/// exceed the best count found so far is skipped without being matched.
+/// When no pair shares anything the last pair's conjuncts are the
+/// residues.
+fn best_pair(d1: &[Conjunct], d2: &[Conjunct]) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
+    let sig2: Vec<_> = d2.iter().map(signature).collect();
+    let mut best = None;
+    let mut best_len = 0;
+    for c1 in d1 {
+        let sig1 = signature(c1);
+        for (c2, sig2) in d2.iter().zip(&sig2) {
+            if overlap(&sig1, sig2) <= best_len {
+                continue;
+            }
+            let found = shared_concept(c1, c2);
+            if found.0.len() > best_len {
+                best_len = found.0.len();
+                best = Some(found);
+            }
+        }
+    }
+    best.unwrap_or_else(|| match (d1.last(), d2.last()) {
+        (Some(c1), Some(c2)) => (Vec::new(), c1.clone(), c2.clone()),
+        _ => Default::default(),
+    })
+}
+
+/// The unpruned search [`best_pair`] must agree with: every pair matched,
+/// the first to reach the maximum kept, the last pair kept when none
+/// shares anything.
+#[cfg(test)]
+fn best_pair_exhaustive(
+    d1: &[Conjunct],
+    d2: &[Conjunct],
+) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
+    let mut best: (usize, Vec<Literal>, Vec<Literal>, Vec<Literal>) =
+        (0, Vec::new(), Vec::new(), Vec::new());
+    for c1 in d1 {
+        for c2 in d2 {
+            let (shared, r1, r2) = shared_concept(c1, c2);
+            if shared.len() > best.0 || (best.0 == 0 && best.1.is_empty()) {
+                best = (shared.len(), shared, r1, r2);
+            }
+        }
+    }
+    (best.1, best.2, best.3)
+}
+
 /// Greedy maximal common literal set between two conjuncts: repeatedly
 /// unifies a literal of `c1` with one of `c2` under a threaded
 /// substitution, then reports residues. The shared concept is the
@@ -203,11 +283,14 @@ fn shared_concept(c1: &Conjunct, c2: &Conjunct) -> (Vec<Literal>, Vec<Literal>, 
     let mut residue1 = Vec::new();
     for l1 in c1 {
         let mut matched = false;
+        // `subst` only changes on a match, which ends the inner loop.
+        let a1 = subst.apply_atom(&l1.atom);
+        let k1 = literal_key(l1);
         for (j, l2) in c2.iter().enumerate() {
-            if used2[j] || l1.positive != l2.positive {
+            // Literals that differ in sign, predicate or arity cannot unify.
+            if used2[j] || k1 != literal_key(l2) {
                 continue;
             }
-            let a1 = subst.apply_atom(&l1.atom);
             let a2 = subst.apply_atom(&l2.atom);
             if let Some(mgu) = qdk_logic::unify_atoms(&a1, &a2) {
                 shared.push(Literal {
@@ -365,5 +448,58 @@ mod tests {
         .unwrap();
         // Now the concepts share the student atom.
         assert_ne!(a.relationship, Relationship::Unrelated);
+    }
+
+    use proptest::prelude::*;
+
+    /// Literals over a small vocabulary, so conjuncts collide on sign,
+    /// predicate and arity often enough for unification to matter.
+    fn arb_literal() -> impl Strategy<Value = Literal> {
+        let term = prop_oneof![
+            prop_oneof![Just("X"), Just("Y"), Just("Z")].prop_map(Term::var),
+            prop_oneof![Just("a"), Just("b")].prop_map(|c| Term::Const(qdk_logic::Const::sym(c))),
+        ];
+        (
+            prop_oneof![Just("p"), Just("q"), Just("r"), Just("s")],
+            proptest::collection::vec(term, 1..3),
+            0u8..4,
+        )
+            .prop_map(|(pred, args, sign)| Literal {
+                positive: sign != 0,
+                atom: Atom::new(pred, args),
+            })
+    }
+
+    fn arb_dnf() -> impl Strategy<Value = Vec<Conjunct>> {
+        proptest::collection::vec(proptest::collection::vec(arb_literal(), 0..5), 0..5)
+    }
+
+    proptest! {
+        /// The pruned best-pair search is the exhaustive one: same shared
+        /// concept, same residues, same tie-breaks.
+        #[test]
+        fn pruned_best_pair_matches_exhaustive(d1 in arb_dnf(), d2 in arb_dnf()) {
+            prop_assert_eq!(best_pair(&d1, &d2), best_pair_exhaustive(&d1, &d2));
+        }
+
+        /// …including when the two sides share no predicate at all, where
+        /// every pair is pruned and the last pair's conjuncts are reported.
+        #[test]
+        fn pruned_best_pair_matches_exhaustive_when_disjoint(d1 in arb_dnf(), d2 in arb_dnf()) {
+            let d2: Vec<Conjunct> = d2
+                .iter()
+                .map(|c| {
+                    c.iter()
+                        .map(|l| Literal {
+                            positive: l.positive,
+                            atom: Atom::new(format!("other_{}", l.atom.pred).as_str(), l.atom.args.clone()),
+                        })
+                        .collect()
+                })
+                .collect();
+            let pruned = best_pair(&d1, &d2);
+            prop_assert!(pruned.0.is_empty());
+            prop_assert_eq!(pruned, best_pair_exhaustive(&d1, &d2));
+        }
     }
 }

@@ -2,13 +2,13 @@
 //! assembly.
 
 use crate::answer::{Completeness, DescribeAnswer, Theorem};
-use crate::config::{DescribeOptions, FallbackPolicy, TransformPolicy};
+use crate::config::{DescribeOptions, FallbackPolicy};
 use crate::constraints::{self, Comparison};
 use crate::error::{DescribeError, Result};
+use crate::prepared::PreparedIdb;
 use crate::redundancy;
-use crate::transform::{transform_idb, TransformedIdb};
+use crate::transform::TransformedIdb;
 use crate::tree::{Enumerator, RawAnswer};
-use qdk_engine::graph::DependencyGraph;
 use qdk_engine::Idb;
 use qdk_logic::{unify_atoms, Atom, Literal, Subst, Sym, Term, VarGen};
 use std::collections::BTreeSet;
@@ -34,7 +34,13 @@ impl Describe {
 
     /// Validates the statement against an IDB (§3.1–3.2's restrictions).
     pub fn validate(&self, idb: &Idb) -> Result<()> {
-        if self.subject.is_builtin() || !idb.defines(self.subject.pred.as_str()) {
+        self.check(idb.defines(self.subject.pred.as_str()))
+    }
+
+    /// The §3.1–3.2 restrictions, given whether the subject's predicate
+    /// heads a rule of the IDB in question.
+    pub(crate) fn check(&self, subject_defined: bool) -> Result<()> {
+        if self.subject.is_builtin() || !subject_defined {
             return Err(DescribeError::SubjectNotIdb(self.subject.pred.to_string()));
         }
         for l in &self.hypothesis {
@@ -73,52 +79,55 @@ impl fmt::Display for Describe {
 /// Evaluates a `describe` statement, dispatching between Algorithm 1
 /// (non-recursive subject) and Algorithm 2 (transformation + tags +
 /// typing) per the dependency analysis of §4/§5.
+///
+/// Stateless: prepares the whole rule base for this one call. A caller
+/// asking more than one question of the same rules prepares once and uses
+/// [`PreparedIdb::describe`].
 pub fn describe(idb: &Idb, query: &Describe, opts: &DescribeOptions) -> Result<DescribeAnswer> {
-    query.validate(idb)?;
-    let graph = DependencyGraph::build(idb);
-    let recursive = graph.involves_recursion(query.subject.pred.as_str());
-    let tidb = {
-        let _span = opts.sink.span("transform", u64::from(recursive));
-        if recursive {
-            transform_idb(idb, opts.transform)?
-        } else {
-            TransformedIdb::untransformed(idb)
-        }
-    };
-    let check_typing = recursive && opts.transform != TransformPolicy::None;
-    run(&tidb, query, check_typing, opts)
+    PreparedIdb::for_call(idb, opts).describe(query, opts)
 }
 
-/// [`describe`] that additionally respects integrity constraints (§2.1's
-/// second Horn-clause form): a theorem whose body — conjoined with the
-/// hypothesis — contains a forbidden combination (some constraint's body
-/// maps into it) is discarded, since no database satisfying the
-/// constraints can instantiate it. If the constraints discard every
-/// theorem, the special contradiction answer is raised.
-pub fn describe_with_constraints(
-    idb: &Idb,
-    integrity: &[qdk_logic::Constraint],
-    query: &Describe,
-    opts: &DescribeOptions,
-) -> Result<DescribeAnswer> {
-    let mut answer = describe(idb, query, opts)?;
-    if integrity.is_empty() {
-        return Ok(answer);
+impl PreparedIdb {
+    /// [`describe`] over this preparation. The preparation's
+    /// [`TransformPolicy`](crate::TransformPolicy) governs;
+    /// `opts.transform` is not consulted.
+    pub fn describe(&self, query: &Describe, opts: &DescribeOptions) -> Result<DescribeAnswer> {
+        query.check(self.defines(&query.subject.pred))?;
+        let (rules, check_typing) = self.rules_for_subject(query.subject.pred.as_str())?;
+        run(rules, query, check_typing, opts)
     }
-    let forbidden = |theorem: &Theorem| {
-        let mut lits: Vec<Literal> = theorem.rule.body.clone();
-        lits.extend(query.hypothesis.iter().cloned());
-        integrity.iter().any(|c| {
-            let body: Vec<Literal> = c.body.iter().cloned().map(Literal::pos).collect();
-            qdk_logic::subsume::body_subsumes(&body, &lits)
-        })
-    };
-    let before = answer.theorems.len();
-    answer.theorems.retain(|t| !forbidden(t));
-    if answer.theorems.is_empty() && before > 0 {
-        answer.hypothesis_contradicts_idb = true;
+
+    /// [`Self::describe`] that additionally respects integrity constraints
+    /// (§2.1's second Horn-clause form): a theorem whose body — conjoined
+    /// with the hypothesis — contains a forbidden combination (some
+    /// constraint's body maps into it) is discarded, since no database
+    /// satisfying the constraints can instantiate it. If the constraints
+    /// discard every theorem, the special contradiction answer is raised.
+    pub fn describe_with_constraints(
+        &self,
+        integrity: &[qdk_logic::Constraint],
+        query: &Describe,
+        opts: &DescribeOptions,
+    ) -> Result<DescribeAnswer> {
+        let mut answer = self.describe(query, opts)?;
+        if integrity.is_empty() {
+            return Ok(answer);
+        }
+        let forbidden = |theorem: &Theorem| {
+            let mut lits: Vec<Literal> = theorem.rule.body.clone();
+            lits.extend(query.hypothesis.iter().cloned());
+            integrity.iter().any(|c| {
+                let body: Vec<Literal> = c.body.iter().cloned().map(Literal::pos).collect();
+                qdk_logic::subsume::body_subsumes(&body, &lits)
+            })
+        };
+        let before = answer.theorems.len();
+        answer.theorems.retain(|t| !forbidden(t));
+        if answer.theorems.is_empty() && before > 0 {
+            answer.hypothesis_contradicts_idb = true;
+        }
+        Ok(answer)
     }
-    Ok(answer)
 }
 
 /// Runs the enumeration over a prepared (possibly transformed) IDB and
@@ -285,8 +294,11 @@ pub fn run(
                     })
                 })
                 .collect();
-            let mut it = dominated.iter();
-            theorems.retain(|_| !*it.next().expect("parallel"));
+            theorems = theorems
+                .into_iter()
+                .zip(dominated)
+                .filter_map(|(t, dominated)| (!dominated).then_some(t))
+                .collect();
         }
 
         let mut trans: Vec<Sym> = tidb.step_preds.values().cloned().collect();
@@ -443,6 +455,7 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TransformPolicy;
     use qdk_logic::parser::{parse_atom, parse_body, parse_program};
 
     /// The paper's full example IDB (§2.2).
@@ -721,9 +734,10 @@ mod tests {
         let query = q("candidate(X)", "");
         let unfiltered = describe(&idb, &query, &DescribeOptions::paper()).unwrap();
         assert_eq!(unfiltered.len(), 2);
-        let filtered =
-            describe_with_constraints(&idb, &constraint, &query, &DescribeOptions::paper())
-                .unwrap();
+        let opts = DescribeOptions::paper();
+        let filtered = PreparedIdb::prepare(&idb, opts.transform)
+            .describe_with_constraints(&constraint, &query, &opts)
+            .unwrap();
         assert_eq!(
             filtered.rendered(),
             vec!["candidate(X) ← domestic(X) ∧ applied(X)"]
@@ -737,9 +751,9 @@ mod tests {
             .rules,
         )
         .unwrap();
-        let all_gone =
-            describe_with_constraints(&idb2, &constraint, &query, &DescribeOptions::paper())
-                .unwrap();
+        let all_gone = PreparedIdb::prepare(&idb2, opts.transform)
+            .describe_with_constraints(&constraint, &query, &opts)
+            .unwrap();
         assert!(all_gone.hypothesis_contradicts_idb);
     }
 

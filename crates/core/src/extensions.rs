@@ -19,9 +19,11 @@
 use crate::answer::DescribeAnswer;
 use crate::config::DescribeOptions;
 use crate::constraints::{self, Comparison};
-use crate::describe::{describe, Describe};
+use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::expand;
+use crate::governor::Governor;
+use crate::prepared::PreparedIdb;
 use qdk_engine::Idb;
 use qdk_logic::{unify_atoms, Atom, Literal, Subst, Sym};
 use std::collections::HashMap;
@@ -34,12 +36,7 @@ pub fn describe_necessary(
     query: &Describe,
     opts: &DescribeOptions,
 ) -> Result<DescribeAnswer> {
-    let mut answer = describe(idb, query, opts)?;
-    let all: Vec<usize> = (0..query.hypothesis.len()).collect();
-    answer
-        .theorems
-        .retain(|t| all.iter().all(|i| t.used_hypothesis.contains(i)));
-    Ok(answer)
+    PreparedIdb::for_call(idb, opts).describe_necessary(query, opts)
 }
 
 /// `describe p where ψ₁ or ψ₂ or …` — §6's second research direction
@@ -58,71 +55,7 @@ pub fn describe_disjunctive(
     disjuncts: &[Vec<Literal>],
     opts: &DescribeOptions,
 ) -> Result<DescribeAnswer> {
-    if disjuncts.is_empty() {
-        return describe(idb, &Describe::new(subject.clone(), vec![]), opts);
-    }
-    if disjuncts.len() == 1 {
-        return describe(
-            idb,
-            &Describe::new(subject.clone(), disjuncts[0].clone()),
-            opts,
-        );
-    }
-    let mut per: Vec<DescribeAnswer> = Vec::with_capacity(disjuncts.len());
-    for d in disjuncts {
-        per.push(describe(
-            idb,
-            &Describe::new(subject.clone(), d.clone()),
-            opts,
-        )?);
-    }
-    // A contradiction with any disjunct does not contradict the
-    // disjunction; the whole query contradicts only if every disjunct did.
-    let all_contradict = per.iter().all(|a| a.hypothesis_contradicts_idb);
-    let mut kept: Vec<crate::Theorem> = Vec::new();
-    for (i, answer) in per.iter().enumerate() {
-        'theorems: for t in &answer.theorems {
-            if t.one_level {
-                // Definitions hold unconditionally.
-                if !kept
-                    .iter()
-                    .any(|k| crate::redundancy::semantic_subsumes(&k.rule, &t.rule, &[]))
-                {
-                    kept.push(t.clone());
-                }
-                continue;
-            }
-            for (j, other) in per.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let entailed = other
-                    .theorems
-                    .iter()
-                    .any(|o| crate::redundancy::semantic_subsumes(&o.rule, &t.rule, &[]));
-                if !entailed {
-                    continue 'theorems;
-                }
-            }
-            if !kept
-                .iter()
-                .any(|k| crate::redundancy::semantic_subsumes(&k.rule, &t.rule, &[]))
-            {
-                kept.push(t.clone());
-            }
-        }
-    }
-    // The disjunction's answer is only complete if every disjunct's was;
-    // the first truncation diagnostic is carried through.
-    let completeness = per.iter().find_map(|a| a.completeness.exhausted()).map_or(
-        crate::Completeness::Complete,
-        crate::Completeness::Truncated,
-    );
-    Ok(DescribeAnswer {
-        hypothesis_contradicts_idb: all_contradict && kept.is_empty(),
-        theorems: kept,
-        completeness,
-    })
+    PreparedIdb::for_call(idb, opts).describe_disjunctive(subject, disjuncts, opts)
 }
 
 /// The answer to a negated-hypothesis describe.
@@ -157,7 +90,7 @@ pub fn describe_without(
     idb: &Idb,
     subject: &Atom,
     negated: &Atom,
-    _opts: &DescribeOptions,
+    opts: &DescribeOptions,
 ) -> Result<NegationAnswer> {
     if !idb.defines(subject.pred.as_str()) {
         return Err(DescribeError::SubjectNotIdb(subject.pred.to_string()));
@@ -165,7 +98,8 @@ pub fn describe_without(
     // Expand the subject, pruning derivations through h at every level
     // (the subject itself unifying with h is immediately tainted).
     let mut conjs = Vec::new();
-    expand_avoiding(idb, subject, negated, &mut Vec::new(), &mut conjs)?;
+    let mut gov = opts.governor();
+    expand_avoiding(idb, subject, negated, &mut Vec::new(), &mut gov, &mut conjs)?;
     Ok(NegationAnswer {
         derivable_without: !conjs.is_empty(),
         witnesses: conjs,
@@ -173,14 +107,17 @@ pub fn describe_without(
 }
 
 /// Depth-first unfolding that refuses to *create* any node unifying with
-/// the taboo atom.
+/// the taboo atom. Like [`expand::expand_atom`] it has no meaningful
+/// partial result, so a tripped limit is an error.
 fn expand_avoiding(
     idb: &Idb,
     atom: &Atom,
     taboo: &Atom,
     path: &mut Vec<Sym>,
+    gov: &mut Governor,
     out: &mut Vec<expand::Conjunct>,
 ) -> Result<()> {
+    gov.tick()?;
     if unify_atoms(atom, taboo).is_some() {
         return Ok(());
     }
@@ -213,7 +150,7 @@ fn expand_avoiding(
             }
             let inst = mgu.apply_atom(&lit.atom);
             let mut sub = Vec::new();
-            expand_avoiding(idb, &inst, taboo, path, &mut sub)?;
+            expand_avoiding(idb, &inst, taboo, path, gov, &mut sub)?;
             if sub.is_empty() && !inst.is_builtin() && idb.defines(inst.pred.as_str()) {
                 tainted = true;
                 break;
@@ -376,34 +313,121 @@ pub fn describe_wildcard(
     hypothesis: &[Literal],
     opts: &DescribeOptions,
 ) -> Result<Vec<(Sym, DescribeAnswer)>> {
-    let mut out = Vec::new();
-    for pred in idb.predicates() {
-        // Build a subject atom with fresh distinct variables matching the
-        // predicate's arity (taken from its first rule's head).
-        let head = &idb
-            .rules_for(pred.as_str())
-            .next()
-            .expect("predicate has a rule")
-            .head;
-        let subject = Atom::new(
-            pred.clone(),
-            (0..head.arity())
-                .map(|i| qdk_logic::Term::var(&format!("S{i}")))
-                .collect(),
-        );
-        let q = Describe::new(subject, hypothesis.to_vec());
-        let mut answer = describe(idb, &q, opts)?;
-        answer.theorems.retain(|t| !t.used_hypothesis.is_empty());
-        if !answer.theorems.is_empty() {
-            out.push((pred.clone(), answer));
-        }
+    PreparedIdb::for_call(idb, opts).describe_wildcard(hypothesis, opts)
+}
+
+/// The §6 statements that are built from plain describes, over a kept
+/// preparation (the `&Idb` functions above prepare per call).
+impl PreparedIdb {
+    /// [`describe_necessary`] over this preparation.
+    pub fn describe_necessary(
+        &self,
+        query: &Describe,
+        opts: &DescribeOptions,
+    ) -> Result<DescribeAnswer> {
+        let mut answer = self.describe(query, opts)?;
+        let all: Vec<usize> = (0..query.hypothesis.len()).collect();
+        answer
+            .theorems
+            .retain(|t| all.iter().all(|i| t.used_hypothesis.contains(i)));
+        Ok(answer)
     }
-    Ok(out)
+
+    /// [`describe_disjunctive`] over this preparation.
+    pub fn describe_disjunctive(
+        &self,
+        subject: &Atom,
+        disjuncts: &[Vec<Literal>],
+        opts: &DescribeOptions,
+    ) -> Result<DescribeAnswer> {
+        if disjuncts.len() <= 1 {
+            let hypothesis = disjuncts.first().cloned().unwrap_or_default();
+            return self.describe(&Describe::new(subject.clone(), hypothesis), opts);
+        }
+        let mut per: Vec<DescribeAnswer> = Vec::with_capacity(disjuncts.len());
+        for d in disjuncts {
+            per.push(self.describe(&Describe::new(subject.clone(), d.clone()), opts)?);
+        }
+        // A contradiction with any disjunct does not contradict the
+        // disjunction; the whole query contradicts only if every disjunct did.
+        let all_contradict = per.iter().all(|a| a.hypothesis_contradicts_idb);
+        let mut kept: Vec<crate::Theorem> = Vec::new();
+        for (i, answer) in per.iter().enumerate() {
+            'theorems: for t in &answer.theorems {
+                if t.one_level {
+                    // Definitions hold unconditionally.
+                    if !kept
+                        .iter()
+                        .any(|k| crate::redundancy::semantic_subsumes(&k.rule, &t.rule, &[]))
+                    {
+                        kept.push(t.clone());
+                    }
+                    continue;
+                }
+                for (j, other) in per.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let entailed = other
+                        .theorems
+                        .iter()
+                        .any(|o| crate::redundancy::semantic_subsumes(&o.rule, &t.rule, &[]));
+                    if !entailed {
+                        continue 'theorems;
+                    }
+                }
+                if !kept
+                    .iter()
+                    .any(|k| crate::redundancy::semantic_subsumes(&k.rule, &t.rule, &[]))
+                {
+                    kept.push(t.clone());
+                }
+            }
+        }
+        // The disjunction's answer is only complete if every disjunct's was;
+        // the first truncation diagnostic is carried through.
+        let completeness = per.iter().find_map(|a| a.completeness.exhausted()).map_or(
+            crate::Completeness::Complete,
+            crate::Completeness::Truncated,
+        );
+        Ok(DescribeAnswer {
+            hypothesis_contradicts_idb: all_contradict && kept.is_empty(),
+            theorems: kept,
+            completeness,
+        })
+    }
+
+    /// [`describe_wildcard`] over this preparation: one describe per
+    /// subject, all over the same prepared rules. A predicate name the
+    /// rule base defines at several arities is asked once per arity.
+    pub fn describe_wildcard(
+        &self,
+        hypothesis: &[Literal],
+        opts: &DescribeOptions,
+    ) -> Result<Vec<(Sym, DescribeAnswer)>> {
+        let mut out = Vec::new();
+        for (pred, arity) in self.subjects() {
+            // A subject atom with fresh distinct variables.
+            let subject = Atom::new(
+                pred.clone(),
+                (0..arity)
+                    .map(|i| qdk_logic::Term::var(&format!("S{i}")))
+                    .collect(),
+            );
+            let mut answer = self.describe(&Describe::new(subject, hypothesis.to_vec()), opts)?;
+            answer.theorems.retain(|t| !t.used_hypothesis.is_empty());
+            if !answer.theorems.is_empty() {
+                out.push((pred, answer));
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::describe::describe;
     use qdk_logic::parser::{parse_atom, parse_body, parse_program};
 
     fn university_idb() -> Idb {
@@ -601,5 +625,29 @@ mod tests {
         assert!(preds.contains(&"can_ta".to_string()), "{preds:?}");
         let can_ta = &out.iter().find(|(p, _)| p.as_str() == "can_ta").unwrap().1;
         assert_eq!(can_ta.len(), 2);
+    }
+
+    #[test]
+    fn wildcard_asks_every_arity_of_an_overloaded_name() {
+        // `flag` is defined at arity 1 and 2. The second definition used
+        // to be invisible to `describe *` (the subject took its arity from
+        // the first rule alone).
+        let idb = Idb::from_rules(
+            parse_program(
+                "flag(X) :- honor(X).
+                 flag(X, Y) :- honor(X), enroll(X, Y).
+                 honor(X) :- student(X, Y, Z), Z > 3.7.",
+            )
+            .unwrap()
+            .rules,
+        )
+        .unwrap();
+        let hyp = parse_body("honor(H)").unwrap();
+        let out = describe_wildcard(&idb, &hyp, &DescribeOptions::paper()).unwrap();
+        let subjects: Vec<String> = out
+            .iter()
+            .map(|(_, a)| a.theorems[0].rule.head.to_string())
+            .collect();
+        assert_eq!(subjects, vec!["flag(S0)", "flag(S0, S1)", "honor(S0)"]);
     }
 }

@@ -17,6 +17,8 @@
 //!
 //! * [`describe::describe`] — the entry point, dispatching between the
 //!   paper's two algorithms based on dependency analysis;
+//! * [`prepared`] — the rule base analysed, transformed and compiled once
+//!   ([`PreparedIdb`]), which every describe-family algorithm runs over;
 //! * [`algo1`] — Algorithm 1 (§4, Figure 1): derivation-tree construction
 //!   with hypothesis identification, for non-recursive subjects;
 //! * [`transform`] — Imielinski's rule transformation (§5.2) and the
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stderr, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod algo1;
 pub mod algo2;
@@ -53,6 +56,7 @@ mod error;
 pub mod expand;
 pub mod extensions;
 pub mod governor;
+pub mod prepared;
 pub mod redundancy;
 pub mod transform;
 mod tree;
@@ -63,3 +67,4 @@ pub use config::{DescribeOptions, FallbackPolicy, TransformPolicy};
 pub use describe::{describe, Describe};
 pub use error::{DescribeError, Result};
 pub use governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
+pub use prepared::PreparedIdb;

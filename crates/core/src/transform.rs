@@ -63,7 +63,11 @@ pub enum RuleKind {
     UntypedControlled,
 }
 
-/// The result of preparing an IDB for Algorithm 2.
+/// The rule list the tree enumerator runs: an IDB rewritten by the §5.2
+/// transformation (or left as is), each rule tagged with its [`RuleKind`],
+/// compiled once and indexed by head predicate. Built by [`transform_idb`];
+/// [`crate::PreparedIdb`] holds one per rules generation so describes do
+/// not rebuild it.
 #[derive(Clone, Debug)]
 pub struct TransformedIdb {
     /// The rewritten IDB.
@@ -202,11 +206,23 @@ fn untyped_controllable(rule: &Rule, graph: &DependencyGraph) -> bool {
 /// Requirements (§2.1): recursive rules must be strongly linear; typed
 /// recursive rules are transformed, untyped ones must have the controllable
 /// structure above. Violations yield [`DescribeError::UnsupportedIdb`].
+///
+/// This is the stateless form: it analyses and compiles the whole IDB on
+/// every call. [`crate::PreparedIdb`] keeps the result (and the analysis)
+/// for reuse across describes.
 pub fn transform_idb(idb: &Idb, policy: TransformPolicy) -> Result<TransformedIdb> {
+    transform_with(idb, policy, &DependencyGraph::build(idb))
+}
+
+/// [`transform_idb`] over an already-built dependency graph of `idb`.
+pub(crate) fn transform_with(
+    idb: &Idb,
+    policy: TransformPolicy,
+    graph: &DependencyGraph,
+) -> Result<TransformedIdb> {
     if policy == TransformPolicy::None {
         return Ok(TransformedIdb::untransformed(idb));
     }
-    let graph = DependencyGraph::build(idb);
     let mut out_rules: Vec<(Rule, RuleKind)> = Vec::new();
     let mut step_preds = HashMap::new();
     let mut modified = Vec::new();
@@ -223,11 +239,11 @@ pub fn transform_idb(idb: &Idb, policy: TransformPolicy) -> Result<TransformedId
         }
         let (recursive, exits): (Vec<&Rule>, Vec<&Rule>) = rules
             .into_iter()
-            .partition(|r| classify_rule(r, &graph) != RuleShape::NonRecursive);
+            .partition(|r| classify_rule(r, graph) != RuleShape::NonRecursive);
 
         // Validate strong linearity.
         for r in &recursive {
-            match classify_rule(r, &graph) {
+            match classify_rule(r, graph) {
                 RuleShape::StronglyLinear => {}
                 shape => {
                     return Err(DescribeError::UnsupportedIdb(format!(
@@ -242,7 +258,7 @@ pub fn transform_idb(idb: &Idb, policy: TransformPolicy) -> Result<TransformedId
             .partition(|r| r.is_typed_wrt(pred.as_str()));
 
         for r in &untyped {
-            if !untyped_controllable(r, &graph) {
+            if !untyped_controllable(r, graph) {
                 return Err(DescribeError::UnsupportedIdb(format!(
                     "untyped recursive rule is not of the controllable structure: {r}"
                 )));

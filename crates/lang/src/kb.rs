@@ -8,7 +8,7 @@ use crate::ast::Statement;
 use crate::error::Result;
 use crate::parser::{parse_script, parse_statement};
 use qdk_core::{
-    compare, describe, extensions, redundancy, Describe, DescribeCache, DescribeOptions,
+    compare, extensions, redundancy, Describe, DescribeCache, DescribeOptions, PreparedIdb,
 };
 use qdk_durability::{
     CheckpointData, DurabilityMetrics, DurabilityOptions, Durable, Lsn, Opened, RecoveryReport,
@@ -26,71 +26,106 @@ use qdk_logic::{Constraint, Rule, Sym, Term};
 use qdk_storage::{Edb, Tuple};
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The cached compilation of the IDB (plans plus their interner), keyed
-/// by the rules generation it was compiled under. Interior-mutable so
-/// queries — which take `&self` — can fill it on first use.
+/// One value derived from the rules alone, cached under the rules
+/// generation it was built for. Interior-mutable so queries — which take
+/// `&self`, possibly from several snapshot readers at once — can fill it
+/// on first use. Two of these hang off a knowledge base: the compiled
+/// program `retrieve` runs ([`ProgramPlan`]) and the rule base prepared
+/// for `describe` ([`PreparedIdb`]).
 ///
-/// Fact mutations do **not** touch the cache: a compiled program depends
+/// Fact mutations do **not** touch either: a compiled program depends
 /// only on the IDB (rule bodies, literal schedules) plus a cardinality
 /// snapshot that steers join *order*, never answers — so fact churn can
 /// at worst leave the order mildly stale, and the next rule change or
 /// explicit [`KnowledgeBase::invalidate_plan`] refreshes the stats along
-/// with the plans. Rule and constraint mutations bump the generation,
+/// with the plans — and a preparation never reads the EDB at all. Rule
+/// and constraint mutations move the knowledge base to a new generation,
 /// which makes the cached entry unreachable.
-#[derive(Default)]
-struct PlanCache(Mutex<Option<(u64, Arc<ProgramPlan>)>>);
+struct GenCache<T>(Mutex<Option<(u64, Arc<T>)>>);
 
-impl PlanCache {
+impl<T> GenCache<T> {
     /// Locks the slot; a poisoned lock only means another thread
-    /// panicked mid-access, and the cached plan (or `None`) is still
+    /// panicked mid-access, and the cached value (or `None`) is still
     /// coherent, so recover the guard instead of propagating.
-    fn slot(&self) -> MutexGuard<'_, Option<(u64, Arc<ProgramPlan>)>> {
+    fn slot(&self) -> MutexGuard<'_, Option<(u64, Arc<T>)>> {
         match self.0.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// The plan cached for rules generation `gen`, compiling `idb`
-    /// against a fresh cardinality snapshot of `edb` if the cache is
-    /// empty or holds another generation. The flag reports whether this
-    /// call was a cache hit (for observability).
-    fn get_or_compile(&self, gen: u64, idb: &Idb, edb: &Edb) -> (Arc<ProgramPlan>, bool) {
+    /// The value cached for rules generation `gen` if it `fits` the
+    /// request; otherwise `build`s one (under the lock, so concurrent
+    /// readers build once) and caches it in the other's place. The flag
+    /// reports whether this call was a cache hit (for observability).
+    fn get_or_build(
+        &self,
+        gen: u64,
+        fits: impl Fn(&T) -> bool,
+        build: impl FnOnce() -> T,
+    ) -> (Arc<T>, bool) {
         let mut slot = self.slot();
-        if let Some((cached_gen, p)) = &*slot {
-            if *cached_gen == gen {
-                return (Arc::clone(p), true);
+        if let Some((cached_gen, v)) = &*slot {
+            if *cached_gen == gen && fits(v) {
+                return (Arc::clone(v), true);
             }
         }
-        let p = Arc::new(ProgramPlan::compile_with_stats(idb, edb.stats()));
-        *slot = Some((gen, Arc::clone(&p)));
-        (p, false)
+        let v = Arc::new(build());
+        *slot = Some((gen, Arc::clone(&v)));
+        (v, false)
     }
 
-    /// Drops the cached plan; the next query recompiles (picking up a
-    /// fresh cardinality snapshot).
+    /// Takes over `other`'s entry when it was built for generation `gen`
+    /// and this cache holds nothing for that generation.
+    fn adopt(&self, gen: u64, other: &GenCache<T>) {
+        let theirs = other.slot().clone();
+        let mut slot = self.slot();
+        let stale = !matches!(&*slot, Some((g, _)) if *g == gen);
+        if stale && matches!(&theirs, Some((g, _)) if *g == gen) {
+            *slot = theirs;
+        }
+    }
+
+    /// Drops the cached value; the next use rebuilds.
     fn invalidate(&self) {
         *self.slot() = None;
     }
 }
 
-impl Clone for PlanCache {
-    fn clone(&self) -> Self {
-        PlanCache(Mutex::new(self.slot().clone()))
+impl<T> Default for GenCache<T> {
+    fn default() -> Self {
+        GenCache(Mutex::new(None))
     }
 }
 
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = if self.slot().is_some() {
-            "compiled"
-        } else {
-            "empty"
-        };
-        write!(f, "PlanCache({state})")
+impl<T> Clone for GenCache<T> {
+    fn clone(&self) -> Self {
+        GenCache(Mutex::new(self.slot().clone()))
     }
+}
+
+impl<T> std::fmt::Debug for GenCache<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &*self.slot() {
+            Some((gen, _)) => write!(f, "GenCache(generation {gen})"),
+            None => write!(f, "GenCache(empty)"),
+        }
+    }
+}
+
+/// Rules generations are unique within the process: two knowledge bases
+/// carry the same generation only when one is a clone of the other and
+/// neither's rules or constraints have changed since. That is what lets a
+/// generation — never an address — identify what a [`GenCache`] entry was
+/// built from, also across the clones an epoch publish makes. Generation
+/// 0 is the empty rule base every new knowledge base starts from.
+fn next_rules_gen() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Only uniqueness matters; the counter publishes no other data.
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Downgrades recorded by mutation-side maintenance — an incremental step
@@ -186,9 +221,15 @@ pub struct KnowledgeBase {
     strategy: Strategy,
     opts: DescribeOptions,
     /// Compiled program shared by every retrieve until the rules change.
-    plan: PlanCache,
-    /// Rules generation: bumped by rule/constraint mutations, the plan
-    /// cache key. Fact mutations leave it (and the cache) alone.
+    plan: GenCache<ProgramPlan>,
+    /// The rule base prepared for the describe family (dependency graph,
+    /// §5.2 transformation, compiled rules), shared by every describe
+    /// until the rules change. At most one is held: asking under another
+    /// [`qdk_core::TransformPolicy`] replaces it.
+    prepared: GenCache<PreparedIdb>,
+    /// Rules generation ([`next_rules_gen`]): renewed by rule/constraint
+    /// mutations, the key of both caches above. Fact mutations leave it
+    /// (and the caches) alone.
     rules_gen: u64,
     /// In-flight transaction buffer: while `Some`, logged ops collect
     /// here instead of hitting the WAL, and commit writes them as one
@@ -301,7 +342,8 @@ impl KnowledgeBase {
         for rec in tail {
             kb.apply_op(rec.op)?;
         }
-        kb.plan.invalidate();
+        // Replay added rules without going through `add_rule`.
+        kb.rules_gen = next_rules_gen();
         if kb.opts.sink.enabled()
             && (report.checkpointed + report.replayed > 0 || report.discarded_tail_bytes > 0)
         {
@@ -542,7 +584,7 @@ impl KnowledgeBase {
     /// apply discipline: a fact that fails validation leaves the KB and
     /// the WAL untouched. The compiled plan is retained — answers flow
     /// from the live EDB, the plan only fixes the literal schedules (see
-    /// [`PlanCache`]).
+    /// `GenCache`).
     pub fn add_fact(&mut self, atom: &qdk_logic::Atom) -> Result<bool> {
         self.edb.validate_fact(atom)?;
         if self.durable.is_some() {
@@ -590,7 +632,7 @@ impl KnowledgeBase {
             self.log(WalOp::AddRule(rule.clone()))?;
         }
         self.idb.add_rule(rule)?;
-        self.rules_gen = self.rules_gen.wrapping_add(1);
+        self.rules_gen = next_rules_gen();
         self.opts.sink.counter("rules_invalidated", 1);
         self.describe_cache.guard().rule_added(&head, redundant);
         self.maintain_rules_changed(&head);
@@ -710,7 +752,7 @@ impl KnowledgeBase {
         }
         let preds: Vec<Sym> = c.body.iter().map(|a| a.pred.clone()).collect();
         self.constraints.push(c);
-        self.rules_gen = self.rules_gen.wrapping_add(1);
+        self.rules_gen = next_rules_gen();
         self.opts.sink.counter("rules_invalidated", 1);
         // Constraints prune describe answers, so cached entries whose
         // closure reaches a constrained predicate go stale. Retrieve
@@ -1024,10 +1066,12 @@ impl KnowledgeBase {
             Statement::Retrieve(r) => Ok(Answer::Data(self.retrieve(r)?)),
             Statement::Describe(d) => Ok(Answer::Knowledge(self.describe(d)?)),
             Statement::DescribeNecessary(d) => Ok(Answer::Knowledge(
-                extensions::describe_necessary(&self.idb, d, &self.opts)?,
+                self.prepared(&self.opts)
+                    .describe_necessary(d, &self.opts)?,
             )),
             Statement::DescribeDisjunctive { subject, disjuncts } => Ok(Answer::Knowledge(
-                extensions::describe_disjunctive(&self.idb, subject, disjuncts, &self.opts)?,
+                self.prepared(&self.opts)
+                    .describe_disjunctive(subject, disjuncts, &self.opts)?,
             )),
             Statement::DescribeWithout { subject, negated } => Ok(Answer::Necessity(
                 extensions::describe_without(&self.idb, subject, negated, &self.opts)?,
@@ -1042,7 +1086,8 @@ impl KnowledgeBase {
                 )?))
             }
             Statement::DescribeWildcard { hypothesis } => Ok(Answer::Wildcard(
-                extensions::describe_wildcard(&self.idb, hypothesis, &self.opts)?,
+                self.prepared(&self.opts)
+                    .describe_wildcard(hypothesis, &self.opts)?,
             )),
             Statement::Compare { first, second } => Ok(Answer::Comparison(Box::new(
                 compare::compare(&self.idb, first, second, &self.opts)?,
@@ -1109,9 +1154,7 @@ impl KnowledgeBase {
             }
             None => {
                 let _span = obs.span("plan", 0);
-                let (plan, hit) = self
-                    .plan
-                    .get_or_compile(self.rules_gen, &self.idb, &self.edb);
+                let (plan, hit) = self.compiled_plan_hit();
                 let name = if hit {
                     "plan_cache_hit"
                 } else {
@@ -1131,15 +1174,43 @@ impl KnowledgeBase {
     /// The compiled program for the current rules generation, filling the
     /// cache if needed (without emitting query counters).
     pub fn compiled_plan(&self) -> Arc<ProgramPlan> {
-        self.plan
-            .get_or_compile(self.rules_gen, &self.idb, &self.edb)
-            .0
+        self.compiled_plan_hit().0
+    }
+
+    /// [`Self::compiled_plan`], compiling against a fresh cardinality
+    /// snapshot of the EDB on a miss, with whether the cache hit.
+    fn compiled_plan_hit(&self) -> (Arc<ProgramPlan>, bool) {
+        self.plan.get_or_build(
+            self.rules_gen,
+            |_| true,
+            || ProgramPlan::compile_with_stats(&self.idb, self.edb.stats()),
+        )
+    }
+
+    /// The rule base prepared for the describe family under
+    /// `opts.transform`, built on first use in each rules generation. The
+    /// `transform` span covers the lookup and, on a miss, the build.
+    fn prepared(&self, opts: &DescribeOptions) -> Arc<PreparedIdb> {
+        let _span = opts.sink.span("transform", 0);
+        let (prep, hit) = self.prepared.get_or_build(
+            self.rules_gen,
+            |p| p.policy() == opts.transform,
+            || PreparedIdb::prepare(&self.idb, opts.transform),
+        );
+        let name = if hit {
+            "describe_prep_hit"
+        } else {
+            "describe_prep_miss"
+        };
+        opts.sink.counter(name, 1);
+        prep
     }
 
     /// Prepares this KB for an epoch publish and returns the plan the
     /// snapshot should pin: adopt composite-index demand readers
-    /// expressed on the previous epoch (`prev`), resolve the compiled
-    /// plan, prebuild the composite indexes its scans will probe, promote
+    /// expressed on the previous epoch (`prev`) and, when the rules have
+    /// not changed since, the describe preparation a reader of that epoch
+    /// built; resolve the compiled plan, prebuild the composite indexes its scans will probe, promote
     /// everything into the lock-free sets, and force the WAL to stable
     /// storage so a published epoch is always durable.
     pub(crate) fn prepare_publish(
@@ -1148,6 +1219,7 @@ impl KnowledgeBase {
     ) -> Result<Arc<ProgramPlan>> {
         if let Some(prev) = prev {
             self.edb.adopt_index_demand(prev.edb());
+            self.prepared.adopt(self.rules_gen, &prev.prepared);
         }
         let plan = self.compiled_plan();
         for (pred, cols) in plan.composite_requests() {
@@ -1182,7 +1254,9 @@ impl KnowledgeBase {
     /// constraints are still respected. Complete, unbounded answers are
     /// cached by subject signature and survive fact churn untouched (a
     /// describe answer never reads the EDB); rule and constraint changes
-    /// evict per predicate closure.
+    /// evict per predicate closure. An answer that has to be computed
+    /// runs over the rule base prepared for the current rules generation
+    /// (built by the first describe-family statement that needs it).
     #[doc(hidden)]
     pub fn describe_with_options(
         &self,
@@ -1198,10 +1272,11 @@ impl KnowledgeBase {
             }
             opts.sink.counter("describe_cache_miss", 1);
         }
-        let answer = describe::describe_with_constraints(&self.idb, &self.constraints, d, opts)?;
+        let prep = self.prepared(opts);
+        let answer = prep.describe_with_constraints(&self.constraints, d, opts)?;
         if let Some(k) = key {
             if !answer.is_truncated() {
-                let closure = self.describe_closure(d);
+                let closure = describe_closure(prep.graph(), d);
                 self.describe_cache.guard().insert(
                     d.subject.pred.as_str(),
                     k,
@@ -1211,28 +1286,6 @@ impl KnowledgeBase {
             }
         }
         Ok(answer)
-    }
-
-    /// Every predicate `d`'s answer can depend on: the rule-graph closure
-    /// of the subject plus of each hypothesis predicate (hypothesis
-    /// literals surface in theorem bodies, so constraints over them prune
-    /// answers too).
-    fn describe_closure(&self, d: &Describe) -> Vec<Sym> {
-        let graph = DependencyGraph::build(&self.idb);
-        let mut closure = vec![d.subject.pred.clone()];
-        let mut cover = |preds: Vec<Sym>| {
-            for p in preds {
-                if !closure.contains(&p) {
-                    closure.push(p);
-                }
-            }
-        };
-        cover(graph.reachable_from(d.subject.pred.as_str()));
-        for lit in &d.hypothesis {
-            cover(vec![lit.atom.pred.clone()]);
-            cover(graph.reachable_from(lit.atom.pred.as_str()));
-        }
-        closure
     }
 
     /// The declared integrity constraints.
@@ -1270,6 +1323,27 @@ impl KnowledgeBase {
         }
         out
     }
+}
+
+/// Every predicate `d`'s answer can depend on: the rule-graph closure
+/// of the subject plus of each hypothesis predicate (hypothesis
+/// literals surface in theorem bodies, so constraints over them prune
+/// answers too).
+fn describe_closure(graph: &DependencyGraph, d: &Describe) -> Vec<Sym> {
+    let mut closure = vec![d.subject.pred.clone()];
+    let mut cover = |preds: Vec<Sym>| {
+        for p in preds {
+            if !closure.contains(&p) {
+                closure.push(p);
+            }
+        }
+    };
+    cover(graph.reachable_from(d.subject.pred.as_str()));
+    for lit in &d.hypothesis {
+        cover(vec![lit.atom.pred.clone()]);
+        cover(graph.reachable_from(lit.atom.pred.as_str()));
+    }
+    closure
 }
 
 /// The describe-cache key for `d` under `opts`, `None` when the

@@ -19,8 +19,11 @@ use crate::kb::KnowledgeBase;
 
 /// One published epoch: an immutable knowledge base plus the compiled
 /// plan pinned next to the data it was compiled for. Readers holding an
-/// `Arc<KbState>` answer queries with zero locks — the plan rides along,
+/// `Arc<KbState>` answer retrieves with zero locks — the plan rides along,
 /// so even the plan-cache mutex is never touched on the snapshot path.
+/// Describes share the epoch's describe-answer cache and prepared rule
+/// base through `kb`; a preparation a reader builds there is adopted by
+/// the next publish while the rules stay unchanged.
 #[derive(Debug)]
 pub struct KbState {
     /// Which epoch this state was published as.

@@ -462,9 +462,11 @@ impl From<KnowledgeBase> for Session {
 
 /// An immutable read handle pinned to one published epoch. Obtained from
 /// [`Session::snapshot`]; `Send + Sync` and cheap to clone, so any number
-/// of threads can hold one and query concurrently. Queries against a
+/// of threads can hold one and query concurrently. Retrieves against a
 /// snapshot acquire **no lock**: the epoch owns its facts, rules,
-/// compiled plan and composite indexes, all frozen at publish time.
+/// compiled plan and composite indexes, all frozen at publish time
+/// (describes briefly lock the epoch's shared caches, see
+/// [`SnapshotSession::describe`]).
 ///
 /// A snapshot never changes underneath its holder — a writer publishing
 /// new epochs is invisible until [`SnapshotSession::refresh`] is called,
@@ -520,7 +522,11 @@ impl SnapshotSession {
         retrieve_on(&self.state.kb, Some(&self.state.plan), request)
     }
 
-    /// Evaluates a knowledge query against the pinned epoch.
+    /// Evaluates a knowledge query against the pinned epoch. Readers of
+    /// one epoch share its describe-answer cache and its prepared rule
+    /// base: whichever reader asks first builds the preparation, the rest
+    /// reuse it, and the next publish carries it forward while the rules
+    /// stay unchanged.
     pub fn describe(&self, request: Request) -> Result<Response> {
         describe_on(&self.state.kb, request)
     }
@@ -674,7 +680,13 @@ fn retrieve_on(
 }
 
 /// `describe` against a knowledge base (shared by [`Session`] and
-/// [`SnapshotSession`]; the describe path never consults the plan cache).
+/// [`SnapshotSession`]). The compiled `retrieve` plan plays no part; what
+/// the knowledge base consults instead is its describe-answer cache and,
+/// for a computed answer, the rule base prepared for the current rules
+/// generation (`KnowledgeBase::describe_with_options`). Both sit behind a
+/// mutex held for the lookup — and, the first time in a generation, for
+/// building the preparation — so describes are the one query kind where a
+/// snapshot reader takes a lock.
 fn describe_on(kb: &KnowledgeBase, request: Request) -> Result<Response> {
     let (obs, collector) = request_sink(kb, &request);
     let started = Instant::now();

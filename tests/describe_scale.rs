@@ -1,0 +1,158 @@
+//! `describe` at rule-base scale: the whole-IDB work (dependency graph,
+//! §5.2 transformation, rule compilation) is done once per rules
+//! generation, not once per statement.
+//!
+//! The `describe_prep_miss` / `describe_prep_hit` counters say which
+//! describe-family statements prepared the rule base and which reused the
+//! preparation. They are exact counts, so the tests below pin them on a
+//! 600-rule layered rule base built right here.
+
+use qdk::{Request, Session};
+use std::fmt::Write;
+
+const LEVELS: usize = 3;
+const WIDTH: usize = 100;
+const ALTS: usize = 2;
+const ATTRS: usize = 40;
+
+/// A layered, non-recursive policy rule base: `LEVELS × WIDTH` concepts
+/// `pol<level>_<i>(X)`, each with `ALTS` alternative definitions over two
+/// concepts of the next level down (attribute atoms at the bottom level)
+/// plus one attribute comparison. 3 × 100 × 2 = 600 rules.
+fn policy_script() -> String {
+    let mut out = String::new();
+    for a in 0..ATTRS {
+        writeln!(out, "predicate attr{a}(Id, Val).").unwrap();
+    }
+    for level in 0..LEVELS {
+        for i in 0..WIDTH {
+            for alt in 0..ALTS {
+                // Any fixed spread of sub-concepts will do.
+                let pick = |k: usize, modulus: usize| (7 * i + 13 * alt + 31 * k + level) % modulus;
+                write!(out, "pol{level}_{i}(X) :- ").unwrap();
+                for k in 0..2 {
+                    if level + 1 < LEVELS {
+                        write!(out, "pol{}_{}(X), ", level + 1, pick(k, WIDTH)).unwrap();
+                    } else {
+                        write!(out, "attr{}(X, U{k}), ", pick(k, ATTRS)).unwrap();
+                    }
+                }
+                writeln!(out, "attr{}(X, V), V > {}.", pick(2, ATTRS), 1 + pick(3, 8)).unwrap();
+            }
+        }
+    }
+    out
+}
+
+fn policy_session() -> Session {
+    let mut s = Session::new();
+    s.load(&policy_script()).unwrap();
+    assert_eq!(s.knowledge_base().idb().len(), LEVELS * WIDTH * ALTS);
+    s.enable_metrics();
+    s
+}
+
+/// `(describe_prep_miss, describe_prep_hit)` so far.
+fn prep_counts(s: &Session) -> (u64, u64) {
+    let snap = s.metrics_snapshot().unwrap();
+    (
+        snap.counter("describe_prep_miss").unwrap_or(0),
+        snap.counter("describe_prep_hit").unwrap_or(0),
+    )
+}
+
+/// The `n`-th of a family of distinct describes spread over all levels.
+fn nth_describe(n: usize) -> String {
+    format!(
+        "describe pol{}_{}(X) where attr{}(X, V) and V > {}.",
+        n % LEVELS,
+        (17 * n) % WIDTH,
+        n % ATTRS,
+        1 + n % 8
+    )
+}
+
+#[test]
+fn one_preparation_serves_every_describe_family_statement() {
+    let mut s = policy_session();
+    for n in 0..50 {
+        let answer = s.run(&nth_describe(n)).unwrap();
+        assert!(!answer.as_knowledge().unwrap().theorems.is_empty());
+    }
+    assert_eq!(prep_counts(&s), (1, 49));
+
+    // The §6 statements run over the same preparation — `describe *`
+    // asks all 300 concepts of it, once.
+    let wildcard = s.run("describe * where attr3(X, V) and V > 5.").unwrap();
+    assert!(wildcard.to_string().contains("pol"), "{wildcard}");
+    s.run("describe pol0_4(X) where necessary attr3(X, V) and V > 5.")
+        .unwrap();
+    s.run("describe pol0_4(X) where attr3(X, V) or attr4(X, V).")
+        .unwrap();
+    assert_eq!(prep_counts(&s), (1, 52));
+}
+
+#[test]
+fn rule_and_constraint_changes_prepare_again() {
+    let mut s = policy_session();
+    s.run(&nth_describe(0)).unwrap();
+    assert_eq!(prep_counts(&s), (1, 0));
+
+    // Fact churn leaves the preparation alone.
+    s.run("attr0(widget, 7).").unwrap();
+    s.run(&nth_describe(1)).unwrap();
+    assert_eq!(prep_counts(&s), (1, 1));
+
+    // A new rule is a new rules generation: one more preparation, and
+    // the rule's theorem is in the answer.
+    s.run("pol0_0(X) :- vip(X).").unwrap();
+    let answer = s.run("describe pol0_0(X).").unwrap();
+    assert!(
+        answer
+            .as_knowledge()
+            .unwrap()
+            .contains_rendered("pol0_0(X) ← vip(X)"),
+        "{answer}"
+    );
+    assert_eq!(prep_counts(&s), (2, 1));
+    s.run(&nth_describe(2)).unwrap();
+    assert_eq!(prep_counts(&s), (2, 2));
+
+    // So is a new constraint.
+    s.run(":- vip(X), attr0(X, V).").unwrap();
+    s.run(&nth_describe(3)).unwrap();
+    assert_eq!(prep_counts(&s), (3, 2));
+}
+
+#[test]
+fn snapshot_readers_share_preparations_across_epochs() {
+    // The writer prepared before publishing: the reader's first describe
+    // finds the preparation in its snapshot.
+    let mut s = policy_session();
+    s.run(&nth_describe(0)).unwrap();
+    let reader = s.snapshot().unwrap();
+    let request = |subject: &str| Request::subject(subject).where_clause("attr5(X, V), V > 2");
+    reader.describe(request("pol1_7(X)")).unwrap();
+    assert_eq!(prep_counts(&s), (1, 1));
+
+    // The other way round: only a reader ever described. Its preparation
+    // belongs to the epoch it pinned, and the next publish — rules
+    // unchanged — carries it forward to the writer and to later readers.
+    let mut s = policy_session();
+    let mut reader = s.snapshot().unwrap();
+    reader.describe(request("pol1_7(X)")).unwrap();
+    assert_eq!(prep_counts(&s), (1, 0));
+    s.run("attr0(widget, 7).").unwrap();
+    s.publish().unwrap();
+    assert!(reader.refresh());
+    reader.describe(request("pol2_9(X)")).unwrap();
+    s.run(&nth_describe(4)).unwrap();
+    assert_eq!(prep_counts(&s), (1, 2));
+
+    // A rule change ends the sharing: the new epoch prepares afresh.
+    s.run("pol0_0(X) :- vip(X).").unwrap();
+    s.publish().unwrap();
+    assert!(reader.refresh());
+    reader.describe(request("pol0_0(X)")).unwrap();
+    assert_eq!(prep_counts(&s), (2, 2));
+}

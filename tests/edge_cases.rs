@@ -214,3 +214,66 @@ fn comparisons_between_symbols_in_describe() {
     // dropped.
     assert_eq!(a.as_knowledge().unwrap().rendered(), vec!["early(X)"]);
 }
+
+#[test]
+fn unsupported_recursion_only_fails_the_subjects_that_need_it() {
+    // `link` is recursive but not strongly linear, so the §5.2
+    // transformation refuses the rule base. Subjects that involve no
+    // recursion never needed the transformation: they answer exactly as
+    // they do without the offending rules. Only a subject that reaches
+    // `link` reports the refusal.
+    let sound = "honor(X) :- student(X, Y, Z), Z > 3.7.
+                 can_ta(X, Y) :- honor(X), complete(X, Y, Z, 4.0).";
+    let unsupported = "link(X, Y) :- edge(X, Y).
+                       link(X, Y) :- link(X, Z), link(Z, Y).
+                       hub(X) :- link(X, X).";
+    let mut reference = kb_from(sound);
+    let mut kb = kb_from(&format!("{sound}\n{unsupported}"));
+    for statement in [
+        "describe honor(X).",
+        "describe can_ta(X, Y) where honor(X).",
+        "describe can_ta(X, Y) where necessary honor(X).",
+        "describe can_ta(X, Y) where student(X, math, V) and V > 3.8.",
+    ] {
+        assert_eq!(
+            kb.run(statement).unwrap().to_string(),
+            reference.run(statement).unwrap().to_string(),
+            "{statement}"
+        );
+    }
+    for statement in [
+        "describe link(X, Y).",
+        "describe hub(X) where edge(X, Y).",
+        // The wildcard asks every concept, `link` among them.
+        "describe * where honor(X).",
+    ] {
+        let err = kb.run(statement).expect_err(statement);
+        assert!(err.to_string().starts_with("unsupported IDB"), "{err}");
+    }
+}
+
+#[test]
+fn which_describe_statements_apply_integrity_constraints() {
+    // Pinned, not endorsed: plain `describe` discards theorems an
+    // integrity constraint forbids; `where necessary` and `describe *`
+    // run the same enumeration but skip that filter. ROADMAP item 2 (one
+    // statement pipeline) owns closing the gap — update this test there.
+    let mut kb = kb_from(
+        "candidate(X) :- foreign(X), unmarried(X), applied(X).
+         candidate(X) :- domestic(X), applied(X).
+         :- foreign(X), unmarried(X).",
+    );
+    let forbidden = "foreign(X)";
+    let plain = kb.run("describe candidate(X) where applied(X).").unwrap();
+    assert_eq!(plain.as_knowledge().unwrap().len(), 1);
+    assert!(!plain.to_string().contains(forbidden), "{plain}");
+
+    let necessary = kb
+        .run("describe candidate(X) where necessary applied(X).")
+        .unwrap();
+    assert_eq!(necessary.as_knowledge().unwrap().len(), 2);
+    assert!(necessary.to_string().contains(forbidden), "{necessary}");
+
+    let wildcard = kb.run("describe * where applied(X).").unwrap();
+    assert!(wildcard.to_string().contains(forbidden), "{wildcard}");
+}

@@ -243,6 +243,40 @@ fn example6_describe_budget_limited_returns_truncated_not_silent() {
 }
 
 #[test]
+fn negated_hypothesis_describe_is_governed() {
+    // `describe p where not h` unfolds the subject avoiding `h`. Like the
+    // other expansions it has no partial answer, so a tripped limit is
+    // an error carrying the diagnostic — it used to ignore its options.
+    let src = "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
+               can_ta(X, Y) :- honor(X), complete(X, Y, Z, 4.0).\n\
+               can_ta(X, Y) :- tenured(X), teach(X, Y).";
+    let statement = "describe can_ta(X, Y) where not honor(X).";
+    let ungoverned = kb_from(src).run(statement).unwrap();
+    assert!(ungoverned.to_string().starts_with("true"), "{ungoverned}");
+
+    let mut budgeted =
+        kb_from(src).with_describe_options(DescribeOptions::paper().with_work_budget(1));
+    let e = qdk::Error::from(budgeted.run(statement).expect_err("budget must trip"))
+        .exhausted()
+        .expect("structured diagnostic");
+    assert_eq!(e.resource, Resource::WorkBudget);
+    assert_eq!(e.limit, 1);
+
+    let token = CancelToken::new();
+    token.cancel();
+    let mut cancelled =
+        kb_from(src).with_describe_options(DescribeOptions::paper().with_cancel(token));
+    let e = qdk::Error::from(
+        cancelled
+            .run(statement)
+            .expect_err("cancelled token must abort"),
+    )
+    .exhausted()
+    .expect("structured diagnostic");
+    assert_eq!(e.resource, Resource::Cancelled);
+}
+
+#[test]
 fn kb_describe_options_thread_limits_into_retrieve() {
     // The facade's one options struct governs both statements: a
     // work-budget too small for the transitive closure trips retrieve.

@@ -168,6 +168,8 @@ fn prometheus_rendering_is_pinned() {
     let reg = MetricsRegistry::new();
     reg.counter_add("retrieves", 3);
     reg.counter_add("rule_firings", 120);
+    reg.counter_add("describe_prep_miss", 1);
+    reg.counter_add("describe_prep_hit", 49);
     reg.gauge_set("edb_facts", 42);
     for v in [100, 200, 300, 400] {
         reg.histogram_record("retrieve_micros", v);
@@ -177,6 +179,10 @@ fn prometheus_rendering_is_pinned() {
     assert_eq!(
         snap.render_prometheus(),
         "\
+# TYPE qdk_describe_prep_hit_total counter
+qdk_describe_prep_hit_total 49
+# TYPE qdk_describe_prep_miss_total counter
+qdk_describe_prep_miss_total 1
 # TYPE qdk_retrieves_total counter
 qdk_retrieves_total 3
 # TYPE qdk_rule_firings_total counter
@@ -222,23 +228,32 @@ fn session_metrics_aggregate_queries_and_gauges() {
     }
     s.describe(Request::subject("prior(X, Y)").where_clause("prior(c3, Y)"))
         .unwrap();
+    s.describe(Request::subject("prior(X, Y)").where_clause("prior(X, c0)"))
+        .unwrap();
     let snap = s.metrics_snapshot().unwrap();
     assert_eq!(snap.counter("retrieves"), Some(5));
-    assert_eq!(snap.counter("describes"), Some(1));
+    assert_eq!(snap.counter("describes"), Some(2));
     // Engine counters flowed through the sink into the registry.
     assert!(snap.counter("rule_firings").unwrap_or(0) > 0);
     assert!(snap.counter("index_probes").unwrap_or(0) > 0);
     // Plan-cache behaviour: first retrieve compiles, the rest hit.
     assert_eq!(snap.counter("plan_cache_miss"), Some(1));
     assert_eq!(snap.counter("plan_cache_hit"), Some(4));
+    // Describe preparation likewise: the first computed describe prepares
+    // the rule base, the next reuses it — one of the two per computed
+    // describe, and one `transform` span around each lookup.
+    assert_eq!(snap.counter("describe_prep_miss"), Some(1));
+    assert_eq!(snap.counter("describe_prep_hit"), Some(1));
+    assert_eq!(snap.counter("describe_cache_miss"), Some(2));
+    assert_eq!(snap.histogram("transform_span_micros").unwrap().count, 2);
     // Subsystem gauges were polled at snapshot time.
     assert_eq!(snap.gauge("edb_facts"), Some(3));
     assert_eq!(snap.gauge("idb_rules"), Some(2));
     // Wall-time histograms recorded one observation per query.
     assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 5);
-    assert_eq!(snap.histogram("describe_micros").unwrap().count, 1);
+    assert_eq!(snap.histogram("describe_micros").unwrap().count, 2);
     // And the evaluation spans aggregated into latency histograms.
-    assert!(snap.histogram("execute_span_micros").unwrap().count >= 6);
+    assert!(snap.histogram("execute_span_micros").unwrap().count >= 7);
     // No slow-query capture armed: nothing counted slow.
     assert_eq!(snap.counter("slow_queries"), None);
 }
