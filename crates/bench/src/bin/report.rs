@@ -47,6 +47,7 @@ fn median_micros(runs: usize, mut f: impl FnMut()) -> f64 {
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
+        Strategy::Auto => "auto",
         Strategy::SemiNaive => "semi-naive",
         Strategy::TopDown => "top-down",
         Strategy::Qsq => "qsq",

@@ -8,7 +8,7 @@
 //! which recursion and evaluation order fall out.
 
 use crate::idb::Idb;
-use qdk_logic::Sym;
+use qdk_logic::{FxHashSet, Sym};
 use std::collections::HashMap;
 
 /// The predicate dependency graph of an IDB.
@@ -32,9 +32,25 @@ pub struct DependencyGraph {
 
 impl DependencyGraph {
     /// Builds the dependency graph of an IDB. Nodes are created for every
-    /// predicate appearing as a rule head or in a rule body (including EDB
-    /// predicates, which have no outgoing edges); built-ins are ignored.
+    /// predicate appearing as a rule head or in a positive body literal
+    /// (including EDB predicates, which have no outgoing edges); built-ins
+    /// are ignored. This is §2.1's *dependent* relation, which the paper
+    /// defines over positive bodies.
     pub fn build(idb: &Idb) -> Self {
+        Self::build_from(idb, false)
+    }
+
+    /// [`Self::build`] with an edge for every negated body literal too:
+    /// what evaluating a predicate needs materialised first. A rule
+    /// `q ← p ∧ ¬r` cannot be fired before `r` is complete, so a slice cut
+    /// along positive edges alone would read `r` as empty. In a stratified
+    /// program no cycle passes through a negated literal, so recursion and
+    /// SCCs are those of [`Self::build`].
+    pub fn for_evaluation(idb: &Idb) -> Self {
+        Self::build_from(idb, true)
+    }
+
+    fn build_from(idb: &Idb, negated: bool) -> Self {
         let mut g = DependencyGraph {
             ids: HashMap::new(),
             names: Vec::new(),
@@ -45,8 +61,11 @@ impl DependencyGraph {
         };
         for rule in idb.rules() {
             let h = g.intern(&rule.head.pred);
-            for atom in rule.body_db_atoms() {
-                let b = g.intern(&atom.pred);
+            for lit in &rule.body {
+                if lit.is_builtin() || !(lit.positive || negated) {
+                    continue;
+                }
+                let b = g.intern(&lit.atom.pred);
                 if !g.edges[h].contains(&b) {
                     g.edges[h].push(b);
                 }
@@ -220,6 +239,27 @@ impl DependencyGraph {
         out
     }
 
+    /// The predicates whose slice — the predicate itself and everything
+    /// reachable from it — contains a predicate satisfying `own`. One pass
+    /// over the SCCs in dependency order, so linear in the graph.
+    pub fn slices_containing(&self, mut own: impl FnMut(&Sym) -> bool) -> FxHashSet<Sym> {
+        // An edge leaves for the same SCC or one with a smaller id, whose
+        // verdict is already in; a same-SCC target reads `false` here and
+        // is covered by the sweep over the members.
+        let mut hit = vec![false; self.scc_members.len()];
+        for (scc, members) in self.scc_members.iter().enumerate() {
+            hit[scc] = members.iter().any(|&v| {
+                own(&self.names[v]) || self.edges[v].iter().any(|&w| hit[self.scc_of[w]])
+            });
+        }
+        self.names
+            .iter()
+            .zip(&self.scc_of)
+            .filter(|(_, &scc)| hit[scc])
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+
     /// SCCs in dependency order (every SCC's dependencies precede it):
     /// evaluation strata for bottom-up computation.
     pub fn sccs_in_order(&self) -> Vec<Vec<Sym>> {
@@ -338,6 +378,41 @@ mod tests {
         assert!(reach.contains(&"c".to_string()));
         assert!(!reach.contains(&"unrelated".to_string()));
         assert!(!reach.contains(&"d".to_string()));
+    }
+
+    #[test]
+    fn evaluation_graph_follows_negated_literals() {
+        let src = "ordinary(X) :- student(X, Y, Z), not honor(X).\n\
+                   honor(X) :- student(X, Y, Z), Z > 3.7.";
+        let names = |g: &DependencyGraph| -> Vec<String> {
+            let mut n: Vec<String> = g
+                .reachable_from("ordinary")
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            n.sort();
+            n
+        };
+        assert_eq!(names(&graph(src)), ["ordinary", "student"]);
+        let p = parse_program(src).unwrap();
+        let g = DependencyGraph::for_evaluation(&Idb::from_rules(p.rules).unwrap());
+        assert_eq!(names(&g), ["honor", "ordinary", "student"]);
+        assert!(!g.is_recursive("ordinary"));
+    }
+
+    #[test]
+    fn slices_containing_propagates_up_the_dependency_order() {
+        let g = graph(
+            "top(X) :- mid(X), e(X).\n\
+             mid(X) :- tc(X, Y).\n\
+             tc(X, Y) :- e2(X, Y).\n\
+             tc(X, Y) :- e2(X, Z), tc(Z, Y).\n\
+             flat(X) :- e(X).",
+        );
+        let rec = g.slices_containing(|p| g.is_recursive(p.as_str()));
+        let mut names: Vec<&str> = rec.iter().map(Sym::as_str).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["mid", "tc", "top"]);
     }
 
     #[test]

@@ -62,11 +62,14 @@ impl Idb {
 
     /// The rules whose head predicate is `pred`, in source order.
     pub fn rules_for(&self, pred: &str) -> impl Iterator<Item = &Rule> {
-        self.by_head
-            .get(pred)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.rules[i])
+        self.rule_indices(pred).iter().map(|&i| &self.rules[i])
+    }
+
+    /// Positions in [`Self::rules`] of the rules whose head predicate is
+    /// `pred` — also their positions in the compiled `ProgramPlan`, which
+    /// is parallel to the rule list.
+    pub fn rule_indices(&self, pred: &str) -> &[usize] {
+        self.by_head.get(pred).map_or(&[], Vec::as_slice)
     }
 
     /// True if `pred` is an IDB predicate (the head of at least one rule).

@@ -19,7 +19,8 @@
 //!   goal-directed evaluation (relevance-restricted, per-SCC fixpoints)
 //!   and [`qsq`] demand-driven nets — all run the compiled plans, as does
 //!   the [`naive`] reference evaluator they are tested against;
-//! * [`query`] — the `retrieve p where ψ` statement itself.
+//! * [`query`] — the `retrieve p where ψ` statement itself, and
+//!   [`Strategy::Auto`], which picks among the three per query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,6 +50,6 @@ pub use options::EvalOptions;
 pub use plan::{ProgramPlan, RulePlan};
 pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use query::{
-    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_with, DataAnswer, Downgrade, Mode,
-    Retrieve, Strategy,
+    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_with, AutoChoice, DataAnswer,
+    Downgrade, Mode, Retrieve, Strategy,
 };

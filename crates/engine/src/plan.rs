@@ -23,10 +23,14 @@
 //! data-dependent nature of the original diagnostic.
 
 use crate::adorn::Adornment;
+use crate::error::Result;
+use crate::graph::DependencyGraph;
 use crate::idb::Idb;
-use qdk_logic::{CompiledRule, FxHashMap, Interner, IrTerm, Rule, Sym, SymId};
+use crate::stratify::{stratify, Stratification};
+use qdk_logic::obs::ObsSink;
+use qdk_logic::{CompiledRule, FxHashMap, FxHashSet, Interner, IrTerm, Literal, Rule, Sym, SymId};
 use qdk_storage::{CatalogStats, Value};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Fallback cardinality floor for predicates the stats snapshot doesn't
 /// cover (derived predicates, whose extension is unknown before the
@@ -372,10 +376,92 @@ pub struct ProgramPlan {
     /// can never outlive the program they were compiled from — fact
     /// churn retains them, rule changes drop them with the plan.
     qsq: Arc<RwLock<QsqCache>>,
+    /// What the evaluators need to know about the rules alone, built on
+    /// the first retrieve that asks and shared like `qsq`: it lives and
+    /// dies with the plan, so a rule change drops it and fact churn never
+    /// rebuilds it.
+    analysis: Arc<OnceLock<PlanAnalysis>>,
+    /// Top-down call plans, one per (rule index, pre-bound slots),
+    /// specialised on first demand and shared like `qsq`.
+    call_plans: Arc<RwLock<CallPlans>>,
 }
 
 /// Net fragments keyed by (predicate, adornment); see [`crate::qsq`].
 pub(crate) type QsqCache = FxHashMap<(Sym, Adornment), Arc<crate::qsq::Fragment>>;
+
+/// Call plans keyed by (rule index, pre-bound slots); see
+/// [`crate::topdown`].
+type CallPlans = FxHashMap<(usize, Vec<bool>), Arc<RulePlan>>;
+
+/// The rules-only analysis behind every retrieve: which predicates a goal
+/// demands, in which order they are evaluated, and the two properties of
+/// a demanded slice `Strategy::Auto` decides on.
+#[derive(Debug)]
+pub(crate) struct PlanAnalysis {
+    graph: DependencyGraph,
+    /// Kept as its `Result` so a program that is not stratified fails
+    /// where it always did: when something evaluates it bottom-up.
+    strat: Result<Stratification>,
+    /// Predicates whose slice contains a recursive predicate.
+    recursive: FxHashSet<Sym>,
+    /// Predicates whose slice contains a rule with a negated literal.
+    negated: FxHashSet<Sym>,
+}
+
+impl PlanAnalysis {
+    fn build(idb: &Idb) -> Self {
+        let graph = DependencyGraph::for_evaluation(idb);
+        let recursive = graph.slices_containing(|p| graph.is_recursive(p.as_str()));
+        let negated = graph.slices_containing(|p| {
+            idb.rules_for(p.as_str())
+                .any(|r| r.body.iter().any(|l| !l.positive))
+        });
+        PlanAnalysis {
+            strat: stratify(idb),
+            graph,
+            recursive,
+            negated,
+        }
+    }
+
+    /// The dependency graph evaluation slices are cut from
+    /// ([`DependencyGraph::for_evaluation`]).
+    pub(crate) fn graph(&self) -> &DependencyGraph {
+        &self.graph
+    }
+
+    /// The program's strata, or why it has none.
+    pub(crate) fn stratification(&self) -> Result<&Stratification> {
+        self.strat.as_ref().map_err(Clone::clone)
+    }
+
+    /// The predicates every goal of `goals` reaches, goal predicates
+    /// included, in first-reached order: what a bottom-up evaluation of
+    /// the conjunction must materialise.
+    pub(crate) fn demanded(&self, goals: &[Literal]) -> Vec<Sym> {
+        let mut out: Vec<Sym> = Vec::new();
+        for g in goals.iter().filter(|g| !g.is_builtin()) {
+            for p in self.graph.reachable_from(g.atom.pred.as_str()) {
+                if !out.contains(&p) {
+                    out.push(p);
+                }
+            }
+        }
+        out
+    }
+
+    /// True if the slice `goals` demand contains a recursive predicate.
+    pub(crate) fn demands_recursion(&self, goals: &[Literal]) -> bool {
+        goals.iter().any(|g| self.recursive.contains(&g.atom.pred))
+    }
+
+    /// True if `goals` or the slice they demand contain a negated literal.
+    pub(crate) fn demands_negation(&self, goals: &[Literal]) -> bool {
+        goals
+            .iter()
+            .any(|g| !g.positive || self.negated.contains(&g.atom.pred))
+    }
+}
 
 impl ProgramPlan {
     /// Compiles every rule of `idb` with the legacy fewest-unbound
@@ -406,12 +492,64 @@ impl ProgramPlan {
             plans,
             stats,
             qsq: Arc::default(),
+            analysis: Arc::default(),
+            call_plans: Arc::default(),
         }
     }
 
     /// The QSQ net-fragment cache (see [`crate::qsq`]).
     pub(crate) fn qsq_cache(&self) -> &RwLock<QsqCache> {
         &self.qsq
+    }
+
+    /// The rules-only analysis of `idb`, which must be the program this
+    /// plan compiles. Built by the first caller (who counts one
+    /// `plan_analysis_build` on `obs`), read lock-free by everyone after.
+    pub(crate) fn analysis(&self, idb: &Idb, obs: &ObsSink) -> &PlanAnalysis {
+        self.analysis.get_or_init(|| {
+            obs.counter("plan_analysis_build", 1);
+            PlanAnalysis::build(idb)
+        })
+    }
+
+    /// Rule `idx` re-planned with the slots of `bound` pre-bound (the
+    /// top-down solver binds head slots from the call before running the
+    /// body), specialised once per binding pattern.
+    pub(crate) fn call_plan(&self, idx: usize, bound: Vec<bool>) -> Arc<RulePlan> {
+        let key = (idx, bound);
+        if let Some(p) = self
+            .call_plans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
+            return Arc::clone(p);
+        }
+        let rp = &self.plans[idx];
+        let built = Arc::new(RulePlan::with_bound(
+            rp.compiled.clone(),
+            rp.rule_str.clone(),
+            key.1.clone(),
+            self.stats.as_ref(),
+        ));
+        // A racing builder may have inserted meanwhile; both builds are
+        // deterministic and identical, keep the first.
+        Arc::clone(
+            self.call_plans
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key)
+                .or_insert(built),
+        )
+    }
+
+    /// Number of call plans specialised so far (test hook).
+    #[cfg(test)]
+    pub(crate) fn call_plan_count(&self) -> usize {
+        self.call_plans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// The cardinality snapshot this program was planned against, if any.

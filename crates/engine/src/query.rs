@@ -13,12 +13,12 @@
 
 use crate::bindings::{exec, DerivedFacts, FactView};
 use crate::error::{EngineError, Result};
-use crate::graph::DependencyGraph;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive;
 use crate::topdown::Solver;
+use qdk_logic::obs::ObsSink;
 use qdk_logic::{Atom, Frame, FxHashSet, Interner, Literal, Rule, Subst, Term, Var};
 use qdk_storage::{Edb, Tuple, Value};
 use std::fmt;
@@ -26,18 +26,133 @@ use std::fmt;
 /// Evaluation strategy for `retrieve`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Strategy {
-    /// Semi-naive bottom-up over the relevant predicates.
+    /// Pick one of the three evaluators below per query, from the shape
+    /// of the goals and of the rules they demand (see [`AutoChoice`] for
+    /// the decision table). Never from data sizes or the worker count, so
+    /// the same query over the same rules always runs the same way.
     #[default]
+    Auto,
+    /// Semi-naive bottom-up over the relevant predicates: materialises
+    /// every demanded predicate in full. The one to use when the goals
+    /// bind nothing.
     SemiNaive,
-    /// Goal-directed (relevance + constant propagation).
+    /// Goal-directed (relevance + constant propagation): resolves
+    /// non-recursive calls with the query's constants pushed into the
+    /// rule bodies and runs no fixpoint for them; recursive predicates
+    /// are closed bottom-up in full first. Fastest on bound goals over a
+    /// non-recursive slice.
     TopDown,
     /// Query-Subquery: demand-driven set-at-a-time evaluation over QSQ
-    /// nets cached per (predicate, adornment) in the compiled plan —
-    /// the fastest strategy for bound queries served from a warm plan.
-    /// Falls back to semi-naive (recording a downgrade) when the
-    /// demanded slice uses negation or an adornment compiles to an
-    /// unschedulable filter chain.
+    /// nets cached per (predicate, adornment) in the compiled plan.
+    /// Derives only the demanded part of a recursive predicate, which
+    /// makes it the fastest strategy for bound goals over a recursive
+    /// slice; over a non-recursive one its left-to-right binding order
+    /// loses to top-down's re-planned bodies. Falls back to semi-naive
+    /// (recording a downgrade) when the demanded slice uses negation or
+    /// an adornment compiles to an unschedulable filter chain; an
+    /// exhausted limit is an error, not a reason to start over.
     Qsq,
+}
+
+impl Strategy {
+    /// Every strategy a caller can name, the default first.
+    pub const ALL: [Strategy; 4] = [
+        Strategy::Auto,
+        Strategy::SemiNaive,
+        Strategy::TopDown,
+        Strategy::Qsq,
+    ];
+}
+
+/// What [`Strategy::Auto`] resolved one query to. The variants are the
+/// rows of the decision table in the order they are tried; the first
+/// that applies wins. Every condition is a property of the rules
+/// generation and of the goals' shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AutoChoice {
+    /// 1. The knowledge base keeps a maintained derived store: the answer
+    ///    is projected from it. (Decided by the knowledge-base layer, the
+    ///    only one that knows about the store.)
+    Maintained,
+    /// 2. No goal mentions an IDB predicate: the conjunction is solved
+    ///    against the stored relations, with no evaluator at all.
+    Edb,
+    /// 3. No database goal carries a constant, so there is nothing to
+    ///    push down: semi-naive.
+    Unbound,
+    /// 4. The demanded slice contains no recursive predicate, so the
+    ///    query is a union of conjunctive queries: top-down.
+    NonRecursive,
+    /// 5. The demanded slice is recursive and free of negation: QSQ.
+    Recursive,
+    /// 6. The demanded slice is recursive and uses negation, which the
+    ///    QSQ net cannot host: semi-naive.
+    RecursiveNegation,
+}
+
+impl AutoChoice {
+    /// The decision for a goal conjunction (rows 2–6; row 1 is the
+    /// caller's).
+    fn decide(idb: &Idb, plan: &ProgramPlan, goals: &[Literal], obs: &ObsSink) -> Self {
+        let db_goals = || goals.iter().filter(|g| !g.is_builtin());
+        if !db_goals().any(|g| idb.defines(g.atom.pred.as_str())) {
+            return AutoChoice::Edb;
+        }
+        if !db_goals().any(|g| g.atom.args.iter().any(|t| matches!(t, Term::Const(_)))) {
+            return AutoChoice::Unbound;
+        }
+        let analysis = plan.analysis(idb, obs);
+        if !analysis.demands_recursion(goals) {
+            AutoChoice::NonRecursive
+        } else if !analysis.demands_negation(goals) {
+            AutoChoice::Recursive
+        } else {
+            AutoChoice::RecursiveNegation
+        }
+    }
+
+    /// The row of the decision table, 1 to 6.
+    pub fn rule(self) -> u8 {
+        self as u8 + 1
+    }
+
+    /// The evaluator the choice runs; `None` for the two rows that run
+    /// none.
+    pub fn evaluator(self) -> Option<Strategy> {
+        match self {
+            AutoChoice::Maintained | AutoChoice::Edb => None,
+            AutoChoice::Unbound | AutoChoice::RecursiveNegation => Some(Strategy::SemiNaive),
+            AutoChoice::NonRecursive => Some(Strategy::TopDown),
+            AutoChoice::Recursive => Some(Strategy::Qsq),
+        }
+    }
+
+    /// The counter a choice bumps, one per path a query can take.
+    pub fn counter(self) -> &'static str {
+        match self {
+            AutoChoice::Maintained => "retrieve_auto_maintained",
+            AutoChoice::Edb => "retrieve_auto_edb",
+            AutoChoice::Unbound | AutoChoice::RecursiveNegation => "retrieve_auto_seminaive",
+            AutoChoice::NonRecursive => "retrieve_auto_topdown",
+            AutoChoice::Recursive => "retrieve_auto_qsq",
+        }
+    }
+}
+
+impl fmt::Display for AutoChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (reason, path) = match self {
+            AutoChoice::Maintained => ("maintained store is live", "projected from it"),
+            AutoChoice::Edb => ("no goal is derived", "stored relations only"),
+            AutoChoice::Unbound => ("no goal carries a constant", "SemiNaive"),
+            AutoChoice::NonRecursive => ("bound goals, non-recursive slice", "TopDown"),
+            AutoChoice::Recursive => ("bound goals, recursive slice", "Qsq"),
+            AutoChoice::RecursiveNegation => {
+                ("bound goals, recursive slice with negation", "SemiNaive")
+            }
+        };
+        write!(f, "rule {}: {reason} -> {path}", self.rule())
+    }
 }
 
 /// An evaluation mode a [`Downgrade`] can degrade from or to: one of the
@@ -164,6 +279,9 @@ pub struct DataAnswer {
     /// Strategy degradations recorded while answering (empty when the
     /// requested strategy completed on its own).
     pub downgrades: Vec<Downgrade>,
+    /// What [`Strategy::Auto`] resolved this query to; `None` when the
+    /// caller pinned a strategy. Not part of the rendered answer.
+    pub auto: Option<AutoChoice>,
 }
 
 impl DataAnswer {
@@ -239,7 +357,9 @@ pub fn retrieve_with(
 }
 
 /// [`retrieve_with`] over an already compiled program. `plan` must be the
-/// compilation of `idb`.
+/// compilation of `idb`. [`Strategy::Auto`] is resolved here, before any
+/// evaluation, and recorded on the answer and as a `retrieve_auto_*`
+/// counter.
 pub fn retrieve_compiled(
     edb: &Edb,
     idb: &Idb,
@@ -250,35 +370,46 @@ pub fn retrieve_compiled(
 ) -> Result<DataAnswer> {
     let (columns, goals) = query_goals(edb, idb, query)?;
     let obs = opts.sink.clone();
-    let substs = match strategy {
-        Strategy::TopDown => {
-            let _span = obs.span("topdown", 0);
-            let mut solver = Solver::with_plan(edb, idb, plan, opts);
-            solver.solve_all(&goals)?
+    let auto = (strategy == Strategy::Auto).then(|| {
+        let choice = AutoChoice::decide(idb, plan, &goals, &obs);
+        obs.counter(choice.counter(), 1);
+        choice
+    });
+    let project = |substs| {
+        let _span = obs.span("project", 0);
+        project_answer(query, &columns, substs)
+    };
+    // Bottom-up answers: the goal conjunction against EDB + materialized
+    // facts.
+    let solve = |derived: &DerivedFacts| {
+        let _span = obs.span("project", 0);
+        solve_projected(edb, derived, &goals, query, &columns)
+    };
+    let answer = match auto.map_or(Some(strategy), AutoChoice::evaluator) {
+        // No goal is derived: nothing to materialize.
+        None => solve(&DerivedFacts::new()),
+        Some(Strategy::TopDown) => {
+            let span = obs.span("topdown", 0);
+            let substs = Solver::with_plan(edb, idb, plan, opts).solve_all(&goals)?;
+            drop(span);
+            project(substs)
         }
-        Strategy::Qsq => {
-            let qsq_span = obs.span("qsq", 0);
-            match crate::qsq::qsq_substs(edb, idb, plan, &columns, &goals, opts.clone()) {
-                Ok(s) => {
-                    drop(qsq_span);
-                    s
-                }
+        Some(Strategy::Qsq) => {
+            let span = obs.span("qsq", 0);
+            let substs = crate::qsq::qsq_substs(edb, idb, plan, &columns, &goals, opts.clone());
+            drop(span);
+            match substs {
+                Ok(substs) => project(substs),
                 // Graceful degradation: if the net cannot host the query
                 // (negation in the demanded slice, or an adornment whose
                 // filter chain cannot be scheduled surfaces `UnsafeRule`
-                // at net execution) or the net exhausts its limits, retry
-                // with plain semi-naive — which evaluates the original,
-                // safe rules — and record the downgrade instead of
-                // erroring. The retry builds a fresh governor from the
-                // same limits, so a deadline restarts for the fallback
-                // attempt; if the fallback exhausts too, that error
-                // propagates.
-                Err(
-                    e @ (EngineError::NotStratified(_)
-                    | EngineError::Exhausted(_)
-                    | EngineError::UnsafeRule { .. }),
-                ) => {
-                    drop(qsq_span);
+                // at net execution), retry with plain semi-naive — which
+                // evaluates the original, safe rules — and record the
+                // downgrade instead of erroring. A net that exhausts its
+                // limits is not retried: the retry would start the
+                // deadline and the budget over, and answer a cancelled
+                // request with a second evaluation.
+                Err(e @ (EngineError::NotStratified(_) | EngineError::UnsafeRule { .. })) => {
                     obs.counter("downgrade", 1);
                     let mut answer =
                         retrieve_compiled(edb, idb, plan, query, Strategy::SemiNaive, opts)?;
@@ -286,37 +417,23 @@ pub fn retrieve_compiled(
                         0,
                         Downgrade::strategy(Strategy::Qsq, Strategy::SemiNaive, e.to_string()),
                     );
-                    return Ok(answer);
+                    Ok(answer)
                 }
-                Err(e) => return Err(e),
+                Err(e) => Err(e),
             }
         }
-        Strategy::SemiNaive => {
-            // Bottom-up: materialize the relevant predicates, then solve the
-            // goal conjunction against EDB + materialized facts.
-            let strategy_span = obs.span("seminaive", 0);
-            let graph = DependencyGraph::build(idb);
-            let mut relevant = Vec::new();
-            for g in &goals {
-                if g.is_builtin() {
-                    continue;
-                }
-                for p in graph.reachable_from(g.atom.pred.as_str()) {
-                    if !relevant.contains(&p) {
-                        relevant.push(p);
-                    }
-                }
-            }
+        // Semi-naive (`Auto` was resolved above): materialize the
+        // predicates the goals demand.
+        Some(Strategy::SemiNaive | Strategy::Auto) => {
+            let span = obs.span("seminaive", 0);
+            let relevant = plan.analysis(idb, &obs).demanded(&goals);
             let derived =
                 seminaive::eval(edb, idb, plan, Some(&relevant), DerivedFacts::new(), opts)?;
-            drop(strategy_span);
-            let _project_span = obs.span("project", 0);
-            return solve_projected(edb, &derived, &goals, query, &columns);
+            drop(span);
+            solve(&derived)
         }
     };
-
-    let _project_span = obs.span("project", 0);
-    project_answer(query, &columns, substs)
+    answer.map(|answer| DataAnswer { auto, ..answer })
 }
 
 /// Validates the query subject and builds the answer columns and goal
@@ -391,6 +508,7 @@ fn solve_projected(
             columns: columns.to_vec(),
             rows,
             downgrades: Vec::new(),
+            auto: None,
         });
     }
     let dummy = Rule::with_literals(Atom::new("_goal", vec![]), goals.to_vec());
@@ -429,6 +547,7 @@ fn solve_projected(
         columns: columns.to_vec(),
         rows,
         downgrades: Vec::new(),
+        auto: None,
     })
 }
 
@@ -493,6 +612,7 @@ fn project_answer(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Resu
         columns: columns.to_vec(),
         rows: Vec::new(),
         downgrades: Vec::new(),
+        auto: None,
     };
     let mut seen = std::collections::HashSet::new();
     for s in substs {
@@ -571,10 +691,6 @@ mod tests {
         (edb, idb)
     }
 
-    fn strategies() -> [Strategy; 3] {
-        [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq]
-    }
-
     #[test]
     fn example1_retrieve_honor_enrolled_in_databases() {
         // Paper Example 1: retrieve honor(X) where enroll(X, databases).
@@ -583,7 +699,7 @@ mod tests {
             parse_atom("honor(X)").unwrap(),
             parse_body("enroll(X, databases)").unwrap(),
         );
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             assert_eq!(a.len(), 1, "{st:?}");
             assert!(a.contains_row(&["ann"]), "{st:?}");
@@ -599,7 +715,7 @@ mod tests {
             parse_atom("answer(X)").unwrap(),
             parse_body("can_ta(X, databases), student(X, math, V), V > 3.7").unwrap(),
         );
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             // ann: honor, completed under susan (f88) with 3.6 > 3.3 and
             // susan currently teaches databases. bob: honor, completed with
@@ -616,7 +732,7 @@ mod tests {
     fn retrieve_without_where_clause() {
         let (edb, idb) = university();
         let q = Retrieve::new(parse_atom("honor(X)").unwrap(), vec![]);
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             assert_eq!(a.len(), 3, "{st:?}"); // ann, bob, dan
         }
@@ -626,7 +742,7 @@ mod tests {
     fn retrieve_recursive_subject_with_constant() {
         let (edb, idb) = university();
         let q = Retrieve::new(parse_atom("prior(databases, Y)").unwrap(), vec![]);
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             assert_eq!(a.len(), 2, "{st:?}");
             assert!(a.contains_row(&["datastructures"]));
@@ -638,7 +754,7 @@ mod tests {
     fn retrieve_edb_subject() {
         let (edb, idb) = university();
         let q = Retrieve::new(parse_atom("enroll(X, databases)").unwrap(), vec![]);
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             assert_eq!(a.len(), 2, "{st:?}");
         }
@@ -679,7 +795,7 @@ mod tests {
         let (edb, idb) = university();
         let yes = Retrieve::new(parse_atom("honor(ann)").unwrap(), vec![]);
         let no = Retrieve::new(parse_atom("honor(cara)").unwrap(), vec![]);
-        for st in strategies() {
+        for st in Strategy::ALL {
             // One empty row = true; no rows = false.
             assert_eq!(retrieve(&edb, &idb, &yes, st).unwrap().len(), 1, "{st:?}");
             assert!(retrieve(&edb, &idb, &no, st).unwrap().is_empty(), "{st:?}");
@@ -695,7 +811,7 @@ mod tests {
             parse_atom("answer(X)").unwrap(),
             parse_body("enroll(X, databases), not honor(X)").unwrap(),
         );
-        for st in strategies() {
+        for st in Strategy::ALL {
             let a = retrieve(&edb, &idb, &q, st).unwrap();
             assert_eq!(a.len(), 1, "{st:?}");
             assert!(a.contains_row(&["cara"]));
@@ -708,14 +824,15 @@ mod tests {
         for pred in ["honor(X)", "prior(X, Y)", "can_ta(X, Y)"] {
             let q = Retrieve::new(parse_atom(pred).unwrap(), vec![]);
             let mut renders: Vec<Vec<String>> = Vec::new();
-            for st in strategies() {
+            for st in Strategy::ALL {
                 let a = retrieve(&edb, &idb, &q, st).unwrap();
                 let mut rows: Vec<String> = a.sorted().iter().map(ToString::to_string).collect();
                 rows.dedup();
                 renders.push(rows);
             }
-            assert_eq!(renders[0], renders[1], "{pred}");
-            assert_eq!(renders[1], renders[2], "{pred}");
+            for other in &renders[1..] {
+                assert_eq!(&renders[0], other, "{pred}");
+            }
         }
     }
 

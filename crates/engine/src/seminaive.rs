@@ -14,7 +14,6 @@ use crate::error::Result;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan, Step};
-use crate::stratify::stratify;
 use qdk_logic::Sym;
 use qdk_storage::{Edb, Relation};
 
@@ -42,11 +41,11 @@ pub fn eval(
     seed: DerivedFacts,
     opts: EvalOptions,
 ) -> Result<DerivedFacts> {
-    let strat = stratify(idb)?;
+    let obs = &opts.sink;
+    let strat = plan.analysis(idb, obs).stratification()?;
     let mut derived = seed;
     let gov = opts.governor();
     let pool = opts.pool();
-    let obs = &opts.sink;
     let probes0 = if obs.enabled() {
         edb.access_stats()
     } else {

@@ -19,9 +19,13 @@
 //! The solver runs the same compiled plans as the bottom-up strategies.
 //! A call to a non-recursive IDB predicate specializes the predicate's
 //! rule plans to the call's binding pattern — which head argument slots
-//! arrive bound — and caches the specialization per (rule, adornment), so
-//! repeated calls with the same shape re-run a ready schedule instead of
-//! re-deriving literal order.
+//! arrive bound. The specialization is cached per (rule, adornment) in
+//! the [`ProgramPlan`], so it outlives the solver: every later call with
+//! the same shape, in this query or the next, on this session or a
+//! snapshot reader of the same plan, re-runs a ready schedule instead of
+//! re-deriving literal order. The dependency graph the solver cuts its
+//! slices from is the plan's too; a solver owns only its closed
+//! relations and its governor.
 //!
 //! This is the "top-down" comparator of the P1 experiment.
 
@@ -36,22 +40,18 @@ use qdk_logic::governor::Governor;
 use qdk_logic::{Frame, Interner, IrTerm, Literal, Parallelism, Subst, Sym, Var};
 use qdk_storage::{builtins, Edb, StorageError, Tuple, Value};
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// A goal-directed solver for one (EDB, IDB) pair.
 pub struct Solver<'a> {
     edb: &'a Edb,
     idb: &'a Idb,
-    graph: DependencyGraph,
+    /// The plan's evaluation graph: slices and recursion.
+    graph: &'a DependencyGraph,
     /// Closed relations for recursive SCCs, computed lazily per query.
     closed: DerivedFacts,
-    /// The compiled program shared with the bottom-up strategies.
+    /// The compiled program shared with the bottom-up strategies; it also
+    /// holds the call plans.
     program: &'a ProgramPlan,
-    /// Rule indices into the program plan, grouped by head predicate.
-    rules_by_head: HashMap<Sym, Vec<usize>>,
-    /// Call plans: one specialization per (rule index, head-slot
-    /// adornment), reused across calls with the same binding pattern.
-    call_plans: HashMap<(usize, Vec<bool>), Rc<RulePlan>>,
     opts: EvalOptions,
     /// Governs resolution steps; the semi-naive pre-closure of recursive
     /// SCCs builds its own governor from the same options, so both phases
@@ -64,21 +64,12 @@ impl<'a> Solver<'a> {
     /// compilation of `idb`.
     pub fn with_plan(edb: &'a Edb, idb: &'a Idb, plan: &'a ProgramPlan, opts: EvalOptions) -> Self {
         let gov = opts.governor();
-        let mut rules_by_head: HashMap<Sym, Vec<usize>> = HashMap::new();
-        for (i, rp) in plan.plans().iter().enumerate() {
-            rules_by_head
-                .entry(rp.compiled.head.pred.clone())
-                .or_default()
-                .push(i);
-        }
         Solver {
             edb,
             idb,
-            graph: DependencyGraph::build(idb),
+            graph: plan.analysis(idb, &opts.sink).graph(),
             closed: DerivedFacts::new(),
             program: plan,
-            rules_by_head,
-            call_plans: HashMap::new(),
             opts,
             gov,
         }
@@ -434,14 +425,16 @@ impl<'a> Solver<'a> {
         call_vals: &[Option<Value>],
     ) -> Result<Vec<Vec<Option<Value>>>> {
         self.gov.tick()?;
-        let indices = self.rules_by_head.get(pred).cloned().unwrap_or_default();
         let mut rows: Vec<Vec<Option<Value>>> = Vec::new();
-        'rules: for idx in indices {
-            let head_args = self.program.plans()[idx].compiled.head.args.clone();
+        // Copies of the `'a` references, so the loop borrows the program
+        // and not the solver it re-enters.
+        let (idb, program) = (self.idb, self.program);
+        'rules: for &idx in idb.rule_indices(pred.as_str()) {
+            let head_args = &program.plans()[idx].compiled.head.args;
             if head_args.len() != call_vals.len() {
                 continue; // the head cannot unify with the call
             }
-            let num_slots = self.program.plans()[idx].compiled.num_slots();
+            let num_slots = program.plans()[idx].compiled.num_slots();
             let mut bound = vec![false; num_slots];
             let mut frame = Frame::new(num_slots);
             for (arg, cell) in head_args.iter().zip(call_vals) {
@@ -465,21 +458,7 @@ impl<'a> Solver<'a> {
                     },
                 }
             }
-            let key = (idx, bound);
-            let cplan = match self.call_plans.get(&key) {
-                Some(p) => Rc::clone(p),
-                None => {
-                    let rp = &self.program.plans()[idx];
-                    let p = Rc::new(RulePlan::with_bound(
-                        rp.compiled.clone(),
-                        rp.rule_str.clone(),
-                        key.1.clone(),
-                        self.program.stats(),
-                    ));
-                    self.call_plans.insert(key, Rc::clone(&p));
-                    p
-                }
-            };
+            let cplan = program.call_plan(idx, bound);
             // Collect this rule's emissions eagerly (the dynamic resolver
             // also materialized each expansion level) before the caller's
             // remaining steps run.
@@ -732,16 +711,19 @@ mod tests {
     fn call_plans_are_cached_per_adornment() {
         let (edb, idb) = setup();
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
-        let mut solver = Solver::with_plan(&edb, &idb, &plan, EvalOptions::default());
-        // Two calls with the same binding shape share one specialization.
-        for goal in ["honor(ann)", "honor(bob)"] {
+        let solve = |goal: &str| {
             let goals = parse_body(goal).unwrap();
-            solver.solve_all(&goals).unwrap();
-        }
-        assert_eq!(solver.call_plans.len(), 1);
+            Solver::with_plan(&edb, &idb, &plan, EvalOptions::default())
+                .solve_all(&goals)
+                .unwrap();
+        };
+        // Two calls with the same binding shape share one specialization,
+        // though each ran in a solver of its own.
+        solve("honor(ann)");
+        solve("honor(bob)");
+        assert_eq!(plan.call_plan_count(), 1);
         // A differently adorned call adds a second specialization.
-        let goals = parse_body("honor(X)").unwrap();
-        solver.solve_all(&goals).unwrap();
-        assert_eq!(solver.call_plans.len(), 2);
+        solve("honor(X)");
+        assert_eq!(plan.call_plan_count(), 2);
     }
 }

@@ -17,8 +17,8 @@ use qdk_durability::{
 use qdk_engine::graph::DependencyGraph;
 use qdk_engine::maintain::Doomed;
 use qdk_engine::{
-    query, Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, Retraction, Retrieve,
-    Strategy,
+    query, AutoChoice, Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, Retraction,
+    Retrieve, Strategy,
 };
 use qdk_logic::metrics::{MetricsHub, MetricsSink, MetricsSnapshot};
 use qdk_logic::obs::{Event, FanoutSink, ObsSink};
@@ -962,13 +962,14 @@ impl KnowledgeBase {
         }
     }
 
-    /// The maintained store, when `strategy` can serve from it: semi-naive
+    /// The maintained store, when `strategy` can serve from it. Semi-naive
     /// computes exactly the maintained fixpoint, so the stored derived
-    /// facts *are* its answer; the goal-directed strategies keep their own
-    /// evaluation.
+    /// facts *are* its answer, and `Auto` takes them before it considers
+    /// any evaluator (row 1 of its table: nothing beats not evaluating).
+    /// A pinned goal-directed strategy keeps its own evaluation.
     fn maintained_for(&self, strategy: Strategy) -> Option<&MaintainedStore> {
         match strategy {
-            Strategy::SemiNaive => self.maintained.as_ref(),
+            Strategy::Auto | Strategy::SemiNaive => self.maintained.as_ref(),
             Strategy::TopDown | Strategy::Qsq => None,
         }
     }
@@ -1120,9 +1121,9 @@ impl KnowledgeBase {
 
     /// [`Self::retrieve`] with per-query strategy and evaluation options
     /// (the hook the `Session` facade's request overrides go through).
-    /// When the maintained store is live and the strategy is semi-naive,
-    /// the answer is projected straight from the maintained derived facts
-    /// — no fixpoint runs.
+    /// When the maintained store is live and the strategy is `Auto` or
+    /// semi-naive, the answer is projected straight from the maintained
+    /// derived facts — no fixpoint runs.
     ///
     /// `pinned` is the compiled program to evaluate. `None` resolves it
     /// through the plan cache (counting a hit or a miss). `Some` is the
@@ -1143,6 +1144,10 @@ impl KnowledgeBase {
             let _span = obs.span("execute", 0);
             obs.counter("maintained_serve", 1);
             let mut answer = query::retrieve_precomputed(&self.edb, &self.idb, store.derived(), r)?;
+            if strategy == Strategy::Auto {
+                obs.counter(AutoChoice::Maintained.counter(), 1);
+                answer.auto = Some(AutoChoice::Maintained);
+            }
             self.surface_pending(&mut answer, &obs);
             return Ok(answer);
         }

@@ -98,7 +98,9 @@ pub use qdk_core::{
 pub use qdk_durability::{
     DurabilityError, DurabilityMetrics, DurabilityOptions, FsyncPolicy, Lsn, RecoveryReport,
 };
-pub use qdk_engine::{DataAnswer, Downgrade, EvalOptions, MaintainStats, Mode, Retrieve, Strategy};
+pub use qdk_engine::{
+    AutoChoice, DataAnswer, Downgrade, EvalOptions, MaintainStats, Mode, Retrieve, Strategy,
+};
 pub use qdk_lang::{datasets, Answer, KnowledgeBase, LangError};
 pub use qdk_logic::Parallelism;
 pub use qdk_storage::EpochId;

@@ -32,7 +32,7 @@
 use crate::error::Result;
 use crate::trace::QueryTrace;
 use qdk_core::{Describe, DescribeAnswer};
-use qdk_engine::{DataAnswer, Downgrade, EvalOptions, ProgramPlan, Retrieve, Strategy};
+use qdk_engine::{AutoChoice, DataAnswer, Downgrade, EvalOptions, ProgramPlan, Retrieve, Strategy};
 use qdk_lang::shared::{KbState, Publisher};
 use qdk_lang::{Answer, KnowledgeBase};
 use qdk_logic::metrics::{MetricsHub, MetricsSnapshot};
@@ -81,7 +81,10 @@ impl Request {
         self
     }
 
-    /// The retrieve evaluation strategy (ignored by `describe`).
+    /// Pins the retrieve evaluation strategy (ignored by `describe`).
+    /// Unset, the session's strategy applies, which is
+    /// [`Strategy::Auto`] unless the knowledge base was built
+    /// `with_strategy`.
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = Some(strategy);
@@ -207,6 +210,17 @@ impl Response {
         match &self.payload {
             Payload::Data(d) => &d.downgrades,
             Payload::Knowledge(_) => &[],
+        }
+    }
+
+    /// What [`Strategy::Auto`] resolved this retrieve to, and by which
+    /// row of its decision table. `None` for `describe` answers and for
+    /// retrieves that pinned a strategy. Available without tracing; a
+    /// trace carries the same value.
+    pub fn auto_choice(&self) -> Option<AutoChoice> {
+        match &self.payload {
+            Payload::Data(d) => d.auto,
+            Payload::Knowledge(_) => None,
         }
     }
 }
@@ -556,44 +570,37 @@ fn request_sink(kb: &KnowledgeBase, request: &Request) -> (ObsSink, Option<Arc<C
     (obs, Some(collector))
 }
 
-/// Which statement a finished evaluation was, for metric naming.
-#[derive(Clone, Copy)]
-enum QueryKind {
-    Retrieve,
-    Describe,
-}
-
 /// Shared epilogue of `retrieve` and `describe`: records the wall-time
 /// histogram and per-kind counter, folds the collected events into a
 /// [`QueryTrace`], writes the slow-query log line when the query crossed
 /// the armed threshold, and returns the trace only if the request asked
-/// for one.
+/// for one. `data` is the answer of a retrieve (whose downgrades and
+/// strategy choice the trace repeats), `None` for a describe.
 fn finish_query(
     kb: &KnowledgeBase,
     collector: Option<Arc<CollectSink>>,
     want_trace: bool,
-    kind: QueryKind,
     statement: String,
     wall: u64,
-    downgrades: Vec<Downgrade>,
+    data: Option<&DataAnswer>,
 ) -> Option<QueryTrace> {
     let hub = kb.metrics_hub();
     if let Some(hub) = hub {
         let reg = hub.registry();
-        match kind {
-            QueryKind::Retrieve => {
-                reg.counter_add("retrieves", 1);
-                reg.histogram_record("retrieve_micros", wall);
-            }
-            QueryKind::Describe => {
-                reg.counter_add("describes", 1);
-                reg.histogram_record("describe_micros", wall);
-            }
+        if data.is_some() {
+            reg.counter_add("retrieves", 1);
+            reg.histogram_record("retrieve_micros", wall);
+        } else {
+            reg.counter_add("describes", 1);
+            reg.histogram_record("describe_micros", wall);
         }
     }
     let trace = collector.map(|c| {
         let dropped = c.dropped();
-        QueryTrace::from_events(&c.take(), statement, wall, downgrades).with_dropped(dropped)
+        let downgrades = data.map(|d| d.downgrades.clone()).unwrap_or_default();
+        QueryTrace::from_events(&c.take(), statement, wall, downgrades)
+            .with_dropped(dropped)
+            .with_auto(data.and_then(|d| d.auto))
     });
     if let Some(hub) = hub {
         let threshold = hub.slow_query_micros();
@@ -671,10 +678,9 @@ fn retrieve_on(
         kb,
         collector,
         request.trace,
-        QueryKind::Retrieve,
         query.to_string(),
         wall,
-        answer.downgrades.clone(),
+        Some(&answer),
     );
     Ok(Response::data(answer, trace))
 }
@@ -694,15 +700,7 @@ fn describe_on(kb: &KnowledgeBase, request: Request) -> Result<Response> {
     let query = Describe::new(resolved.subject, resolved.conjunction);
     let answer = kb.describe_with_options(&query, &resolved.describe)?;
     let wall = started.elapsed().as_micros() as u64;
-    let trace = finish_query(
-        kb,
-        collector,
-        request.trace,
-        QueryKind::Describe,
-        query.to_string(),
-        wall,
-        Vec::new(),
-    );
+    let trace = finish_query(kb, collector, request.trace, query.to_string(), wall, None);
     Ok(Response::knowledge(answer, trace))
 }
 
@@ -762,7 +760,7 @@ mod tests {
     #[test]
     fn per_request_strategy_and_parallelism() {
         let s = session();
-        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+        for strategy in Strategy::ALL {
             for workers in [1, 4] {
                 let r = s
                     .retrieve(

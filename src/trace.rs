@@ -7,7 +7,7 @@
 //! any strategy downgrades — one self-contained profile per query, with a
 //! human-readable [`std::fmt::Display`].
 
-use qdk_engine::Downgrade;
+use qdk_engine::{AutoChoice, Downgrade};
 use qdk_logic::obs::Event;
 use std::fmt;
 
@@ -44,6 +44,10 @@ pub struct QueryTrace {
     /// Strategy downgrades recorded while answering (surfaced here as
     /// well as on the answer itself).
     pub downgrades: Vec<Downgrade>,
+    /// What `Strategy::Auto` resolved the query to (`None` for a describe
+    /// or a retrieve with a pinned strategy). Taken from the answer, not
+    /// reconstructed from events, so it is the same at every worker count.
+    pub auto: Option<AutoChoice>,
     /// Events the bounded collector discarded because the query emitted
     /// more than its capacity. Zero means the profile is complete; a
     /// non-zero value warns that span durations and counter sums
@@ -114,8 +118,16 @@ impl QueryTrace {
             spans,
             counters,
             downgrades,
+            auto: None,
             dropped_events: 0,
         }
+    }
+
+    /// Records what `Strategy::Auto` resolved the query to.
+    #[must_use]
+    pub fn with_auto(mut self, auto: Option<AutoChoice>) -> Self {
+        self.auto = auto;
+        self
     }
 
     /// Records how many events the collector discarded (sink overflow).
@@ -167,7 +179,14 @@ impl QueryTrace {
             }
             let _ = write!(out, "\"{}\"", esc(&d.to_string()));
         }
-        let _ = write!(out, "],\"dropped_events\":{}}}", self.dropped_events);
+        out.push_str("],\"auto\":");
+        match self.auto {
+            Some(choice) => {
+                let _ = write!(out, "\"{}\"", esc(&choice.to_string()));
+            }
+            None => out.push_str("null"),
+        }
+        let _ = write!(out, ",\"dropped_events\":{}}}", self.dropped_events);
         out
     }
 
@@ -218,6 +237,9 @@ impl fmt::Display for QueryTrace {
             for (name, value) in &self.counters {
                 writeln!(f, "  {name} = {value}")?;
             }
+        }
+        if let Some(choice) = self.auto {
+            writeln!(f, "-- auto: {choice}")?;
         }
         for d in &self.downgrades {
             writeln!(f, "-- note: {d}")?;

@@ -450,7 +450,7 @@ fn all_strategies_agree_after_churn() {
         .unwrap();
     for subject in ["reach(a, Y)", "reach(X, Y)"] {
         let mut reference: Option<Vec<String>> = None;
-        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+        for strategy in Strategy::ALL {
             let response = session
                 .retrieve(Request::subject(subject).strategy(strategy))
                 .unwrap();

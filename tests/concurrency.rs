@@ -78,7 +78,7 @@ fn reader_opened_before_publish_never_observes_it() {
 fn answers_are_byte_identical_at_every_worker_count() {
     let mut s = routing_session(&[(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]);
     let snap = s.snapshot().unwrap();
-    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+    for strategy in Strategy::ALL {
         let reference = answer_bytes(
             &snap,
             Request::subject("path(X, Y)")

@@ -8,6 +8,9 @@
 //!   semantics, reimplemented here with nothing but `unify_atoms` and
 //!   `Subst`) must derive exactly the facts the three compiled strategies
 //!   derive, on randomly generated safe programs and random EDBs;
+//! * `Strategy::Auto` must return, on random programs with negation and
+//!   random goal shapes, the rows of the engine's naive reference as a
+//!   multiset and the rows of the strategy it resolved to in order;
 //! * `describe`'s derivation-tree enumeration renames rules through the
 //!   compiled slot maps — standardizing apart via
 //!   [`qdk::logic::CompiledRule::rename_apart`] must be indistinguishable
@@ -16,13 +19,17 @@
 
 use proptest::prelude::*;
 use qdk::core::{describe, Describe, DescribeOptions};
-use qdk::engine::{query, retrieve_with, EngineError, EvalOptions, Idb};
-use qdk::logic::parser::parse_atom;
+use qdk::engine::{
+    naive, query, retrieve_compiled, retrieve_precomputed, retrieve_with, EngineError, EvalOptions,
+    Idb, ProgramPlan,
+};
+use qdk::logic::parser::{parse_atom, parse_body, parse_rule};
 use qdk::logic::{
-    rename_rule_apart, unify_atoms, Atom, CompiledRule, Interner, Rule, Subst, Term, VarGen,
+    rename_rule_apart, unify_atoms, Atom, CompiledRule, Interner, Literal, Rule, Subst, Term,
+    VarGen,
 };
 use qdk::storage::Edb;
-use qdk::{Parallelism, ResourceLimits, Retrieve, Strategy};
+use qdk::{AutoChoice, Parallelism, ResourceLimits, Retrieve, Strategy};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
@@ -143,6 +150,63 @@ fn build_edb(rules: &[Rule], e0: &[(u8, u8)], e1: &[u8]) -> Edb {
     edb
 }
 
+/// Appends a negated literal over variables the body already binds, so the
+/// rule stays safe: `not e1(V)`, `not e0(V, W)` or `not n0(V)`. `n0` is
+/// defined from stored predicates alone ([`N0_RULE`]), so whatever the
+/// positive rules do to each other the program stays stratified.
+fn negate_something(rule: &mut Rule, spec: u8) {
+    let mut vars = Vec::new();
+    for lit in &rule.body {
+        lit.atom.collect_vars(&mut vars);
+    }
+    vars.dedup();
+    let Some(v) = vars.first().cloned() else {
+        return;
+    };
+    let w = vars.last().cloned().unwrap_or_else(|| v.clone());
+    let atom = match spec {
+        1 => Atom::new("e1", vec![Term::Var(v)]),
+        2 => Atom::new("e0", vec![Term::Var(v), Term::Var(w)]),
+        3 => Atom::new("n0", vec![Term::Var(v)]),
+        _ => return,
+    };
+    rule.body.push(Literal::neg(atom));
+}
+
+/// Negation below everything else: read by `not n0(V)` literals.
+const N0_RULE: &str = "n0(X) :- e1(X), not e0(X, X).";
+
+/// A retrieve over the random programs' vocabulary, one shape per `kind`:
+/// bound and doubly bound subjects, repeated variables, stored-only
+/// goals, a fresh `answer` subject, comparison-only qualifiers, negated
+/// goals, ground (boolean) subjects.
+fn goal_shape(kind: u8, pred: &str, arity: usize, c: &str, d: &str) -> Retrieve {
+    let pair = arity == 2;
+    let (subject, qualifier) = match kind % 10 {
+        0 if pair => (format!("{pred}({c}, Y)"), String::new()),
+        1 if pair => (format!("{pred}(X, {c})"), String::new()),
+        2 if pair => (format!("{pred}(X, X)"), String::new()),
+        3 if pair => (format!("{pred}({c}, {d})"), String::new()),
+        4 => (format!("e0(X, {c})"), "e1(X)".to_string()),
+        5 if pair => ("answer(X)".to_string(), format!("{pred}(X, {c}), e1(X)")),
+        6 if pair => (format!("{pred}(X, Y)"), format!("X = {c}")),
+        7 if pair => (format!("{pred}(X, Y)"), "not e1(X)".to_string()),
+        8 if pair => (
+            "answer(X)".to_string(),
+            format!("e0(X, Y), not {pred}(Y, {c})"),
+        ),
+        9 if pair => (format!("{pred}(X, Y)"), format!("e0(Y, {c})")),
+        _ if pair => (format!("{pred}(X, Y)"), String::new()),
+        _ => (format!("{pred}({c})"), String::new()),
+    };
+    let qualifier = if qualifier.is_empty() {
+        Vec::new()
+    } else {
+        parse_body(&qualifier).unwrap()
+    };
+    Retrieve::new(parse_atom(&subject).unwrap(), qualifier)
+}
+
 /// The extension of `pred` according to a compiled strategy, rendered.
 fn strategy_rows(
     edb: &Edb,
@@ -213,7 +277,7 @@ proptest! {
                 .filter(|f| f.starts_with(&format!("{pred}(")))
                 .cloned()
                 .collect();
-            for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+            for strategy in Strategy::ALL {
                 let got = strategy_rows(&edb, &idb, pred, *arity, strategy);
                 prop_assert_eq!(
                     &got,
@@ -223,6 +287,93 @@ proptest! {
                     pred,
                     idb.rules()
                 );
+            }
+        }
+    }
+
+    /// `Strategy::Auto` against the engine's naive reference and against
+    /// the strategy it resolves to, on random programs with (stratified)
+    /// negation, recursion in any direction among the `p*`, and one query
+    /// of every goal shape per program. Rows equal the reference's as a
+    /// multiset under every strategy; `Auto`'s equal its choice's in
+    /// order, at one worker and at four, over one shared compiled plan.
+    #[test]
+    fn auto_matches_the_reference_and_its_own_choice(
+        specs in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec(0u8..10, 2..3),
+                proptest::collection::vec(
+                    (0u8..5, proptest::collection::vec(0u8..10, 2..3)),
+                    1..3,
+                ),
+                // 1..=3 negates something; the rest leave the rule positive.
+                0u8..10,
+            ),
+            1..5,
+        ),
+        e0 in proptest::collection::vec((0u8..5, 0u8..5), 0..10),
+        e1 in proptest::collection::vec(0u8..5, 0..5),
+        consts in (0u8..5, 0u8..5),
+    ) {
+        let mut rules: Vec<Rule> = specs
+            .iter()
+            .map(|(h, ha, body, neg)| {
+                let mut rule = build_rule(*h, ha, body);
+                negate_something(&mut rule, *neg);
+                rule
+            })
+            .collect();
+        rules.push(parse_rule(N0_RULE).unwrap());
+        let idb = Idb::from_rules(rules.clone()).unwrap();
+        let edb = build_edb(&rules, &e0, &e1);
+        let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+        let reference = naive::eval(&edb, &idb, &plan).unwrap();
+        let run = |q: &Retrieve, strategy: Strategy, workers: usize| {
+            let opts = EvalOptions::default().with_parallelism(Parallelism::workers(workers));
+            retrieve_compiled(&edb, &idb, &plan, q, strategy, opts)
+                .unwrap_or_else(|e| panic!("{q} under {strategy:?}: {e}\n{:?}", idb.rules()))
+        };
+        let rendered = |rows: &[qdk::storage::Tuple]| -> Vec<String> {
+            rows.iter().map(ToString::to_string).collect()
+        };
+
+        for (pred, arity) in PREDS.iter().skip(2).filter(|(p, _)| idb.defines(p)) {
+            // Constants from a fact the predicate really has, when it has
+            // one, so the bound shapes are not all empty.
+            let fact = reference.relation(pred).and_then(|rel| rel.iter().next());
+            let constant = |i: usize, fallback: u8| match fact {
+                Some(t) => t.values()[i.min(t.arity() - 1)].to_string(),
+                None => format!("c{fallback}"),
+            };
+            let (c, d) = (constant(0, consts.0), constant(1, consts.1));
+            for kind in 0..10 {
+                let q = goal_shape(kind, pred, *arity, &c, &d);
+                let mut expected =
+                    rendered(&retrieve_precomputed(&edb, &idb, &reference, &q).unwrap().rows);
+                expected.sort();
+                for strategy in Strategy::ALL {
+                    let mut got = rendered(&run(&q, strategy, 1).rows);
+                    got.sort();
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "{} under {:?} over {:?}", q, strategy, idb.rules()
+                    );
+                }
+                let auto = run(&q, Strategy::Auto, 1);
+                let choice = auto.auto.expect("Auto records its choice");
+                prop_assert!(choice != AutoChoice::Maintained);
+                prop_assert!(auto.downgrades.is_empty(), "{} chose {}", q, choice);
+                // With no evaluator (stored goals only) the path is
+                // semi-naive's projection over an empty derived store.
+                let pinned = choice.evaluator().unwrap_or(Strategy::SemiNaive);
+                for workers in [1, 4] {
+                    prop_assert_eq!(
+                        rendered(&run(&q, Strategy::Auto, workers).rows),
+                        rendered(&run(&q, pinned, workers).rows),
+                        "{} chose {} at {} workers over {:?}", q, choice, workers, idb.rules()
+                    );
+                }
             }
         }
     }
@@ -351,7 +502,7 @@ proptest! {
                 parse_atom(&format!("{pred}({})", vars.join(", "))).unwrap(),
                 vec![],
             );
-            for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+            for strategy in Strategy::ALL {
                 let outcome = |workers: usize| -> Result<Vec<String>, EngineError> {
                     let opts = EvalOptions::with_limits(limits)
                         .with_parallelism(Parallelism::workers(workers));

@@ -59,7 +59,7 @@ fn empty_database_answers_are_empty_not_errors() {
          tc(X, Y) :- e(X, Y).
          tc(X, Y) :- e(X, Z), tc(Z, Y).",
     );
-    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+    for strategy in Strategy::ALL {
         let kb2 = kb.clone().with_strategy(strategy);
         let q = Retrieve::new(parse_atom("tc(X, Y)").unwrap(), vec![]);
         assert!(kb2.retrieve(&q).unwrap().is_empty(), "{strategy:?}");
@@ -167,7 +167,7 @@ fn long_chain_recursion_depths() {
     )
     .unwrap();
     let q = Retrieve::new(parse_atom("tc(n0, Y)").unwrap(), vec![]);
-    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+    for strategy in Strategy::ALL {
         let kb2 = kb.clone().with_strategy(strategy);
         assert_eq!(kb2.retrieve(&q).unwrap().len(), 200, "{strategy:?}");
     }

@@ -37,7 +37,7 @@ fn all_strategies_report_the_same_exhaustion_diagnostic() {
     let session = Session::over(chain_kb(40));
     let limits = ResourceLimits::default().with_work_budget(25);
     let mut seen = Vec::new();
-    for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+    for strategy in Strategy::ALL {
         let err = session
             .retrieve(
                 Request::subject("reach(X, Y)")
@@ -55,6 +55,43 @@ fn all_strategies_report_the_same_exhaustion_diagnostic() {
     }
     // One diagnostic vocabulary across all three engines.
     assert!(seen.iter().all(|r| *r == seen[0]));
+}
+
+/// A limit that trips inside the QSQ net is the answer. The dispatcher
+/// used to retry semi-naive under a fresh governor, so a deadline could
+/// run twice and a cancelled request paid for a second evaluation; with
+/// `Auto` as the default that is the path of every bound recursive goal.
+#[test]
+fn exhausted_qsq_is_not_retried_semi_naive() {
+    let limits = ResourceLimits::default().with_work_budget(5);
+    // Bound + recursive + positive: the default resolves to the net too.
+    for strategy in [Strategy::Qsq, Strategy::Auto] {
+        // A failed request returns no trace, so trace through the
+        // session's own sink.
+        let collector = std::sync::Arc::new(qdk::CollectSink::new());
+        let sink = qdk::ObsSink::new(collector.clone());
+        let session = Session::over(
+            chain_kb(40).with_describe_options(DescribeOptions::paper().with_sink(sink)),
+        );
+        let err = session
+            .retrieve(
+                Request::subject("reach(n0, Y)")
+                    .strategy(strategy)
+                    .limits(limits),
+            )
+            .expect_err("budget must trip");
+        let e = err.exhausted().expect("expected Exhausted");
+        assert_eq!(e.resource, Resource::WorkBudget, "{strategy:?}");
+        assert_eq!(e.limit, 5, "{strategy:?}");
+        let trace = qdk::QueryTrace::from_events(&collector.events(), String::new(), 0, Vec::new());
+        assert!(trace.span_micros("qsq").is_some(), "{strategy:?}: {trace}");
+        assert_eq!(
+            trace.span_micros("seminaive"),
+            None,
+            "{strategy:?}: {trace}"
+        );
+        assert_eq!(trace.counter("downgrade"), None, "{strategy:?}: {trace}");
+    }
 }
 
 #[test]

@@ -99,7 +99,7 @@ proptest! {
         let mut metered = chain_session(&edges);
         let buf = SharedBuf::default();
         metered.capture_slow_queries(1, buf.clone());
-        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
+        for strategy in Strategy::ALL {
             for workers in [1usize, 2, 4, 8] {
                 let a = retrieve_outcome(&plain, "prior(X, Y)", strategy, workers);
                 let b = retrieve_outcome(&metered, "prior(X, Y)", strategy, workers);
@@ -110,13 +110,19 @@ proptest! {
         // threshold (all but possibly sub-microsecond outliers) logged
         // exactly one JSON line.
         let snap = metered.metrics_snapshot().unwrap();
-        prop_assert_eq!(snap.counter("retrieves"), Some(12));
-        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 12);
+        prop_assert_eq!(snap.counter("retrieves"), Some(16));
+        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 16);
         // Every strategy's evaluation span reaches its own histogram: one
-        // observation per query that ran it.
-        for span in ["seminaive_span_micros", "topdown_span_micros", "qsq_span_micros"] {
-            prop_assert_eq!(snap.histogram(span).map(|h| h.count), Some(4), "{}", span);
+        // observation per query that ran it. Nothing is bound, so `Auto`
+        // ran semi-naive and said so, once per query.
+        for (span, count) in [
+            ("seminaive_span_micros", 8),
+            ("topdown_span_micros", 4),
+            ("qsq_span_micros", 4),
+        ] {
+            prop_assert_eq!(snap.histogram(span).map(|h| h.count), Some(count), "{}", span);
         }
+        prop_assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(4));
         let slow = snap.counter("slow_queries").unwrap_or(0);
         prop_assert!(slow >= 1, "no query reached 1 µs of wall time");
         prop_assert_eq!(buf.contents().lines().count() as u64, slow);
@@ -170,6 +176,16 @@ fn prometheus_rendering_is_pinned() {
     reg.counter_add("rule_firings", 120);
     reg.counter_add("describe_prep_miss", 1);
     reg.counter_add("describe_prep_hit", 49);
+    for (path, n) in [
+        ("retrieve_auto_maintained", 7),
+        ("retrieve_auto_edb", 20),
+        ("retrieve_auto_seminaive", 1),
+        ("retrieve_auto_topdown", 55),
+        ("retrieve_auto_qsq", 25),
+    ] {
+        reg.counter_add(path, n);
+    }
+    reg.counter_add("plan_analysis_build", 1);
     reg.gauge_set("edb_facts", 42);
     for v in [100, 200, 300, 400] {
         reg.histogram_record("retrieve_micros", v);
@@ -183,6 +199,18 @@ fn prometheus_rendering_is_pinned() {
 qdk_describe_prep_hit_total 49
 # TYPE qdk_describe_prep_miss_total counter
 qdk_describe_prep_miss_total 1
+# TYPE qdk_plan_analysis_build_total counter
+qdk_plan_analysis_build_total 1
+# TYPE qdk_retrieve_auto_edb_total counter
+qdk_retrieve_auto_edb_total 20
+# TYPE qdk_retrieve_auto_maintained_total counter
+qdk_retrieve_auto_maintained_total 7
+# TYPE qdk_retrieve_auto_qsq_total counter
+qdk_retrieve_auto_qsq_total 25
+# TYPE qdk_retrieve_auto_seminaive_total counter
+qdk_retrieve_auto_seminaive_total 1
+# TYPE qdk_retrieve_auto_topdown_total counter
+qdk_retrieve_auto_topdown_total 55
 # TYPE qdk_retrieves_total counter
 qdk_retrieves_total 3
 # TYPE qdk_rule_firings_total counter
@@ -223,8 +251,14 @@ qdk_retrieve_micros_max 400
 fn session_metrics_aggregate_queries_and_gauges() {
     let mut s = chain_session(&[(1, 0), (2, 1), (3, 2)]);
     s.enable_metrics();
-    for _ in 0..5 {
-        s.retrieve(Request::subject("prior(X, Y)")).unwrap();
+    for subject in [
+        "prior(X, Y)",
+        "prior(X, Y)",
+        "prior(c3, Y)",
+        "prereq(c3, Y)",
+        "prior(X, Y)",
+    ] {
+        s.retrieve(Request::subject(subject)).unwrap();
     }
     s.describe(Request::subject("prior(X, Y)").where_clause("prior(c3, Y)"))
         .unwrap();
@@ -239,6 +273,14 @@ fn session_metrics_aggregate_queries_and_gauges() {
     // Plan-cache behaviour: first retrieve compiles, the rest hit.
     assert_eq!(snap.counter("plan_cache_miss"), Some(1));
     assert_eq!(snap.counter("plan_cache_hit"), Some(4));
+    // One counter per path the default strategy took, summing to the
+    // retrieves; the rules were analysed once, by the first of them.
+    assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(3));
+    assert_eq!(snap.counter("retrieve_auto_qsq"), Some(1));
+    assert_eq!(snap.counter("retrieve_auto_edb"), Some(1));
+    assert_eq!(snap.counter("retrieve_auto_topdown"), None);
+    assert_eq!(snap.counter("retrieve_auto_maintained"), None);
+    assert_eq!(snap.counter("plan_analysis_build"), Some(1));
     // Describe preparation likewise: the first computed describe prepares
     // the rule base, the next reuses it — one of the two per computed
     // describe, and one `transform` span around each lookup.

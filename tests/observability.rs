@@ -82,7 +82,9 @@ fn chain128_retrieve_trace_profiles_the_evaluation() {
     // The stages are parse, plan, execute, in that order.
     let stages: Vec<&str> = trace.stages().map(|s| s.name).collect();
     assert_eq!(stages, vec!["parse", "plan", "execute"]);
-    // The default strategy's span tree and counters are present.
+    // Nothing is bound, so the default strategy resolves to semi-naive;
+    // its span tree and counters are present.
+    assert_eq!(trace.auto, Some(qdk::AutoChoice::Unbound), "{trace}");
     assert!(trace.span_micros("seminaive").is_some(), "{trace}");
     assert!(trace.span_micros("stratum").is_some(), "{trace}");
     assert!(trace.span_micros("iteration").is_some(), "{trace}");
@@ -96,6 +98,41 @@ fn chain128_retrieve_trace_profiles_the_evaluation() {
         .retrieve(Request::subject("prior(X, Y)").with_trace(true))
         .unwrap();
     assert_eq!(again.trace().unwrap().counter("plan_cache_hit"), Some(1));
+}
+
+/// The bound twin of the chain-128 retrieve: the default strategy resolves
+/// to the QSQ net, and the trace says so — as a span tree, as a counter
+/// and as the recorded choice with its reason.
+#[test]
+fn chain128_bound_retrieve_trace_records_the_choice() {
+    let s = chain_session(128);
+    let resp = s
+        .retrieve(Request::subject("prior(c64, Y)").with_trace(true))
+        .unwrap();
+    assert_eq!(resp.as_data().unwrap().len(), 64);
+    assert_eq!(resp.auto_choice(), Some(qdk::AutoChoice::Recursive));
+    let trace = resp.trace().expect("trace requested");
+    assert_stages_tile_wall(trace);
+    assert_eq!(trace.auto, resp.auto_choice());
+    assert!(trace.span_micros("qsq").is_some(), "{trace}");
+    assert_eq!(trace.span_micros("seminaive"), None, "{trace}");
+    assert_eq!(trace.counter("retrieve_auto_qsq"), Some(1), "{trace}");
+    assert!(trace.counter("qsq_subqueries").unwrap_or(0) > 0, "{trace}");
+    let rendered = trace.to_string();
+    assert!(
+        rendered.contains("-- auto: rule 5: bound goals, recursive slice -> Qsq"),
+        "{rendered}"
+    );
+    // A pinned strategy records no choice.
+    let pinned = s
+        .retrieve(
+            Request::subject("prior(c64, Y)")
+                .strategy(Strategy::Qsq)
+                .with_trace(true),
+        )
+        .unwrap();
+    assert_eq!(pinned.auto_choice(), None);
+    assert!(!pinned.trace().unwrap().to_string().contains("-- auto"));
 }
 
 #[test]
@@ -171,6 +208,15 @@ fn spans_nest_correctly_across_both_statements() {
         s.retrieve(Request::subject("prior(X, Y)").strategy(strategy))
             .unwrap();
     }
+    // The default strategy, down each path it can resolve to.
+    for subject in [
+        "student(ann, M, G)",
+        "prior(X, Y)",
+        "can_ta(X, databases)",
+        "prior(databases, Y)",
+    ] {
+        s.retrieve(Request::subject(subject)).unwrap();
+    }
     s.describe(Request::subject("prior(X, Y)").where_clause("prior(databases, Y)"))
         .unwrap();
     let events = collector.events();
@@ -230,11 +276,17 @@ proptest! {
         for (a, b) in &edges {
             s.run(&format!("prereq(c{a}, c{b}).")).unwrap();
         }
-        for strategy in [Strategy::SemiNaive, Strategy::TopDown, Strategy::Qsq] {
-            for workers in [1usize, 2, 4, 8] {
-                let plain = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, false);
-                let traced = retrieve_outcome(&s, "prior(X, Y)", strategy, workers, true);
-                prop_assert_eq!(&plain, &traced, "{:?} at {} workers", strategy, workers);
+        for strategy in Strategy::ALL {
+            // Unbound, and bound the way the default sends to the net.
+            for subject in ["prior(X, Y)", "prior(c0, Y)"] {
+                for workers in [1usize, 2, 4, 8] {
+                    let plain = retrieve_outcome(&s, subject, strategy, workers, false);
+                    let traced = retrieve_outcome(&s, subject, strategy, workers, true);
+                    prop_assert_eq!(
+                        &plain, &traced,
+                        "{} under {:?} at {} workers", subject, strategy, workers
+                    );
+                }
             }
         }
     }
