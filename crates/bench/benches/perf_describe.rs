@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdk_bench::{redundant_idb, tower_hypothesis, tower_idb, university};
 use qdk_core::{algo2, describe, Describe, DescribeOptions, TransformPolicy};
 use qdk_engine::Idb;
+use qdk_lang::ast::Statement;
 use qdk_logic::parser::{parse_atom, parse_body, parse_program};
 use std::hint::black_box;
 use std::time::Duration;
@@ -56,9 +57,12 @@ fn p2_hypothesis_sweep(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("p2_describe_vs_hypothesis_size");
     for (i, h) in hyps.iter().enumerate() {
-        let q = Describe::new(parse_atom("can_ta(X, Y)").unwrap(), parse_body(h).unwrap());
+        let q = Statement::Describe(Describe::new(
+            parse_atom("can_ta(X, Y)").unwrap(),
+            parse_body(h).unwrap(),
+        ));
         group.bench_with_input(BenchmarkId::from_parameter(i + 1), &i, |b, _| {
-            b.iter(|| black_box(kb.describe(black_box(&q)).unwrap()))
+            b.iter(|| black_box(kb.query(black_box(&q)).unwrap()))
         });
     }
     group.finish();

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdk_bench::university;
 use qdk_engine::{Retrieve, Strategy};
+use qdk_lang::ast::Statement;
 use qdk_logic::parser::{parse_atom, parse_body};
 use std::hint::black_box;
 
@@ -17,15 +18,15 @@ fn strategies() -> [(&'static str, Strategy); 3] {
 
 fn e1_retrieve_honor_enrolled(c: &mut Criterion) {
     let kb = university();
-    let q = Retrieve::new(
+    let q = Statement::Retrieve(Retrieve::new(
         parse_atom("honor(X)").unwrap(),
         parse_body("enroll(X, databases)").unwrap(),
-    );
+    ));
     let mut group = c.benchmark_group("e1_retrieve_honor_enrolled");
     for (name, strategy) in strategies() {
         let kb = kb.clone().with_strategy(strategy);
         group.bench_function(name, |b| {
-            b.iter(|| black_box(kb.retrieve(black_box(&q)).unwrap()))
+            b.iter(|| black_box(kb.query(black_box(&q)).unwrap()))
         });
     }
     group.finish();
@@ -33,15 +34,15 @@ fn e1_retrieve_honor_enrolled(c: &mut Criterion) {
 
 fn e2_retrieve_fresh_answer(c: &mut Criterion) {
     let kb = university();
-    let q = Retrieve::new(
+    let q = Statement::Retrieve(Retrieve::new(
         parse_atom("answer(X)").unwrap(),
         parse_body("can_ta(X, databases), student(X, math, V), V > 3.7").unwrap(),
-    );
+    ));
     let mut group = c.benchmark_group("e2_retrieve_fresh_answer");
     for (name, strategy) in strategies() {
         let kb = kb.clone().with_strategy(strategy);
         group.bench_function(name, |b| {
-            b.iter(|| black_box(kb.retrieve(black_box(&q)).unwrap()))
+            b.iter(|| black_box(kb.query(black_box(&q)).unwrap()))
         });
     }
     group.finish();
@@ -49,12 +50,15 @@ fn e2_retrieve_fresh_answer(c: &mut Criterion) {
 
 fn recursive_retrieve_prior(c: &mut Criterion) {
     let kb = university();
-    let q = Retrieve::new(parse_atom("prior(databases, Y)").unwrap(), vec![]);
+    let q = Statement::Retrieve(Retrieve::new(
+        parse_atom("prior(databases, Y)").unwrap(),
+        vec![],
+    ));
     let mut group = c.benchmark_group("retrieve_prior_databases");
     for (name, strategy) in strategies() {
         let kb = kb.clone().with_strategy(strategy);
         group.bench_function(name, |b| {
-            b.iter(|| black_box(kb.retrieve(black_box(&q)).unwrap()))
+            b.iter(|| black_box(kb.query(black_box(&q)).unwrap()))
         });
     }
     group.finish();

@@ -405,8 +405,9 @@ fn t2_describe_threads(records: &mut Vec<String>) {
 /// the chain-8 closure) on every query.
 fn c1_concurrency(records: &mut Vec<String>) {
     use qdk_durability::{DurabilityOptions, FsyncPolicy};
+    use qdk_lang::ast::Statement;
     use qdk_lang::shared::Publisher;
-    use qdk_lang::KnowledgeBase;
+    use qdk_lang::{Answer, KnowledgeBase};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
@@ -445,7 +446,9 @@ fn c1_concurrency(records: &mut Vec<String>) {
             std::env::temp_dir().join(format!("qdk-bench-conc-{}-{n}", std::process::id()))
         }
     };
-    let q = Retrieve::new(parse_atom("path(X, Y)").unwrap(), vec![]);
+    let q = Statement::Retrieve(Retrieve::new(parse_atom("path(X, Y)").unwrap(), vec![]));
+    let rows = |a: Answer| a.into_data().unwrap().rows.len();
+    let reader_opts = DescribeOptions::default();
     // One churn batch: replace the tick marker (size-stable EDB).
     let churn = |kb: &mut KnowledgeBase, i: u64| {
         let prev = parse_atom(&format!("tick(t{})", i - 1)).unwrap();
@@ -493,14 +496,9 @@ fn c1_concurrency(records: &mut Vec<String>) {
                                     while !stop.load(Ordering::Relaxed) {
                                         let kb = shared.lock().unwrap();
                                         let a = kb
-                                            .retrieve_with_options(
-                                                &q,
-                                                Strategy::SemiNaive,
-                                                EvalOptions::default(),
-                                                None,
-                                            )
+                                            .serve(&q, Strategy::SemiNaive, &reader_opts, None)
                                             .unwrap();
-                                        assert_eq!(a.rows.len(), EXPECTED_ROWS);
+                                        assert_eq!(rows(a), EXPECTED_ROWS);
                                         queries.fetch_add(1, Ordering::Relaxed);
                                     }
                                 });
@@ -534,14 +532,14 @@ fn c1_concurrency(records: &mut Vec<String>) {
                                         cell.refresh(&mut version, &mut state);
                                         let a = state
                                             .kb
-                                            .retrieve_with_options(
+                                            .serve(
                                                 &q,
                                                 Strategy::SemiNaive,
-                                                EvalOptions::default(),
+                                                &reader_opts,
                                                 Some(&state.plan),
                                             )
                                             .unwrap();
-                                        assert_eq!(a.rows.len(), EXPECTED_ROWS);
+                                        assert_eq!(rows(a), EXPECTED_ROWS);
                                         queries.fetch_add(1, Ordering::Relaxed);
                                     }
                                 });
@@ -898,7 +896,7 @@ fn o1_obs_overhead(records: &mut Vec<String>) {
 }
 
 /// The metrics-aggregation overhead guard: the same chain-128 semi-naive
-/// closure with a live [`MetricsSink`] — every span and counter lands in
+/// closure with a live [`qdk_logic::metrics::MetricsSink`] — every span and counter lands in
 /// sharded atomics and latency histograms — vs the disabled default. This
 /// is the steady-state cost a long-running serving KB pays for
 /// `enable_metrics()`; the budget is ≤3% (DESIGN.md §17). Interleaved
@@ -969,6 +967,7 @@ fn o2_metrics_overhead(records: &mut Vec<String>) {
 /// closure row counts on every query, so the speedup is never bought
 /// with wrong answers.
 fn m1_churn(records: &mut Vec<String>) {
+    use qdk_lang::ast::Statement;
     use qdk_lang::KnowledgeBase;
 
     const N: usize = 128;
@@ -983,7 +982,8 @@ fn m1_churn(records: &mut Vec<String>) {
     for i in 0..N {
         script.push_str(&format!("edge(n{i}, n{}).\n", i + 1));
     }
-    let q = Retrieve::new(parse_atom("path(X, Y)").unwrap(), vec![]);
+    let q = Statement::Retrieve(Retrieve::new(parse_atom("path(X, Y)").unwrap(), vec![]));
+    let rows = |kb: &KnowledgeBase| kb.query(&q).unwrap().into_data().unwrap().rows.len();
     let cut = parse_atom(&format!("edge(n{}, n{N})", N - 1)).unwrap();
 
     println!(
@@ -999,9 +999,9 @@ fn m1_churn(records: &mut Vec<String>) {
         }
         median_micros(5, || {
             kb.retract_fact(&cut).unwrap();
-            assert_eq!(kb.retrieve(&q).unwrap().rows.len(), CUT_ROWS);
+            assert_eq!(rows(&kb), CUT_ROWS);
             kb.add_fact(&cut).unwrap();
-            assert_eq!(kb.retrieve(&q).unwrap().rows.len(), FULL_ROWS);
+            assert_eq!(rows(&kb), FULL_ROWS);
         })
     };
     let maintained = cycle_us(true);

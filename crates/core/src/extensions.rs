@@ -25,7 +25,7 @@ use crate::expand;
 use crate::governor::Governor;
 use crate::prepared::PreparedIdb;
 use qdk_engine::Idb;
-use qdk_logic::{unify_atoms, Atom, Literal, Subst, Sym};
+use qdk_logic::{unify_atoms, Atom, Constraint, Literal, Subst, Sym};
 use std::collections::HashMap;
 
 /// `describe p where necessary ψ`: answers whose derivations used every
@@ -36,7 +36,7 @@ pub fn describe_necessary(
     query: &Describe,
     opts: &DescribeOptions,
 ) -> Result<DescribeAnswer> {
-    PreparedIdb::for_call(idb, opts).describe_necessary(query, opts)
+    PreparedIdb::for_call(idb, opts).describe_necessary(&[], query, opts)
 }
 
 /// `describe p where ψ₁ or ψ₂ or …` — §6's second research direction
@@ -55,7 +55,7 @@ pub fn describe_disjunctive(
     disjuncts: &[Vec<Literal>],
     opts: &DescribeOptions,
 ) -> Result<DescribeAnswer> {
-    PreparedIdb::for_call(idb, opts).describe_disjunctive(subject, disjuncts, opts)
+    PreparedIdb::for_call(idb, opts).describe_disjunctive(&[], subject, disjuncts, opts)
 }
 
 /// The answer to a negated-hypothesis describe.
@@ -221,7 +221,7 @@ pub fn describe_possible(
     idb: &Idb,
     hypothesis: &[Atom],
     keys: &HashMap<Sym, usize>,
-    integrity: &[qdk_logic::Constraint],
+    integrity: &[Constraint],
     opts: &DescribeOptions,
 ) -> Result<PossibilityAnswer> {
     let forbidden = |lits: &[Literal]| {
@@ -313,19 +313,24 @@ pub fn describe_wildcard(
     hypothesis: &[Literal],
     opts: &DescribeOptions,
 ) -> Result<Vec<(Sym, DescribeAnswer)>> {
-    PreparedIdb::for_call(idb, opts).describe_wildcard(hypothesis, opts)
+    PreparedIdb::for_call(idb, opts).describe_wildcard(&[], hypothesis, opts)
 }
 
 /// The §6 statements that are built from plain describes, over a kept
-/// preparation (the `&Idb` functions above prepare per call).
+/// preparation (the `&Idb` functions above prepare per call, with no
+/// integrity constraints). Each runs the shared per-subject describe —
+/// [`PreparedIdb::describe_with_constraints`], so theorems `integrity`
+/// forbids are gone exactly as they are from a plain `describe` — and
+/// then applies the statement's own filter.
 impl PreparedIdb {
     /// [`describe_necessary`] over this preparation.
     pub fn describe_necessary(
         &self,
+        integrity: &[Constraint],
         query: &Describe,
         opts: &DescribeOptions,
     ) -> Result<DescribeAnswer> {
-        let mut answer = self.describe(query, opts)?;
+        let mut answer = self.describe_with_constraints(integrity, query, opts)?;
         let all: Vec<usize> = (0..query.hypothesis.len()).collect();
         answer
             .theorems
@@ -336,17 +341,21 @@ impl PreparedIdb {
     /// [`describe_disjunctive`] over this preparation.
     pub fn describe_disjunctive(
         &self,
+        integrity: &[Constraint],
         subject: &Atom,
         disjuncts: &[Vec<Literal>],
         opts: &DescribeOptions,
     ) -> Result<DescribeAnswer> {
+        let describe = |hypothesis: Vec<Literal>| {
+            let query = Describe::new(subject.clone(), hypothesis);
+            self.describe_with_constraints(integrity, &query, opts)
+        };
         if disjuncts.len() <= 1 {
-            let hypothesis = disjuncts.first().cloned().unwrap_or_default();
-            return self.describe(&Describe::new(subject.clone(), hypothesis), opts);
+            return describe(disjuncts.first().cloned().unwrap_or_default());
         }
         let mut per: Vec<DescribeAnswer> = Vec::with_capacity(disjuncts.len());
         for d in disjuncts {
-            per.push(self.describe(&Describe::new(subject.clone(), d.clone()), opts)?);
+            per.push(describe(d.clone())?);
         }
         // A contradiction with any disjunct does not contradict the
         // disjunction; the whole query contradicts only if every disjunct did.
@@ -402,6 +411,7 @@ impl PreparedIdb {
     /// rule base defines at several arities is asked once per arity.
     pub fn describe_wildcard(
         &self,
+        integrity: &[Constraint],
         hypothesis: &[Literal],
         opts: &DescribeOptions,
     ) -> Result<Vec<(Sym, DescribeAnswer)>> {
@@ -414,9 +424,13 @@ impl PreparedIdb {
                     .map(|i| qdk_logic::Term::var(&format!("S{i}")))
                     .collect(),
             );
-            let mut answer = self.describe(&Describe::new(subject, hypothesis.to_vec()), opts)?;
+            let query = Describe::new(subject, hypothesis.to_vec());
+            let mut answer = self.describe_with_constraints(integrity, &query, opts)?;
             answer.theorems.retain(|t| !t.used_hypothesis.is_empty());
-            if !answer.theorems.is_empty() {
+            // A subject whose enumeration was cut short stays in the
+            // answer even with nothing to show, so the truncation is
+            // reported rather than read as "does not follow".
+            if !answer.theorems.is_empty() || answer.is_truncated() {
                 out.push((pred, answer));
             }
         }

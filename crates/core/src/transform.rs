@@ -17,7 +17,7 @@
 //!   `t` is transitively closed.
 //!
 //! The transformation preserves the extension of `p` (shown in the paper's
-//! reference [4]; verified here by property tests against bottom-up
+//! reference \[4\]; verified here by property tests against bottom-up
 //! evaluation). Its value for `describe` is structural: after it, the tag
 //! discipline of Algorithm 2 can bound the number of recursive-rule
 //! applications without losing answers (Figure 2).

@@ -208,7 +208,7 @@ pub(crate) type ScanTarget<'a> = Option<(&'a Relation, Option<(usize, usize)>)>;
 /// A read view combining the EDB, a derived-facts store, and (optionally)
 /// a delta override: when `delta_occurrence` is `Some(i)`, the body atom at
 /// position `i` of the rule under evaluation reads only the derived tuples
-/// in the previous round's [`DeltaRanges`] window (the semi-naive "one
+/// in the previous round's `DeltaRanges` window (the semi-naive "one
 /// occurrence reads the delta" rewrite). The delta is never a separate
 /// store — just an id window over the append-only derived relations.
 pub struct FactView<'a> {

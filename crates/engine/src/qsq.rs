@@ -17,7 +17,7 @@
 //!
 //! The net rules form a positive (hence monotone) program, so the least
 //! fixpoint needs no stratification: a single semi-naive loop fires the
-//! net set-at-a-time through the same [`RuleTask`] / `fire_rule_batch`
+//! net set-at-a-time through the same `RuleTask` / `fire_rule_batch`
 //! machinery, delta-first plan variants, composite-index probes, and
 //! selectivity-ordered literal schedules as the semi-naive strategy —
 //! which also hands QSQ the Governor contract (work ticks, fact budget,
@@ -32,7 +32,7 @@
 //! variables — skips even that: the constants are themselves the
 //! subquery tuple, so the serving path seeds `input_p^a` directly and
 //! filters `ans_p^a` on the bound positions, compiling nothing per call
-//! (see [`bound_subject_substs`]). Everything else is a cache hit after
+//! (see `bound_subject_substs`). Everything else is a cache hit after
 //! the first bound query of a given shape, which is why QSQ wins every
 //! bound-query benchmark section: a warm call pays a hash lookup plus
 //! the relevant fixpoint.

@@ -24,7 +24,8 @@ pub enum Answer {
     Wildcard(Vec<(Sym, DescribeAnswer)>),
     /// A concept comparison (from `compare`).
     Comparison(Box<CompareAnswer>),
-    /// Acknowledgement of a definition or declaration.
+    /// Text: the acknowledgement of a definition or declaration, the
+    /// listing of a `show`, the derivations of an `explain`.
     Ack(String),
 }
 
@@ -39,6 +40,22 @@ impl Answer {
 
     /// The knowledge answer, if this is one.
     pub fn as_knowledge(&self) -> Option<&DescribeAnswer> {
+        match self {
+            Answer::Knowledge(k) => Some(k),
+            _ => None,
+        }
+    }
+
+    /// Consumes the answer into its data answer.
+    pub fn into_data(self) -> Option<DataAnswer> {
+        match self {
+            Answer::Data(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Consumes the answer into its knowledge answer.
+    pub fn into_knowledge(self) -> Option<DescribeAnswer> {
         match self {
             Answer::Knowledge(k) => Some(k),
             _ => None,

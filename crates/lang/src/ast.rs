@@ -84,6 +84,22 @@ pub enum Statement {
     },
 }
 
+impl Statement {
+    /// True for the statements that only read the knowledge base —
+    /// `retrieve`, the `describe` family, `compare`, `explain`, `show` —
+    /// which `KnowledgeBase::serve` answers from `&self`. The rest
+    /// (declarations, clauses, constraints, `retract`) change it.
+    pub fn is_read(&self) -> bool {
+        !matches!(
+            self,
+            Statement::Declare { .. }
+                | Statement::Clause(_)
+                | Statement::Constraint(_)
+                | Statement::Retract(_)
+        )
+    }
+}
+
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -17,6 +17,9 @@
 use crate::kb::KnowledgeBase;
 
 /// The §2.2 university database.
+// The scripts are compile-time constants the test suite loads on every
+// run: a failure here is a bug in this file, not a condition to handle.
+#[allow(clippy::expect_used)]
 pub fn university() -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     kb.load(UNIVERSITY_SCHEMA).expect("schema loads");
@@ -26,6 +29,9 @@ pub fn university() -> KnowledgeBase {
 }
 
 /// The university database with the introduction's extensions.
+// The scripts are compile-time constants the test suite loads on every
+// run: a failure here is a bug in this file, not a condition to handle.
+#[allow(clippy::expect_used)]
 pub fn university_extended() -> KnowledgeBase {
     let mut kb = university();
     kb.load(UNIVERSITY_EXTENSION).expect("extension loads");
@@ -35,6 +41,9 @@ pub fn university_extended() -> KnowledgeBase {
 /// The routing database. `symmetric` adds the (untyped recursive) rule
 /// `reachable(X, Y) :- reachable(Y, X)`, making reachability symmetric —
 /// the knowledge the introduction's sixth query asks about.
+// The scripts are compile-time constants the test suite loads on every
+// run: a failure here is a bug in this file, not a condition to handle.
+#[allow(clippy::expect_used)]
 pub fn routing(symmetric: bool) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
     kb.load(ROUTING_BASE).expect("routing loads");

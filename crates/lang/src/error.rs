@@ -1,8 +1,16 @@
-//! Language-layer errors.
+//! The one error type of the unified instrument.
+//!
+//! Every layer keeps its own precise error (`ParseError`, `StorageError`,
+//! `EngineError`, `DescribeError`, `DurabilityError` — all still public
+//! for layer-level callers), and [`LangError`] is their sum: what
+//! `KnowledgeBase` returns and, re-exported as `qdk::Error`, what the
+//! `Session` facade returns.
 
 use std::fmt;
 
-/// Any error the unified instrument can raise.
+/// Any error the unified instrument can raise. `#[non_exhaustive]` so a
+/// future layer can add a variant without a breaking release.
+#[non_exhaustive]
 #[derive(Clone, Debug, PartialEq)]
 pub enum LangError {
     /// A parse error in a statement.
@@ -15,6 +23,21 @@ pub enum LangError {
     Describe(qdk_core::DescribeError),
     /// A durability error (write-ahead log, checkpoint, recovery).
     Durability(qdk_durability::DurabilityError),
+    /// A statement that changes the knowledge base (named here) was given
+    /// to a read-only entry point; it was not executed.
+    ReadOnly(String),
+}
+
+impl LangError {
+    /// The structured exhaustion diagnostic, when the error is a resource
+    /// trip from either evaluation stack.
+    pub fn exhausted(&self) -> Option<qdk_logic::Exhausted> {
+        match self {
+            LangError::Engine(qdk_engine::EngineError::Exhausted(e)) => Some(*e),
+            LangError::Describe(qdk_core::DescribeError::Exhausted(e)) => Some(*e),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for LangError {
@@ -25,6 +48,7 @@ impl fmt::Display for LangError {
             LangError::Engine(e) => write!(f, "{e}"),
             LangError::Describe(e) => write!(f, "{e}"),
             LangError::Durability(e) => write!(f, "{e}"),
+            LangError::ReadOnly(stmt) => write!(f, "read-only: not executed: {stmt}"),
         }
     }
 }

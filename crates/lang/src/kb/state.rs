@@ -1,0 +1,390 @@
+//! The knowledge base's state: the struct, the interior-mutable cells
+//! that let `&self` readers fill caches, construction, accessors and the
+//! metrics gauges. What changes the state is in `mutate.rs`; what answers
+//! statements from it is in `serve.rs`.
+
+use qdk_core::{DescribeCache, DescribeOptions, PreparedIdb};
+use qdk_durability::{DurabilityMetrics, Durable, RecoveryReport, WalOp};
+use qdk_engine::{Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, Strategy};
+use qdk_logic::metrics::{MetricsHub, MetricsSink, MetricsSnapshot};
+use qdk_logic::obs::{FanoutSink, ObsSink};
+use qdk_logic::{Constraint, Sym};
+use qdk_storage::Edb;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// A value behind a mutex whose guard recovers from poisoning: a poisoned
+/// lock only means another thread panicked mid-access, and every update
+/// made through a [`Cell`] leaves its value coherent at every step (a
+/// cache entry swapped whole, a queue pushed or taken, a WAL handle whose
+/// state is guarded by its file formats), so readers carry on instead of
+/// propagating the panic. Cloning clones the value into a fresh lock.
+#[derive(Default)]
+pub(super) struct Cell<T>(Mutex<T>);
+
+impl<T> Cell<T> {
+    pub(super) fn new(value: T) -> Self {
+        Cell(Mutex::new(value))
+    }
+
+    pub(super) fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: Clone> Clone for Cell<T> {
+    fn clone(&self) -> Self {
+        Cell::new(self.lock().clone())
+    }
+}
+
+impl<T> std::fmt::Debug for Cell<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Cell<{}>", std::any::type_name::<T>())
+    }
+}
+
+/// One value derived from the rules alone, cached under the rules
+/// generation it was built for. Interior-mutable so queries — which take
+/// `&self`, possibly from several snapshot readers at once — can fill it
+/// on first use. Two of these hang off a knowledge base: the compiled
+/// program `retrieve` runs ([`ProgramPlan`]) and the rule base prepared
+/// for `describe` ([`PreparedIdb`]).
+///
+/// Fact mutations do **not** touch either: a compiled program depends
+/// only on the IDB (rule bodies, literal schedules) plus a cardinality
+/// snapshot that steers join *order*, never answers — so fact churn can
+/// at worst leave the order mildly stale, and the next rule change or
+/// explicit [`KnowledgeBase::invalidate_plan`] refreshes the stats along
+/// with the plans — and a preparation never reads the EDB at all. Rule
+/// and constraint mutations move the knowledge base to a new generation,
+/// which makes the cached entry unreachable.
+pub(super) type GenCache<T> = Cell<Option<(u64, Arc<T>)>>;
+
+impl<T> GenCache<T> {
+    /// The value cached for rules generation `gen` if it `fits` the
+    /// request; otherwise `build`s one (under the lock, so concurrent
+    /// readers build once) and caches it in the other's place. The flag
+    /// reports whether this call was a cache hit (for observability).
+    pub(super) fn get_or_build(
+        &self,
+        gen: u64,
+        fits: impl Fn(&T) -> bool,
+        build: impl FnOnce() -> T,
+    ) -> (Arc<T>, bool) {
+        let mut slot = self.lock();
+        if let Some((cached_gen, v)) = &*slot {
+            if *cached_gen == gen && fits(v) {
+                return (Arc::clone(v), true);
+            }
+        }
+        let v = Arc::new(build());
+        *slot = Some((gen, Arc::clone(&v)));
+        (v, false)
+    }
+
+    /// Takes over `other`'s entry when it was built for generation `gen`
+    /// and this cache holds nothing for that generation.
+    pub(super) fn adopt(&self, gen: u64, other: &GenCache<T>) {
+        let theirs = other.lock().clone();
+        let mut slot = self.lock();
+        let stale = !matches!(&*slot, Some((g, _)) if *g == gen);
+        if stale && matches!(&theirs, Some((g, _)) if *g == gen) {
+            *slot = theirs;
+        }
+    }
+}
+
+/// Rules generations are unique within the process: two knowledge bases
+/// carry the same generation only when one is a clone of the other and
+/// neither's rules or constraints have changed since. That is what lets a
+/// generation — never an address — identify what a [`GenCache`] entry was
+/// built from, also across the clones an epoch publish makes. Generation
+/// 0 is the empty rule base every new knowledge base starts from.
+pub(super) fn next_rules_gen() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    // Only uniqueness matters; the counter publishes no other data.
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A knowledge-rich database: EDB facts, IDB rules, integrity
+/// constraints, and the unified query interface over them.
+#[derive(Clone, Debug, Default)]
+pub struct KnowledgeBase {
+    pub(super) edb: Edb,
+    pub(super) idb: Idb,
+    pub(super) constraints: Vec<Constraint>,
+    pub(super) keys: HashMap<Sym, usize>,
+    pub(super) strategy: Strategy,
+    pub(super) opts: DescribeOptions,
+    /// Compiled program shared by every retrieve until the rules change.
+    pub(super) plan: GenCache<ProgramPlan>,
+    /// The rule base prepared for the describe family (dependency graph,
+    /// §5.2 transformation, compiled rules), shared by every describe
+    /// until the rules change. At most one is held: asking under another
+    /// [`qdk_core::TransformPolicy`] replaces it.
+    pub(super) prepared: GenCache<PreparedIdb>,
+    /// Rules generation ([`next_rules_gen`]): renewed by rule/constraint
+    /// mutations, the key of both caches above. Fact mutations leave it
+    /// (and the caches) alone.
+    pub(super) rules_gen: u64,
+    /// In-flight transaction buffer: while `Some`, logged ops collect
+    /// here instead of hitting the WAL, and commit writes them as one
+    /// atomic [`WalOp::Batch`] record (see [`Self::transaction`]).
+    pub(super) batch: Option<Vec<WalOp>>,
+    /// The durable store, when this KB was opened with
+    /// [`Self::open_durable`]; `None` for purely in-memory KBs. Shared
+    /// behind an `Arc` so `Clone` keeps working — clones write to the
+    /// *same* log, which is the only coherent reading since they also
+    /// started from the same persistent state.
+    pub(super) durable: Option<Arc<Cell<Durable>>>,
+    /// Incrementally maintained derived facts (opt-in, built by
+    /// [`Self::materialize_maintained`]): while present, every fact or
+    /// rule mutation updates the derived state in place and bottom-up
+    /// retrieves serve from it without re-running the fixpoint. `None`
+    /// keeps the classic evaluate-per-query behaviour.
+    pub(super) maintained: Option<MaintainedStore>,
+    /// Maintenance counters accumulated since the last
+    /// [`Self::take_maintain_stats`].
+    pub(super) maintain_stats: MaintainStats,
+    /// Lifetime maintenance totals — never taken, unlike
+    /// `maintain_stats` — the source of the `maintain_*` metrics gauges.
+    pub(super) maintain_total: MaintainStats,
+    /// The long-running metrics hub, when [`Self::enable_metrics`] was
+    /// called. Shared behind an `Arc` so clones and epoch snapshots all
+    /// aggregate into the *same* registry.
+    pub(super) metrics: Option<Arc<MetricsHub>>,
+    /// Downgrades recorded by mutation-side maintenance — an incremental
+    /// step that fell back to full recomputation, or a maintained store
+    /// that had to be dropped — queued for the next retrieve's answer so
+    /// degraded service is never silent. Interior-mutable because
+    /// retrieves take `&self`.
+    pub(super) pending: Cell<Vec<Downgrade>>,
+    /// Cached complete describe answers, invalidated per predicate
+    /// closure on rule/constraint changes; behind a lock so knowledge
+    /// queries — which take `&self` — can record their answers (see
+    /// [`qdk_core::cache`]).
+    pub(super) describe_cache: Cell<DescribeCache>,
+}
+
+impl KnowledgeBase {
+    /// Creates an empty knowledge base with default options (paper-style
+    /// answers: global one-level fallback, modified transformation). The
+    /// observability sink defaults from the `QDK_TRACE` environment
+    /// variable (unset/empty means disabled — see
+    /// [`qdk_logic::obs::env_sink`]).
+    pub fn new() -> Self {
+        KnowledgeBase {
+            opts: DescribeOptions::paper().with_sink(qdk_logic::obs::env_sink()),
+            ..KnowledgeBase::default()
+        }
+    }
+
+    /// Sets the retrieve evaluation strategy.
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// Sets the describe options.
+    pub fn with_describe_options(mut self, opts: DescribeOptions) -> Self {
+        self.opts = opts;
+        self
+    }
+
+    /// The extensional database.
+    pub fn edb(&self) -> &Edb {
+        &self.edb
+    }
+
+    /// The intensional database.
+    pub fn idb(&self) -> &Idb {
+        &self.idb
+    }
+
+    /// The declared key-prefix lengths.
+    pub fn keys(&self) -> &HashMap<Sym, usize> {
+        &self.keys
+    }
+
+    /// The describe options in effect.
+    pub fn describe_options(&self) -> &DescribeOptions {
+        &self.opts
+    }
+
+    /// The retrieve evaluation strategy in effect.
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
+    }
+
+    /// True if this KB logs its mutations to a durable store.
+    pub fn is_durable(&self) -> bool {
+        self.durable.is_some()
+    }
+
+    /// What recovery found when this KB was opened (`None` for in-memory
+    /// KBs).
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.durable
+            .as_ref()
+            .map(|d| d.lock().recovery_report().clone())
+    }
+
+    /// Lifetime durability counters (`None` for in-memory KBs).
+    pub fn durability_metrics(&self) -> Option<DurabilityMetrics> {
+        self.durable.as_ref().map(|d| d.lock().metrics())
+    }
+
+    /// True while the maintained derived-fact store is live.
+    pub fn is_maintained(&self) -> bool {
+        self.maintained.is_some()
+    }
+
+    /// The per-stratum generation counters of the maintained store
+    /// (`None` when no store is live). Rule changes bump exactly the
+    /// affected strata.
+    pub fn stratum_generations(&self) -> Option<&[u64]> {
+        self.maintained.as_ref().map(|s| s.stratum_generations())
+    }
+
+    /// Copies of the maintenance downgrades currently queued for the
+    /// next retrieve's answer (the queue itself still drains there).
+    pub fn pending_downgrades(&self) -> Vec<Downgrade> {
+        self.pending.lock().clone()
+    }
+
+    /// Cumulative describe-cache counters.
+    pub fn describe_cache_stats(&self) -> qdk_core::CacheStats {
+        self.describe_cache.lock().stats()
+    }
+
+    /// Attaches a fresh [`MetricsHub`] to this KB and starts aggregating:
+    /// the hub's [`MetricsSink`] is fanned out *alongside* any sink
+    /// already configured (a trace collector keeps collecting), so every
+    /// span and counter the evaluation stacks already emit feeds the
+    /// registry with no new instrumentation points. Returns the hub;
+    /// clones and epoch snapshots taken after this call share it.
+    pub fn enable_metrics(&mut self) -> Arc<MetricsHub> {
+        let hub = Arc::new(MetricsHub::new());
+        self.enable_metrics_with(Arc::clone(&hub));
+        hub
+    }
+
+    /// [`Self::enable_metrics`] aggregating into an existing hub (e.g.
+    /// the process-wide [`qdk_logic::metrics::global_hub`], or one shared
+    /// across several KBs). A no-op if metrics are already enabled.
+    pub fn enable_metrics_with(&mut self, hub: Arc<MetricsHub>) {
+        if self.metrics.is_some() {
+            return;
+        }
+        let sink: Arc<dyn qdk_logic::Sink> = Arc::new(MetricsSink::new(Arc::clone(&hub)));
+        self.opts.sink = match self.opts.sink.handle() {
+            Some(existing) => ObsSink::new(Arc::new(FanoutSink::new(vec![existing, sink]))),
+            None => ObsSink::new(sink),
+        };
+        self.metrics = Some(hub);
+    }
+
+    /// The attached metrics hub, if [`Self::enable_metrics`] was called.
+    pub fn metrics_hub(&self) -> Option<&Arc<MetricsHub>> {
+        self.metrics.as_ref()
+    }
+
+    /// Polls the point-in-time subsystem gauges (EDB/IDB sizes, plan and
+    /// describe-cache state, maintenance totals, WAL and checkpoint
+    /// positions) into the registry, then returns a consistent snapshot
+    /// of every aggregate. `None` until [`Self::enable_metrics`].
+    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        let hub = self.metrics.as_ref()?;
+        let reg = hub.registry();
+        reg.gauge_set("rules_generation", self.rules_gen);
+        reg.gauge_set("edb_facts", self.edb.fact_count() as u64);
+        reg.gauge_set("idb_rules", self.idb.rules().len() as u64);
+        reg.gauge_set("constraints", self.constraints.len() as u64);
+        reg.gauge_set("pending_downgrades", self.pending.lock().len() as u64);
+        let cache = self.describe_cache_stats();
+        reg.gauge_set("describe_cache_hits", cache.hits);
+        reg.gauge_set("describe_cache_misses", cache.misses);
+        reg.gauge_set("describe_cache_evicted", cache.evicted);
+        reg.gauge_set("describe_cache_survived", cache.survived);
+        reg.gauge_set(
+            "describe_cache_entries",
+            self.describe_cache.lock().len() as u64,
+        );
+        reg.gauge_set("maintained", u64::from(self.maintained.is_some()));
+        reg.gauge_set(
+            "maintained_facts",
+            self.maintained
+                .as_ref()
+                .map_or(0, |s| s.derived().len() as u64),
+        );
+        reg.gauge_set(
+            "maintain_derived_added",
+            self.maintain_total.derived_added as u64,
+        );
+        reg.gauge_set(
+            "maintain_derived_deleted",
+            self.maintain_total.derived_deleted as u64,
+        );
+        reg.gauge_set("maintain_rederived", self.maintain_total.rederived as u64);
+        reg.gauge_set(
+            "maintain_strata_invalidated",
+            self.maintain_total.strata_invalidated as u64,
+        );
+        reg.gauge_set(
+            "maintain_recomputes",
+            self.maintain_total.recompute_reasons.len() as u64,
+        );
+        if let Some(m) = self.durability_metrics() {
+            reg.gauge_set("wal_appended", m.wal_appends);
+            reg.gauge_set("wal_appended_bytes", m.wal_bytes);
+            reg.gauge_set("wal_fsyncs", m.wal_fsyncs);
+            reg.gauge_set("wal_last_lsn", m.last_lsn);
+            reg.gauge_set("checkpoints_taken", m.checkpoints);
+            reg.gauge_set("last_checkpoint_bytes", m.last_checkpoint_bytes);
+            reg.gauge_set("checkpoint_lsn_lag", m.checkpoint_lsn_lag());
+        }
+        if let Some(r) = self.recovery_report() {
+            reg.gauge_set("recovery_replayed", r.checkpointed + r.replayed);
+            reg.gauge_set("recovery_discarded_bytes", r.discarded_tail_bytes);
+        }
+        Some(reg.snapshot())
+    }
+
+    /// The declared integrity constraints.
+    pub fn constraints(&self) -> &[Constraint] {
+        &self.constraints
+    }
+
+    /// Serializes the knowledge base as a script that [`Self::load`]
+    /// restores exactly: declarations (with keys), stored facts, IDB
+    /// rules, and integrity constraints, in that order.
+    pub fn dump(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for schema in self.edb.catalog().iter() {
+            let _ = write!(out, "predicate {schema}");
+            if let Some(k) = self.keys.get(&schema.name) {
+                let _ = write!(out, " key {k}");
+            }
+            out.push_str(".\n");
+        }
+        for schema in self.edb.catalog().iter() {
+            if let Some(rel) = self.edb.relation(schema.name.as_str()) {
+                for tuple in rel.iter() {
+                    let vals: Vec<String> =
+                        tuple.values().iter().map(ToString::to_string).collect();
+                    let _ = writeln!(out, "{}({}).", schema.name, vals.join(", "));
+                }
+            }
+        }
+        for rule in self.idb.rules() {
+            let _ = writeln!(out, "{rule}");
+        }
+        for c in &self.constraints {
+            let _ = writeln!(out, "{c}");
+        }
+        out
+    }
+}

@@ -153,21 +153,17 @@ mod tests {
         // Each epoch's plan matches its own rule set.
         assert!(!Arc::ptr_eq(&s1.plan, &s2.plan));
         let r = crate::parser::parse_statement("retrieve path(X, Y).").unwrap();
-        let (crate::ast::Statement::Retrieve(ref r1), crate::ast::Statement::Retrieve(ref r2)) =
-            (r.clone(), r)
-        else {
-            panic!("expected retrieve");
+        let rows = |s: &KbState| {
+            let kb = &s.kb;
+            kb.serve(&r, kb.strategy(), kb.describe_options(), Some(&s.plan))
+                .unwrap()
+                .into_data()
+                .unwrap()
+                .rows
+                .len()
         };
-        let a1 = s1
-            .kb
-            .retrieve_with_options(r1, s1.kb.strategy(), Default::default(), Some(&s1.plan))
-            .unwrap();
-        let a2 = s2
-            .kb
-            .retrieve_with_options(r2, s2.kb.strategy(), Default::default(), Some(&s2.plan))
-            .unwrap();
         // Non-recursive epoch: the two edges. Recursive epoch: plus a→c.
-        assert_eq!(a1.rows.len(), 2);
-        assert_eq!(a2.rows.len(), 3);
+        assert_eq!(rows(&s1), 2);
+        assert_eq!(rows(&s2), 3);
     }
 }

@@ -86,7 +86,7 @@ impl TupleStore {
     }
 }
 
-/// Iterator over a [`TupleStore`]'s rows in id order (also the iterator
+/// Iterator over a `TupleStore`'s rows in id order (also the iterator
 /// type of `&Relation`).
 #[derive(Clone, Debug)]
 pub struct TupleIter<'a> {

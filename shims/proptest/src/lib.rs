@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access to a crates registry, so the
 //! workspace vendors the subset of proptest's API that the repository's
-//! property tests use: the [`Strategy`] trait with `prop_map` / `prop_filter`
-//! / `boxed`, [`Just`], integer-range and tuple strategies,
+//! property tests use: the [`strategy::Strategy`] trait with `prop_map` / `prop_filter`
+//! / `boxed`, [`strategy::Just`], integer-range and tuple strategies,
 //! [`collection::vec`], regex-lite string strategies, the `proptest!` /
 //! `prop_assert!` / `prop_assert_eq!` / `prop_oneof!` macros, and
 //! [`ProptestConfig`].

@@ -30,7 +30,7 @@ pub fn available_parallelism() -> usize {
 
 /// A bounded pool of worker permits.
 ///
-/// `Pool` does not own threads: threads are spawned per [`join_all`]
+/// `Pool` does not own threads: threads are spawned per [`Pool::join_all`]
 /// (scoped, so borrows of the caller's stack work) and bounded by the
 /// permit count. A pool with `workers <= 1` never spawns — every batch
 /// runs inline, byte-identical to a plain sequential loop.

@@ -46,8 +46,8 @@
 //!   facade re-exported at the top level.
 //!
 //! For programmatic use, the [`Session`] facade wraps a [`KnowledgeBase`]
-//! behind twin calls with one [`Request`] shape (subject, hypothesis,
-//! strategy, limits, parallelism) and one [`Error`] surface:
+//! behind one [`Request`] shape (subject and hypothesis, or a whole read
+//! statement; strategy, limits, parallelism) and one [`Error`] type:
 //!
 //! ```
 //! use qdk::{Request, Session};
@@ -65,8 +65,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stderr, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod error;
 mod mutation;
 mod session;
 mod trace;
@@ -78,7 +78,6 @@ pub use qdk_lang as lang;
 pub use qdk_logic as logic;
 pub use qdk_storage as storage;
 
-pub use error::{Error, Result};
 pub use mutation::{Applied, Mutation};
 pub use session::{Request, Response, Session, SnapshotSession};
 pub use trace::{QueryTrace, TraceSpan};
@@ -101,6 +100,9 @@ pub use qdk_durability::{
 pub use qdk_engine::{
     AutoChoice, DataAnswer, Downgrade, EvalOptions, MaintainStats, Mode, Retrieve, Strategy,
 };
-pub use qdk_lang::{datasets, Answer, KnowledgeBase, LangError};
+/// The one error type, from `KnowledgeBase` to `Session`: [`LangError`]
+/// under the facade's name.
+pub use qdk_lang::LangError as Error;
+pub use qdk_lang::{datasets, Answer, KnowledgeBase, LangError, Result};
 pub use qdk_logic::Parallelism;
 pub use qdk_storage::EpochId;

@@ -34,8 +34,8 @@
 //! assert_eq!(resp.as_data().unwrap().len(), 1);
 //! ```
 
-use crate::error::Result;
 use crate::session::Session;
+use crate::{Error, Result};
 use qdk_core::CacheStats;
 use qdk_engine::{Downgrade, MaintainStats};
 use qdk_logic::parser::{parse_atom, parse_body, parse_rule};
@@ -143,7 +143,7 @@ impl Mutation {
                         let mut atoms = Vec::with_capacity(lits.len());
                         for lit in lits {
                             if !lit.positive {
-                                return Err(crate::error::Error::Parse(qdk_logic::ParseError {
+                                return Err(Error::Parse(qdk_logic::ParseError {
                                     message: format!(
                                         "constraint bodies are positive conjunctions: {b}"
                                     ),
@@ -236,7 +236,7 @@ impl Session {
     /// readers.
     pub fn apply(&mut self, mutation: Mutation) -> Result<Applied> {
         let ops = mutation.parsed()?;
-        let kb = self.knowledge_base_mut();
+        let kb = &mut self.kb;
         kb.materialize_maintained()?;
         let cache_before = kb.describe_cache_stats();
         let mut report = Applied::default();
@@ -274,7 +274,6 @@ impl Session {
             }
             Ok(())
         })?;
-        let kb = self.knowledge_base_mut();
         report.maintenance = kb.take_maintain_stats();
         report.downgrades = kb.pending_downgrades();
         report.describe_cache = cache_delta(cache_before, kb.describe_cache_stats());

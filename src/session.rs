@@ -1,12 +1,18 @@
-//! The unified `Session` facade: both statements, one request shape.
+//! The unified `Session` facade: every read statement, one request shape.
 //!
 //! The paper's instrument has twin statements that differ only in their
 //! initial keyword; this module gives them twin *calls* that differ only
-//! in the method name. A [`Session`] wraps a [`KnowledgeBase`]; a
-//! [`Request`] carries everything one evaluation needs — subject, optional
-//! hypothesis/qualifier, strategy, resource limits, cancellation and
-//! worker count — as a builder; a [`Response`] is either data rows or
-//! theorems, tagged. Errors consolidate into [`crate::Error`].
+//! in the method name, and one more for everything §6 adds to them. A
+//! [`Session`] wraps a [`KnowledgeBase`]; a [`Request`] carries everything
+//! one evaluation needs — subject and optional hypothesis/qualifier, or a
+//! whole statement as text, plus strategy, resource limits, cancellation
+//! and worker count — as a builder; a [`Response`] is the statement's
+//! [`Answer`] plus, when asked for, its [`QueryTrace`]. Whichever way a
+//! read statement arrives — [`Session::retrieve`], [`Session::describe`],
+//! [`Session::query`], [`Session::run`], or the same calls on a
+//! [`SnapshotSession`] — it is served by one function, which owns the
+//! per-request options, the timing, the metrics, the slow-query log and
+//! the trace. Errors are [`crate::Error`].
 //!
 //! ```
 //! use qdk::{Request, Session};
@@ -27,12 +33,19 @@
 //!     knowledge.as_knowledge().unwrap().rendered(),
 //!     vec!["honor(X) ← student(X, Y, Z) ∧ (Z > 3.7)"],
 //! );
+//!
+//! let all = session
+//!     .query(Request::statement("describe * where student(X, math, V)."))
+//!     .unwrap();
+//! assert!(all.to_string().starts_with("honor:"));
 //! ```
 
-use crate::error::Result;
 use crate::trace::QueryTrace;
-use qdk_core::{Describe, DescribeAnswer};
-use qdk_engine::{AutoChoice, DataAnswer, Downgrade, EvalOptions, ProgramPlan, Retrieve, Strategy};
+use crate::{Error, Result};
+use qdk_core::{Describe, DescribeAnswer, DescribeOptions};
+use qdk_engine::{AutoChoice, DataAnswer, Downgrade, ProgramPlan, Retrieve, Strategy};
+use qdk_lang::ast::Statement;
+use qdk_lang::parser::{parse_script, parse_statement};
 use qdk_lang::shared::{KbState, Publisher};
 use qdk_lang::{Answer, KnowledgeBase};
 use qdk_logic::metrics::{MetricsHub, MetricsSnapshot};
@@ -44,14 +57,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One query, fully specified: the subject, an optional hypothesis (for
-/// `describe`) or qualifier (for `retrieve`), and the per-request
-/// evaluation knobs. Build with [`Request::subject`] and chain the
+/// One read statement, fully specified: what to ask and the per-request
+/// evaluation knobs. Build with [`Request::subject`] (for the twin calls)
+/// or [`Request::statement`] (for [`Session::query`]) and chain the
 /// builder methods; anything left unset inherits the session's defaults.
 #[derive(Clone, Debug)]
 pub struct Request {
-    subject: String,
-    hypothesis: Option<String>,
+    ask: Ask,
     strategy: Option<Strategy>,
     limits: Option<ResourceLimits>,
     cancel: Option<CancelToken>,
@@ -59,12 +71,29 @@ pub struct Request {
     trace: bool,
 }
 
+/// What a [`Request`] asks.
+#[derive(Clone, Debug)]
+enum Ask {
+    /// A subject atom and an optional `where` conjunction; the twin call
+    /// it is handed to supplies the keyword.
+    Parts(String, Option<String>),
+    /// A whole statement as text.
+    Text(String),
+    /// A statement already parsed ([`Session::run`] / [`Session::load`]).
+    Parsed(Statement),
+}
+
+/// The initial keyword a twin call puts before a request's parts.
+#[derive(Clone, Copy)]
+enum Keyword {
+    Retrieve,
+    Describe,
+}
+
 impl Request {
-    /// A request for the given subject atom, e.g. `"honor(X)"`.
-    pub fn subject(subject: impl Into<String>) -> Self {
+    fn new(ask: Ask) -> Self {
         Request {
-            subject: subject.into(),
-            hypothesis: None,
+            ask,
             strategy: None,
             limits: None,
             cancel: None,
@@ -73,16 +102,35 @@ impl Request {
         }
     }
 
-    /// The `where` conjunction: the hypothesis of a `describe`, the
-    /// qualifier of a `retrieve`. E.g. `"student(X, math, V), V > 3.7"`.
+    /// A request for the given subject atom, e.g. `"honor(X)"`, to hand
+    /// to [`Session::retrieve`] or [`Session::describe`].
+    pub fn subject(subject: impl Into<String>) -> Self {
+        Request::new(Ask::Parts(subject.into(), None))
+    }
+
+    /// A request for one whole read statement of the unified language —
+    /// `retrieve`, any `describe` form (`where necessary`, `where not`,
+    /// disjunctive, subjectless, `*`), `compare`, `explain`, `show` — as
+    /// text, e.g. `"describe * where honor(X)."`, to hand to
+    /// [`Session::query`].
+    pub fn statement(text: impl Into<String>) -> Self {
+        Request::new(Ask::Text(text.into()))
+    }
+
+    /// The `where` conjunction of a [`Request::subject`] request: the
+    /// hypothesis of a `describe`, the qualifier of a `retrieve`. E.g.
+    /// `"student(X, math, V), V > 3.7"`. (A [`Request::statement`]
+    /// carries its own and ignores this.)
     #[must_use]
     pub fn where_clause(mut self, hypothesis: impl Into<String>) -> Self {
-        self.hypothesis = Some(hypothesis.into());
+        if let Ask::Parts(_, h) = &mut self.ask {
+            *h = Some(hypothesis.into());
+        }
         self
     }
 
-    /// Pins the retrieve evaluation strategy (ignored by `describe`).
-    /// Unset, the session's strategy applies, which is
+    /// Pins the retrieve evaluation strategy (ignored by every other
+    /// statement). Unset, the session's strategy applies, which is
     /// [`Strategy::Auto`] unless the knowledge base was built
     /// `with_strategy`.
     #[must_use]
@@ -122,76 +170,78 @@ impl Request {
         self.trace = trace;
         self
     }
+}
 
-    /// The parsed `where` conjunction (empty when none was given).
-    fn parsed_hypothesis(&self) -> Result<Vec<qdk_logic::Literal>> {
-        match &self.hypothesis {
-            Some(h) => Ok(parse_body(h)?),
-            None => Ok(Vec::new()),
+impl Ask {
+    /// The statement asked. `keyword` is what the twin call puts before a
+    /// request's parts; text brings its own keyword, and parts given to
+    /// [`Session::query`] have none.
+    fn into_statement(self, keyword: Option<Keyword>) -> Result<Statement> {
+        let (subject, hypothesis) = match self {
+            Ask::Parsed(stmt) => return Ok(stmt),
+            Ask::Text(text) => return parse_statement(&text),
+            Ask::Parts(subject, hypothesis) => (subject, hypothesis),
+        };
+        let subject = parse_atom(&subject)?;
+        let conjunction = match hypothesis {
+            Some(h) => parse_body(&h)?,
+            None => Vec::new(),
+        };
+        match keyword {
+            Some(Keyword::Retrieve) => Ok(Statement::Retrieve(Retrieve::new(subject, conjunction))),
+            Some(Keyword::Describe) => Ok(Statement::Describe(Describe::new(subject, conjunction))),
+            None => Err(Error::Parse(qdk_logic::ParseError {
+                message: format!(
+                    "`{subject}` is a subject, not a statement: hand it to `retrieve` or \
+                     `describe`, or build the request with `Request::statement`"
+                ),
+                line: 1,
+                column: 1,
+            })),
         }
     }
 }
 
-/// The answer to one [`Request`]: data rows for `retrieve`, theorems for
-/// `describe`, plus the optional [`QueryTrace`] profile when the request
-/// asked for one with [`Request::with_trace`].
+/// The answer to one [`Request`] — data rows for `retrieve`, theorems for
+/// `describe`, the other [`Answer`] variants for the §6 statements — plus
+/// the optional [`QueryTrace`] profile when the request asked for one with
+/// [`Request::with_trace`]. Renders as its answer does.
 #[derive(Clone, Debug)]
 pub struct Response {
-    payload: Payload,
+    answer: Answer,
     trace: Option<QueryTrace>,
 }
 
-#[derive(Clone, Debug)]
-enum Payload {
-    Data(DataAnswer),
-    Knowledge(DescribeAnswer),
-}
-
 impl Response {
-    fn data(answer: DataAnswer, trace: Option<QueryTrace>) -> Self {
-        Response {
-            payload: Payload::Data(answer),
-            trace,
-        }
+    /// The statement's answer.
+    pub fn answer(&self) -> &Answer {
+        &self.answer
     }
 
-    fn knowledge(answer: DescribeAnswer, trace: Option<QueryTrace>) -> Self {
-        Response {
-            payload: Payload::Knowledge(answer),
-            trace,
-        }
+    /// Consumes the response into its answer.
+    pub fn into_answer(self) -> Answer {
+        self.answer
     }
 
     /// The data answer, if this was a `retrieve`.
     pub fn as_data(&self) -> Option<&DataAnswer> {
-        match &self.payload {
-            Payload::Data(d) => Some(d),
-            Payload::Knowledge(_) => None,
-        }
+        self.answer.as_data()
     }
 
-    /// The knowledge answer, if this was a `describe`.
+    /// The knowledge answer, if this was a `describe` (plain, `where
+    /// necessary` or disjunctive).
     pub fn as_knowledge(&self) -> Option<&DescribeAnswer> {
-        match &self.payload {
-            Payload::Data(_) => None,
-            Payload::Knowledge(k) => Some(k),
-        }
+        self.answer.as_knowledge()
     }
 
     /// Consumes the response into its data answer.
     pub fn into_data(self) -> Option<DataAnswer> {
-        match self.payload {
-            Payload::Data(d) => Some(d),
-            Payload::Knowledge(_) => None,
-        }
+        self.answer.into_data()
     }
 
     /// Consumes the response into its knowledge answer.
     pub fn into_knowledge(self) -> Option<DescribeAnswer> {
-        match self.payload {
-            Payload::Data(_) => None,
-            Payload::Knowledge(k) => Some(k),
-        }
+        self.answer.into_knowledge()
     }
 
     /// The structured profile of this evaluation, when the request asked
@@ -203,39 +253,30 @@ impl Response {
     /// Strategy downgrades recorded while answering: the requested
     /// strategy could not complete and a simpler one produced the answer
     /// (e.g. QSQ degrading to semi-naive when the demanded slice uses
-    /// negation). Empty for `describe` answers and for retrieves that ran as
-    /// requested — check this to detect silent degradation without
-    /// enabling tracing.
+    /// negation). Empty for anything but a `retrieve`, and for retrieves
+    /// that ran as requested — check this to detect silent degradation
+    /// without enabling tracing.
     pub fn downgrades(&self) -> &[Downgrade] {
-        match &self.payload {
-            Payload::Data(d) => &d.downgrades,
-            Payload::Knowledge(_) => &[],
-        }
+        self.as_data().map_or(&[], |d| &d.downgrades)
     }
 
     /// What [`Strategy::Auto`] resolved this retrieve to, and by which
-    /// row of its decision table. `None` for `describe` answers and for
-    /// retrieves that pinned a strategy. Available without tracing; a
-    /// trace carries the same value.
+    /// row of its decision table. `None` for anything but a `retrieve`,
+    /// and for retrieves that pinned a strategy. Available without
+    /// tracing; a trace carries the same value.
     pub fn auto_choice(&self) -> Option<AutoChoice> {
-        match &self.payload {
-            Payload::Data(d) => d.auto,
-            Payload::Knowledge(_) => None,
-        }
+        self.as_data().and_then(|d| d.auto)
     }
 }
 
 impl fmt::Display for Response {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.payload {
-            Payload::Data(d) => write!(f, "{d}"),
-            Payload::Knowledge(k) => write!(f, "{k}"),
-        }
+        self.answer.fmt(f)
     }
 }
 
 /// A stateful facade over one [`KnowledgeBase`]: load schema and clauses,
-/// then ask either statement with one [`Request`] shape. Session-level
+/// then ask any read statement with one [`Request`] shape. Session-level
 /// defaults (strategy, limits, parallelism) come from the wrapped
 /// knowledge base; each request may override any of them.
 ///
@@ -246,7 +287,7 @@ impl fmt::Display for Response {
 /// locks while this session keeps mutating and publishing.
 #[derive(Debug, Default)]
 pub struct Session {
-    kb: KnowledgeBase,
+    pub(crate) kb: KnowledgeBase,
     publisher: Option<Publisher>,
 }
 
@@ -308,7 +349,7 @@ impl Session {
     /// WAL. Returns the covered LSN and snapshot size, or `None` for an
     /// in-memory session.
     pub fn checkpoint(&mut self) -> Result<Option<(qdk_durability::Lsn, u64)>> {
-        Ok(self.kb.checkpoint()?)
+        self.kb.checkpoint()
     }
 
     /// Wraps an existing knowledge base.
@@ -324,30 +365,52 @@ impl Session {
         &self.kb
     }
 
-    /// Mutable access to the wrapped knowledge base.
-    pub fn knowledge_base_mut(&mut self) -> &mut KnowledgeBase {
-        &mut self.kb
-    }
-
     /// Parses and executes a script (declarations, facts, rules,
     /// constraints, queries), returning every answer.
     pub fn load(&mut self, src: &str) -> Result<Vec<Answer>> {
-        Ok(self.kb.load(src)?)
+        let stmts = parse_script(src)?;
+        stmts.into_iter().map(|s| self.execute(s)).collect()
     }
 
     /// Parses and executes one statement of the unified language.
     pub fn run(&mut self, src: &str) -> Result<Answer> {
-        Ok(self.kb.run(src)?)
+        self.execute(parse_statement(src)?)
+    }
+
+    /// A read statement is served like any other request, under the
+    /// session's defaults (so it is timed, counted and slow-logged); a
+    /// statement that changes the knowledge base goes straight to it.
+    fn execute(&mut self, stmt: Statement) -> Result<Answer> {
+        if !stmt.is_read() {
+            return self.kb.execute(&stmt);
+        }
+        let request = Request::new(Ask::Parsed(stmt));
+        query_on(&self.kb, None, request, None).map(Response::into_answer)
     }
 
     /// Evaluates a data query: `retrieve subject where qualifier`.
     pub fn retrieve(&self, request: Request) -> Result<Response> {
-        retrieve_on(&self.kb, None, request)
+        query_on(&self.kb, None, request, Some(Keyword::Retrieve))
     }
 
     /// Evaluates a knowledge query: `describe subject where hypothesis`.
     pub fn describe(&self, request: Request) -> Result<Response> {
-        describe_on(&self.kb, request)
+        query_on(&self.kb, None, request, Some(Keyword::Describe))
+    }
+
+    /// Evaluates the read statement a [`Request::statement`] carries,
+    /// under the request's limits, cancellation, parallelism and trace
+    /// like the twin calls. A statement that would change the knowledge
+    /// base is refused with [`Error::ReadOnly`] and not executed — use
+    /// [`Session::run`] or [`Session::apply`] for those.
+    pub fn query(&self, request: Request) -> Result<Response> {
+        query_on(&self.kb, None, request, None)
+    }
+
+    /// Forces the write-ahead log to stable storage regardless of the
+    /// fsync policy (a no-op for in-memory sessions).
+    pub fn sync(&mut self) -> Result<()> {
+        self.kb.sync()
     }
 
     /// The epoch of the most recent publish, or `None` if this session
@@ -364,14 +427,18 @@ impl Session {
     /// probe — and, for durable sessions, forces the WAL to stable
     /// storage first, so a published epoch is always durable.
     pub fn publish(&mut self) -> Result<EpochId> {
+        self.publish_then(Publisher::epoch)
+    }
+
+    /// Publishes the next epoch and hands the publisher that now holds it
+    /// (created by the first publish) to `then`.
+    fn publish_then<T>(&mut self, then: impl FnOnce(&Publisher) -> T) -> Result<T> {
         match &mut self.publisher {
-            Some(p) => Ok(p.publish(&mut self.kb)?),
-            None => {
-                let p = Publisher::new(&mut self.kb)?;
-                let epoch = p.epoch();
-                self.publisher = Some(p);
-                Ok(epoch)
+            Some(p) => {
+                p.publish(&mut self.kb)?;
+                Ok(then(p))
             }
+            None => Ok(then(self.publisher.insert(Publisher::new(&mut self.kb)?))),
         }
     }
 
@@ -381,17 +448,13 @@ impl Session {
     /// query they run touches no lock — the snapshot owns an immutable
     /// knowledge base with its plan and indexes prebuilt.
     pub fn snapshot(&mut self) -> Result<SnapshotSession> {
-        self.publish()?;
-        let p = self
-            .publisher
-            .as_ref()
-            .expect("publisher exists after publish");
-        let cell = p.cell();
-        let version = cell.version();
-        Ok(SnapshotSession {
-            cell,
-            version,
-            state: Arc::clone(p.last()),
+        self.publish_then(|p| {
+            let cell = p.cell();
+            SnapshotSession {
+                version: cell.version(),
+                cell,
+                state: Arc::clone(p.last()),
+            }
         })
     }
 
@@ -432,7 +495,7 @@ impl Session {
         self.kb.metrics_snapshot()
     }
 
-    /// Arms slow-query capture: any retrieve or describe whose wall time
+    /// Arms slow-query capture: any read statement whose wall time
     /// reaches `micros` has its full profile rendered as one JSON line to
     /// `writer`, tagged with a session-unique run id, and counted in the
     /// `slow_queries` metric. Implies [`Session::enable_metrics`] if
@@ -456,10 +519,7 @@ impl Session {
     /// mutations are logged as a single WAL record (all-or-nothing on
     /// disk); on error the knowledge base rolls back and nothing is
     /// published. Returns the closure's value.
-    pub fn batch<R>(
-        &mut self,
-        f: impl FnOnce(&mut KnowledgeBase) -> qdk_lang::Result<R>,
-    ) -> Result<R> {
+    pub fn batch<R>(&mut self, f: impl FnOnce(&mut KnowledgeBase) -> Result<R>) -> Result<R> {
         let value = self.kb.transaction(f)?;
         if self.publisher.is_some() {
             self.publish()?;
@@ -476,11 +536,11 @@ impl From<KnowledgeBase> for Session {
 
 /// An immutable read handle pinned to one published epoch. Obtained from
 /// [`Session::snapshot`]; `Send + Sync` and cheap to clone, so any number
-/// of threads can hold one and query concurrently. Retrieves against a
-/// snapshot acquire **no lock**: the epoch owns its facts, rules,
-/// compiled plan and composite indexes, all frozen at publish time
-/// (describes briefly lock the epoch's shared caches, see
-/// [`SnapshotSession::describe`]).
+/// of threads can hold one and ask it any read statement concurrently.
+/// Retrieves against a snapshot acquire **no lock**: the epoch owns its
+/// facts, rules, compiled plan and composite indexes, all frozen at
+/// publish time (the describe family briefly locks the epoch's shared
+/// caches, see [`SnapshotSession::describe`]).
 ///
 /// A snapshot never changes underneath its holder — a writer publishing
 /// new epochs is invisible until [`SnapshotSession::refresh`] is called,
@@ -533,16 +593,31 @@ impl SnapshotSession {
 
     /// Evaluates a data query against the pinned epoch (zero locks).
     pub fn retrieve(&self, request: Request) -> Result<Response> {
-        retrieve_on(&self.state.kb, Some(&self.state.plan), request)
+        self.serve(request, Some(Keyword::Retrieve))
     }
 
     /// Evaluates a knowledge query against the pinned epoch. Readers of
     /// one epoch share its describe-answer cache and its prepared rule
     /// base: whichever reader asks first builds the preparation, the rest
     /// reuse it, and the next publish carries it forward while the rules
-    /// stay unchanged.
+    /// stay unchanged. Both sit behind a mutex held for the lookup — and,
+    /// the first time in a rules generation, for building the preparation
+    /// — so the describe family is where a snapshot reader takes a lock.
     pub fn describe(&self, request: Request) -> Result<Response> {
-        describe_on(&self.state.kb, request)
+        self.serve(request, Some(Keyword::Describe))
+    }
+
+    /// Evaluates the read statement a [`Request::statement`] carries
+    /// against the pinned epoch (see [`Session::query`]); a snapshot
+    /// never changes, so a statement that would is [`Error::ReadOnly`].
+    pub fn query(&self, request: Request) -> Result<Response> {
+        self.serve(request, None)
+    }
+
+    /// Every read goes through the epoch's pinned plan, never the plan
+    /// cache.
+    fn serve(&self, request: Request, keyword: Option<Keyword>) -> Result<Response> {
+        query_on(&self.state.kb, Some(&self.state.plan), request, keyword)
     }
 }
 
@@ -553,10 +628,10 @@ impl SnapshotSession {
 /// carries the metrics aggregator when metrics are enabled — keeps
 /// receiving every event through a fan-out, so tracing a query never
 /// detaches it from the long-running aggregates.
-fn request_sink(kb: &KnowledgeBase, request: &Request) -> (ObsSink, Option<Arc<CollectSink>>) {
+fn request_sink(kb: &KnowledgeBase, trace: bool) -> (ObsSink, Option<Arc<CollectSink>>) {
     let default = kb.describe_options().sink.clone();
     let slow_armed = kb.metrics_hub().is_some_and(|h| h.slow_query_micros() > 0);
-    if !(request.trace || slow_armed) {
+    if !(trace || slow_armed) {
         return (default, None);
     }
     let collector = Arc::new(CollectSink::new());
@@ -570,20 +645,58 @@ fn request_sink(kb: &KnowledgeBase, request: &Request) -> (ObsSink, Option<Arc<C
     (obs, Some(collector))
 }
 
-/// Shared epilogue of `retrieve` and `describe`: records the wall-time
-/// histogram and per-kind counter, folds the collected events into a
-/// [`QueryTrace`], writes the slow-query log line when the query crossed
-/// the armed threshold, and returns the trace only if the request asked
-/// for one. `data` is the answer of a retrieve (whose downgrades and
-/// strategy choice the trace repeats), `None` for a describe.
+/// Serves one [`Request`] against a knowledge base: the single way a read
+/// statement reaches [`KnowledgeBase::serve`] from the facade, whatever
+/// its kind and whichever call it came through. It owns the request's
+/// sink, resolves the request's knobs against the knowledge base's
+/// defaults into the one options struct `serve` takes, times the whole of
+/// parse + evaluation, and hands the rest to [`finish_query`]. With
+/// `plan`, a retrieve uses the given precompiled program and bypasses the
+/// plan cache entirely (the snapshot path); without, it goes through the
+/// cache.
+fn query_on(
+    kb: &KnowledgeBase,
+    plan: Option<&ProgramPlan>,
+    request: Request,
+    keyword: Option<Keyword>,
+) -> Result<Response> {
+    let (obs, collector) = request_sink(kb, request.trace);
+    let started = Instant::now();
+    let defaults = kb.describe_options();
+    let opts = DescribeOptions {
+        limits: request.limits.unwrap_or(defaults.limits),
+        cancel: request.cancel.or_else(|| defaults.cancel.clone()),
+        parallelism: request.parallelism.unwrap_or(defaults.parallelism),
+        sink: obs,
+        ..defaults.clone()
+    };
+    let strategy = request.strategy.unwrap_or(kb.strategy());
+    let stmt = {
+        let _span = opts.sink.span("parse", 0);
+        request.ask.into_statement(keyword)?
+    };
+    let answer = kb.serve(&stmt, strategy, &opts, plan)?;
+    let wall = started.elapsed().as_micros() as u64;
+    let trace = finish_query(kb, collector, request.trace, &stmt, wall, &answer);
+    Ok(Response { answer, trace })
+}
+
+/// The epilogue of every served statement: records the wall-time
+/// histogram and per-kind counter (`retrieves` for a retrieve, `describes`
+/// for every other kind), folds the collected events into a
+/// [`QueryTrace`] — whose downgrades and strategy choice repeat a
+/// retrieve's answer — writes the slow-query log line when the query
+/// crossed the armed threshold, and returns the trace only if the request
+/// asked for one. The statement is rendered only when a collector exists.
 fn finish_query(
     kb: &KnowledgeBase,
     collector: Option<Arc<CollectSink>>,
     want_trace: bool,
-    statement: String,
+    stmt: &Statement,
     wall: u64,
-    data: Option<&DataAnswer>,
+    answer: &Answer,
 ) -> Option<QueryTrace> {
+    let data = answer.as_data();
     let hub = kb.metrics_hub();
     if let Some(hub) = hub {
         let reg = hub.registry();
@@ -598,7 +711,7 @@ fn finish_query(
     let trace = collector.map(|c| {
         let dropped = c.dropped();
         let downgrades = data.map(|d| d.downgrades.clone()).unwrap_or_default();
-        QueryTrace::from_events(&c.take(), statement, wall, downgrades)
+        QueryTrace::from_events(&c.take(), stmt.to_string(), wall, downgrades)
             .with_dropped(dropped)
             .with_auto(data.and_then(|d| d.auto))
     });
@@ -618,96 +731,9 @@ fn finish_query(
     }
 }
 
-/// A [`Request`] resolved against one knowledge base's defaults: the
-/// parsed subject and `where` conjunction, plus the option structs both
-/// evaluation stacks consume. This is the facade's **single conversion
-/// point** from the builder to the layered option types — `retrieve` and
-/// `describe` no longer each assemble their own, so one override policy
-/// (request knob, else session default) covers both statements.
-struct Resolved {
-    subject: qdk_logic::Atom,
-    conjunction: Vec<qdk_logic::Literal>,
-    strategy: Strategy,
-    eval: EvalOptions,
-    describe: qdk_core::DescribeOptions,
-}
-
-fn resolve_request(kb: &KnowledgeBase, request: &Request, obs: &ObsSink) -> Result<Resolved> {
-    let (subject, conjunction) = {
-        let _span = obs.span("parse", 0);
-        (parse_atom(&request.subject)?, request.parsed_hypothesis()?)
-    };
-    let defaults = kb.describe_options();
-    let limits = request.limits.unwrap_or(defaults.limits);
-    let parallelism = request.parallelism.unwrap_or(defaults.parallelism);
-    let cancel = request.cancel.clone().or_else(|| defaults.cancel.clone());
-    let mut eval = EvalOptions::with_limits(limits).with_parallelism(parallelism);
-    if let Some(token) = cancel.clone() {
-        eval = eval.with_cancel(token);
-    }
-    eval.sink = obs.clone();
-    let mut describe = defaults.clone();
-    describe.limits = limits;
-    describe.cancel = cancel;
-    describe.parallelism = parallelism;
-    describe.sink = obs.clone();
-    Ok(Resolved {
-        subject,
-        conjunction,
-        strategy: request.strategy.unwrap_or(kb.strategy()),
-        eval,
-        describe,
-    })
-}
-
-/// `retrieve` against a knowledge base. With `plan`, execution uses the
-/// given precompiled program and bypasses the plan cache entirely (the
-/// snapshot path); without, it goes through the cache.
-fn retrieve_on(
-    kb: &KnowledgeBase,
-    plan: Option<&ProgramPlan>,
-    request: Request,
-) -> Result<Response> {
-    let (obs, collector) = request_sink(kb, &request);
-    let started = Instant::now();
-    let resolved = resolve_request(kb, &request, &obs)?;
-    let query = Retrieve::new(resolved.subject, resolved.conjunction);
-    let answer = kb.retrieve_with_options(&query, resolved.strategy, resolved.eval, plan)?;
-    let wall = started.elapsed().as_micros() as u64;
-    let trace = finish_query(
-        kb,
-        collector,
-        request.trace,
-        query.to_string(),
-        wall,
-        Some(&answer),
-    );
-    Ok(Response::data(answer, trace))
-}
-
-/// `describe` against a knowledge base (shared by [`Session`] and
-/// [`SnapshotSession`]). The compiled `retrieve` plan plays no part; what
-/// the knowledge base consults instead is its describe-answer cache and,
-/// for a computed answer, the rule base prepared for the current rules
-/// generation (`KnowledgeBase::describe_with_options`). Both sit behind a
-/// mutex held for the lookup — and, the first time in a generation, for
-/// building the preparation — so describes are the one query kind where a
-/// snapshot reader takes a lock.
-fn describe_on(kb: &KnowledgeBase, request: Request) -> Result<Response> {
-    let (obs, collector) = request_sink(kb, &request);
-    let started = Instant::now();
-    let resolved = resolve_request(kb, &request, &obs)?;
-    let query = Describe::new(resolved.subject, resolved.conjunction);
-    let answer = kb.describe_with_options(&query, &resolved.describe)?;
-    let wall = started.elapsed().as_micros() as u64;
-    let trace = finish_query(kb, collector, request.trace, query.to_string(), wall, None);
-    Ok(Response::knowledge(answer, trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Error;
     use qdk_logic::Resource;
 
     fn session() -> Session {
@@ -831,7 +857,7 @@ mod tests {
     fn session_wraps_and_exposes_the_kb() {
         let kb = KnowledgeBase::new();
         let mut s = Session::from(kb);
-        s.knowledge_base_mut().declare("p", &["A"], None).unwrap();
+        s.batch(|kb| kb.declare("p", &["A"], None)).unwrap();
         assert!(s.knowledge_base().edb().is_edb_predicate("p"));
     }
 }

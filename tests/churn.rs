@@ -166,7 +166,7 @@ proptest! {
         }
 
         let mut live = rebuilt_session(&declared, &rules, &shadow);
-        live.knowledge_base_mut().materialize_maintained().unwrap();
+        live.batch(|kb| kb.materialize_maintained()).unwrap();
 
         for (op, a, b) in script {
             match op {
@@ -200,7 +200,7 @@ proptest! {
                 // affected region in place.
                 _ => {
                     let rule = build_rule(a, &[b, a], &[(b, vec![a, b])]);
-                    live.knowledge_base_mut().add_rule(rule.clone()).unwrap();
+                    live.batch(|kb| kb.add_rule(rule.clone())).unwrap();
                     rules.push(rule);
                 }
             }

@@ -410,7 +410,7 @@ proptest! {
     /// non-recursive programs with an empty hypothesis, each subject rule
     /// yields one theorem whose body predicates are the rule's own.
     #[test]
-    fn describe_one_level_theorems_mirror_rules(
+    fn one_level_describe_theorems_mirror_rules(
         specs in proptest::collection::vec(
             (
                 proptest::collection::vec(0u8..10, 2..3),

@@ -153,7 +153,7 @@ fn failed_validation_leaves_kb_wal_and_plan_cache_unchanged() {
          honor(X) :- student(X, Y, Z), Z > 3.7.",
     )
     .unwrap();
-    s.knowledge_base_mut().sync().unwrap();
+    s.sync().unwrap();
     let kb_dump = s.knowledge_base().dump();
     let metrics = s.knowledge_base().durability_metrics().unwrap();
     let wal_bytes = std::fs::read(dir.join("wal.log")).unwrap();
@@ -164,17 +164,16 @@ fn failed_validation_leaves_kb_wal_and_plan_cache_unchanged() {
         .unwrap();
     assert_eq!(warm.trace().unwrap().counter("plan_cache_miss"), Some(1));
 
-    let kb = s.knowledge_base_mut();
     // Reserved predicate name.
-    assert!(kb.declare("<", &["A", "B"], None).is_err());
+    assert!(s.batch(|kb| kb.declare("<", &["A", "B"], None)).is_err());
     // Unknown predicate, arity mismatch, non-ground fact.
-    assert!(kb
-        .add_fact(&qdk::logic::parser::parse_atom("nosuch(1)").unwrap())
-        .is_err());
-    assert!(kb.run("student(ann, math).").is_err());
-    assert!(kb
-        .add_fact(&qdk::logic::parser::parse_atom("student(X, math, 3.0)").unwrap())
-        .is_err());
+    let add_fact = |s: &mut Session, fact: &str| {
+        let fact = qdk::logic::parser::parse_atom(fact).unwrap();
+        s.batch(|kb| kb.add_fact(&fact))
+    };
+    assert!(add_fact(&mut s, "nosuch(1)").is_err());
+    assert!(s.run("student(ann, math).").is_err());
+    assert!(add_fact(&mut s, "student(X, math, 3.0)").is_err());
     // Rule with a built-in head.
     let bad_rule = qdk::logic::Rule::new(
         qdk::logic::Atom::new(
@@ -183,9 +182,9 @@ fn failed_validation_leaves_kb_wal_and_plan_cache_unchanged() {
         ),
         vec![],
     );
-    assert!(kb.add_rule(bad_rule).is_err());
+    assert!(s.batch(|kb| kb.add_rule(bad_rule)).is_err());
     // Retract of an unknown predicate.
-    assert!(kb.run("retract nosuch(1).").is_err());
+    assert!(s.run("retract nosuch(1).").is_err());
 
     // Nothing changed: not the KB, not the WAL, not the metrics.
     assert_eq!(s.knowledge_base().dump(), kb_dump);
@@ -268,7 +267,7 @@ fn torn_final_record_is_healed_on_open() {
              edge(a, b). edge(b, c). edge(c, d).",
         )
         .unwrap();
-        s.knowledge_base_mut().sync().unwrap();
+        s.sync().unwrap();
     }
     // Tear the last record, as a crash mid-append would.
     let wal = dir.join("wal.log");
@@ -337,15 +336,14 @@ fn transaction_commits_as_one_wal_record() {
         let mut s = Session::open_with(&dir, wal_only()).unwrap();
         s.run("predicate acct(Id, Bal).").unwrap();
         // Three mutations inside the transaction, one record in the log.
-        s.knowledge_base_mut()
-            .transaction(|kb| {
-                kb.run("acct(a, 100).")?;
-                kb.run("acct(b, 50).")?;
-                kb.run("retract acct(a, 100).")?;
-                kb.run("acct(a, 70).").map(|_| ())
-            })
-            .unwrap();
-        s.knowledge_base_mut().sync().unwrap();
+        s.batch(|kb| {
+            kb.run("acct(a, 100).")?;
+            kb.run("acct(b, 50).")?;
+            kb.run("retract acct(a, 100).")?;
+            kb.run("acct(a, 70).").map(|_| ())
+        })
+        .unwrap();
+        s.sync().unwrap();
     }
     let s = Session::open_with(&dir, wal_only()).unwrap();
     let report = s.recovery_report().unwrap();
@@ -364,7 +362,7 @@ fn rolled_back_transaction_leaves_no_trace_in_the_wal() {
         let mut s = Session::open_with(&dir, wal_only()).unwrap();
         s.run("predicate acct(Id, Bal).").unwrap();
         s.run("acct(a, 100).").unwrap();
-        let err = s.knowledge_base_mut().transaction(|kb| {
+        let err = s.batch(|kb| {
             kb.run("acct(b, 50).")?;
             kb.run("this is not a statement.")?;
             Ok(())
@@ -373,7 +371,7 @@ fn rolled_back_transaction_leaves_no_trace_in_the_wal() {
         // The failed batch rolled back in memory too.
         let d = s.retrieve(Request::subject("acct(Id, Bal)")).unwrap();
         assert_eq!(d.as_data().unwrap().len(), 1);
-        s.knowledge_base_mut().sync().unwrap();
+        s.sync().unwrap();
     }
     let s = Session::open_with(&dir, wal_only()).unwrap();
     assert_eq!(s.recovery_report().unwrap().replayed, 2, "declare + fact");
@@ -392,14 +390,13 @@ fn torn_batch_record_never_half_applies() {
         s.run("predicate acct(Id, Bal).").unwrap();
         s.run("acct(a, 100).").unwrap();
         // A transfer: both legs must land together or not at all.
-        s.knowledge_base_mut()
-            .transaction(|kb| {
-                kb.run("retract acct(a, 100).")?;
-                kb.run("acct(a, 30).")?;
-                kb.run("acct(b, 70).").map(|_| ())
-            })
-            .unwrap();
-        s.knowledge_base_mut().sync().unwrap();
+        s.batch(|kb| {
+            kb.run("retract acct(a, 100).")?;
+            kb.run("acct(a, 30).")?;
+            kb.run("acct(b, 70).").map(|_| ())
+        })
+        .unwrap();
+        s.sync().unwrap();
     }
     // Tear into the middle of the batch record, as a crash mid-append
     // would: the record-level CRC must reject the whole batch.

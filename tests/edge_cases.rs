@@ -3,7 +3,7 @@
 //! multiple SCCs, and unusual-but-legal IDB shapes.
 
 use qdk::logic::parser::{parse_atom, parse_body};
-use qdk::{Describe, DescribeOptions, KnowledgeBase, Retrieve, Strategy};
+use qdk::{Describe, DescribeOptions, KnowledgeBase, Strategy};
 
 fn kb_from(src: &str) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new();
@@ -60,9 +60,9 @@ fn empty_database_answers_are_empty_not_errors() {
          tc(X, Y) :- e(X, Z), tc(Z, Y).",
     );
     for strategy in Strategy::ALL {
-        let kb2 = kb.clone().with_strategy(strategy);
-        let q = Retrieve::new(parse_atom("tc(X, Y)").unwrap(), vec![]);
-        assert!(kb2.retrieve(&q).unwrap().is_empty(), "{strategy:?}");
+        let mut kb2 = kb.clone().with_strategy(strategy);
+        let a = kb2.run("retrieve tc(X, Y).").unwrap();
+        assert!(a.as_data().unwrap().is_empty(), "{strategy:?}");
     }
     // Describe works without any facts at all (knowledge ≠ data).
     let a = kb.run("describe tc(X, Y).").unwrap();
@@ -166,10 +166,10 @@ fn long_chain_recursion_depths() {
          tc(X, Y) :- e(X, Z), tc(Z, Y).",
     )
     .unwrap();
-    let q = Retrieve::new(parse_atom("tc(n0, Y)").unwrap(), vec![]);
     for strategy in Strategy::ALL {
-        let kb2 = kb.clone().with_strategy(strategy);
-        assert_eq!(kb2.retrieve(&q).unwrap().len(), 200, "{strategy:?}");
+        let mut kb2 = kb.clone().with_strategy(strategy);
+        let a = kb2.run("retrieve tc(n0, Y).").unwrap();
+        assert_eq!(a.as_data().unwrap().len(), 200, "{strategy:?}");
     }
 }
 
@@ -254,26 +254,40 @@ fn unsupported_recursion_only_fails_the_subjects_that_need_it() {
 
 #[test]
 fn which_describe_statements_apply_integrity_constraints() {
-    // Pinned, not endorsed: plain `describe` discards theorems an
-    // integrity constraint forbids; `where necessary` and `describe *`
-    // run the same enumeration but skip that filter. ROADMAP item 2 (one
-    // statement pipeline) owns closing the gap — update this test there.
-    let mut kb = kb_from(
-        "candidate(X) :- foreign(X), unmarried(X), applied(X).
-         candidate(X) :- domestic(X), applied(X).
-         :- foreign(X), unmarried(X).",
-    );
-    let forbidden = "foreign(X)";
-    let plain = kb.run("describe candidate(X) where applied(X).").unwrap();
-    assert_eq!(plain.as_knowledge().unwrap().len(), 1);
-    assert!(!plain.to_string().contains(forbidden), "{plain}");
+    // Every statement built on the per-subject describe discards the
+    // theorems an integrity constraint forbids, exactly as plain
+    // `describe` does, before it applies its own filter.
+    let rules = "candidate(X) :- foreign(X), unmarried(X), applied(X).
+                 candidate(X) :- domestic(X), applied(X).";
+    let constraint = ":- foreign(X), unmarried(X).";
+    let forms = [
+        "describe candidate(X) where applied(X).",
+        "describe candidate(X) where necessary applied(X).",
+        "describe candidate(X) where applied(X) or applied(X) and domestic(Y).",
+        "describe * where applied(X).",
+    ];
+    let mut unconstrained = kb_from(rules);
+    let mut kb = kb_from(&format!("{rules}\n{constraint}"));
+    for form in forms {
+        let free = unconstrained.run(form).unwrap().to_string();
+        assert!(free.contains("foreign(X)"), "{form}: {free}");
+        let answer = kb.run(form).unwrap().to_string();
+        assert!(!answer.contains("foreign(X)"), "{form}: {answer}");
+        assert!(answer.contains("domestic(X)"), "{form}: {answer}");
+    }
 
-    let necessary = kb
-        .run("describe candidate(X) where necessary applied(X).")
-        .unwrap();
-    assert_eq!(necessary.as_knowledge().unwrap().len(), 2);
-    assert!(necessary.to_string().contains(forbidden), "{necessary}");
-
-    let wildcard = kb.run("describe * where applied(X).").unwrap();
-    assert!(wildcard.to_string().contains(forbidden), "{wildcard}");
+    // With every theorem forbidden the describes answer that the
+    // hypothesis contradicts the IDB; `describe *` lists no concept.
+    let mut kb = kb_from(&format!(
+        "candidate(X) :- foreign(X), unmarried(X), applied(X).\n{constraint}"
+    ));
+    for form in &forms[..3] {
+        let answer = kb.run(form).unwrap();
+        let k = answer.as_knowledge().unwrap();
+        assert!(
+            k.hypothesis_contradicts_idb && k.theorems.is_empty(),
+            "{form}: {k}"
+        );
+    }
+    assert_eq!(kb.run(forms[3]).unwrap().to_string(), "");
 }

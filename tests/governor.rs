@@ -8,7 +8,7 @@
 use qdk::logic::parser::{parse_atom, parse_body, parse_program};
 use qdk::{
     CancelToken, Completeness, Describe, DescribeOptions, KnowledgeBase, Parallelism, Request,
-    Resource, ResourceLimits, Retrieve, Session, Strategy,
+    Resource, ResourceLimits, Session, Strategy, TransformPolicy,
 };
 use std::time::Duration;
 
@@ -279,6 +279,50 @@ fn example6_describe_budget_limited_returns_truncated_not_silent() {
     assert!(!k.is_truncated());
 }
 
+/// `explain` is a describe rendered with derivations, so it owes the
+/// same completeness line: it used to rebuild its text from the theorems
+/// alone, dropping `-- truncated: …` and printing `no theorems derivable`
+/// for an enumeration that was cut before it found any.
+#[test]
+fn explain_reports_truncation_like_describe() {
+    // Algorithm 1 on Example 6's recursive subject, cut at depth 8: the
+    // chain-family prefix, truncated.
+    let kb = kb_from(
+        "prior(X, Y) :- prereq(X, Y).\n\
+         prior(X, Y) :- prereq(X, Z), prior(Z, Y).",
+    )
+    .with_describe_options(DescribeOptions::paper().with_transform(TransformPolicy::None));
+    let s = Session::over(kb);
+    let ask = |text: String, request: fn(Request) -> Request| {
+        s.query(request(Request::statement(text)))
+            .unwrap()
+            .to_string()
+    };
+    let deep = |r: Request| r.limits(ResourceLimits::default().with_max_depth(8));
+    let subject = "prior(X, Y) where prior(databases, Y).";
+    let described = ask(format!("describe {subject}"), deep);
+    let explained = ask(format!("explain {subject}"), deep);
+    let line = described.lines().last().unwrap();
+    assert!(line.starts_with("-- truncated: depth"), "{described}");
+    assert_eq!(explained.lines().last().unwrap(), line, "{explained}");
+    assert!(explained.contains("expanded by rule"), "{explained}");
+
+    // Cut before the first theorem (the negated concept rules out the
+    // definitions too): both say so, in the same words.
+    let cancelled = |r: Request| {
+        let token = CancelToken::new();
+        token.cancel();
+        r.cancel(token)
+    };
+    let subject = "prior(X, Y) where prior(databases, Y) and not prereq(V, W).";
+    let described = ask(format!("describe {subject}"), cancelled);
+    assert_eq!(
+        described,
+        "no theorems found before truncation (evaluation cancelled)\n"
+    );
+    assert_eq!(ask(format!("explain {subject}"), cancelled), described);
+}
+
 #[test]
 fn negated_hypothesis_describe_is_governed() {
     // `describe p where not h` unfolds the subject avoiding `h`. Like the
@@ -293,7 +337,9 @@ fn negated_hypothesis_describe_is_governed() {
 
     let mut budgeted =
         kb_from(src).with_describe_options(DescribeOptions::paper().with_work_budget(1));
-    let e = qdk::Error::from(budgeted.run(statement).expect_err("budget must trip"))
+    let e = budgeted
+        .run(statement)
+        .expect_err("budget must trip")
         .exhausted()
         .expect("structured diagnostic");
     assert_eq!(e.resource, Resource::WorkBudget);
@@ -303,13 +349,11 @@ fn negated_hypothesis_describe_is_governed() {
     token.cancel();
     let mut cancelled =
         kb_from(src).with_describe_options(DescribeOptions::paper().with_cancel(token));
-    let e = qdk::Error::from(
-        cancelled
-            .run(statement)
-            .expect_err("cancelled token must abort"),
-    )
-    .exhausted()
-    .expect("structured diagnostic");
+    let e = cancelled
+        .run(statement)
+        .expect_err("cancelled token must abort")
+        .exhausted()
+        .expect("structured diagnostic");
     assert_eq!(e.resource, Resource::Cancelled);
 }
 
@@ -317,11 +361,12 @@ fn negated_hypothesis_describe_is_governed() {
 fn kb_describe_options_thread_limits_into_retrieve() {
     // The facade's one options struct governs both statements: a
     // work-budget too small for the transitive closure trips retrieve.
-    let kb = chain_kb(40).with_describe_options(
+    let mut kb = chain_kb(40).with_describe_options(
         DescribeOptions::paper().with_limits(ResourceLimits::default().with_work_budget(25)),
     );
-    let query = Retrieve::new(parse_atom("reach(X, Y)").unwrap(), vec![]);
-    let err = kb.retrieve(&query).expect_err("budget must trip");
+    let err = kb
+        .run("retrieve reach(X, Y).")
+        .expect_err("budget must trip");
     assert!(err.to_string().contains("work budget"), "{err}");
 }
 

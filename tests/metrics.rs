@@ -309,15 +309,21 @@ fn slow_query_capture_logs_json_lines() {
     s.capture_slow_queries(1, buf.clone());
     s.retrieve(Request::subject("prior(X, Y)")).unwrap();
     s.retrieve(Request::subject("prior(c4, Y)")).unwrap();
+    // Text through `run` is served by the same pipeline as the twin
+    // calls: timed, counted and captured, whatever the statement's kind.
+    s.run("retrieve prior(c4, Y).").unwrap();
+    s.run("describe * where prereq(c4, Y).").unwrap();
     let text = buf.contents();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "{text}");
-    assert!(
-        lines[0].starts_with("{\"run_id\":1,\"statement\":"),
-        "{}",
-        lines[0]
-    );
-    assert!(lines[1].starts_with("{\"run_id\":2,"), "{}", lines[1]);
+    assert_eq!(lines.len(), 4, "{text}");
+    for (line, head) in lines.iter().zip([
+        "{\"run_id\":1,\"statement\":\"retrieve prior(X, Y).\",",
+        "{\"run_id\":2,\"statement\":\"retrieve prior(c4, Y).\",",
+        "{\"run_id\":3,\"statement\":\"retrieve prior(c4, Y).\",",
+        "{\"run_id\":4,\"statement\":\"describe * where prereq(c4, Y).\",",
+    ]) {
+        assert!(line.starts_with(head), "{line}");
+    }
     for line in &lines {
         assert!(line.ends_with('}'), "{line}");
         assert!(line.contains("\"wall_micros\":"), "{line}");
@@ -327,14 +333,15 @@ fn slow_query_capture_logs_json_lines() {
     }
     assert_eq!(
         s.metrics_snapshot().unwrap().counter("slow_queries"),
-        Some(2)
+        Some(4)
     );
     // Disarming stops the log but keeps aggregating.
     s.capture_slow_queries(0, SharedBuf::default());
     s.retrieve(Request::subject("prior(X, Y)")).unwrap();
     let snap = s.metrics_snapshot().unwrap();
-    assert_eq!(snap.counter("slow_queries"), Some(2));
-    assert_eq!(snap.counter("retrieves"), Some(3));
+    assert_eq!(snap.counter("slow_queries"), Some(4));
+    assert_eq!(snap.counter("retrieves"), Some(4));
+    assert_eq!(snap.counter("describes"), Some(1));
 }
 
 /// Four snapshot readers querying concurrently with a publishing writer:

@@ -170,7 +170,7 @@ fn auto_is_the_default_strategy() {
 #[test]
 fn auto_rule1_live_maintained_store_serves_the_answer() {
     let mut s = university();
-    s.knowledge_base_mut().materialize_maintained().unwrap();
+    s.batch(|kb| kb.materialize_maintained()).unwrap();
     // Bound and recursive: QSQ's shape, were there no store.
     let resp = ask(&s, "prior(databases, Y)", "");
     assert_eq!(resp.auto_choice(), Some(AutoChoice::Maintained));
