@@ -144,7 +144,10 @@ impl WalWriter {
             path: path.to_path_buf(),
             file,
             policy,
-            unsynced: 0,
+            // Records inherited from an earlier handle may never have been
+            // forced (say, one opened with `FsyncPolicy::Never`), so the
+            // first explicit sync still syncs.
+            unsynced: u32::from(len > WAL_MAGIC.len() as u64),
             fsyncs: 0,
         })
     }
@@ -172,8 +175,15 @@ impl WalWriter {
         Ok(frame.len() as u64)
     }
 
-    /// Forces everything appended so far to stable storage.
+    /// Forces everything appended so far to stable storage. A no-op when
+    /// nothing was appended since the last sync: the count of unsynced
+    /// records resets only after `sync_all` succeeds, so a log with none
+    /// is already durable (this is what keeps a publish after an
+    /// `FsyncPolicy::Always` commit from syncing twice).
     pub fn sync(&mut self) -> Result<()> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
         self.file
             .sync_all()
             .map_err(|e| DurabilityError::io("sync wal", &self.path, &e))?;
@@ -346,6 +356,25 @@ mod tests {
         assert_eq!(scan.records[0].lsn, Lsn(1));
         assert_eq!(scan.records[3].lsn, Lsn(4));
         assert_eq!(scan.records[1].op, sample_ops()[1]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sync_after_an_always_append_is_free() {
+        let path = temp_wal("clean-sync");
+        let mut w = WalWriter::open(&path, FsyncPolicy::Always).unwrap();
+        w.append(Lsn(1), &sample_ops()[0]).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.fsyncs(), 1, "the append synced; the log is clean");
+        drop(w);
+        // A reopened log's inherited records count as unsynced once.
+        let mut w = WalWriter::open(&path, FsyncPolicy::Never).unwrap();
+        w.sync().unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.fsyncs(), 1);
+        w.append(Lsn(2), &sample_ops()[1]).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.fsyncs(), 2);
         std::fs::remove_file(&path).ok();
     }
 

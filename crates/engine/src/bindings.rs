@@ -140,11 +140,11 @@ impl DerivedFacts {
         Ok(added)
     }
 
-    /// Removes a batch of tuples for one predicate in a single relation
-    /// rebuild (see [`Relation::remove_batch`]); returns how many were
-    /// present. The relation entry itself is kept even when emptied, so
-    /// tuple-id windows held by an in-flight maintenance pass stay
-    /// meaningful.
+    /// Removes a batch of tuples for one predicate (see
+    /// [`Relation::remove_batch`]); returns how many were present. The
+    /// relation entry itself is kept even when emptied. Removal may
+    /// compact the relation and renumber its ids, so callers take id
+    /// windows only after their removals.
     pub(crate) fn remove_all<'t>(
         &mut self,
         pred: &Sym,
@@ -194,10 +194,11 @@ impl DerivedFacts {
 }
 
 /// Per-predicate half-open tuple-id ranges into a [`DerivedFacts`] store,
-/// marking the facts derived in the previous fixpoint round. Because the
-/// store only ever appends, "the delta" never needs its own relations (or
-/// indexes): it is the tail slice of each relation, and a delta scan is a
-/// windowed scan of the full derived relation.
+/// marking the facts derived in the previous fixpoint round. New facts
+/// always take ids above a relation's [`Relation::high_water`] mark, so
+/// "the delta" never needs its own relations (or indexes): it is the tail
+/// id window of each relation, and a delta scan is a windowed scan of the
+/// full derived relation.
 pub(crate) type DeltaRanges = FxHashMap<Sym, (usize, usize)>;
 
 /// What a positive scan reads: the relation plus an optional tuple-id
@@ -210,7 +211,7 @@ pub(crate) type ScanTarget<'a> = Option<(&'a Relation, Option<(usize, usize)>)>;
 /// position `i` of the rule under evaluation reads only the derived tuples
 /// in the previous round's `DeltaRanges` window (the semi-naive "one
 /// occurrence reads the delta" rewrite). The delta is never a separate
-/// store — just an id window over the append-only derived relations.
+/// store — just an id window over the derived relations' newest ids.
 pub struct FactView<'a> {
     edb: &'a Edb,
     derived: &'a DerivedFacts,

@@ -39,7 +39,7 @@ use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive;
 use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
-use qdk_logic::{Frame, IrTerm, Parallelism, Sym};
+use qdk_logic::{Frame, IrTerm, Parallelism, Rule, Sym};
 use qdk_storage::{Edb, Relation, Tuple, Value};
 use std::sync::Arc;
 
@@ -114,25 +114,162 @@ impl Doomed {
     }
 }
 
-/// A materialized, incrementally maintained derived-fact store: the
-/// program plan it was derived with, the stratification, delta-first rule
-/// variants for every positive body occurrence, head-bound plans for
-/// rederivability checks, and per-stratum generation counters.
-#[derive(Clone, Debug)]
-pub struct MaintainedStore {
+/// Everything a maintained store derives from the rules alone: the
+/// program plan, the stratification, delta-first rule variants for every
+/// positive body occurrence, head-bound plans for rederivability checks,
+/// and which predicates each mutation can reach. Shared behind an `Arc` by
+/// every clone of the store (transaction undo copies, published epochs)
+/// and rebuilt only when the rules change.
+#[derive(Debug)]
+struct RuleParts {
     plan: Arc<ProgramPlan>,
     strat: Stratification,
-    graph: DependencyGraph,
-    derived: DerivedFacts,
+    /// Per stratum, the rules (positions in `plan.plans()`) it derives.
+    stratum_rules: Vec<Vec<usize>>,
     /// Per rule (parallel to `plan.plans()`): every positive non-builtin
     /// body occurrence paired with the delta-first re-plan that scans it
     /// outermost. Insertion propagation and DRed's overestimation both
     /// fire these.
     variants: Vec<Vec<(usize, RulePlan)>>,
+    /// The predicates the variants scan, each once: the relations whose
+    /// high-water marks are a propagation's baseline.
+    scanned: Vec<Sym>,
     /// Per rule: the body re-planned with every head slot pre-bound — the
     /// one-step rederivability check executes this with the deleted tuple's
     /// values already in the frame.
     bound_plans: Vec<RulePlan>,
+    /// Rules per head predicate, in rule order.
+    by_head: FxHashMap<Sym, Vec<usize>>,
+    /// Every predicate some rule body reads (either polarity), with the
+    /// reason a mutation of it cannot be maintained incrementally, if it
+    /// cannot (see [`fallback_reasons`]). A predicate no rule reads is
+    /// absent: mutating it changes no derived fact.
+    reach: FxHashMap<Sym, Option<String>>,
+}
+
+impl RuleParts {
+    /// Stratifies `idb` and compiles everything maintenance fires from
+    /// `plan`, its compilation.
+    fn new(idb: &Idb, plan: Arc<ProgramPlan>) -> Result<RuleParts> {
+        let strat = stratify(idb)?;
+        let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
+        for (r, rp) in plan.plans().iter().enumerate() {
+            by_head
+                .entry(rp.compiled.head.pred.clone())
+                .or_default()
+                .push(r);
+        }
+        let stratum_rules = strat
+            .strata()
+            .iter()
+            .map(|stratum| {
+                let mut rules: Vec<usize> = stratum
+                    .iter()
+                    .flat_map(|p| by_head.get(p).into_iter().flatten().copied())
+                    .collect();
+                rules.sort_unstable();
+                rules
+            })
+            .collect();
+        let (variants, bound_plans) = compile_variants(&plan);
+        let mut scanned: Vec<Sym> = Vec::new();
+        let mut seen: FxHashSet<&Sym> = FxHashSet::default();
+        for (_, dp) in variants.iter().flatten() {
+            for (i, lit) in dp.compiled.body.iter().enumerate() {
+                if lit.positive
+                    && !dp.compiled.source.body[i].is_builtin()
+                    && seen.insert(&lit.atom.pred)
+                {
+                    scanned.push(lit.atom.pred.clone());
+                }
+            }
+        }
+        Ok(RuleParts {
+            reach: fallback_reasons(idb),
+            plan,
+            strat,
+            stratum_rules,
+            variants,
+            scanned,
+            bound_plans,
+            by_head,
+        })
+    }
+}
+
+/// For every predicate some rule body reads, why a mutation of it cannot
+/// be maintained incrementally, if it cannot: some affected rule negates
+/// an affected predicate, so the update is non-monotone through that
+/// rule. The affected set of `p` is `p` plus every head whose rule reads
+/// an affected predicate — the closure follows *both* literal polarities,
+/// since a head whose rule negates `p` changes when `p` does. Computed
+/// once per rules generation by a reverse-dependency walk per predicate;
+/// the reason names the first offending literal in rule order.
+fn fallback_reasons(idb: &Idb) -> FxHashMap<Sym, Option<String>> {
+    let rules = idb.rules();
+    // readers[p]: heads of the rules whose body mentions p.
+    let mut readers: FxHashMap<&str, Vec<&str>> = FxHashMap::default();
+    for rule in rules {
+        for lit in rule.body.iter().filter(|l| !l.is_builtin()) {
+            readers
+                .entry(lit.atom.pred.as_str())
+                .or_default()
+                .push(rule.head.pred.as_str());
+        }
+    }
+    // Only a rule with a negated literal can make an update non-monotone;
+    // without one (the common rule base) no predicate needs its walk.
+    let negating: Vec<&Rule> = rules
+        .iter()
+        .filter(|r| r.body.iter().any(|l| !l.positive && !l.is_builtin()))
+        .collect();
+    let mut reasons = FxHashMap::default();
+    for &pred in readers.keys() {
+        let reason = if negating.is_empty() {
+            None
+        } else {
+            let mut reached: FxHashSet<&str> = FxHashSet::default();
+            reached.insert(pred);
+            let mut stack = vec![pred];
+            while let Some(p) = stack.pop() {
+                for &head in readers.get(p).into_iter().flatten() {
+                    if reached.insert(head) {
+                        stack.push(head);
+                    }
+                }
+            }
+            negating
+                .iter()
+                .filter(|rule| reached.contains(rule.head.pred.as_str()))
+                .find_map(|rule| {
+                    rule.body
+                        .iter()
+                        .find(|l| {
+                            !l.positive && !l.is_builtin() && reached.contains(l.atom.pred.as_str())
+                        })
+                        .map(|l| {
+                            format!(
+                                "rule {rule} negates affected predicate {}; \
+                                 the update is non-monotone",
+                                l.atom.pred
+                            )
+                        })
+                })
+        };
+        reasons.insert(Sym::new(pred), reason);
+    }
+    reasons
+}
+
+/// A materialized, incrementally maintained derived-fact store: the
+/// derived facts, the rule-derived parts maintenance fires (shared, see
+/// `RuleParts`), and per-stratum generation counters. Cloning costs
+/// O(derived relations): the rule-derived parts are one `Arc`, and each
+/// relation shares its storage with the clone.
+#[derive(Clone, Debug)]
+pub struct MaintainedStore {
+    rules: Arc<RuleParts>,
+    derived: DerivedFacts,
     /// Generation counter per stratum, bumped when a rule change
     /// invalidates that stratum's extension. Strata untouched by a change
     /// keep their generation, which is what lets plan- and answer-caches
@@ -198,19 +335,12 @@ impl MaintainedStore {
     /// Materializes the full fixpoint of `idb` over `edb` and prepares the
     /// maintenance plans. `plan` must be the compilation of `idb`.
     pub fn build(edb: &Edb, idb: &Idb, plan: Arc<ProgramPlan>) -> Result<MaintainedStore> {
-        let strat = stratify(idb)?;
-        let graph = DependencyGraph::build(idb);
-        let derived = materialize(edb, idb, &plan)?;
-        let (variants, bound_plans) = compile_variants(&plan);
-        let gens = vec![0; strat.len()];
+        let rules = RuleParts::new(idb, plan)?;
+        let derived = materialize(edb, idb, &rules.plan)?;
         Ok(MaintainedStore {
-            plan,
-            strat,
-            graph,
+            gens: vec![0; rules.strat.len()],
+            rules: Arc::new(rules),
             derived,
-            variants,
-            bound_plans,
-            gens,
         })
     }
 
@@ -226,49 +356,16 @@ impl MaintainedStore {
 
     /// The generation of the stratum an IDB predicate belongs to.
     pub fn generation_of(&self, pred: &str) -> Option<u64> {
-        self.strat
+        self.rules
+            .strat
             .stratum_of(pred)
             .and_then(|s| self.gens.get(s).copied())
     }
 
-    /// The IDB predicates whose extension can change when `pred` does:
-    /// `pred` itself (if derived) plus everything depending on it. The
-    /// closure must follow *both* literal polarities — a head whose rule
-    /// negates `pred` changes when `pred` does, and the positive-only
-    /// dependency graph cannot see that edge.
-    fn affected_by(&self, idb: &Idb, pred: &str) -> Vec<Sym> {
-        let mut reached: FxHashSet<&str> = FxHashSet::default();
-        reached.insert(pred);
-        loop {
-            let mut grew = false;
-            for rule in idb.rules() {
-                let head = rule.head.pred.as_str();
-                if reached.contains(head) {
-                    continue;
-                }
-                if rule
-                    .body
-                    .iter()
-                    .any(|l| !l.is_builtin() && reached.contains(l.atom.pred.as_str()))
-                {
-                    reached.insert(head);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        idb.predicates()
-            .into_iter()
-            .filter(|q| reached.contains(q.as_str()))
-            .collect()
-    }
-
     /// Why a mutation of `pred` cannot be maintained incrementally, if it
-    /// cannot: some affected rule negates an affected predicate (the
-    /// update is then non-monotone through that rule), or the predicate is
-    /// simultaneously stored and derived.
+    /// cannot: the predicate is simultaneously stored and derived, or some
+    /// affected rule negates an affected predicate (precomputed per rules
+    /// generation, see [`fallback_reasons`]).
     fn fallback_reason(&self, edb: &Edb, idb: &Idb, pred: &str) -> Option<String> {
         if edb.is_edb_predicate(pred) && idb.defines(pred) {
             return Some(format!(
@@ -276,36 +373,24 @@ impl MaintainedStore {
                  cannot separate the contributions"
             ));
         }
-        let affected = self.affected_by(idb, pred);
-        for rule in idb.rules() {
-            if !affected.contains(&rule.head.pred) {
-                continue;
-            }
-            for lit in &rule.body {
-                if lit.positive || lit.is_builtin() {
-                    continue;
-                }
-                let n = &lit.atom.pred;
-                if n.as_str() == pred || affected.contains(n) {
-                    return Some(format!(
-                        "rule {rule} negates affected predicate {n}; \
-                         the update is non-monotone"
-                    ));
-                }
-            }
-        }
-        None
+        self.rules.reach.get(pred).cloned().flatten()
     }
 
-    /// Current tuple count of `pred` in the stores a scan would read —
-    /// matching [`FactView`]'s resolution order (EDB first).
-    fn current_len(&self, edb: &Edb, pred: &Sym) -> usize {
+    /// True if some rule body reads `pred`: only then can mutating it
+    /// change a derived fact.
+    fn is_read(&self, pred: &str) -> bool {
+        self.rules.reach.contains_key(pred)
+    }
+
+    /// Current row-id high-water mark of `pred` in the stores a scan would
+    /// read — matching [`FactView`]'s resolution order (EDB first).
+    fn high_water(&self, edb: &Edb, pred: &Sym) -> usize {
         if edb.is_edb_predicate(pred.as_str()) {
-            edb.relation(pred.as_str()).map_or(0, Relation::len)
+            edb.relation(pred.as_str()).map_or(0, Relation::high_water)
         } else {
             self.derived
                 .relation(pred.as_str())
-                .map_or(0, Relation::len)
+                .map_or(0, Relation::high_water)
         }
     }
 
@@ -321,51 +406,35 @@ impl MaintainedStore {
         let opts = maintenance_opts();
         let gov = opts.governor();
         let pool = opts.pool();
+        let rules = Arc::clone(&self.rules);
         // Baseline: everything below these ids is already reflected in the
-        // store; seed windows start below their predicate's length.
+        // store; seed windows start below their predicate's mark.
         let mut base: FxHashMap<Sym, usize> = FxHashMap::default();
-        for variants in &self.variants {
-            for (_, dp) in variants {
-                for (i, lit) in dp.compiled.body.iter().enumerate() {
-                    if !lit.positive || dp.compiled.source.body[i].is_builtin() {
-                        continue;
-                    }
-                    let p = lit.atom.pred.clone();
-                    let len = self.current_len(edb, &p);
-                    base.entry(p).or_insert(len);
-                }
-            }
+        for p in &rules.scanned {
+            base.insert(p.clone(), self.high_water(edb, p));
         }
         for (p, &(lo, _)) in seed {
             base.insert(p.clone(), lo);
         }
         let mut added_total = 0usize;
-        for stratum in self.strat.strata().to_vec() {
-            let rule_ids: Vec<usize> = self
-                .plan
-                .plans()
-                .iter()
-                .enumerate()
-                .filter(|(_, rp)| stratum.contains(&rp.compiled.head.pred))
-                .map(|(r, _)| r)
-                .collect();
+        for rule_ids in &rules.stratum_rules {
             if rule_ids.is_empty() {
                 continue;
             }
             let mut consumed = base.clone();
             loop {
                 let mut ranges = DeltaRanges::default();
-                for &r in &rule_ids {
-                    for (_, dp) in &self.variants[r] {
+                for &r in rule_ids {
+                    for (_, dp) in &rules.variants[r] {
                         for (i, lit) in dp.compiled.body.iter().enumerate() {
                             if !lit.positive || dp.compiled.source.body[i].is_builtin() {
                                 continue;
                             }
                             let p = &lit.atom.pred;
-                            let len = self.current_len(edb, p);
-                            let c = consumed.get(p).copied().unwrap_or(len);
-                            if len > c {
-                                ranges.insert(p.clone(), (c, len));
+                            let mark = self.high_water(edb, p);
+                            let c = consumed.get(p).copied().unwrap_or(mark);
+                            if mark > c {
+                                ranges.insert(p.clone(), (c, mark));
                             }
                         }
                     }
@@ -373,13 +442,10 @@ impl MaintainedStore {
                 if ranges.is_empty() {
                     break;
                 }
-                // Borrow dance: tasks borrow the variant plans while
-                // fire_rule_batch mutates `derived`, so split the fields.
-                let variants = &self.variants;
                 let tasks: Vec<RuleTask<'_>> = rule_ids
                     .iter()
                     .flat_map(|&r| {
-                        variants[r]
+                        rules.variants[r]
                             .iter()
                             .filter(|(i, dp)| ranges.contains_key(&dp.compiled.body[*i].atom.pred))
                             .map(|(i, dp)| RuleTask::delta(dp, *i))
@@ -399,9 +465,10 @@ impl MaintainedStore {
     }
 
     /// Maintains the store after a *new* EDB tuple of `pred` was inserted
-    /// (the tuple is the last id of its relation). Falls back to full
-    /// recomputation — recording the reason — when the insertion is
-    /// non-monotone through negation.
+    /// (the tuple holds the highest id of its relation). Returns at once
+    /// when no rule reads `pred`; falls back to full recomputation —
+    /// recording the reason — when the insertion is non-monotone through
+    /// negation.
     pub fn after_insert(&mut self, edb: &Edb, idb: &Idb, pred: &str) -> Result<MaintainStats> {
         let mut stats = MaintainStats::default();
         if let Some(reason) = self.fallback_reason(edb, idb, pred) {
@@ -409,12 +476,15 @@ impl MaintainedStore {
             stats.recompute_reasons.push(reason);
             return Ok(stats);
         }
-        let len = edb.relation(pred).map_or(0, Relation::len);
-        if len == 0 {
+        if !self.is_read(pred) {
+            return Ok(stats);
+        }
+        let mark = edb.relation(pred).map_or(0, Relation::high_water);
+        if mark == 0 {
             return Ok(stats);
         }
         let mut seed = DeltaRanges::default();
-        seed.insert(Sym::new(pred), (len - 1, len));
+        seed.insert(Sym::new(pred), (mark - 1, mark));
         stats.derived_added = self.propagate(edb, &seed)?;
         Ok(stats)
     }
@@ -426,6 +496,9 @@ impl MaintainedStore {
     /// [`MaintainedStore::retract_fallback_reason`] first — this method
     /// assumes the retraction is maintainable.
     pub fn prepare_retract(&self, edb: &Edb, pred: &str, tuple: &Tuple) -> Result<Retraction> {
+        if !self.is_read(pred) {
+            return Ok(Retraction::Clean);
+        }
         let opts = maintenance_opts();
         let gov = opts.governor();
         let mut overlay = DerivedFacts::new();
@@ -436,13 +509,13 @@ impl MaintainedStore {
         // does not matter for an overestimate, only coverage does.
         loop {
             let mut ranges = DeltaRanges::default();
-            for variants in &self.variants {
+            for variants in &self.rules.variants {
                 for (i, dp) in variants {
                     let p = &dp.compiled.body[*i].atom.pred;
-                    let len = overlay.relation(p.as_str()).map_or(0, Relation::len);
+                    let mark = overlay.relation(p.as_str()).map_or(0, Relation::high_water);
                     let c = consumed.get(p).copied().unwrap_or(0);
-                    if len > c {
-                        ranges.insert(p.clone(), (c, len));
+                    if mark > c {
+                        ranges.insert(p.clone(), (c, mark));
                     }
                 }
             }
@@ -450,7 +523,7 @@ impl MaintainedStore {
                 break;
             }
             let mut buffers: Vec<(Sym, Vec<Tuple>)> = Vec::new();
-            for (r, variants) in self.variants.iter().enumerate() {
+            for (r, variants) in self.rules.variants.iter().enumerate() {
                 for (i, dp) in variants {
                     if !ranges.contains_key(&dp.compiled.body[*i].atom.pred) {
                         continue;
@@ -495,7 +568,7 @@ impl MaintainedStore {
                         return Err(e);
                     }
                     if !buf.is_empty() {
-                        buffers.push((self.plan.plans()[r].compiled.head.pred.clone(), buf));
+                        buffers.push((self.rules.plan.plans()[r].compiled.head.pred.clone(), buf));
                     }
                 }
             }
@@ -543,21 +616,14 @@ impl MaintainedStore {
             }
             stats.derived_deleted += self.derived.remove_all(p, rel.iter());
         }
-        // Rules per head predicate, for the one-step checks. Owns its keys
-        // so no borrow of the plan outlives the propagation below.
-        let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
-        for (r, rp) in self.plan.plans().iter().enumerate() {
-            by_head
-                .entry(rp.compiled.head.pred.clone())
-                .or_default()
-                .push(r);
-        }
         // Phase C, stratum by stratum: lower-stratum support is settled
-        // before a tuple's own rederivability is judged.
-        for stratum in self.strat.strata().to_vec() {
+        // before a tuple's own rederivability is judged. Id windows are
+        // taken only now, after every removal of phase B.
+        let rules = Arc::clone(&self.rules);
+        for stratum in rules.strat.strata() {
             let mut reinserted = DeltaRanges::default();
             let mut pending: Vec<(Sym, Tuple)> = Vec::new();
-            for p in &stratum {
+            for p in stratum {
                 let Some(rel) = overlay.relation(p.as_str()) else {
                     continue;
                 };
@@ -573,10 +639,9 @@ impl MaintainedStore {
                 {
                     continue; // already restored by an earlier propagation
                 }
-                let rules = by_head.get(&p).cloned().unwrap_or_default();
                 let mut found = false;
-                for r in rules {
-                    let bp = &self.bound_plans[r];
+                for &r in rules.by_head.get(&p).into_iter().flatten() {
+                    let bp = &rules.bound_plans[r];
                     let Some(mut frame) = bind_head(bp, &tuple) else {
                         continue;
                     };
@@ -590,7 +655,10 @@ impl MaintainedStore {
                     }
                 }
                 if found {
-                    let before = self.derived.relation(p.as_str()).map_or(0, Relation::len);
+                    let before = self
+                        .derived
+                        .relation(p.as_str())
+                        .map_or(0, Relation::high_water);
                     if self.derived.insert(&p, tuple)? {
                         stats.rederived += 1;
                         let entry = reinserted.entry(p.clone()).or_insert((before, before));
@@ -610,7 +678,7 @@ impl MaintainedStore {
     /// Applies a rule-set change whose new rule heads `head`: drop the
     /// extensions of `head` and everything depending on it, re-derive just
     /// those predicates with the surviving relations as seed, rebuild the
-    /// maintenance plans, and bump the generation of each invalidated
+    /// rule-derived parts, and bump the generation of each invalidated
     /// stratum. `plan` must be the compilation of the new `idb`.
     pub fn rules_changed(
         &mut self,
@@ -620,7 +688,7 @@ impl MaintainedStore {
         head: &str,
     ) -> Result<MaintainStats> {
         let mut stats = MaintainStats::default();
-        let strat = stratify(idb)?;
+        let rules = RuleParts::new(idb, plan)?;
         let graph = DependencyGraph::build(idb);
         // Affected under the *new* dependency graph, so a rule that adds a
         // dependency invalidates through it.
@@ -634,39 +702,40 @@ impl MaintainedStore {
             stats.derived_deleted += self.derived.remove_relation(p);
         }
         let seed = std::mem::take(&mut self.derived);
-        self.derived = seminaive::eval(edb, idb, &plan, Some(&affected), seed, maintenance_opts())?;
+        self.derived = seminaive::eval(
+            edb,
+            idb,
+            &rules.plan,
+            Some(&affected),
+            seed,
+            maintenance_opts(),
+        )?;
         stats.derived_added = affected
             .iter()
             .map(|p| self.derived.relation(p.as_str()).map_or(0, Relation::len))
             .sum();
-        let (variants, bound_plans) = compile_variants(&plan);
         // Carry generations by stratum index; new strata start at 0, and
         // every stratum containing an affected predicate is bumped.
-        let mut gens = self.gens.clone();
-        gens.resize(strat.len(), 0);
-        let mut bumped = vec![false; strat.len()];
+        let strata = rules.strat.len();
+        self.gens.resize(strata, 0);
+        let mut bumped = vec![false; strata];
         for p in &affected {
-            if let Some(s) = strat.stratum_of(p.as_str()) {
+            if let Some(s) = rules.strat.stratum_of(p.as_str()) {
                 if !bumped[s] {
                     bumped[s] = true;
-                    gens[s] += 1;
+                    self.gens[s] += 1;
                     stats.strata_invalidated += 1;
                 }
             }
         }
-        self.plan = plan;
-        self.strat = strat;
-        self.graph = graph;
-        self.variants = variants;
-        self.bound_plans = bound_plans;
-        self.gens = gens;
+        self.rules = Arc::new(rules);
         Ok(stats)
     }
 
     /// Throws the maintained state away and re-derives everything from the
     /// current EDB — the fallback when an update is non-monotone.
     pub fn recompute(&mut self, edb: &Edb, idb: &Idb) -> Result<()> {
-        self.derived = materialize(edb, idb, &self.plan)?;
+        self.derived = materialize(edb, idb, &self.rules.plan)?;
         Ok(())
     }
 }

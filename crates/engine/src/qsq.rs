@@ -52,7 +52,7 @@ use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::query::Retrieve;
-use crate::seminaive::{delta_ranges, head_lens, outermost_scan, DELTA_CHUNK_MIN};
+use crate::seminaive::{delta_ranges, head_marks, outermost_scan, DELTA_CHUNK_MIN};
 use qdk_logic::{Atom, Interner, Literal, Rule, Subst, Sym, Term, Var};
 use qdk_storage::{CatalogStats, Edb, Relation, Tuple, Value};
 use std::collections::{HashSet, VecDeque};
@@ -527,7 +527,7 @@ fn eval_net(
     }
 
     // Round 0: every net rule against the totals (the seeded input).
-    let before = head_lens(derived, &head_preds);
+    let before = head_marks(derived, &head_preds);
     let round0_span = obs.span("iteration", 0);
     let firings0 = gov.work_spent();
     let tasks: Vec<RuleTask<'_>> = net.iter().map(|nr| RuleTask::total(&nr.plan)).collect();
@@ -564,7 +564,7 @@ fn eval_net(
                 }
             }
         }
-        let before = head_lens(derived, &head_preds);
+        let before = head_marks(derived, &head_preds);
         let firings0 = gov.work_spent();
         if obs.enabled() {
             let chunked = tasks.iter().filter(|t| t.is_chunk()).count();

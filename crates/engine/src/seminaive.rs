@@ -106,9 +106,10 @@ pub fn eval(
 
         // The head predicates of this stratum's rules, deduplicated: the
         // delta after each round is the set of id ranges by which their
-        // relations grew. The derived store only appends, so "the facts new
-        // last round" is always a tail window of each relation — no second
-        // store, subtract pass, or per-round index build is ever needed.
+        // relations grew. New facts always take ids above a relation's
+        // high-water mark, so "the facts new last round" is always a tail
+        // id window of each relation — no second store, subtract pass, or
+        // per-round index build is ever needed.
         let mut head_preds: Vec<&Sym> = Vec::new();
         for rp in &rules {
             let p = &rp.compiled.head.pred;
@@ -122,7 +123,7 @@ pub fn eval(
         // Round 0: fire every rule against the current totals (facts from
         // lower strata and the EDB). The new facts form the first delta;
         // firings exclude already-derived tuples at the emit site.
-        let before = head_lens(&derived, &head_preds);
+        let before = head_marks(&derived, &head_preds);
         let round0_span = obs.span("iteration", 0);
         let firings0 = gov.work_spent();
         let tasks: Vec<RuleTask<'_>> = rules.iter().map(|&rp| RuleTask::total(rp)).collect();
@@ -167,7 +168,7 @@ pub fn eval(
                     }
                 }
             }
-            let before = head_lens(&derived, &head_preds);
+            let before = head_marks(&derived, &head_preds);
             let firings0 = gov.work_spent();
             if obs.enabled() {
                 let chunked = tasks.iter().filter(|t| t.is_chunk()).count();
@@ -202,16 +203,17 @@ pub fn eval(
     Ok(derived)
 }
 
-/// Current length of each head predicate's derived relation (0 if absent).
-pub(crate) fn head_lens(derived: &DerivedFacts, head_preds: &[&Sym]) -> Vec<usize> {
+/// Current row-id high-water mark of each head predicate's derived
+/// relation (0 if absent): the start of the ids the next round appends.
+pub(crate) fn head_marks(derived: &DerivedFacts, head_preds: &[&Sym]) -> Vec<usize> {
     head_preds
         .iter()
-        .map(|p| derived.relation(p.as_str()).map_or(0, Relation::len))
+        .map(|p| derived.relation(p.as_str()).map_or(0, Relation::high_water))
         .collect()
 }
 
 /// The id ranges by which each head relation grew past its recorded
-/// `before` length — the next round's delta.
+/// `before` high-water mark — the next round's delta.
 pub(crate) fn delta_ranges(
     derived: &DerivedFacts,
     head_preds: &[&Sym],
@@ -219,7 +221,7 @@ pub(crate) fn delta_ranges(
 ) -> DeltaRanges {
     let mut ranges = DeltaRanges::default();
     for (p, &b) in head_preds.iter().zip(before) {
-        let now = derived.relation(p.as_str()).map_or(0, Relation::len);
+        let now = derived.relation(p.as_str()).map_or(0, Relation::high_water);
         if now > b {
             ranges.insert((*p).clone(), (b, now));
         }

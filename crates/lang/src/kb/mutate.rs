@@ -9,7 +9,7 @@ use crate::answer::Answer;
 use crate::ast::Statement;
 use crate::error::Result;
 use crate::parser::{parse_script, parse_statement};
-use qdk_core::redundancy;
+use qdk_core::{redundancy, DescribeCache};
 use qdk_durability::{
     CheckpointData, DurabilityOptions, Durable, Lsn, Opened, RelationSnapshot, WalOp,
 };
@@ -92,8 +92,9 @@ impl KnowledgeBase {
                 self.edb.insert_tuple(&rel.name, tuple)?;
             }
         }
+        let idb = Arc::make_mut(&mut self.idb);
         for rule in ckp.rules {
-            self.idb.add_rule(rule)?;
+            idb.add_rule(rule)?;
         }
         self.constraints.extend(ckp.constraints);
         Ok(())
@@ -113,7 +114,7 @@ impl KnowledgeBase {
             WalOp::AddFact { pred, tuple } => {
                 self.edb.insert_tuple(&pred, tuple)?;
             }
-            WalOp::AddRule(rule) => self.idb.add_rule(rule)?,
+            WalOp::AddRule(rule) => Arc::make_mut(&mut self.idb).add_rule(rule)?,
             WalOp::Retract { pred, tuple } => {
                 self.edb.remove_tuple(&pred, &tuple)?;
             }
@@ -325,10 +326,12 @@ impl KnowledgeBase {
         if self.durable.is_some() {
             self.log(WalOp::AddRule(rule.clone()))?;
         }
-        self.idb.add_rule(rule)?;
+        Arc::make_mut(&mut self.idb).add_rule(rule)?;
         self.rules_gen = next_rules_gen();
         self.opts.sink.counter("rules_invalidated", 1);
-        self.describe_cache.lock().rule_added(&head, redundant);
+        self.fork_describe_cache(|cache| {
+            cache.rule_added(&head, redundant);
+        });
         self.maintain_rules_changed(&head);
         self.maybe_checkpoint()
     }
@@ -451,8 +454,25 @@ impl KnowledgeBase {
         // Constraints prune describe answers, so cached entries whose
         // closure reaches a constrained predicate go stale. Retrieve
         // evaluation ignores constraints: the maintained store survives.
-        self.describe_cache.lock().constraint_added(&preds);
+        self.fork_describe_cache(|cache| {
+            cache.constraint_added(&preds);
+        });
         self.maybe_checkpoint()
+    }
+
+    /// Gives this knowledge base a describe cache of its own, holding
+    /// what `change` leaves of the shared one: its rules or constraints
+    /// are about to differ from those of every other holder (earlier
+    /// epochs, a transaction's undo copy), whose answers must not mix with
+    /// its own. The cache is changed in place when nothing else holds it.
+    fn fork_describe_cache(&mut self, change: impl FnOnce(&mut DescribeCache)) {
+        if let Some(own) = Arc::get_mut(&mut self.describe_cache) {
+            change(&mut own.lock());
+            return;
+        }
+        let mut fresh = self.describe_cache.lock().clone();
+        change(&mut fresh);
+        self.describe_cache = Arc::new(Cell::new(fresh));
     }
 
     /// Builds the incrementally maintained derived-fact store if it is
@@ -485,7 +505,7 @@ impl KnowledgeBase {
                 .push(Downgrade::maintenance(reason.clone()));
         }
         self.maintain_stats.merge(stats);
-        self.maintain_total.merge(stats);
+        self.maintain_total.add(stats);
         let obs = &self.opts.sink;
         if obs.enabled() {
             obs.counter("maintain_derived_added", stats.derived_added as u64);
@@ -507,7 +527,7 @@ impl KnowledgeBase {
         self.maintained = None;
         let reason = format!("{what}: {e}");
         self.maintain_stats.recompute_reasons.push(reason.clone());
-        self.maintain_total.recompute_reasons.push(reason.clone());
+        self.maintain_total.recomputes += 1;
         self.pending.lock().push(Downgrade::maintenance(reason));
         self.opts.sink.counter("maintain_lost", 1);
     }

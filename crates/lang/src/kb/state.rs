@@ -108,12 +108,42 @@ pub(super) fn next_rules_gen() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Lifetime maintenance totals, the source of the `maintain_*` metrics
+/// gauges. Counts only, so cloning a knowledge base — which every
+/// transaction and every epoch publish does — copies a few words.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct MaintainTotals {
+    pub(super) derived_added: u64,
+    pub(super) derived_deleted: u64,
+    pub(super) rederived: u64,
+    pub(super) strata_invalidated: u64,
+    pub(super) recomputes: u64,
+}
+
+impl MaintainTotals {
+    /// Folds one maintenance operation's counters in.
+    pub(super) fn add(&mut self, stats: &MaintainStats) {
+        self.derived_added += stats.derived_added as u64;
+        self.derived_deleted += stats.derived_deleted as u64;
+        self.rederived += stats.rederived as u64;
+        self.strata_invalidated += stats.strata_invalidated as u64;
+        self.recomputes += stats.recomputes() as u64;
+    }
+}
+
 /// A knowledge-rich database: EDB facts, IDB rules, integrity
 /// constraints, and the unified query interface over them.
+///
+/// Cloning costs O(relations): the stored relations share their storage
+/// with the clone (see [`qdk_storage::Relation`]), the rule base, the
+/// maintained store's rule-derived parts and the describe cache are each
+/// one `Arc`, and everything else is a few words per predicate. Every
+/// transaction (its undo copy) and every epoch publish clones.
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeBase {
     pub(super) edb: Edb,
-    pub(super) idb: Idb,
+    /// The rules, shared with every clone until a rule change copies them.
+    pub(super) idb: Arc<Idb>,
     pub(super) constraints: Vec<Constraint>,
     pub(super) keys: HashMap<Sym, usize>,
     pub(super) strategy: Strategy,
@@ -149,8 +179,8 @@ pub struct KnowledgeBase {
     /// [`Self::take_maintain_stats`].
     pub(super) maintain_stats: MaintainStats,
     /// Lifetime maintenance totals — never taken, unlike
-    /// `maintain_stats` — the source of the `maintain_*` metrics gauges.
-    pub(super) maintain_total: MaintainStats,
+    /// `maintain_stats`.
+    pub(super) maintain_total: MaintainTotals,
     /// The long-running metrics hub, when [`Self::enable_metrics`] was
     /// called. Shared behind an `Arc` so clones and epoch snapshots all
     /// aggregate into the *same* registry.
@@ -161,11 +191,16 @@ pub struct KnowledgeBase {
     /// degraded service is never silent. Interior-mutable because
     /// retrieves take `&self`.
     pub(super) pending: Cell<Vec<Downgrade>>,
-    /// Cached complete describe answers, invalidated per predicate
-    /// closure on rule/constraint changes; behind a lock so knowledge
-    /// queries — which take `&self` — can record their answers (see
-    /// [`qdk_core::cache`]).
-    pub(super) describe_cache: Cell<DescribeCache>,
+    /// Cached complete describe answers (see [`qdk_core::cache`]), behind
+    /// a lock so knowledge queries — which take `&self` — can record their
+    /// answers. One cache per rules generation: a describe answer reads
+    /// only rules and constraints, never facts, so the writer, its
+    /// transaction copies and every epoch published while the rules stay
+    /// unchanged share this one `Arc`, and an answer any of their readers
+    /// computes is a hit for all of them. A rule or constraint mutation
+    /// gives the mutated knowledge base a fresh copy holding only the
+    /// entries that survive it; every other holder keeps the old one.
+    pub(super) describe_cache: Arc<Cell<DescribeCache>>,
 }
 
 impl KnowledgeBase {
@@ -254,7 +289,11 @@ impl KnowledgeBase {
         self.pending.lock().clone()
     }
 
-    /// Cumulative describe-cache counters.
+    /// Cumulative counters of this knowledge base's describe cache. The
+    /// cache is shared by every knowledge base of one rules generation
+    /// (writer and published epochs alike), so hits and misses count the
+    /// lookups of all of them; a rule or constraint change starts a fresh
+    /// copy that carries the counters forward.
     pub fn describe_cache_stats(&self) -> qdk_core::CacheStats {
         self.describe_cache.lock().stats()
     }
@@ -319,23 +358,12 @@ impl KnowledgeBase {
                 .as_ref()
                 .map_or(0, |s| s.derived().len() as u64),
         );
-        reg.gauge_set(
-            "maintain_derived_added",
-            self.maintain_total.derived_added as u64,
-        );
-        reg.gauge_set(
-            "maintain_derived_deleted",
-            self.maintain_total.derived_deleted as u64,
-        );
-        reg.gauge_set("maintain_rederived", self.maintain_total.rederived as u64);
-        reg.gauge_set(
-            "maintain_strata_invalidated",
-            self.maintain_total.strata_invalidated as u64,
-        );
-        reg.gauge_set(
-            "maintain_recomputes",
-            self.maintain_total.recompute_reasons.len() as u64,
-        );
+        let totals = self.maintain_total;
+        reg.gauge_set("maintain_derived_added", totals.derived_added);
+        reg.gauge_set("maintain_derived_deleted", totals.derived_deleted);
+        reg.gauge_set("maintain_rederived", totals.rederived);
+        reg.gauge_set("maintain_strata_invalidated", totals.strata_invalidated);
+        reg.gauge_set("maintain_recomputes", totals.recomputes);
         if let Some(m) = self.durability_metrics() {
             reg.gauge_set("wal_appended", m.wal_appends);
             reg.gauge_set("wal_appended_bytes", m.wal_bytes);

@@ -6,8 +6,9 @@
 //! compiled plan for that data — and publishes it atomically. Readers
 //! pin `(version, Arc<KbState>)` pairs and query without taking any
 //! lock: the knowledge base's copy-on-write storage means the clone
-//! taken at publish time shares every tuple segment and index the next
-//! batch does not touch.
+//! taken at publish time shares every tuple segment and index shard the
+//! next batch does not touch, so a publish — and the refresh that later
+//! drops the epoch it replaced — costs what the batch touched.
 
 use std::sync::Arc;
 
@@ -21,8 +22,11 @@ use crate::kb::KnowledgeBase;
 /// plan pinned next to the data it was compiled for. Readers holding an
 /// `Arc<KbState>` answer retrieves with zero locks — the plan rides along,
 /// so even the plan-cache mutex is never touched on the snapshot path.
-/// Describes share the epoch's describe-answer cache and prepared rule
-/// base through `kb`; a preparation a reader builds there is adopted by
+/// Describes go through `kb`'s describe-answer cache, which is not the
+/// epoch's own: it is the one cache of the rules generation, shared with
+/// the writer and with every epoch published while the rules stay
+/// unchanged, so an answer a reader of this epoch computes is a hit on
+/// the next. The prepared rule base a reader builds here is adopted by
 /// the next publish while the rules stay unchanged.
 #[derive(Debug)]
 pub struct KbState {

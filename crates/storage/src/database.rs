@@ -224,6 +224,28 @@ impl Edb {
             .is_some_and(|rel| rel.ensure_composite(cols))
     }
 
+    /// Read-only introspection for the O(Δ) guarantees: how many storage
+    /// pieces (tuple segments and index shards, see
+    /// [`Relation::unshared_pieces`]) of this database are not shared with
+    /// `other` — for a database and an earlier clone of it, what the
+    /// writes in between copied. Relations `other` lacks count whole.
+    pub fn unshared_pieces(&self, other: &Edb) -> usize {
+        self.relations
+            .iter()
+            .map(|(name, rel)| {
+                let empty;
+                let theirs = match other.relations.get(name) {
+                    Some(r) => r,
+                    None => {
+                        empty = Relation::new(name.clone(), rel.arity());
+                        &empty
+                    }
+                };
+                rel.unshared_pieces(theirs)
+            })
+            .sum()
+    }
+
     /// A cardinality snapshot of the stored relations for the engine's
     /// cost model (one `len()` per relation; cheap enough to retake at
     /// every plan-cache fill).

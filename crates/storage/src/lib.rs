@@ -29,7 +29,9 @@ mod catalog;
 mod database;
 pub mod epoch;
 mod error;
+mod pieces;
 mod relation;
+mod shards;
 mod store;
 mod tuple;
 

@@ -1,37 +1,139 @@
-//! Indexed fact relations with copy-on-write snapshot semantics.
+//! Indexed fact relations with stable row ids and structural sharing.
 //!
-//! Every piece of a [`Relation`] that queries read — the tuple store, the
-//! per-column hash indexes, the composite indexes, the presence map — sits
-//! behind an `Arc`. Cloning a relation is therefore a handful of reference
-//! bumps, and the clone is a true snapshot: mutations on either side use
-//! `Arc::make_mut`, copying a shared piece the first time it is touched
-//! after the clone and mutating in place from then on. A relation that is
-//! never cloned (the common single-owner case) pays nothing — its `Arc`s
-//! stay unique and `make_mut` never copies.
+//! Every piece of a [`Relation`] that queries read — the tuple segments,
+//! the presence map, each per-column index, each composite index — is
+//! split into `Arc`-shared pieces: 512-row segments (see
+//! [`store`](crate::store)) and hash shards of at most a few hundred
+//! entries (see [`shards`](crate::shards)), each index entry's posting
+//! list behind an `Arc` of its own. Cloning a relation is a handful of
+//! reference bumps, and the clone is a true snapshot: a write on either
+//! side copies the segment, shards and posting lists it touches the first
+//! time it touches them after the clone, and mutates in place from then
+//! on. A relation that is never cloned (the common single-owner case) pays
+//! nothing — its pieces stay unique and nothing is copied.
+//!
+//! Row ids are stable: an insert appends at the next id, and a removal
+//! tombstones the row and drops its id from the posting lists it appears
+//! in, so no other row is renumbered and no other posting list is
+//! touched. Compaction — renumbering the survivors densely — happens only
+//! once tombstones outnumber live rows, so its O(n) cost is amortized over
+//! at least as many removals.
 //!
 //! This is the storage half of epoch snapshots (see [`epoch`](crate::epoch)):
 //! a published epoch holds a cloned `Edb`, and the writer keeps batching
-//! into its own copy without disturbing readers.
+//! into its own copy without disturbing readers, at a cost proportional to
+//! the batch.
 
 use crate::error::{Result, StorageError};
+use crate::pieces::Pieces;
+use crate::shards::HashShards;
 use crate::store::{TupleIter, TupleStore};
 use crate::tuple::Tuple;
 use crate::Value;
-use qdk_logic::fasthash::{FxHashMap, FxHasher};
+use qdk_logic::fasthash::FxHasher;
 use qdk_logic::Sym;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Hashes a projected key column-by-column so owned (`&[Value]`) and
-/// borrowed (`&[&Value]`) keys land in the same bucket. The column count is
-/// fixed per index, so no length prefix is needed.
+/// borrowed (`&[&Value]`) keys get one hash. The column count is fixed
+/// per map, so no length prefix is needed. Computed once per lookup: the
+/// same hash picks the shard and probes its table.
 fn hash_key<'a>(vals: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     for v in vals {
         v.hash(&mut h);
     }
     h.finish()
+}
+
+/// The hash of a single index key.
+fn hash_one(v: &Value) -> u64 {
+    hash_key(std::iter::once(v))
+}
+
+/// The ascending live row ids under one index key. A single id is stored
+/// inline; longer lists sit behind an `Arc`, so copying an index shard
+/// after a snapshot bumps one reference per list instead of copying it,
+/// and only a list a write touches is copied.
+#[derive(Clone, Debug)]
+enum Posting {
+    One(u32),
+    Many(Arc<Vec<u32>>),
+}
+
+impl Posting {
+    fn ids(&self) -> &[u32] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+
+    /// Appends `id`, which is larger than every id present (ids are
+    /// handed out in increasing order), keeping the list ascending.
+    fn push(&mut self, id: u32) {
+        match self {
+            Posting::One(first) => *self = Posting::Many(Arc::new(vec![*first, id])),
+            Posting::Many(ids) => Arc::make_mut(ids).push(id),
+        }
+    }
+
+    /// Drops `id`; `true` when the list is left empty.
+    fn remove(&mut self, id: u32) -> bool {
+        match self {
+            Posting::One(only) => *only == id,
+            Posting::Many(ids) => {
+                let ids = Arc::make_mut(ids);
+                if let Ok(i) = ids.binary_search(&id) {
+                    ids.remove(i);
+                }
+                if let [last] = ids[..] {
+                    *self = Posting::One(last);
+                }
+                false
+            }
+        }
+    }
+
+    /// Renumbers through a monotone compaction map (ascending order kept).
+    fn remap(&mut self, remap: &[u32]) {
+        match self {
+            Posting::One(id) => *id = remap[*id as usize],
+            Posting::Many(ids) => {
+                for id in Arc::make_mut(ids).iter_mut() {
+                    *id = remap[*id as usize];
+                }
+            }
+        }
+    }
+}
+
+/// Adds `id` to the posting list of the key `is` accepts under `h`,
+/// creating the entry as `(key(), [id])` if absent.
+fn post<K: Clone>(
+    map: &mut HashShards<(K, Posting)>,
+    h: u64,
+    is: impl Fn(&K) -> bool,
+    key: impl FnOnce() -> K,
+    id: u32,
+) {
+    let (entry, inserted) = map.upsert(h, |(k, _)| is(k), || (key(), Posting::One(id)));
+    if !inserted {
+        entry.1.push(id);
+    }
+}
+
+/// Drops `id` from the posting list of the key `is` accepts under `h`,
+/// removing the entry once its list is empty.
+fn unpost<K: Clone>(map: &mut HashShards<(K, Posting)>, h: u64, is: impl Fn(&K) -> bool, id: u32) {
+    let emptied = map
+        .get_mut(h, |(k, _)| is(k))
+        .is_some_and(|(_, p)| p.remove(id));
+    if emptied {
+        map.remove(h, |(k, _)| is(k));
+    }
 }
 
 /// A demand-built hash index over a fixed set of columns (ascending,
@@ -45,11 +147,12 @@ fn hash_key<'a>(vals: impl Iterator<Item = &'a Value>) -> u64 {
 /// [`clear`](Relation::clear)) and handed to callers as **frozen `Arc`
 /// snapshots**: the per-frame probe path takes no lock, and a held handle
 /// is never mutated by later relation mutations — maintenance goes through
-/// `Arc::make_mut`, which copies the index out from under any outstanding
-/// handle first. Re-fetch via [`composite`](Relation::composite) to observe
-/// new rows. Buckets are keyed by the hash of the projected values and
-/// disambiguated by equality, which lets [`probe`](CompositeIndex::probe)
-/// accept borrowed values without cloning.
+/// `Arc::make_mut`, which copies the index (its shard directory, not its
+/// shards) out from under any outstanding handle first. Re-fetch via
+/// [`composite`](Relation::composite) to observe new rows. Buckets are
+/// keyed by the hash of the projected values and disambiguated by
+/// equality, which lets [`probe`](CompositeIndex::probe) accept borrowed
+/// values without cloning.
 ///
 /// Row ids within a bucket are ascending (the build walks tuples in id
 /// order and maintenance appends fresh ids), so windowed delta probes can
@@ -58,13 +161,9 @@ fn hash_key<'a>(vals: impl Iterator<Item = &'a Value>) -> u64 {
 #[derive(Debug)]
 pub struct CompositeIndex {
     cols: Vec<usize>,
-    buckets: FxHashMap<u64, Bucket>,
+    buckets: HashShards<(Box<[Value]>, Posting)>,
     probes: AtomicU64,
 }
-
-/// One hash bucket: the projected keys that hashed here, each with its
-/// ascending row ids.
-type Bucket = Vec<(Vec<Value>, Vec<u32>)>;
 
 impl Clone for CompositeIndex {
     fn clone(&self) -> Self {
@@ -77,35 +176,52 @@ impl Clone for CompositeIndex {
 }
 
 impl CompositeIndex {
-    fn build<'a>(cols: Vec<usize>, tuples: impl Iterator<Item = &'a Tuple>) -> Self {
-        let mut ix = CompositeIndex {
+    fn empty(cols: Vec<usize>) -> Self {
+        CompositeIndex {
             cols,
-            buckets: FxHashMap::default(),
+            buckets: HashShards::default(),
             probes: AtomicU64::new(0),
-        };
-        for (id, t) in tuples.enumerate() {
-            ix.add(id as u32, t);
+        }
+    }
+
+    fn build(cols: Vec<usize>, tuples: &TupleStore) -> Self {
+        let mut ix = CompositeIndex::empty(cols);
+        for id in tuples.live_ids() {
+            ix.add(id, tuples.get(id));
         }
         ix
+    }
+
+    fn key_hash(&self, t: &Tuple) -> u64 {
+        let vals = t.values();
+        hash_key(self.cols.iter().map(|&c| &vals[c]))
     }
 
     /// Registers a freshly inserted tuple under its projected key. `id`
     /// must be larger than every id already present (append-only), which
     /// keeps bucket ids ascending.
     fn add(&mut self, id: u32, t: &Tuple) {
-        let vals = t.values();
-        let h = hash_key(self.cols.iter().map(|&c| &vals[c]));
-        let bucket = self.buckets.entry(h).or_default();
-        match bucket
-            .iter_mut()
-            .find(|(k, _)| k.iter().zip(&self.cols).all(|(kv, &c)| kv == &vals[c]))
-        {
-            Some((_, ids)) => ids.push(id),
-            None => {
-                let key = self.cols.iter().map(|&c| vals[c].clone()).collect();
-                bucket.push((key, vec![id]));
-            }
-        }
+        let h = self.key_hash(t);
+        let (vals, cols) = (t.values(), &self.cols);
+        post(
+            &mut self.buckets,
+            h,
+            |k| k.iter().zip(cols).all(|(kv, &c)| kv == &vals[c]),
+            || cols.iter().map(|&c| vals[c].clone()).collect(),
+            id,
+        );
+    }
+
+    /// Drops a removed tuple's id from its bucket.
+    fn remove(&mut self, id: u32, t: &Tuple) {
+        let h = self.key_hash(t);
+        let (vals, cols) = (t.values(), &self.cols);
+        unpost(
+            &mut self.buckets,
+            h,
+            |k| k.iter().zip(cols).all(|(kv, &c)| kv == &vals[c]),
+            id,
+        );
     }
 
     /// The (ascending, distinct) column positions this index covers.
@@ -125,14 +241,8 @@ impl CompositeIndex {
         self.probes.fetch_add(1, Ordering::Relaxed);
         let h = hash_key(key.iter().copied());
         self.buckets
-            .get(&h)
-            .and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(k, _)| k.iter().zip(key).all(|(kv, &pv)| kv == pv))
-            })
-            .map(|(_, ids)| ids.as_slice())
-            .unwrap_or(&[])
+            .get(h, |(k, _)| k.iter().zip(key).all(|(kv, &pv)| kv == pv))
+            .map_or(&[], |(_, ids)| ids.ids())
     }
 
     /// How many probes this index has answered since it was built (or
@@ -148,7 +258,8 @@ impl CompositeIndex {
 /// Semi-naive delta joins probe this view instead of re-selecting from the
 /// full relation and filtering by fact-id range — index buckets hold
 /// ascending ids, so the view clips a probe result with two binary
-/// searches rather than a linear filter.
+/// searches rather than a linear filter. Windows range over row *ids*
+/// (see [`Relation::high_water`]); tombstoned ids inside one are skipped.
 #[derive(Clone, Copy, Debug)]
 pub struct DeltaView<'a> {
     rel: &'a Relation,
@@ -157,7 +268,7 @@ pub struct DeltaView<'a> {
 }
 
 impl<'a> DeltaView<'a> {
-    /// Number of rows in the window.
+    /// Number of row ids in the window (tombstoned ones included).
     pub fn len(&self) -> usize {
         (self.end - self.start) as usize
     }
@@ -179,8 +290,8 @@ impl<'a> DeltaView<'a> {
         &ids[lo..hi]
     }
 
-    /// Iterates the window's tuples in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Tuple> {
+    /// Iterates the window's live tuples in id order.
+    pub fn iter(&self) -> TupleIter<'a> {
         self.rel
             .tuples
             .iter_range(self.start as usize, self.end as usize)
@@ -208,27 +319,38 @@ impl<'a> DeltaView<'a> {
 /// [`remove`](Relation::remove)/re-insert and reset only with
 /// [`clear`](Relation::clear).
 ///
+/// # Row ids
+///
+/// Ids are handed out in insertion order and stay put: removal tombstones
+/// a row instead of renumbering the rest. [`len`](Relation::len) counts
+/// live rows; [`high_water`](Relation::high_water) is one past the largest
+/// id handed out, the bound every id window ([`delta`](Relation::delta))
+/// ranges over. Iteration yields the live rows in id order — the order a
+/// dense, renumbering store would give.
+///
 /// # Snapshots
 ///
-/// `Relation::clone` is cheap: the tuple store, per-column indexes,
-/// presence map, and promoted composite indexes are all `Arc`-shared with
-/// the clone. Mutations on either side copy a shared piece on first touch
-/// (`Arc::make_mut`), so a clone behaves as an immutable snapshot while
-/// the original keeps accepting writes. Probe/scan counters start from the
-/// current totals but advance independently per clone.
+/// `Relation::clone` is O(arity): every piece is `Arc`-shared with the
+/// clone. A write on either side copies only the pieces it touches, so a
+/// clone behaves as an immutable snapshot while the original keeps
+/// accepting writes. Probe/scan counters start from the current totals
+/// but advance independently per clone.
 #[derive(Debug)]
 pub struct Relation {
     name: Sym,
     arity: usize,
     tuples: TupleStore,
-    present: Arc<FxHashMap<Tuple, u32>>,
-    /// `indexes[c][v]` = row ids whose column `c` equals `v`.
-    indexes: Vec<Arc<FxHashMap<Value, Vec<u32>>>>,
+    /// The row id of every live tuple, keyed by the tuple's hash; the
+    /// tuple itself is compared through the store. Ids only, so copying a
+    /// shard after a snapshot is a plain memory copy.
+    present: HashShards<u32>,
+    /// `indexes[c]`: each value in column `c` with the ids carrying it.
+    indexes: Vec<HashShards<(Value, Posting)>>,
     /// Promoted composite indexes (at most one per column set): the
     /// lock-free lookup set shared with snapshots. Maintained in place by
     /// mutations (copy-on-write when a snapshot or caller handle still
     /// shares an entry).
-    ready: Arc<Vec<Arc<CompositeIndex>>>,
+    ready: Pieces<CompositeIndex>,
     /// Composite indexes demand-built under `&self` (see
     /// [`composite`](Relation::composite)) that have not yet been promoted
     /// into [`ready`](Relation::ready). The lock is taken once per plan
@@ -245,9 +367,9 @@ impl Clone for Relation {
             name: self.name.clone(),
             arity: self.arity,
             tuples: self.tuples.clone(),
-            present: Arc::clone(&self.present),
-            indexes: self.indexes.iter().map(Arc::clone).collect(),
-            ready: Arc::clone(&self.ready),
+            present: self.present.clone(),
+            indexes: self.indexes.clone(),
+            ready: self.ready.clone(),
             pending: Mutex::new(lock_pending(&self.pending).clone()),
             probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
             scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
@@ -263,15 +385,16 @@ fn lock_pending(m: &Mutex<Vec<Arc<CompositeIndex>>>) -> MutexGuard<'_, Vec<Arc<C
 }
 
 impl Relation {
-    /// Creates an empty relation.
+    /// Creates an empty relation. Nothing is allocated per column until
+    /// the first insert.
     pub fn new(name: impl Into<Sym>, arity: usize) -> Self {
         Relation {
             name: name.into(),
             arity,
             tuples: TupleStore::default(),
-            present: Arc::new(FxHashMap::default()),
-            indexes: (0..arity).map(|_| Arc::new(FxHashMap::default())).collect(),
-            ready: Arc::new(Vec::new()),
+            present: HashShards::default(),
+            indexes: vec![HashShards::default(); arity],
+            ready: Pieces::default(),
             pending: Mutex::new(Vec::new()),
             probes: AtomicU64::new(0),
             scans: AtomicU64::new(0),
@@ -301,7 +424,7 @@ impl Relation {
         self.arity
     }
 
-    /// Number of stored tuples.
+    /// Number of stored (live) tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()
     }
@@ -311,11 +434,20 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    /// One past the largest row id handed out, tombstoned rows included:
+    /// the id a fresh insert receives, and the upper bound of every id
+    /// window ([`delta`](Relation::delta)). Equal to [`len`](Relation::len)
+    /// until a removal, and again after compaction or
+    /// [`clear`](Relation::clear).
+    pub fn high_water(&self) -> usize {
+        self.tuples.high_water()
+    }
+
     /// Inserts a tuple; returns `Ok(true)` if it was not already present,
     /// or [`StorageError::ArityMismatch`] if the tuple's arity does not
     /// match the relation's (no panic — derived relations receive tuples
     /// from user programs, where a predicate defined at two arities is a
-    /// reachable input, not a bug).
+    /// reachable input, not a bug). The tuple gets the next row id.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
         if t.arity() != self.arity {
             return Err(StorageError::ArityMismatch {
@@ -324,24 +456,27 @@ impl Relation {
                 found: t.arity(),
             });
         }
-        if self.present.contains_key(&t) {
+        let h = hash_key(t.values().iter());
+        if self
+            .present
+            .get(h, |&id| *self.tuples.get(id) == t)
+            .is_some()
+        {
             return Ok(false);
         }
         self.promote_pending();
-        let id = self.tuples.len() as u32;
+        let id = self.tuples.push(t.clone());
         for (c, v) in t.values().iter().enumerate() {
-            Arc::make_mut(&mut self.indexes[c])
-                .entry(v.clone())
-                .or_default()
-                .push(id);
+            post(
+                &mut self.indexes[c],
+                hash_one(v),
+                |k| k == v,
+                || v.clone(),
+                id,
+            );
         }
-        if !self.ready.is_empty() {
-            for ix in Arc::make_mut(&mut self.ready) {
-                Arc::make_mut(ix).add(id, &t);
-            }
-        }
-        Arc::make_mut(&mut self.present).insert(t.clone(), id);
-        self.tuples.push(t);
+        self.ready.each_mut(|ix| ix.add(id, &t));
+        self.present.insert_new(h, id);
         Ok(true)
     }
 
@@ -351,13 +486,10 @@ impl Relation {
     /// probe promoted indexes without ever touching the pending lock.
     pub fn promote_pending(&mut self) {
         let pending = std::mem::take(self.pending_mut());
-        if pending.is_empty() {
-            return;
-        }
-        let ready = Arc::make_mut(&mut self.ready);
         for ix in pending {
-            if !ready.iter().any(|r| r.cols() == ix.cols()) {
-                ready.push(ix);
+            if !self.ready.as_slice().iter().any(|r| r.cols() == ix.cols()) {
+                self.ready
+                    .push(Arc::try_unwrap(ix).unwrap_or_else(|ix| (*ix).clone()));
             }
         }
     }
@@ -372,11 +504,10 @@ impl Relation {
             return false;
         }
         self.promote_pending();
-        if self.ready.iter().any(|ix| ix.cols() == cols) {
-            return true;
+        if !self.ready.as_slice().iter().any(|ix| ix.cols() == cols) {
+            self.ready
+                .push(CompositeIndex::build(cols.to_vec(), &self.tuples));
         }
-        let ix = Arc::new(CompositeIndex::build(cols.to_vec(), self.tuples.iter()));
-        Arc::make_mut(&mut self.ready).push(ix);
         true
     }
 
@@ -386,7 +517,12 @@ impl Relation {
     /// that are missing here. Contents are rebuilt from this relation's
     /// tuples; probe counters are not carried over.
     pub fn adopt_demand(&mut self, other: &Relation) {
-        let mut wanted: Vec<Vec<usize>> = other.ready.iter().map(|ix| ix.cols().to_vec()).collect();
+        let mut wanted: Vec<Vec<usize>> = other
+            .ready
+            .as_slice()
+            .iter()
+            .map(|ix| ix.cols().to_vec())
+            .collect();
         wanted.extend(
             lock_pending(&other.pending)
                 .iter()
@@ -408,7 +544,7 @@ impl Relation {
 
     /// True if the tuple is stored.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.present.contains_key(t)
+        self.contains_slice(t.values())
     }
 
     /// True if a tuple with exactly these values is stored, without
@@ -417,12 +553,24 @@ impl Relation {
     /// are already known, and this lets them be rejected straight from
     /// the executor's row buffer.
     pub fn contains_slice(&self, values: &[Value]) -> bool {
-        self.present.contains_key(values)
+        self.present
+            .get(hash_key(values.iter()), |&id| {
+                self.tuples.get(id).values() == values
+            })
+            .is_some()
     }
 
     /// Iterates over all tuples in insertion order.
     pub fn iter(&self) -> TupleIter<'_> {
         self.tuples.iter()
+    }
+
+    /// The ids carrying `v` in column `col` (unmetered).
+    fn ids(&self, col: usize, v: &Value) -> &[u32] {
+        self.indexes
+            .get(col)
+            .and_then(|ix| ix.get(hash_one(v), |(k, _)| k == v))
+            .map_or(&[], |(_, ids)| ids.ids())
     }
 
     /// Selects the tuples matching a partial binding pattern:
@@ -437,25 +585,24 @@ impl Relation {
         pattern: &[Option<Value>],
     ) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
         assert_eq!(pattern.len(), self.arity, "pattern arity mismatch");
-        // Pick the bound column with the fewest candidate rows.
-        let best = pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(c, p)| {
-                p.as_ref().map(|v| {
-                    let n = self.indexes[c].get(v).map_or(0, Vec::len);
-                    (n, c, v)
-                })
-            })
-            .min_by_key(|(n, _, _)| *n);
+        // Pick the bound column with the fewest candidate rows (first
+        // minimum in column order).
+        let mut best: Option<&'a [u32]> = None;
+        for (c, p) in pattern.iter().enumerate() {
+            if let Some(v) = p {
+                let ids = self.ids(c, v);
+                if best.is_none_or(|b| ids.len() < b.len()) {
+                    best = Some(ids);
+                }
+            }
+        }
         match best {
             None => {
                 self.scans.fetch_add(1, Ordering::Relaxed);
                 Box::new(self.tuples.iter())
             }
-            Some((_, c, v)) => {
+            Some(rows) => {
                 self.probes.fetch_add(1, Ordering::Relaxed);
-                let rows = self.indexes[c].get(v).map(Vec::as_slice).unwrap_or(&[]);
                 let pattern = pattern.to_vec();
                 Box::new(rows.iter().map(|&id| self.tuples.get(id)).filter(move |t| {
                     t.values()
@@ -477,15 +624,11 @@ impl Relation {
     /// positions against the candidate rows.
     pub fn probe(&self, col: usize, v: &Value) -> &[u32] {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        self.indexes
-            .get(col)
-            .and_then(|ix| ix.get(v))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.ids(col, v)
     }
 
     /// The tuple stored at row id `id` (as handed out by
-    /// [`probe`](Relation::probe)).
+    /// [`probe`](Relation::probe), which only ever yields live rows).
     pub fn tuple_at(&self, id: u32) -> &Tuple {
         self.tuples.get(id)
     }
@@ -524,94 +667,66 @@ impl Relation {
 
     /// Removes a tuple; returns `true` if it was present. Removal is a
     /// batch of one — see [`remove_batch`](Relation::remove_batch) for the
-    /// cost model. Snapshots sharing the old store are unaffected.
+    /// cost model. Snapshots sharing the old pieces are unaffected.
     pub fn remove(&mut self, t: &Tuple) -> bool {
         self.remove_batch(std::iter::once(t)) == 1
     }
 
-    /// Removes a batch of tuples in one pass; returns how many were
-    /// present. Removal renumbers the surviving row ids (they stay dense
-    /// and insertion-ordered), but instead of rehashing everything it
-    /// compacts the tuple store and patches the maps in place: doomed keys
-    /// leave the presence map, and every index bucket drops its doomed ids
-    /// and rewrites the survivors through a monotone old→new remap (which
-    /// preserves the ascending-id invariant). Incremental maintenance
-    /// (DRed's deletion phase) leans on this: retracting k facts from an
-    /// n-row relation costs O(n) id rewrites, not a rehash and value clone
-    /// per surviving row per index.
+    /// Removes a batch of tuples; returns how many were present.
+    ///
+    /// Each removed row is tombstoned in place: its presence entry goes,
+    /// and its id leaves the one posting list per column (and per
+    /// composite index) that held it. No other row is renumbered and no
+    /// other list is touched, so retracting k facts from an n-row relation
+    /// costs O(k · posting length), and after a snapshot it copies only the
+    /// segments, shards and lists those k rows live in. Once tombstones
+    /// outnumber live rows the relation compacts — renumbers the survivors
+    /// densely, in order, through a monotone map — which costs O(n) but
+    /// happens at most once per n/2 removals.
     pub fn remove_batch<'t>(&mut self, batch: impl IntoIterator<Item = &'t Tuple>) -> usize {
         // Resolve ids read-only first so a batch of absent tuples stays a
-        // no-op (no copy-on-write of snapshot-shared maps).
-        let mut doomed: Vec<u32> = batch
+        // no-op (no copy-on-write of snapshot-shared pieces).
+        let mut doomed: Vec<(u64, u32)> = batch
             .into_iter()
-            .filter_map(|t| self.present.get(t).copied())
+            .filter_map(|t| {
+                let h = hash_key(t.values().iter());
+                self.present
+                    .get(h, |&id| self.tuples.get(id) == t)
+                    .map(|&id| (h, id))
+            })
             .collect();
         if doomed.is_empty() {
             return 0;
         }
         self.promote_pending();
-        doomed.sort_unstable();
-        doomed.dedup();
-        let present = Arc::make_mut(&mut self.present);
-        present.retain(|_, id| doomed.binary_search(id).is_err());
-        // Monotone remap from old row id to new; doomed slots stay 0 and
-        // are never read back.
-        let mut remap = vec![0u32; self.tuples.len()];
-        {
-            let mut next_doomed = doomed.iter().copied().peekable();
-            let mut fresh = 0u32;
-            for (old, slot) in remap.iter_mut().enumerate() {
-                if next_doomed.peek() == Some(&(old as u32)) {
-                    next_doomed.next();
-                } else {
-                    *slot = fresh;
-                    fresh += 1;
-                }
+        doomed.sort_unstable_by_key(|&(_, id)| id);
+        doomed.dedup_by_key(|&mut (_, id)| id);
+        for &(h, id) in &doomed {
+            let t = self.tuples.get(id).clone();
+            self.present.remove(h, |&pid| pid == id);
+            for (c, v) in t.values().iter().enumerate() {
+                unpost(&mut self.indexes[c], hash_one(v), |k| k == v, id);
             }
+            self.ready.each_mut(|ix| ix.remove(id, &t));
+            self.tuples.kill(id);
         }
-        // Compact the tuple store (tuple clones are reference bumps).
-        let mut tuples = TupleStore::default();
-        {
-            let mut next_doomed = doomed.iter().copied().peekable();
-            for (old, tuple) in self.tuples.iter().enumerate() {
-                if next_doomed.peek() == Some(&(old as u32)) {
-                    next_doomed.next();
-                } else {
-                    tuples.push(tuple.clone());
-                }
-            }
-        }
-        self.tuples = tuples;
-        for id in present.values_mut() {
-            *id = remap[*id as usize];
-        }
-        let survives = |id: u32| doomed.binary_search(&id).is_err();
-        for index in &mut self.indexes {
-            let index = Arc::make_mut(index);
-            for ids in index.values_mut() {
-                ids.retain(|&id| survives(id));
-                for id in ids.iter_mut() {
-                    *id = remap[*id as usize];
-                }
-            }
-            index.retain(|_, ids| !ids.is_empty());
-        }
-        if !self.ready.is_empty() {
-            for ix in Arc::make_mut(&mut self.ready) {
-                let ix = Arc::make_mut(ix);
-                for bucket in ix.buckets.values_mut() {
-                    for (_, ids) in bucket.iter_mut() {
-                        ids.retain(|&id| survives(id));
-                        for id in ids.iter_mut() {
-                            *id = remap[*id as usize];
-                        }
-                    }
-                    bucket.retain(|(_, ids)| !ids.is_empty());
-                }
-                ix.buckets.retain(|_, bucket| !bucket.is_empty());
-            }
+        if self.tuples.dead() > self.tuples.len() {
+            self.compact();
         }
         doomed.len()
+    }
+
+    /// Renumbers the live rows densely, in order, dropping every
+    /// tombstone (see [`remove_batch`](Relation::remove_batch)).
+    fn compact(&mut self) {
+        let (tuples, remap) = self.tuples.compacted();
+        self.tuples = tuples;
+        self.present.for_each_mut(|id| *id = remap[*id as usize]);
+        for index in &mut self.indexes {
+            index.for_each_mut(|(_, ids)| ids.remap(&remap));
+        }
+        self.ready
+            .each_mut(|ix| ix.buckets.for_each_mut(|(_, ids)| ids.remap(&remap)));
     }
 
     /// Removes all tuples and resets the probe/scan counters. Composite
@@ -620,20 +735,13 @@ impl Relation {
     pub fn clear(&mut self) {
         self.promote_pending();
         self.tuples.clear();
-        self.present = Arc::new(FxHashMap::default());
-        self.indexes = (0..self.arity)
-            .map(|_| Arc::new(FxHashMap::default()))
-            .collect();
-        self.ready = Arc::new(
+        self.present = HashShards::default();
+        self.indexes = vec![HashShards::default(); self.arity];
+        self.ready = Pieces::from_vec(
             self.ready
+                .as_slice()
                 .iter()
-                .map(|ix| {
-                    Arc::new(CompositeIndex {
-                        cols: ix.cols().to_vec(),
-                        buckets: FxHashMap::default(),
-                        probes: AtomicU64::new(0),
-                    })
-                })
+                .map(|ix| CompositeIndex::empty(ix.cols().to_vec()))
                 .collect(),
         );
         self.probes.store(0, Ordering::Relaxed);
@@ -667,14 +775,14 @@ impl Relation {
         }
         // Promoted set first: lock-free, covers every index a snapshot or
         // plan prebuild produced.
-        if let Some(ix) = self.ready.iter().find(|ix| ix.cols() == cols) {
+        if let Some(ix) = self.ready.as_slice().iter().find(|ix| ix.cols() == cols) {
             return Some(Arc::clone(ix));
         }
         let mut guard = lock_pending(&self.pending);
         if let Some(ix) = guard.iter().find(|ix| ix.cols() == cols) {
             return Some(Arc::clone(ix));
         }
-        let ix = Arc::new(CompositeIndex::build(cols.to_vec(), self.tuples.iter()));
+        let ix = Arc::new(CompositeIndex::build(cols.to_vec(), &self.tuples));
         guard.push(Arc::clone(&ix));
         Some(ix)
     }
@@ -685,7 +793,7 @@ impl Relation {
     /// column and filtering the rest.
     ///
     /// Degenerate patterns stay total: an empty pattern is a metered full
-    /// scan returning every id, a single pair delegates to
+    /// scan returning every live id, a single pair delegates to
     /// [`probe`](Relation::probe), duplicate columns collapse (equal
     /// values) or return no rows (conflicting values), and an
     /// out-of-range column matches nothing.
@@ -706,7 +814,7 @@ impl Relation {
         match dedup.as_slice() {
             [] => {
                 self.scans.fetch_add(1, Ordering::Relaxed);
-                (0..self.tuples.len() as u32).collect()
+                self.tuples.live_ids().collect()
             }
             [(c, v)] => self.probe(*c, v).to_vec(),
             _ => {
@@ -726,7 +834,12 @@ impl Relation {
     /// Total probes answered by this relation's composite indexes since
     /// creation or the last [`clear`](Relation::clear).
     pub fn composite_probes(&self) -> u64 {
-        let promoted: u64 = self.ready.iter().map(|ix| ix.probe_count()).sum();
+        let promoted: u64 = self
+            .ready
+            .as_slice()
+            .iter()
+            .map(|ix| ix.probe_count())
+            .sum();
         let pending: u64 = lock_pending(&self.pending)
             .iter()
             .map(|ix| ix.probe_count())
@@ -739,10 +852,11 @@ impl Relation {
         self.ready.len() + lock_pending(&self.pending).len()
     }
 
-    /// A [`DeltaView`] over row ids `start..end` (clamped to the stored
-    /// range), i.e. the tuples a fixpoint iteration appended.
+    /// A [`DeltaView`] over row ids `start..end` (clamped to
+    /// [`high_water`](Relation::high_water)), i.e. the tuples a fixpoint
+    /// iteration appended.
     pub fn delta(&self, start: usize, end: usize) -> DeltaView<'_> {
-        let n = self.tuples.len();
+        let n = self.high_water();
         let end = end.min(n) as u32;
         let start = (start.min(n) as u32).min(end);
         DeltaView {
@@ -750,6 +864,40 @@ impl Relation {
             start,
             end,
         }
+    }
+
+    /// Read-only introspection for the O(Δ) guarantees: how many storage
+    /// pieces of this relation — tuple segments and the shards of the
+    /// presence map, the column indexes and the promoted composite
+    /// indexes — are not the very pieces `other` holds in the same place.
+    /// For a relation and a clone of it that is exactly what the writes
+    /// since the clone copied; indexes `other` lacks count whole.
+    pub fn unshared_pieces(&self, other: &Relation) -> usize {
+        let composites: usize = self
+            .ready
+            .as_slice()
+            .iter()
+            .map(|ix| {
+                let theirs = other.ready.as_slice().iter().find(|o| o.cols == ix.cols);
+                match theirs {
+                    Some(o) => ix.buckets.unshared_with(&o.buckets),
+                    None => ix.buckets.unshared_with(&HashShards::default()),
+                }
+            })
+            .sum();
+        let columns: usize = self
+            .indexes
+            .iter()
+            .enumerate()
+            .map(|(c, ix)| match other.indexes.get(c) {
+                Some(o) => ix.unshared_with(o),
+                None => ix.unshared_with(&HashShards::default()),
+            })
+            .sum();
+        self.tuples.unshared_with(&other.tuples)
+            + self.present.unshared_with(&other.present)
+            + columns
+            + composites
     }
 }
 
@@ -877,7 +1025,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_rebuilds_indexes() {
+    fn remove_tombstones_and_keeps_indexes_consistent() {
         let mut r = sample();
         let gone = Tuple::new(vec![
             Value::sym("ann"),
@@ -888,13 +1036,16 @@ mod tests {
         assert!(!r.remove(&gone));
         assert_eq!(r.len(), 2);
         assert!(!r.contains(&gone));
-        // Index lookups remain consistent after the rebuild.
+        // Index lookups stay consistent; the survivors keep their ids.
         assert_eq!(r.select(&[Some(Value::sym("ann")), None, None]).count(), 1);
         assert_eq!(
             r.select(&[None, Some(Value::sym("databases")), None])
                 .count(),
             1
         );
+        assert_eq!(r.probe(0, &Value::sym("ann")), &[2]);
+        assert_eq!(r.high_water(), 3);
+        assert_eq!(r.probe_cols(&[]), vec![1, 2]);
     }
 
     #[test]
@@ -1012,12 +1163,12 @@ mod tests {
             .unwrap();
         let ix = r.composite(&[0, 1]).unwrap();
         assert_eq!(ix.probe(&[&ann, &db]), &[0, 3]);
-        // Remove rebuilds with renumbered ids and carries the counter.
+        // Remove drops the id in place and carries the counter.
         let probes_before = r.composite_probes();
         assert!(r.remove(&Tuple::new(vec![ann.clone(), db.clone(), Value::Num(4.0),])));
         assert_eq!(r.composite_probes(), probes_before);
         let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&ann, &db]), &[2]);
+        assert_eq!(ix.probe(&[&ann, &db]), &[3]);
         // Clear keeps the definition, drops contents, resets counters.
         r.clear();
         assert_eq!(r.composite_count(), 1);
@@ -1048,10 +1199,10 @@ mod tests {
         assert_eq!(held.probe(&[&ann, &db]), &[0]);
         assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[0, 3]);
 
-        // Remove: the held handle keeps the old ids, not the renumbering.
+        // Remove: the held handle keeps the removed row.
         assert!(r.remove(&Tuple::new(vec![ann.clone(), db.clone(), Value::Num(4.0)])));
         assert_eq!(held.probe(&[&ann, &db]), &[0]);
-        assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[2]);
+        assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[3]);
 
         // Clear: the held handle still answers from its frozen contents.
         r.clear();
@@ -1155,5 +1306,73 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(r.select(&[Some(Value::sym("cara")), None, None]).count(), 1);
+    }
+
+    #[test]
+    fn compaction_renumbers_in_order_once_tombstones_dominate() {
+        let mut r = Relation::new("edge", 2);
+        let row = |i: i64| Tuple::new(vec![Value::Int(i % 3), Value::Int(i)]);
+        for i in 0..10 {
+            r.insert(row(i)).unwrap();
+        }
+        assert!(r.ensure_composite(&[0, 1]));
+        // Five removals leave as many tombstones as live rows: no compaction.
+        assert_eq!(r.remove_batch(&[row(0), row(2), row(4), row(6), row(8)]), 5);
+        assert_eq!((r.len(), r.high_water()), (5, 10));
+        assert_eq!(r.probe(0, &Value::Int(1)), &[1, 7]);
+        // One more tips it: survivors are renumbered densely, in order.
+        assert!(r.remove(&row(5)));
+        assert_eq!((r.len(), r.high_water()), (4, 4));
+        let kept: Vec<Tuple> = r.iter().cloned().collect();
+        assert_eq!(kept, vec![row(1), row(3), row(7), row(9)]);
+        assert_eq!(r.probe(0, &Value::Int(1)), &[0, 2]);
+        assert_eq!(r.probe(0, &Value::Int(0)), &[1, 3]);
+        let ix = r.composite(&[0, 1]).unwrap();
+        assert_eq!(ix.probe(&[&Value::Int(1), &Value::Int(7)]), &[2]);
+        // Appends continue after the compacted range.
+        r.insert(row(11)).unwrap();
+        assert_eq!(r.probe(1, &Value::Int(11)), &[4]);
+        // Emptying a relation compacts it to nothing.
+        let all: Vec<Tuple> = r.iter().cloned().collect();
+        r.remove_batch(&all);
+        assert_eq!((r.len(), r.high_water()), (0, 0));
+    }
+
+    #[test]
+    fn delta_windows_skip_tombstones() {
+        let mut r = Relation::new("edge", 2);
+        for i in 0..6 {
+            r.insert(Tuple::new(vec![Value::sym("a"), Value::Int(i)]))
+                .unwrap();
+        }
+        assert!(r.remove(&Tuple::new(vec![Value::sym("a"), Value::Int(3)])));
+        let d = r.delta(2, 6);
+        assert_eq!(d.len(), 4, "the window is ids, tombstones included");
+        assert_eq!(d.iter().count(), 3);
+        assert_eq!(d.probe(0, &Value::sym("a")), &[2, 4, 5]);
+    }
+
+    #[test]
+    fn a_write_after_a_clone_copies_only_what_it_touches() {
+        let mut r = Relation::new("enroll", 2);
+        for i in 0..5_000 {
+            r.insert(Tuple::new(vec![Value::Int(i), Value::Int(i % 40)]))
+                .unwrap();
+        }
+        assert!(r.ensure_composite(&[0, 1]));
+        let snap = r.clone();
+        assert_eq!(r.unshared_pieces(&snap), 0);
+        r.insert(Tuple::new(vec![Value::Int(-1), Value::Int(7)]))
+            .unwrap();
+        // Tail segment, one presence shard, one shard per column, one
+        // composite shard.
+        let after_insert = r.unshared_pieces(&snap);
+        assert!(after_insert <= 5, "{after_insert} pieces copied");
+        assert!(r.remove(&Tuple::new(vec![Value::Int(17), Value::Int(17)])));
+        let after_remove = r.unshared_pieces(&snap);
+        assert!(after_remove <= 10, "{after_remove} pieces copied");
+        assert_eq!(snap.len(), 5_000);
+        assert_eq!(snap.probe(1, &Value::Int(17)).len(), 125);
+        assert_eq!(r.probe(1, &Value::Int(17)).len(), 124);
     }
 }

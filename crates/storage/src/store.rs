@@ -1,97 +1,216 @@
-//! Segmented append-only tuple storage with structural sharing.
+//! Segmented tuple storage with stable row ids and structural sharing.
 //!
-//! A [`TupleStore`] keeps its rows in fixed-size segments, each behind an
-//! `Arc`. Cloning a store (the heart of epoch snapshots — see
-//! [`epoch`](crate::epoch)) clones only the segment *handles*; the rows
-//! themselves are shared between the writer and every snapshot. After a
-//! clone, the first append copies just the partially filled tail segment
-//! (at most `SEG_LEN - 1` rows); all full segments stay shared forever,
-//! so the cost of an epoch is proportional to the batch, not the store.
+//! A [`TupleStore`] hands out row ids in insertion order and never
+//! reuses or renumbers one until it is [compacted](TupleStore::compacted).
+//! Rows live in fixed-size segments of [`SEG_LEN`] slots, each behind an
+//! `Arc` in a copy-on-write [`Pieces`] directory, so cloning a store (the
+//! heart of epoch snapshots — see [`epoch`](crate::epoch)) bumps one
+//! reference count, and a write after the clone copies only what it
+//! lands in: the tail segment for an append, and for a removal the
+//! 64-byte tombstone bitmap of the row's segment.
 //!
-//! Row ids are dense and insertion-ordered, exactly as when the store was
-//! a plain `Vec<Tuple>`, so index buckets of ascending ids, delta windows,
-//! and the determinism contract are unchanged.
+//! Removal *tombstones* a row — it sets the row's tombstone bit and keeps
+//! the slot — so the ids of every other row, and therefore every index
+//! posting list and delta window over them, stay valid. Two counts follow:
+//! [`len`](TupleStore::len) is the live rows, [`high_water`](TupleStore::high_water)
+//! one past the largest id handed out; id windows (deltas) range over the
+//! latter. Iteration skips tombstones, so the live rows come back in
+//! insertion order — exactly the order a compacting store would give.
 
+use crate::pieces::Pieces;
 use crate::tuple::Tuple;
 use std::sync::Arc;
 
-/// Log2 of the segment length: 512 rows per segment.
+/// Log2 of the segment length.
 const SEG_BITS: usize = 9;
-/// Rows per segment.
-const SEG_LEN: usize = 1 << SEG_BITS;
+/// Rows per segment: a segment a write after a snapshot copies is a few
+/// kilobytes of row handles, and its tombstone bits fit eight words.
+pub(crate) const SEG_LEN: usize = 1 << SEG_BITS;
+/// Words in a segment's tombstone bitmap.
+const TOMB_WORDS: usize = SEG_LEN / 64;
 
-/// An append-only, insertion-ordered tuple sequence stored in `Arc`-shared
-/// segments. Supports O(1) access by dense row id and cheap cloning with
-/// copy-on-write appends.
+/// The tombstone bits of one segment. Kept apart from the rows so a
+/// removal after a snapshot copies these 64 bytes, not the segment.
+#[derive(Clone, Debug, Default)]
+struct Tombs {
+    bits: [u64; TOMB_WORDS],
+}
+
+impl Tombs {
+    fn has(&self, slot: usize) -> bool {
+        self.bits[slot / 64] & (1 << (slot % 64)) != 0
+    }
+}
+
+/// An insertion-ordered tuple sequence with stable ids and tombstones,
+/// stored in `Arc`-shared segments (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TupleStore {
-    segs: Vec<Arc<Vec<Tuple>>>,
-    len: usize,
+    segs: Pieces<Vec<Tuple>>,
+    /// Tombstone bitmaps, one per segment up to the last one holding a
+    /// tombstone (a store nothing was removed from has none).
+    tombs: Pieces<Tombs>,
+    high_water: usize,
+    live: usize,
 }
 
 impl TupleStore {
-    /// Number of stored rows.
+    /// Number of live rows.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.live
     }
 
-    /// True if no rows are stored.
+    /// True if no row is live.
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.live == 0
     }
 
-    /// Appends a row at the next dense id. Copies the tail segment first
-    /// if a snapshot still shares it.
-    pub(crate) fn push(&mut self, t: Tuple) {
-        if self.len.is_multiple_of(SEG_LEN) {
-            self.segs.push(Arc::new(Vec::with_capacity(SEG_LEN)));
+    /// One past the largest row id handed out (live or tombstoned).
+    pub(crate) fn high_water(&self) -> usize {
+        self.high_water
+    }
+
+    /// Number of tombstoned rows.
+    pub(crate) fn dead(&self) -> usize {
+        self.high_water - self.live
+    }
+
+    /// Appends a row at the next id and returns it. Copies the tail
+    /// segment first if a snapshot still shares it.
+    pub(crate) fn push(&mut self, t: Tuple) -> u32 {
+        let id = self.high_water;
+        if id.is_multiple_of(SEG_LEN) {
+            self.segs.push(Vec::with_capacity(SEG_LEN));
         }
-        let tail = self
-            .segs
-            .last_mut()
-            .expect("tuple store tail segment exists after push check");
-        Arc::make_mut(tail).push(t);
-        self.len += 1;
+        let last = self.segs.len() - 1;
+        self.segs.make_mut(last).push(t);
+        self.high_water += 1;
+        self.live += 1;
+        id as u32
     }
 
-    /// The row stored at id `id`.
+    /// The row stored at id `id` (callers pass ids of live rows: index
+    /// postings never hold a tombstoned id).
     ///
     /// # Panics
     ///
-    /// Panics if `id >= len()`.
+    /// Panics if `id >= high_water()`.
     pub(crate) fn get(&self, id: u32) -> &Tuple {
         let i = id as usize;
-        debug_assert!(i < self.len, "row id {i} out of range (len {})", self.len);
-        &self.segs[i >> SEG_BITS][i & (SEG_LEN - 1)]
+        &self.segs.get(i >> SEG_BITS)[i & (SEG_LEN - 1)]
     }
 
-    /// Iterates all rows in id order.
-    pub(crate) fn iter(&self) -> TupleIter<'_> {
-        TupleIter {
-            outer: self.segs.iter(),
-            inner: [].iter(),
+    /// True if row `id` is tombstoned.
+    fn is_dead(&self, id: usize) -> bool {
+        self.tombs
+            .as_slice()
+            .get(id >> SEG_BITS)
+            .is_some_and(|t| t.has(id & (SEG_LEN - 1)))
+    }
+
+    /// Tombstones the live row `id` (copying its segment's bitmap, not the
+    /// segment, if a snapshot shares it).
+    pub(crate) fn kill(&mut self, id: u32) {
+        let i = id as usize;
+        debug_assert!(!self.is_dead(i), "row {id} tombstoned twice");
+        let seg = i >> SEG_BITS;
+        while self.tombs.len() <= seg {
+            self.tombs.push(Tombs::default());
         }
+        let slot = i & (SEG_LEN - 1);
+        self.tombs.make_mut(seg).bits[slot / 64] |= 1 << (slot % 64);
+        self.live -= 1;
     }
 
-    /// Iterates the rows with ids in `start..end` (callers clamp).
-    pub(crate) fn iter_range(&self, start: usize, end: usize) -> impl Iterator<Item = &Tuple> {
-        debug_assert!(start <= end && end <= self.len, "window out of range");
-        (start..end).map(move |i| self.get(i as u32))
+    /// Iterates the live rows in id order.
+    pub(crate) fn iter(&self) -> TupleIter<'_> {
+        self.iter_range(0, self.high_water)
     }
 
-    /// Drops every row.
+    /// Iterates the live rows with ids in `start..end` (callers clamp).
+    pub(crate) fn iter_range(&self, start: usize, end: usize) -> TupleIter<'_> {
+        debug_assert!(
+            start <= end && end <= self.high_water,
+            "window out of range"
+        );
+        let mut it = TupleIter {
+            rows: [].iter(),
+            tombs: None,
+            slot: 0,
+            segs: self.segs.as_slice(),
+            all_tombs: self.tombs.as_slice(),
+            next_seg: 0,
+            end,
+            exact: self.dead() == 0,
+        };
+        if start < end {
+            let seg = start >> SEG_BITS;
+            it.enter(seg, start & (SEG_LEN - 1));
+        } else {
+            it.next_seg = it.segs.len();
+        }
+        it
+    }
+
+    /// The live ids in order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.high_water)
+            .filter(|&i| !self.is_dead(i))
+            .map(|i| i as u32)
+    }
+
+    /// A dense copy holding the live rows in order, plus the map from old
+    /// id to new (`u32::MAX` for tombstones). Monotone, so posting lists
+    /// remapped through it stay ascending.
+    pub(crate) fn compacted(&self) -> (TupleStore, Vec<u32>) {
+        let mut remap = vec![u32::MAX; self.high_water];
+        let mut fresh = TupleStore::default();
+        for id in self.live_ids() {
+            remap[id as usize] = fresh.push(self.get(id).clone());
+        }
+        (fresh, remap)
+    }
+
+    /// Drops every row and resets the ids.
     pub(crate) fn clear(&mut self) {
-        self.segs.clear();
-        self.len = 0;
+        *self = TupleStore::default();
+    }
+
+    /// How many segments and tombstone bitmaps are not the very pieces
+    /// `other` holds at the same position.
+    pub(crate) fn unshared_with(&self, other: &TupleStore) -> usize {
+        self.segs.unshared_with(&other.segs) + self.tombs.unshared_with(&other.tombs)
     }
 }
 
-/// Iterator over a `TupleStore`'s rows in id order (also the iterator
+/// Iterator over a relation's live rows in id order (also the iterator
 /// type of `&Relation`).
 #[derive(Clone, Debug)]
 pub struct TupleIter<'a> {
-    outer: std::slice::Iter<'a, Arc<Vec<Tuple>>>,
-    inner: std::slice::Iter<'a, Tuple>,
+    /// The rows of the segment being walked, from `slot` up to the end of
+    /// the window, and that segment's tombstones (`None`: it has none).
+    rows: std::slice::Iter<'a, Tuple>,
+    tombs: Option<&'a Tombs>,
+    slot: usize,
+    segs: &'a [Arc<Vec<Tuple>>],
+    all_tombs: &'a [Arc<Tombs>],
+    /// The segment after the one being walked.
+    next_seg: usize,
+    end: usize,
+    /// No tombstone anywhere in the store: the id count is the row count.
+    exact: bool,
+}
+
+impl<'a> TupleIter<'a> {
+    /// Starts walking segment `seg` at `slot`.
+    fn enter(&mut self, seg: usize, slot: usize) {
+        let rows = &self.segs[seg];
+        let hi = (self.end - (seg << SEG_BITS)).min(rows.len());
+        self.rows = rows[slot..hi].iter();
+        self.tombs = self.all_tombs.get(seg).map(|t| &**t);
+        self.slot = slot;
+        self.next_seg = seg + 1;
+    }
 }
 
 impl<'a> Iterator for TupleIter<'a> {
@@ -99,20 +218,25 @@ impl<'a> Iterator for TupleIter<'a> {
 
     fn next(&mut self) -> Option<&'a Tuple> {
         loop {
-            if let Some(t) = self.inner.next() {
+            if let Some(t) = self.rows.next() {
+                let slot = self.slot;
+                self.slot += 1;
+                if self.tombs.is_some_and(|d| d.has(slot)) {
+                    continue;
+                }
                 return Some(t);
             }
-            match self.outer.next() {
-                Some(seg) => self.inner = seg.iter(),
-                None => return None,
+            if self.next_seg >= self.segs.len() || self.next_seg << SEG_BITS >= self.end {
+                return None;
             }
+            self.enter(self.next_seg, 0);
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest: usize = self.outer.clone().map(|s| s.len()).sum();
-        let n = self.inner.len() + rest;
-        (n, Some(n))
+        let later = self.end.saturating_sub(self.next_seg << SEG_BITS);
+        let ids = self.rows.len() + later;
+        (if self.exact { ids } else { 0 }, Some(ids))
     }
 }
 
@@ -125,62 +249,79 @@ mod tests {
         Tuple::new(vec![Value::Int(i)])
     }
 
+    fn ints(it: TupleIter<'_>) -> Vec<i64> {
+        it.map(|t| match t.get(0) {
+            Some(Value::Int(i)) => *i,
+            other => panic!("unexpected value {other:?}"),
+        })
+        .collect()
+    }
+
     #[test]
     fn push_get_iter_across_segment_boundaries() {
         let mut s = TupleStore::default();
         let n = SEG_LEN * 2 + 7;
         for i in 0..n {
-            s.push(row(i as i64));
+            assert_eq!(s.push(row(i as i64)), i as u32);
         }
         assert_eq!(s.len(), n);
+        assert_eq!(s.high_water(), n);
         assert!(!s.is_empty());
         assert_eq!(s.get(0), &row(0));
-        assert_eq!(s.get((SEG_LEN - 1) as u32), &row(SEG_LEN as i64 - 1));
         assert_eq!(s.get(SEG_LEN as u32), &row(SEG_LEN as i64));
         assert_eq!(s.get((n - 1) as u32), &row(n as i64 - 1));
-        let all: Vec<i64> = s
-            .iter()
-            .map(|t| match t.get(0) {
-                Some(Value::Int(i)) => *i,
-                other => panic!("unexpected value {other:?}"),
-            })
-            .collect();
-        assert_eq!(all, (0..n as i64).collect::<Vec<_>>());
-        assert_eq!(s.iter().size_hint(), (n, Some(n)));
-        let window: Vec<&Tuple> = s.iter_range(SEG_LEN - 2, SEG_LEN + 2).collect();
+        assert_eq!(ints(s.iter()), (0..n as i64).collect::<Vec<_>>());
         assert_eq!(
-            window,
+            ints(s.iter_range(SEG_LEN - 2, SEG_LEN + 2)),
             vec![
-                &row(SEG_LEN as i64 - 2),
-                &row(SEG_LEN as i64 - 1),
-                &row(SEG_LEN as i64),
-                &row(SEG_LEN as i64 + 1),
+                SEG_LEN as i64 - 2,
+                SEG_LEN as i64 - 1,
+                SEG_LEN as i64,
+                SEG_LEN as i64 + 1
             ]
         );
     }
 
     #[test]
-    fn clones_share_full_segments_and_copy_only_the_tail() {
+    fn tombstones_keep_ids_and_skip_in_iteration() {
         let mut s = TupleStore::default();
-        for i in 0..(SEG_LEN + 3) {
+        for i in 0..10 {
+            s.push(row(i));
+        }
+        s.kill(3);
+        s.kill(0);
+        assert_eq!((s.len(), s.high_water(), s.dead()), (8, 10, 2));
+        assert_eq!(ints(s.iter()), vec![1, 2, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(ints(s.iter_range(2, 5)), vec![2, 4]);
+        // Surviving ids are untouched; a re-insert appends.
+        assert_eq!(s.get(4), &row(4));
+        assert_eq!(s.push(row(3)), 10);
+        let (dense, remap) = s.compacted();
+        assert_eq!(ints(dense.iter()), ints(s.iter()));
+        assert_eq!((dense.len(), dense.high_water()), (9, 9));
+        assert_eq!(remap[0], u32::MAX);
+        assert_eq!(remap[4], 2);
+        assert_eq!(remap[10], 8);
+    }
+
+    #[test]
+    fn clones_share_segments_and_copy_only_the_touched_one() {
+        let mut s = TupleStore::default();
+        for i in 0..(SEG_LEN * 2 + 3) {
             s.push(row(i as i64));
         }
         let snap = s.clone();
-        // Appending to the original copies only the (shared) tail segment.
         s.push(row(-1));
-        assert!(
-            Arc::ptr_eq(&s.segs[0], &snap.segs[0]),
-            "full segment shared"
+        assert_eq!(s.unshared_with(&snap), 1, "only the tail is copied");
+        s.kill(1);
+        assert_eq!(
+            s.unshared_with(&snap),
+            2,
+            "a removal adds one tombstone bitmap, not a segment copy"
         );
-        assert!(
-            !Arc::ptr_eq(&s.segs[1], &snap.segs[1]),
-            "tail copied on write"
-        );
-        assert_eq!(snap.len(), SEG_LEN + 3);
-        assert_eq!(s.len(), SEG_LEN + 4);
-        assert_eq!(s.get((SEG_LEN + 3) as u32), &row(-1));
-        // The snapshot never sees the append.
-        assert_eq!(snap.iter().count(), SEG_LEN + 3);
+        assert_eq!(snap.len(), SEG_LEN * 2 + 3);
+        assert_eq!(snap.iter().count(), SEG_LEN * 2 + 3);
+        assert_eq!(s.iter().count(), SEG_LEN * 2 + 3);
     }
 
     #[test]
@@ -190,7 +331,7 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
-        s.push(row(2));
+        assert_eq!(s.push(row(2)), 0);
         assert_eq!(s.get(0), &row(2));
     }
 }

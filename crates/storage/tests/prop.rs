@@ -8,6 +8,14 @@
 //! the same relation. The access-path counters are checked for
 //! monotonicity along the way — they only move forward, except at
 //! `clear`, which documents a reset to zero.
+//!
+//! A second property pins the storage model itself: under random
+//! interleavings of `insert` / `remove` / `remove_batch` / `clone` /
+//! `ensure_composite`, applied to the original and to its clones alike,
+//! every live relation equals a plain `Vec<Tuple>` model in iteration
+//! order (removal filters, re-insertion appends) — stable row ids,
+//! tombstones and compaction must never show through — and a third bounds
+//! what a write after a clone copies.
 
 use proptest::prelude::*;
 use qdk_storage::{Relation, Tuple, Value};
@@ -183,5 +191,139 @@ proptest! {
                 "remove dropped a counter during index rebuild"
             );
         }
+    }
+}
+
+/// One step of the storage-model property: a mutation aimed at one of the
+/// live relations (`target` is reduced modulo their count).
+#[derive(Clone, Debug)]
+enum ModelOp {
+    Insert(usize, [i64; ARITY]),
+    Remove(usize, [i64; ARITY]),
+    RemoveBatch(usize, Vec<[i64; ARITY]>),
+    Clone(usize),
+    EnsureComposite(usize, usize),
+}
+
+const COL_SETS: [&[usize]; 4] = [&[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
+
+fn arb_model_op() -> impl Strategy<Value = ModelOp> {
+    prop_oneof![
+        6 => (0usize..8, arb_vals()).prop_map(|(i, v)| ModelOp::Insert(i, v)),
+        3 => (0usize..8, arb_vals()).prop_map(|(i, v)| ModelOp::Remove(i, v)),
+        1 => (0usize..8, proptest::collection::vec(arb_vals(), 1..6))
+            .prop_map(|(i, vs)| ModelOp::RemoveBatch(i, vs)),
+        1 => (0usize..8).prop_map(ModelOp::Clone),
+        1 => (0usize..8, 0usize..COL_SETS.len()).prop_map(|(i, c)| ModelOp::EnsureComposite(i, c)),
+    ]
+}
+
+/// The relation must read back exactly as its model: same rows, same
+/// order, same length, and every live id resolves to the row at its
+/// position.
+fn check_model(rel: &Relation, model: &[Tuple]) -> Result<(), TestCaseError> {
+    let rows: Vec<Tuple> = rel.iter().cloned().collect();
+    prop_assert_eq!(&rows, &model.to_vec(), "iteration order");
+    prop_assert_eq!(rel.len(), model.len());
+    prop_assert!(rel.high_water() >= rel.len(), "high-water mark below len");
+    let by_id = resolve(rel, &rel.probe_cols(&[]));
+    prop_assert_eq!(&by_id, &model.to_vec(), "live ids in order");
+    for t in model {
+        prop_assert!(rel.contains(t), "model row {} not contained", t);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Clones are snapshots and the original is a snapshot of its clones:
+    /// whichever side a write lands on, every live relation stays equal
+    /// to its own `Vec<Tuple>` model, and its probes to its scans.
+    #[test]
+    fn clones_match_a_vec_model_under_random_interleavings(
+        ops in proptest::collection::vec(arb_model_op(), 1..120),
+    ) {
+        let mut live: Vec<(Relation, Vec<Tuple>)> = vec![(Relation::new("p", ARITY), Vec::new())];
+        for op in &ops {
+            let n = live.len();
+            match op {
+                ModelOp::Insert(i, vals) => {
+                    let (rel, model) = &mut live[i % n];
+                    let t = tuple(vals);
+                    let fresh = !model.contains(&t);
+                    prop_assert_eq!(rel.insert(t.clone()).expect("arity matches"), fresh);
+                    if fresh {
+                        model.push(t);
+                    }
+                }
+                ModelOp::Remove(i, vals) => {
+                    let (rel, model) = &mut live[i % n];
+                    let t = tuple(vals);
+                    let present = model.contains(&t);
+                    prop_assert_eq!(rel.remove(&t), present);
+                    model.retain(|m| *m != t);
+                }
+                ModelOp::RemoveBatch(i, batch) => {
+                    let (rel, model) = &mut live[i % n];
+                    let batch: Vec<Tuple> = batch.iter().map(tuple).collect();
+                    let hits = model.iter().filter(|m| batch.contains(m)).count();
+                    prop_assert_eq!(rel.remove_batch(batch.iter()), hits);
+                    model.retain(|m| !batch.contains(m));
+                }
+                ModelOp::Clone(i) => {
+                    if n < 6 {
+                        let (rel, model) = &live[i % n];
+                        let copy = (rel.clone(), model.clone());
+                        live.push(copy);
+                    }
+                }
+                ModelOp::EnsureComposite(i, c) => {
+                    prop_assert!(live[i % n].0.ensure_composite(COL_SETS[*c]));
+                }
+            }
+            for (rel, model) in &live {
+                check_model(rel, model)?;
+            }
+        }
+        for (rel, _) in &live {
+            check_probes_match_scan(rel)?;
+        }
+    }
+}
+
+proptest! {
+    // Each case builds a 3 000-row relation: a dozen cases cover the
+    // write mixes without dominating the suite's run time.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A write after a clone copies what it touches, not the relation:
+    /// after k single-row writes, at most a constant number of pieces per
+    /// write (a segment or tombstone bitmap, one presence shard, one shard
+    /// per column and per composite index) differ from the clone's.
+    #[test]
+    fn a_write_after_a_clone_copies_at_most_a_few_pieces_per_write(
+        writes in proptest::collection::vec((0u8..2, 0usize..3_000), 1..40),
+    ) {
+        let row = |k: i64| Tuple::new(vec![v(k), v(k % 40), v(k % 7)]);
+        let mut rel = Relation::new("p", ARITY);
+        for k in 0..3_000 {
+            rel.insert(row(k)).expect("arity matches");
+        }
+        prop_assert!(rel.ensure_composite(&[1, 2]));
+        let snap = rel.clone();
+        prop_assert_eq!(rel.unshared_pieces(&snap), 0);
+        for (j, &(kind, k)) in writes.iter().enumerate() {
+            if kind == 0 {
+                rel.insert(row(3_000 + j as i64)).expect("arity matches");
+            } else {
+                rel.remove(&row(k as i64));
+            }
+        }
+        let per_write = 2 + ARITY + 1;
+        let copied = rel.unshared_pieces(&snap);
+        prop_assert!(
+            copied <= per_write * writes.len(),
+            "{} pieces copied by {} writes", copied, writes.len()
+        );
+        prop_assert_eq!(snap.len(), 3_000);
     }
 }

@@ -203,11 +203,13 @@ pub struct Applied {
     /// Maintenance downgrades queued for the next retrieve's answer
     /// (copies — the answer still receives them).
     pub downgrades: Vec<Downgrade>,
-    /// Describe-cache movement under this batch: hits/misses are zero
-    /// here (queries do not run inside a mutation); `evicted` counts
+    /// Describe-cache movement under this batch: `evicted` counts
     /// entries invalidated by rule/constraint changes and `survived`
     /// counts entries kept because a new rule was θ-subsumed by an
-    /// existing one.
+    /// existing one. The cache is shared with every published epoch of
+    /// the same rules generation, so `hits`/`misses` count the lookups
+    /// concurrent snapshot readers made while the batch ran (zero without
+    /// concurrent readers: queries do not run inside a mutation).
     pub describe_cache: CacheStats,
 }
 

@@ -597,12 +597,15 @@ impl SnapshotSession {
     }
 
     /// Evaluates a knowledge query against the pinned epoch. Readers of
-    /// one epoch share its describe-answer cache and its prepared rule
-    /// base: whichever reader asks first builds the preparation, the rest
-    /// reuse it, and the next publish carries it forward while the rules
-    /// stay unchanged. Both sit behind a mutex held for the lookup — and,
-    /// the first time in a rules generation, for building the preparation
-    /// — so the describe family is where a snapshot reader takes a lock.
+    /// one epoch share its prepared rule base: whichever reader asks first
+    /// builds the preparation, the rest reuse it, and the next publish
+    /// carries it forward while the rules stay unchanged. Describe answers
+    /// are shared more widely still: every epoch of one rules generation,
+    /// and the writer, hold the same describe cache, so an answer computed
+    /// on this epoch is a hit on the next. Both sit behind a mutex held for
+    /// the lookup — and, the first time in a rules generation, for building
+    /// the preparation — so the describe family is where a snapshot reader
+    /// takes a lock.
     pub fn describe(&self, request: Request) -> Result<Response> {
         self.serve(request, Some(Keyword::Describe))
     }

@@ -6,8 +6,13 @@
 //! describe-family statements prepared the rule base and which reused the
 //! preparation. They are exact counts, so the tests below pin them on a
 //! 600-rule layered rule base built right here.
+//!
+//! Describe *answers* are shared the same way: one describe cache per
+//! rules generation, held by the writer and by every epoch published
+//! while the rules stay unchanged, so a describe a reader runs on one
+//! epoch is a hit on the next.
 
-use qdk::{Request, Session};
+use qdk::{Mutation, Request, Session, SnapshotSession};
 use std::fmt::Write;
 
 const LEVELS: usize = 3;
@@ -155,4 +160,51 @@ fn snapshot_readers_share_preparations_across_epochs() {
     assert!(reader.refresh());
     reader.describe(request("pol0_0(X)")).unwrap();
     assert_eq!(prep_counts(&s), (2, 2));
+}
+
+/// `(hits, misses)` of the describe cache `reader`'s epoch holds.
+fn cache_counts(reader: &SnapshotSession) -> (u64, u64) {
+    let stats = reader.knowledge_base().describe_cache_stats();
+    (stats.hits, stats.misses)
+}
+
+/// Runs `ask` on `reader` and returns the rendered answer with the
+/// `(hits, misses)` it added to the reader's describe cache.
+fn describe_on(reader: &SnapshotSession, ask: Request) -> (String, (u64, u64)) {
+    let (h0, m0) = cache_counts(reader);
+    let answer = reader.describe(ask).unwrap().to_string();
+    let (h1, m1) = cache_counts(reader);
+    (answer, (h1 - h0, m1 - m0))
+}
+
+#[test]
+fn describe_cache_is_shared_by_every_epoch_of_one_rules_generation() {
+    let mut s = policy_session();
+    let mut reader = s.snapshot().unwrap();
+    let ask = || Request::subject("pol1_7(X)");
+    let (first, moved) = describe_on(&reader, ask());
+    assert_eq!(moved, (0, 1), "the first describe computes");
+
+    // A fact commit publishes a new epoch of the same rules generation:
+    // the answer a reader of the old epoch computed is a hit there.
+    s.apply(Mutation::new().insert("attr0(widget, 7)")).unwrap();
+    s.publish().unwrap();
+    let pinned = reader.clone();
+    assert!(reader.refresh());
+    assert_eq!(describe_on(&reader, ask()), (first.clone(), (1, 0)));
+
+    // A rule commit that reaches the subject is a new generation: a miss
+    // there, with the new theorem in the answer.
+    s.apply(Mutation::new().rule("pol1_7(X) :- vip(X)"))
+        .unwrap();
+    s.publish().unwrap();
+    assert!(reader.refresh());
+    let (changed, moved) = describe_on(&reader, ask());
+    assert_eq!(moved, (0, 1));
+    assert!(changed.contains("pol1_7(X) ← vip(X)"), "{changed}");
+    assert!(!first.contains("vip(X)"), "{first}");
+
+    // A reader pinned to an epoch before the rule change still hits, and
+    // still gets the answer its rules give.
+    assert_eq!(describe_on(&pinned, ask()), (first, (1, 0)));
 }
