@@ -790,7 +790,7 @@ pub(crate) fn fire_plan(
 /// How often a firing polls the governor for cancellation/deadline, in
 /// emitted frames. Emission-based so the check is free for rules that
 /// produce nothing; the coordinator's per-task ticks still bound work.
-const FIRE_POLL_EMISSIONS: u64 = 4096;
+pub(crate) const FIRE_POLL_EMISSIONS: u64 = 4096;
 
 /// Fires a compiled rule once against a view, collecting the head tuples
 /// not already in the view's derived store into a buffer the coordinator

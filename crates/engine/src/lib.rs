@@ -50,6 +50,6 @@ pub use options::EvalOptions;
 pub use plan::{ProgramPlan, RulePlan};
 pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use query::{
-    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_with, AutoChoice, DataAnswer,
-    Downgrade, Mode, Retrieve, Strategy,
+    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_precomputed_with, retrieve_with,
+    AutoChoice, DataAnswer, Downgrade, Mode, Retrieve, Strategy,
 };

@@ -11,13 +11,14 @@
 //! predicate altogether, in which case it is taken to be defined through
 //! `ψ` (the paper's Example 2 uses the fresh predicate `answer`).
 
-use crate::bindings::{exec, DerivedFacts, FactView};
+use crate::bindings::{exec, DerivedFacts, FactView, FIRE_POLL_EMISSIONS};
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive;
 use crate::topdown::Solver;
+use qdk_logic::governor::Governor;
 use qdk_logic::obs::ObsSink;
 use qdk_logic::{Atom, Frame, FxHashSet, Interner, Literal, Rule, Subst, Term, Var};
 use qdk_storage::{Edb, Tuple, Value};
@@ -380,10 +381,11 @@ pub fn retrieve_compiled(
         project_answer(query, &columns, substs)
     };
     // Bottom-up answers: the goal conjunction against EDB + materialized
-    // facts.
+    // facts, under the statement's deadline and cancel token.
+    let gov = opts.governor();
     let solve = |derived: &DerivedFacts| {
         let _span = obs.span("project", 0);
-        solve_projected(edb, derived, &goals, query, &columns)
+        solve_projected(edb, derived, &goals, query, &columns, &gov)
     };
     let answer = match auto.map_or(Some(strategy), AutoChoice::evaluator) {
         // No goal is derived: nothing to materialize.
@@ -486,8 +488,21 @@ pub fn retrieve_precomputed(
     derived: &DerivedFacts,
     query: &Retrieve,
 ) -> Result<DataAnswer> {
+    retrieve_precomputed_with(edb, idb, derived, query, EvalOptions::default())
+}
+
+/// [`retrieve_precomputed`] under `opts`' deadline and cancel token: a
+/// large stored join stops when either trips, with
+/// [`EngineError::Exhausted`].
+pub fn retrieve_precomputed_with(
+    edb: &Edb,
+    idb: &Idb,
+    derived: &DerivedFacts,
+    query: &Retrieve,
+    opts: EvalOptions,
+) -> Result<DataAnswer> {
     let (columns, goals) = query_goals(edb, idb, query)?;
-    solve_projected(edb, derived, &goals, query, &columns)
+    solve_projected(edb, derived, &goals, query, &columns, &opts.governor())
 }
 
 /// Solves a goal conjunction against the EDB plus a materialized derived
@@ -495,13 +510,16 @@ pub fn retrieve_precomputed(
 /// columns. Row content, order, and deduplication are identical to
 /// solving into substitutions and then projecting with
 /// [`project_answer`]; skipping the per-row substitution map is the
-/// bottom-up answer fast path.
+/// bottom-up answer fast path. `gov` is polled every
+/// [`FIRE_POLL_EMISSIONS`] satisfying frames, the cadence rule firings
+/// use.
 fn solve_projected(
     edb: &Edb,
     derived: &DerivedFacts,
     goals: &[Literal],
     query: &Retrieve,
     columns: &[Var],
+    gov: &Governor,
 ) -> Result<DataAnswer> {
     if let Some(rows) = full_extension(edb, derived, goals, columns) {
         return Ok(DataAnswer {
@@ -520,7 +538,13 @@ fn solve_projected(
     let mut rows: Vec<Tuple> = Vec::new();
     let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut unbound = false;
+    let mut emitted = 0u64;
     exec(&plan, 0, &view, &mut frame, &mut |f| {
+        emitted += 1;
+        if emitted == FIRE_POLL_EMISSIONS {
+            emitted = 0;
+            gov.poll()?;
+        }
         let mut row: Vec<Value> = Vec::with_capacity(columns.len());
         for slot in &slots {
             match slot.and_then(|s| f.get(s)) {

@@ -614,7 +614,7 @@ impl KnowledgeBase {
                     format!("not stored: {atom}")
                 }))
             }
-            _ => self.query(stmt),
+            _ => self.serve(stmt, self.strategy, &self.opts, None),
         }
     }
 

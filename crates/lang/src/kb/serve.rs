@@ -98,12 +98,6 @@ impl KnowledgeBase {
         })
     }
 
-    /// [`Self::serve`] under this knowledge base's own strategy and
-    /// options, through the plan cache.
-    pub fn query(&self, stmt: &Statement) -> Result<Answer> {
-        self.serve(stmt, self.strategy, &self.opts, None)
-    }
-
     /// `retrieve` (data query, §3.1). The same resource limits,
     /// cancellation token and worker count that govern `describe` bound
     /// the engine evaluation: this is the one place the engine's
@@ -119,10 +113,17 @@ impl KnowledgeBase {
         pinned: Option<&ProgramPlan>,
     ) -> Result<DataAnswer> {
         let obs = &opts.sink;
+        let eval = EvalOptions {
+            limits: opts.limits,
+            cancel: opts.cancel.clone(),
+            parallelism: opts.parallelism,
+            sink: obs.clone(),
+        };
         if let Some(store) = self.maintained_for(strategy) {
             let _span = obs.span("execute", 0);
             obs.counter("maintained_serve", 1);
-            let mut answer = query::retrieve_precomputed(&self.edb, &self.idb, store.derived(), r)?;
+            let mut answer =
+                query::retrieve_precomputed_with(&self.edb, &self.idb, store.derived(), r, eval)?;
             if strategy == Strategy::Auto {
                 obs.counter(AutoChoice::Maintained.counter(), 1);
                 answer.auto = Some(AutoChoice::Maintained);
@@ -148,12 +149,6 @@ impl KnowledgeBase {
                 cached = plan;
                 &*cached
             }
-        };
-        let eval = EvalOptions {
-            limits: opts.limits,
-            cancel: opts.cancel.clone(),
-            parallelism: opts.parallelism,
-            sink: obs.clone(),
         };
         let _span = obs.span("execute", 0);
         let mut answer = query::retrieve_compiled(&self.edb, &self.idb, plan, r, strategy, eval)?;

@@ -4,9 +4,9 @@
 //! The design goal is *zero cost when disabled*: the hot paths hold an
 //! [`ObsSink`] handle whose `enabled` flag is a plain `bool` captured at
 //! construction, so a disabled sink costs one predictable branch and no
-//! virtual call, no clock read, and no allocation (the `BENCH_obs.json`
-//! artifact guards this — see DESIGN.md §12). When enabled, events flow to
-//! a pluggable [`Sink`]:
+//! virtual call, no clock read, and no allocation (`benchmark/` reports
+//! the traced-vs-untraced ratio — see DESIGN.md §12). When enabled,
+//! events flow to a pluggable [`Sink`]:
 //!
 //! * [`NullSink`] — accepts and discards everything (useful to measure the
 //!   cost of the *enabled* plumbing itself);

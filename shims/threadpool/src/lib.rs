@@ -1,9 +1,9 @@
 //! Minimal in-tree bounded parallel executor.
 //!
-//! The build environment has no registry access, so — like the `rand`,
-//! `proptest` and `criterion` shims — this crate provides exactly the
-//! parallel-execution surface the workspace needs, on `std::thread` alone:
-//! no work stealing, no task queues, no unsafe code.
+//! The build environment has no registry access, so — like the `rand` and
+//! `proptest` shims — this crate provides exactly the parallel-execution
+//! surface the workspace needs, on `std::thread` alone: no work stealing,
+//! no task queues, no unsafe code.
 //!
 //! The model is *permit-based structured fork/join*: a [`Pool`] holds a
 //! fixed number of permits (worker slots). [`Pool::join_all`] runs a batch

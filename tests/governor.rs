@@ -129,6 +129,41 @@ fn cancellation_aborts_retrieve() {
     assert_eq!(e.resource, Resource::Cancelled);
 }
 
+/// A retrieve whose goals are all stored runs no evaluator — `Auto`
+/// answers it by joining the stored relations, and so does a live
+/// maintained store — but the join is still governed: a four-way cross
+/// product of 60-fact relations (13 million frames) stops at a 50 ms
+/// deadline instead of running to completion.
+#[test]
+fn stored_only_cross_product_stops_at_the_deadline() {
+    let mut src =
+        String::from("predicate a(N).\npredicate b(N).\npredicate c(N).\npredicate d(N).\n");
+    for i in 0..60 {
+        src.push_str(&format!("a(n{i}). b(n{i}). c(n{i}). d(n{i}).\n"));
+    }
+    let mut maintained = kb_from(&src);
+    maintained.materialize_maintained().unwrap();
+    let limits = ResourceLimits::default().with_deadline(Duration::from_millis(50));
+    for (what, kb) in [("stored", kb_from(&src)), ("maintained", maintained)] {
+        let session = Session::over(kb);
+        let started = std::time::Instant::now();
+        let err = session
+            .retrieve(
+                Request::subject("answer(W)")
+                    .where_clause("a(W), b(X), c(Y), d(Z)")
+                    .limits(limits),
+            )
+            .expect_err("the deadline must stop the join");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{what}: {:?}",
+            started.elapsed()
+        );
+        let e = err.exhausted().unwrap_or_else(|| panic!("{what}: {err:?}"));
+        assert_eq!(e.resource, Resource::Deadline, "{what}");
+    }
+}
+
 /// Cancellation arriving *mid-fixpoint* from another thread stops the
 /// parallel workers promptly: the shared governor trips once, every
 /// worker observes it at its next poll, and the evaluation returns the

@@ -77,7 +77,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Randomized graphs: transitive closure agrees across strategies,
-    /// including constant-bound queries.
+    /// including constant-bound queries, and so do the join-heavy J1
+    /// shapes — the unbound 3-cycle self-join and a bound 3-hop path.
     #[test]
     fn random_graphs_agree(
         edges in proptest::collection::vec((0u8..7, 0u8..7), 1..16),
@@ -87,7 +88,9 @@ proptest! {
         kb.load(
             "predicate edge(A, B).\n\
              tc(X, Y) :- edge(X, Y).\n\
-             tc(X, Y) :- edge(X, Z), tc(Z, Y).",
+             tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
+             triangle(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(Z, X).\n\
+             path3(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).",
         ).unwrap();
         for (a, b) in &edges {
             kb.run(&format!("edge(n{a}, n{b}).")).unwrap();
@@ -96,6 +99,8 @@ proptest! {
         assert_agree(&kb, &format!("tc(n{probe}, Y)"), "");
         assert_agree(&kb, &format!("tc(X, n{probe})"), "");
         assert_agree(&kb, "answer(X)", &format!("tc(X, n{probe}), edge(n{probe}, X)"));
+        assert_agree(&kb, "triangle(X, Y, Z)", "");
+        assert_agree(&kb, &format!("path3(n{probe}, W)"), "");
     }
 
     /// Randomized stratified-negation workloads agree too.
