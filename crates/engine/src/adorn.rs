@@ -7,11 +7,13 @@
 //! bindings sideways — a positive database literal binds every variable
 //! it mentions, a built-in `=` binds both sides once either is bound,
 //! and other comparisons only filter. This module is the single source
-//! of truth for which adornment a body literal receives.
+//! of truth for which adornment a body literal receives, and for the one
+//! departure from left-to-right order: a *persistent* recursive
+//! occurrence is visited first ([`persistent_occurrence`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use qdk_logic::{Atom, Literal, Term, Var};
+use qdk_logic::{Atom, Literal, Rule, Term, Var};
 use std::collections::HashSet;
 
 /// A binding pattern: `true` = bound, per argument position.
@@ -112,10 +114,31 @@ impl SipWalk {
     }
 }
 
+/// The body position of `rule`'s *persistent* recursive occurrence under
+/// `a`, if it has one: the first positive occurrence of the head's own
+/// predicate that, visited before every other literal, is adorned `a`
+/// itself and bound to the head's own bound arguments.
+///
+/// The walk visits such an occurrence first. Its demand is then the
+/// identity (`input_p^a(Y) :- input_p^a(Y)`), so the net gains no new
+/// subquery: `prior(X, Y) :- prereq(X, Z), prior(Z, Y)` under `fb` no
+/// longer demands `prior[bb]` once per `prereq` edge, and its answer
+/// relation holds the answers and nothing else.
+pub fn persistent_occurrence(rule: &Rule, a: &Adornment) -> Option<usize> {
+    let walk = SipWalk::new(&rule.head, a);
+    let head_bound = bound_args(&rule.head, a);
+    rule.body.iter().position(|lit| {
+        lit.positive
+            && lit.atom.pred == rule.head.pred
+            && walk.adorn(&lit.atom) == *a
+            && bound_args(&lit.atom, a) == head_bound
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdk_logic::parser::{parse_atom, parse_body};
+    use qdk_logic::parser::{parse_atom, parse_body, parse_rule};
 
     fn walk_for(head: &str, pattern: &[bool]) -> SipWalk {
         SipWalk::new(&parse_atom(head).unwrap(), &pattern.to_vec())
@@ -172,6 +195,17 @@ mod tests {
         assert_eq!(bound_args(&atom, &walk.adorn(&atom)).len(), 1);
     }
 
+    #[test]
+    fn persistent_occurrence_repeats_the_bound_head() {
+        let rule = |src: &str| parse_rule(src).unwrap();
+        let linear = rule("prior(X, Y) :- prereq(X, Z), prior(Z, Y).");
+        assert_eq!(persistent_occurrence(&linear, &vec![false, true]), Some(1));
+        assert_eq!(persistent_occurrence(&linear, &vec![true, false]), None);
+        // A constant where the head is free changes the adornment.
+        let constant = rule("p(X, Y) :- e(X, Z), p(c0, Y).");
+        assert_eq!(persistent_occurrence(&constant, &vec![false, true]), None);
+    }
+
     /// The SIP decisions, pinned end to end through the net they drive:
     /// which `pred[adornment]` subqueries a bound query demands.
     mod sip_pins {
@@ -209,10 +243,20 @@ mod tests {
 
         #[test]
         fn bound_second_adorns_fb() {
-            // The second rule's recursive occurrence prior(Z, Y) sees Y
-            // bound (head) and Z bound sideways from prereq(X, Z) — the
-            // bb variant appears alongside the query's fb.
-            assert_eq!(demanded(PRIOR, "prior(X, c2)"), ["prior[fb]", "prior[bb]"]);
+            // The second rule's recursive occurrence prior(Z, Y) repeats
+            // the head's bound Y, so the walk visits it first, under fb
+            // itself: its demand is the identity, and no bb variant (one
+            // subquery per prereq edge) appears.
+            assert_eq!(demanded(PRIOR, "prior(X, c2)"), ["prior[fb]"]);
+        }
+
+        #[test]
+        fn non_persistent_occurrence_keeps_its_ordinary_demands() {
+            // p(Z, W) does not repeat the head's bound Y, so the walk keeps
+            // source order: e(X, Z) binds Z sideways and p is demanded bf.
+            let rules = "p(X, Y) :- e(X, Y).\n\
+                 p(X, Y) :- e(X, Z), p(Z, W), e(W, Y).";
+            assert_eq!(demanded(rules, "p(X, c2)"), ["p[fb]", "p[bf]"]);
         }
 
         #[test]

@@ -905,8 +905,9 @@ impl<'p> RuleTask<'p> {
         }
     }
 
-    /// True when this task is one window of a partitioned delta scan
-    /// (observability: the `delta_chunks` counter).
+    /// True when this task is one window of a partitioned delta scan. Two
+    /// readers: the `delta_chunks` counter, and [`fire_rule_batch`], which
+    /// sends a batch to the worker pool only when it holds a chunk.
     pub(crate) fn is_chunk(&self) -> bool {
         self.window.is_some()
     }
@@ -941,6 +942,12 @@ impl<'p> RuleTask<'p> {
 /// many facts were new. The store is read-only until every task has fired
 /// (jacobi-style), so the batch can run on worker threads.
 ///
+/// It does so only when it holds a delta chunk, i.e. some delta reached
+/// `DELTA_CHUNK_MIN` rows and was partitioned across the pool. Every
+/// other batch (round 0, maintenance rounds, small deltas) is a few rule
+/// firings over a handful of rows, cheaper than a thread spawn, and takes
+/// the exact sequential path.
+///
 /// The governor contract makes the parallel path observationally identical
 /// to the sequential one: the *coordinator* performs every work tick, in
 /// task order (workers only poll for cancellation/deadline), and the
@@ -958,7 +965,8 @@ pub(crate) fn fire_rule_batch(
     tasks: &[RuleTask<'_>],
 ) -> Result<usize> {
     let snapshot: &DerivedFacts = derived;
-    let buffers: Vec<Vec<Tuple>> = if pool.is_sequential() || tasks.len() <= 1 {
+    let buffers: Vec<Vec<Tuple>> = if pool.is_sequential() || !tasks.iter().any(RuleTask::is_chunk)
+    {
         // Exact sequential path: tick and fire interleaved.
         let mut bufs = Vec::with_capacity(tasks.len());
         for task in tasks {

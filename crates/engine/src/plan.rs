@@ -22,7 +22,6 @@
 //! only when execution actually reaches that point, preserving the
 //! data-dependent nature of the original diagnostic.
 
-use crate::adorn::Adornment;
 use crate::error::Result;
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
@@ -375,7 +374,7 @@ pub struct ProgramPlan {
     /// change (the plan cache is generation-keyed), so fragments here
     /// can never outlive the program they were compiled from — fact
     /// churn retains them, rule changes drop them with the plan.
-    qsq: Arc<RwLock<QsqCache>>,
+    qsq: Arc<RwLock<crate::qsq::QsqCache>>,
     /// What the evaluators need to know about the rules alone, built on
     /// the first retrieve that asks and shared like `qsq`: it lives and
     /// dies with the plan, so a rule change drops it and fact churn never
@@ -385,9 +384,6 @@ pub struct ProgramPlan {
     /// specialised on first demand and shared like `qsq`.
     call_plans: Arc<RwLock<CallPlans>>,
 }
-
-/// Net fragments keyed by (predicate, adornment); see [`crate::qsq`].
-pub(crate) type QsqCache = FxHashMap<(Sym, Adornment), Arc<crate::qsq::Fragment>>;
 
 /// Call plans keyed by (rule index, pre-bound slots); see
 /// [`crate::topdown`].
@@ -498,7 +494,7 @@ impl ProgramPlan {
     }
 
     /// The QSQ net-fragment cache (see [`crate::qsq`]).
-    pub(crate) fn qsq_cache(&self) -> &RwLock<QsqCache> {
+    pub(crate) fn qsq_cache(&self) -> &RwLock<crate::qsq::QsqCache> {
         &self.qsq
     }
 

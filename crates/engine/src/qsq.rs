@@ -32,10 +32,35 @@
 //! variables — skips even that: the constants are themselves the
 //! subquery tuple, so the serving path seeds `input_p^a` directly and
 //! filters `ans_p^a` on the bound positions, compiling nothing per call
-//! (see `bound_subject_substs`). Everything else is a cache hit after
+//! (see `bound_subject`). Everything else is a cache hit after
 //! the first bound query of a given shape, which is why QSQ wins every
 //! bound-query benchmark section: a warm call pays a hash lookup plus
 //! the relevant fixpoint.
+//!
+//! Linear recursion gets two argument reductions, so a bound retrieve
+//! costs the size of its answer plus the edges it touches rather than
+//! one row per reachable *pair*:
+//!
+//! * **Persistent occurrences** (every demander). A recursive occurrence
+//!   that repeats the head's bound arguments is visited first
+//!   ([`crate::adorn::persistent_occurrence`]); its demand is the
+//!   identity and is not emitted, so `prior(X, c)` stops demanding
+//!   `prior[bb]` per edge.
+//! * **Right-linear factoring** (the seeded root only). When every
+//!   recursive rule of `p` has one `p` occurrence that receives each free
+//!   head variable unchanged in the same position, and every other
+//!   literal is stored or built in, each subquery's answers are answers
+//!   of the root. The net is then the closure of `input_p^a` plus one
+//!   free-columns-only answer relation (`build_factored`). A shared
+//!   answer column loses which input a row came from, so only a
+//!   single-seed bound subject runs it; every other demander keeps the
+//!   plain fragment.
+//!
+//! Every net rule plans round 0 with its guard (the seeded input or a
+//! supplementary relation) outermost. Net relations are absent from the
+//! stats the cost model reads, so it would otherwise price them at the
+//! whole store and scan a stored relation in full, probing the one-row
+//! seed once per stored row.
 //!
 //! Shapes the net cannot host — negation anywhere in the demanded slice
 //! (the net is a positive program) or adornments whose filter chains
@@ -45,7 +70,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::adorn::{bound_args, suffix, Adornment, SipWalk};
+use crate::adorn::{bound_args, persistent_occurrence, suffix, Adornment, SipWalk};
 use crate::bindings::{fire_rule_batch, DerivedFacts, RuleTask};
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
@@ -53,7 +78,7 @@ use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::query::Retrieve;
 use crate::seminaive::{delta_ranges, head_marks, outermost_scan, DELTA_CHUNK_MIN};
-use qdk_logic::{Atom, Interner, Literal, Rule, Subst, Sym, Term, Var};
+use qdk_logic::{Atom, FxHashMap, Interner, Literal, Rule, Subst, Sym, Term, Var};
 use qdk_storage::{CatalogStats, Edb, Relation, Tuple, Value};
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, PoisonError};
@@ -69,6 +94,12 @@ fn input_name(pred: &str, a: &Adornment) -> Sym {
 /// Name of the answer relation for `pred` under `a`.
 fn ans_name(pred: &str, a: &Adornment) -> Sym {
     Sym::new(&format!("ans_{pred}__{}", suffix(a)))
+}
+
+/// Name of the factored answer relation for `pred` under `a`: the free
+/// columns only.
+fn free_ans_name(pred: &str, a: &Adornment) -> Sym {
+    Sym::new(&format!("ans_{pred}__{}__free", suffix(a)))
 }
 
 /// Name of supplementary relation `k` of rule `ri` of `pred` under `a`.
@@ -108,6 +139,21 @@ pub(crate) struct Fragment {
     sups: u64,
     /// Pre/post-filter nodes (one per source body literal).
     filters: u64,
+    /// True for a factored root fragment: `ans` holds the free columns
+    /// of one seed's answers, and `demands` is empty.
+    factored: bool,
+}
+
+/// The net fragments of one rules generation, shared by every clone of
+/// its [`ProgramPlan`].
+#[derive(Debug, Default)]
+pub(crate) struct QsqCache {
+    /// Plain fragments per (predicate, adornment), valid for every
+    /// demander.
+    plain: FxHashMap<(Sym, Adornment), Arc<Fragment>>,
+    /// Factored root fragments per (predicate, adornment), `None` where
+    /// the predicate's rules do not factor.
+    factored: FxHashMap<(Sym, Adornment), Option<Arc<Fragment>>>,
 }
 
 impl Fragment {
@@ -119,15 +165,17 @@ impl Fragment {
     }
 }
 
-/// Compiles one net rule: plan plus delta variants for the body
-/// positions in `net_positions` (occurrences reading net relations).
+/// Compiles one net rule: the round-0 plan, which scans the guard at
+/// body position 0 first (see the module docs), plus delta variants for
+/// the body positions in `net_positions` (occurrences reading net
+/// relations).
 fn net_rule(
     rule: &Rule,
     net_positions: &[usize],
     interner: &mut Interner,
     stats: Option<&CatalogStats>,
 ) -> NetRule {
-    let plan = RulePlan::new_with_stats(rule, interner, stats);
+    let plan = RulePlan::new_with_stats(rule, interner, stats).delta_variant(0, stats);
     let delta = net_positions
         .iter()
         .map(|&i| (i, plan.delta_variant(i, stats)))
@@ -136,12 +184,16 @@ fn net_rule(
 }
 
 /// The supplementary relation's columns: the distinct variables of the
-/// prefix literals (first-occurrence order) still needed by the head or
-/// the remaining body literals `rule.body[from..]`.
-fn live_vars(prefix: &[(Literal, bool)], rule: &Rule, from: usize) -> Vec<Var> {
+/// prefix literals (first-occurrence order) still needed by `head` or
+/// the body literals not yet visited, `rest`.
+fn live_vars<'r>(
+    prefix: &[(Literal, bool)],
+    head: &Atom,
+    rest: impl Iterator<Item = &'r Literal>,
+) -> Vec<Var> {
     let mut needed: Vec<Var> = Vec::new();
-    rule.head.collect_vars(&mut needed);
-    for lit in &rule.body[from..] {
+    head.collect_vars(&mut needed);
+    for lit in rest {
         lit.atom.collect_vars(&mut needed);
     }
     let mut out: Vec<Var> = Vec::new();
@@ -198,8 +250,15 @@ fn build_fragment<'a>(
         };
         let body =
             |p: &[(Literal, bool)]| -> Vec<Literal> { p.iter().map(|(l, _)| l.clone()).collect() };
+        // Visit order: a persistent occurrence first, then source order.
+        let first = persistent_occurrence(rule, adornment);
+        let order: Vec<usize> = first
+            .into_iter()
+            .chain((0..rule.body.len()).filter(|&i| Some(i) != first))
+            .collect();
 
-        for (i, lit) in rule.body.iter().enumerate() {
+        for (n, &i) in order.iter().enumerate() {
+            let lit = &rule.body[i];
             let atom = &lit.atom;
             filters += 1;
             if atom.is_builtin() || !idb.defines(atom.pred.as_str()) {
@@ -212,7 +271,8 @@ fn build_fragment<'a>(
             // relation: the prefix join is computed once, then shared by
             // the demand projection and the continuation below.
             if prefix.len() > 1 {
-                let live = live_vars(&prefix, rule, i);
+                let rest = order[n..].iter().map(|&j| &rule.body[j]);
+                let live = live_vars(&prefix, &rule.head, rest);
                 let sup = Atom::new(
                     sup_name(pred.as_str(), adornment, ri, sup_idx),
                     live.into_iter().map(Term::Var).collect(),
@@ -227,19 +287,23 @@ fn build_fragment<'a>(
                 ));
                 prefix = vec![(Literal::pos(sup), true)];
             }
-            // Demand projection: input_q^a(bound args) ← prefix.
-            net.push(net_rule(
-                &Rule::with_literals(
-                    Atom::new(input_name(atom.pred.as_str(), &a), bound_args(atom, &a)),
-                    body(&prefix),
-                ),
-                &positions(&prefix),
-                &mut interner,
-                stats,
-            ));
-            let demand = (atom.pred.clone(), a.clone());
-            if !demands.contains(&demand) {
-                demands.push(demand);
+            // Demand projection: input_q^a(bound args) ← prefix. A
+            // persistent occurrence's is the identity on this fragment's
+            // own guard, and is neither emitted nor a demand.
+            if Some(i) != first {
+                net.push(net_rule(
+                    &Rule::with_literals(
+                        Atom::new(input_name(atom.pred.as_str(), &a), bound_args(atom, &a)),
+                        body(&prefix),
+                    ),
+                    &positions(&prefix),
+                    &mut interner,
+                    stats,
+                ));
+                let demand = (atom.pred.clone(), a.clone());
+                if !demands.contains(&demand) {
+                    demands.push(demand);
+                }
             }
             // Continuation: the occurrence's answers join the prefix.
             prefix.push((
@@ -273,7 +337,127 @@ fn build_fragment<'a>(
         demands,
         sups,
         filters,
+        factored: false,
     })
+}
+
+/// Builds the factored root fragment for `pred` under `adornment`, or
+/// `None` when its rules are not right-linear in the sense of the module
+/// docs. Per recursive rule `p(H) :- rest, p(O)` it emits
+/// `input_p^a(O's bound args) :- input_p^a(H's bound args), rest`; per
+/// exit rule `p(H) :- body` it emits `ans(H's free args) :-
+/// input_p^a(H's bound args), body`. Negation anywhere fails the shape,
+/// and the plain fragment then reports it.
+fn build_factored(
+    idb: &Idb,
+    pred: &Sym,
+    adornment: &Adornment,
+    stats: Option<&CatalogStats>,
+) -> Option<Fragment> {
+    let input = input_name(pred.as_str(), adornment);
+    let ans = free_ans_name(pred.as_str(), adornment);
+    let stored = |l: &Literal| l.positive && (l.is_builtin() || !idb.defines(l.atom.pred.as_str()));
+    let mut interner = Interner::new();
+    let mut net: Vec<NetRule> = Vec::new();
+    let mut filters = 0u64;
+    let mut recursive = false;
+    for rule in idb.rules_for(pred.as_str()) {
+        let occurrences: Vec<usize> = (0..rule.body.len())
+            .filter(|&i| rule.body[i].atom.pred == *pred)
+            .collect();
+        let head = match occurrences[..] {
+            [] => Atom::new(
+                ans.clone(),
+                rule.head
+                    .args
+                    .iter()
+                    .zip(adornment)
+                    .filter(|(_, b)| !**b)
+                    .map(|(t, _)| t.clone())
+                    .collect(),
+            ),
+            [k] if passes_free_args_through(rule, k, adornment) => {
+                recursive = true;
+                Atom::new(input.clone(), bound_args(&rule.body[k].atom, adornment))
+            }
+            _ => return None,
+        };
+        let rest: Vec<Literal> = (0..rule.body.len())
+            .filter(|i| !occurrences.contains(i))
+            .map(|i| rule.body[i].clone())
+            .collect();
+        if !rest.iter().all(stored) {
+            return None;
+        }
+        filters += rest.len() as u64;
+        let guard = Literal::pos(Atom::new(input.clone(), bound_args(&rule.head, adornment)));
+        let body = std::iter::once(guard).chain(rest).collect();
+        net.push(net_rule(
+            &Rule::with_literals(head, body),
+            &[0],
+            &mut interner,
+            stats,
+        ));
+    }
+    recursive.then(|| Fragment {
+        pred: pred.clone(),
+        adornment: adornment.clone(),
+        input,
+        ans,
+        rules: net,
+        demands: Vec::new(),
+        sups: 0,
+        filters,
+        factored: true,
+    })
+}
+
+/// True if the occurrence of the head predicate at body position `k`
+/// receives every free head variable under `a` unchanged, in the same
+/// position, with no other use of it in the rule, and is adorned `a`
+/// once the rest of the body has bound what it binds. Then a subquery's
+/// answers are exactly the root's.
+fn passes_free_args_through(rule: &Rule, k: usize, a: &Adornment) -> bool {
+    let occ = &rule.body[k];
+    if !occ.positive {
+        return false;
+    }
+    let mut uses: Vec<Var> = Vec::new();
+    rule.head.collect_vars(&mut uses);
+    for lit in &rule.body {
+        lit.atom.collect_vars(&mut uses);
+    }
+    let passed = rule
+        .head
+        .args
+        .iter()
+        .zip(&occ.atom.args)
+        .zip(a)
+        .filter(|(_, b)| !**b)
+        .all(|((h, o), _)| match h {
+            Term::Var(v) => o == h && uses.iter().filter(|u| *u == v).count() == 2,
+            Term::Const(_) => false,
+        });
+    if !passed {
+        return false;
+    }
+    let mut walk = SipWalk::new(&rule.head, a);
+    for (i, lit) in rule.body.iter().enumerate() {
+        if i != k {
+            walk.absorb(lit);
+        }
+    }
+    walk.adorn(&occ.atom) == *a
+}
+
+/// Reads the plan's fragment cache.
+fn cached<T>(plan: &ProgramPlan, read: impl FnOnce(&QsqCache) -> Option<T>) -> Option<T> {
+    read(
+        &plan
+            .qsq_cache()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner),
+    )
 }
 
 /// Returns the cached fragment for `(pred, adornment)`, building and
@@ -287,13 +471,8 @@ fn fragment_for(
     adornment: &Adornment,
 ) -> Result<Arc<Fragment>> {
     let key = (pred.clone(), adornment.clone());
-    if let Some(f) = plan
-        .qsq_cache()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
-        return Ok(Arc::clone(f));
+    if let Some(f) = cached(plan, |c| c.plain.get(&key).cloned()) {
+        return Ok(f);
     }
     let built = Arc::new(build_fragment(
         idb,
@@ -308,13 +487,32 @@ fn fragment_for(
         .unwrap_or_else(PoisonError::into_inner);
     // A racing builder may have inserted meanwhile; both builds are
     // deterministic and identical, keep the first.
-    Ok(Arc::clone(
-        cache.entry(key).or_insert_with(|| Arc::clone(&built)),
-    ))
+    Ok(Arc::clone(cache.plain.entry(key).or_insert(built)))
 }
 
-/// Builds the per-query wrapper fragment and the transitive demand
-/// closure of cached sub-fragments, in deterministic BFS order.
+/// Returns the cached factored fragment for `(pred, adornment)`, or
+/// `None` when the predicate's rules do not factor; both outcomes are
+/// cached on first ask.
+fn factored_for(
+    plan: &ProgramPlan,
+    idb: &Idb,
+    pred: &Sym,
+    adornment: &Adornment,
+) -> Option<Arc<Fragment>> {
+    let key = (pred.clone(), adornment.clone());
+    if let Some(f) = cached(plan, |c| c.factored.get(&key).cloned()) {
+        return f;
+    }
+    let built = build_factored(idb, pred, adornment, plan.stats()).map(Arc::new);
+    let mut cache = plan
+        .qsq_cache()
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    cache.factored.entry(key).or_insert(built).clone()
+}
+
+/// The transitive demand closure of a root fragment: the cached
+/// sub-fragments it demands, in deterministic BFS order.
 fn demand_closure(plan: &ProgramPlan, idb: &Idb, qfrag: &Fragment) -> Result<Vec<Arc<Fragment>>> {
     let mut frags: Vec<Arc<Fragment>> = Vec::new();
     let mut queued: HashSet<(Sym, String)> = HashSet::new();
@@ -374,33 +572,31 @@ fn query_fragment(
     build_fragment(idb, &Sym::new(QUERY_PRED), &pattern, [&rule], stats)
 }
 
-/// The bound-subject fast path: when the goal conjunction is a single
-/// positive IDB literal whose arguments are constants or distinct
-/// variables, the query *is* a subquery of the subject's own cached
-/// fragment — the constant arguments are exactly one `input_p^a` seed
-/// tuple. No wrapper rule exists, so a warm call compiles nothing at
-/// all: two cache lookups, the net fixpoint, and a filter over
-/// `ans_p^a` (the answer relation serves every subquery the net
-/// demanded; only the tuples matching the seed's constants are ours).
-///
-/// Returns `Ok(None)` when the shape doesn't apply (qualifier goals,
-/// builtins, EDB subjects, repeated variables) — the caller falls back
-/// to the per-query wrapper fragment.
-fn bound_subject_substs(
-    edb: &Edb,
-    idb: &Idb,
-    plan: &ProgramPlan,
-    columns: &[Var],
-    goals: &[Literal],
-    opts: &EvalOptions,
-) -> Result<Option<Vec<Subst>>> {
-    let [lit] = goals else { return Ok(None) };
+/// A bound subject: the goal conjunction is a single positive IDB
+/// literal whose arguments are constants or distinct variables. The
+/// query *is* then a subquery of the subject's own cached fragment — the
+/// constant arguments are exactly one `input_p^a` seed tuple. No wrapper
+/// rule exists, so a warm call compiles nothing at all: two cache
+/// lookups, the net fixpoint, and a read of the answer relation.
+struct BoundSubject<'q> {
+    atom: &'q Atom,
+    adornment: Adornment,
+    seed: Tuple,
+    /// The goal's variables with their argument positions, in order.
+    vars: Vec<(&'q Var, usize)>,
+}
+
+/// The goals' [`BoundSubject`], or `None` when the shape doesn't apply
+/// (qualifier goals, builtins, EDB subjects, repeated variables, a
+/// fresh-subject column) — the caller then runs the per-query wrapper.
+fn bound_subject<'q>(idb: &Idb, columns: &[Var], goals: &'q [Literal]) -> Option<BoundSubject<'q>> {
+    let [lit] = goals else { return None };
     let atom = &lit.atom;
     if !lit.positive || atom.is_builtin() || !idb.defines(atom.pred.as_str()) {
-        return Ok(None);
+        return None;
     }
     let mut adornment: Adornment = Vec::with_capacity(atom.args.len());
-    let mut seed: Vec<Value> = Vec::new();
+    let mut seed = Vec::new();
     let mut vars: Vec<(&Var, usize)> = Vec::new();
     for (i, t) in atom.args.iter().enumerate() {
         match t {
@@ -410,7 +606,7 @@ fn bound_subject_substs(
             }
             Term::Var(v) => {
                 if vars.iter().any(|(u, _)| *u == v) {
-                    return Ok(None); // repeated variable: needs the wrapper's join
+                    return None; // repeated variable: needs the wrapper's join
                 }
                 vars.push((v, i));
                 adornment.push(false);
@@ -418,40 +614,102 @@ fn bound_subject_substs(
         }
     }
     if columns.iter().any(|c| !vars.iter().any(|(v, _)| *v == c)) {
-        return Ok(None); // a fresh-subject column the goal does not bind
+        return None; // a fresh-subject column the goal does not bind
     }
-
-    let frag = fragment_for(plan, idb, &atom.pred, &adornment)?;
-    let frags = demand_closure(plan, idb, &frag)?;
-    let mut derived = DerivedFacts::new();
-    derived.insert(&frag.input, Tuple::new(seed))?;
-    eval_net(edb, &frag, &frags, &mut derived, opts)?;
-
-    let mut out = Vec::new();
-    if let Some(rel) = derived.relation(frag.ans.as_str()) {
-        'tuples: for tuple in rel.iter() {
-            let vals = tuple.values();
-            for (i, t) in atom.args.iter().enumerate() {
-                if let Term::Const(c) = t {
-                    if &vals[i] != c {
-                        continue 'tuples;
-                    }
-                }
-            }
-            let s: Subst = vars
-                .iter()
-                .map(|(v, i)| ((*v).clone(), Term::Const(vals[*i].clone())))
-                .collect();
-            out.push(s);
-        }
-    }
-    Ok(Some(out))
+    Some(BoundSubject {
+        atom,
+        adornment,
+        seed: Tuple::new(seed),
+        vars,
+    })
 }
 
-/// QSQ evaluation of a goal conjunction: build the wrapper fragment,
-/// pull the demanded sub-fragments from the plan cache, seed the
-/// wrapper's input relation, run the net fixpoint, and read the
-/// wrapper's answer relation.
+impl BoundSubject<'_> {
+    /// The subject's answers in the answer relation of `root`. A plain
+    /// relation serves every subquery the net demanded, so only the
+    /// tuples matching the seed's constants are ours; a factored one
+    /// holds the seed's free columns and nothing else.
+    fn substs(&self, root: &Fragment, derived: &DerivedFacts) -> Vec<Subst> {
+        let Some(rel) = derived.relation(root.ans.as_str()) else {
+            return Vec::new();
+        };
+        let ours = |vals: &[Value]| {
+            root.factored
+                || self.atom.args.iter().zip(vals).all(|(t, v)| match t {
+                    Term::Const(c) => c == v,
+                    Term::Var(_) => true,
+                })
+        };
+        rel.iter()
+            .map(Tuple::values)
+            .filter(|vals| ours(vals))
+            .map(|vals| {
+                self.vars
+                    .iter()
+                    .enumerate()
+                    .map(|(j, (v, i))| {
+                        let col = if root.factored { j } else { *i };
+                        ((*v).clone(), Term::Const(vals[col].clone()))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// The net one evaluation runs: a root fragment whose input is seeded
+/// with one tuple, and the fragments it demands, in BFS order.
+struct Net {
+    root: Arc<Fragment>,
+    frags: Vec<Arc<Fragment>>,
+    seed: Tuple,
+}
+
+impl Net {
+    /// A bound subject's net: its factored fragment when the subject's
+    /// rules factor, else its plain fragment and demand closure.
+    fn seeded(plan: &ProgramPlan, idb: &Idb, subject: &BoundSubject<'_>) -> Result<Net> {
+        let (pred, adornment) = (&subject.atom.pred, &subject.adornment);
+        let (root, frags) = match factored_for(plan, idb, pred, adornment) {
+            Some(root) => (root, Vec::new()),
+            None => {
+                let root = fragment_for(plan, idb, pred, adornment)?;
+                let frags = demand_closure(plan, idb, &root)?;
+                (root, frags)
+            }
+        };
+        Ok(Net {
+            root,
+            frags,
+            seed: subject.seed.clone(),
+        })
+    }
+
+    /// The per-query wrapper `__qsq_query(vars) ← goals` and its demand
+    /// closure, seeded with the empty tuple.
+    fn wrapper(plan: &ProgramPlan, idb: &Idb, vars: &[Var], goals: &[Literal]) -> Result<Net> {
+        let root = query_fragment(idb, vars, goals, plan.stats())?;
+        let frags = demand_closure(plan, idb, &root)?;
+        Ok(Net {
+            root: Arc::new(root),
+            frags,
+            seed: Tuple::new(Vec::new()),
+        })
+    }
+
+    /// Seeds the root's input and runs the net fixpoint.
+    fn eval(&self, edb: &Edb, opts: &EvalOptions) -> Result<DerivedFacts> {
+        let mut derived = DerivedFacts::new();
+        derived.insert(&self.root.input, self.seed.clone())?;
+        eval_net(edb, &self.root, &self.frags, &mut derived, opts)?;
+        Ok(derived)
+    }
+}
+
+/// QSQ evaluation of a goal conjunction: a bound subject seeds its own
+/// fragment; anything else builds the wrapper fragment, pulls the
+/// demanded sub-fragments from the plan cache, seeds the wrapper's input
+/// relation, runs the net fixpoint, and reads the wrapper's answers.
 pub(crate) fn qsq_substs(
     edb: &Edb,
     idb: &Idb,
@@ -460,29 +718,26 @@ pub(crate) fn qsq_substs(
     goals: &[Literal],
     opts: EvalOptions,
 ) -> Result<Vec<Subst>> {
-    if let Some(out) = bound_subject_substs(edb, idb, plan, columns, goals, &opts)? {
-        return Ok(out);
+    if let Some(subject) = bound_subject(idb, columns, goals) {
+        let net = Net::seeded(plan, idb, &subject)?;
+        let derived = net.eval(edb, &opts)?;
+        return Ok(subject.substs(&net.root, &derived));
     }
     let vars = query_vars(columns, goals);
-    let qfrag = query_fragment(idb, &vars, goals, plan.stats())?;
-    let frags = demand_closure(plan, idb, &qfrag)?;
-
-    let mut derived = DerivedFacts::new();
-    derived.insert(&qfrag.input, Tuple::new(Vec::new()))?;
-    eval_net(edb, &qfrag, &frags, &mut derived, &opts)?;
-
-    let mut out = Vec::new();
-    if let Some(rel) = derived.relation(qfrag.ans.as_str()) {
-        for tuple in rel.iter() {
-            let s: Subst = vars
-                .iter()
+    let net = Net::wrapper(plan, idb, &vars, goals)?;
+    let derived = net.eval(edb, &opts)?;
+    let Some(rel) = derived.relation(net.root.ans.as_str()) else {
+        return Ok(Vec::new());
+    };
+    Ok(rel
+        .iter()
+        .map(|tuple| {
+            vars.iter()
                 .cloned()
                 .zip(tuple.values().iter().cloned().map(Term::Const))
-                .collect();
-            out.push(s);
-        }
-    }
-    Ok(out)
+                .collect()
+        })
+        .collect())
 }
 
 /// The net fixpoint: semi-naive over the (positive, hence monotone) net
@@ -609,10 +864,11 @@ fn eval_net(
     Ok(())
 }
 
-/// Renders the QSQ net a query would evaluate: one block per subquery
-/// fragment (the per-query wrapper first, then the demanded fragments
-/// in BFS order) listing its input/answer/supplementary nodes, its
-/// demand edges, and every net rule's compiled plan — the same
+/// Renders the QSQ net a query evaluates: one block per subquery
+/// fragment (the seeded root first — the factored or plain fragment of a
+/// bound subject, else the per-query wrapper — then the demanded
+/// fragments in BFS order) listing its input/answer/supplementary nodes,
+/// its demand edges, and every net rule's round-0 plan — the same
 /// EXPLAIN grammar as [`ProgramPlan::explain`], so the chosen access
 /// paths (index probes, full scans) are visible per filter chain.
 ///
@@ -620,19 +876,21 @@ fn eval_net(
 /// explaining a query warms its net cache.
 pub fn explain_net(edb: &Edb, idb: &Idb, plan: &ProgramPlan, query: &Retrieve) -> Result<String> {
     let (columns, goals) = crate::query::query_goals(edb, idb, query)?;
-    let vars = query_vars(&columns, &goals);
-    let qfrag = query_fragment(idb, &vars, &goals, plan.stats())?;
-    let frags = demand_closure(plan, idb, &qfrag)?;
+    let net = match bound_subject(idb, &columns, &goals) {
+        Some(subject) => Net::seeded(plan, idb, &subject)?,
+        None => Net::wrapper(plan, idb, &query_vars(&columns, &goals), &goals)?,
+    };
 
     let mut out = format!("qsq net for: {query}\n");
-    let mut render = |frag: &Fragment, seed: bool| {
+    let mut render = |frag: &Fragment, seed: Option<&Tuple>| {
         out.push_str(&format!(
-            "subquery {}[{}] — {} nodes: input {}{}, ans {}, {} supplementary, {} filters\n",
+            "subquery {}[{}]{} — {} nodes: input {}{}, ans {}, {} supplementary, {} filters\n",
             frag.pred,
             suffix(&frag.adornment),
+            if frag.factored { " factored" } else { "" },
             frag.nodes(),
             frag.input,
-            if seed { " (seed)" } else { "" },
+            seed.map_or_else(String::new, |t| format!(" (seed {t})")),
             frag.ans,
             frag.sups,
             frag.filters,
@@ -652,9 +910,9 @@ pub fn explain_net(edb: &Edb, idb: &Idb, plan: &ProgramPlan, query: &Retrieve) -
             }
         }
     };
-    render(&qfrag, true);
-    for f in &frags {
-        render(f, false);
+    render(&net.root, Some(&net.seed));
+    for f in &net.frags {
+        render(f, None);
     }
     Ok(out)
 }
@@ -766,44 +1024,143 @@ mod tests {
         assert_eq!(substs.len(), 5);
     }
 
+    /// `retrieve subject where qualifier`; an empty qualifier is none.
+    fn retrieve(subject: &str, qualifier: &str) -> Retrieve {
+        let goals = if qualifier.is_empty() {
+            vec![]
+        } else {
+            parse_body(qualifier).unwrap()
+        };
+        Retrieve::new(parse_atom(subject).unwrap(), goals)
+    }
+
+    /// The (plain, factored) entry counts of a plan's fragment cache.
+    fn cache_sizes(plan: &ProgramPlan) -> (usize, usize) {
+        let cache = plan.qsq_cache().read().unwrap();
+        (cache.plain.len(), cache.factored.len())
+    }
+
     #[test]
     fn fragments_are_cached_per_adornment_and_shared_by_clones() {
         let edb = chain(6);
         let idb = prior_idb();
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
-        let q = Retrieve::new(parse_atom("prior(c3, Y)").unwrap(), vec![]);
-        query::retrieve_compiled(&edb, &idb, &plan, &q, Strategy::Qsq, EvalOptions::default())
-            .unwrap();
-        assert_eq!(plan.qsq_cache().read().unwrap().len(), 1);
-        let cached = Arc::clone(
-            plan.qsq_cache()
-                .read()
+        let run = |plan: &ProgramPlan, subject: &str, qualifier: &str| {
+            let q = retrieve(subject, qualifier);
+            query::retrieve_compiled(&edb, &idb, plan, &q, Strategy::Qsq, EvalOptions::default())
                 .unwrap()
-                .get(&(Sym::new("prior"), vec![true, false]))
-                .unwrap(),
-        );
+        };
+        // A bound subject runs the factored fragment; a qualifier's
+        // wrapper demands the plain one. Each has a key of its own.
+        run(&plan, "prior(c3, Y)", "");
+        assert_eq!(cache_sizes(&plan), (0, 1));
+        run(&plan, "answer(Y)", "prior(c3, Y), prereq(Y, c1)");
+        assert_eq!(cache_sizes(&plan), (1, 1));
+        let key = (Sym::new("prior"), vec![true, false]);
+        let (factored, plain) = {
+            let cache = plan.qsq_cache().read().unwrap();
+            (
+                cache.factored[&key].clone().unwrap(),
+                Arc::clone(&cache.plain[&key]),
+            )
+        };
+        assert!(factored.factored && !plain.factored);
         // A clone of the plan (the serving layer clones per snapshot)
-        // shares the cache, and a repeat query reuses the same fragment.
+        // shares the cache, and repeat queries reuse the same fragments.
         let clone = plan.clone();
-        query::retrieve_compiled(
-            &edb,
-            &idb,
-            &clone,
-            &Retrieve::new(parse_atom("prior(c2, Y)").unwrap(), vec![]),
-            Strategy::Qsq,
-            EvalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(clone.qsq_cache().read().unwrap().len(), 1);
+        run(&clone, "prior(c2, Y)", "");
+        run(&clone, "answer(Y)", "prior(c2, Y), prereq(Y, c0)");
+        assert_eq!(cache_sizes(&clone), (1, 1));
+        let cache = clone.qsq_cache().read().unwrap();
         assert!(Arc::ptr_eq(
-            &cached,
-            clone
-                .qsq_cache()
-                .read()
-                .unwrap()
-                .get(&(Sym::new("prior"), vec![true, false]))
-                .unwrap()
+            &factored,
+            cache.factored[&key].as_ref().unwrap()
         ));
+        assert!(Arc::ptr_eq(&plain, &cache.plain[&key]));
+    }
+
+    #[test]
+    fn factored_answer_relation_is_unary_and_holds_the_answers() {
+        // prior(c5, Y) on chain(8): the plain net holds one ans row per
+        // reachable pair (15); the factored one holds Y alone, one row
+        // per answer.
+        let edb = chain(8);
+        let idb = prior_idb();
+        let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+        let q = Retrieve::new(parse_atom("prior(c5, Y)").unwrap(), vec![]);
+        let (columns, goals) = query::query_goals(&edb, &idb, &q).unwrap();
+        let subject = bound_subject(&idb, &columns, &goals).unwrap();
+        let net = Net::seeded(&plan, &idb, &subject).unwrap();
+        assert!(net.root.factored && net.frags.is_empty());
+        let derived = net.eval(&edb, &EvalOptions::default()).unwrap();
+        let ans = derived.relation(net.root.ans.as_str()).unwrap();
+        assert_eq!(ans.arity(), 1);
+        assert_eq!(ans.len(), 5);
+        let rendered: Vec<&str> = net
+            .root
+            .rules
+            .iter()
+            .map(|nr| nr.plan.rule_str.as_str())
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "ans_prior__bf__free(Y) :- input_prior__bf(X), prereq(X, Y).",
+                "input_prior__bf(Z) :- input_prior__bf(X), prereq(X, Z).",
+            ]
+        );
+    }
+
+    /// Whether `pred`'s rules factor under `adornment`.
+    fn factors(rules: &str, pred: &str, adornment: &[bool]) -> bool {
+        let idb = Idb::from_rules(parse_program(rules).unwrap().rules).unwrap();
+        build_factored(&idb, &Sym::new(pred), &adornment.to_vec(), None).is_some()
+    }
+
+    #[test]
+    fn only_right_linear_rules_over_stored_literals_factor() {
+        const EXIT: &str = "p(X, Y) :- e(X, Y).\n";
+        let right = format!("{EXIT}p(X, Y) :- e(X, Z), p(Z, Y).");
+        assert!(factors(&right, "p", &[true, false]));
+        assert!(factors(&right, "p", &[true, true]));
+        // The free variable does not pass through unchanged.
+        assert!(!factors(&right, "p", &[false, true]));
+        assert!(!factors(
+            &format!("{EXIT}p(X, Y) :- p(X, Z), e(Z, Y)."),
+            "p",
+            &[true, false]
+        ));
+        // Two occurrences; a free variable reused in the body.
+        assert!(!factors(
+            &format!("{EXIT}p(X, Y) :- p(X, Z), p(Z, Y)."),
+            "p",
+            &[true, false]
+        ));
+        assert!(!factors(
+            &format!("{EXIT}p(X, Y) :- e(X, Z), e(Y, Z), p(Z, Y)."),
+            "p",
+            &[true, false]
+        ));
+        // A derived or negated literal beside the occurrence.
+        assert!(!factors(
+            &format!("{EXIT}p(X, Y) :- q(X, Z), p(Z, Y).\nq(X, Y) :- e(X, Y)."),
+            "p",
+            &[true, false]
+        ));
+        assert!(!factors(
+            &format!("{EXIT}p(X, Y) :- e(X, Z), not f(Z), p(Z, Y)."),
+            "p",
+            &[true, false]
+        ));
+        // Two recursive rules, and a constant in the occurrence's bound
+        // position, still factor; non-recursive rules have nothing to
+        // factor.
+        assert!(factors(
+            &format!("{right}\np(X, Y) :- e(Z, X), p(Z, Y).\np(X, Y) :- e(X, c0), p(c0, Y)."),
+            "p",
+            &[true, false]
+        ));
+        assert!(!factors(EXIT, "p", &[true, false]));
     }
 
     #[test]
@@ -901,24 +1258,58 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_nodes_edges_and_access_paths() {
+    fn explain_renders_the_net_that_runs() {
         let edb = chain(6);
         let idb = prior_idb();
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
-        let q = Retrieve::new(parse_atom("prior(c3, Y)").unwrap(), vec![]);
-        let text = explain_net(&edb, &idb, &plan, &q).unwrap();
-        assert!(text.starts_with("qsq net for: retrieve prior(c3, Y)"));
-        assert!(text.contains("subquery __qsq_query[f]"), "{text}");
-        assert!(text.contains("input input___qsq_query__f (seed)"), "{text}");
-        assert!(text.contains("subquery prior[bf]"), "{text}");
-        assert!(text.contains("edge: input___qsq_query__f -> input_prior__bf"));
-        assert!(text.contains("sup0_1_prior__bf"), "{text}");
-        // The pinned EXPLAIN grammar shows the access paths.
+        let explain = |subject: &str, qualifier: &str| {
+            let q = retrieve(subject, qualifier);
+            explain_net(&edb, &idb, &plan, &q).unwrap()
+        };
+
+        // A bound subject: its factored fragment, seeded directly, each
+        // rule's round-0 plan scanning the seed first and probing the
+        // stored relation on it.
+        let text = explain("prior(c3, Y)", "");
         assert!(
-            text.contains("probe on") || text.contains("full scan"),
+            text.starts_with("qsq net for: retrieve prior(c3, Y)"),
             "{text}"
         );
+        assert!(!text.contains("__qsq_query"), "{text}");
+        assert!(
+            text.contains(
+                "subquery prior[bf] factored — 4 nodes: input input_prior__bf (seed (c3)), \
+                 ans ans_prior__bf__free, 0 supplementary, 2 filters"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "plan ans_prior__bf__free(Y) :- input_prior__bf(X), prereq(X, Y).\n\
+                 \x20   1. scan input_prior__bf(X)  full scan"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("2. scan prereq(X, Y)  probe on X"), "{text}");
+        assert!(!text.contains("scan prereq(X, Y)  full scan"), "{text}");
+
+        // Bound second: the plain fragment, whose persistent occurrence
+        // demands nothing beyond itself.
+        let text = explain("prior(X, c2)", "");
+        assert!(text.contains("subquery prior[fb] — "), "{text}");
+        assert!(text.contains("(seed (c2))"), "{text}");
+        assert!(!text.contains("edge:"), "{text}");
+
+        // A qualifier: the per-query wrapper, then what it demands.
+        let text = explain("answer(Y)", "prior(c3, Y), prereq(Y, c1)");
+        assert!(text.contains("subquery __qsq_query[f]"), "{text}");
+        assert!(
+            text.contains("input input___qsq_query__f (seed ())"),
+            "{text}"
+        );
+        assert!(text.contains("edge: input___qsq_query__f -> input_prior__bf"));
+        assert!(text.contains("sup0_1_prior__bf"), "{text}");
         // Explaining warmed the fragment cache.
-        assert_eq!(plan.qsq_cache().read().unwrap().len(), 1);
+        assert_eq!(cache_sizes(&plan), (2, 2));
     }
 }

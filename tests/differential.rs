@@ -570,3 +570,75 @@ proptest! {
         }
     }
 }
+
+/// The input `retrieve_workers_match_sequential` lacks: one whose deltas
+/// reach the 64-row chunking threshold. A fixpoint round goes to the
+/// worker pool only when it holds a delta chunk, so the proptest's small
+/// random programs never leave the sequential path. Transitive closure
+/// over a 130-edge chain chunks for its first ~65 rounds. It runs
+/// unbounded, and under a work budget that trips in one of those rounds,
+/// which drives the coordinator-tick and trip-replay branch of the batch
+/// executor. Every strategy is byte-identical at 1, 2, 4 and 8 workers.
+#[test]
+fn retrieve_workers_match_sequential_when_deltas_chunk() {
+    let idb = Idb::from_rules([
+        parse_rule("tc(X, Y) :- e0(X, Y).").unwrap(),
+        parse_rule("tc(X, Y) :- e0(X, Z), tc(Z, Y).").unwrap(),
+    ])
+    .unwrap();
+    let mut edb = Edb::new();
+    edb.declare("e0", &["A", "B"]).unwrap();
+    for i in 0..130 {
+        edb.insert_fact(&parse_atom(&format!("e0(c{i}, c{})", i + 1)).unwrap())
+            .unwrap();
+    }
+    let q = Retrieve::new(parse_atom("tc(X, Y)").unwrap(), vec![]);
+    for strategy in Strategy::ALL {
+        for budget in [None, Some(40)] {
+            let limits = budget.map_or_else(ResourceLimits::default, |b| {
+                ResourceLimits::default().with_work_budget(b)
+            });
+            let collector = std::sync::Arc::new(qdk::CollectSink::new());
+            let outcome = |workers: usize| -> Result<Vec<String>, EngineError> {
+                let opts = EvalOptions::with_limits(limits)
+                    .with_parallelism(Parallelism::workers(workers))
+                    .with_sink(qdk::ObsSink::new(collector.clone()));
+                let answer = retrieve_with(&edb, &idb, &q, strategy, opts)?;
+                Ok(answer.rows.iter().map(ToString::to_string).collect())
+            };
+            let sequential = outcome(1);
+            for workers in [2, 4, 8] {
+                collector.take();
+                assert_eq!(
+                    outcome(workers),
+                    sequential,
+                    "{strategy:?} at {workers} workers, budget {budget:?}"
+                );
+                if strategy == Strategy::TopDown {
+                    continue; // no fixpoint rounds
+                }
+                // The rounds chunked, up to and including the last one,
+                // where a budget trips.
+                let chunks: Vec<u64> = collector
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e {
+                        qdk::Event::Counter {
+                            name: "delta_chunks",
+                            value,
+                        } => Some(*value),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(chunks.iter().sum::<u64>() > 0, "{strategy:?}");
+                if budget.is_some() {
+                    assert!(
+                        matches!(sequential, Err(EngineError::Exhausted(_))),
+                        "{strategy:?}"
+                    );
+                    assert!(chunks.last().is_some_and(|&c| c > 0), "{strategy:?}");
+                }
+            }
+        }
+    }
+}

@@ -78,7 +78,8 @@ proptest! {
 
     /// Randomized graphs: transitive closure agrees across strategies,
     /// including constant-bound queries, and so do the join-heavy J1
-    /// shapes — the unbound 3-cycle self-join and a bound 3-hop path.
+    /// shapes — the unbound 3-cycle self-join and a bound 3-hop path —
+    /// and the linear-recursion shapes the QSQ net factors or must not.
     #[test]
     fn random_graphs_agree(
         edges in proptest::collection::vec((0u8..7, 0u8..7), 1..16),
@@ -90,7 +91,18 @@ proptest! {
              tc(X, Y) :- edge(X, Y).\n\
              tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
              triangle(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(Z, X).\n\
-             path3(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).",
+             path3(X, W) :- edge(X, Y), edge(Y, Z), edge(Z, W).\n\
+             lc(X, Y) :- edge(X, Y).\n\
+             lc(X, Y) :- lc(X, Z), edge(Z, Y).\n\
+             nc(X, Y) :- edge(X, Y).\n\
+             nc(X, Y) :- nc(X, Z), nc(Z, Y).\n\
+             ru(X, Y) :- edge(X, Y).\n\
+             ru(X, Y) :- edge(X, Z), edge(Y, Z), ru(Z, Y).\n\
+             tw(X, Y) :- edge(X, Y).\n\
+             tw(X, Y) :- edge(X, Z), tw(Z, Y).\n\
+             tw(X, Y) :- edge(Z, X), edge(Z, W), tw(W, Y).\n\
+             kc(X, Y) :- edge(X, Y).\n\
+             kc(X, Y) :- edge(X, n0), kc(n0, Y).",
         ).unwrap();
         for (a, b) in &edges {
             kb.run(&format!("edge(n{a}, n{b}).")).unwrap();
@@ -101,6 +113,15 @@ proptest! {
         assert_agree(&kb, "answer(X)", &format!("tc(X, n{probe}), edge(n{probe}, X)"));
         assert_agree(&kb, "triangle(X, Y, Z)", "");
         assert_agree(&kb, &format!("path3(n{probe}, W)"), "");
+        // Linear recursion the net factors or visits persistently, beside
+        // shapes it must not factor: left-linear, non-linear, a free
+        // variable reused in the body, two recursive rules, and a
+        // constant inside the recursive occurrence. Each bound first and
+        // bound second.
+        for pred in ["lc", "nc", "ru", "tw", "kc"] {
+            assert_agree(&kb, &format!("{pred}(n{probe}, Y)"), "");
+            assert_agree(&kb, &format!("{pred}(X, n{probe})"), "");
+        }
     }
 
     /// Randomized stratified-negation workloads agree too.
@@ -268,6 +289,44 @@ fn auto_rule5_bound_recursive_goals_run_qsq() {
         assert_eq!(resp.auto_choice(), Some(AutoChoice::Recursive), "{subject}");
         assert_eq!(evaluator_spans(&resp), ["qsq"], "{subject}");
         assert!(resp.downgrades().is_empty(), "{subject}");
+    }
+}
+
+/// Exact-counter guard on bound linear recursion under the net: on a
+/// 128-edge chain, the descendants of the node below the top and the
+/// ancestors of the bottom each cost at most three derived facts per
+/// edge (the factored net derives 254 and the persistent one 128). A net
+/// that keeps one answer row per reachable pair derives 8 382 for the
+/// first, and one that demands `prior[bb]` per edge 638 for the second.
+#[test]
+fn bound_linear_recursion_derives_in_proportion_to_the_answer() {
+    let mut script = String::from(
+        "predicate prereq(C, P).\n\
+         prior(X, Y) :- prereq(X, Y).\n\
+         prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n",
+    );
+    for i in 0..128 {
+        script.push_str(&format!("prereq(c{}, c{i}).\n", i + 1));
+    }
+    let mut kb = KnowledgeBase::new();
+    kb.load(&script).unwrap();
+    let s = Session::over(kb);
+    for (subject, rows) in [("prior(c127, Y)", 127), ("prior(X, c0)", 128)] {
+        let resp = s
+            .retrieve(
+                Request::subject(subject)
+                    .strategy(Strategy::Qsq)
+                    .with_trace(true),
+            )
+            .unwrap();
+        assert_eq!(evaluator_spans(&resp), ["qsq"], "{subject}");
+        assert!(resp.downgrades().is_empty(), "{subject}");
+        assert_eq!(resp.as_data().unwrap().len(), rows, "{subject}");
+        let derived = resp.trace().unwrap().counter("delta_facts").unwrap_or(0);
+        assert!(
+            derived <= 3 * 128,
+            "{subject}: derived {derived} facts for {rows} answers"
+        );
     }
 }
 
