@@ -4,7 +4,6 @@ use crate::governor::{CancelToken, Governor, ResourceLimits};
 use qdk_logic::obs::ObsSink;
 use qdk_logic::Parallelism;
 use std::time::Duration;
-use threadpool::Pool;
 
 /// When are one-level answers (plain IDB definitions) emitted?
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,11 +68,11 @@ pub struct DescribeOptions {
     /// Remove θ-subsumed answers (§3.2's redundancy freedom). Disabled
     /// only by the A2 ablation benchmark.
     pub remove_redundant: bool,
-    /// Worker count for the parallel derivation-tree enumeration
-    /// (`Default` = available cores; [`Parallelism::SEQUENTIAL`] pins the
-    /// exact sequential path). Root expansions fan out on the pool; the
-    /// θ-subsumption and redundancy post-passes stay sequential, so the
-    /// answer set is identical for every worker count.
+    /// Worker count for a `retrieve` served under these options (the
+    /// knowledge base hands it to the engine; `Default` = available
+    /// cores). The describe family ignores it: derivation-tree enumeration
+    /// runs on the calling thread, because a computed describe costs tens
+    /// of microseconds, about what spawning threads for it would add.
     pub parallelism: Parallelism,
     /// Observability sink; Algorithm 1/2 spans and counters are emitted
     /// here (the default disabled sink records nothing and costs one
@@ -148,7 +147,7 @@ impl DescribeOptions {
         self
     }
 
-    /// Sets the worker count for the parallel enumeration.
+    /// Sets the worker count a `retrieve` runs with.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -165,19 +164,5 @@ impl DescribeOptions {
     /// Builds the governor for one describe evaluation.
     pub(crate) fn governor(&self) -> Governor {
         Governor::new(self.limits).with_cancel(self.cancel.clone())
-    }
-
-    /// Builds the worker pool for one enumeration. A finite work budget or
-    /// fact cap forces the sequential pool: those limits trip at an exact
-    /// tick, and the truncation point (hence the answer prefix) must be
-    /// reproducible regardless of worker count. Deadline and cancellation
-    /// are wall-clock events — nondeterministic even sequentially — so they
-    /// do not disable parallelism.
-    pub(crate) fn pool(&self) -> Pool {
-        if self.limits.work_budget.is_some() || self.limits.max_facts.is_some() {
-            Pool::new(1)
-        } else {
-            Pool::new(self.parallelism.get())
-        }
     }
 }

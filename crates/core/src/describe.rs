@@ -97,6 +97,20 @@ impl PreparedIdb {
         run(rules, query, check_typing, opts)
     }
 
+    /// [`Self::describe`] applying every rule, whatever its reach: the
+    /// reference the cone-pruned enumeration is tested against.
+    #[cfg(test)]
+    pub(crate) fn describe_unpruned(
+        &self,
+        query: &Describe,
+        opts: &DescribeOptions,
+    ) -> Result<DescribeAnswer> {
+        query.check(self.defines(&query.subject.pred))?;
+        let (rules, check_typing) = self.rules_for_subject(query.subject.pred.as_str())?;
+        let enumerator = Enumerator::new(rules, &query.hypothesis, check_typing, opts).unpruned();
+        run_enumerator(rules, query, opts, enumerator)
+    }
+
     /// [`Self::describe`] that additionally respects integrity constraints
     /// (§2.1's second Horn-clause form): a theorem whose body — conjoined
     /// with the hypothesis — contains a forbidden combination (some
@@ -139,8 +153,17 @@ pub fn run(
     check_typing: bool,
     opts: &DescribeOptions,
 ) -> Result<DescribeAnswer> {
+    let enumerator = Enumerator::new(tidb, &query.hypothesis, check_typing, opts);
+    run_enumerator(tidb, query, opts, enumerator)
+}
+
+fn run_enumerator(
+    tidb: &TransformedIdb,
+    query: &Describe,
+    opts: &DescribeOptions,
+    mut enumerator: Enumerator<'_>,
+) -> Result<DescribeAnswer> {
     let obs = opts.sink.clone();
-    let mut enumerator = Enumerator::new(tidb, &query.hypothesis, check_typing, opts);
     let (raw, productive) = {
         let _span = obs.span("enumerate", 0);
         enumerator.enumerate(&query.subject)

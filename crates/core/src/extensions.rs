@@ -25,7 +25,9 @@ use crate::expand;
 use crate::governor::Governor;
 use crate::prepared::PreparedIdb;
 use qdk_engine::Idb;
-use qdk_logic::{unify_atoms, Atom, Constraint, Literal, Subst, Sym};
+use qdk_logic::{
+    rename_rule_apart, unify_atoms, Atom, Constraint, Literal, Rule, Subst, Sym, VarGen,
+};
 use std::collections::HashMap;
 
 /// `describe p where necessary ψ`: answers whose derivations used every
@@ -64,9 +66,9 @@ pub struct NegationAnswer {
     /// True if the subject is derivable without the negated concept —
     /// i.e. the concept is *not* necessary.
     pub derivable_without: bool,
-    /// The extensional definitions witnessing derivability (empty when
-    /// `derivable_without` is false).
-    pub witnesses: Vec<expand::Conjunct>,
+    /// The first untainted derivation found, unfolded to extensional
+    /// vocabulary (the witness; `None` when `derivable_without` is false).
+    pub witness: Option<expand::Conjunct>,
 }
 
 impl std::fmt::Display for NegationAnswer {
@@ -85,7 +87,8 @@ impl std::fmt::Display for NegationAnswer {
 /// (appearing even as an inner node counts: expanding the concept away
 /// does not remove the dependence). The answer is `false` — the paper's
 /// "honor status is necessary for teaching assistantship" — exactly when
-/// every derivation is tainted.
+/// every derivation is tainted. The search stops at the first untainted
+/// derivation, which is the witness.
 pub fn describe_without(
     idb: &Idb,
     subject: &Atom,
@@ -95,91 +98,154 @@ pub fn describe_without(
     if !idb.defines(subject.pred.as_str()) {
         return Err(DescribeError::SubjectNotIdb(subject.pred.to_string()));
     }
-    // Expand the subject, pruning derivations through h at every level
-    // (the subject itself unifying with h is immediately tainted).
-    let mut conjs = Vec::new();
-    let mut gov = opts.governor();
-    expand_avoiding(idb, subject, negated, &mut Vec::new(), &mut gov, &mut conjs)?;
+    // The subject itself unifying with h is immediately tainted.
+    let witness = Avoiding::new(idb, negated, opts).first(subject)?;
     Ok(NegationAnswer {
-        derivable_without: !conjs.is_empty(),
-        witnesses: conjs,
+        derivable_without: witness.is_some(),
+        witness,
     })
+}
+
+/// [`describe_without`]'s test reference: every untainted derivation of
+/// `subject`, as the DNF of its unfolding.
+#[cfg(test)]
+pub(crate) fn describe_without_dnf(
+    idb: &Idb,
+    subject: &Atom,
+    negated: &Atom,
+    opts: &DescribeOptions,
+) -> Result<Vec<expand::Conjunct>> {
+    Avoiding::new(idb, negated, opts).all(subject)
 }
 
 /// Depth-first unfolding that refuses to *create* any node unifying with
 /// the taboo atom. Like [`expand::expand_atom`] it has no meaningful
 /// partial result, so a tripped limit is an error.
-fn expand_avoiding(
-    idb: &Idb,
-    atom: &Atom,
-    taboo: &Atom,
-    path: &mut Vec<Sym>,
-    gov: &mut Governor,
-    out: &mut Vec<expand::Conjunct>,
-) -> Result<()> {
-    gov.tick()?;
-    if unify_atoms(atom, taboo).is_some() {
-        return Ok(());
+struct Avoiding<'a> {
+    idb: &'a Idb,
+    taboo: &'a Atom,
+    /// Predicates being unfolded on the current path (the cycle guard).
+    path: Vec<Sym>,
+    gen: VarGen,
+    gov: Governor,
+}
+
+impl<'a> Avoiding<'a> {
+    fn new(idb: &'a Idb, taboo: &'a Atom, opts: &DescribeOptions) -> Self {
+        Avoiding {
+            idb,
+            taboo,
+            path: Vec::new(),
+            gen: VarGen::new(),
+            gov: opts.governor(),
+        }
     }
-    if atom.is_builtin() || !idb.defines(atom.pred.as_str()) {
-        out.push(vec![Literal::pos(atom.clone())]);
-        return Ok(());
+
+    /// Renames a rule of `atom`'s predicate apart and unifies its head
+    /// with `atom`; `None` for a rule whose head does not unify.
+    fn resolve(&mut self, atom: &Atom, rule: &Rule) -> Option<(Rule, Subst)> {
+        let (renamed, _) = rename_rule_apart(rule, &mut self.gen);
+        let mgu = unify_atoms(atom, &renamed.head)?;
+        Some((renamed, mgu))
     }
-    // Cycle guard: a minimal untainted derivation never unfolds the same
-    // predicate twice along one path (dropping the loop yields a smaller
-    // untainted derivation).
-    if path.contains(&atom.pred) {
-        return Ok(());
+
+    /// The taboo check, the leaf case and the cycle guard, shared by the
+    /// search and its test reference: `Some(answer)` settles `atom`
+    /// without unfolding it, `None` means unfold its rules.
+    fn settle(&self, atom: &Atom) -> Option<Option<expand::Conjunct>> {
+        if unify_atoms(atom, self.taboo).is_some() {
+            return Some(None);
+        }
+        if atom.is_builtin() || !self.idb.defines(atom.pred.as_str()) {
+            return Some(Some(vec![Literal::pos(atom.clone())]));
+        }
+        // A minimal untainted derivation never unfolds the same predicate
+        // twice along one path (dropping the loop yields a smaller
+        // untainted derivation).
+        self.path.contains(&atom.pred).then_some(None)
     }
-    path.push(atom.pred.clone());
-    let rules: Vec<_> = idb.rules_for(atom.pred.as_str()).cloned().collect();
-    for rule in rules {
-        let mut gen = qdk_logic::VarGen::new();
-        let (renamed, _) = qdk_logic::rename_rule_apart(&rule, &mut gen);
-        let Some(mgu) = unify_atoms(atom, &renamed.head) else {
-            continue;
-        };
-        // Expand each body atom independently; any tainted body atom
-        // taints the rule branch.
-        let mut disjuncts_per_atom: Vec<Vec<expand::Conjunct>> = Vec::new();
-        let mut tainted = false;
-        for lit in &renamed.body {
-            if !lit.positive {
-                disjuncts_per_atom.push(vec![vec![lit.clone()]]);
+
+    /// The first untainted derivation of `atom`, rules in order and body
+    /// atoms left to right; `None` when every derivation is tainted. A
+    /// body atom with no untainted derivation taints its rule, whether it
+    /// is a concept all of whose derivations are tainted or a stored atom
+    /// that is the taboo itself.
+    fn first(&mut self, atom: &Atom) -> Result<Option<expand::Conjunct>> {
+        self.gov.tick()?;
+        if let Some(settled) = self.settle(atom) {
+            return Ok(settled);
+        }
+        self.path.push(atom.pred.clone());
+        let idb = self.idb;
+        let mut found = None;
+        'rules: for rule in idb.rules_for(atom.pred.as_str()) {
+            let Some((renamed, mgu)) = self.resolve(atom, rule) else {
                 continue;
-            }
-            let inst = mgu.apply_atom(&lit.atom);
-            let mut sub = Vec::new();
-            expand_avoiding(idb, &inst, taboo, path, gov, &mut sub)?;
-            if sub.is_empty() && !inst.is_builtin() && idb.defines(inst.pred.as_str()) {
-                tainted = true;
-                break;
-            }
-            if sub.is_empty() {
-                sub.push(vec![Literal::pos(inst.clone())]);
-            }
-            disjuncts_per_atom.push(sub);
-        }
-        if tainted {
-            continue;
-        }
-        // Cross product of the per-atom disjuncts.
-        let mut combos: Vec<expand::Conjunct> = vec![Vec::new()];
-        for ds in &disjuncts_per_atom {
-            let mut next = Vec::new();
-            for c in &combos {
-                for d in ds {
-                    let mut c2 = c.clone();
-                    c2.extend(d.iter().cloned());
-                    next.push(c2);
+            };
+            let mut conjunct = Vec::new();
+            for lit in &renamed.body {
+                if !lit.positive {
+                    conjunct.push(mgu.apply_literal(lit));
+                    continue;
+                }
+                match self.first(&mgu.apply_atom(&lit.atom))? {
+                    Some(sub) => conjunct.extend(sub),
+                    None => continue 'rules,
                 }
             }
-            combos = next;
+            found = Some(conjunct);
+            break;
         }
-        out.extend(combos);
+        self.path.pop();
+        Ok(found)
     }
-    path.pop();
-    Ok(())
+
+    /// Every untainted derivation of `atom`, as the DNF of its unfolding:
+    /// the reference [`Self::first`] is tested against (its first
+    /// disjunct is the witness).
+    #[cfg(test)]
+    fn all(&mut self, atom: &Atom) -> Result<Vec<expand::Conjunct>> {
+        self.gov.tick()?;
+        if let Some(settled) = self.settle(atom) {
+            return Ok(settled.into_iter().collect());
+        }
+        self.path.push(atom.pred.clone());
+        let idb = self.idb;
+        let mut out = Vec::new();
+        'rules: for rule in idb.rules_for(atom.pred.as_str()) {
+            let Some((renamed, mgu)) = self.resolve(atom, rule) else {
+                continue;
+            };
+            // The cross product of the body atoms' disjuncts.
+            let mut combos: Vec<expand::Conjunct> = vec![Vec::new()];
+            for lit in &renamed.body {
+                let disjuncts = if lit.positive {
+                    self.all(&mgu.apply_atom(&lit.atom))?
+                } else {
+                    vec![vec![mgu.apply_literal(lit)]]
+                };
+                if disjuncts.is_empty() {
+                    continue 'rules;
+                }
+                combos = combos
+                    .iter()
+                    .flat_map(|c| {
+                        disjuncts
+                            .iter()
+                            .map(move |d| [c.clone(), d.clone()].concat())
+                    })
+                    .collect();
+                // A conjunct built is work too: the product can outgrow the
+                // nodes visited.
+                for _ in &combos {
+                    self.gov.tick()?;
+                }
+            }
+            out.extend(combos);
+        }
+        self.path.pop();
+        Ok(out)
+    }
 }
 
 /// The answer to a subjectless (hypothetical-possibility) describe.
@@ -408,7 +474,10 @@ impl PreparedIdb {
 
     /// [`describe_wildcard`] over this preparation: one describe per
     /// subject, all over the same prepared rules. A predicate name the
-    /// rule base defines at several arities is asked once per arity.
+    /// rule base defines at several arities is asked once per arity. A
+    /// subject none of whose theorems can use the hypothesis is not
+    /// described at all, unless a limit has already tripped: then its
+    /// describe runs, and reports the truncation.
     pub fn describe_wildcard(
         &self,
         integrity: &[Constraint],
@@ -425,6 +494,9 @@ impl PreparedIdb {
                     .collect(),
             );
             let query = Describe::new(subject, hypothesis.to_vec());
+            if !self.may_use_hypothesis(&query) && opts.governor().poll().is_ok() {
+                continue;
+            }
             let mut answer = self.describe_with_constraints(integrity, &query, opts)?;
             answer.theorems.retain(|t| !t.used_hypothesis.is_empty());
             // A subject whose enumeration was cut short stays in the
@@ -435,6 +507,38 @@ impl PreparedIdb {
             }
         }
         Ok(out)
+    }
+
+    /// False only when no theorem of `query` can use its hypothesis:
+    /// no hypothesis atom is on the subject's predicate (nothing to
+    /// identify the root with), no rule of the subject reaches a
+    /// hypothesis predicate (nothing to identify below it), and no
+    /// hypothesis comparison mentions a subject variable (the only way
+    /// one could imply a comparison of a one-level theorem). A subject
+    /// the transformation refused counts as usable, so that its describe
+    /// reports the refusal.
+    fn may_use_hypothesis(&self, query: &Describe) -> bool {
+        let subject = &query.subject;
+        let Ok((rules, _)) = self.rules_for_subject(subject.pred.as_str()) else {
+            return true;
+        };
+        let vars = subject.vars();
+        let mut preds = Vec::new();
+        for l in query.hypothesis.iter().filter(|l| l.positive) {
+            if !l.is_builtin() {
+                preds.push(&l.atom.pred);
+            } else if l.atom.vars().iter().any(|v| vars.contains(v)) {
+                return true;
+            }
+        }
+        if preds.contains(&&subject.pred) {
+            return true;
+        }
+        let preds = rules.pred_set(preds);
+        rules
+            .rule_indexes_for(&subject.pred)
+            .iter()
+            .any(|&ri| rules.reaches(ri, &preds))
     }
 }
 
@@ -571,7 +675,11 @@ mod tests {
         )
         .unwrap();
         assert!(a.derivable_without);
-        assert!(!a.witnesses.is_empty());
+        let witness: Vec<String> = a.witness.unwrap().iter().map(|l| l.to_string()).collect();
+        assert!(
+            witness.iter().all(|l| !l.starts_with("teach(")),
+            "{witness:?}"
+        );
     }
 
     #[test]
@@ -639,6 +747,42 @@ mod tests {
         assert!(preds.contains(&"can_ta".to_string()), "{preds:?}");
         let can_ta = &out.iter().find(|(p, _)| p.as_str() == "can_ta").unwrap().1;
         assert_eq!(can_ta.len(), 2);
+    }
+
+    #[test]
+    fn wildcard_skips_only_subjects_the_hypothesis_cannot_reach() {
+        // `late` reaches `honor` through its negated literal; no rule of
+        // `flag` reaches it, so `flag` is not described — unless a
+        // hypothesis comparison on the subject's own variable implies
+        // `flag`'s comparison, which makes its one-level theorem use the
+        // hypothesis.
+        let idb = Idb::from_rules(
+            parse_program(
+                "honor(X) :- student(X, Y, Z), Z > 3.7.
+                 dean(X) :- honor(X), enroll(X, Y).
+                 late(X) :- enroll(X, Y), not honor(Y).
+                 flag(X) :- student(X, Y, Z), X > 3.",
+            )
+            .unwrap()
+            .rules,
+        )
+        .unwrap();
+        let concepts = |hypothesis: &str| -> Vec<String> {
+            let hyp = parse_body(hypothesis).unwrap();
+            let out = describe_wildcard(&idb, &hyp, &DescribeOptions::paper()).unwrap();
+            out.iter()
+                .map(|(p, a)| format!("{p}: {a}").trim().to_string())
+                .collect()
+        };
+        let reached = vec![
+            "honor: honor(S0) ← (S0 = H)",
+            "dean: dean(S0) ← enroll(H, X) ∧ (S0 = H)",
+            "late: late(S0) ← enroll(S0, H)",
+        ];
+        assert_eq!(concepts("honor(H)"), reached);
+        let mut implied = reached;
+        implied.push("flag: flag(S0) ← student(S0, X, Y)");
+        assert_eq!(concepts("honor(H), S0 > 5"), implied);
     }
 
     #[test]

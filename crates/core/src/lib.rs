@@ -49,6 +49,8 @@ mod answer;
 pub mod audit;
 pub mod cache;
 pub mod compare;
+#[cfg(test)]
+mod cone_tests;
 mod config;
 pub mod constraints;
 pub mod describe;

@@ -63,6 +63,71 @@ pub enum RuleKind {
     UntypedControlled,
 }
 
+/// A set of predicates of one [`TransformedIdb`]: a bitset over the dense
+/// ids its compiled program's interner gives them.
+#[derive(Clone, Debug)]
+pub(crate) struct PredSet(Vec<u64>);
+
+/// Per rule, every predicate its body reaches through the rules: its own
+/// body predicates (negated literals included) and, transitively, those
+/// of every rule that can expand them. A tree under the rule can only
+/// ever hold formulas of these predicates.
+#[derive(Clone, Debug)]
+struct ReachTable {
+    /// Bitset words per rule.
+    words: usize,
+    /// Rule `ri`'s bitset is `bits[ri * words..][..words]`.
+    bits: Vec<u64>,
+}
+
+impl ReachTable {
+    /// A fixpoint: a rule reaches its body predicates and whatever the
+    /// rules of those predicates reach.
+    fn build(program: &ProgramPlan) -> ReachTable {
+        let preds = program.interner().len();
+        let words = preds.div_ceil(64);
+        let slot = |i: usize| i * words..(i + 1) * words;
+        let plans = program.plans();
+        let mut bits = vec![0u64; plans.len() * words];
+        // What the rules of each predicate reach.
+        let mut below = vec![0u64; preds * words];
+        loop {
+            let mut grew = false;
+            // Backwards, because rule bases tend to define a concept
+            // before the concepts it uses: a layered base then settles in
+            // two passes.
+            for (ri, plan) in plans.iter().enumerate().rev() {
+                let rule = &plan.compiled;
+                let reach = &mut bits[slot(ri)];
+                for (lit, ir) in rule.source.body.iter().zip(&rule.body) {
+                    if lit.is_builtin() {
+                        continue;
+                    }
+                    let q = ir.atom.pred_id.index();
+                    let bit = 1 << (q % 64);
+                    grew |= reach[q / 64] & bit == 0;
+                    reach[q / 64] |= bit;
+                    grew |= union_into(reach, &below[slot(q)]);
+                }
+                grew |= union_into(&mut below[slot(rule.head.pred_id.index())], reach);
+            }
+            if !grew {
+                return ReachTable { words, bits };
+            }
+        }
+    }
+}
+
+/// Adds `from`'s members to `into`; true if that added anything.
+fn union_into(into: &mut [u64], from: &[u64]) -> bool {
+    let mut grew = false;
+    for (mine, theirs) in into.iter_mut().zip(from) {
+        grew |= *theirs & !*mine != 0;
+        *mine |= *theirs;
+    }
+    grew
+}
+
 /// The rule list the tree enumerator runs: an IDB rewritten by the §5.2
 /// transformation (or left as is), each rule tagged with its [`RuleKind`],
 /// compiled once and indexed by head predicate. Built by [`transform_idb`];
@@ -87,6 +152,7 @@ pub struct TransformedIdb {
     /// Rule indexes grouped by head predicate, derived from the compiled
     /// heads (parallel to `idb.rules()` / `program.plans()` order).
     by_head: HashMap<Sym, Vec<usize>>,
+    reach: ReachTable,
 }
 
 impl TransformedIdb {
@@ -101,8 +167,8 @@ impl TransformedIdb {
         )
     }
 
-    /// Compiles the (possibly rewritten) IDB and indexes its rules by
-    /// compiled head predicate.
+    /// Compiles the (possibly rewritten) IDB, indexes its rules by
+    /// compiled head predicate and builds the reach table.
     fn assemble(
         idb: Idb,
         kinds: Vec<RuleKind>,
@@ -117,6 +183,7 @@ impl TransformedIdb {
                 .or_default()
                 .push(i);
         }
+        let reach = ReachTable::build(&program);
         TransformedIdb {
             idb,
             kinds,
@@ -124,6 +191,7 @@ impl TransformedIdb {
             modified,
             program,
             by_head,
+            reach,
         }
     }
 
@@ -132,6 +200,30 @@ impl TransformedIdb {
     /// the rule list.
     pub fn rule_indexes_for(&self, pred: &Sym) -> &[usize] {
         self.by_head.get(pred).map_or(&[], Vec::as_slice)
+    }
+
+    /// `preds` as a set to test rules' reach against. A predicate no rule
+    /// mentions is reached by none, so it is left out.
+    pub(crate) fn pred_set<'p>(&self, preds: impl IntoIterator<Item = &'p Sym>) -> PredSet {
+        let interner = self.program.interner();
+        let mut set = vec![0u64; self.reach.words];
+        for id in preds
+            .into_iter()
+            .filter_map(|p| interner.lookup(p.as_str()))
+        {
+            set[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        PredSet(set)
+    }
+
+    /// True if a tree under rule `ri` can hold a formula of a predicate in
+    /// `preds`.
+    pub(crate) fn reaches(&self, ri: usize, preds: &PredSet) -> bool {
+        let words = self.reach.words;
+        self.reach.bits[ri * words..][..words]
+            .iter()
+            .zip(&preds.0)
+            .any(|(a, b)| a & b != 0)
     }
 }
 
@@ -593,6 +685,37 @@ mod tests {
         let t = transform_idb(&idb(src), TransformPolicy::PreferModified).unwrap();
         assert_eq!(t.idb.len(), 1);
         assert_eq!(t.kinds, vec![RuleKind::Ordinary]);
+    }
+
+    #[test]
+    fn reach_follows_the_transformed_rules_transitively() {
+        let src = "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
+                   prior(X, Y) :- prereq(X, Y).\n\
+                   prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n\
+                   late(X) :- prior(X, Y), not honor(Y).";
+        let t = transform_idb(&idb(src), TransformPolicy::AlwaysArtificial).unwrap();
+        let reaches = |ri: usize, pred: &str| t.reaches(ri, &t.pred_set([&Sym::new(pred)]));
+        let rule = |head: &str| t.rule_indexes_for(&Sym::new(head))[0];
+        let honor = rule("honor");
+        assert!(reaches(honor, "student"));
+        assert!(!reaches(honor, "honor") && !reaches(honor, ">"));
+        // r_T reaches the step predicate, and through it r_I's prereq.
+        let r_t = t
+            .kinds
+            .iter()
+            .position(|k| matches!(k, RuleKind::Transform { .. }))
+            .unwrap();
+        for pred in ["prior", "t_prior", "prereq"] {
+            assert!(reaches(r_t, pred), "{pred}");
+        }
+        // Negated literals count: the tree walks them too.
+        let late = rule("late");
+        for pred in ["prior", "t_prior", "prereq", "honor", "student"] {
+            assert!(reaches(late, pred), "{pred}");
+        }
+        assert!(!reaches(late, "late"));
+        // A predicate no rule mentions is reached by none.
+        assert!(!reaches(late, "ghost"));
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!    leaf is cut off below its root (§4 — "answers use the most general
 //!    concepts possible"), which the enumeration realizes by discarding
 //!    expansion branches whose subtree identified nothing (possibility 2
-//!    already covers the collapsed form).
+//!    already covers the collapsed form). A rule whose body reaches no
+//!    hypothesis predicate (the transformed rules' reach table) is not
+//!    applied at all: identification needs the hypothesis formula's
+//!    predicate, so every branch under it would be cut.
 //!
 //! Algorithm 2's additions (Figure 3, boxes 9a–9e) are handled in the same
 //! walk: every recursive-rule application is gated by the node's *tag* and
@@ -32,11 +35,10 @@
 
 use crate::config::DescribeOptions;
 use crate::governor::{Exhausted, Governor, Resource};
-use crate::transform::{RuleKind, TransformedIdb};
-use qdk_logic::{unify_atoms, Atom, Const, Subst, Sym, Term, Var, VarGen};
+use crate::transform::{PredSet, RuleKind, TransformedIdb};
+use qdk_logic::{unify_atoms, Atom, Subst, Term, Var, VarGen};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use threadpool::Pool;
 
 /// Algorithm 2's node tags (§5.3): `None` is untagged; tag 0 prohibits
 /// applying a recursive rule to the node; tags 1 and 2 permit it and bound
@@ -51,8 +53,6 @@ pub(crate) enum Tag {
 
 /// Work counters accumulated during one enumeration, reported through the
 /// observability layer (`trees_expanded`, `leaves_identified`, `cuts`).
-/// Plain integers: workers each count their own task and the coordinator
-/// sums in task order, so the totals are identical at every worker count.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct EnumStats {
     /// Successful rule applications (a tree formula expanded, boxes 8–9).
@@ -61,14 +61,6 @@ pub(crate) struct EnumStats {
     pub leaves_identified: u64,
     /// Expansion branches discarded by the §4 productivity cut.
     pub cuts: u64,
-}
-
-impl EnumStats {
-    fn merge(&mut self, other: EnumStats) {
-        self.trees_expanded += other.trees_expanded;
-        self.leaves_identified += other.leaves_identified;
-        self.cuts += other.cuts;
-    }
 }
 
 /// One enumerated derivation: everything the driver needs to assemble a
@@ -101,9 +93,7 @@ pub(crate) struct RawAnswer {
 /// re-copying ever-growing occurrence and trace vectors through every
 /// branch clone (each visited node clones its context two or more times),
 /// and the copies grow linearly with depth. Chains cut the depth-8 tower
-/// enumeration ~2.3×. Tail nodes also belong to the task that created
-/// them, which keeps clone traffic off other workers' cache lines on
-/// multi-core hosts.
+/// enumeration ~2.3×.
 #[derive(Clone, Debug)]
 struct Chain<T>(Option<Arc<ChainNode<T>>>);
 
@@ -201,11 +191,18 @@ pub(crate) struct Enumerator<'a> {
     tidb: &'a TransformedIdb,
     /// Non-comparison hypothesis atoms with their original indexes.
     hyp_atoms: Vec<(usize, Atom)>,
+    /// The predicates of `hyp_atoms`: the only ones a tree formula can be
+    /// identified on.
+    hyp_preds: PredSet,
     /// Whether typing preservation is enforced (Algorithm 2).
     check_typing: bool,
     /// Exhaustive mode (completeness audits): the §4 productivity cut is
     /// disabled, so unproductive expansions are enumerated too.
     exhaustive: bool,
+    /// Whether a rule whose reach misses `hyp_preds` is skipped instead
+    /// of applied. Off in exhaustive mode, which keeps the branches such
+    /// a rule yields.
+    cone: bool,
     opts: &'a DescribeOptions,
     gen: VarGen,
     /// Resource accountant for this enumeration. Budget, deadline, fact
@@ -223,18 +220,6 @@ pub(crate) struct Enumerator<'a> {
     /// the guard-length chain answers are pathological — post-processing
     /// must be skipped on them.
     guard_prune: bool,
-    /// Worker pool for root-expansion fan-out (see [`DescribeOptions::pool`];
-    /// sequential when a deterministic-truncation limit is configured).
-    pool: Pool,
-    /// Task-local symbol copies, keyed by name. Renamed rule atoms (and the
-    /// worker's hypothesis copies) are rebuilt through this cache so their
-    /// `Sym` allocations belong to this worker: symbols equal by content
-    /// behave identically everywhere, but every clone of a symbol shared
-    /// across workers is an atomic refcount bump on a shared allocation,
-    /// and on multi-core hosts those cache lines ping-pong between the
-    /// workers' cores. Measured neutral on a single core; it exists for
-    /// clone locality when the root fan-out really does run in parallel.
-    syms: HashMap<String, Sym>,
     /// Observability counters for this enumeration.
     stats: EnumStats,
 }
@@ -250,7 +235,7 @@ impl<'a> Enumerator<'a> {
         check_typing: bool,
         opts: &'a DescribeOptions,
     ) -> Self {
-        let hyp_atoms = hypothesis
+        let hyp_atoms: Vec<(usize, Atom)> = hypothesis
             .iter()
             .enumerate()
             .filter(|(_, l)| l.positive && !l.is_builtin())
@@ -258,16 +243,16 @@ impl<'a> Enumerator<'a> {
             .collect();
         Enumerator {
             tidb,
+            hyp_preds: tidb.pred_set(hyp_atoms.iter().map(|(_, a)| &a.pred)),
             hyp_atoms,
             check_typing,
             exhaustive: false,
+            cone: true,
             opts,
             gen: VarGen::new(),
             gov: opts.governor(),
             depth_trunc: None,
             guard_prune: false,
-            pool: opts.pool(),
-            syms: HashMap::new(),
             stats: EnumStats::default(),
         }
     }
@@ -275,66 +260,22 @@ impl<'a> Enumerator<'a> {
     /// Switches the enumerator to exhaustive mode (no productivity cut).
     pub fn exhaustive(mut self) -> Self {
         self.exhaustive = true;
+        self.cone = false;
         self
     }
 
-    /// A worker for one root-expansion task: shares the governor (one
-    /// budget, one deadline, one sticky trip across all workers) but owns a
-    /// fresh [`VarGen`] and its own soft-prune flags. Fresh-variable names
-    /// are only required to be distinct *within* one derivation, and every
-    /// rendering canonicalizes them, so per-task numbering makes each
-    /// task's output independent of the others — identical whether the
-    /// tasks ran inline in order or on worker threads.
-    fn worker(&self) -> Enumerator<'a> {
-        let mut w = Enumerator {
-            tidb: self.tidb,
-            hyp_atoms: Vec::new(),
-            check_typing: self.check_typing,
-            exhaustive: self.exhaustive,
-            opts: self.opts,
-            gen: VarGen::new(),
-            gov: self.gov.clone(),
-            depth_trunc: None,
-            guard_prune: false,
-            pool: Pool::new(1),
-            syms: HashMap::new(),
-            stats: EnumStats::default(),
-        };
-        // The worker unifies against the hypothesis at every visited node;
-        // give it symbol copies it owns.
-        w.hyp_atoms = self
-            .hyp_atoms
-            .iter()
-            .map(|(i, a)| (*i, w.detach_atom(a)))
-            .collect();
-        w
+    /// Applies every rule, including those whose reach misses the
+    /// hypothesis: the reference the cone-pruned walk is tested against.
+    #[cfg(test)]
+    pub fn unpruned(mut self) -> Self {
+        self.cone = false;
+        self
     }
 
-    /// A task-local copy of `s` (see the `syms` field).
-    fn local_sym(&mut self, s: &Sym) -> Sym {
-        if let Some(l) = self.syms.get(s.as_str()) {
-            return l.clone();
-        }
-        let l = Sym::new(s.as_str());
-        self.syms.insert(s.as_str().to_string(), l.clone());
-        l
-    }
-
-    /// Rebuilds `a` with this worker's symbol allocations. Fresh variables
-    /// already allocate per-worker (the worker's own [`VarGen`] makes
-    /// them), so only the predicate and symbolic constants need rebinding.
-    fn detach_atom(&mut self, a: &Atom) -> Atom {
-        let pred = self.local_sym(&a.pred);
-        let args = a
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(Const::Sym(s)) => Term::Const(Const::Sym(self.local_sym(s))),
-                Term::Const(Const::Str(s)) => Term::Const(Const::Str(self.local_sym(s))),
-                other => other.clone(),
-            })
-            .collect();
-        Atom::new(pred, args)
+    /// True unless rule `ri` is skipped: no tree under it can identify a
+    /// hypothesis formula, so each of its branches would be cut.
+    fn applies(&self, ri: usize) -> bool {
+        !self.cone || self.tidb.reaches(ri, &self.hyp_preds)
     }
 
     /// Records one unit of work. The governor's trip (if any) is sticky,
@@ -399,11 +340,16 @@ impl<'a> Enumerator<'a> {
     pub fn enumerate(&mut self, subject: &Atom) -> (Vec<RawAnswer>, BTreeSet<usize>) {
         let mut answers = Vec::new();
         let mut productive_rules = BTreeSet::new();
+        // A cancellation or an expired deadline is observed even when the
+        // cone leaves nothing to tick on. The trip is sticky.
+        let _ = self.gov.poll();
 
-        let base_occurrences: Vec<Atom> = std::iter::once(subject.clone())
-            .chain(self.hyp_atoms.iter().map(|(_, a)| a.clone()))
-            .collect();
-        let base_chain = Chain::new().extend(base_occurrences.clone());
+        let base_len = 1 + self.hyp_atoms.len();
+        let base_chain = Chain::new().extend(
+            std::iter::once(subject.clone())
+                .chain(self.hyp_atoms.iter().map(|(_, a)| a.clone()))
+                .collect(),
+        );
 
         // Root identification with a hypothesis formula (Example 6's
         // `prior(X, Y) ← (X = databases)` answers).
@@ -427,47 +373,26 @@ impl<'a> Enumerator<'a> {
             }
         }
 
-        // Root expansions, one independent task per rule of the subject's
-        // predicate (read off the compiled program's head index). Each task
-        // runs on its own worker — fresh `VarGen`, shared governor — so the
-        // frontier fans out on the pool and the merged result, assembled in
-        // task order below, is identical for every worker count. A worker
-        // that observes the sticky governor trip drains immediately, which
-        // is the parallel form of the sequential loop's early `break`.
+        // Root expansions, one per rule of the subject's predicate (read off
+        // the compiled program's head index) that can reach the hypothesis,
+        // in rule order. Each starts a fresh `VarGen`: fresh-variable names
+        // need only be distinct within one derivation, and every rendering
+        // canonicalizes them.
+        let base = Branch {
+            subst: Subst::new(),
+            occurrences: base_chain,
+            untyped_uses: HashMap::new(),
+            leaves: Vec::new(),
+            used: BTreeSet::new(),
+            trace: Chain::new(),
+        };
         let tidb = self.tidb;
-        let rule_idxs: Vec<usize> = tidb.rule_indexes_for(&subject.pred).to_vec();
-        let tasks: Vec<_> = rule_idxs
-            .iter()
-            .map(|&ri| {
-                let mut w = self.worker();
-                // Each task roots its own chain node so tail extensions —
-                // and the refcounts branch clones bump — stay local to the
-                // worker that owns them.
-                let base = Branch {
-                    subst: Subst::new(),
-                    occurrences: Chain::new().extend(base_occurrences.clone()),
-                    untyped_uses: HashMap::new(),
-                    leaves: Vec::new(),
-                    used: BTreeSet::new(),
-                    trace: Chain::new(),
-                };
-                move || {
-                    let branches = w.apply_rule(subject, ri, Tag::Untagged, &base, 0);
-                    (branches, w.depth_trunc, w.guard_prune, w.stats)
-                }
-            })
-            .collect();
-        let results = self.pool.join_all(tasks);
-        for (&ri, (branches, depth_trunc, guard_prune, stats)) in rule_idxs.iter().zip(results) {
-            // Soft-prune state merges in task order: the first recorded
-            // depth prune wins (matching the sequential walk's first-prune
-            // rule), guard prunes accumulate, counters sum.
-            if self.depth_trunc.is_none() {
-                self.depth_trunc = depth_trunc;
+        for &ri in tidb.rule_indexes_for(&subject.pred) {
+            if !self.applies(ri) {
+                continue;
             }
-            self.guard_prune |= guard_prune;
-            self.stats.merge(stats);
-            for b in branches {
+            self.gen = VarGen::new();
+            for b in self.apply_rule(subject, ri, Tag::Untagged, &base, 0) {
                 // Root context is empty, so subtree-only equals total here.
                 if b.used.is_empty() && !self.exhaustive {
                     // Tracked separately: the rule's unproductive branches
@@ -485,7 +410,7 @@ impl<'a> Enumerator<'a> {
                     root_rule: Some(ri),
                     trace: b.trace.collect_from(0),
                     tree_atoms: std::iter::once(subject.clone())
-                        .chain(b.occurrences.collect_from(base_occurrences.len()))
+                        .chain(b.occurrences.collect_from(base_len))
                         .collect(),
                 });
             }
@@ -552,21 +477,7 @@ impl<'a> Enumerator<'a> {
         let tidb = self.tidb;
         let compiled = &tidb.program.plans()[ri].compiled;
         let rule = &compiled.source;
-        let renamed = {
-            // Rebind through the task-local symbol cache so every clone the
-            // subtree makes below stays off other workers' cache lines.
-            let r = compiled.rename_apart(&mut self.gen);
-            let head = self.detach_atom(&r.head);
-            let body = r
-                .body
-                .iter()
-                .map(|l| qdk_logic::Literal {
-                    positive: l.positive,
-                    atom: self.detach_atom(&l.atom),
-                })
-                .collect();
-            qdk_logic::Rule::with_literals(head, body)
-        };
+        let renamed = compiled.rename_apart(&mut self.gen);
         let node_now = ctx.subst.apply_atom(node);
         let Some(mgu) = unify_atoms(&node_now, &renamed.head) else {
             return Vec::new();
@@ -668,7 +579,7 @@ impl<'a> Enumerator<'a> {
     }
 
     /// Visits one tree formula: identification, leaf, or productive
-    /// expansion.
+    /// expansion by the rules that can reach the hypothesis.
     fn visit(&mut self, node: &Atom, tag: Tag, ctx: &Branch, depth: usize) -> Vec<Branch> {
         self.tick();
         if self.stopped() {
@@ -720,12 +631,17 @@ impl<'a> Enumerator<'a> {
         // (3) Expand with each rule of the node's predicate, keeping only
         // subtrees that identified something (the cut of §4). A formula
         // whose predicate has no entry in the compiled head index is
-        // necessarily a leaf — no rule scan needed to decide.
+        // necessarily a leaf — no rule scan needed to decide — and a rule
+        // that cannot reach the hypothesis is not applied: the cut would
+        // discard everything it yields.
         {
             let tidb = self.tidb;
             for &ri in tidb.rule_indexes_for(&node.pred) {
                 if self.stopped() {
                     return Vec::new();
+                }
+                if !self.applies(ri) {
+                    continue;
                 }
                 // The child subtree accumulates its own used/leaves; pass a
                 // context whose counters are the caller's (apply_rule

@@ -1,9 +1,11 @@
 //! Parallelism configuration shared by both evaluation stacks.
 //!
-//! Both statements accept a worker count: `retrieve`'s fixpoints partition
-//! each iteration across workers, and `describe`'s tree enumeration expands
-//! frontier nodes on a pool. The type lives here (next to the governor) so
-//! `EvalOptions` and `DescribeOptions` speak the same vocabulary.
+//! A worker count is a `retrieve` setting: its fixpoints partition each
+//! round's delta chunks across workers. `describe`'s tree enumeration runs
+//! on the calling thread, but `DescribeOptions` carries the count too,
+//! since the knowledge base derives a retrieve's engine options from it.
+//! The type lives here (next to the governor) so `EvalOptions` and
+//! `DescribeOptions` speak the same vocabulary.
 
 use std::fmt;
 

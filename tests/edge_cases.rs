@@ -253,6 +253,26 @@ fn unsupported_recursion_only_fails_the_subjects_that_need_it() {
 }
 
 #[test]
+fn where_not_is_tainted_by_a_stored_taboo_atom_below_the_root() {
+    // Every derivation of honor and of can_ta uses a stored `student`
+    // or `complete` atom: the concept is necessary. The negated atom
+    // used to be kept as a leaf when it was stored, and the answer was
+    // "derivable without".
+    let mut kb = qdk::datasets::university_extended();
+    for (statement, derivable_without) in [
+        ("describe honor(X) where not student(X, Y, Z).", false),
+        (
+            "describe can_ta(X, Y) where not complete(X, Y, Z, U).",
+            false,
+        ),
+        ("describe can_ta(X, Y) where not teach(V, Y).", true),
+    ] {
+        let answer = kb.run(statement).unwrap();
+        assert_eq!(answer.as_bool(), Some(derivable_without), "{statement}");
+    }
+}
+
+#[test]
 fn which_describe_statements_apply_integrity_constraints() {
     // Every statement built on the per-subject describe discards the
     // theorems an integrity constraint forbids, exactly as plain

@@ -217,6 +217,26 @@ fn every_kind_is_governed_and_cancellable() {
     }
 }
 
+/// No rule reaches `professor`, so `describe *` describes no concept
+/// under this hypothesis — yet a cancelled request is still reported as
+/// cut short, not answered "nothing follows".
+#[test]
+fn a_cancelled_wildcard_no_concept_can_use_is_reported_cancelled() {
+    let statement = "describe * where professor(X, cs, T).";
+    let (session, snapshot) = handles(datasets::university_extended());
+    for (handle, ask) in asks(&session, &snapshot) {
+        assert_eq!(
+            ask(Request::statement(statement)).unwrap().to_string(),
+            "",
+            "{handle}"
+        );
+        let token = CancelToken::new();
+        token.cancel();
+        let result = ask(Request::statement(statement).cancel(token));
+        assert_eq!(cut_short(&result), Some(Resource::Cancelled), "{handle}");
+    }
+}
+
 #[test]
 fn every_kind_yields_a_trace() {
     let (session, snapshot) = handles(datasets::university_extended());
