@@ -86,7 +86,7 @@ mod tests {
         )
         .unwrap();
         let e = a.completeness.exhausted().expect("must be truncated");
-        assert_eq!(e.resource, crate::governor::Resource::WorkBudget);
+        assert_eq!(e.resource, qdk_logic::governor::Resource::WorkBudget);
         assert_eq!(e.limit, 500);
     }
 
@@ -142,7 +142,7 @@ mod tests {
         );
         let a = run_unchecked(&i, &q, &DescribeOptions::default().with_work_budget(500)).unwrap();
         let e = a.completeness.exhausted().expect("must be truncated");
-        assert_eq!(e.resource, crate::governor::Resource::WorkBudget);
+        assert_eq!(e.resource, qdk_logic::governor::Resource::WorkBudget);
         assert!(e.spent > e.limit);
     }
 

@@ -1,6 +1,6 @@
 //! Knowledge answers.
 
-use crate::governor::Exhausted;
+use qdk_logic::governor::Exhausted;
 use qdk_logic::{pretty, Rule};
 use std::collections::BTreeSet;
 use std::fmt;

@@ -1,6 +1,6 @@
 //! Describe-engine configuration.
 
-use crate::governor::{CancelToken, Governor, ResourceLimits};
+use qdk_logic::governor::{CancelToken, Governor, ResourceLimits};
 use qdk_logic::obs::ObsSink;
 use qdk_logic::Parallelism;
 use std::time::Duration;
@@ -69,8 +69,9 @@ pub struct DescribeOptions {
     /// only by the A2 ablation benchmark.
     pub remove_redundant: bool,
     /// Worker count for a `retrieve` served under these options (the
-    /// knowledge base hands it to the engine; `Default` = available
-    /// cores). The describe family ignores it: derivation-tree enumeration
+    /// knowledge base hands it to the engine; `Default` =
+    /// [`Parallelism::SEQUENTIAL`], so parallel rounds are opt-in). The
+    /// describe family ignores it: derivation-tree enumeration
     /// runs on the calling thread, because a computed describe costs tens
     /// of microseconds, about what spawning threads for it would add.
     pub parallelism: Parallelism,

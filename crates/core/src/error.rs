@@ -1,6 +1,6 @@
 //! Describe-engine errors.
 
-use crate::governor::Exhausted;
+use qdk_logic::governor::Exhausted;
 use std::fmt;
 
 /// Errors raised by the describe engine.

@@ -10,44 +10,13 @@
 
 use crate::config::DescribeOptions;
 use crate::error::Result;
-use crate::governor::Governor;
 use qdk_engine::Idb;
+use qdk_logic::governor::Governor;
 use qdk_logic::{rename_rule_apart, unify_atoms, Atom, Literal, Subst, VarGen};
 use std::collections::HashMap;
 
 /// One conjunctive definition: a conjunction of EDB atoms and comparisons.
 pub type Conjunct = Vec<Literal>;
-
-/// Expands an atom into its DNF of extensional definitions.
-///
-/// Non-IDB atoms expand to themselves. Each IDB rule contributes the
-/// expansions of its body. A predicate is unfolded at most
-/// `opts.untyped_rule_limit + 1` times along any one branch, which bounds
-/// recursive concepts.
-///
-/// Unlike `describe` (which returns truncated answers), expansion has no
-/// meaningful partial result — a prefix of a DNF misrepresents the
-/// concept's meaning — so resource exhaustion here is an error
-/// ([`crate::DescribeError::Exhausted`]).
-pub fn expand_atom(idb: &Idb, atom: &Atom, opts: &DescribeOptions) -> Result<Vec<Conjunct>> {
-    let mut gen = VarGen::new();
-    let mut out = Vec::new();
-    let mut gov = opts.governor();
-    let user_vars = atom.vars();
-    expand_rec(
-        idb,
-        atom,
-        &Subst::new(),
-        &HashMap::new(),
-        opts.untyped_rule_limit + 1,
-        &mut gen,
-        &mut gov,
-        &mut |conj, subst| {
-            out.push(finalize(conj, subst, &user_vars));
-        },
-    )?;
-    Ok(out)
-}
 
 /// Applies the final substitution and restores the user's vocabulary: a
 /// user variable that unified with a fresh rule variable is renamed back.
@@ -64,8 +33,19 @@ fn finalize(conj: &Conjunct, subst: &Subst, user_vars: &[qdk_logic::Var]) -> Con
     conj.iter().map(|l| full.apply_literal(l)).collect()
 }
 
-/// Expands a conjunction: the cross product of its atoms' expansions,
-/// threading one global substitution (shared variables stay shared).
+/// Expands a conjunction of atoms into its DNF of extensional
+/// definitions: the cross product of its atoms' expansions, threading one
+/// global substitution (shared variables stay shared).
+///
+/// Non-IDB atoms expand to themselves. Each IDB rule contributes the
+/// expansions of its body. A predicate is unfolded at most
+/// `opts.untyped_rule_limit + 1` times along any one branch, which bounds
+/// recursive concepts.
+///
+/// Unlike `describe` (which returns truncated answers), expansion has no
+/// meaningful partial result — a prefix of a DNF misrepresents the
+/// concept's meaning — so resource exhaustion here is an error
+/// ([`crate::DescribeError::Exhausted`]).
 pub fn expand_conjunction(
     idb: &Idb,
     atoms: &[Atom],
@@ -187,6 +167,11 @@ mod tests {
         Idb::from_rules(parse_program(src).unwrap().rules).unwrap()
     }
 
+    /// The expansion of one atom: a conjunction of length one.
+    fn expand(i: &Idb, atom: &str, opts: &DescribeOptions) -> Result<Vec<Conjunct>> {
+        expand_conjunction(i, &[parse_atom(atom).unwrap()], opts)
+    }
+
     fn rendered(conjs: &[Conjunct]) -> Vec<String> {
         let mut v: Vec<String> = conjs
             .iter()
@@ -204,12 +189,7 @@ mod tests {
     #[test]
     fn edb_atom_expands_to_itself() {
         let i = idb("honor(X) :- student(X, Y, Z), Z > 3.7.");
-        let e = expand_atom(
-            &i,
-            &parse_atom("student(A, B, C)").unwrap(),
-            &DescribeOptions::default(),
-        )
-        .unwrap();
+        let e = expand(&i, "student(A, B, C)", &DescribeOptions::default()).unwrap();
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].len(), 1);
     }
@@ -217,12 +197,7 @@ mod tests {
     #[test]
     fn single_rule_unfolds() {
         let i = idb("honor(X) :- student(X, Y, Z), Z > 3.7.");
-        let e = expand_atom(
-            &i,
-            &parse_atom("honor(A)").unwrap(),
-            &DescribeOptions::default(),
-        )
-        .unwrap();
+        let e = expand(&i, "honor(A)", &DescribeOptions::default()).unwrap();
         assert_eq!(e.len(), 1);
         let conj = &e[0];
         assert_eq!(conj.len(), 2);
@@ -236,12 +211,7 @@ mod tests {
         let i = idb("can_ta(X, Y) :- honor(X), complete(X, Y, Z, U), U > 3.3.\n\
              can_ta(X, Y) :- honor(X), complete(X, Y, Z, 4.0).\n\
              honor(X) :- student(X, Y, Z), Z > 3.7.");
-        let e = expand_atom(
-            &i,
-            &parse_atom("can_ta(A, B)").unwrap(),
-            &DescribeOptions::default(),
-        )
-        .unwrap();
+        let e = expand(&i, "can_ta(A, B)", &DescribeOptions::default()).unwrap();
         // Two rules × one honor expansion each.
         assert_eq!(e.len(), 2);
         for conj in &e {
@@ -254,12 +224,7 @@ mod tests {
     fn recursive_unfolding_is_capped() {
         let i = idb("prior(X, Y) :- prereq(X, Y).\n\
              prior(X, Y) :- prereq(X, Z), prior(Z, Y).");
-        let e = expand_atom(
-            &i,
-            &parse_atom("prior(A, B)").unwrap(),
-            &DescribeOptions::default(),
-        )
-        .unwrap();
+        let e = expand(&i, "prior(A, B)", &DescribeOptions::default()).unwrap();
         // Terminates; folded prior atoms mark the cap.
         assert!(!e.is_empty());
         assert!(e.iter().any(|c| c.iter().any(|l| l.atom.pred == "prior")));
@@ -286,16 +251,16 @@ mod tests {
     fn budget_applies() {
         let i = idb("prior(X, Y) :- prereq(X, Y).\n\
              prior(X, Y) :- prereq(X, Z), prior(Z, Y).");
-        let err = expand_atom(
+        let err = expand(
             &i,
-            &parse_atom("prior(A, B)").unwrap(),
+            "prior(A, B)",
             &DescribeOptions::default().with_work_budget(2),
         )
         .unwrap_err();
         let crate::DescribeError::Exhausted(e) = err else {
             panic!("expected Exhausted, got {err:?}");
         };
-        assert_eq!(e.resource, crate::governor::Resource::WorkBudget);
+        assert_eq!(e.resource, qdk_logic::governor::Resource::WorkBudget);
         assert_eq!(e.limit, 2);
     }
 }

@@ -22,9 +22,9 @@ use crate::constraints::{self, Comparison};
 use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::expand;
-use crate::governor::Governor;
 use crate::prepared::PreparedIdb;
 use qdk_engine::Idb;
+use qdk_logic::governor::Governor;
 use qdk_logic::{
     rename_rule_apart, unify_atoms, Atom, Constraint, Literal, Rule, Subst, Sym, VarGen,
 };
@@ -119,7 +119,7 @@ pub(crate) fn describe_without_dnf(
 }
 
 /// Depth-first unfolding that refuses to *create* any node unifying with
-/// the taboo atom. Like [`expand::expand_atom`] it has no meaningful
+/// the taboo atom. Like [`expand::expand_conjunction`] it has no meaningful
 /// partial result, so a tripped limit is an error.
 struct Avoiding<'a> {
     idb: &'a Idb,

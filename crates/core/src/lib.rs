@@ -57,7 +57,6 @@ pub mod describe;
 mod error;
 pub mod expand;
 pub mod extensions;
-pub mod governor;
 pub mod prepared;
 pub mod redundancy;
 pub mod transform;
@@ -68,5 +67,5 @@ pub use cache::{CacheStats, DescribeCache};
 pub use config::{DescribeOptions, FallbackPolicy, TransformPolicy};
 pub use describe::{describe, Describe};
 pub use error::{DescribeError, Result};
-pub use governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use prepared::PreparedIdb;
+pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};

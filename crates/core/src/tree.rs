@@ -34,8 +34,8 @@
 //! the driver assembles into theorems.
 
 use crate::config::DescribeOptions;
-use crate::governor::{Exhausted, Governor, Resource};
 use crate::transform::{PredSet, RuleKind, TransformedIdb};
+use qdk_logic::governor::{Exhausted, Governor, Resource};
 use qdk_logic::{unify_atoms, Atom, Subst, Term, Var, VarGen};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;

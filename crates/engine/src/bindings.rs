@@ -21,6 +21,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::plan::{Col, RulePlan, Step};
+use crate::seminaive::chunk_ranges;
 use qdk_logic::fasthash::FxHashMap;
 use qdk_logic::governor::Governor;
 #[cfg(test)]
@@ -28,7 +29,6 @@ use qdk_logic::Atom;
 use qdk_logic::{Frame, IrTerm, Subst, Sym, Term};
 use qdk_storage::{builtins, CompositeIndex, Edb, Relation, StorageError, Tuple, Value};
 use std::sync::Arc;
-use threadpool::Pool;
 
 /// A composite access path resolved for one scan step of one firing (the
 /// handle knows which ascending column positions it covers), or `None`
@@ -907,7 +907,7 @@ impl<'p> RuleTask<'p> {
 
     /// True when this task is one window of a partitioned delta scan. Two
     /// readers: the `delta_chunks` counter, and [`fire_rule_batch`], which
-    /// sends a batch to the worker pool only when it holds a chunk.
+    /// fires a batch on worker threads only when it holds a chunk.
     pub(crate) fn is_chunk(&self) -> bool {
         self.window.is_some()
     }
@@ -943,10 +943,12 @@ impl<'p> RuleTask<'p> {
 /// (jacobi-style), so the batch can run on worker threads.
 ///
 /// It does so only when it holds a delta chunk, i.e. some delta reached
-/// `DELTA_CHUNK_MIN` rows and was partitioned across the pool. Every
+/// `DELTA_CHUNK_MIN` rows and was split into one window per worker. Every
 /// other batch (round 0, maintenance rounds, small deltas) is a few rule
 /// firings over a handful of rows, cheaper than a thread spawn, and takes
-/// the exact sequential path.
+/// the exact sequential path. A parallel batch is cut into `workers`
+/// contiguous task groups, each fired in order on a scoped thread (the
+/// calling thread fires the last).
 ///
 /// The governor contract makes the parallel path observationally identical
 /// to the sequential one: the *coordinator* performs every work tick, in
@@ -957,7 +959,7 @@ impl<'p> RuleTask<'p> {
 /// way; the preceding tasks are replayed sequentially first so a rule
 /// error they would have raised before the trip still takes precedence.
 pub(crate) fn fire_rule_batch(
-    pool: &Pool,
+    workers: usize,
     gov: &Governor,
     edb: &Edb,
     derived: &mut DerivedFacts,
@@ -965,16 +967,18 @@ pub(crate) fn fire_rule_batch(
     tasks: &[RuleTask<'_>],
 ) -> Result<usize> {
     let snapshot: &DerivedFacts = derived;
-    let buffers: Vec<Vec<Tuple>> = if pool.is_sequential() || !tasks.iter().any(RuleTask::is_chunk)
-    {
+    let fire = |task: &RuleTask<'_>| {
+        let view = task.view(edb, snapshot, delta);
+        fire_plan_buffered(task.plan, &view, Some(gov))
+    };
+    let buffers: Vec<Vec<Tuple>> = if workers <= 1 || !tasks.iter().any(RuleTask::is_chunk) {
         // Exact sequential path: tick and fire interleaved.
         let mut bufs = Vec::with_capacity(tasks.len());
         for task in tasks {
             if task.ticks {
                 gov.tick()?;
             }
-            let view = task.view(edb, snapshot, delta);
-            bufs.push(fire_plan_buffered(task.plan, &view, Some(gov))?);
+            bufs.push(fire(task)?);
         }
         bufs
     } else {
@@ -994,18 +998,29 @@ pub(crate) fn fire_rule_batch(
                 return Err(trip.into());
             }
         }
-        let results: Vec<Result<Vec<Tuple>>> = pool.join_all(
-            tasks
-                .iter()
-                .map(|task| {
-                    let view = task.view(edb, snapshot, delta);
-                    move || fire_plan_buffered(task.plan, &view, Some(gov))
-                })
-                .collect(),
-        );
+        let fire_group = |(lo, hi): (usize, usize)| -> Result<Vec<Vec<Tuple>>> {
+            tasks[lo..hi].iter().map(fire).collect()
+        };
+        let mut groups = chunk_ranges(tasks.len(), workers);
+        let mine = groups.pop().unwrap_or_default();
+        let results: Vec<Result<Vec<Vec<Tuple>>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|group| scope.spawn(move || fire_group(group)))
+                .collect();
+            let last = fire_group(mine);
+            let mut results: Vec<_> = handles
+                .into_iter()
+                // A panicking task poisons the whole batch: re-raise on
+                // the caller so the failure is not silently dropped.
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect();
+            results.push(last);
+            results
+        });
         let mut bufs = Vec::with_capacity(tasks.len());
-        for r in results {
-            bufs.push(r?);
+        for group in results {
+            bufs.extend(group?);
         }
         bufs
     };

@@ -30,13 +30,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::bindings::{exec, fire_rule_batch, DeltaRanges, DerivedFacts, FactView, RuleTask};
+use crate::bindings::{exec, DeltaRanges, DerivedFacts, FactView};
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
-use crate::seminaive;
+use crate::seminaive::{self, Fixpoint, RoundRule, Start};
 use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
 use qdk_logic::{Frame, IrTerm, Parallelism, Rule, Sym};
@@ -395,73 +395,47 @@ impl MaintainedStore {
     }
 
     /// Semi-naive delta propagation from the given seed windows: stratum by
-    /// stratum, fire every delta-first variant whose occurrence predicate
-    /// has unconsumed new tuples, until no stratum grows. Returns how many
-    /// derived facts were added.
+    /// stratum, the round loop fires every delta-first variant whose
+    /// occurrence predicate has unconsumed new tuples, until no stratum
+    /// grows. Returns how many derived facts were added.
     ///
-    /// Each stratum consumes from its own offset map initialized at the
-    /// propagation baseline, so windows produced while processing one
-    /// stratum remain visible to every higher stratum.
+    /// Each stratum starts from every predicate its variants scan, windowed
+    /// from the propagation baseline to the current high-water mark, so
+    /// windows produced while processing one stratum remain visible to
+    /// every higher stratum.
     fn propagate(&mut self, edb: &Edb, seed: &DeltaRanges) -> Result<usize> {
         let opts = maintenance_opts();
-        let gov = opts.governor();
-        let pool = opts.pool();
+        let fixpoint = Fixpoint::new(edb, &opts);
         let rules = Arc::clone(&self.rules);
         // Baseline: everything below these ids is already reflected in the
         // store; seed windows start below their predicate's mark.
-        let mut base: FxHashMap<Sym, usize> = FxHashMap::default();
+        let mut base: FxHashMap<&Sym, usize> = FxHashMap::default();
         for p in &rules.scanned {
-            base.insert(p.clone(), self.high_water(edb, p));
+            base.insert(p, self.high_water(edb, p));
         }
         for (p, &(lo, _)) in seed {
-            base.insert(p.clone(), lo);
+            base.insert(p, lo);
         }
-        let mut added_total = 0usize;
+        let mut added = 0usize;
         for rule_ids in &rules.stratum_rules {
-            if rule_ids.is_empty() {
-                continue;
-            }
-            let mut consumed = base.clone();
-            loop {
-                let mut ranges = DeltaRanges::default();
-                for &r in rule_ids {
-                    for (_, dp) in &rules.variants[r] {
-                        for (i, lit) in dp.compiled.body.iter().enumerate() {
-                            if !lit.positive || dp.compiled.source.body[i].is_builtin() {
-                                continue;
-                            }
-                            let p = &lit.atom.pred;
-                            let mark = self.high_water(edb, p);
-                            let c = consumed.get(p).copied().unwrap_or(mark);
-                            if mark > c {
-                                ranges.insert(p.clone(), (c, mark));
-                            }
-                        }
+            let mut delta = DeltaRanges::default();
+            for &r in rule_ids {
+                for (i, dp) in &rules.variants[r] {
+                    let p = &dp.compiled.body[*i].atom.pred;
+                    let mark = self.high_water(edb, p);
+                    let lo = base.get(p).copied().unwrap_or(mark);
+                    if mark > lo {
+                        delta.insert(p.clone(), (lo, mark));
                     }
                 }
-                if ranges.is_empty() {
-                    break;
-                }
-                let tasks: Vec<RuleTask<'_>> = rule_ids
-                    .iter()
-                    .flat_map(|&r| {
-                        rules.variants[r]
-                            .iter()
-                            .filter(|(i, dp)| ranges.contains_key(&dp.compiled.body[*i].atom.pred))
-                            .map(|(i, dp)| RuleTask::delta(dp, *i))
-                    })
-                    .collect();
-                for (p, &(_, hi)) in &ranges {
-                    consumed.insert(p.clone(), hi);
-                }
-                if tasks.is_empty() {
-                    continue;
-                }
-                added_total +=
-                    fire_rule_batch(&pool, &gov, edb, &mut self.derived, Some(&ranges), &tasks)?;
             }
+            let stratum: Vec<RoundRule<'_>> = rule_ids
+                .iter()
+                .map(|&r| (&rules.plan.plans()[r], &rules.variants[r][..]))
+                .collect();
+            added += fixpoint.run(&stratum, &mut self.derived, Start::Delta(delta))?;
         }
-        Ok(added_total)
+        Ok(added)
     }
 
     /// Maintains the store after a *new* EDB tuple of `pred` was inserted

@@ -14,7 +14,6 @@ use crate::plan::ProgramPlan;
 use crate::stratify::stratify;
 use qdk_logic::governor::{Governor, ResourceLimits};
 use qdk_storage::Edb;
-use threadpool::Pool;
 
 /// Computes the least fixpoint of the IDB over the EDB naively, stratum by
 /// stratum, sequentially and without resource limits. `plan` must be the
@@ -27,7 +26,6 @@ pub fn eval(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
     let strat = stratify(idb)?;
     let mut derived = DerivedFacts::new();
     let gov = Governor::new(ResourceLimits::default());
-    let pool = Pool::new(1);
     for stratum in strat.strata() {
         let tasks: Vec<RuleTask<'_>> = plan
             .plans()
@@ -35,7 +33,7 @@ pub fn eval(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
             .filter(|rp| stratum.contains(&rp.compiled.head.pred))
             .map(RuleTask::total)
             .collect();
-        while fire_rule_batch(&pool, &gov, edb, &mut derived, None, &tasks)? > 0 {}
+        while fire_rule_batch(1, &gov, edb, &mut derived, None, &tasks)? > 0 {}
     }
     Ok(derived)
 }

@@ -3,7 +3,6 @@
 use qdk_logic::governor::{CancelToken, Governor, ResourceLimits};
 use qdk_logic::obs::ObsSink;
 use qdk_logic::Parallelism;
-use threadpool::Pool;
 
 /// Options controlling a bottom-up run: the unified [`ResourceLimits`]
 /// (work budget, deadline, fact count), an optional cooperative
@@ -16,8 +15,9 @@ pub struct EvalOptions {
     pub limits: ResourceLimits,
     /// Cooperative cancellation token, checkable from another thread.
     pub cancel: Option<CancelToken>,
-    /// Worker count for the parallel fixpoints (`Default` = available
-    /// cores; [`Parallelism::SEQUENTIAL`] pins the exact sequential path).
+    /// Worker count for the fixpoints' chunked delta rounds (`Default` =
+    /// [`Parallelism::SEQUENTIAL`], the exact sequential path; more
+    /// workers only when asked for).
     pub parallelism: Parallelism,
     /// Observability sink; spans and counters are emitted here (the
     /// default disabled sink records nothing and costs one branch).
@@ -57,10 +57,5 @@ impl EvalOptions {
     /// Build the governor for one evaluation run.
     pub(crate) fn governor(&self) -> Governor {
         Governor::new(self.limits).with_cancel(self.cancel.clone())
-    }
-
-    /// Build the worker pool for one evaluation run.
-    pub(crate) fn pool(&self) -> Pool {
-        Pool::new(self.parallelism.get())
     }
 }

@@ -16,10 +16,10 @@
 //!   is ever paid twice per round.
 //!
 //! The net rules form a positive (hence monotone) program, so the least
-//! fixpoint needs no stratification: a single semi-naive loop fires the
-//! net set-at-a-time through the same `RuleTask` / `fire_rule_batch`
-//! machinery, delta-first plan variants, composite-index probes, and
-//! selectivity-ordered literal schedules as the semi-naive strategy —
+//! fixpoint needs no stratification: the semi-naive strategy's round
+//! loop (`seminaive::Fixpoint`) fires the net set-at-a-time with the
+//! same delta-first plan variants, composite-index probes, and
+//! selectivity-ordered literal schedules as a semi-naive stratum —
 //! which also hands QSQ the Governor contract (work ticks, fact budget,
 //! deadline, cancellation) and the determinism contract (coordinator
 //! ticks and task-order merges make answers byte-identical at every
@@ -71,13 +71,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::adorn::{bound_args, persistent_occurrence, suffix, Adornment, SipWalk};
-use crate::bindings::{fire_rule_batch, DerivedFacts, RuleTask};
+use crate::bindings::DerivedFacts;
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::query::Retrieve;
-use crate::seminaive::{delta_ranges, head_marks, outermost_scan, DELTA_CHUNK_MIN};
+use crate::seminaive::{Fixpoint, RoundRule, Start};
 use qdk_logic::{Atom, FxHashMap, Interner, Literal, Rule, Subst, Sym, Term, Var};
 use qdk_storage::{CatalogStats, Edb, Relation, Tuple, Value};
 use std::collections::{HashSet, VecDeque};
@@ -740,13 +740,10 @@ pub(crate) fn qsq_substs(
         .collect())
 }
 
-/// The net fixpoint: semi-naive over the (positive, hence monotone) net
-/// program — round 0 fires every net rule against the totals, then
-/// delta rounds fire only the prebuilt delta-first variants whose net
-/// occurrence grew, chunking large delta scans across workers exactly
-/// like the semi-naive strategy (same threshold, same order-preserving
-/// window concatenation), so answers are byte-identical at every worker
-/// count.
+/// The net fixpoint: the (positive, hence monotone) net program run by
+/// the semi-naive round loop — round 0 fires every net rule against the
+/// totals (the seeded input), then delta rounds fire the prebuilt
+/// delta-first variants whose net occurrence grew — plus the QSQ counters.
 fn eval_net(
     edb: &Edb,
     qfrag: &Fragment,
@@ -754,103 +751,17 @@ fn eval_net(
     derived: &mut DerivedFacts,
     opts: &EvalOptions,
 ) -> Result<()> {
-    let net: Vec<&NetRule> = qfrag
+    let net: Vec<RoundRule<'_>> = qfrag
         .rules
         .iter()
         .chain(frags.iter().flat_map(|f| f.rules.iter()))
+        .map(|nr| (&nr.plan, &nr.delta[..]))
         .collect();
-    let gov = opts.governor();
-    let pool = opts.pool();
+    let fixpoint = Fixpoint::new(edb, opts);
+    fixpoint.run(&net, derived, Start::Totals)?;
+    fixpoint.finish(derived);
     let obs = &opts.sink;
-    let probes0 = if obs.enabled() {
-        edb.access_stats()
-    } else {
-        (0, 0)
-    };
-    let composite0 = if obs.enabled() {
-        edb.composite_probes()
-    } else {
-        0
-    };
-
-    let mut head_preds: Vec<&Sym> = Vec::new();
-    for nr in &net {
-        let p = &nr.plan.compiled.head.pred;
-        if !head_preds.contains(&p) {
-            head_preds.push(p);
-        }
-    }
-
-    // Round 0: every net rule against the totals (the seeded input).
-    let before = head_marks(derived, &head_preds);
-    let round0_span = obs.span("iteration", 0);
-    let firings0 = gov.work_spent();
-    let tasks: Vec<RuleTask<'_>> = net.iter().map(|nr| RuleTask::total(&nr.plan)).collect();
-    let added = fire_rule_batch(&pool, &gov, edb, derived, None, &tasks)?;
-    gov.add_facts(added)?;
     if obs.enabled() {
-        obs.counter("rule_firings", gov.work_spent().saturating_sub(firings0));
-        obs.counter("delta_facts", added as u64);
-    }
-    drop(round0_span);
-    let mut delta = delta_ranges(derived, &head_preds, &before);
-    let mut round = 1u64;
-
-    while !delta.is_empty() {
-        let _iter_span = obs.span("iteration", round);
-        let mut tasks: Vec<RuleTask<'_>> = Vec::new();
-        for nr in &net {
-            for (i, dp) in &nr.delta {
-                let Some(&(start, end)) = delta.get(&nr.plan.compiled.body[*i].atom.pred) else {
-                    continue; // no new facts for this occurrence
-                };
-                let len = end - start;
-                if len >= DELTA_CHUNK_MIN && !pool.is_sequential() && outermost_scan(dp, *i) {
-                    for (k, (lo, hi)) in pool.chunk_ranges(len).into_iter().enumerate() {
-                        tasks.push(RuleTask::delta_chunk(
-                            dp,
-                            *i,
-                            (start + lo, start + hi),
-                            k == 0,
-                        ));
-                    }
-                } else {
-                    tasks.push(RuleTask::delta(dp, *i));
-                }
-            }
-        }
-        let before = head_marks(derived, &head_preds);
-        let firings0 = gov.work_spent();
-        if obs.enabled() {
-            let chunked = tasks.iter().filter(|t| t.is_chunk()).count();
-            obs.counter("delta_tasks", tasks.len() as u64);
-            obs.counter("delta_chunks", chunked as u64);
-            let delta_size: usize = delta.values().map(|(lo, hi)| hi - lo).sum();
-            obs.counter("delta_size", delta_size as u64);
-        }
-        let added = fire_rule_batch(&pool, &gov, edb, derived, Some(&delta), &tasks)?;
-        gov.add_facts(added)?;
-        if obs.enabled() {
-            obs.counter("rule_firings", gov.work_spent().saturating_sub(firings0));
-            obs.counter("delta_facts", added as u64);
-        }
-        delta = delta_ranges(derived, &head_preds, &before);
-        round += 1;
-    }
-
-    if obs.enabled() {
-        let (p, s) = edb.access_stats();
-        let (dp, ds) = derived.iter().fold((0, 0), |(p, s), (_, r)| {
-            (p + r.index_probes(), s + r.full_scans())
-        });
-        obs.counter("index_probes", p.saturating_sub(probes0.0) + dp);
-        obs.counter("full_scans", s.saturating_sub(probes0.1) + ds);
-        let dc: u64 = derived.iter().map(|(_, r)| r.composite_probes()).sum();
-        obs.counter(
-            "composite_probes",
-            edb.composite_probes().saturating_sub(composite0) + dc,
-        );
-        // QSQ-specific counters (aggregated by the metrics registry).
         let nodes: u64 = qfrag.nodes() + frags.iter().map(|f| f.nodes()).sum::<u64>();
         obs.counter("qsq_net_nodes", nodes);
         obs.counter("qsq_subqueries", 1 + frags.len() as u64);

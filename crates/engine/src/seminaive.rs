@@ -1,4 +1,5 @@
-//! Semi-naive bottom-up evaluation.
+//! Semi-naive bottom-up evaluation, and the round loop every bottom-up
+//! fixpoint in the engine runs.
 //!
 //! The standard deductive-database optimization: after the first round,
 //! a rule need only be re-fired with at least one recursive body occurrence
@@ -6,6 +7,12 @@
 //! wholly-old instantiation was already derived. This avoids naive
 //! evaluation's rederivation of the entire fact set each round; the P1
 //! benchmark measures the separation growing with EDB size.
+//!
+//! `Fixpoint::run` is the one semi-naive round loop: semi-naive strata
+//! ([`eval`]), QSQ nets ([`crate::qsq`]) and maintenance propagation
+//! ([`crate::maintain`]) all fire their rules through it, so chunking,
+//! governor accounting and the `iteration` / `delta_*` observability are
+//! the same for all three.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -14,13 +21,223 @@ use crate::error::Result;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan, Step};
+use qdk_logic::governor::Governor;
+use qdk_logic::obs::ObsSink;
 use qdk_logic::Sym;
 use qdk_storage::{Edb, Relation};
 
 /// A delta scan is split across workers only when the delta relation has at
 /// least this many tuples; smaller scans are not worth a second task.
-/// Shared with the QSQ scheduler so both strategies chunk identically.
 pub(crate) const DELTA_CHUNK_MIN: usize = 64;
+
+/// Splits `len` items into at most `parts` contiguous `(start, end)`
+/// ranges of near-equal size (the first ranges get the remainder). Empty
+/// when `len` is 0. Both a chunked delta scan and a parallel batch's
+/// per-worker task groups are cut this way.
+pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let parts = parts.clamp(1, len);
+    let (base, extra) = (len / parts, len % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let end = start + base + usize::from(i < extra);
+            let range = (start, end);
+            start = end;
+            range
+        })
+        .collect()
+}
+
+/// One rule a [`Fixpoint`] fires: its plan over the totals, and for each
+/// body occurrence that can read a delta, the delta-first re-plan that
+/// scans that occurrence outermost.
+pub(crate) type RoundRule<'p> = (&'p RulePlan, &'p [(usize, RulePlan)]);
+
+/// Where [`Fixpoint::run`] starts.
+pub(crate) enum Start {
+    /// Round 0 fires every rule against the totals; the facts it adds are
+    /// the first delta (semi-naive strata and QSQ nets).
+    Totals,
+    /// These id windows are the first delta (maintenance propagation).
+    Delta(DeltaRanges),
+}
+
+/// The state one bottom-up evaluation shares across every [`Fixpoint::run`]
+/// it makes: the governor, the worker count, the observability sink, and
+/// the probe counts [`Fixpoint::finish`] reports against.
+pub(crate) struct Fixpoint<'a> {
+    edb: &'a Edb,
+    gov: Governor,
+    workers: usize,
+    obs: &'a ObsSink,
+    probes0: (u64, u64),
+    composite0: u64,
+}
+
+impl<'a> Fixpoint<'a> {
+    /// Starts an evaluation over `edb` under `opts`.
+    pub(crate) fn new(edb: &'a Edb, opts: &'a EvalOptions) -> Self {
+        let obs = &opts.sink;
+        let (probes0, composite0) = if obs.enabled() {
+            (edb.access_stats(), edb.composite_probes())
+        } else {
+            ((0, 0), 0)
+        };
+        Fixpoint {
+            edb,
+            gov: opts.governor(),
+            workers: opts.parallelism.get(),
+            obs,
+            probes0,
+            composite0,
+        }
+    }
+
+    /// Runs semi-naive rounds of `rules` over `derived` until no head
+    /// relation grows; returns how many facts were added.
+    ///
+    /// A round fires, rule by rule and occurrence by occurrence, the delta
+    /// variant of every occurrence whose predicate has new facts. A delta
+    /// of at least [`DELTA_CHUNK_MIN`] rows is split into one window per
+    /// worker when its occurrence is the variant's outermost scan, so the
+    /// windows concatenate to the sequential visit order. The next delta
+    /// is the id range by which each head relation grew: new facts always
+    /// take ids above a relation's high-water mark, so the delta never
+    /// needs a store of its own.
+    pub(crate) fn run(
+        &self,
+        rules: &[RoundRule<'_>],
+        derived: &mut DerivedFacts,
+        start: Start,
+    ) -> Result<usize> {
+        // The relations a round can grow. A head that is also a declared
+        // stored predicate is left out: scans of it read the EDB, which no
+        // round changes.
+        let mut heads: Vec<&Sym> = Vec::new();
+        for (rp, _) in rules {
+            let p = &rp.compiled.head.pred;
+            if !heads.contains(&p) && !self.edb.is_edb_predicate(p.as_str()) {
+                heads.push(p);
+            }
+        }
+        let mut added = 0;
+        let mut delta = match start {
+            Start::Delta(delta) => delta,
+            Start::Totals => {
+                let before = head_marks(derived, &heads);
+                let _round0 = self.obs.span("iteration", 0);
+                let tasks: Vec<RuleTask<'_>> =
+                    rules.iter().map(|(rp, _)| RuleTask::total(rp)).collect();
+                added += self.fire(derived, None, &tasks)?;
+                delta_ranges(derived, &heads, &before)
+            }
+        };
+        let mut round = 1u64;
+        while !delta.is_empty() {
+            let _span = self.obs.span("iteration", round);
+            let mut tasks: Vec<RuleTask<'_>> = Vec::new();
+            for (rp, occurrences) in rules {
+                for (i, dp) in occurrences.iter() {
+                    let Some(&(lo, hi)) = delta.get(&rp.compiled.body[*i].atom.pred) else {
+                        continue; // no new facts for this occurrence
+                    };
+                    if hi - lo >= DELTA_CHUNK_MIN && self.workers > 1 && outermost_scan(dp, *i) {
+                        for (k, (a, b)) in
+                            chunk_ranges(hi - lo, self.workers).into_iter().enumerate()
+                        {
+                            tasks.push(RuleTask::delta_chunk(dp, *i, (lo + a, lo + b), k == 0));
+                        }
+                    } else {
+                        tasks.push(RuleTask::delta(dp, *i));
+                    }
+                }
+            }
+            if self.obs.enabled() {
+                let chunked = tasks.iter().filter(|t| t.is_chunk()).count();
+                self.obs.counter("delta_tasks", tasks.len() as u64);
+                self.obs.counter("delta_chunks", chunked as u64);
+                let delta_size: usize = delta.values().map(|(lo, hi)| hi - lo).sum();
+                self.obs.counter("delta_size", delta_size as u64);
+            }
+            let before = head_marks(derived, &heads);
+            added += self.fire(derived, Some(&delta), &tasks)?;
+            delta = delta_ranges(derived, &heads, &before);
+            round += 1;
+        }
+        Ok(added)
+    }
+
+    /// Fires one round's tasks, charging the governor for the new facts
+    /// and reporting the round's firings and facts.
+    fn fire(
+        &self,
+        derived: &mut DerivedFacts,
+        delta: Option<&DeltaRanges>,
+        tasks: &[RuleTask<'_>],
+    ) -> Result<usize> {
+        let firings0 = self.gov.work_spent();
+        let added = fire_rule_batch(self.workers, &self.gov, self.edb, derived, delta, tasks)?;
+        self.gov.add_facts(added)?;
+        if self.obs.enabled() {
+            let firings = self.gov.work_spent().saturating_sub(firings0);
+            self.obs.counter("rule_firings", firings);
+            self.obs.counter("delta_facts", added as u64);
+        }
+        Ok(added)
+    }
+
+    /// Reports the index probes, full scans and composite probes the
+    /// evaluation spent, in the EDB and in `derived`.
+    pub(crate) fn finish(&self, derived: &DerivedFacts) {
+        if !self.obs.enabled() {
+            return;
+        }
+        let (p, s) = self.edb.access_stats();
+        let (dp, ds) = derived.iter().fold((0, 0), |(p, s), (_, r)| {
+            (p + r.index_probes(), s + r.full_scans())
+        });
+        self.obs
+            .counter("index_probes", p.saturating_sub(self.probes0.0) + dp);
+        self.obs
+            .counter("full_scans", s.saturating_sub(self.probes0.1) + ds);
+        let dc: u64 = derived.iter().map(|(_, r)| r.composite_probes()).sum();
+        self.obs.counter(
+            "composite_probes",
+            self.edb.composite_probes().saturating_sub(self.composite0) + dc,
+        );
+    }
+}
+
+/// The row-id high-water mark of each head relation (0 if absent): the
+/// start of the ids the next round appends.
+fn head_marks(derived: &DerivedFacts, heads: &[&Sym]) -> Vec<usize> {
+    heads
+        .iter()
+        .map(|p| derived.relation(p.as_str()).map_or(0, Relation::high_water))
+        .collect()
+}
+
+/// The id ranges by which each head relation grew past its `before`
+/// mark — the next round's delta.
+fn delta_ranges(derived: &DerivedFacts, heads: &[&Sym], before: &[usize]) -> DeltaRanges {
+    let mut delta = DeltaRanges::default();
+    for (p, &b) in heads.iter().zip(before) {
+        let now = derived.relation(p.as_str()).map_or(0, Relation::high_water);
+        if now > b {
+            delta.insert((*p).clone(), (b, now));
+        }
+    }
+    delta
+}
+
+/// True when occurrence `i` is the plan's outermost scan, so chunking its
+/// window across workers concatenates to the sequential visit order.
+fn outermost_scan(rp: &RulePlan, i: usize) -> bool {
+    matches!(rp.steps.first(), Some(Step::Scan { occurrence, .. }) if *occurrence == i)
+}
 
 /// Computes the least fixpoint of the compiled program over the EDB
 /// semi-naively, stratum by stratum. `plan` must be the compilation of
@@ -41,198 +258,41 @@ pub fn eval(
     seed: DerivedFacts,
     opts: EvalOptions,
 ) -> Result<DerivedFacts> {
-    let obs = &opts.sink;
-    let strat = plan.analysis(idb, obs).stratification()?;
+    let strat = plan.analysis(idb, &opts.sink).stratification()?;
     let mut derived = seed;
-    let gov = opts.governor();
-    let pool = opts.pool();
-    let probes0 = if obs.enabled() {
-        edb.access_stats()
-    } else {
-        (0, 0)
-    };
-    let composite0 = if obs.enabled() {
-        edb.composite_probes()
-    } else {
-        0
-    };
+    let fixpoint = Fixpoint::new(edb, &opts);
     for (si, stratum) in strat.strata().iter().enumerate() {
-        let rules: Vec<&RulePlan> = plan
+        // Per rule of the stratum, a delta-first variant for each body
+        // occurrence that can read a delta: a positive literal over a
+        // predicate of this stratum.
+        let variants: Vec<(&RulePlan, Vec<(usize, RulePlan)>)> = plan
             .plans()
             .iter()
             .filter(|rp| {
                 let head = &rp.compiled.head.pred;
                 stratum.contains(head) && relevant.is_none_or(|r| r.contains(head))
             })
+            .map(|rp| {
+                let occurrences = rp.compiled.body.iter().enumerate().filter(|(i, lit)| {
+                    lit.positive
+                        && !rp.compiled.source.body[*i].is_builtin()
+                        && stratum.contains(&lit.atom.pred)
+                });
+                let deltas = occurrences
+                    .map(|(i, _)| (i, rp.delta_variant(i, plan.stats())))
+                    .collect();
+                (rp, deltas)
+            })
             .collect();
-        if rules.is_empty() {
+        if variants.is_empty() {
             continue;
         }
-
-        // Per rule, the body occurrences that can read a delta: positive
-        // literals over predicates of this stratum. Computed once per
-        // stratum, not once per round.
-        let recursive_occurrences: Vec<Vec<usize>> = rules
-            .iter()
-            .map(|rp| {
-                rp.compiled
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, lit)| {
-                        lit.positive
-                            && !rp.compiled.source.body[*i].is_builtin()
-                            && stratum.contains(&lit.atom.pred)
-                    })
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
-
-        // Delta-first plan variants, one per (rule, recursive occurrence):
-        // the delta is the smallest input by construction, so the variant
-        // re-plans the body with that occurrence as the outermost scan —
-        // every firing is then bounded by the delta size, and the scan is
-        // always eligible for order-preserving chunked parallelism.
-        let delta_plans: Vec<Vec<RulePlan>> = rules
-            .iter()
-            .zip(&recursive_occurrences)
-            .map(|(rp, occs)| {
-                occs.iter()
-                    .map(|&i| rp.delta_variant(i, plan.stats()))
-                    .collect()
-            })
-            .collect();
-
-        // The head predicates of this stratum's rules, deduplicated: the
-        // delta after each round is the set of id ranges by which their
-        // relations grew. New facts always take ids above a relation's
-        // high-water mark, so "the facts new last round" is always a tail
-        // id window of each relation — no second store, subtract pass, or
-        // per-round index build is ever needed.
-        let mut head_preds: Vec<&Sym> = Vec::new();
-        for rp in &rules {
-            let p = &rp.compiled.head.pred;
-            if !head_preds.contains(&p) {
-                head_preds.push(p);
-            }
-        }
-
-        let _stratum_span = obs.span("stratum", si as u64);
-
-        // Round 0: fire every rule against the current totals (facts from
-        // lower strata and the EDB). The new facts form the first delta;
-        // firings exclude already-derived tuples at the emit site.
-        let before = head_marks(&derived, &head_preds);
-        let round0_span = obs.span("iteration", 0);
-        let firings0 = gov.work_spent();
-        let tasks: Vec<RuleTask<'_>> = rules.iter().map(|&rp| RuleTask::total(rp)).collect();
-        let added = fire_rule_batch(&pool, &gov, edb, &mut derived, None, &tasks)?;
-        gov.add_facts(added)?;
-        if obs.enabled() {
-            obs.counter("rule_firings", gov.work_spent().saturating_sub(firings0));
-            obs.counter("delta_facts", added as u64);
-        }
-        drop(round0_span);
-        let mut delta = delta_ranges(&derived, &head_preds, &before);
-        let mut round = 1u64;
-
-        // Subsequent rounds: only instantiations touching the delta.
-        while !delta.is_empty() {
-            let _iter_span = obs.span("iteration", round);
-            let mut tasks: Vec<RuleTask<'_>> = Vec::new();
-            for (r, (rp, occurrences)) in rules.iter().zip(&recursive_occurrences).enumerate() {
-                // For each body occurrence of a predicate in this stratum
-                // with new facts, fire the delta-first variant with that
-                // occurrence reading the delta window — split across
-                // workers when the scan is large (the variant's delta
-                // occurrence is always the outermost scan, so chunk
-                // concatenation preserves scan order).
-                for (j, &i) in occurrences.iter().enumerate() {
-                    let Some(&(start, end)) = delta.get(&rp.compiled.body[i].atom.pred) else {
-                        continue; // no new facts for this occurrence
-                    };
-                    let dp = &delta_plans[r][j];
-                    let len = end - start;
-                    if len >= DELTA_CHUNK_MIN && !pool.is_sequential() && outermost_scan(dp, i) {
-                        for (k, (lo, hi)) in pool.chunk_ranges(len).into_iter().enumerate() {
-                            tasks.push(RuleTask::delta_chunk(
-                                dp,
-                                i,
-                                (start + lo, start + hi),
-                                k == 0,
-                            ));
-                        }
-                    } else {
-                        tasks.push(RuleTask::delta(dp, i));
-                    }
-                }
-            }
-            let before = head_marks(&derived, &head_preds);
-            let firings0 = gov.work_spent();
-            if obs.enabled() {
-                let chunked = tasks.iter().filter(|t| t.is_chunk()).count();
-                obs.counter("delta_tasks", tasks.len() as u64);
-                obs.counter("delta_chunks", chunked as u64);
-                let delta_size: usize = delta.values().map(|(lo, hi)| hi - lo).sum();
-                obs.counter("delta_size", delta_size as u64);
-            }
-            let added = fire_rule_batch(&pool, &gov, edb, &mut derived, Some(&delta), &tasks)?;
-            gov.add_facts(added)?;
-            if obs.enabled() {
-                obs.counter("rule_firings", gov.work_spent().saturating_sub(firings0));
-                obs.counter("delta_facts", added as u64);
-            }
-            delta = delta_ranges(&derived, &head_preds, &before);
-            round += 1;
-        }
+        let rules: Vec<RoundRule<'_>> = variants.iter().map(|(rp, d)| (*rp, &d[..])).collect();
+        let _stratum_span = opts.sink.span("stratum", si as u64);
+        fixpoint.run(&rules, &mut derived, Start::Totals)?;
     }
-    if obs.enabled() {
-        let (p, s) = edb.access_stats();
-        let (dp, ds) = derived.iter().fold((0, 0), |(p, s), (_, r)| {
-            (p + r.index_probes(), s + r.full_scans())
-        });
-        obs.counter("index_probes", p.saturating_sub(probes0.0) + dp);
-        obs.counter("full_scans", s.saturating_sub(probes0.1) + ds);
-        let dc: u64 = derived.iter().map(|(_, r)| r.composite_probes()).sum();
-        obs.counter(
-            "composite_probes",
-            edb.composite_probes().saturating_sub(composite0) + dc,
-        );
-    }
+    fixpoint.finish(&derived);
     Ok(derived)
-}
-
-/// Current row-id high-water mark of each head predicate's derived
-/// relation (0 if absent): the start of the ids the next round appends.
-pub(crate) fn head_marks(derived: &DerivedFacts, head_preds: &[&Sym]) -> Vec<usize> {
-    head_preds
-        .iter()
-        .map(|p| derived.relation(p.as_str()).map_or(0, Relation::high_water))
-        .collect()
-}
-
-/// The id ranges by which each head relation grew past its recorded
-/// `before` high-water mark — the next round's delta.
-pub(crate) fn delta_ranges(
-    derived: &DerivedFacts,
-    head_preds: &[&Sym],
-    before: &[usize],
-) -> DeltaRanges {
-    let mut ranges = DeltaRanges::default();
-    for (p, &b) in head_preds.iter().zip(before) {
-        let now = derived.relation(p.as_str()).map_or(0, Relation::high_water);
-        if now > b {
-            ranges.insert((*p).clone(), (b, now));
-        }
-    }
-    ranges
-}
-
-/// True when occurrence `i` is the plan's outermost scan, so chunking its
-/// window across workers concatenates to the sequential visit order.
-pub(crate) fn outermost_scan(rp: &RulePlan, i: usize) -> bool {
-    matches!(rp.steps.first(), Some(Step::Scan { occurrence, .. }) if *occurrence == i)
 }
 
 #[cfg(test)]
@@ -294,6 +354,23 @@ mod tests {
             b.relation(p.as_str())
                 .is_some_and(|other| rel.iter().all(|t| other.contains(t)))
         })
+    }
+
+    #[test]
+    fn chunk_ranges_cover_exactly() {
+        for len in [0usize, 1, 5, 8, 17] {
+            for parts in [0usize, 1, 2, 4, 9] {
+                let ranges = chunk_ranges(len, parts);
+                let mut end = 0;
+                for &(lo, hi) in &ranges {
+                    assert_eq!(lo, end);
+                    assert!(hi > lo);
+                    end = hi;
+                }
+                assert_eq!(end, len);
+                assert!(ranges.len() <= parts.max(1));
+            }
+        }
     }
 
     #[test]

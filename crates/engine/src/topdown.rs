@@ -37,9 +37,8 @@ use crate::options::EvalOptions;
 use crate::plan::{Col, ProgramPlan, RulePlan, Step};
 use crate::seminaive;
 use qdk_logic::governor::Governor;
-use qdk_logic::{Frame, Interner, IrTerm, Literal, Parallelism, Subst, Sym, Var};
+use qdk_logic::{Frame, Interner, IrTerm, Literal, Subst, Sym};
 use qdk_storage::{builtins, Edb, StorageError, Tuple, Value};
-use std::collections::HashMap;
 
 /// A goal-directed solver for one (EDB, IDB) pair.
 pub struct Solver<'a> {
@@ -84,15 +83,6 @@ impl<'a> Solver<'a> {
                 self.ensure_closed(&lit.atom.pred)?;
             }
         }
-        // Variable-disjoint goal groups constrain each other only through
-        // their cross product, so with workers available they can be
-        // resolved as independent sibling conjunctions.
-        if !self.opts.parallelism.is_sequential() {
-            let components = connected_components(goals);
-            if components.len() > 1 {
-                return self.solve_components(goals, &components);
-            }
-        }
         // Compile the conjunction as a headless query plan: its slots are
         // the goals' distinct variables in first-occurrence order, so each
         // satisfying frame is already restricted to the goal variables.
@@ -110,67 +100,6 @@ impl<'a> Solver<'a> {
             Ok(())
         })?;
         Ok(out)
-    }
-
-    /// Bounded parallel sibling-goal evaluation: each variable-connected
-    /// goal component runs in its own sequential sub-solver (sharing this
-    /// solver's governor, so one set of limits and one deadline govern all
-    /// workers), and the per-component answers are cross-joined in
-    /// component order. Components have disjoint variables, so merging two
-    /// substitutions is a plain union. The answer *set* equals the
-    /// sequential one; row order follows component order instead of the
-    /// scheduler's interleaving.
-    fn solve_components(
-        &mut self,
-        goals: &[Literal],
-        components: &[Vec<usize>],
-    ) -> Result<Vec<Subst>> {
-        let edb = self.edb;
-        let idb = self.idb;
-        let plan = self.program;
-        let gov = &self.gov;
-        let closed = &self.closed;
-        // Sub-solvers are sequential: the component fan-out already uses
-        // the configured workers, and nesting would only oversubscribe.
-        let mut sub_opts = self.opts.clone();
-        sub_opts.parallelism = Parallelism::SEQUENTIAL;
-        let pool = self.opts.pool();
-        let results: Vec<Result<Vec<Subst>>> = pool.join_all(
-            components
-                .iter()
-                .map(|comp| {
-                    let sub_goals: Vec<Literal> = comp.iter().map(|&i| goals[i].clone()).collect();
-                    let sub_opts = sub_opts.clone();
-                    move || {
-                        let mut sub = Solver::with_plan(edb, idb, plan, sub_opts);
-                        sub.gov = gov.clone();
-                        // Recursive SCCs were closed above; share them so
-                        // no worker re-runs the fixpoint.
-                        sub.closed = closed.clone();
-                        sub.solve_all(&sub_goals)
-                    }
-                })
-                .collect(),
-        );
-        let mut acc: Vec<Subst> = vec![Subst::new()];
-        for rows in results {
-            let rows = rows?;
-            if rows.is_empty() {
-                return Ok(Vec::new());
-            }
-            let mut joined = Vec::with_capacity(acc.len() * rows.len());
-            for a in &acc {
-                for b in &rows {
-                    let mut merged = a.clone();
-                    for (v, t) in b.iter() {
-                        merged.bind(v.clone(), t.clone());
-                    }
-                    joined.push(merged);
-                }
-            }
-            acc = joined;
-        }
-        Ok(acc)
     }
 
     /// Closes (computes bottom-up) every recursive SCC that `pred`
@@ -513,50 +442,6 @@ impl<'a> Solver<'a> {
         let call_vals: Vec<Option<Value>> = vals.iter().cloned().map(Some).collect();
         Ok(!self.solve_pred(pred, &call_vals)?.is_empty())
     }
-}
-
-/// Groups goal indices into variable-connected components (union-find over
-/// shared variables), each component listed by ascending first index and
-/// listing its goals in source order. Goals with no variables are singleton
-/// components.
-fn connected_components(goals: &[Literal]) -> Vec<Vec<usize>> {
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        if parent[i] != i {
-            parent[i] = find(parent, parent[i]);
-        }
-        parent[i]
-    }
-    let mut parent: Vec<usize> = (0..goals.len()).collect();
-    let mut owner: HashMap<Var, usize> = HashMap::new();
-    for (i, lit) in goals.iter().enumerate() {
-        for v in lit.atom.vars() {
-            match owner.get(&v) {
-                Some(&j) => {
-                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-                    if a != b {
-                        parent[a] = b;
-                    }
-                }
-                None => {
-                    owner.insert(v, i);
-                }
-            }
-        }
-    }
-    let mut by_root: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut order: Vec<usize> = Vec::new();
-    for i in 0..goals.len() {
-        let r = find(&mut parent, i);
-        let group = by_root.entry(r).or_insert_with(|| {
-            order.push(r);
-            Vec::new()
-        });
-        group.push(i);
-    }
-    order
-        .into_iter()
-        .map(|r| by_root.remove(&r).unwrap_or_default())
-        .collect()
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@
 //!   the [`Resource`] that ran out, how much was spent, and the limit.
 //!
 //! The governor lives in `qdk-logic` (the dependency-free base crate) so
-//! that both `qdk-engine` and `qdk-core` can share the *same* types; the
-//! `qdk-core::governor` module re-exports everything for facade users.
+//! that both `qdk-engine` and `qdk-core` can share the *same* types; both
+//! crates re-export the five types at their roots for facade users.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -35,8 +35,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of shards in a [`Counter`]. Eight covers the worker counts the
-/// determinism contract is tested at (1/2/4/8) without bloating the
-/// snapshot sum.
+/// determinism contract is tested at (1 and 4) and the concurrent readers
+/// beside them without bloating the snapshot sum.
 const SHARDS: usize = 8;
 
 /// One cache line per shard so two threads bumping the same counter

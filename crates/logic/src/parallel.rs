@@ -1,22 +1,22 @@
 //! Parallelism configuration shared by both evaluation stacks.
 //!
-//! A worker count is a `retrieve` setting: its fixpoints partition each
-//! round's delta chunks across workers. `describe`'s tree enumeration runs
-//! on the calling thread, but `DescribeOptions` carries the count too,
-//! since the knowledge base derives a retrieve's engine options from it.
-//! The type lives here (next to the governor) so `EvalOptions` and
+//! A worker count is a `retrieve` setting: its fixpoints split each large
+//! delta scan across workers. `describe`'s tree enumeration runs on the
+//! calling thread, but `DescribeOptions` carries the count too, since the
+//! knowledge base derives a retrieve's engine options from it. The type
+//! lives here (next to the governor) so `EvalOptions` and
 //! `DescribeOptions` speak the same vocabulary.
 
 use std::fmt;
 
 /// Worker count for a parallel evaluation.
 ///
-/// The default ([`Parallelism::auto`]) resolves to the platform's available
-/// cores, overridable with the `QDK_TEST_THREADS` environment variable (the
-/// CI matrix pins the sequential path with `QDK_TEST_THREADS=1`).
-/// [`Parallelism::SEQUENTIAL`] (`1`) is guaranteed to take the exact
-/// sequential code path — no threads, no merge, byte-identical behaviour to
-/// the pre-parallel engine.
+/// Parallelism is opt-in: the default is [`Parallelism::SEQUENTIAL`]
+/// (`1`), which is guaranteed to take the exact sequential code path — no
+/// threads, no merge. More workers are used only when asked for, with
+/// [`Parallelism::workers`] or [`Parallelism::auto`], and then only for
+/// delta scans large enough to split; answers are byte-identical at every
+/// worker count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Parallelism(usize);
 
@@ -29,24 +29,13 @@ impl Parallelism {
         Parallelism(n.max(1))
     }
 
-    /// Platform default: `QDK_TEST_THREADS` if set to a positive integer,
-    /// otherwise the number of available cores. Resolved once per process
-    /// and cached — the environment probe and the `available_parallelism`
-    /// syscall cost microseconds, which dominates warm bound queries when
-    /// paid on every `EvalOptions::default()`.
+    /// One worker per available core. Resolved once per process and
+    /// cached: the `available_parallelism` syscall costs microseconds,
+    /// which would dominate warm bound queries if paid per call.
     pub fn auto() -> Self {
         static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         Parallelism(*AUTO.get_or_init(|| {
-            if let Ok(v) = std::env::var("QDK_TEST_THREADS") {
-                if let Ok(n) = v.trim().parse::<usize>() {
-                    if n > 0 {
-                        return n;
-                    }
-                }
-            }
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }))
     }
 
@@ -54,16 +43,11 @@ impl Parallelism {
     pub fn get(self) -> usize {
         self.0
     }
-
-    /// True when evaluation must take the exact sequential path.
-    pub fn is_sequential(self) -> bool {
-        self.0 <= 1
-    }
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
-        Parallelism::auto()
+        Parallelism::SEQUENTIAL
     }
 }
 
@@ -85,21 +69,23 @@ mod tests {
 
     #[test]
     fn zero_clamps_to_one() {
-        assert_eq!(Parallelism::workers(0).get(), 1);
-        assert!(Parallelism::workers(0).is_sequential());
+        assert_eq!(Parallelism::workers(0), Parallelism::SEQUENTIAL);
     }
 
     #[test]
     fn explicit_counts_pass_through() {
         assert_eq!(Parallelism::workers(4).get(), 4);
-        assert!(!Parallelism::workers(4).is_sequential());
         assert_eq!(Parallelism::from(8).get(), 8);
     }
 
     #[test]
     fn sequential_constant_is_one() {
         assert_eq!(Parallelism::SEQUENTIAL.get(), 1);
-        assert!(Parallelism::SEQUENTIAL.is_sequential());
+    }
+
+    #[test]
+    fn default_is_sequential() {
+        assert_eq!(Parallelism::default(), Parallelism::SEQUENTIAL);
     }
 
     #[test]

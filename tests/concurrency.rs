@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread;
 
 /// The reader worker counts required by the acceptance criteria.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const WORKER_COUNTS: [usize; 2] = [1, 4];
 
 fn routing_session(edges: &[(u32, u32)]) -> Session {
     let mut s = Session::new();

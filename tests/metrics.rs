@@ -3,7 +3,7 @@
 //! * Enabling the [`qdk::MetricsSink`] — and arming slow-query capture,
 //!   which installs a collector on *every* query — must not change any
 //!   answer, row order, completeness tag, downgrade note or `Exhausted`
-//!   diagnostic, for all three strategies at 1, 2, 4 and 8 workers.
+//!   diagnostic, for all three strategies at 1 and 4 workers.
 //! * The Prometheus text exposition is deterministic and pinned by a
 //!   golden snapshot.
 //! * Counters stay monotone and converge to exact totals under 4
@@ -100,7 +100,7 @@ proptest! {
         let buf = SharedBuf::default();
         metered.capture_slow_queries(1, buf.clone());
         for strategy in Strategy::ALL {
-            for workers in [1usize, 2, 4, 8] {
+            for workers in [1usize, 4] {
                 let a = retrieve_outcome(&plain, "prior(X, Y)", strategy, workers);
                 let b = retrieve_outcome(&metered, "prior(X, Y)", strategy, workers);
                 prop_assert_eq!(&a, &b, "{:?} at {} workers", strategy, workers);
@@ -110,19 +110,19 @@ proptest! {
         // threshold (all but possibly sub-microsecond outliers) logged
         // exactly one JSON line.
         let snap = metered.metrics_snapshot().unwrap();
-        prop_assert_eq!(snap.counter("retrieves"), Some(16));
-        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 16);
+        prop_assert_eq!(snap.counter("retrieves"), Some(8));
+        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 8);
         // Every strategy's evaluation span reaches its own histogram: one
         // observation per query that ran it. Nothing is bound, so `Auto`
         // ran semi-naive and said so, once per query.
         for (span, count) in [
-            ("seminaive_span_micros", 8),
-            ("topdown_span_micros", 4),
-            ("qsq_span_micros", 4),
+            ("seminaive_span_micros", 4),
+            ("topdown_span_micros", 2),
+            ("qsq_span_micros", 2),
         ] {
             prop_assert_eq!(snap.histogram(span).map(|h| h.count), Some(count), "{}", span);
         }
-        prop_assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(4));
+        prop_assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(2));
         let slow = snap.counter("slow_queries").unwrap_or(0);
         prop_assert!(slow >= 1, "no query reached 1 µs of wall time");
         prop_assert_eq!(buf.contents().lines().count() as u64, slow);
@@ -155,7 +155,7 @@ proptest! {
             let k = resp.into_knowledge().unwrap();
             (k.rendered(), format!("{:?}", k.completeness))
         };
-        for workers in [1usize, 2, 4, 8] {
+        for workers in [1usize, 4] {
             prop_assert_eq!(
                 &outcome(&plain, workers),
                 &outcome(&metered, workers),

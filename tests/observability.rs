@@ -2,7 +2,7 @@
 //!
 //! * A [`qdk::CollectSink`] installed for a query must not change any
 //!   answer, row order, completeness tag, or `Exhausted` diagnostic — for
-//!   all three strategies at 1, 2, 4 and 8 workers.
+//!   all three strategies at 1 and 4 workers.
 //! * Span streams nest correctly (every end matches the innermost open
 //!   start), because spans are only emitted from coordinator code paths.
 //! * `Response::trace()` returns a structured profile whose stage
@@ -279,7 +279,7 @@ proptest! {
         for strategy in Strategy::ALL {
             // Unbound, and bound the way the default sends to the net.
             for subject in ["prior(X, Y)", "prior(c0, Y)"] {
-                for workers in [1usize, 2, 4, 8] {
+                for workers in [1usize, 4] {
                     let plain = retrieve_outcome(&s, subject, strategy, workers, false);
                     let traced = retrieve_outcome(&s, subject, strategy, workers, true);
                     prop_assert_eq!(
@@ -313,7 +313,7 @@ proptest! {
             let k = resp.into_knowledge().unwrap();
             (k.rendered(), format!("{:?}", k.completeness))
         };
-        for workers in [1usize, 2, 4, 8] {
+        for workers in [1usize, 4] {
             let plain = outcome(workers, false);
             let traced = outcome(workers, true);
             prop_assert_eq!(&plain, &traced, "{} workers", workers);
