@@ -68,12 +68,9 @@ pub struct DescribeOptions {
     /// Remove θ-subsumed answers (§3.2's redundancy freedom). Disabled
     /// only by the A2 ablation benchmark.
     pub remove_redundant: bool,
-    /// Worker count for a `retrieve` served under these options (the
-    /// knowledge base hands it to the engine; `Default` =
-    /// [`Parallelism::SEQUENTIAL`], so parallel rounds are opt-in). The
-    /// describe family ignores it: derivation-tree enumeration
-    /// runs on the calling thread, because a computed describe costs tens
-    /// of microseconds, about what spawning threads for it would add.
+    /// Zero-sized and read by nothing: kept so the frozen benchmark
+    /// instrument compiles (see `qdk_logic::parallel`).
+    #[doc(hidden)]
     pub parallelism: Parallelism,
     /// Observability sink; Algorithm 1/2 spans and counters are emitted
     /// here (the default disabled sink records nothing and costs one
@@ -91,7 +88,7 @@ impl Default for DescribeOptions {
             cancel: None,
             simplify_comparisons: true,
             remove_redundant: true,
-            parallelism: Parallelism::default(),
+            parallelism: Parallelism,
             sink: ObsSink::disabled(),
         }
     }
@@ -145,13 +142,6 @@ impl DescribeOptions {
     /// Sets the maximum derivation-tree depth.
     pub fn with_max_depth(mut self, depth: usize) -> Self {
         self.limits.max_depth = Some(depth);
-        self
-    }
-
-    /// Sets the worker count a `retrieve` runs with.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 

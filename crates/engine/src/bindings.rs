@@ -19,9 +19,10 @@
 //! The literal *ordering* lives in [`crate::plan`]; by the time execution
 //! starts, every scheduling decision has already been made.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::error::{EngineError, Result};
 use crate::plan::{Col, RulePlan, Step};
-use crate::seminaive::chunk_ranges;
 use qdk_logic::fasthash::FxHashMap;
 use qdk_logic::governor::Governor;
 #[cfg(test)]
@@ -207,20 +208,15 @@ pub(crate) type DeltaRanges = FxHashMap<Sym, (usize, usize)>;
 pub(crate) type ScanTarget<'a> = Option<(&'a Relation, Option<(usize, usize)>)>;
 
 /// A read view combining the EDB, a derived-facts store, and (optionally)
-/// a delta override: when `delta_occurrence` is `Some(i)`, the body atom at
+/// a delta override: when `delta` is `Some((ranges, i))`, the body atom at
 /// position `i` of the rule under evaluation reads only the derived tuples
-/// in the previous round's `DeltaRanges` window (the semi-naive "one
+/// in the previous round's `ranges` window (the semi-naive "one
 /// occurrence reads the delta" rewrite). The delta is never a separate
 /// store — just an id window over the derived relations' newest ids.
 pub struct FactView<'a> {
     edb: &'a Edb,
     derived: &'a DerivedFacts,
-    delta: Option<&'a DeltaRanges>,
-    delta_occurrence: Option<usize>,
-    /// When set, the delta occurrence's scan only visits the tuples whose
-    /// ids fall in this half-open sub-range of the delta — how a parallel
-    /// round splits one large delta scan across workers.
-    delta_window: Option<(usize, usize)>,
+    delta: Option<(&'a DeltaRanges, usize)>,
     /// When set, the delta occurrence resolves its predicate in this store
     /// instead of the EDB or `derived` — DRed's deletion phase reads the
     /// candidate-deleted tuples here while every other occurrence still
@@ -235,8 +231,6 @@ impl<'a> FactView<'a> {
             edb,
             derived,
             delta: None,
-            delta_occurrence: None,
-            delta_window: None,
             overlay: None,
         }
     }
@@ -256,31 +250,7 @@ impl<'a> FactView<'a> {
         FactView {
             edb,
             derived,
-            delta: Some(delta),
-            delta_occurrence: Some(occurrence),
-            delta_window: None,
-            overlay: None,
-        }
-    }
-
-    /// Like [`FactView::with_delta`], but the delta occurrence only scans
-    /// the ids in `window` (an absolute sub-range of the delta range).
-    /// Sound for order-preserving partitioning only when that occurrence is
-    /// the plan's outermost scan; the semi-naive driver checks this before
-    /// windowing.
-    pub(crate) fn with_delta_window(
-        edb: &'a Edb,
-        derived: &'a DerivedFacts,
-        delta: &'a DeltaRanges,
-        occurrence: usize,
-        window: (usize, usize),
-    ) -> Self {
-        FactView {
-            edb,
-            derived,
-            delta: Some(delta),
-            delta_occurrence: Some(occurrence),
-            delta_window: Some(window),
+            delta: Some((delta, occurrence)),
             overlay: None,
         }
     }
@@ -301,9 +271,7 @@ impl<'a> FactView<'a> {
         FactView {
             edb,
             derived,
-            delta: Some(delta),
-            delta_occurrence: Some(occurrence),
-            delta_window: None,
+            delta: Some((delta, occurrence)),
             overlay: Some(overlay),
         }
     }
@@ -318,23 +286,23 @@ impl<'a> FactView<'a> {
     /// The relation a positive scan at `occurrence` reads, plus the tuple-id
     /// window the scan must respect: the EDB relation for declared
     /// predicates (wrong arity is an error), else the derived relation —
-    /// windowed to the delta range (or its assigned sub-range) when this is
-    /// the delta occurrence. Absent relation or wrong arity means an empty
-    /// extension — nothing derived for that shape yet.
+    /// windowed to the delta range when this is the delta occurrence.
+    /// Absent relation or wrong arity means an empty extension — nothing
+    /// derived for that shape yet.
     pub(crate) fn scan_target(
         &self,
         occurrence: usize,
         pred: &Sym,
         arity: usize,
     ) -> Result<ScanTarget<'a>> {
-        let window = if self.delta_occurrence == Some(occurrence) {
-            let ranges = self.delta.expect("delta set with occurrence");
-            let Some(&range) = ranges.get(pred) else {
-                return Ok(None); // no new facts for this predicate last round
-            };
-            Some(self.delta_window.unwrap_or(range))
-        } else {
-            None
+        let window = match self.delta {
+            Some((ranges, i)) if i == occurrence => {
+                let Some(&range) = ranges.get(pred) else {
+                    return Ok(None); // no new facts for this predicate last round
+                };
+                Some(range)
+            }
+            _ => None,
         };
         // DRed's overestimation view: the delta occurrence reads the
         // deleted-tuples overlay regardless of where the predicate is
@@ -789,7 +757,7 @@ pub(crate) fn fire_plan(
 
 /// How often a firing polls the governor for cancellation/deadline, in
 /// emitted frames. Emission-based so the check is free for rules that
-/// produce nothing; the coordinator's per-task ticks still bound work.
+/// produce nothing; the per-task ticks still bound work.
 pub(crate) const FIRE_POLL_EMISSIONS: u64 = 4096;
 
 /// Fires a compiled rule once against a view, collecting the head tuples
@@ -803,13 +771,13 @@ pub(crate) const FIRE_POLL_EMISSIONS: u64 = 4096;
 /// read a frozen snapshot while new facts wait in the buffer, so the store
 /// needs no per-round copy, subtract pass, or second set of indexes.
 ///
-/// When `gov` is set, the firing polls it every [`FIRE_POLL_EMISSIONS`]
-/// emissions so worker threads observe a cancel or deadline promptly
-/// without contributing coordinator work ticks.
+/// The firing polls `gov` every [`FIRE_POLL_EMISSIONS`] emissions, so one
+/// long firing observes a cancel or deadline promptly without spending
+/// work ticks.
 pub(crate) fn fire_plan_buffered(
     plan: &RulePlan,
     view: &FactView<'_>,
-    gov: Option<&Governor>,
+    gov: &Governor,
 ) -> Result<Vec<Tuple>> {
     let mut out: Vec<Tuple> = Vec::new();
     let mut emitted = 0u64;
@@ -822,12 +790,10 @@ pub(crate) fn fire_plan_buffered(
     // containment check lets those die here without allocating a tuple.
     let mut row: Vec<Value> = Vec::with_capacity(head.args.len());
     exec(plan, 0, view, &mut frame, &mut |frame| {
-        if let Some(g) = gov {
-            emitted += 1;
-            if emitted == FIRE_POLL_EMISSIONS {
-                emitted = 0;
-                g.poll()?;
-            }
+        emitted += 1;
+        if emitted == FIRE_POLL_EMISSIONS {
+            emitted = 0;
+            gov.poll()?;
         }
         row.clear();
         for t in &head.args {
@@ -856,83 +822,24 @@ pub(crate) fn fire_plan_buffered(
     Ok(out)
 }
 
-/// One unit of a fixpoint round: a rule to fire, with an optional delta
-/// occurrence and an optional delta-scan window. `ticks` records whether
-/// this task owes the governor a work tick — continuation chunks of a
-/// windowed scan share the tick of their first chunk, so windowing never
-/// changes work accounting.
-pub(crate) struct RuleTask<'p> {
-    plan: &'p RulePlan,
-    occurrence: Option<usize>,
-    window: Option<(usize, usize)>,
-    ticks: bool,
+/// One unit of a fixpoint round: a rule to fire, against the totals or
+/// with one body occurrence reading the delta.
+pub(crate) struct RuleTask<'a> {
+    plan: &'a RulePlan,
+    delta: Option<(&'a DeltaRanges, usize)>,
 }
 
-impl<'p> RuleTask<'p> {
+impl<'a> RuleTask<'a> {
     /// Fire `plan` against the total view (round 0 / naive iteration).
-    pub(crate) fn total(plan: &'p RulePlan) -> Self {
+    pub(crate) fn total(plan: &'a RulePlan) -> Self {
+        RuleTask { plan, delta: None }
+    }
+
+    /// Fire `plan` with body occurrence `occurrence` reading `delta`.
+    pub(crate) fn delta(plan: &'a RulePlan, occurrence: usize, delta: &'a DeltaRanges) -> Self {
         RuleTask {
             plan,
-            occurrence: None,
-            window: None,
-            ticks: true,
-        }
-    }
-
-    /// Fire `plan` with body occurrence `occurrence` reading the delta.
-    pub(crate) fn delta(plan: &'p RulePlan, occurrence: usize) -> Self {
-        RuleTask {
-            plan,
-            occurrence: Some(occurrence),
-            window: None,
-            ticks: true,
-        }
-    }
-
-    /// One window of a partitioned delta scan. Only the first chunk of a
-    /// partition passes `ticks = true`.
-    pub(crate) fn delta_chunk(
-        plan: &'p RulePlan,
-        occurrence: usize,
-        window: (usize, usize),
-        ticks: bool,
-    ) -> Self {
-        RuleTask {
-            plan,
-            occurrence: Some(occurrence),
-            window: Some(window),
-            ticks,
-        }
-    }
-
-    /// True when this task is one window of a partitioned delta scan. Two
-    /// readers: the `delta_chunks` counter, and [`fire_rule_batch`], which
-    /// fires a batch on worker threads only when it holds a chunk.
-    pub(crate) fn is_chunk(&self) -> bool {
-        self.window.is_some()
-    }
-
-    fn view<'a>(
-        &self,
-        edb: &'a Edb,
-        derived: &'a DerivedFacts,
-        delta: Option<&'a DeltaRanges>,
-    ) -> FactView<'a> {
-        match (self.occurrence, self.window) {
-            (Some(i), Some(w)) => FactView::with_delta_window(
-                edb,
-                derived,
-                delta.expect("delta task requires delta ranges"),
-                i,
-                w,
-            ),
-            (Some(i), None) => FactView::with_delta(
-                edb,
-                derived,
-                delta.expect("delta task requires delta ranges"),
-                i,
-            ),
-            (None, _) => FactView::total(edb, derived),
+            delta: Some((delta, occurrence)),
         }
     }
 }
@@ -940,90 +847,23 @@ impl<'p> RuleTask<'p> {
 /// Fires a batch of independent rule tasks against the frozen derived
 /// store, then inserts the buffered new facts in task order. Returns how
 /// many facts were new. The store is read-only until every task has fired
-/// (jacobi-style), so the batch can run on worker threads.
-///
-/// It does so only when it holds a delta chunk, i.e. some delta reached
-/// `DELTA_CHUNK_MIN` rows and was split into one window per worker. Every
-/// other batch (round 0, maintenance rounds, small deltas) is a few rule
-/// firings over a handful of rows, cheaper than a thread spawn, and takes
-/// the exact sequential path. A parallel batch is cut into `workers`
-/// contiguous task groups, each fired in order on a scoped thread (the
-/// calling thread fires the last).
-///
-/// The governor contract makes the parallel path observationally identical
-/// to the sequential one: the *coordinator* performs every work tick, in
-/// task order (workers only poll for cancellation/deadline), and the
-/// per-task buffers are inserted in task order, so the insertion order
-/// equals the order a single thread firing task-by-task would have
-/// produced. On a tick trip the whole round's output is discarded either
-/// way; the preceding tasks are replayed sequentially first so a rule
-/// error they would have raised before the trip still takes precedence.
+/// (jacobi-style); each task costs the governor one work tick before it
+/// fires.
 pub(crate) fn fire_rule_batch(
-    workers: usize,
     gov: &Governor,
     edb: &Edb,
     derived: &mut DerivedFacts,
-    delta: Option<&DeltaRanges>,
     tasks: &[RuleTask<'_>],
 ) -> Result<usize> {
-    let snapshot: &DerivedFacts = derived;
-    let fire = |task: &RuleTask<'_>| {
-        let view = task.view(edb, snapshot, delta);
-        fire_plan_buffered(task.plan, &view, Some(gov))
-    };
-    let buffers: Vec<Vec<Tuple>> = if workers <= 1 || !tasks.iter().any(RuleTask::is_chunk) {
-        // Exact sequential path: tick and fire interleaved.
-        let mut bufs = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            if task.ticks {
-                gov.tick()?;
-            }
-            bufs.push(fire(task)?);
-        }
-        bufs
-    } else {
-        // Coordinator ticks up front, in task order. A trip replays the
-        // fires that sequential execution would have completed before it
-        // (results discarded, governor not consulted: its trip is already
-        // sticky).
-        for (k, task) in tasks.iter().enumerate() {
-            if !task.ticks {
-                continue;
-            }
-            if let Err(trip) = gov.tick() {
-                for done in &tasks[..k] {
-                    let view = done.view(edb, snapshot, delta);
-                    fire_plan_buffered(done.plan, &view, None)?;
-                }
-                return Err(trip.into());
-            }
-        }
-        let fire_group = |(lo, hi): (usize, usize)| -> Result<Vec<Vec<Tuple>>> {
-            tasks[lo..hi].iter().map(fire).collect()
+    let mut buffers = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        gov.tick()?;
+        let view = match task.delta {
+            Some((delta, occurrence)) => FactView::with_delta(edb, derived, delta, occurrence),
+            None => FactView::total(edb, derived),
         };
-        let mut groups = chunk_ranges(tasks.len(), workers);
-        let mine = groups.pop().unwrap_or_default();
-        let results: Vec<Result<Vec<Vec<Tuple>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| scope.spawn(move || fire_group(group)))
-                .collect();
-            let last = fire_group(mine);
-            let mut results: Vec<_> = handles
-                .into_iter()
-                // A panicking task poisons the whole batch: re-raise on
-                // the caller so the failure is not silently dropped.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect();
-            results.push(last);
-            results
-        });
-        let mut bufs = Vec::with_capacity(tasks.len());
-        for group in results {
-            bufs.extend(group?);
-        }
-        bufs
-    };
+        buffers.push(fire_plan_buffered(task.plan, &view, gov)?);
+    }
     let mut added = 0;
     for (task, buf) in tasks.iter().zip(buffers) {
         added += derived.insert_all(&task.plan.compiled.head.pred, buf)?;

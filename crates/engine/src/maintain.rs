@@ -25,8 +25,8 @@
 //! *delete* derived facts, deletion can *create* them), the store falls
 //! back to a full sequential recomputation and reports the reason so the
 //! caller can surface it as a [`crate::query::Downgrade`]. Maintenance
-//! always runs sequentially with an unbounded governor: the store must end
-//! identical regardless of the session's worker count or limits.
+//! always runs with an unbounded governor: the store must end identical
+//! regardless of the session's limits.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -39,7 +39,7 @@ use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive::{self, Fixpoint, RoundRule, Start};
 use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
-use qdk_logic::{Frame, IrTerm, Parallelism, Rule, Sym};
+use qdk_logic::{Frame, IrTerm, Rule, Sym};
 use qdk_storage::{Edb, Relation, Tuple, Value};
 use std::sync::Arc;
 
@@ -277,12 +277,6 @@ pub struct MaintainedStore {
     gens: Vec<u64>,
 }
 
-/// Maintenance evaluation options: sequential and unbounded, so the store
-/// converges to the same state at every session worker count.
-fn maintenance_opts() -> EvalOptions {
-    EvalOptions::default().with_parallelism(Parallelism::SEQUENTIAL)
-}
-
 /// The full fixpoint of the compiled program, from scratch.
 fn materialize(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
     seminaive::eval(
@@ -291,7 +285,7 @@ fn materialize(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts>
         plan,
         None,
         DerivedFacts::new(),
-        maintenance_opts(),
+        EvalOptions::default(),
     )
 }
 
@@ -404,7 +398,7 @@ impl MaintainedStore {
     /// windows produced while processing one stratum remain visible to
     /// every higher stratum.
     fn propagate(&mut self, edb: &Edb, seed: &DeltaRanges) -> Result<usize> {
-        let opts = maintenance_opts();
+        let opts = EvalOptions::default();
         let fixpoint = Fixpoint::new(edb, &opts);
         let rules = Arc::clone(&self.rules);
         // Baseline: everything below these ids is already reflected in the
@@ -473,7 +467,7 @@ impl MaintainedStore {
         if !self.is_read(pred) {
             return Ok(Retraction::Clean);
         }
-        let opts = maintenance_opts();
+        let opts = EvalOptions::default();
         let gov = opts.governor();
         let mut overlay = DerivedFacts::new();
         let pred_sym = Sym::new(pred);
@@ -682,7 +676,7 @@ impl MaintainedStore {
             &rules.plan,
             Some(&affected),
             seed,
-            maintenance_opts(),
+            EvalOptions::default(),
         )?;
         stats.derived_added = affected
             .iter()

@@ -33,7 +33,7 @@ pub fn eval(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
             .filter(|rp| stratum.contains(&rp.compiled.head.pred))
             .map(RuleTask::total)
             .collect();
-        while fire_rule_batch(1, &gov, edb, &mut derived, None, &tasks)? > 0 {}
+        while fire_rule_batch(&gov, edb, &mut derived, &tasks)? > 0 {}
     }
     Ok(derived)
 }

@@ -5,20 +5,16 @@ use qdk_logic::obs::ObsSink;
 use qdk_logic::Parallelism;
 
 /// Options controlling a bottom-up run: the unified [`ResourceLimits`]
-/// (work budget, deadline, fact count), an optional cooperative
-/// [`CancelToken`], and the worker count for parallel fixpoints.
-/// Exhaustion aborts with [`crate::EngineError::Exhausted`] carrying the
-/// governor's structured diagnostic.
+/// (work budget, deadline, fact count) and an optional cooperative
+/// [`CancelToken`]. Exhaustion aborts with
+/// [`crate::EngineError::Exhausted`] carrying the governor's structured
+/// diagnostic.
 #[derive(Clone, Debug, Default)]
 pub struct EvalOptions {
     /// Resource limits enforced during evaluation (`Default` = unbounded).
     pub limits: ResourceLimits,
     /// Cooperative cancellation token, checkable from another thread.
     pub cancel: Option<CancelToken>,
-    /// Worker count for the fixpoints' chunked delta rounds (`Default` =
-    /// [`Parallelism::SEQUENTIAL`], the exact sequential path; more
-    /// workers only when asked for).
-    pub parallelism: Parallelism,
     /// Observability sink; spans and counters are emitted here (the
     /// default disabled sink records nothing and costs one branch).
     pub sink: ObsSink,
@@ -33,10 +29,11 @@ impl EvalOptions {
         }
     }
 
-    /// Set the worker count.
+    /// Returns `self`: evaluation is sequential. Kept so the frozen
+    /// benchmark instrument compiles (see `qdk_logic::parallel`).
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    pub fn with_parallelism(self, _: Parallelism) -> Self {
         self
     }
 

@@ -204,9 +204,7 @@ impl RulePlan {
     /// Re-plans this rule so body occurrence `occurrence` (a positive
     /// database literal) is scanned first — the semi-naive delta rewrite's
     /// ideal shape: the delta is the smallest input by construction, so
-    /// making it the outermost scan bounds every firing by the delta size
-    /// *and* makes the plan eligible for order-preserving chunked
-    /// parallelism (the windowed occurrence must be the outermost scan).
+    /// making it the outermost scan bounds every firing by the delta size.
     pub(crate) fn delta_variant(
         &self,
         occurrence: usize,

@@ -29,8 +29,8 @@ use std::fmt;
 pub enum Strategy {
     /// Pick one of the three evaluators below per query, from the shape
     /// of the goals and of the rules they demand (see [`AutoChoice`] for
-    /// the decision table). Never from data sizes or the worker count, so
-    /// the same query over the same rules always runs the same way.
+    /// the decision table). Never from data sizes, so the same query over
+    /// the same rules always runs the same way.
     #[default]
     Auto,
     /// Semi-naive bottom-up over the relevant predicates: materialises

@@ -10,9 +10,9 @@
 //!
 //! `Fixpoint::run` is the one semi-naive round loop: semi-naive strata
 //! ([`eval`]), QSQ nets ([`crate::qsq`]) and maintenance propagation
-//! ([`crate::maintain`]) all fire their rules through it, so chunking,
-//! governor accounting and the `iteration` / `delta_*` observability are
-//! the same for all three.
+//! ([`crate::maintain`]) all fire their rules through it, so governor
+//! accounting and the `iteration` / `delta_*` observability are the same
+//! for all three.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -20,36 +20,11 @@ use crate::bindings::{fire_rule_batch, DeltaRanges, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
-use crate::plan::{ProgramPlan, RulePlan, Step};
+use crate::plan::{ProgramPlan, RulePlan};
 use qdk_logic::governor::Governor;
 use qdk_logic::obs::ObsSink;
 use qdk_logic::Sym;
 use qdk_storage::{Edb, Relation};
-
-/// A delta scan is split across workers only when the delta relation has at
-/// least this many tuples; smaller scans are not worth a second task.
-pub(crate) const DELTA_CHUNK_MIN: usize = 64;
-
-/// Splits `len` items into at most `parts` contiguous `(start, end)`
-/// ranges of near-equal size (the first ranges get the remainder). Empty
-/// when `len` is 0. Both a chunked delta scan and a parallel batch's
-/// per-worker task groups are cut this way.
-pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    let (base, extra) = (len / parts, len % parts);
-    let mut start = 0;
-    (0..parts)
-        .map(|i| {
-            let end = start + base + usize::from(i < extra);
-            let range = (start, end);
-            start = end;
-            range
-        })
-        .collect()
-}
 
 /// One rule a [`Fixpoint`] fires: its plan over the totals, and for each
 /// body occurrence that can read a delta, the delta-first re-plan that
@@ -66,12 +41,11 @@ pub(crate) enum Start {
 }
 
 /// The state one bottom-up evaluation shares across every [`Fixpoint::run`]
-/// it makes: the governor, the worker count, the observability sink, and
-/// the probe counts [`Fixpoint::finish`] reports against.
+/// it makes: the governor, the observability sink, and the probe counts
+/// [`Fixpoint::finish`] reports against.
 pub(crate) struct Fixpoint<'a> {
     edb: &'a Edb,
     gov: Governor,
-    workers: usize,
     obs: &'a ObsSink,
     probes0: (u64, u64),
     composite0: u64,
@@ -89,7 +63,6 @@ impl<'a> Fixpoint<'a> {
         Fixpoint {
             edb,
             gov: opts.governor(),
-            workers: opts.parallelism.get(),
             obs,
             probes0,
             composite0,
@@ -100,13 +73,10 @@ impl<'a> Fixpoint<'a> {
     /// relation grows; returns how many facts were added.
     ///
     /// A round fires, rule by rule and occurrence by occurrence, the delta
-    /// variant of every occurrence whose predicate has new facts. A delta
-    /// of at least [`DELTA_CHUNK_MIN`] rows is split into one window per
-    /// worker when its occurrence is the variant's outermost scan, so the
-    /// windows concatenate to the sequential visit order. The next delta
-    /// is the id range by which each head relation grew: new facts always
-    /// take ids above a relation's high-water mark, so the delta never
-    /// needs a store of its own.
+    /// variant of every occurrence whose predicate has new facts. The next
+    /// delta is the id range by which each head relation grew: new facts
+    /// always take ids above a relation's high-water mark, so the delta
+    /// never needs a store of its own.
     pub(crate) fn run(
         &self,
         rules: &[RoundRule<'_>],
@@ -131,7 +101,7 @@ impl<'a> Fixpoint<'a> {
                 let _round0 = self.obs.span("iteration", 0);
                 let tasks: Vec<RuleTask<'_>> =
                     rules.iter().map(|(rp, _)| RuleTask::total(rp)).collect();
-                added += self.fire(derived, None, &tasks)?;
+                added += self.fire(derived, &tasks)?;
                 delta_ranges(derived, &heads, &before)
             }
         };
@@ -141,29 +111,19 @@ impl<'a> Fixpoint<'a> {
             let mut tasks: Vec<RuleTask<'_>> = Vec::new();
             for (rp, occurrences) in rules {
                 for (i, dp) in occurrences.iter() {
-                    let Some(&(lo, hi)) = delta.get(&rp.compiled.body[*i].atom.pred) else {
-                        continue; // no new facts for this occurrence
-                    };
-                    if hi - lo >= DELTA_CHUNK_MIN && self.workers > 1 && outermost_scan(dp, *i) {
-                        for (k, (a, b)) in
-                            chunk_ranges(hi - lo, self.workers).into_iter().enumerate()
-                        {
-                            tasks.push(RuleTask::delta_chunk(dp, *i, (lo + a, lo + b), k == 0));
-                        }
-                    } else {
-                        tasks.push(RuleTask::delta(dp, *i));
+                    // An occurrence with no new facts has nothing to fire.
+                    if delta.contains_key(&rp.compiled.body[*i].atom.pred) {
+                        tasks.push(RuleTask::delta(dp, *i, &delta));
                     }
                 }
             }
             if self.obs.enabled() {
-                let chunked = tasks.iter().filter(|t| t.is_chunk()).count();
                 self.obs.counter("delta_tasks", tasks.len() as u64);
-                self.obs.counter("delta_chunks", chunked as u64);
                 let delta_size: usize = delta.values().map(|(lo, hi)| hi - lo).sum();
                 self.obs.counter("delta_size", delta_size as u64);
             }
             let before = head_marks(derived, &heads);
-            added += self.fire(derived, Some(&delta), &tasks)?;
+            added += self.fire(derived, &tasks)?;
             delta = delta_ranges(derived, &heads, &before);
             round += 1;
         }
@@ -172,14 +132,9 @@ impl<'a> Fixpoint<'a> {
 
     /// Fires one round's tasks, charging the governor for the new facts
     /// and reporting the round's firings and facts.
-    fn fire(
-        &self,
-        derived: &mut DerivedFacts,
-        delta: Option<&DeltaRanges>,
-        tasks: &[RuleTask<'_>],
-    ) -> Result<usize> {
+    fn fire(&self, derived: &mut DerivedFacts, tasks: &[RuleTask<'_>]) -> Result<usize> {
         let firings0 = self.gov.work_spent();
-        let added = fire_rule_batch(self.workers, &self.gov, self.edb, derived, delta, tasks)?;
+        let added = fire_rule_batch(&self.gov, self.edb, derived, tasks)?;
         self.gov.add_facts(added)?;
         if self.obs.enabled() {
             let firings = self.gov.work_spent().saturating_sub(firings0);
@@ -231,12 +186,6 @@ fn delta_ranges(derived: &DerivedFacts, heads: &[&Sym], before: &[usize]) -> Del
         }
     }
     delta
-}
-
-/// True when occurrence `i` is the plan's outermost scan, so chunking its
-/// window across workers concatenates to the sequential visit order.
-fn outermost_scan(rp: &RulePlan, i: usize) -> bool {
-    matches!(rp.steps.first(), Some(Step::Scan { occurrence, .. }) if *occurrence == i)
 }
 
 /// Computes the least fixpoint of the compiled program over the EDB
@@ -354,23 +303,6 @@ mod tests {
             b.relation(p.as_str())
                 .is_some_and(|other| rel.iter().all(|t| other.contains(t)))
         })
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for len in [0usize, 1, 5, 8, 17] {
-            for parts in [0usize, 1, 2, 4, 9] {
-                let ranges = chunk_ranges(len, parts);
-                let mut end = 0;
-                for &(lo, hi) in &ranges {
-                    assert_eq!(lo, end);
-                    assert!(hi > lo);
-                    end = hi;
-                }
-                assert_eq!(end, len);
-                assert!(ranges.len() <= parts.max(1));
-            }
-        }
     }
 
     #[test]

@@ -23,9 +23,9 @@ use std::sync::Arc;
 impl KnowledgeBase {
     /// Evaluates one read statement — the only code that does. `strategy`
     /// picks the `retrieve` evaluator (every other statement ignores it);
-    /// `opts` carries the resource limits, cancellation token, worker
-    /// count and observability sink that govern *every* kind, plus the
-    /// describe policies. A statement that would change the knowledge
+    /// `opts` carries the resource limits, cancellation token and
+    /// observability sink that govern *every* kind, plus the describe
+    /// policies. A statement that would change the knowledge
     /// base is refused with [`LangError::ReadOnly`], never executed.
     ///
     /// `pinned` is the compiled program a `retrieve` evaluates. `None`
@@ -98,9 +98,9 @@ impl KnowledgeBase {
         })
     }
 
-    /// `retrieve` (data query, §3.1). The same resource limits,
-    /// cancellation token and worker count that govern `describe` bound
-    /// the engine evaluation: this is the one place the engine's
+    /// `retrieve` (data query, §3.1). The same resource limits and
+    /// cancellation token that govern `describe` bound the engine
+    /// evaluation: this is the one place the engine's
     /// [`EvalOptions`] are derived from the describe options. When the
     /// maintained store is live and the strategy is `Auto` or semi-naive,
     /// the answer is projected straight from the maintained derived facts
@@ -116,7 +116,6 @@ impl KnowledgeBase {
         let eval = EvalOptions {
             limits: opts.limits,
             cancel: opts.cancel.clone(),
-            parallelism: opts.parallelism,
             sink: obs.clone(),
         };
         if let Some(store) = self.maintained_for(strategy) {

@@ -180,11 +180,10 @@ impl CancelToken {
 ///
 /// Governors are *share-safe*: the counters and the sticky trip live in
 /// atomics behind an `Arc`, so `Clone` hands out another handle onto the
-/// **same** accounting — one deadline, one work budget and one fact bound
-/// govern every worker thread of a parallel evaluation, and the first trip
-/// observed by any worker is the diagnostic all of them report. Spend is
-/// aggregated across threads (`spent` in the diagnostic is the global
-/// total, not one worker's share).
+/// **same** accounting. Clones within one statement share one set of
+/// accounts — one deadline, one work budget and one fact bound — and the
+/// first trip any clone observes is the diagnostic all of them report
+/// (`spent` in the diagnostic is the statement's total).
 #[derive(Clone, Debug)]
 pub struct Governor {
     limits: ResourceLimits,
@@ -298,9 +297,9 @@ impl Governor {
     }
 
     /// Force the clock/cancellation poll regardless of tick phase. Useful
-    /// before expensive non-tick work (e.g. a post-processing pass) and as
-    /// the cancellation check of worker threads, which observe a deadline
-    /// or cancel promptly without contributing coordinator work ticks.
+    /// before expensive non-tick work (e.g. a post-processing pass) and
+    /// inside one long firing, which observes a deadline or cancel
+    /// promptly without spending work ticks.
     pub fn poll(&self) -> Result<(), Exhausted> {
         if let Some(e) = self.tripped() {
             return Err(e);
@@ -421,7 +420,7 @@ mod tests {
 
     #[test]
     fn clones_share_accounting_across_threads() {
-        // One budget governs all workers: clones aggregate spend, and the
+        // One budget governs every clone: clones aggregate spend, and the
         // first trip is the sticky diagnostic for every clone.
         let g = Governor::new(ResourceLimits::default().with_work_budget(1000));
         let workers: Vec<_> = (0..4).map(|_| g.clone()).collect();

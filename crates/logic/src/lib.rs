@@ -45,6 +45,7 @@ pub mod intern;
 pub mod ir;
 pub mod metrics;
 pub mod obs;
+#[doc(hidden)]
 pub mod parallel;
 pub mod parser;
 pub mod pretty;
@@ -63,6 +64,7 @@ pub use governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use intern::{Interner, SymId};
 pub use ir::{CompiledRule, Frame, IrAtom, IrLiteral, IrTerm};
 pub use obs::{Event, ObsSink, Sink};
+#[doc(hidden)]
 pub use parallel::Parallelism;
 pub use rename::{rename_atoms_apart, rename_rule_apart, VarGen};
 pub use subst::Subst;

@@ -16,10 +16,9 @@
 //!   `io::Write`, for offline analysis.
 //!
 //! Events are spans (start/end pairs with elapsed microseconds) and
-//! counters. Spans are only emitted from coordinator code — worker threads
-//! accumulate into shared atomics that the coordinator publishes as
-//! counters — so the event stream is deterministic in structure at every
-//! worker count and spans always nest properly ([`check_nesting`]).
+//! counters. A statement emits them from the one thread that evaluates
+//! it, so the event stream is deterministic in structure and spans always
+//! nest properly ([`check_nesting`]).
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -315,7 +315,7 @@ impl<'a> DeltaView<'a> {
 /// indexed selections bump [`index_probes`](Relation::index_probes), while
 /// selections with no bound column bump [`full_scans`](Relation::full_scans).
 /// The counters use relaxed atomics so the read paths stay `&self` (the
-/// engine shares relations across worker threads); they survive
+/// snapshot readers on their own threads share relations); they survive
 /// [`remove`](Relation::remove)/re-insert and reset only with
 /// [`clear`](Relation::clear).
 ///

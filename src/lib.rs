@@ -47,7 +47,7 @@
 //!
 //! For programmatic use, the [`Session`] facade wraps a [`KnowledgeBase`]
 //! behind one [`Request`] shape (subject and hypothesis, or a whole read
-//! statement; strategy, limits, parallelism) and one [`Error`] type:
+//! statement; strategy, limits) and one [`Error`] type:
 //!
 //! ```
 //! use qdk::{Request, Session};
@@ -104,5 +104,6 @@ pub use qdk_engine::{
 /// under the facade's name.
 pub use qdk_lang::LangError as Error;
 pub use qdk_lang::{datasets, Answer, KnowledgeBase, LangError, Result};
+#[doc(hidden)]
 pub use qdk_logic::Parallelism;
 pub use qdk_storage::EpochId;

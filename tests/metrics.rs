@@ -3,7 +3,7 @@
 //! * Enabling the [`qdk::MetricsSink`] — and arming slow-query capture,
 //!   which installs a collector on *every* query — must not change any
 //!   answer, row order, completeness tag, downgrade note or `Exhausted`
-//!   diagnostic, for all three strategies at 1 and 4 workers.
+//!   diagnostic, for every strategy.
 //! * The Prometheus text exposition is deterministic and pinned by a
 //!   golden snapshot.
 //! * Counters stay monotone and converge to exact totals under 4
@@ -12,7 +12,7 @@
 //!   the threshold and counts them in `slow_queries`.
 
 use proptest::prelude::*;
-use qdk::{MetricsRegistry, Parallelism, Request, ResourceLimits, Session, Strategy};
+use qdk::{MetricsRegistry, Request, ResourceLimits, Session, Strategy};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -59,12 +59,8 @@ fn retrieve_outcome(
     s: &Session,
     subject: &str,
     strategy: Strategy,
-    workers: usize,
 ) -> (Vec<String>, Vec<String>, Option<String>) {
-    let req = Request::subject(subject)
-        .strategy(strategy)
-        .parallelism(Parallelism::workers(workers));
-    match s.retrieve(req) {
+    match s.retrieve(Request::subject(subject).strategy(strategy)) {
         Ok(resp) => {
             let d = resp.as_data().unwrap();
             (
@@ -89,8 +85,7 @@ proptest! {
 
     /// A metrics-enabled session with slow-query capture armed at 1 µs
     /// (so every query takes the capture path, collector and all) gives
-    /// byte-identical outcomes to a plain session, for every strategy at
-    /// every worker count.
+    /// byte-identical outcomes to a plain session, for every strategy.
     #[test]
     fn metrics_change_nothing_observable(
         edges in proptest::collection::vec((0u8..6, 0u8..6), 1..14),
@@ -100,29 +95,27 @@ proptest! {
         let buf = SharedBuf::default();
         metered.capture_slow_queries(1, buf.clone());
         for strategy in Strategy::ALL {
-            for workers in [1usize, 4] {
-                let a = retrieve_outcome(&plain, "prior(X, Y)", strategy, workers);
-                let b = retrieve_outcome(&metered, "prior(X, Y)", strategy, workers);
-                prop_assert_eq!(&a, &b, "{:?} at {} workers", strategy, workers);
-            }
+            let a = retrieve_outcome(&plain, "prior(X, Y)", strategy);
+            let b = retrieve_outcome(&metered, "prior(X, Y)", strategy);
+            prop_assert_eq!(&a, &b, "{:?}", strategy);
         }
         // Aggregation saw every query; each one that crossed the 1 µs
         // threshold (all but possibly sub-microsecond outliers) logged
         // exactly one JSON line.
         let snap = metered.metrics_snapshot().unwrap();
-        prop_assert_eq!(snap.counter("retrieves"), Some(8));
-        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 8);
+        prop_assert_eq!(snap.counter("retrieves"), Some(4));
+        prop_assert_eq!(snap.histogram("retrieve_micros").unwrap().count, 4);
         // Every strategy's evaluation span reaches its own histogram: one
         // observation per query that ran it. Nothing is bound, so `Auto`
         // ran semi-naive and said so, once per query.
         for (span, count) in [
-            ("seminaive_span_micros", 4),
-            ("topdown_span_micros", 2),
-            ("qsq_span_micros", 2),
+            ("seminaive_span_micros", 2),
+            ("topdown_span_micros", 1),
+            ("qsq_span_micros", 1),
         ] {
             prop_assert_eq!(snap.histogram(span).map(|h| h.count), Some(count), "{}", span);
         }
-        prop_assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(2));
+        prop_assert_eq!(snap.counter("retrieve_auto_seminaive"), Some(1));
         let slow = snap.counter("slow_queries").unwrap_or(0);
         prop_assert!(slow >= 1, "no query reached 1 µs of wall time");
         prop_assert_eq!(buf.contents().lines().count() as u64, slow);
@@ -130,7 +123,7 @@ proptest! {
 
     /// Same for describe under a work budget: answers, completeness tag
     /// and the diagnostic of a truncated enumeration are identical with
-    /// metrics on or off, at every worker count.
+    /// metrics on or off.
     #[test]
     fn metrics_preserve_describe_truncation(budget in 50u64..2000) {
         let build = || {
@@ -145,24 +138,16 @@ proptest! {
         let plain = build();
         let mut metered = build();
         metered.capture_slow_queries(1, SharedBuf::default());
-        let outcome = |s: &Session, workers: usize| {
+        let outcome = |s: &Session| {
             let resp = s.describe(
                 Request::subject("prior(X, Y)")
                     .where_clause("prior(databases, Y)")
-                    .limits(ResourceLimits::default().with_work_budget(budget))
-                    .parallelism(Parallelism::workers(workers)),
+                    .limits(ResourceLimits::default().with_work_budget(budget)),
             ).unwrap();
             let k = resp.into_knowledge().unwrap();
             (k.rendered(), format!("{:?}", k.completeness))
         };
-        for workers in [1usize, 4] {
-            prop_assert_eq!(
-                &outcome(&plain, workers),
-                &outcome(&metered, workers),
-                "{} workers",
-                workers
-            );
-        }
+        prop_assert_eq!(outcome(&plain), outcome(&metered));
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! * A [`qdk::CollectSink`] installed for a query must not change any
 //!   answer, row order, completeness tag, or `Exhausted` diagnostic — for
-//!   all three strategies at 1 and 4 workers.
+//!   every strategy.
 //! * Span streams nest correctly (every end matches the innermost open
 //!   start), because spans are only emitted from coordinator code paths.
 //! * `Response::trace()` returns a structured profile whose stage
@@ -14,8 +14,7 @@
 use proptest::prelude::*;
 use qdk::obs::check_nesting;
 use qdk::{
-    datasets, CollectSink, DescribeOptions, ObsSink, Parallelism, Request, ResourceLimits, Session,
-    Strategy,
+    datasets, CollectSink, DescribeOptions, ObsSink, Request, ResourceLimits, Session, Strategy,
 };
 use std::sync::Arc;
 
@@ -231,12 +230,10 @@ fn retrieve_outcome(
     s: &Session,
     subject: &str,
     strategy: Strategy,
-    workers: usize,
     trace: bool,
 ) -> (Vec<String>, Vec<String>, Option<String>) {
     let req = Request::subject(subject)
         .strategy(strategy)
-        .parallelism(Parallelism::workers(workers))
         .with_trace(trace);
     match s.retrieve(req) {
         Ok(resp) => {
@@ -262,7 +259,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Installing a collector changes no answer, order, or downgrade for
-    /// any strategy at any worker count.
+    /// any strategy.
     #[test]
     fn tracing_changes_nothing_observable(
         edges in proptest::collection::vec((0u8..6, 0u8..6), 1..14),
@@ -279,21 +276,16 @@ proptest! {
         for strategy in Strategy::ALL {
             // Unbound, and bound the way the default sends to the net.
             for subject in ["prior(X, Y)", "prior(c0, Y)"] {
-                for workers in [1usize, 4] {
-                    let plain = retrieve_outcome(&s, subject, strategy, workers, false);
-                    let traced = retrieve_outcome(&s, subject, strategy, workers, true);
-                    prop_assert_eq!(
-                        &plain, &traced,
-                        "{} under {:?} at {} workers", subject, strategy, workers
-                    );
-                }
+                let plain = retrieve_outcome(&s, subject, strategy, false);
+                let traced = retrieve_outcome(&s, subject, strategy, true);
+                prop_assert_eq!(&plain, &traced, "{} under {:?}", subject, strategy);
             }
         }
     }
 
     /// Same for describe: answers, completeness tag and the `Exhausted`
     /// diagnostic of a truncated enumeration are identical with tracing
-    /// on or off, at every worker count.
+    /// on or off.
     #[test]
     fn tracing_preserves_describe_truncation(budget in 50u64..2000) {
         let mut s = Session::new();
@@ -302,21 +294,16 @@ proptest! {
              prior(X, Y) :- prereq(X, Y).\n\
              prior(X, Y) :- prereq(X, Z), prior(Z, Y).",
         ).unwrap();
-        let outcome = |workers: usize, trace: bool| {
+        let outcome = |trace: bool| {
             let resp = s.describe(
                 Request::subject("prior(X, Y)")
                     .where_clause("prior(databases, Y)")
                     .limits(ResourceLimits::default().with_work_budget(budget))
-                    .parallelism(Parallelism::workers(workers))
                     .with_trace(trace),
             ).unwrap();
             let k = resp.into_knowledge().unwrap();
             (k.rendered(), format!("{:?}", k.completeness))
         };
-        for workers in [1usize, 4] {
-            let plain = outcome(workers, false);
-            let traced = outcome(workers, true);
-            prop_assert_eq!(&plain, &traced, "{} workers", workers);
-        }
+        prop_assert_eq!(outcome(false), outcome(true));
     }
 }

@@ -1,7 +1,7 @@
 //! One matrix over every read statement kind. Since every read statement
 //! goes through one `serve`, every kind owes the same four properties —
 //! it is governed and cancellable, it yields a `QueryTrace`, it renders
-//! the same bytes at every worker count and from every entry point, and
+//! the same bytes from every entry point, and
 //! a statement that would change the knowledge base is never executed by
 //! a read-only call — on a live `Session` and on a frozen
 //! `SnapshotSession` alike.
@@ -9,8 +9,8 @@
 use qdk::lang::ast::Statement;
 use qdk::lang::parser::parse_statement;
 use qdk::{
-    datasets, Answer, CancelToken, DescribeOptions, Error, KnowledgeBase, Parallelism, Request,
-    Resource, ResourceLimits, Response, Session, SnapshotSession, TransformPolicy,
+    datasets, Answer, CancelToken, DescribeOptions, Error, KnowledgeBase, Request, Resource,
+    ResourceLimits, Response, Session, SnapshotSession, TransformPolicy,
 };
 use std::time::{Duration, Instant};
 
@@ -281,16 +281,14 @@ fn every_kind_renders_the_same_bytes_everywhere() {
         let reference = session.run(kind.university).unwrap().to_string();
         assert!(!reference.is_empty(), "{}", kind.name);
         for (handle, ask) in asks(&session, &snapshot) {
-            for workers in [1, 4] {
-                let request =
-                    Request::statement(kind.university).parallelism(Parallelism::workers(workers));
-                assert_eq!(
-                    ask(request).unwrap().to_string(),
-                    reference,
-                    "{} on the {handle} at {workers} workers",
-                    kind.name
-                );
-            }
+            assert_eq!(
+                ask(Request::statement(kind.university))
+                    .unwrap()
+                    .to_string(),
+                reference,
+                "{} on the {handle}",
+                kind.name
+            );
         }
     }
 }

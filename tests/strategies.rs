@@ -3,12 +3,12 @@
 //! on the paper's database and on randomized workloads — and so must
 //! `Strategy::Auto`, the default, which picks one of them per query. The
 //! second half pins what it picks: one test per row of its decision
-//! table, the choice at every worker count and on a snapshot, the
+//! table, the choice on a snapshot, the
 //! index probes it spends against each fixed strategy, and that the
 //! analysis it decides from is built once per rules generation.
 
 use proptest::prelude::*;
-use qdk::{datasets, AutoChoice, KnowledgeBase, Parallelism, Request, Response, Session, Strategy};
+use qdk::{datasets, AutoChoice, KnowledgeBase, Request, Response, Session, Strategy};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn request(subject: &str, qualifier: &str) -> Request {
@@ -332,12 +332,9 @@ fn bound_linear_recursion_derives_in_proportion_to_the_answer() {
 
 /// Exact-work guard on the semi-naive round loop every bottom-up
 /// fixpoint runs (semi-naive strata, QSQ nets, maintenance propagation).
-/// On a 130-edge chain, per query and worker count: `rule_firings`,
-/// `delta_facts`, `delta_tasks`, `delta_chunks` and the number of
-/// `iteration` spans. The unbound closure's deltas reach the chunking
-/// threshold, so at 4 workers the same firings split into more tasks;
-/// the bound nets never chunk. Then the derived facts one maintained edge
-/// insert adds. A change to which tasks a round fires, or in what order,
+/// On a 130-edge chain, per query: `rule_firings`, `delta_facts`,
+/// `delta_tasks` and the number of `iteration` spans. Then the derived
+/// facts one maintained edge insert adds. A change to which tasks a round fires, or in what order,
 /// moves one of these.
 #[test]
 fn fixpoint_work_is_pinned() {
@@ -352,12 +349,11 @@ fn fixpoint_work_is_pinned() {
     let mut kb = KnowledgeBase::new();
     kb.load(&script).unwrap();
     let mut s = Session::over(kb);
-    let work = |s: &Session, subject: &str, strategy: Strategy, workers: usize| {
+    let work = |s: &Session, subject: &str, strategy: Strategy| {
         let resp = s
             .retrieve(
                 Request::subject(subject)
                     .strategy(strategy)
-                    .parallelism(Parallelism::workers(workers))
                     .with_trace(true),
             )
             .unwrap();
@@ -368,32 +364,18 @@ fn fixpoint_work_is_pinned() {
             count("rule_firings"),
             count("delta_facts"),
             count("delta_tasks"),
-            count("delta_chunks"),
             rounds.count() as u64,
         ]
     };
-    for (subject, strategy, workers, expected) in [
-        (
-            "prior(X, Y)",
-            Strategy::SemiNaive,
-            1,
-            [132, 8515, 130, 0, 131],
-        ),
-        (
-            "prior(X, Y)",
-            Strategy::SemiNaive,
-            4,
-            [132, 8515, 331, 268, 131],
-        ),
-        ("prior(c130, Y)", Strategy::Qsq, 1, [262, 260, 260, 0, 131]),
-        ("prior(c130, Y)", Strategy::Qsq, 4, [262, 260, 260, 0, 131]),
-        ("prior(X, c0)", Strategy::Qsq, 1, [132, 130, 130, 0, 131]),
-        ("prior(X, c0)", Strategy::Qsq, 4, [132, 130, 130, 0, 131]),
+    for (subject, strategy, expected) in [
+        ("prior(X, Y)", Strategy::SemiNaive, [132, 8515, 130, 131]),
+        ("prior(c130, Y)", Strategy::Qsq, [262, 260, 260, 131]),
+        ("prior(X, c0)", Strategy::Qsq, [132, 130, 130, 131]),
     ] {
         assert_eq!(
-            work(&s, subject, strategy, workers),
+            work(&s, subject, strategy),
             expected,
-            "{subject} under {strategy:?} at {workers} workers"
+            "{subject} under {strategy:?}"
         );
     }
     // prior(c131, c) for the 131 nodes c0..c130 below the new edge.
@@ -474,8 +456,9 @@ fn a_slice_includes_what_its_rules_negate() {
     }
 }
 
-/// The choice, the rows in order and the rendered answer are the same at
-/// every worker count, and on a snapshot reader after `publish`.
+/// The choice, the rows in order and the rendered answer are the same on
+/// every ask, and on a snapshot reader after `publish`. Evaluation runs on
+/// the calling thread, so one worker count is all there is to hold.
 #[test]
 fn auto_choice_and_answer_ignore_workers_and_snapshots() {
     let mut s = university();
@@ -492,26 +475,12 @@ fn auto_choice_and_answer_ignore_workers_and_snapshots() {
         ("answer(X, Y)", "prior(X, logic), student(Y, math, G)"),
     ] {
         let outcome = |resp: Response| (resp.auto_choice(), resp.to_string());
-        let reference = outcome(
-            s.retrieve(request(subject, qualifier).parallelism(Parallelism::SEQUENTIAL))
-                .unwrap(),
-        );
+        let reference = outcome(s.retrieve(request(subject, qualifier)).unwrap());
         assert!(reference.0.is_some());
-        for workers in [1, 4] {
-            let parallelism = Parallelism::workers(workers);
-            let live = s
-                .retrieve(request(subject, qualifier).parallelism(parallelism))
-                .unwrap();
-            assert_eq!(outcome(live), reference, "{subject} at {workers} workers");
-            let snap = reader
-                .retrieve(request(subject, qualifier).parallelism(parallelism))
-                .unwrap();
-            assert_eq!(
-                outcome(snap),
-                reference,
-                "{subject} on the snapshot at {workers} workers"
-            );
-        }
+        let live = s.retrieve(request(subject, qualifier)).unwrap();
+        assert_eq!(outcome(live), reference, "{subject}");
+        let snap = reader.retrieve(request(subject, qualifier)).unwrap();
+        assert_eq!(outcome(snap), reference, "{subject} on the snapshot");
     }
 }
 
