@@ -128,6 +128,17 @@ impl DerivedFacts {
         self.count == 0
     }
 
+    /// Adopts the index demand of `other` (typically the previously
+    /// published snapshot of this store) into the matching relations here
+    /// (see [`Relation::adopt_demand`]).
+    pub fn adopt_index_demand(&mut self, other: &DerivedFacts) {
+        for (pred, rel) in &other.relations {
+            if let Some(mine) = self.relations.get_mut(pred) {
+                mine.adopt_demand(rel);
+            }
+        }
+    }
+
     /// Merges every fact of `other` into `self`, returning how many were new.
     pub fn absorb(&mut self, other: &DerivedFacts) -> Result<usize> {
         let mut added = 0;
@@ -356,8 +367,7 @@ impl<'a> FactView<'a> {
                 _ => return Ok(false),
             }
         };
-        let pattern: Vec<Option<&Value>> = vals.iter().map(Some).collect();
-        Ok(rel.select_ref(&pattern).next().is_some())
+        Ok(rel.contains_slice(vals))
     }
 }
 

@@ -343,6 +343,14 @@ impl MaintainedStore {
         &self.derived
     }
 
+    /// Adopts the index demand readers of `other` (typically the
+    /// previously published snapshot of this store) expressed, so the
+    /// next snapshot's derived relations have those indexes built (see
+    /// [`DerivedFacts::adopt_index_demand`]).
+    pub fn adopt_index_demand(&mut self, other: &MaintainedStore) {
+        self.derived.adopt_index_demand(&other.derived);
+    }
+
     /// The per-stratum generation counters, in stratum order.
     pub fn stratum_generations(&self) -> &[u64] {
         &self.gens

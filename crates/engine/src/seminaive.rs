@@ -423,6 +423,22 @@ mod tests {
         assert!(restricted.relation("other").is_none());
     }
 
+    /// Column indexes are built only where a probe asks: the unbound
+    /// closure scans `prereq` in its exit rule and probes it on the join
+    /// column in its delta rule, and reads `prior` only through delta
+    /// windows and the dedup presence check — so `prior` ends with no
+    /// column index and `prereq` with exactly its join column's.
+    #[test]
+    fn an_unbound_closure_indexes_only_the_probed_column() {
+        let edb = chain_edb(130);
+        let s = closure(&edb, &prior_idb());
+        let prior = s.relation("prior").unwrap();
+        assert_eq!(prior.len(), 130 * 131 / 2);
+        assert_eq!(prior.indexed_columns(), Vec::<usize>::new());
+        let prereq = edb.relation("prereq").unwrap();
+        assert_eq!(prereq.indexed_columns(), vec![1]);
+    }
+
     fn exhausted(opts: EvalOptions) -> qdk_logic::governor::Exhausted {
         match run(&chain_edb(30), &prior_idb(), None, opts).unwrap_err() {
             crate::EngineError::Exhausted(e) => e,

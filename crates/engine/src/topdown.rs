@@ -424,15 +424,11 @@ impl<'a> Solver<'a> {
                 }
                 .into());
             }
-            let pattern: Vec<Option<&Value>> = vals.iter().map(Some).collect();
-            return Ok(rel.select_ref(&pattern).next().is_some());
+            return Ok(rel.contains_slice(vals));
         }
         if self.graph.is_recursive(pred_str) {
             return Ok(match self.closed.relation(pred_str) {
-                Some(rel) if rel.arity() == vals.len() => {
-                    let pattern: Vec<Option<&Value>> = vals.iter().map(Some).collect();
-                    rel.select_ref(&pattern).next().is_some()
-                }
+                Some(rel) if rel.arity() == vals.len() => rel.contains_slice(vals),
                 _ => false,
             });
         }

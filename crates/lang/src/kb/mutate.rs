@@ -554,18 +554,24 @@ impl KnowledgeBase {
     }
 
     /// Prepares this KB for an epoch publish and returns the plan the
-    /// snapshot should pin: adopt composite-index demand readers
-    /// expressed on the previous epoch (`prev`) and, when the rules have
-    /// not changed since, the describe preparation a reader of that epoch
-    /// built; resolve the compiled plan, prebuild the composite indexes its scans will probe, promote
-    /// everything into the lock-free sets, and force the WAL to stable
-    /// storage so a published epoch is always durable.
+    /// snapshot should pin: adopt the index demand readers expressed on
+    /// the previous epoch (`prev`) — in the stored facts and in the
+    /// maintained derived facts, so no reader of the new epoch rebuilds an
+    /// index a reader of the old one built — and, when the rules have not
+    /// changed since, the describe preparation a reader of that epoch
+    /// built; resolve the compiled plan, prebuild the composite indexes
+    /// its scans will probe, promote everything into the lock-free sets,
+    /// and force the WAL to stable storage so a published epoch is always
+    /// durable.
     pub(crate) fn prepare_publish(
         &mut self,
         prev: Option<&KnowledgeBase>,
     ) -> Result<Arc<ProgramPlan>> {
         if let Some(prev) = prev {
             self.edb.adopt_index_demand(prev.edb());
+            if let (Some(mine), Some(theirs)) = (&mut self.maintained, &prev.maintained) {
+                mine.adopt_index_demand(theirs);
+            }
             self.prepared.adopt(self.rules_gen, &prev.prepared);
         }
         let plan = self.compiled_plan();

@@ -9,7 +9,7 @@ use qdk_engine::{Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, St
 use qdk_logic::metrics::{MetricsHub, MetricsSink, MetricsSnapshot};
 use qdk_logic::obs::{FanoutSink, ObsSink};
 use qdk_logic::{Constraint, Sym};
-use qdk_storage::Edb;
+use qdk_storage::{Edb, Relation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -274,6 +274,14 @@ impl KnowledgeBase {
     /// True while the maintained derived-fact store is live.
     pub fn is_maintained(&self) -> bool {
         self.maintained.is_some()
+    }
+
+    /// The maintained store's relation for the derived predicate `pred`
+    /// (`None` when no store is live or nothing was derived for `pred`).
+    /// Read-only introspection: it shows, for instance, which columns
+    /// readers' probes have indexed.
+    pub fn maintained_relation(&self, pred: &str) -> Option<&Relation> {
+        self.maintained.as_ref()?.derived().relation(pred)
     }
 
     /// The per-stratum generation counters of the maintained store

@@ -86,8 +86,8 @@ impl Publisher {
         self.cell.pinned().saturating_sub(1)
     }
 
-    /// Freezes `kb` and publishes it as the next epoch. Composite-index
-    /// demand observed by readers of the previous epoch is adopted first,
+    /// Freezes `kb` and publishes it as the next epoch. Index demand
+    /// observed by readers of the previous epoch is adopted first,
     /// the plan's multi-bound scans get their indexes prebuilt, and the
     /// WAL (if any) is forced to stable storage *before* the new epoch
     /// becomes visible — a published epoch is always durable. Readers

@@ -16,6 +16,15 @@ pub struct Edb {
     relations: std::collections::HashMap<Sym, Relation>,
 }
 
+/// The stored row of a ground atom, or [`StorageError::NotGround`].
+fn ground_tuple(atom: &Atom) -> Result<Tuple> {
+    atom.args
+        .iter()
+        .map(|t| t.as_const().cloned())
+        .collect::<Option<Tuple>>()
+        .ok_or_else(|| StorageError::NotGround(atom.to_string()))
+}
+
 impl Edb {
     /// Creates an empty database.
     pub fn new() -> Self {
@@ -82,9 +91,7 @@ impl Edb {
     /// Inserts a ground fact. The predicate must be declared and the fact
     /// ground with matching arity. Returns `true` if the fact is new.
     pub fn insert_fact(&mut self, atom: &Atom) -> Result<bool> {
-        if !atom.is_ground() {
-            return Err(StorageError::NotGround(atom.to_string()));
-        }
+        let tuple = ground_tuple(atom)?;
         let rel = self
             .relations
             .get_mut(&atom.pred)
@@ -96,11 +103,6 @@ impl Edb {
                 found: atom.arity(),
             });
         }
-        let tuple: Tuple = atom
-            .args
-            .iter()
-            .map(|t| t.as_const().expect("ground").clone())
-            .collect();
         rel.insert(tuple)
     }
 
@@ -122,9 +124,7 @@ impl Edb {
 
     /// Removes a ground fact; returns `true` if it was stored.
     pub fn remove_fact(&mut self, atom: &Atom) -> Result<bool> {
-        if !atom.is_ground() {
-            return Err(StorageError::NotGround(atom.to_string()));
-        }
+        let tuple = ground_tuple(atom)?;
         let rel = self
             .relations
             .get_mut(&atom.pred)
@@ -136,11 +136,6 @@ impl Edb {
                 found: atom.arity(),
             });
         }
-        let tuple: Tuple = atom
-            .args
-            .iter()
-            .map(|t| t.as_const().expect("ground").clone())
-            .collect();
         Ok(rel.remove(&tuple))
     }
 
@@ -202,9 +197,10 @@ impl Edb {
         }
     }
 
-    /// Adopts the composite-index definitions demand-built on `other`
-    /// (typically the previously published snapshot of this database) into
-    /// the matching relations here (see [`Relation::adopt_demand`]).
+    /// Adopts the column indexes and composite-index definitions
+    /// demand-built on `other` (typically the previously published
+    /// snapshot of this database) into the matching relations here (see
+    /// [`Relation::adopt_demand`]).
     /// Readers of the last epoch thereby seed the indexes of the next.
     pub fn adopt_index_demand(&mut self, other: &Edb) {
         for (name, rel) in &other.relations {

@@ -8,8 +8,9 @@
 //! * [`Value`] — stored values (an alias of the logic layer's constants, so
 //!   facts and terms share one representation);
 //! * [`Tuple`] — a stored row;
-//! * [`Relation`] — an insert-ordered, deduplicated fact set with hash
-//!   indexes on every column, supporting pattern selection;
+//! * [`Relation`] — an insert-ordered, deduplicated fact set with a hash
+//!   index on each column a probe has asked for (built on first probe,
+//!   maintained by every write after), supporting pattern selection;
 //! * [`builtins`] — evaluation of the built-in comparisons `=`, `!=`, `<`,
 //!   `<=`, `>`, `>=` over values;
 //! * [`Catalog`]/[`Schema`] — predicate declarations (names and attribute
@@ -23,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::print_stderr, clippy::print_stdout)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod builtins;
 mod catalog;

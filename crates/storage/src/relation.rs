@@ -1,7 +1,7 @@
 //! Indexed fact relations with stable row ids and structural sharing.
 //!
 //! Every piece of a [`Relation`] that queries read — the tuple segments,
-//! the presence map, each per-column index, each composite index — is
+//! the presence map, each column index, each composite index — is
 //! split into `Arc`-shared pieces: 512-row segments (see
 //! [`store`](crate::store)) and hash shards of at most a few hundred
 //! entries (see [`shards`](crate::shards)), each index entry's posting
@@ -19,6 +19,11 @@
 //! once tombstones outnumber live rows, so its O(n) cost is amortized over
 //! at least as many removals.
 //!
+//! Indexes are demand-built: a column or composite index exists only once
+//! a probe has asked for it, and from then on every write maintains it.
+//! Facts no query probes, and working sets that are only scanned, pay for
+//! no index at all.
+//!
 //! This is the storage half of epoch snapshots (see [`epoch`](crate::epoch)):
 //! a published epoch holds a cloned `Edb`, and the writer keeps batching
 //! into its own copy without disturbing readers, at a cost proportional to
@@ -34,7 +39,7 @@ use qdk_logic::fasthash::FxHasher;
 use qdk_logic::Sym;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Hashes a projected key column-by-column so owned (`&[Value]`) and
 /// borrowed (`&[&Value]`) keys get one hash. The column count is fixed
@@ -304,12 +309,18 @@ impl<'a> DeltaView<'a> {
 }
 
 /// A deduplicated, insertion-ordered set of tuples with a hash index on
-/// every column.
+/// each column a probe has asked for.
 ///
 /// Relations are the storage for one EDB predicate and also serve as the
 /// working sets (totals and deltas) of bottom-up evaluation in the engine
 /// crate. Selection by a partial binding pattern uses the most selective
-/// available column index and verifies the remaining positions.
+/// bound column's index and verifies the remaining positions.
+///
+/// A column's index is built from the live rows, in id order, the first
+/// time that column is probed, and every write maintains it from then on;
+/// a column never probed costs nothing. Its posting lists are therefore
+/// the ones an index kept since the first insert would hold, so answers,
+/// their order and the probe counters do not depend on when it was built.
 ///
 /// Every access-path decision is metered: [`probe`](Relation::probe) and
 /// indexed selections bump [`index_probes`](Relation::index_probes), while
@@ -344,8 +355,9 @@ pub struct Relation {
     /// tuple itself is compared through the store. Ids only, so copying a
     /// shard after a snapshot is a plain memory copy.
     present: HashShards<u32>,
-    /// `indexes[c]`: each value in column `c` with the ids carrying it.
-    indexes: Vec<HashShards<(Value, Posting)>>,
+    /// `columns[c]`: each value in column `c` with the ids carrying it,
+    /// built on the first probe of `c` (see [`ids`](Relation::ids)).
+    columns: Box<[OnceLock<ColumnIndex>]>,
     /// Promoted composite indexes (at most one per column set): the
     /// lock-free lookup set shared with snapshots. Maintained in place by
     /// mutations (copy-on-write when a snapshot or caller handle still
@@ -368,13 +380,26 @@ impl Clone for Relation {
             arity: self.arity,
             tuples: self.tuples.clone(),
             present: self.present.clone(),
-            indexes: self.indexes.clone(),
+            columns: self.columns.clone(),
             ready: self.ready.clone(),
             pending: Mutex::new(lock_pending(&self.pending).clone()),
             probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
             scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
         }
     }
+}
+
+/// One column's index: each value with the ascending ids carrying it.
+type ColumnIndex = HashShards<(Value, Posting)>;
+
+/// Adds `id` to the posting list of `v` in a column index.
+fn post_column(ix: &mut ColumnIndex, v: &Value, id: u32) {
+    post(ix, hash_one(v), |k| k == v, || v.clone(), id);
+}
+
+/// Unbuilt column indexes, one per column.
+fn unbuilt(arity: usize) -> Box<[OnceLock<ColumnIndex>]> {
+    (0..arity).map(|_| OnceLock::new()).collect()
 }
 
 /// Locks the pending composite-index list, recovering from poison (the
@@ -385,15 +410,15 @@ fn lock_pending(m: &Mutex<Vec<Arc<CompositeIndex>>>) -> MutexGuard<'_, Vec<Arc<C
 }
 
 impl Relation {
-    /// Creates an empty relation. Nothing is allocated per column until
-    /// the first insert.
+    /// Creates an empty relation. No column index exists until a probe
+    /// asks for one.
     pub fn new(name: impl Into<Sym>, arity: usize) -> Self {
         Relation {
             name: name.into(),
             arity,
             tuples: TupleStore::default(),
             present: HashShards::default(),
-            indexes: vec![HashShards::default(); arity],
+            columns: unbuilt(arity),
             ready: Pieces::default(),
             pending: Mutex::new(Vec::new()),
             probes: AtomicU64::new(0),
@@ -466,14 +491,10 @@ impl Relation {
         }
         self.promote_pending();
         let id = self.tuples.push(t.clone());
-        for (c, v) in t.values().iter().enumerate() {
-            post(
-                &mut self.indexes[c],
-                hash_one(v),
-                |k| k == v,
-                || v.clone(),
-                id,
-            );
+        for (ix, v) in self.columns.iter_mut().zip(t.values()) {
+            if let Some(ix) = ix.get_mut() {
+                post_column(ix, v, id);
+            }
         }
         self.ready.each_mut(|ix| ix.add(id, &t));
         self.present.insert_new(h, id);
@@ -511,12 +532,18 @@ impl Relation {
         true
     }
 
-    /// Adopts the composite-index *definitions* of another relation
-    /// (typically the previously published snapshot of this one, whose
-    /// readers demand-built indexes the writer never saw), building any
-    /// that are missing here. Contents are rebuilt from this relation's
-    /// tuples; probe counters are not carried over.
+    /// Adopts the index demand of another relation (typically the
+    /// previously published snapshot of this one, whose readers
+    /// demand-built indexes the writer never saw): every column index and
+    /// composite-index *definition* built there and missing here is built
+    /// here. Contents are rebuilt from this relation's tuples; probe
+    /// counters are not carried over.
     pub fn adopt_demand(&mut self, other: &Relation) {
+        for c in other.indexed_columns() {
+            if c < self.arity {
+                self.column(c);
+            }
+        }
         let mut wanted: Vec<Vec<usize>> = other
             .ready
             .as_slice()
@@ -565,12 +592,34 @@ impl Relation {
         self.tuples.iter()
     }
 
+    /// The index of column `col`, built from the live rows in id order
+    /// if no probe has asked for it yet. `col` must be below the arity.
+    fn column(&self, col: usize) -> &ColumnIndex {
+        self.columns[col].get_or_init(|| {
+            let mut ix = ColumnIndex::default();
+            for id in self.tuples.live_ids() {
+                post_column(&mut ix, &self.tuples.get(id).values()[col], id);
+            }
+            ix
+        })
+    }
+
     /// The ids carrying `v` in column `col` (unmetered).
     fn ids(&self, col: usize, v: &Value) -> &[u32] {
-        self.indexes
-            .get(col)
-            .and_then(|ix| ix.get(hash_one(v), |(k, _)| k == v))
+        if col >= self.arity {
+            return &[];
+        }
+        self.column(col)
+            .get(hash_one(v), |(k, _)| k == v)
             .map_or(&[], |(_, ids)| ids.ids())
+    }
+
+    /// The columns whose index has been built, ascending (read-only
+    /// introspection: a column is indexed once a probe asked for it).
+    pub fn indexed_columns(&self) -> Vec<usize> {
+        (0..self.arity)
+            .filter(|&c| self.columns[c].get().is_some())
+            .collect()
     }
 
     /// Selects the tuples matching a partial binding pattern:
@@ -633,38 +682,6 @@ impl Relation {
         self.tuples.get(id)
     }
 
-    /// Slot-pattern selection over borrowed values: like
-    /// [`select`](Relation::select) but the pattern borrows its probe
-    /// values instead of owning clones. Picks the most selective bound
-    /// column (first minimum in column order) and verifies the rest.
-    pub fn select_ref<'a>(
-        &'a self,
-        pattern: &[Option<&'a Value>],
-    ) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
-        debug_assert_eq!(pattern.len(), self.arity, "pattern arity mismatch");
-        let best = pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(c, p)| p.map(|v| (self.probe(c, v).len(), c, v)))
-            .min_by_key(|(n, _, _)| *n);
-        match best {
-            None => {
-                self.scans.fetch_add(1, Ordering::Relaxed);
-                Box::new(self.tuples.iter())
-            }
-            Some((_, c, v)) => {
-                let rows = self.probe(c, v);
-                let pattern = pattern.to_vec();
-                Box::new(rows.iter().map(|&id| self.tuple_at(id)).filter(move |t| {
-                    t.values()
-                        .iter()
-                        .zip(&pattern)
-                        .all(|(tv, pv)| pv.is_none_or(|p| p == tv))
-                }))
-            }
-        }
-    }
-
     /// Removes a tuple; returns `true` if it was present. Removal is a
     /// batch of one — see [`remove_batch`](Relation::remove_batch) for the
     /// cost model. Snapshots sharing the old pieces are unaffected.
@@ -675,8 +692,8 @@ impl Relation {
     /// Removes a batch of tuples; returns how many were present.
     ///
     /// Each removed row is tombstoned in place: its presence entry goes,
-    /// and its id leaves the one posting list per column (and per
-    /// composite index) that held it. No other row is renumbered and no
+    /// and its id leaves the one posting list per built column index (and
+    /// per composite index) that held it. No other row is renumbered and no
     /// other list is touched, so retracting k facts from an n-row relation
     /// costs O(k · posting length), and after a snapshot it copies only the
     /// segments, shards and lists those k rows live in. Once tombstones
@@ -704,8 +721,10 @@ impl Relation {
         for &(h, id) in &doomed {
             let t = self.tuples.get(id).clone();
             self.present.remove(h, |&pid| pid == id);
-            for (c, v) in t.values().iter().enumerate() {
-                unpost(&mut self.indexes[c], hash_one(v), |k| k == v, id);
+            for (ix, v) in self.columns.iter_mut().zip(t.values()) {
+                if let Some(ix) = ix.get_mut() {
+                    unpost(ix, hash_one(v), |k| k == v, id);
+                }
             }
             self.ready.each_mut(|ix| ix.remove(id, &t));
             self.tuples.kill(id);
@@ -722,21 +741,23 @@ impl Relation {
         let (tuples, remap) = self.tuples.compacted();
         self.tuples = tuples;
         self.present.for_each_mut(|id| *id = remap[*id as usize]);
-        for index in &mut self.indexes {
-            index.for_each_mut(|(_, ids)| ids.remap(&remap));
+        for ix in self.columns.iter_mut().filter_map(OnceLock::get_mut) {
+            ix.for_each_mut(|(_, ids)| ids.remap(&remap));
         }
         self.ready
             .each_mut(|ix| ix.buckets.for_each_mut(|(_, ids)| ids.remap(&remap)));
     }
 
-    /// Removes all tuples and resets the probe/scan counters. Composite
-    /// index *definitions* persist (they rebuild as new tuples arrive);
-    /// their contents and probe counters reset with everything else.
+    /// Removes all tuples and resets the probe/scan counters. Every column
+    /// index is dropped (the next probe of a column builds it afresh).
+    /// Composite index *definitions* persist (they rebuild as new tuples
+    /// arrive); their contents and probe counters reset with everything
+    /// else.
     pub fn clear(&mut self) {
         self.promote_pending();
         self.tuples.clear();
         self.present = HashShards::default();
-        self.indexes = vec![HashShards::default(); self.arity];
+        self.columns = unbuilt(self.arity);
         self.ready = Pieces::from_vec(
             self.ready
                 .as_slice()
@@ -868,10 +889,11 @@ impl Relation {
 
     /// Read-only introspection for the O(Δ) guarantees: how many storage
     /// pieces of this relation — tuple segments and the shards of the
-    /// presence map, the column indexes and the promoted composite
+    /// presence map, the built column indexes and the promoted composite
     /// indexes — are not the very pieces `other` holds in the same place.
     /// For a relation and a clone of it that is exactly what the writes
-    /// since the clone copied; indexes `other` lacks count whole.
+    /// since the clone copied; indexes `other` lacks count whole, and
+    /// column indexes this relation has not built count nothing.
     pub fn unshared_pieces(&self, other: &Relation) -> usize {
         let composites: usize = self
             .ready
@@ -885,13 +907,15 @@ impl Relation {
                 }
             })
             .sum();
-        let columns: usize = self
-            .indexes
-            .iter()
-            .enumerate()
-            .map(|(c, ix)| match other.indexes.get(c) {
-                Some(o) => ix.unshared_with(o),
-                None => ix.unshared_with(&HashShards::default()),
+        let unbuilt = HashShards::default();
+        let columns: usize = (0..self.arity)
+            .filter_map(|c| {
+                let theirs = other.columns.get(c).and_then(OnceLock::get);
+                Some(
+                    self.columns[c]
+                        .get()?
+                        .unshared_with(theirs.unwrap_or(&unbuilt)),
+                )
             })
             .sum();
         self.tuples.unshared_with(&other.tuples)
@@ -992,26 +1016,50 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_select_ref_agree_with_select() {
+    fn probe_agrees_with_select() {
         let r = sample();
         let ann = Value::sym("ann");
-        let db = Value::sym("databases");
         assert_eq!(r.probe(0, &ann).len(), 2);
         assert_eq!(r.probe(0, &Value::sym("zoe")).len(), 0);
         assert_eq!(r.probe(9, &ann).len(), 0);
         for id in r.probe(0, &ann) {
             assert_eq!(r.tuple_at(*id).get(0), Some(&ann));
         }
-        let owned: Vec<_> = r
-            .select(&[Some(ann.clone()), Some(db.clone()), None])
-            .cloned()
-            .collect();
-        let borrowed: Vec<_> = r
-            .select_ref(&[Some(&ann), Some(&db), None])
-            .cloned()
-            .collect();
-        assert_eq!(owned, borrowed);
-        assert_eq!(r.select_ref(&[None, None, None]).count(), 3);
+        let selected: Vec<_> = r.select(&[Some(ann.clone()), None, None]).collect();
+        let probed: Vec<_> = r.probe(0, &ann).iter().map(|&id| r.tuple_at(id)).collect();
+        assert_eq!(selected, probed);
+    }
+
+    #[test]
+    fn a_column_is_indexed_from_its_first_probe_on() {
+        let mut r = sample();
+        assert!(r.indexed_columns().is_empty(), "inserts build no index");
+        assert!(r.contains_slice(&[Value::sym("bob"), Value::sym("databases"), Value::Num(3.5)]));
+        r.select(&[None, None, None]).count();
+        assert!(
+            r.indexed_columns().is_empty(),
+            "membership and scans build none"
+        );
+        assert_eq!(r.probe(1, &Value::sym("databases")), &[0, 1]);
+        assert_eq!(r.indexed_columns(), vec![1]);
+        // Built late, then maintained by every write.
+        r.insert(Tuple::new(vec![
+            Value::sym("cara"),
+            Value::sym("databases"),
+            Value::Num(3.1),
+        ]))
+        .unwrap();
+        assert!(r.remove(&Tuple::new(vec![
+            Value::sym("ann"),
+            Value::sym("databases"),
+            Value::Num(4.0),
+        ])));
+        assert_eq!(r.probe(1, &Value::sym("databases")), &[1, 3]);
+        // A column built later sees the same ids the first one holds.
+        assert_eq!(r.probe(0, &Value::sym("cara")), &[3]);
+        assert_eq!(r.indexed_columns(), vec![0, 1]);
+        r.clear();
+        assert!(r.indexed_columns().is_empty());
     }
 
     #[test]
@@ -1060,13 +1108,9 @@ mod tests {
         assert_eq!(r.index_probes(), 1);
         r.probe(0, &Value::sym("ann"));
         assert_eq!(r.index_probes(), 2);
-        // select_ref probes the index both to score bound columns and to
-        // fetch the winner's rows.
-        let ann = Value::sym("ann");
-        r.select_ref(&[Some(&ann), None, None]).count();
-        assert!(r.index_probes() >= 3);
-        r.select_ref(&[None, None, None]).count();
-        assert_eq!(r.full_scans(), 2);
+        // A membership test is a presence lookup, not an index probe.
+        assert!(r.contains_slice(&[Value::sym("ann"), Value::sym("calculus"), Value::Num(3.9)]));
+        assert_eq!((r.index_probes(), r.full_scans()), (2, 1));
     }
 
     #[test]
@@ -1360,6 +1404,8 @@ mod tests {
                 .unwrap();
         }
         assert!(r.ensure_composite(&[0, 1]));
+        r.probe(0, &Value::Int(0));
+        r.probe(1, &Value::Int(0));
         let snap = r.clone();
         assert_eq!(r.unshared_pieces(&snap), 0);
         r.insert(Tuple::new(vec![Value::Int(-1), Value::Int(7)]))

@@ -14,8 +14,9 @@
 //! `ensure_composite`, applied to the original and to its clones alike,
 //! every live relation equals a plain `Vec<Tuple>` model in iteration
 //! order (removal filters, re-insertion appends) — stable row ids,
-//! tombstones and compaction must never show through — and a third bounds
-//! what a write after a clone copies.
+//! tombstones and compaction must never show through — a third does the
+//! same for column indexes first built late, after compaction or on a
+//! clone, and a fourth bounds what a write after a clone copies.
 
 use proptest::prelude::*;
 use qdk_storage::{Relation, Tuple, Value};
@@ -290,6 +291,120 @@ proptest! {
     }
 }
 
+#[derive(Clone, Debug)]
+enum LazyOp {
+    Insert(usize, [i64; ARITY]),
+    RemoveBatch(usize, Vec<[i64; ARITY]>),
+    Clear(usize),
+    Clone(usize),
+    Probe(usize, usize, i64),
+}
+
+fn arb_lazy_op() -> impl Strategy<Value = LazyOp> {
+    prop_oneof![
+        6 => (0usize..8, arb_vals()).prop_map(|(i, v)| LazyOp::Insert(i, v)),
+        2 => (0usize..8, proptest::collection::vec(arb_vals(), 1..12))
+            .prop_map(|(i, vs)| LazyOp::RemoveBatch(i, vs)),
+        1 => (0usize..8).prop_map(LazyOp::Clear),
+        1 => (0usize..8).prop_map(LazyOp::Clone),
+        3 => (0usize..8, 0usize..ARITY, 0i64..4).prop_map(|(i, c, n)| LazyOp::Probe(i, c, n)),
+    ]
+}
+
+/// A single-column probe must return exactly the live ids, ascending, of
+/// the model rows carrying `n` in column `col`. The live ids come from the
+/// id-ordered scan, which no column index serves.
+fn check_probe(rel: &Relation, model: &[Tuple], col: usize, n: i64) -> Result<(), TestCaseError> {
+    let live = rel.probe_cols(&[]);
+    prop_assert_eq!(live.len(), model.len());
+    let want: Vec<u32> = live
+        .iter()
+        .zip(model)
+        .filter(|(_, t)| t.get(col) == Some(&v(n)))
+        .map(|(&id, _)| id)
+        .collect();
+    prop_assert_eq!(
+        rel.probe(col, &v(n)),
+        &want[..],
+        "probe col={} v={}",
+        col,
+        n
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Column indexes are built on first probe, and a late build must be
+    /// indistinguishable from an index kept since the first insert: under
+    /// random inserts, batch removals (which compact once tombstones
+    /// dominate), clears and clones, probes of random columns at random
+    /// points — so indexes are first built late, after compaction, or on
+    /// a clone — always equal the model's ascending ids. Exactly the
+    /// columns probed since the last clear are indexed; clones inherit
+    /// their original's.
+    #[test]
+    fn lazily_built_column_indexes_match_a_vec_model(
+        ops in proptest::collection::vec(arb_lazy_op(), 1..120),
+    ) {
+        // (relation, model, columns probed since the last clear)
+        let mut live: Vec<(Relation, Vec<Tuple>, Vec<usize>)> =
+            vec![(Relation::new("p", ARITY), Vec::new(), Vec::new())];
+        for op in &ops {
+            let n = live.len();
+            match op {
+                LazyOp::Insert(i, vals) => {
+                    let (rel, model, _) = &mut live[i % n];
+                    let t = tuple(vals);
+                    let fresh = !model.contains(&t);
+                    prop_assert_eq!(rel.insert(t.clone()).expect("arity matches"), fresh);
+                    if fresh {
+                        model.push(t);
+                    }
+                }
+                LazyOp::RemoveBatch(i, batch) => {
+                    let (rel, model, _) = &mut live[i % n];
+                    let batch: Vec<Tuple> = batch.iter().map(tuple).collect();
+                    let hits = model.iter().filter(|m| batch.contains(m)).count();
+                    prop_assert_eq!(rel.remove_batch(batch.iter()), hits);
+                    model.retain(|m| !batch.contains(m));
+                }
+                LazyOp::Clear(i) => {
+                    let (rel, model, probed) = &mut live[i % n];
+                    rel.clear();
+                    model.clear();
+                    probed.clear();
+                }
+                LazyOp::Clone(i) => {
+                    if n < 6 {
+                        let (rel, model, probed) = &live[i % n];
+                        let copy = (rel.clone(), model.clone(), probed.clone());
+                        live.push(copy);
+                    }
+                }
+                LazyOp::Probe(i, col, val) => {
+                    let (rel, model, probed) = &mut live[i % n];
+                    check_probe(rel, model, *col, *val)?;
+                    if !probed.contains(col) {
+                        probed.push(*col);
+                        probed.sort_unstable();
+                    }
+                }
+            }
+            for (rel, model, probed) in &live {
+                check_model(rel, model)?;
+                prop_assert_eq!(&rel.indexed_columns(), probed, "indexed columns");
+            }
+        }
+        for (rel, model, _) in &live {
+            for col in 0..ARITY {
+                for val in 0..4 {
+                    check_probe(rel, model, col, val)?;
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     // Each case builds a 3 000-row relation: a dozen cases cover the
     // write mixes without dominating the suite's run time.
@@ -309,6 +424,9 @@ proptest! {
             rel.insert(row(k)).expect("arity matches");
         }
         prop_assert!(rel.ensure_composite(&[1, 2]));
+        for c in 0..ARITY {
+            rel.probe(c, &v(0));
+        }
         let snap = rel.clone();
         prop_assert_eq!(rel.unshared_pieces(&snap), 0);
         for (j, &(kind, k)) in writes.iter().enumerate() {

@@ -533,6 +533,40 @@ fn pieces_per_commit(students: usize) -> Vec<usize> {
     counts
 }
 
+/// Index demand on the maintained store crosses epochs: a column of the
+/// maintained `prior` that a snapshot reader's probe indexed at epoch k is
+/// already indexed in epoch k + 1's `prior`, before any reader of k + 1
+/// touches it. Without that, every epoch's readers would rebuild the
+/// index from scratch.
+#[test]
+fn a_maintained_index_a_reader_built_is_built_in_the_next_epoch() {
+    let mut session = Session::new();
+    session.load(&scaled_university(50)).unwrap();
+    // The first commit materializes the maintained store.
+    session
+        .apply(Mutation::new().insert("enroll(s0, c99)"))
+        .unwrap();
+    let mut reader = session.snapshot().unwrap();
+    let indexed = |r: &qdk::SnapshotSession| {
+        r.knowledge_base()
+            .maintained_relation("prior")
+            .expect("prior is maintained")
+            .indexed_columns()
+    };
+    assert!(!indexed(&reader).contains(&1), "{:?}", indexed(&reader));
+    let answer = reader.retrieve(Request::subject("prior(X, c3)")).unwrap();
+    assert_eq!(answer.as_data().unwrap().len(), 96);
+    assert!(indexed(&reader).contains(&1), "{:?}", indexed(&reader));
+    // The next commit touches no rule's input, so nothing on the writer's
+    // side probes `prior`: only the adopted demand can build the column.
+    session
+        .apply(Mutation::new().insert("enroll(s1, c98)"))
+        .unwrap();
+    session.publish().unwrap();
+    assert!(reader.refresh());
+    assert!(indexed(&reader).contains(&1), "{:?}", indexed(&reader));
+}
+
 /// A two-fact `Session::apply` + `publish` copies a bounded number of
 /// storage pieces — the same bound at 10⁴ and 10⁵ facts. Pieces, not
 /// time, so the check is deterministic: a commit that copied whole
@@ -540,7 +574,7 @@ fn pieces_per_commit(students: usize) -> Vec<usize> {
 #[test]
 fn a_commit_copies_the_same_few_pieces_at_1e4_and_1e5_facts() {
     /// Per commit: the touched segment or tombstone bitmap, presence
-    /// shard and one shard per column, for each of the two facts.
+    /// shard and one shard per indexed column, for each of the two facts.
     const BOUND: usize = 16;
     let small = pieces_per_commit(1_000);
     let large = pieces_per_commit(10_000);
