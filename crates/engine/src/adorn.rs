@@ -11,8 +11,6 @@
 //! departure from left-to-right order: a *persistent* recursive
 //! occurrence is visited first ([`persistent_occurrence`]).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use qdk_logic::{Atom, Literal, Rule, Term, Var};
 use std::collections::HashSet;
 

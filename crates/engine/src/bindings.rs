@@ -19,8 +19,6 @@
 //! The literal *ordering* lives in [`crate::plan`]; by the time execution
 //! starts, every scheduling decision has already been made.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::error::{EngineError, Result};
 use crate::plan::{Col, RulePlan, Step};
 use qdk_logic::fasthash::FxHashMap;
@@ -28,56 +26,7 @@ use qdk_logic::governor::Governor;
 #[cfg(test)]
 use qdk_logic::Atom;
 use qdk_logic::{Frame, IrTerm, Subst, Sym, Term};
-use qdk_storage::{builtins, CompositeIndex, Edb, Relation, StorageError, Tuple, Value};
-use std::sync::Arc;
-
-/// A composite access path resolved for one scan step of one firing (the
-/// handle knows which ascending column positions it covers), or `None`
-/// when the step has fewer than two statically bound columns.
-pub(crate) type CompositeAccess = Option<Arc<CompositeIndex>>;
-
-/// Per-firing lazily resolved access paths, one slot per plan step.
-///
-/// The relation a scan step reads is fixed for the duration of a firing
-/// (the view is frozen), so the composite-index handle — which takes a
-/// relation-level lock to fetch — is resolved the *first* time each scan
-/// step executes and reused for every subsequent frame. Lazy (rather than
-/// resolved up front) so a step execution never touches a relation the
-/// enumeration doesn't reach, preserving the data-dependent timing of
-/// arity diagnostics.
-pub(crate) struct ScanCache {
-    composites: Vec<Option<CompositeAccess>>,
-}
-
-impl ScanCache {
-    pub(crate) fn new(steps: usize) -> Self {
-        ScanCache {
-            composites: vec![None; steps],
-        }
-    }
-
-    /// The composite access for step `step` against `rel`, resolving on
-    /// first use: columns statically bound by the plan (inline constants
-    /// and pre-bound slots), demand-building the relation's index when
-    /// there are at least two.
-    fn composite(&mut self, step: usize, rel: &Relation, cols: &[Col]) -> CompositeAccess {
-        self.composites[step]
-            .get_or_insert_with(|| {
-                let bound: Vec<usize> = cols
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| matches!(c, Col::Const(_) | Col::Slot { probe: true, .. }))
-                    .map(|(i, _)| i)
-                    .collect();
-                if bound.len() >= 2 {
-                    rel.composite(&bound)
-                } else {
-                    None
-                }
-            })
-            .clone()
-    }
-}
+use qdk_storage::{builtins, Edb, Relation, StorageError, Tuple, Value};
 
 /// A store of derived facts for IDB predicates.
 #[derive(Clone, Debug, Default)]
@@ -428,21 +377,6 @@ pub(crate) fn exec(
     frame: &mut Frame,
     emit: &mut dyn FnMut(&Frame) -> Result<()>,
 ) -> Result<()> {
-    let mut cache = ScanCache::new(plan.steps.len());
-    exec_cached(plan, step, view, &mut cache, frame, emit)
-}
-
-/// [`exec`] against a caller-provided per-firing [`ScanCache`] (the
-/// firing entry points create one cache and thread it through the whole
-/// enumeration; the recursion re-enters here).
-pub(crate) fn exec_cached(
-    plan: &RulePlan,
-    step: usize,
-    view: &FactView<'_>,
-    cache: &mut ScanCache,
-    frame: &mut Frame,
-    emit: &mut dyn FnMut(&Frame) -> Result<()>,
-) -> Result<()> {
     let Some(s) = plan.steps.get(step) else {
         return emit(frame);
     };
@@ -467,7 +401,7 @@ pub(crate) fn exec_cached(
                 }
             };
             if truth == *positive {
-                exec_cached(plan, step + 1, view, cache, frame, emit)
+                exec(plan, step + 1, view, frame, emit)
             } else {
                 Ok(())
             }
@@ -476,13 +410,13 @@ pub(crate) fn exec_cached(
             match (lhs.resolve(frame).cloned(), rhs.resolve(frame).cloned()) {
                 (Some(l), Some(r)) => {
                     if l == r {
-                        exec_cached(plan, step + 1, view, cache, frame, emit)
+                        exec(plan, step + 1, view, frame, emit)
                     } else {
                         Ok(())
                     }
                 }
-                (Some(l), None) => bind_eq(plan, step, rhs, l, view, cache, frame, emit),
-                (None, Some(r)) => bind_eq(plan, step, lhs, r, view, cache, frame, emit),
+                (Some(l), None) => bind_eq(plan, step, rhs, l, view, frame, emit),
+                (None, Some(r)) => bind_eq(plan, step, lhs, r, view, frame, emit),
                 (None, None) => Err(EngineError::UnsafeRule {
                     rule: plan.rule_str.clone(),
                     literal: literal.clone(),
@@ -509,7 +443,7 @@ pub(crate) fn exec_cached(
             if view.neg_holds(pred, &vals)? {
                 Ok(())
             } else {
-                exec_cached(plan, step + 1, view, cache, frame, emit)
+                exec(plan, step + 1, view, frame, emit)
             }
         }
         Step::Scan {
@@ -521,15 +455,9 @@ pub(crate) fn exec_cached(
             let Some((rel, window)) = view.scan_target(*occurrence, pred, cols.len())? else {
                 return Ok(()); // nothing derived yet
             };
-            let composite = cache.composite(step, rel, cols);
-            scan_relation_access(
-                rel,
-                cols,
-                composite.as_deref(),
-                frame,
-                window,
-                &mut |frame| exec_cached(plan, step + 1, view, cache, frame, emit),
-            )
+            scan_relation(rel, cols, frame, window, &mut |frame| {
+                exec(plan, step + 1, view, frame, emit)
+            })
         }
         Step::Unsafe { literal } => Err(EngineError::UnsafeRule {
             rule: plan.rule_str.clone(),
@@ -540,14 +468,12 @@ pub(crate) fn exec_cached(
 
 /// Binds the unbound side of an equality and continues, unbinding on the
 /// way out.
-#[allow(clippy::too_many_arguments)]
 fn bind_eq(
     plan: &RulePlan,
     step: usize,
     side: &IrTerm,
     value: Value,
     view: &FactView<'_>,
-    cache: &mut ScanCache,
     frame: &mut Frame,
     emit: &mut dyn FnMut(&Frame) -> Result<()>,
 ) -> Result<()> {
@@ -556,7 +482,7 @@ fn bind_eq(
         return Ok(());
     };
     frame.set(*slot, value);
-    let res = exec_cached(plan, step + 1, view, cache, frame, emit);
+    let res = exec(plan, step + 1, view, frame, emit);
     frame.clear(*slot);
     res
 }
@@ -564,9 +490,12 @@ fn bind_eq(
 /// Picks the index bucket for a scan: among columns with a value
 /// available now (inline constants and bound slots), the one whose
 /// bucket is smallest — first minimum in column order, exactly the
-/// choice the pattern `select` made. Returns `None` when no column is
-/// bound (full scan). The probe borrows the key from the frame or the
-/// plan: no `Value` is cloned to look up the index.
+/// choice the pattern `select` made. Every bound column is probed, so a
+/// scan with two bound columns is two `index_probes`; the caller's
+/// [`match_cols_into`] checks the columns the winner did not cover.
+/// Returns `None` when no column is bound (full scan). The probe borrows
+/// the key from the frame or the plan: no `Value` is cloned to look up
+/// the index.
 pub(crate) fn probe_ids<'r>(rel: &'r Relation, cols: &[Col], frame: &Frame) -> Option<&'r [u32]> {
     // Keep the winning bucket while scoring so the winner is not probed
     // twice (each probe is a hash of the key plus a counter bump).
@@ -616,41 +545,21 @@ pub(crate) fn match_cols_into(
 
 /// Enumerates the tuples of `rel` matching `cols` under `frame`, calling
 /// `each` with the extended frame per match and undoing the bindings
-/// afterwards. Shared by the bottom-up executor ([`exec`] recurses into
-/// the rest of the plan here) and the top-down solver's EDB scans.
+/// afterwards, optionally restricted to the tuple-id `window`. Shared by
+/// the bottom-up executor ([`exec`] recurses into the rest of the plan
+/// here) and the top-down solver's EDB scans.
+///
+/// Index buckets store ids in ascending insertion order, so visiting each
+/// window of a partition in turn reproduces the unwindowed visit order;
+/// windows are clipped through the relation's [`qdk_storage::DeltaView`].
 pub(crate) fn scan_relation(
     rel: &Relation,
     cols: &[Col],
     frame: &mut Frame,
-    each: &mut dyn FnMut(&mut Frame) -> Result<()>,
-) -> Result<()> {
-    scan_relation_access(rel, cols, None, frame, None, each)
-}
-
-/// [`scan_relation`] with an optional resolved composite access path and
-/// an optional tuple-id `window` restriction.
-///
-/// With a composite index the bound columns collapse into one hash
-/// lookup; the candidate ids are exactly the ids the single-column probe
-/// plus residual filter would have visited, in the same ascending order,
-/// so answer order is unchanged by the access-path choice. Index buckets
-/// store ids in ascending insertion order, so visiting each window of a
-/// partition in turn reproduces the unwindowed visit order; windows are
-/// clipped through the relation's [`qdk_storage::DeltaView`].
-pub(crate) fn scan_relation_access(
-    rel: &Relation,
-    cols: &[Col],
-    composite: Option<&CompositeIndex>,
-    frame: &mut Frame,
     window: Option<(usize, usize)>,
     each: &mut dyn FnMut(&mut Frame) -> Result<()>,
 ) -> Result<()> {
-    let ids = match composite.and_then(|ix| composite_probe(ix, cols, frame)) {
-        Some(ids) => Some(ids),
-        // No composite resolved (or a statically bound slot arrived
-        // unbound, possible in adorned call plans): single-column choice.
-        None => probe_ids(rel, cols, frame),
-    };
+    let ids = probe_ids(rel, cols, frame);
     // One trail for the whole scan, cleared per tuple: slots this scan
     // binds are unbound again before the next tuple (and before return).
     let mut trail: Vec<u32> = Vec::new();
@@ -692,20 +601,6 @@ pub(crate) fn scan_relation_access(
         }
     }
     Ok(())
-}
-
-/// Probes a resolved composite index with the current frame's values for
-/// its columns. Returns `None` (caller falls back to a single-column
-/// probe) if any covered slot is unbound at run time.
-fn composite_probe<'r>(ix: &'r CompositeIndex, cols: &[Col], frame: &Frame) -> Option<&'r [u32]> {
-    let mut key: Vec<&Value> = Vec::with_capacity(ix.cols().len());
-    for &c in ix.cols() {
-        match cols.get(c)? {
-            Col::Const(v) => key.push(v),
-            Col::Slot { slot, .. } => key.push(frame.get(*slot)?),
-        }
-    }
-    Some(ix.probe(&key))
 }
 
 /// Converts a satisfying frame into a substitution over the plan's slot

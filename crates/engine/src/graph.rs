@@ -127,8 +127,8 @@ impl DependencyGraph {
                     if low[v] == index[v] {
                         let scc_id = self.scc_members.len();
                         let mut members = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack");
+                        // `v` is on the stack, so the pops stop at it.
+                        while let Some(w) = stack.pop() {
                             on_stack[w] = false;
                             self.scc_of[w] = scc_id;
                             members.push(w);

@@ -28,8 +28,6 @@
 //! always runs with an unbounded governor: the store must end identical
 //! regardless of the session's limits.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::bindings::{exec, DeltaRanges, DerivedFacts, FactView};
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;

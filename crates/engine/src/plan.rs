@@ -300,11 +300,6 @@ impl RulePlan {
                     }
                     let mut access = if probes.is_empty() {
                         "full scan".to_string()
-                    } else if probes.len() >= 2 {
-                        // Two or more bound columns execute through one
-                        // composite-index lookup instead of a single-column
-                        // probe plus residual filter.
-                        format!("composite probe on {}", probes.join(", "))
                     } else {
                         format!("probe on {}", probes.join(", "))
                     };
@@ -559,36 +554,6 @@ impl ProgramPlan {
     /// The program's interner.
     pub fn interner(&self) -> &Interner {
         &self.interner
-    }
-
-    /// The composite-index column sets this program's scans can probe:
-    /// for every [`Step::Scan`], the (ascending, distinct) positions bound
-    /// at scan time — constants plus slots the planner proved bound —
-    /// kept when at least two positions qualify (single-bound scans use
-    /// the per-column index). Deduplicated across rules.
-    ///
-    /// The epoch writer prebuilds these on the EDB at publish, so
-    /// snapshot readers hit promoted (lock-free) composite indexes from
-    /// their first query instead of demand-building under a lock.
-    pub fn composite_requests(&self) -> Vec<(Sym, Vec<usize>)> {
-        let mut out: Vec<(Sym, Vec<usize>)> = Vec::new();
-        for plan in &self.plans {
-            for step in &plan.steps {
-                let Step::Scan { pred, cols, .. } = step else {
-                    continue;
-                };
-                let bound: Vec<usize> = cols
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| matches!(c, Col::Const(_) | Col::Slot { probe: true, .. }))
-                    .map(|(i, _)| i)
-                    .collect();
-                if bound.len() >= 2 && !out.iter().any(|(p, b)| p == pred && b == &bound) {
-                    out.push((pred.clone(), bound));
-                }
-            }
-        }
-        out
     }
 
     /// Renders every rule's [`RulePlan::explain`] in `Idb::rules()` order,
@@ -899,24 +864,6 @@ mod tests {
         assert!(text.contains("full scan"));
     }
 
-    #[test]
-    fn composite_requests_cover_multi_bound_scans() {
-        let idb = Idb::from_rules([
-            // The check scan runs with both X and Y already bound → one
-            // composite request over both columns.
-            parse_rule("ans(X, Y) :- seed(X, Y), edge(X, Y).").unwrap(),
-            // Single-bound and unbound scans request nothing.
-            parse_rule("all(X, C) :- enroll(X, C).").unwrap(),
-            // A duplicate bound shape on the same predicate dedups.
-            parse_rule("ans2(X, Y) :- seed(X, Y), edge(X, Y).").unwrap(),
-        ])
-        .unwrap();
-        let reqs = ProgramPlan::compile(&idb).composite_requests();
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].0.as_str(), "edge");
-        assert_eq!(reqs[0].1, vec![0, 1]);
-    }
-
     fn stats(cards: &[(&str, usize)]) -> CatalogStats {
         CatalogStats::from_cards(cards.iter().map(|&(p, n)| (Sym::new(p), n)))
     }
@@ -971,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_renders_composite_probe_and_estimates() {
+    fn explain_renders_multi_bound_probe_and_estimates() {
         let p = plan_with(
             "ans(X) :- big(X, Y), small(X, Y, v).",
             &stats(&[("big", 4096), ("small", 64)]),
@@ -980,7 +927,7 @@ mod tests {
             p.explain(),
             "plan ans(X) :- big(X, Y), small(X, Y, v).\n\
              \x20 1. scan small(X, Y, v)  probe on v [est 16 rows]  (writes X, Y)\n\
-             \x20 2. scan big(X, Y)  composite probe on X, Y [est 256 rows]  (reads X, Y)\n"
+             \x20 2. scan big(X, Y)  probe on X, Y [est 256 rows]  (reads X, Y)\n"
         );
     }
 

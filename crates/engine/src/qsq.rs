@@ -18,7 +18,7 @@
 //! The net rules form a positive (hence monotone) program, so the least
 //! fixpoint needs no stratification: the semi-naive strategy's round
 //! loop (`seminaive::Fixpoint`) fires the net set-at-a-time with the
-//! same delta-first plan variants, composite-index probes, and
+//! same delta-first plan variants, index probes, and
 //! selectivity-ordered literal schedules as a semi-naive stratum —
 //! which also hands QSQ the Governor contract (work ticks, fact budget,
 //! deadline, cancellation) for free.
@@ -65,8 +65,6 @@
 //! cannot be scheduled (`UnsafeRule`) — surface as errors here; the
 //! dispatch layer retries with semi-naive and records a
 //! [`crate::query::Downgrade`].
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::adorn::{bound_args, persistent_occurrence, suffix, Adornment, SipWalk};
 use crate::bindings::DerivedFacts;

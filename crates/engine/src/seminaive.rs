@@ -14,8 +14,6 @@
 //! accounting and the `iteration` / `delta_*` observability are the same
 //! for all three.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::bindings::{fire_rule_batch, DeltaRanges, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
@@ -48,24 +46,22 @@ pub(crate) struct Fixpoint<'a> {
     gov: Governor,
     obs: &'a ObsSink,
     probes0: (u64, u64),
-    composite0: u64,
 }
 
 impl<'a> Fixpoint<'a> {
     /// Starts an evaluation over `edb` under `opts`.
     pub(crate) fn new(edb: &'a Edb, opts: &'a EvalOptions) -> Self {
         let obs = &opts.sink;
-        let (probes0, composite0) = if obs.enabled() {
-            (edb.access_stats(), edb.composite_probes())
+        let probes0 = if obs.enabled() {
+            edb.access_stats()
         } else {
-            ((0, 0), 0)
+            (0, 0)
         };
         Fixpoint {
             edb,
             gov: opts.governor(),
             obs,
             probes0,
-            composite0,
         }
     }
 
@@ -144,8 +140,7 @@ impl<'a> Fixpoint<'a> {
         Ok(added)
     }
 
-    /// Reports the index probes, full scans and composite probes the
-    /// evaluation spent, in the EDB and in `derived`.
+    /// Reports the index probes and full scans the evaluation spent, in the EDB and in `derived`.
     pub(crate) fn finish(&self, derived: &DerivedFacts) {
         if !self.obs.enabled() {
             return;
@@ -158,11 +153,6 @@ impl<'a> Fixpoint<'a> {
             .counter("index_probes", p.saturating_sub(self.probes0.0) + dp);
         self.obs
             .counter("full_scans", s.saturating_sub(self.probes0.1) + ds);
-        let dc: u64 = derived.iter().map(|(_, r)| r.composite_probes()).sum();
-        self.obs.counter(
-            "composite_probes",
-            self.edb.composite_probes().saturating_sub(self.composite0) + dc,
-        );
     }
 }
 

@@ -262,7 +262,7 @@ impl<'a> Solver<'a> {
                 }
                 .into());
             }
-            return scan_relation(rel, cols, frame, &mut |frame| {
+            return scan_relation(rel, cols, frame, None, &mut |frame| {
                 self.exec_plan(plan, step + 1, frame, emit)
             });
         }

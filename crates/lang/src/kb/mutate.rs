@@ -559,10 +559,8 @@ impl KnowledgeBase {
     /// maintained derived facts, so no reader of the new epoch rebuilds an
     /// index a reader of the old one built — and, when the rules have not
     /// changed since, the describe preparation a reader of that epoch
-    /// built; resolve the compiled plan, prebuild the composite indexes
-    /// its scans will probe, promote everything into the lock-free sets,
-    /// and force the WAL to stable storage so a published epoch is always
-    /// durable.
+    /// built; resolve the compiled plan; and force the WAL to stable
+    /// storage so a published epoch is always durable.
     pub(crate) fn prepare_publish(
         &mut self,
         prev: Option<&KnowledgeBase>,
@@ -575,12 +573,6 @@ impl KnowledgeBase {
             self.prepared.adopt(self.rules_gen, &prev.prepared);
         }
         let plan = self.compiled_plan();
-        for (pred, cols) in plan.composite_requests() {
-            // Requests against derived predicates have no stored relation
-            // and are skipped inside.
-            self.edb.ensure_composite(pred.as_str(), &cols);
-        }
-        self.edb.promote_indexes();
         self.sync()?;
         Ok(plan)
     }

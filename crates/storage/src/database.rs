@@ -177,47 +177,16 @@ impl Edb {
         })
     }
 
-    /// Total probes answered by composite indexes across all relations
-    /// (the engine reports deltas of this as the `composite_probes`
-    /// observability counter).
-    pub fn composite_probes(&self) -> u64 {
-        self.relations
-            .values()
-            .map(Relation::composite_probes)
-            .sum()
-    }
-
-    /// Promotes every relation's demand-built composite indexes into its
-    /// lock-free set (see [`Relation::promote_pending`]). The epoch writer
-    /// calls this at publish so snapshot readers never touch the pending
-    /// lock.
-    pub fn promote_indexes(&mut self) {
-        for rel in self.relations.values_mut() {
-            rel.promote_pending();
-        }
-    }
-
-    /// Adopts the column indexes and composite-index definitions
-    /// demand-built on `other` (typically the previously published
-    /// snapshot of this database) into the matching relations here (see
-    /// [`Relation::adopt_demand`]).
-    /// Readers of the last epoch thereby seed the indexes of the next.
+    /// Adopts the column indexes demand-built on `other` (typically the
+    /// previously published snapshot of this database) into the matching
+    /// relations here (see [`Relation::adopt_demand`]). Readers of the
+    /// last epoch thereby seed the indexes of the next.
     pub fn adopt_index_demand(&mut self, other: &Edb) {
         for (name, rel) in &other.relations {
             if let Some(mine) = self.relations.get_mut(name) {
                 mine.adopt_demand(rel);
             }
         }
-    }
-
-    /// Ensures a promoted composite index over `cols` exists on `pred`;
-    /// returns `false` if the predicate is undeclared or the column set is
-    /// invalid (see [`Relation::ensure_composite`]). The epoch writer uses
-    /// this to prebuild the indexes a compiled plan will probe.
-    pub fn ensure_composite(&mut self, pred: &str, cols: &[usize]) -> bool {
-        self.relations
-            .get_mut(pred)
-            .is_some_and(|rel| rel.ensure_composite(cols))
     }
 
     /// Read-only introspection for the O(Δ) guarantees: how many storage

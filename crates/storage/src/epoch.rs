@@ -1,4 +1,4 @@
-//! Epoch-versioned publication: snapshot cells and the single-writer EDB.
+//! Epoch-versioned publication: versioned snapshot cells.
 //!
 //! The concurrency model is single-writer / multi-reader snapshot
 //! isolation. A writer batches mutations into its private copy-on-write
@@ -17,11 +17,9 @@
 //! * answers per snapshot are deterministic — every reader of one epoch
 //!   holds literally the same data.
 //!
-//! [`EdbWriter`] packages the pattern for a bare [`Edb`]; the language
-//! layer wraps whole knowledge bases the same way (an `EpochCell` is
-//! generic over its payload).
+//! An `EpochCell` is generic over its payload; the language layer
+//! publishes whole knowledge bases through it.
 
-use crate::database::Edb;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -131,86 +129,13 @@ impl<T> EpochCell<T> {
     }
 }
 
-/// The single-writer side of an epoch-published [`Edb`].
-///
-/// The writer owns a private working copy; mutations batch into it through
-/// [`edb_mut`](EdbWriter::edb_mut) without disturbing published epochs.
-/// [`publish`](EdbWriter::publish) promotes demand-built indexes, adopts
-/// index demand readers expressed on the previous epoch, and atomically
-/// installs a snapshot of the working copy as the next epoch.
-#[derive(Debug)]
-pub struct EdbWriter {
-    edb: Edb,
-    cell: Arc<EpochCell<Edb>>,
-    published: Arc<Edb>,
-}
-
-impl EdbWriter {
-    /// Wraps a database, publishing its current state as epoch 1.
-    pub fn new(edb: Edb) -> Self {
-        let published = Arc::new(edb.clone());
-        EdbWriter {
-            edb,
-            cell: Arc::new(EpochCell::from_arc(Arc::clone(&published))),
-            published,
-        }
-    }
-
-    /// The writer's private working copy (the next epoch under
-    /// construction).
-    pub fn edb(&self) -> &Edb {
-        &self.edb
-    }
-
-    /// Mutable access to the working copy. Changes stay invisible to
-    /// readers until [`publish`](EdbWriter::publish).
-    pub fn edb_mut(&mut self) -> &mut Edb {
-        &mut self.edb
-    }
-
-    /// The shared cell readers pin snapshots from (hand clones of this to
-    /// reader threads).
-    pub fn cell(&self) -> &Arc<EpochCell<Edb>> {
-        &self.cell
-    }
-
-    /// The number of the most recently published epoch.
-    pub fn epoch(&self) -> EpochId {
-        EpochId(self.cell.version())
-    }
-
-    /// Pins the most recently published epoch (what a new reader sees).
-    pub fn snapshot(&self) -> (EpochId, Arc<Edb>) {
-        let (version, edb) = self.cell.load();
-        (EpochId(version), edb)
-    }
-
-    /// Publishes the working copy as the next epoch and returns its id.
-    /// Composite indexes demand-built by readers of the previous epoch are
-    /// adopted and promoted first, so the new epoch answers the same plans
-    /// lock-free from the start.
-    pub fn publish(&mut self) -> EpochId {
-        self.edb.adopt_index_demand(&self.published);
-        self.edb.promote_indexes();
-        let snapshot = Arc::new(self.edb.clone());
-        self.published = Arc::clone(&snapshot);
-        EpochId(self.cell.publish_arc(snapshot))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tuple, Value};
+    use crate::{Edb, Tuple, Value};
 
-    fn writer() -> EdbWriter {
-        let mut edb = Edb::new();
-        edb.declare("edge", &["From", "To"]).unwrap();
-        for i in 0..4 {
-            edb.insert_tuple("edge", Tuple::new(vec![Value::Int(i), Value::Int(i + 1)]))
-                .unwrap();
-        }
-        EdbWriter::new(edb)
+    fn edge(i: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(i), Value::Int(i + 1)])
     }
 
     #[test]
@@ -231,81 +156,56 @@ mod tests {
 
     #[test]
     fn readers_never_observe_unpublished_writes() {
-        let mut w = writer();
-        let (e1, snap) = w.snapshot();
-        assert_eq!(e1, EpochId(1));
-        assert_eq!(snap.fact_count(), 4);
+        let mut edb = Edb::new();
+        edb.declare("edge", &["From", "To"]).unwrap();
+        for i in 0..4 {
+            edb.insert_tuple("edge", edge(i)).unwrap();
+        }
+        let cell = EpochCell::new(edb.clone());
+        let (e1, snap) = cell.load();
+        assert_eq!((e1, snap.fact_count()), (1, 4));
         // Batch into the next epoch: the pinned snapshot and fresh loads
         // of the cell both still see epoch 1.
-        w.edb_mut()
-            .insert_tuple("edge", Tuple::new(vec![Value::Int(9), Value::Int(10)]))
-            .unwrap();
+        edb.insert_tuple("edge", edge(9)).unwrap();
         assert_eq!(snap.fact_count(), 4);
-        assert_eq!(w.cell().load().1.fact_count(), 4);
-        assert_eq!(w.edb().fact_count(), 5);
+        assert_eq!(cell.load().1.fact_count(), 4);
         // Publish: new pins see epoch 2, the old pin still epoch 1.
-        assert_eq!(w.publish(), EpochId(2));
-        let (e2, snap2) = w.snapshot();
-        assert_eq!(e2, EpochId(2));
-        assert_eq!(snap2.fact_count(), 5);
+        assert_eq!(cell.publish(edb.clone()), 2);
+        assert_eq!(cell.load().1.fact_count(), 5);
         assert_eq!(snap.fact_count(), 4);
-    }
-
-    #[test]
-    fn publish_adopts_reader_index_demand() {
-        let mut w = writer();
-        let (_, snap) = w.snapshot();
-        // A reader demand-builds a composite on its pinned snapshot; the
-        // writer never saw the request.
-        let rel = snap.relation("edge").unwrap();
-        assert!(rel.composite(&[0, 1]).is_some());
-        assert_eq!(w.edb().relation("edge").unwrap().composite_count(), 0);
-        // The next publish carries the definition into the new epoch,
-        // promoted (lock-free) from the start.
-        w.publish();
-        let (_, snap2) = w.snapshot();
-        assert_eq!(snap2.relation("edge").unwrap().composite_count(), 1);
-        assert_eq!(w.edb().relation("edge").unwrap().composite_count(), 1);
     }
 
     #[test]
     fn concurrent_readers_pin_distinct_epochs() {
-        let mut w = writer();
-        let cell = Arc::clone(w.cell());
+        let cell = Arc::new(EpochCell::new(4usize));
         let (v0, snap0) = cell.load();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 std::thread::spawn(move || {
                     let (mut v, mut snap) = cell.load();
-                    let mut counts = vec![snap.fact_count()];
+                    let mut counts = vec![*snap];
                     for _ in 0..50 {
                         cell.refresh(&mut v, &mut snap);
-                        counts.push(snap.fact_count());
+                        counts.push(*snap);
                     }
                     counts
                 })
             })
             .collect();
         for i in 0..8 {
-            w.edb_mut()
-                .insert_tuple(
-                    "edge",
-                    Tuple::new(vec![Value::Int(100 + i), Value::Int(101 + i)]),
-                )
-                .unwrap();
-            w.publish();
+            cell.publish(5 + i);
         }
         for h in handles {
             let counts = h.join().unwrap();
-            // Fact counts only grow: epochs are observed in publish order.
+            // Values only grow: epochs are observed in publish order.
             assert!(counts.windows(2).all(|w| w[0] <= w[1]), "monotonic reads");
         }
         // The pre-churn pin still answers from epoch 1.
         let mut v = v0;
         let mut snap = snap0;
-        assert_eq!(snap.fact_count(), 4);
+        assert_eq!(*snap, 4);
         assert!(cell.refresh(&mut v, &mut snap));
-        assert_eq!(snap.fact_count(), 12);
+        assert_eq!(*snap, 12);
     }
 }

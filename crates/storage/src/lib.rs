@@ -17,9 +17,13 @@
 //!   names, used for validation and display);
 //! * [`Edb`] — the extensional database: a catalog plus its relations;
 //! * [`epoch`] — snapshot-isolated publication: [`EpochCell`] versioned
-//!   slots and the single-writer [`EdbWriter`], built on the copy-on-write
-//!   structure of [`Relation`] (clones share tuples and indexes, so an
-//!   epoch snapshot costs only what the next batch touches).
+//!   slots, built on the copy-on-write structure of [`Relation`] (clones
+//!   share tuples and indexes, so an epoch snapshot costs only what the
+//!   next batch touches).
+//!
+//! A [`Relation`] has one index kind, a single-column hash index. A
+//! selection with several bound columns walks the narrowest bound
+//! column's posting list and checks the rest row by row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,9 +43,9 @@ mod tuple;
 
 pub use catalog::{Catalog, CatalogStats, Schema};
 pub use database::Edb;
-pub use epoch::{EdbWriter, EpochCell, EpochId};
+pub use epoch::{EpochCell, EpochId};
 pub use error::{Result, StorageError};
-pub use relation::{CompositeIndex, DeltaView, Relation};
+pub use relation::{DeltaView, Relation};
 pub use store::TupleIter;
 pub use tuple::Tuple;
 

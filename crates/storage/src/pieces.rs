@@ -1,7 +1,7 @@
 //! Copy-on-write piece directories: the unit of structural sharing.
 //!
 //! A [`Pieces`] is a sequence of `Arc`-shared pieces — tuple segments,
-//! hash-index shards, composite indexes — behind one shared directory.
+//! hash-index shards — behind one shared directory.
 //! Cloning it bumps a single reference count. Mutating piece `i` copies
 //! the directory (a vector of handles) and piece `i` the first time
 //! either is touched after a clone, and mutates in place while both are

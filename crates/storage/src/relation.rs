@@ -1,11 +1,10 @@
 //! Indexed fact relations with stable row ids and structural sharing.
 //!
 //! Every piece of a [`Relation`] that queries read — the tuple segments,
-//! the presence map, each column index, each composite index — is
-//! split into `Arc`-shared pieces: 512-row segments (see
-//! [`store`](crate::store)) and hash shards of at most a few hundred
-//! entries (see [`shards`](crate::shards)), each index entry's posting
-//! list behind an `Arc` of its own. Cloning a relation is a handful of
+//! the presence map, each column index — is split into `Arc`-shared
+//! pieces: 512-row segments (see [`store`](crate::store)) and hash shards
+//! of at most a few hundred entries (see [`shards`](crate::shards)), each
+//! index entry's posting list behind an `Arc` of its own. Cloning a relation is a handful of
 //! reference bumps, and the clone is a true snapshot: a write on either
 //! side copies the segment, shards and posting lists it touches the first
 //! time it touches them after the clone, and mutates in place from then
@@ -19,10 +18,12 @@
 //! once tombstones outnumber live rows, so its O(n) cost is amortized over
 //! at least as many removals.
 //!
-//! Indexes are demand-built: a column or composite index exists only once
-//! a probe has asked for it, and from then on every write maintains it.
-//! Facts no query probes, and working sets that are only scanned, pay for
-//! no index at all.
+//! There is one index kind: a hash index on a single column, built the
+//! first time a probe asks for that column and maintained by every write
+//! from then on. A selection with several bound columns walks the
+//! narrowest of their posting lists and checks the other columns row by
+//! row. Facts no query probes, and working sets that are only scanned, pay
+//! for no index at all.
 //!
 //! This is the storage half of epoch snapshots (see [`epoch`](crate::epoch)):
 //! a published epoch holds a cloned `Edb`, and the writer keeps batching
@@ -30,7 +31,6 @@
 //! the batch.
 
 use crate::error::{Result, StorageError};
-use crate::pieces::Pieces;
 use crate::shards::HashShards;
 use crate::store::{TupleIter, TupleStore};
 use crate::tuple::Tuple;
@@ -39,12 +39,12 @@ use qdk_logic::fasthash::FxHasher;
 use qdk_logic::Sym;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Hashes a projected key column-by-column so owned (`&[Value]`) and
-/// borrowed (`&[&Value]`) keys get one hash. The column count is fixed
-/// per map, so no length prefix is needed. Computed once per lookup: the
-/// same hash picks the shard and probes its table.
+/// Hashes a key value by value (a whole tuple for the presence map, one
+/// value for a column index). The value count is fixed per map, so no
+/// length prefix is needed. Computed once per lookup: the same hash picks
+/// the shard and probes its table.
 fn hash_key<'a>(vals: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     for v in vals {
@@ -112,148 +112,6 @@ impl Posting {
                 }
             }
         }
-    }
-}
-
-/// Adds `id` to the posting list of the key `is` accepts under `h`,
-/// creating the entry as `(key(), [id])` if absent.
-fn post<K: Clone>(
-    map: &mut HashShards<(K, Posting)>,
-    h: u64,
-    is: impl Fn(&K) -> bool,
-    key: impl FnOnce() -> K,
-    id: u32,
-) {
-    let (entry, inserted) = map.upsert(h, |(k, _)| is(k), || (key(), Posting::One(id)));
-    if !inserted {
-        entry.1.push(id);
-    }
-}
-
-/// Drops `id` from the posting list of the key `is` accepts under `h`,
-/// removing the entry once its list is empty.
-fn unpost<K: Clone>(map: &mut HashShards<(K, Posting)>, h: u64, is: impl Fn(&K) -> bool, id: u32) {
-    let emptied = map
-        .get_mut(h, |(k, _)| is(k))
-        .is_some_and(|(_, p)| p.remove(id));
-    if emptied {
-        map.remove(h, |(k, _)| is(k));
-    }
-}
-
-/// A demand-built hash index over a fixed set of columns (ascending,
-/// distinct), mapping each combination of values in those columns to the
-/// ascending row ids that carry it.
-///
-/// Composite indexes answer multi-bound probes in one hash lookup instead
-/// of probing one column and filtering the rest tuple-by-tuple. They are
-/// owned by their [`Relation`] (which keeps them consistent through
-/// [`insert`](Relation::insert) / [`remove`](Relation::remove) /
-/// [`clear`](Relation::clear)) and handed to callers as **frozen `Arc`
-/// snapshots**: the per-frame probe path takes no lock, and a held handle
-/// is never mutated by later relation mutations — maintenance goes through
-/// `Arc::make_mut`, which copies the index (its shard directory, not its
-/// shards) out from under any outstanding handle first. Re-fetch via
-/// [`composite`](Relation::composite) to observe new rows. Buckets are
-/// keyed by the hash of the projected values and disambiguated by
-/// equality, which lets [`probe`](CompositeIndex::probe) accept borrowed
-/// values without cloning.
-///
-/// Row ids within a bucket are ascending (the build walks tuples in id
-/// order and maintenance appends fresh ids), so windowed delta probes can
-/// clip a bucket with a binary search and fact-id-ordered merges stay
-/// byte-identical to single-column execution.
-#[derive(Debug)]
-pub struct CompositeIndex {
-    cols: Vec<usize>,
-    buckets: HashShards<(Box<[Value]>, Posting)>,
-    probes: AtomicU64,
-}
-
-impl Clone for CompositeIndex {
-    fn clone(&self) -> Self {
-        CompositeIndex {
-            cols: self.cols.clone(),
-            buckets: self.buckets.clone(),
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl CompositeIndex {
-    fn empty(cols: Vec<usize>) -> Self {
-        CompositeIndex {
-            cols,
-            buckets: HashShards::default(),
-            probes: AtomicU64::new(0),
-        }
-    }
-
-    fn build(cols: Vec<usize>, tuples: &TupleStore) -> Self {
-        let mut ix = CompositeIndex::empty(cols);
-        for id in tuples.live_ids() {
-            ix.add(id, tuples.get(id));
-        }
-        ix
-    }
-
-    fn key_hash(&self, t: &Tuple) -> u64 {
-        let vals = t.values();
-        hash_key(self.cols.iter().map(|&c| &vals[c]))
-    }
-
-    /// Registers a freshly inserted tuple under its projected key. `id`
-    /// must be larger than every id already present (append-only), which
-    /// keeps bucket ids ascending.
-    fn add(&mut self, id: u32, t: &Tuple) {
-        let h = self.key_hash(t);
-        let (vals, cols) = (t.values(), &self.cols);
-        post(
-            &mut self.buckets,
-            h,
-            |k| k.iter().zip(cols).all(|(kv, &c)| kv == &vals[c]),
-            || cols.iter().map(|&c| vals[c].clone()).collect(),
-            id,
-        );
-    }
-
-    /// Drops a removed tuple's id from its bucket.
-    fn remove(&mut self, id: u32, t: &Tuple) {
-        let h = self.key_hash(t);
-        let (vals, cols) = (t.values(), &self.cols);
-        unpost(
-            &mut self.buckets,
-            h,
-            |k| k.iter().zip(cols).all(|(kv, &c)| kv == &vals[c]),
-            id,
-        );
-    }
-
-    /// The (ascending, distinct) column positions this index covers.
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Borrowed-key probe: the ascending row ids whose projection onto
-    /// [`cols`](CompositeIndex::cols) equals `key` (one value per column,
-    /// in column order). Returns an empty slice when absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `key.len()` differs from the column count.
-    pub fn probe(&self, key: &[&Value]) -> &[u32] {
-        debug_assert_eq!(key.len(), self.cols.len(), "composite key arity");
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        let h = hash_key(key.iter().copied());
-        self.buckets
-            .get(h, |(k, _)| k.iter().zip(key).all(|(kv, &pv)| kv == pv))
-            .map_or(&[], |(_, ids)| ids.ids())
-    }
-
-    /// How many probes this index has answered since it was built (or
-    /// since the owning relation's last [`clear`](Relation::clear)).
-    pub fn probe_count(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
     }
 }
 
@@ -358,17 +216,6 @@ pub struct Relation {
     /// `columns[c]`: each value in column `c` with the ids carrying it,
     /// built on the first probe of `c` (see [`ids`](Relation::ids)).
     columns: Box<[OnceLock<ColumnIndex>]>,
-    /// Promoted composite indexes (at most one per column set): the
-    /// lock-free lookup set shared with snapshots. Maintained in place by
-    /// mutations (copy-on-write when a snapshot or caller handle still
-    /// shares an entry).
-    ready: Pieces<CompositeIndex>,
-    /// Composite indexes demand-built under `&self` (see
-    /// [`composite`](Relation::composite)) that have not yet been promoted
-    /// into [`ready`](Relation::ready). The lock is taken once per plan
-    /// firing on the build path only, never per frame; the next mutation
-    /// or [`promote_pending`](Relation::promote_pending) drains it.
-    pending: Mutex<Vec<Arc<CompositeIndex>>>,
     probes: AtomicU64,
     scans: AtomicU64,
 }
@@ -381,8 +228,6 @@ impl Clone for Relation {
             tuples: self.tuples.clone(),
             present: self.present.clone(),
             columns: self.columns.clone(),
-            ready: self.ready.clone(),
-            pending: Mutex::new(lock_pending(&self.pending).clone()),
             probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
             scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
         }
@@ -392,21 +237,34 @@ impl Clone for Relation {
 /// One column's index: each value with the ascending ids carrying it.
 type ColumnIndex = HashShards<(Value, Posting)>;
 
-/// Adds `id` to the posting list of `v` in a column index.
+/// Adds `id` to the posting list of `v` in a column index, creating the
+/// entry as `(v, [id])` if absent.
 fn post_column(ix: &mut ColumnIndex, v: &Value, id: u32) {
-    post(ix, hash_one(v), |k| k == v, || v.clone(), id);
+    let (entry, inserted) = ix.upsert(
+        hash_one(v),
+        |(k, _)| k == v,
+        || (v.clone(), Posting::One(id)),
+    );
+    if !inserted {
+        entry.1.push(id);
+    }
+}
+
+/// Drops `id` from the posting list of `v` in a column index, removing
+/// the entry once its list is empty.
+fn unpost_column(ix: &mut ColumnIndex, v: &Value, id: u32) {
+    let h = hash_one(v);
+    let emptied = ix
+        .get_mut(h, |(k, _)| k == v)
+        .is_some_and(|(_, p)| p.remove(id));
+    if emptied {
+        ix.remove(h, |(k, _)| k == v);
+    }
 }
 
 /// Unbuilt column indexes, one per column.
 fn unbuilt(arity: usize) -> Box<[OnceLock<ColumnIndex>]> {
     (0..arity).map(|_| OnceLock::new()).collect()
-}
-
-/// Locks the pending composite-index list, recovering from poison (the
-/// guarded operations don't panic mid-update, so a poisoned lock is still
-/// consistent).
-fn lock_pending(m: &Mutex<Vec<Arc<CompositeIndex>>>) -> MutexGuard<'_, Vec<Arc<CompositeIndex>>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Relation {
@@ -419,8 +277,6 @@ impl Relation {
             tuples: TupleStore::default(),
             present: HashShards::default(),
             columns: unbuilt(arity),
-            ready: Pieces::default(),
-            pending: Mutex::new(Vec::new()),
             probes: AtomicU64::new(0),
             scans: AtomicU64::new(0),
         }
@@ -489,83 +345,26 @@ impl Relation {
         {
             return Ok(false);
         }
-        self.promote_pending();
         let id = self.tuples.push(t.clone());
         for (ix, v) in self.columns.iter_mut().zip(t.values()) {
             if let Some(ix) = ix.get_mut() {
                 post_column(ix, v, id);
             }
         }
-        self.ready.each_mut(|ix| ix.add(id, &t));
         self.present.insert_new(h, id);
         Ok(true)
     }
 
-    /// Moves demand-built composite indexes from the pending list into the
-    /// promoted (lock-free) set. Called by every mutation before it
-    /// maintains the set, and by the epoch writer at publish so snapshots
-    /// probe promoted indexes without ever touching the pending lock.
-    pub fn promote_pending(&mut self) {
-        let pending = std::mem::take(self.pending_mut());
-        for ix in pending {
-            if !self.ready.as_slice().iter().any(|r| r.cols() == ix.cols()) {
-                self.ready
-                    .push(Arc::try_unwrap(ix).unwrap_or_else(|ix| (*ix).clone()));
-            }
-        }
-    }
-
-    /// Ensures a promoted composite index over `cols` exists, building it
-    /// if necessary; returns `false` (and builds nothing) for invalid
-    /// column sets (see [`composite`](Relation::composite)). Used by the
-    /// epoch writer to prebuild the indexes a compiled plan will probe, so
-    /// snapshots never demand-build them per reader.
-    pub fn ensure_composite(&mut self, cols: &[usize]) -> bool {
-        if !self.valid_composite_cols(cols) {
-            return false;
-        }
-        self.promote_pending();
-        if !self.ready.as_slice().iter().any(|ix| ix.cols() == cols) {
-            self.ready
-                .push(CompositeIndex::build(cols.to_vec(), &self.tuples));
-        }
-        true
-    }
-
     /// Adopts the index demand of another relation (typically the
     /// previously published snapshot of this one, whose readers
-    /// demand-built indexes the writer never saw): every column index and
-    /// composite-index *definition* built there and missing here is built
-    /// here. Contents are rebuilt from this relation's tuples; probe
-    /// counters are not carried over.
+    /// demand-built indexes the writer never saw): every column index
+    /// built there and missing here is built here, from this relation's
+    /// tuples. Probe counters are not carried over.
     pub fn adopt_demand(&mut self, other: &Relation) {
         for c in other.indexed_columns() {
             if c < self.arity {
                 self.column(c);
             }
-        }
-        let mut wanted: Vec<Vec<usize>> = other
-            .ready
-            .as_slice()
-            .iter()
-            .map(|ix| ix.cols().to_vec())
-            .collect();
-        wanted.extend(
-            lock_pending(&other.pending)
-                .iter()
-                .map(|ix| ix.cols().to_vec()),
-        );
-        for cols in wanted {
-            self.ensure_composite(&cols);
-        }
-    }
-
-    /// Exclusive access to the pending list without locking (`&mut self`
-    /// proves exclusivity); recovers from poison like [`lock_pending`].
-    fn pending_mut(&mut self) -> &mut Vec<Arc<CompositeIndex>> {
-        match self.pending.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
         }
     }
 
@@ -622,9 +421,27 @@ impl Relation {
             .collect()
     }
 
+    /// The shortest posting list among the bound `(column, value)` pairs
+    /// (first minimum in pattern order), or `None` when nothing is bound.
+    /// Unmetered: each selection counts itself once.
+    fn narrowest<'a, 'v>(
+        &'a self,
+        bound: impl Iterator<Item = (usize, &'v Value)>,
+    ) -> Option<&'a [u32]> {
+        let mut best: Option<&'a [u32]> = None;
+        for (c, v) in bound {
+            let ids = self.ids(c, v);
+            if best.is_none_or(|b| ids.len() < b.len()) {
+                best = Some(ids);
+            }
+        }
+        best
+    }
+
     /// Selects the tuples matching a partial binding pattern:
     /// `pattern[i] = Some(v)` requires column `i` to equal `v`; `None` is a
-    /// wildcard. Uses the most selective bound-column index.
+    /// wildcard. Walks the narrowest bound column's posting list and checks
+    /// the other bound columns row by row.
     ///
     /// # Panics
     ///
@@ -634,18 +451,11 @@ impl Relation {
         pattern: &[Option<Value>],
     ) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
         assert_eq!(pattern.len(), self.arity, "pattern arity mismatch");
-        // Pick the bound column with the fewest candidate rows (first
-        // minimum in column order).
-        let mut best: Option<&'a [u32]> = None;
-        for (c, p) in pattern.iter().enumerate() {
-            if let Some(v) = p {
-                let ids = self.ids(c, v);
-                if best.is_none_or(|b| ids.len() < b.len()) {
-                    best = Some(ids);
-                }
-            }
-        }
-        match best {
+        let bound = pattern
+            .iter()
+            .enumerate()
+            .filter_map(|(c, p)| Some((c, p.as_ref()?)));
+        match self.narrowest(bound) {
             None => {
                 self.scans.fetch_add(1, Ordering::Relaxed);
                 Box::new(self.tuples.iter())
@@ -668,9 +478,9 @@ impl Relation {
     /// the value is absent (or the relation has no column `col`).
     ///
     /// Together with [`tuple_at`](Relation::tuple_at) this is the
-    /// primitive the compiled plan executor scans with: the planner picks
-    /// the probe column, probes once per frame, and verifies the remaining
-    /// positions against the candidate rows.
+    /// primitive the compiled plan executor scans with: per frame it
+    /// probes each bound column, walks the shortest list, and verifies the
+    /// remaining positions against the candidate rows.
     pub fn probe(&self, col: usize, v: &Value) -> &[u32] {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.ids(col, v)
@@ -692,8 +502,8 @@ impl Relation {
     /// Removes a batch of tuples; returns how many were present.
     ///
     /// Each removed row is tombstoned in place: its presence entry goes,
-    /// and its id leaves the one posting list per built column index (and
-    /// per composite index) that held it. No other row is renumbered and no
+    /// and its id leaves the one posting list per built column index that
+    /// held it. No other row is renumbered and no
     /// other list is touched, so retracting k facts from an n-row relation
     /// costs O(k · posting length), and after a snapshot it copies only the
     /// segments, shards and lists those k rows live in. Once tombstones
@@ -715,7 +525,6 @@ impl Relation {
         if doomed.is_empty() {
             return 0;
         }
-        self.promote_pending();
         doomed.sort_unstable_by_key(|&(_, id)| id);
         doomed.dedup_by_key(|&mut (_, id)| id);
         for &(h, id) in &doomed {
@@ -723,10 +532,9 @@ impl Relation {
             self.present.remove(h, |&pid| pid == id);
             for (ix, v) in self.columns.iter_mut().zip(t.values()) {
                 if let Some(ix) = ix.get_mut() {
-                    unpost(ix, hash_one(v), |k| k == v, id);
+                    unpost_column(ix, v, id);
                 }
             }
-            self.ready.each_mut(|ix| ix.remove(id, &t));
             self.tuples.kill(id);
         }
         if self.tuples.dead() > self.tuples.len() {
@@ -744,133 +552,40 @@ impl Relation {
         for ix in self.columns.iter_mut().filter_map(OnceLock::get_mut) {
             ix.for_each_mut(|(_, ids)| ids.remap(&remap));
         }
-        self.ready
-            .each_mut(|ix| ix.buckets.for_each_mut(|(_, ids)| ids.remap(&remap)));
     }
 
     /// Removes all tuples and resets the probe/scan counters. Every column
     /// index is dropped (the next probe of a column builds it afresh).
-    /// Composite index *definitions* persist (they rebuild as new tuples
-    /// arrive); their contents and probe counters reset with everything
-    /// else.
     pub fn clear(&mut self) {
-        self.promote_pending();
         self.tuples.clear();
         self.present = HashShards::default();
         self.columns = unbuilt(self.arity);
-        self.ready = Pieces::from_vec(
-            self.ready
-                .as_slice()
-                .iter()
-                .map(|ix| CompositeIndex::empty(ix.cols().to_vec()))
-                .collect(),
-        );
         self.probes.store(0, Ordering::Relaxed);
         self.scans.store(0, Ordering::Relaxed);
     }
 
-    /// True if `cols` is a valid composite column set: at least two
-    /// positions, strictly ascending, all within the relation's arity.
-    fn valid_composite_cols(&self, cols: &[usize]) -> bool {
-        cols.len() >= 2
-            && cols.windows(2).all(|w| w[0] < w[1])
-            && cols.last().is_some_and(|&c| c < self.arity)
-    }
-
-    /// The composite index over `cols`, built on first demand and kept
-    /// consistent by subsequent mutations. Returns `None` unless `cols`
-    /// has at least two positions, strictly ascending, all within the
-    /// relation's arity (callers sort their bound columns; a one-column
-    /// request should use [`probe`](Relation::probe)).
-    ///
-    /// The returned `Arc` is a **frozen snapshot** of the index at call
-    /// time: probing it takes no lock, and later inserts, removes, and
-    /// clears never mutate it (maintenance copies the index out from under
-    /// outstanding handles). Re-fetch after a mutation to observe new
-    /// rows. Probes through a handle count toward
-    /// [`composite_probes`](Relation::composite_probes) until the relation
-    /// is mutated; a frozen (copied-out) handle's probes are its own.
-    pub fn composite(&self, cols: &[usize]) -> Option<Arc<CompositeIndex>> {
-        if !self.valid_composite_cols(cols) {
-            return None;
-        }
-        // Promoted set first: lock-free, covers every index a snapshot or
-        // plan prebuild produced.
-        if let Some(ix) = self.ready.as_slice().iter().find(|ix| ix.cols() == cols) {
-            return Some(Arc::clone(ix));
-        }
-        let mut guard = lock_pending(&self.pending);
-        if let Some(ix) = guard.iter().find(|ix| ix.cols() == cols) {
-            return Some(Arc::clone(ix));
-        }
-        let ix = Arc::new(CompositeIndex::build(cols.to_vec(), &self.tuples));
-        guard.push(Arc::clone(&ix));
-        Some(ix)
-    }
-
-    /// Borrowed-key multi-column probe: the row ids matching every
-    /// `(column, value)` pair. One hash lookup against the matching
-    /// composite index (demand-built on first use) instead of probing one
-    /// column and filtering the rest.
+    /// Borrowed-key multi-column probe: the ascending row ids matching
+    /// every `(column, value)` pair. Walks the narrowest bound column's
+    /// posting list and checks the other pairs row by row; one
+    /// [`index_probes`](Relation::index_probes) per call.
     ///
     /// Degenerate patterns stay total: an empty pattern is a metered full
-    /// scan returning every live id, a single pair delegates to
-    /// [`probe`](Relation::probe), duplicate columns collapse (equal
+    /// scan returning every live id, duplicate columns collapse (equal
     /// values) or return no rows (conflicting values), and an
     /// out-of-range column matches nothing.
     pub fn probe_cols(&self, pattern: &[(usize, &Value)]) -> Vec<u32> {
-        let mut sorted = pattern.to_vec();
-        sorted.sort_by_key(|&(c, _)| c);
-        let mut dedup: Vec<(usize, &Value)> = Vec::with_capacity(sorted.len());
-        for (c, v) in sorted {
-            match dedup.last() {
-                Some(&(pc, pv)) if pc == c => {
-                    if pv != v {
-                        return Vec::new();
-                    }
-                }
-                _ => dedup.push((c, v)),
-            }
-        }
-        match dedup.as_slice() {
-            [] => {
-                self.scans.fetch_add(1, Ordering::Relaxed);
-                self.tuples.live_ids().collect()
-            }
-            [(c, v)] => self.probe(*c, v).to_vec(),
-            _ => {
-                if dedup.last().is_some_and(|&(c, _)| c >= self.arity) {
-                    return Vec::new();
-                }
-                let cols: Vec<usize> = dedup.iter().map(|&(c, _)| c).collect();
-                let key: Vec<&Value> = dedup.iter().map(|&(_, v)| v).collect();
-                match self.composite(&cols) {
-                    Some(ix) => ix.probe(&key).to_vec(),
-                    None => Vec::new(),
-                }
-            }
-        }
-    }
-
-    /// Total probes answered by this relation's composite indexes since
-    /// creation or the last [`clear`](Relation::clear).
-    pub fn composite_probes(&self) -> u64 {
-        let promoted: u64 = self
-            .ready
-            .as_slice()
-            .iter()
-            .map(|ix| ix.probe_count())
-            .sum();
-        let pending: u64 = lock_pending(&self.pending)
-            .iter()
-            .map(|ix| ix.probe_count())
-            .sum();
-        promoted + pending
-    }
-
-    /// How many composite indexes have been demand-built on this relation.
-    pub fn composite_count(&self) -> usize {
-        self.ready.len() + lock_pending(&self.pending).len()
+        let Some(rows) = self.narrowest(pattern.iter().copied()) else {
+            self.scans.fetch_add(1, Ordering::Relaxed);
+            return self.tuples.live_ids().collect();
+        };
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        rows.iter()
+            .copied()
+            .filter(|&id| {
+                let vals = self.tuples.get(id).values();
+                pattern.iter().all(|&(c, v)| vals.get(c) == Some(v))
+            })
+            .collect()
     }
 
     /// A [`DeltaView`] over row ids `start..end` (clamped to
@@ -889,24 +604,12 @@ impl Relation {
 
     /// Read-only introspection for the O(Δ) guarantees: how many storage
     /// pieces of this relation — tuple segments and the shards of the
-    /// presence map, the built column indexes and the promoted composite
-    /// indexes — are not the very pieces `other` holds in the same place.
-    /// For a relation and a clone of it that is exactly what the writes
-    /// since the clone copied; indexes `other` lacks count whole, and
-    /// column indexes this relation has not built count nothing.
+    /// presence map and of the built column indexes — are not the very
+    /// pieces `other` holds in the same place. For a relation and a clone
+    /// of it that is exactly what the writes since the clone copied;
+    /// indexes `other` lacks count whole, and column indexes this relation
+    /// has not built count nothing.
     pub fn unshared_pieces(&self, other: &Relation) -> usize {
-        let composites: usize = self
-            .ready
-            .as_slice()
-            .iter()
-            .map(|ix| {
-                let theirs = other.ready.as_slice().iter().find(|o| o.cols == ix.cols);
-                match theirs {
-                    Some(o) => ix.buckets.unshared_with(&o.buckets),
-                    None => ix.buckets.unshared_with(&HashShards::default()),
-                }
-            })
-            .sum();
         let unbuilt = HashShards::default();
         let columns: usize = (0..self.arity)
             .filter_map(|c| {
@@ -921,7 +624,6 @@ impl Relation {
         self.tuples.unshared_with(&other.tuples)
             + self.present.unshared_with(&other.present)
             + columns
-            + composites
     }
 }
 
@@ -1147,38 +849,20 @@ mod tests {
     }
 
     #[test]
-    fn composite_probe_matches_scan() {
+    fn probe_cols_walks_the_narrowest_column_and_filters() {
         let r = sample();
         let ann = Value::sym("ann");
         let db = Value::sym("databases");
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.cols(), &[0, 1]);
-        let ids = ix.probe(&[&ann, &db]);
-        assert_eq!(ids, &[0]);
-        // Ids come back ascending and point at the right tuples.
-        let all_ann: Vec<u32> = r.probe_cols(&[(0, &ann)]);
-        assert_eq!(all_ann, vec![0, 2]);
+        assert_eq!(r.probe_cols(&[(0, &ann)]), vec![0, 2]);
         assert_eq!(r.probe_cols(&[(1, &db), (0, &ann)]), vec![0]);
-        assert!(ix.probe(&[&Value::sym("zoe"), &db]).is_empty());
-        // Numeric cross-kind equality holds for composite keys too.
-        let ix2 = r.composite(&[0, 2]).unwrap();
-        assert_eq!(ix2.probe(&[&ann, &Value::Int(4)]), &[0]);
-        // Same column set returns the same index, not a rebuild.
-        assert_eq!(r.composite_count(), 2);
-        r.composite(&[0, 1]).unwrap();
-        assert_eq!(r.composite_count(), 2);
-    }
-
-    #[test]
-    fn composite_rejects_invalid_column_sets() {
-        let r = sample();
-        assert!(r.composite(&[0]).is_none());
-        assert!(r.composite(&[1, 0]).is_none());
-        assert!(r.composite(&[0, 0]).is_none());
-        assert!(r.composite(&[1, 3]).is_none());
-        let mut r = r;
-        assert!(!r.ensure_composite(&[1, 0]));
-        assert!(!r.ensure_composite(&[2]));
+        assert!(r
+            .probe_cols(&[(0, &Value::sym("zoe")), (1, &db)])
+            .is_empty());
+        // Numeric cross-kind equality holds for the filtered columns too.
+        assert_eq!(r.probe_cols(&[(0, &ann), (2, &Value::Int(4))]), vec![0]);
+        // One metered probe per call, whatever the number of pairs.
+        assert_eq!((r.index_probes(), r.full_scans()), (4, 0));
+        assert_eq!(r.indexed_columns(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1192,66 +876,6 @@ mod tests {
             .probe_cols(&[(0, &ann), (0, &Value::sym("bob"))])
             .is_empty());
         assert!(r.probe_cols(&[(0, &ann), (7, &ann)]).is_empty());
-    }
-
-    #[test]
-    fn composite_maintained_through_mutation() {
-        let mut r = sample();
-        let ann = Value::sym("ann");
-        let db = Value::sym("databases");
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&ann, &db]), &[0]);
-        // Insert lands in the live index list (the old Arc is a frozen
-        // snapshot; re-fetch sees the new row).
-        r.insert(Tuple::new(vec![ann.clone(), db.clone(), Value::Num(2.0)]))
-            .unwrap();
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&ann, &db]), &[0, 3]);
-        // Remove drops the id in place and carries the counter.
-        let probes_before = r.composite_probes();
-        assert!(r.remove(&Tuple::new(vec![ann.clone(), db.clone(), Value::Num(4.0),])));
-        assert_eq!(r.composite_probes(), probes_before);
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&ann, &db]), &[3]);
-        // Clear keeps the definition, drops contents, resets counters.
-        r.clear();
-        assert_eq!(r.composite_count(), 1);
-        assert_eq!(r.composite_probes(), 0);
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert!(ix.probe(&[&ann, &db]).is_empty());
-        r.insert(Tuple::new(vec![ann.clone(), db.clone(), Value::Num(3.0)]))
-            .unwrap();
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&ann, &db]), &[0]);
-    }
-
-    #[test]
-    fn held_composite_handle_is_a_frozen_snapshot() {
-        // Regression: `composite()` used to document a snapshot but hand
-        // out a live handle that `Arc::make_mut` mutated in place when the
-        // relation was the only other owner. Held handles must now be
-        // immune to every later mutation.
-        let mut r = sample();
-        let ann = Value::sym("ann");
-        let db = Value::sym("databases");
-        let held = r.composite(&[0, 1]).unwrap();
-        assert_eq!(held.probe(&[&ann, &db]), &[0]);
-
-        // Insert: the held handle must not see the new row.
-        r.insert(Tuple::new(vec![ann.clone(), db.clone(), Value::Num(1.5)]))
-            .unwrap();
-        assert_eq!(held.probe(&[&ann, &db]), &[0]);
-        assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[0, 3]);
-
-        // Remove: the held handle keeps the removed row.
-        assert!(r.remove(&Tuple::new(vec![ann.clone(), db.clone(), Value::Num(4.0)])));
-        assert_eq!(held.probe(&[&ann, &db]), &[0]);
-        assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[3]);
-
-        // Clear: the held handle still answers from its frozen contents.
-        r.clear();
-        assert_eq!(held.probe(&[&ann, &db]), &[0]);
-        assert!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]).is_empty());
     }
 
     #[test]
@@ -1289,28 +913,17 @@ mod tests {
     }
 
     #[test]
-    fn promote_and_adopt_demand_carry_composite_definitions() {
+    fn adopt_demand_builds_the_columns_a_clone_built() {
         let mut r = sample();
-        // Demand-build on a read-only view lands in the pending set.
-        assert!(r.composite(&[0, 1]).is_some());
-        assert_eq!(r.composite_count(), 1);
+        r.probe(0, &Value::sym("ann"));
         let snap = r.clone();
-        // A reader of the snapshot demand-builds another index the writer
-        // never saw.
-        assert!(snap.composite(&[1, 2]).is_some());
-        // The writer adopts both definitions and promotes them.
+        // A reader of the snapshot builds a column the writer never probed.
+        snap.probe(2, &Value::Num(3.5));
+        assert_eq!(r.indexed_columns(), vec![0]);
         r.adopt_demand(&snap);
-        r.promote_pending();
-        assert_eq!(r.composite_count(), 2);
-        let ann = Value::sym("ann");
-        let db = Value::sym("databases");
-        assert_eq!(
-            r.composite(&[1, 2])
-                .unwrap()
-                .probe(&[&db, &Value::Num(3.5)]),
-            &[1]
-        );
-        assert_eq!(r.composite(&[0, 1]).unwrap().probe(&[&ann, &db]), &[0]);
+        assert_eq!(r.indexed_columns(), vec![0, 2]);
+        assert_eq!(r.index_probes(), 1, "adoption probes nothing");
+        assert_eq!(r.probe(2, &Value::Num(3.5)), &[1]);
     }
 
     #[test]
@@ -1359,7 +972,6 @@ mod tests {
         for i in 0..10 {
             r.insert(row(i)).unwrap();
         }
-        assert!(r.ensure_composite(&[0, 1]));
         // Five removals leave as many tombstones as live rows: no compaction.
         assert_eq!(r.remove_batch(&[row(0), row(2), row(4), row(6), row(8)]), 5);
         assert_eq!((r.len(), r.high_water()), (5, 10));
@@ -1371,8 +983,10 @@ mod tests {
         assert_eq!(kept, vec![row(1), row(3), row(7), row(9)]);
         assert_eq!(r.probe(0, &Value::Int(1)), &[0, 2]);
         assert_eq!(r.probe(0, &Value::Int(0)), &[1, 3]);
-        let ix = r.composite(&[0, 1]).unwrap();
-        assert_eq!(ix.probe(&[&Value::Int(1), &Value::Int(7)]), &[2]);
+        assert_eq!(
+            r.probe_cols(&[(0, &Value::Int(1)), (1, &Value::Int(7))]),
+            vec![2]
+        );
         // Appends continue after the compacted range.
         r.insert(row(11)).unwrap();
         assert_eq!(r.probe(1, &Value::Int(11)), &[4]);
@@ -1403,20 +1017,18 @@ mod tests {
             r.insert(Tuple::new(vec![Value::Int(i), Value::Int(i % 40)]))
                 .unwrap();
         }
-        assert!(r.ensure_composite(&[0, 1]));
         r.probe(0, &Value::Int(0));
         r.probe(1, &Value::Int(0));
         let snap = r.clone();
         assert_eq!(r.unshared_pieces(&snap), 0);
         r.insert(Tuple::new(vec![Value::Int(-1), Value::Int(7)]))
             .unwrap();
-        // Tail segment, one presence shard, one shard per column, one
-        // composite shard.
+        // Tail segment, one presence shard, one shard per column.
         let after_insert = r.unshared_pieces(&snap);
-        assert!(after_insert <= 5, "{after_insert} pieces copied");
+        assert!(after_insert <= 4, "{after_insert} pieces copied");
         assert!(r.remove(&Tuple::new(vec![Value::Int(17), Value::Int(17)])));
         let after_remove = r.unshared_pieces(&snap);
-        assert!(after_remove <= 10, "{after_remove} pieces copied");
+        assert!(after_remove <= 8, "{after_remove} pieces copied");
         assert_eq!(snap.len(), 5_000);
         assert_eq!(snap.probe(1, &Value::Int(17)).len(), 125);
         assert_eq!(r.probe(1, &Value::Int(17)).len(), 124);

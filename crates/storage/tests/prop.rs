@@ -2,16 +2,15 @@
 //! never get wrong: a probe answers exactly what a full scan answers.
 //!
 //! A random interleaving of `insert` / `remove` / `clear` exercises every
-//! maintenance path (append to live indexes, rebuild after id renumbering,
-//! definition-preserving reset), then single-column probes, composite
-//! probes, and `probe_cols` are each checked against a filtered scan of
-//! the same relation. The access-path counters are checked for
+//! maintenance path (append to built indexes, renumbering on compaction,
+//! reset), then single-column probes and multi-column `probe_cols` are
+//! each checked against a filtered scan of the same relation. The access-path counters are checked for
 //! monotonicity along the way — they only move forward, except at
 //! `clear`, which documents a reset to zero.
 //!
 //! A second property pins the storage model itself: under random
-//! interleavings of `insert` / `remove` / `remove_batch` / `clone` /
-//! `ensure_composite`, applied to the original and to its clones alike,
+//! interleavings of `insert` / `remove` / `remove_batch` / `clone`,
+//! applied to the original and to its clones alike,
 //! every live relation equals a plain `Vec<Tuple>` model in iteration
 //! order (removal filters, re-insertion appends) — stable row ids,
 //! tombstones and compaction must never show through — a third does the
@@ -72,7 +71,6 @@ fn resolve(rel: &Relation, ids: &[u32]) -> Vec<Tuple> {
 struct Counters {
     probes: u64,
     scans: u64,
-    composite: u64,
 }
 
 impl Counters {
@@ -80,12 +78,11 @@ impl Counters {
         Counters {
             probes: rel.index_probes(),
             scans: rel.full_scans(),
-            composite: rel.composite_probes(),
         }
     }
 
     fn at_least(self, prev: Counters) -> bool {
-        self.probes >= prev.probes && self.scans >= prev.scans && self.composite >= prev.composite
+        self.probes >= prev.probes && self.scans >= prev.scans
     }
 }
 
@@ -102,8 +99,8 @@ fn check_probes_match_scan(rel: &Relation) -> Result<(), TestCaseError> {
             prop_assert_eq!(&probed, &scanned, "single-column probe col={} v={}", col, n);
         }
     }
-    // Composite probes over every ascending column pair and the full
-    // triple; `probe_cols` must agree with the direct composite handle.
+    // Multi-column probes over every ascending column pair and the full
+    // triple.
     let col_sets: [&[usize]; 4] = [&[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
     for cols in col_sets {
         for a in 0..3i64 {
@@ -115,12 +112,6 @@ fn check_probes_match_scan(rel: &Relation) -> Result<(), TestCaseError> {
                 let pattern: Vec<(usize, Value)> =
                     cols.iter().copied().zip(vals.iter().cloned()).collect();
                 let scanned = scan_filter(rel, &pattern);
-
-                let ix = rel.composite(cols).expect("valid composite column set");
-                let key: Vec<&Value> = vals.iter().collect();
-                let direct = resolve(rel, ix.probe(&key));
-                prop_assert_eq!(&direct, &scanned, "composite probe cols={:?}", cols);
-
                 let borrowed: Vec<(usize, &Value)> =
                     cols.iter().copied().zip(vals.iter()).collect();
                 let routed = resolve(rel, &rel.probe_cols(&borrowed));
@@ -140,11 +131,10 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..40),
     ) {
         let mut rel = Relation::new("p", ARITY);
-        // Demand-build two composites up front so the op sequence
-        // exercises incremental `add`, rebuild-on-remove, and
-        // definition-preserving reset-on-clear — not just build-on-probe.
-        rel.composite(&[0, 1]).expect("composite [0,1]");
-        rel.composite(&[1, 2]).expect("composite [1,2]");
+        // Build two columns up front so the op sequence exercises
+        // maintenance of built indexes — not just build-on-probe.
+        rel.probe(0, &v(0));
+        rel.probe(1, &v(0));
 
         let mut prev = Counters::of(&rel);
         for op in &ops {
@@ -161,7 +151,7 @@ proptest! {
             if matches!(op, Op::Clear) {
                 prop_assert_eq!(
                     now,
-                    Counters { probes: 0, scans: 0, composite: 0 },
+                    Counters { probes: 0, scans: 0 },
                     "clear resets every counter"
                 );
             } else {
@@ -179,8 +169,7 @@ proptest! {
         // The checks above probed heavily; the meters must have seen it.
         let after = Counters::of(&rel);
         prop_assert!(after.at_least(prev), "probe checks decreased a counter");
-        prop_assert!(after.probes > prev.probes, "single-column probes were metered");
-        prop_assert!(after.composite > prev.composite, "composite probes were metered");
+        prop_assert!(after.probes > prev.probes, "probes were metered");
 
         // Counters survive a remove (they meter access paths, not
         // contents): rebuild-on-remove must carry probe counts over.
@@ -203,10 +192,7 @@ enum ModelOp {
     Remove(usize, [i64; ARITY]),
     RemoveBatch(usize, Vec<[i64; ARITY]>),
     Clone(usize),
-    EnsureComposite(usize, usize),
 }
-
-const COL_SETS: [&[usize]; 4] = [&[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
 
 fn arb_model_op() -> impl Strategy<Value = ModelOp> {
     prop_oneof![
@@ -215,7 +201,6 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
         1 => (0usize..8, proptest::collection::vec(arb_vals(), 1..6))
             .prop_map(|(i, vs)| ModelOp::RemoveBatch(i, vs)),
         1 => (0usize..8).prop_map(ModelOp::Clone),
-        1 => (0usize..8, 0usize..COL_SETS.len()).prop_map(|(i, c)| ModelOp::EnsureComposite(i, c)),
     ]
 }
 
@@ -276,9 +261,6 @@ proptest! {
                         let copy = (rel.clone(), model.clone());
                         live.push(copy);
                     }
-                }
-                ModelOp::EnsureComposite(i, c) => {
-                    prop_assert!(live[i % n].0.ensure_composite(COL_SETS[*c]));
                 }
             }
             for (rel, model) in &live {
@@ -413,7 +395,7 @@ proptest! {
     /// A write after a clone copies what it touches, not the relation:
     /// after k single-row writes, at most a constant number of pieces per
     /// write (a segment or tombstone bitmap, one presence shard, one shard
-    /// per column and per composite index) differ from the clone's.
+    /// per column) differ from the clone's.
     #[test]
     fn a_write_after_a_clone_copies_at_most_a_few_pieces_per_write(
         writes in proptest::collection::vec((0u8..2, 0usize..3_000), 1..40),
@@ -423,7 +405,6 @@ proptest! {
         for k in 0..3_000 {
             rel.insert(row(k)).expect("arity matches");
         }
-        prop_assert!(rel.ensure_composite(&[1, 2]));
         for c in 0..ARITY {
             rel.probe(c, &v(0));
         }
@@ -436,7 +417,7 @@ proptest! {
                 rel.remove(&row(k as i64));
             }
         }
-        let per_write = 2 + ARITY + 1;
+        let per_write = 2 + ARITY;
         let copied = rel.unshared_pieces(&snap);
         prop_assert!(
             copied <= per_write * writes.len(),

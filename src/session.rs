@@ -413,8 +413,8 @@ impl Session {
     /// holding [`SnapshotSession`]s see it at their next
     /// [`SnapshotSession::refresh`]; snapshots pinned to older epochs are
     /// untouched. Publication freezes everything a reader needs — facts,
-    /// rules, the compiled plan, the composite indexes the plan's scans
-    /// probe — and, for durable sessions, forces the WAL to stable
+    /// rules, the compiled plan, the column indexes readers of the last
+    /// epoch built — and, for durable sessions, forces the WAL to stable
     /// storage first, so a published epoch is always durable.
     pub fn publish(&mut self) -> Result<EpochId> {
         self.publish_then(Publisher::epoch)
@@ -528,9 +528,10 @@ impl From<KnowledgeBase> for Session {
 /// [`Session::snapshot`]; `Send + Sync` and cheap to clone, so any number
 /// of threads can hold one and ask it any read statement concurrently.
 /// Retrieves against a snapshot acquire **no lock**: the epoch owns its
-/// facts, rules, compiled plan and composite indexes, all frozen at
-/// publish time (the describe family briefly locks the epoch's shared
-/// caches, see [`SnapshotSession::describe`]).
+/// facts, rules and compiled plan, all frozen at publish time; a column
+/// index a retrieve probes first is built once in a `OnceLock` (the
+/// describe family briefly locks the epoch's shared caches, see
+/// [`SnapshotSession::describe`]).
 ///
 /// A snapshot never changes underneath its holder — a writer publishing
 /// new epochs is invisible until [`SnapshotSession::refresh`] is called,

@@ -385,6 +385,41 @@ fn fixpoint_work_is_pinned() {
     assert_eq!(applied.maintenance.derived_added, 131);
 }
 
+/// A scan with two bound columns takes the same access path as any
+/// other: it probes each bound column and walks the narrowest posting
+/// list. On a six-edge graph the triangle rule's closing scan `edge(Z, X)`
+/// runs once per two-edge path (10 of them) with both columns bound, so
+/// the evaluation spends 6 probes on `edge(Y, Z)` (one per edge) plus
+/// 2 × 10 on the closing scan, and indexes both columns of `edge`.
+#[test]
+fn a_scan_with_two_bound_columns_probes_each_column() {
+    let mut kb = KnowledgeBase::new();
+    kb.load(
+        "predicate edge(From, To).
+         tri(X, Y, Z) :- edge(X, Y), edge(Y, Z), edge(Z, X).
+         edge(a, b). edge(b, c). edge(c, a). edge(a, c). edge(c, d). edge(d, a).",
+    )
+    .unwrap();
+    let explain = qdk::engine::ProgramPlan::compile(kb.idb()).explain();
+    assert!(
+        explain.contains("scan edge(Z, X)  probe on Z, X"),
+        "{explain}"
+    );
+    let s = Session::over(kb);
+    let resp = s
+        .retrieve(
+            Request::subject("tri(X, Y, Z)")
+                .strategy(Strategy::SemiNaive)
+                .with_trace(true),
+        )
+        .unwrap();
+    assert_eq!(resp.as_data().unwrap().len(), 6);
+    let trace = resp.trace().unwrap();
+    assert_eq!(trace.counter("index_probes"), Some(26));
+    let edge = s.knowledge_base().edb().relation("edge").unwrap();
+    assert_eq!(edge.indexed_columns(), vec![0, 1]);
+}
+
 #[test]
 fn auto_rule6_recursion_with_negation_runs_semi_naive_unannounced() {
     let mut kb = KnowledgeBase::new();
