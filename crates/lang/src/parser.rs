@@ -48,7 +48,7 @@ pub fn parse_script(src: &str) -> Result<Vec<Statement>> {
     Ok(out)
 }
 
-fn statement(p: &mut Parser) -> Result<Statement> {
+fn statement(p: &mut Parser<'_>) -> Result<Statement> {
     if p.eat_keyword("predicate") {
         return declaration(p);
     }
@@ -103,7 +103,7 @@ fn statement(p: &mut Parser) -> Result<Statement> {
     Ok(program_src)
 }
 
-fn declaration(p: &mut Parser) -> Result<Statement> {
+fn declaration(p: &mut Parser<'_>) -> Result<Statement> {
     let name = p.identifier()?;
     if !p.eat_lparen() {
         return Err(LangError::from(
@@ -133,7 +133,7 @@ fn declaration(p: &mut Parser) -> Result<Statement> {
     Ok(Statement::Declare { name, attrs, key })
 }
 
-fn describe_statement(p: &mut Parser) -> Result<Statement> {
+fn describe_statement(p: &mut Parser<'_>) -> Result<Statement> {
     // describe * where ψ.
     if p.eat_star() {
         if !p.eat_keyword("where") {
@@ -179,7 +179,7 @@ fn describe_statement(p: &mut Parser) -> Result<Statement> {
     Ok(Statement::Describe(Describe::new(subject, Vec::new())))
 }
 
-fn compare_statement(p: &mut Parser) -> Result<Statement> {
+fn compare_statement(p: &mut Parser<'_>) -> Result<Statement> {
     let first = parenthesized_describe(p)?;
     if !p.eat_keyword("with") {
         return Err(LangError::from(p.error_here("expected 'with'")));
@@ -189,7 +189,7 @@ fn compare_statement(p: &mut Parser) -> Result<Statement> {
     Ok(Statement::Compare { first, second })
 }
 
-fn parenthesized_describe(p: &mut Parser) -> Result<Describe> {
+fn parenthesized_describe(p: &mut Parser<'_>) -> Result<Describe> {
     if !p.eat_lparen() {
         return Err(LangError::from(p.error_here("expected '('")));
     }
@@ -209,7 +209,7 @@ fn parenthesized_describe(p: &mut Parser) -> Result<Describe> {
 }
 
 /// A formula: literals separated by `and` or `,`.
-fn formula(p: &mut Parser) -> Result<Vec<Literal>> {
+fn formula(p: &mut Parser<'_>) -> Result<Vec<Literal>> {
     let mut lits = vec![p.literal()?];
     loop {
         if p.eat_keyword("and") || p.eat_comma() {
@@ -221,7 +221,7 @@ fn formula(p: &mut Parser) -> Result<Vec<Literal>> {
 }
 
 /// A positive formula (atoms only), for subjectless describes.
-fn positive_formula(p: &mut Parser) -> Result<Vec<Atom>> {
+fn positive_formula(p: &mut Parser<'_>) -> Result<Vec<Atom>> {
     let lits = formula(p)?;
     lits.into_iter()
         .map(|l| {
@@ -240,7 +240,7 @@ fn positive_formula(p: &mut Parser) -> Result<Vec<Atom>> {
 }
 
 /// One clause parsed through the logic crate's program machinery.
-fn clause_via_program(p: &mut Parser) -> Result<Statement> {
+fn clause_via_program(p: &mut Parser<'_>) -> Result<Statement> {
     // The logic parser exposes atom/body; reconstruct clause parsing here
     // to avoid consuming beyond the period.
     if p.eat_if() {
@@ -279,7 +279,7 @@ fn clause_via_program(p: &mut Parser) -> Result<Statement> {
     )))
 }
 
-fn body_literals(p: &mut Parser) -> Result<Vec<Literal>> {
+fn body_literals(p: &mut Parser<'_>) -> Result<Vec<Literal>> {
     let mut lits = vec![p.literal()?];
     while p.eat_comma() || p.eat_keyword("and") {
         lits.push(p.literal()?);

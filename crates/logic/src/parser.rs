@@ -24,16 +24,20 @@
 use crate::atom::Atom;
 use crate::clause::{Constraint, Program, Rule};
 use crate::error::{ParseError, Result};
+use crate::fasthash::FxHashMap;
+use crate::symbol::Sym;
 use crate::term::{Const, Term, Var};
 use crate::Literal;
+use std::borrow::Cow;
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Variable(String),
+/// A token. Names and unescaped strings borrow their text from the source.
+#[derive(Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Variable(&'a str),
     Int(i64),
     Num(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     LParen,
     RParen,
     Comma,
@@ -44,15 +48,15 @@ enum Tok {
     Star,
 }
 
-#[derive(Clone, Debug)]
-struct Spanned {
-    tok: Tok,
+struct Spanned<'a> {
+    tok: Tok<'a>,
     line: usize,
     col: usize,
 }
 
+/// Yields the tokens of a source text one at a time.
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -61,7 +65,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -69,11 +73,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -88,6 +92,15 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Consumes bytes while `keep` holds; returns the text consumed.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
+    }
+
     fn error(&self, msg: impl Into<String>) -> ParseError {
         ParseError::new(msg, self.line, self.col)
     }
@@ -99,180 +112,161 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 Some(b'%') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.take_while(|c| c != b'\n');
                 }
                 Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.take_while(|c| c != b'\n');
                 }
                 _ => break,
             }
         }
     }
 
-    fn tokenize(mut self) -> Result<Vec<Spanned>> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia();
-            let (line, col) = (self.line, self.col);
-            let Some(c) = self.peek() else { break };
-            let tok = match c {
-                b'(' => {
+    /// Lexes the next token; `None` at the end of the input.
+    fn next_token(&mut self) -> Result<Option<Spanned<'a>>> {
+        self.skip_trivia();
+        let (line, col) = (self.line, self.col);
+        let Some(c) = self.peek() else {
+            return Ok(None);
+        };
+        let tok = match c {
+            b'(' => {
+                self.bump();
+                Tok::LParen
+            }
+            b')' => {
+                self.bump();
+                Tok::RParen
+            }
+            b',' => {
+                self.bump();
+                Tok::Comma
+            }
+            b'*' => {
+                self.bump();
+                Tok::Star
+            }
+            b'.' => {
+                self.bump();
+                Tok::Period
+            }
+            b':' => {
+                self.bump();
+                if self.peek() == Some(b'-') {
                     self.bump();
-                    Tok::LParen
+                    Tok::If
+                } else {
+                    return Err(self.error("expected '-' after ':'"));
                 }
-                b')' => {
+            }
+            b'=' => {
+                self.bump();
+                Tok::Op("=")
+            }
+            b'!' => {
+                self.bump();
+                if self.peek() == Some(b'=') {
                     self.bump();
-                    Tok::RParen
+                    Tok::Op("!=")
+                } else {
+                    return Err(self.error("expected '=' after '!'"));
                 }
-                b',' => {
+            }
+            b'<' => {
+                self.bump();
+                if self.peek() == Some(b'=') {
                     self.bump();
-                    Tok::Comma
+                    Tok::Op("<=")
+                } else {
+                    Tok::Op("<")
                 }
-                b'*' => {
+            }
+            b'>' => {
+                self.bump();
+                if self.peek() == Some(b'=') {
                     self.bump();
-                    Tok::Star
+                    Tok::Op(">=")
+                } else {
+                    Tok::Op(">")
                 }
-                b'.' => {
-                    self.bump();
-                    Tok::Period
+            }
+            b'"' => {
+                self.bump();
+                Tok::Str(self.string()?)
+            }
+            c if c.is_ascii_digit()
+                || c == b'-' && self.peek2().is_some_and(|d| d.is_ascii_digit()) =>
+            {
+                self.number()?
+            }
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let s = self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+                if s == "not" {
+                    Tok::Not
+                } else if s.starts_with(|ch: char| ch.is_ascii_uppercase()) || s == "_" {
+                    Tok::Variable(s)
+                } else if s.starts_with('_') {
+                    return Err(ParseError::new(
+                        format!("identifiers may not begin with '_': {s}"),
+                        line,
+                        col,
+                    ));
+                } else {
+                    Tok::Ident(s)
                 }
-                b':' => {
-                    self.bump();
-                    if self.peek() == Some(b'-') {
-                        self.bump();
-                        Tok::If
-                    } else {
-                        return Err(self.error("expected '-' after ':'"));
-                    }
-                }
-                b'=' => {
-                    self.bump();
-                    Tok::Op("=")
-                }
-                b'!' => {
-                    self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        Tok::Op("!=")
-                    } else {
-                        return Err(self.error("expected '=' after '!'"));
-                    }
-                }
-                b'<' => {
-                    self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        Tok::Op("<=")
-                    } else {
-                        Tok::Op("<")
-                    }
-                }
-                b'>' => {
-                    self.bump();
-                    if self.peek() == Some(b'=') {
-                        self.bump();
-                        Tok::Op(">=")
-                    } else {
-                        Tok::Op(">")
-                    }
-                }
-                b'"' => {
-                    self.bump();
-                    let mut s = String::new();
-                    loop {
-                        match self.bump() {
-                            Some(b'"') => break,
-                            Some(b'\\') => match self.bump() {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                _ => return Err(self.error("bad escape in string")),
-                            },
-                            Some(c) => s.push(c as char),
-                            None => return Err(self.error("unterminated string")),
-                        }
-                    }
-                    Tok::Str(s)
-                }
-                b'-' if self.peek2().is_some_and(|d| d.is_ascii_digit()) => {
-                    self.bump();
-                    self.number(true)?
-                }
-                c if c.is_ascii_digit() => self.number(false)?,
-                c if c.is_ascii_alphabetic() || c == b'_' => {
-                    let mut s = String::new();
-                    while let Some(c) = self.peek() {
-                        if c.is_ascii_alphanumeric() || c == b'_' {
-                            s.push(c as char);
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                    if s == "not" {
-                        Tok::Not
-                    } else if s.starts_with(|ch: char| ch.is_ascii_uppercase()) || s == "_" {
-                        Tok::Variable(s)
-                    } else if s.starts_with('_') {
-                        return Err(ParseError::new(
-                            format!("identifiers may not begin with '_': {s}"),
-                            line,
-                            col,
-                        ));
-                    } else {
-                        Tok::Ident(s)
-                    }
-                }
-                other => {
-                    return Err(self.error(format!("unexpected character {:?}", other as char)))
-                }
-            };
-            out.push(Spanned { tok, line, col });
-        }
-        Ok(out)
+            }
+            _ => {
+                // Every token and comment ends on an ASCII byte, so `pos`
+                // is on a character boundary here.
+                let ch = self.src[self.pos..].chars().next().unwrap_or('\u{fffd}');
+                return Err(self.error(format!("unexpected character {ch:?}")));
+            }
+        };
+        Ok(Some(Spanned { tok, line, col }))
     }
 
-    /// Lexes a number. A `.` is consumed as a decimal point only when
-    /// followed by a digit, so the clause-terminating period after e.g.
-    /// `4.0.` or `p(3).` lexes correctly.
-    fn number(&mut self, negative: bool) -> Result<Tok> {
-        let mut s = String::new();
-        if negative {
-            s.push('-');
-        }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                s.push(c as char);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') && self.peek2().is_some_and(|d| d.is_ascii_digit()) {
-            is_float = true;
-            s.push('.');
-            self.bump();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() {
-                    s.push(c as char);
-                    self.bump();
-                } else {
-                    break;
+    /// Lexes a quoted string's text after its opening quote: a slice of
+    /// the source, copied only when it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>> {
+        let plain = self.take_while(|c| c != b'"' && c != b'\\');
+        let mut text = Cow::Borrowed(plain);
+        loop {
+            match self.bump() {
+                Some(b'"') => return Ok(text),
+                Some(b'\\') => {
+                    let unescaped = match self.bump() {
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        _ => return Err(self.error("bad escape in string")),
+                    };
+                    let owned = text.to_mut();
+                    owned.push(unescaped);
+                    owned.push_str(self.take_while(|c| c != b'"' && c != b'\\'));
                 }
+                _ => return Err(self.error("unterminated string")),
             }
         }
+    }
+
+    /// Lexes a number, with its leading `-` if any. A `.` is consumed as a
+    /// decimal point only when followed by a digit, so the
+    /// clause-terminating period after e.g. `4.0.` or `p(3).` lexes
+    /// correctly.
+    fn number(&mut self) -> Result<Tok<'a>> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.bump();
+        }
+        self.take_while(|c| c.is_ascii_digit());
+        let is_float =
+            self.peek() == Some(b'.') && self.peek2().is_some_and(|d| d.is_ascii_digit());
+        if is_float {
+            self.bump();
+            self.take_while(|c| c.is_ascii_digit());
+        }
+        let s = &self.src[start..self.pos];
         if is_float {
             s.parse::<f64>()
                 .map(Tok::Num)
@@ -285,46 +279,71 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// The parser proper.
-pub struct Parser {
-    toks: Vec<Spanned>,
-    pos: usize,
+/// The parser proper: the lexer, one token of lookahead, and the symbols
+/// this parse has made so far.
+pub struct Parser<'a> {
+    lexer: Lexer<'a>,
+    next: Option<Tok<'a>>,
+    /// Position of the lookahead token, or of the last token once the
+    /// input is exhausted: where an error points.
+    at: (usize, usize),
     anon: u64,
+    /// One symbol per distinct name, so every occurrence of a name in this
+    /// parse shares one allocation.
+    syms: FxHashMap<&'a str, Sym>,
 }
 
-impl Parser {
-    /// Creates a parser over the given source text.
-    pub fn new(src: &str) -> Result<Self> {
-        Ok(Parser {
-            toks: Lexer::new(src).tokenize()?,
-            pos: 0,
+impl<'a> Parser<'a> {
+    /// Creates a parser over the given source text. Lexes the whole input
+    /// once, storing nothing, so a lexical error anywhere is reported
+    /// before any grammar error.
+    pub fn new(src: &'a str) -> Result<Self> {
+        let mut check = Lexer::new(src);
+        while check.next_token()?.is_some() {}
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            next: None,
+            at: (1, 1),
             anon: 0,
-        })
+            syms: FxHashMap::default(),
+        };
+        p.advance();
+        Ok(p)
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+    /// Lexes the next token into the lookahead slot.
+    fn advance(&mut self) {
+        // The input lexed without error in `new`, so this cannot fail.
+        self.next = match self.lexer.next_token().unwrap_or(None) {
+            Some(Spanned { tok, line, col }) => {
+                self.at = (line, col);
+                Some(tok)
+            }
+            None => None,
+        };
     }
 
-    fn bump(&mut self) -> Option<Spanned> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn peek(&self) -> Option<&Tok<'a>> {
+        self.next.as_ref()
     }
 
-    fn here(&self) -> (usize, usize) {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map(|s| (s.line, s.col))
-            .unwrap_or((1, 1))
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.next.take()?;
+        self.advance();
+        Some(t)
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
-        let (l, c) = self.here();
-        ParseError::new(msg, l, c)
+        ParseError::new(msg, self.at.0, self.at.1)
+    }
+
+    /// The symbol for `name`, allocated on its first occurrence in this
+    /// parse.
+    fn sym(&mut self, name: &'a str) -> Sym {
+        self.syms
+            .entry(name)
+            .or_insert_with(|| Sym::new(name))
+            .clone()
     }
 
     fn expect(&mut self, want: &Tok, what: &str) -> Result<()> {
@@ -340,14 +359,14 @@ impl Parser {
 
     /// True if all tokens are consumed.
     pub fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
+        self.next.is_none()
     }
 
     /// Consumes the next token if it is the identifier `kw`; returns
     /// whether it did. Used by statement-level parsers layered on top of
     /// this one (the query language's `where`, `and`, `necessary`, …).
     pub fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Ident(s)) if s == kw) {
+        if self.peek_keyword(kw) {
             self.bump();
             true
         } else {
@@ -357,7 +376,7 @@ impl Parser {
 
     /// True if the next token is the identifier `kw` (without consuming).
     pub fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
+        matches!(self.peek(), Some(Tok::Ident(s)) if *s == kw)
     }
 
     /// Consumes a comma if next; returns whether it did.
@@ -397,7 +416,7 @@ impl Parser {
 
     /// Consumes an integer literal.
     pub fn integer(&mut self) -> Result<i64> {
-        match self.bump().map(|s| s.tok) {
+        match self.bump() {
             Some(Tok::Int(i)) => Ok(i),
             other => Err(self.error(format!("expected integer, found {other:?}"))),
         }
@@ -405,16 +424,16 @@ impl Parser {
 
     /// Consumes an identifier and returns its text.
     pub fn identifier(&mut self) -> Result<String> {
-        match self.bump().map(|s| s.tok) {
-            Some(Tok::Ident(s)) => Ok(s),
+        match self.bump() {
+            Some(Tok::Ident(s)) => Ok(s.to_string()),
             other => Err(self.error(format!("expected identifier, found {other:?}"))),
         }
     }
 
     /// Consumes a name usable as an attribute: identifier or variable.
     pub fn name(&mut self) -> Result<String> {
-        match self.bump().map(|s| s.tok) {
-            Some(Tok::Ident(s)) | Some(Tok::Variable(s)) => Ok(s),
+        match self.bump() {
+            Some(Tok::Ident(s)) | Some(Tok::Variable(s)) => Ok(s.to_string()),
             other => Err(self.error(format!("expected name, found {other:?}"))),
         }
     }
@@ -435,23 +454,34 @@ impl Parser {
 
     /// Parses a term.
     pub fn term(&mut self) -> Result<Term> {
-        match self.bump().map(|s| s.tok) {
-            Some(Tok::Variable(v)) => {
-                if v == "_" {
-                    let name = format!("_anon{}", self.anon);
-                    self.anon += 1;
-                    Ok(Term::Var(Var::new(&name)))
-                } else {
-                    Ok(Term::var(&v))
-                }
+        match self.bump() {
+            Some(Tok::Variable("_")) => {
+                let name = format!("_anon{}", self.anon);
+                self.anon += 1;
+                Ok(Term::Var(Var::new(&name)))
             }
-            Some(Tok::Ident(s)) => Ok(Term::sym(&s)),
+            Some(Tok::Variable(v)) => Ok(Term::Var(Var(self.sym(v)))),
+            Some(Tok::Ident(s)) => Ok(Term::Const(Const::Sym(self.sym(s)))),
             Some(Tok::Int(i)) => Ok(Term::Const(Const::Int(i))),
             Some(Tok::Num(n)) => Ok(Term::Const(Const::Num(n))),
-            Some(Tok::Str(s)) => Ok(Term::Const(Const::str(&s))),
+            Some(Tok::Str(Cow::Borrowed(s))) => Ok(Term::Const(Const::Str(self.sym(s)))),
+            Some(Tok::Str(Cow::Owned(s))) => Ok(Term::Const(Const::Str(Sym::from(s)))),
             Some(t) => Err(self.error(format!("expected term, found {t:?}"))),
             None => Err(self.error("expected term, found end of input")),
         }
+    }
+
+    /// Parses the operator and right operand of an infix comparison whose
+    /// left operand is `l`.
+    fn comparison(&mut self, l: Term) -> Result<Atom> {
+        let op = match self.bump() {
+            Some(Tok::Op(op)) => op,
+            other => {
+                return Err(self.error(format!("expected comparison operator, found {other:?}")))
+            }
+        };
+        let r = self.term()?;
+        Ok(Atom::new(self.sym(op), vec![l, r]))
     }
 
     /// Parses an atom: an ordinary predicate application, a parenthesized
@@ -462,48 +492,28 @@ impl Parser {
                 // Parenthesized comparison: "(Z > 3.7)".
                 self.bump();
                 let l = self.term()?;
-                let op = match self.bump().map(|s| s.tok) {
-                    Some(Tok::Op(op)) => op,
-                    other => {
-                        return Err(
-                            self.error(format!("expected comparison operator, found {other:?}"))
-                        )
-                    }
-                };
-                let r = self.term()?;
+                let a = self.comparison(l)?;
                 self.expect(&Tok::RParen, "')'")?;
-                Ok(Atom::new(op, vec![l, r]))
+                Ok(a)
             }
-            Some(Tok::Ident(_)) => {
-                let Some(Tok::Ident(p)) = self.bump().map(|s| s.tok) else {
-                    unreachable!()
-                };
-                if self.peek() == Some(&Tok::LParen) {
-                    self.bump();
+            Some(&Tok::Ident(p)) => {
+                self.bump();
+                let pred = self.sym(p);
+                if self.eat_tok(&Tok::LParen) {
                     let mut args = vec![self.term()?];
-                    while self.peek() == Some(&Tok::Comma) {
-                        self.bump();
+                    while self.eat_tok(&Tok::Comma) {
                         args.push(self.term()?);
                     }
                     self.expect(&Tok::RParen, "')'")?;
-                    Ok(Atom::new(p.as_str(), args))
+                    Ok(Atom::new(pred, args))
                 } else {
-                    Ok(Atom::new(p.as_str(), vec![]))
+                    Ok(Atom::new(pred, vec![]))
                 }
             }
             // Bare comparison starting with a non-ident term: "X > 3".
             Some(Tok::Variable(_) | Tok::Int(_) | Tok::Num(_) | Tok::Str(_)) => {
                 let l = self.term()?;
-                let op = match self.bump().map(|s| s.tok) {
-                    Some(Tok::Op(op)) => op,
-                    other => {
-                        return Err(
-                            self.error(format!("expected comparison operator, found {other:?}"))
-                        )
-                    }
-                };
-                let r = self.term()?;
-                Ok(Atom::new(op, vec![l, r]))
+                self.comparison(l)
             }
             other => Err(self.error(format!("expected atom, found {other:?}"))),
         }
@@ -512,8 +522,7 @@ impl Parser {
     /// Parses a body literal: `not atom` or an atom (including infix
     /// comparisons).
     pub fn literal(&mut self) -> Result<Literal> {
-        if self.peek() == Some(&Tok::Not) {
-            self.bump();
+        if self.eat_tok(&Tok::Not) {
             Ok(Literal::neg(self.atom()?))
         } else {
             Ok(Literal::pos(self.atom()?))
@@ -523,8 +532,7 @@ impl Parser {
     /// Parses a comma-separated body of literals.
     pub fn body(&mut self) -> Result<Vec<Literal>> {
         let mut lits = vec![self.literal()?];
-        while self.peek() == Some(&Tok::Comma) {
-            self.bump();
+        while self.eat_tok(&Tok::Comma) {
             lits.push(self.literal()?);
         }
         Ok(lits)
@@ -532,8 +540,7 @@ impl Parser {
 
     /// Parses one clause (rule or constraint), consuming the final period.
     fn clause(&mut self) -> Result<ClauseKind> {
-        if self.peek() == Some(&Tok::If) {
-            self.bump();
+        if self.eat_tok(&Tok::If) {
             let body = self.body()?;
             self.expect(&Tok::Period, "'.'")?;
             let atoms = body
@@ -552,8 +559,7 @@ impl Parser {
         if head.is_builtin() {
             return Err(self.error("a comparison cannot be the head of a rule"));
         }
-        let body = if self.peek() == Some(&Tok::If) {
-            self.bump();
+        let body = if self.eat_tok(&Tok::If) {
             self.body()?
         } else {
             Vec::new()
@@ -736,6 +742,34 @@ mod tests {
     fn strings_with_escapes() {
         let t = parse_term(r#""fall \"89\"""#).unwrap();
         assert_eq!(t, Term::Const(Const::str("fall \"89\"")));
+    }
+
+    #[test]
+    fn strings_keep_non_ascii_text() {
+        assert_eq!(
+            parse_term("\"naïve\"").unwrap(),
+            Term::Const(Const::str("naïve"))
+        );
+        assert_eq!(
+            parse_term(r#""ï\"é\n""#).unwrap(),
+            Term::Const(Const::str("ï\"é\n"))
+        );
+    }
+
+    #[test]
+    fn each_distinct_name_is_allocated_once_per_parse() {
+        let r = parse_rule("p(X, a) :- q(a, X), p(X, a).").unwrap();
+        let (head, body) = (&r.head, &r.body[1].atom);
+        assert!(head.pred.ptr_eq(&body.pred));
+        for (h, b) in head.args.iter().zip(&body.args) {
+            let (Term::Var(Var(h)) | Term::Const(Const::Sym(h))) = h else {
+                panic!("{h:?}")
+            };
+            let (Term::Var(Var(b)) | Term::Const(Const::Sym(b))) = b else {
+                panic!("{b:?}")
+            };
+            assert!(h.ptr_eq(b), "{h} is allocated twice");
+        }
     }
 
     #[test]

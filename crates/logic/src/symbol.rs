@@ -24,6 +24,12 @@ impl Sym {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// True if both symbols share one allocation.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Sym) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl fmt::Debug for Sym {

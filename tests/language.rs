@@ -3,7 +3,7 @@
 
 use qdk::lang::ast::Statement;
 use qdk::lang::parser::{parse_script, parse_statement};
-use qdk::KnowledgeBase;
+use qdk::{KnowledgeBase, Request, Session};
 
 #[test]
 fn full_session_script() {
@@ -104,4 +104,15 @@ fn ack_messages_describe_the_action() {
     assert!(a.to_string().contains("stored"));
     let a = kb.run("honor(X) :- student(X, Y, Z), Z > 3.7.").unwrap();
     assert!(a.to_string().contains("defined rule"));
+}
+
+#[test]
+fn non_ascii_strings_load_and_render_intact() {
+    let mut s = Session::new();
+    s.load("predicate word(W).\nword(\"naïve\").\nword(\"ça \\\"va\\\"\").")
+        .unwrap();
+    let answer = s.retrieve(Request::subject("word(W)")).unwrap();
+    let data = answer.as_data().unwrap();
+    assert!(data.contains_row(&["\"naïve\""]), "{data}");
+    assert!(data.contains_row(&["\"ça \\\"va\\\"\""]), "{data}");
 }

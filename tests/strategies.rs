@@ -492,10 +492,9 @@ fn a_slice_includes_what_its_rules_negate() {
 }
 
 /// The choice, the rows in order and the rendered answer are the same on
-/// every ask, and on a snapshot reader after `publish`. Evaluation runs on
-/// the calling thread, so one worker count is all there is to hold.
+/// every ask, and on a snapshot reader after `publish`.
 #[test]
-fn auto_choice_and_answer_ignore_workers_and_snapshots() {
+fn auto_choice_and_answer_hold_on_every_ask_and_snapshot() {
     let mut s = university();
     let mut reader = s.snapshot().unwrap();
     s.run("prereq(programming, logic).").unwrap();
