@@ -178,9 +178,9 @@ pub struct FactView<'a> {
     derived: &'a DerivedFacts,
     delta: Option<(&'a DeltaRanges, usize)>,
     /// When set, the delta occurrence resolves its predicate in this store
-    /// instead of the EDB or `derived` — DRed's deletion phase reads the
-    /// candidate-deleted tuples here while every other occurrence still
-    /// reads the untouched pre-retraction state.
+    /// instead of the EDB or `derived` — a retraction's forward step reads
+    /// the deleted facts here while every other occurrence reads the
+    /// current state.
     overlay: Option<&'a DerivedFacts>,
 }
 
@@ -217,10 +217,10 @@ impl<'a> FactView<'a> {
 
     /// A view where body occurrence `occurrence` reads the `overlay`
     /// store's relation (windowed by `delta`) while every other occurrence
-    /// reads the EDB and `derived` unchanged. This is DRed's
-    /// overestimation view: the overlay holds the tuples deleted so far,
-    /// and a rule fired through it enumerates exactly the derivations that
-    /// used at least one deleted tuple at that position.
+    /// reads the EDB and `derived` unchanged. This is a retraction's
+    /// forward-step view: the overlay holds the deleted facts, and a rule
+    /// fired through it enumerates exactly the derivations that used a
+    /// deleted fact of the window at that position.
     pub(crate) fn with_overlay(
         edb: &'a Edb,
         derived: &'a DerivedFacts,
@@ -264,8 +264,8 @@ impl<'a> FactView<'a> {
             }
             _ => None,
         };
-        // DRed's overestimation view: the delta occurrence reads the
-        // deleted-tuples overlay regardless of where the predicate is
+        // The forward-step view: the delta occurrence reads the
+        // deleted-facts overlay regardless of where the predicate is
         // stored (the retracted seed is an EDB fact, the consequences are
         // derived).
         if let (Some(overlay), Some(_)) = (self.overlay, window) {

@@ -7,14 +7,20 @@
 //! * **Insertion** runs semi-naive delta propagation seeded with the new
 //!   tuple: the freshly appended EDB tuple is a one-element id window, and
 //!   only rule instantiations touching it (transitively) fire.
-//! * **Retraction** runs DRed (delete-and-rederive): phase A overestimates
-//!   the deleted derived tuples by firing delta-first rule variants whose
-//!   delta occurrence reads the deleted-tuples overlay against the
-//!   untouched pre-retraction state; phase B removes the overestimate in
-//!   one batch per relation; phase C walks the strata in order, re-deriving
-//!   every deleted tuple with at least one surviving derivation (a
-//!   head-bound one-step check, then delta propagation from the
-//!   re-inserted tuples).
+//! * **Retraction** runs Backward/Forward (B/F; Motik, Nenov, Piro and
+//!   Horrocks, AAAI 2015), one dependency component at a time (the
+//!   strongly connected components of the predicate graph, in dependency
+//!   order — each stratum split further). The *forward* step fires
+//!   delta-first rule variants whose delta occurrence reads the
+//!   deleted-facts overlay, finding each derived fact that had a
+//!   derivation through a deleted fact. Before such a candidate goes, the
+//!   *backward* check looks for another derivation with the head-bound
+//!   plans, proving facts only from surviving EDB facts, settled lower
+//!   components and facts already proved in this run; it recurses into
+//!   body facts of the candidate's own component, so mutual support never
+//!   counts as a derivation. Only unproved candidates are removed, and
+//!   only they feed the next forward step: a retraction costs the facts
+//!   that go plus their boundary checks, and survivors keep their row ids.
 //! * **Rule changes** invalidate only the affected predicates: relations of
 //!   the new head and everything depending on it are dropped and re-derived
 //!   with the settled lower strata as seed ([`crate::seminaive::eval`]);
@@ -37,22 +43,28 @@ use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive::{self, Fixpoint, RoundRule, Start};
 use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
-use qdk_logic::{Frame, IrTerm, Rule, Sym};
+use qdk_logic::{Frame, IrAtom, IrTerm, Rule, Sym};
 use qdk_storage::{Edb, Relation, Tuple, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Counters describing what one maintenance operation did. Merged across
 /// the operations of a mutation batch by the language layer.
 #[derive(Clone, Debug, Default)]
 pub struct MaintainStats {
-    /// Derived facts added by delta propagation (insertion or rederive
-    /// spill-over).
+    /// Derived facts added by delta propagation.
     pub derived_added: usize,
-    /// Derived facts removed by DRed's deletion phase or a scoped rule
-    /// invalidation.
+    /// Derived facts removed: by a retraction, the candidates whose last
+    /// derivation went (each removed once, never put back); by a rule
+    /// change, the extensions of the invalidated predicates.
     pub derived_deleted: usize,
-    /// Deleted facts put back because an alternative derivation survived.
+    /// Retraction candidates that lost a derivation but kept another: the
+    /// backward check proved them, so they stayed in place with their row
+    /// ids (nothing is deleted and re-inserted).
     pub rederived: usize,
+    /// Facts whose derivations a retraction's backward check enumerated,
+    /// each at most once per retraction.
+    pub checked: usize,
     /// Strata whose generation counter was bumped by a rule change.
     pub strata_invalidated: usize,
     /// Reasons incremental maintenance fell back to full recomputation
@@ -66,6 +78,7 @@ impl MaintainStats {
         self.derived_added += other.derived_added;
         self.derived_deleted += other.derived_deleted;
         self.rederived += other.rederived;
+        self.checked += other.checked;
         self.strata_invalidated += other.strata_invalidated;
         self.recompute_reasons
             .extend(other.recompute_reasons.iter().cloned());
@@ -80,42 +93,31 @@ impl MaintainStats {
 /// The outcome of preparing a retraction against the pre-retraction state.
 #[derive(Debug)]
 pub enum Retraction {
-    /// No rule reads the retracted predicate: removing the EDB tuple is the
-    /// whole operation.
+    /// No derived fact has a derivation through the retracted fact:
+    /// removing the EDB tuple is the whole operation.
     Clean,
-    /// The DRed deletion overestimate: every derived tuple at least one of
-    /// whose known derivations used the retracted fact. Hand it to
-    /// [`MaintainedStore::finish_retract`] after removing the EDB tuple.
+    /// The retracted fact and the derived facts with a derivation through
+    /// it. Hand it to [`MaintainedStore::finish_retract`] after removing
+    /// the EDB tuple.
     Prepared(Doomed),
 }
 
-/// Opaque payload of [`Retraction::Prepared`]: the deletion-candidate
-/// store computed by DRed's overestimation phase.
+/// Opaque payload of [`Retraction::Prepared`]: the first forward step of
+/// a Backward/Forward retraction, taken before the EDB tuple leaves so a
+/// derivation that reads the tuple twice is still seen.
 #[derive(Debug)]
 pub struct Doomed {
-    overlay: DerivedFacts,
-    pred: Sym,
-}
-
-impl Doomed {
-    /// Size of the deletion overestimate: how many derived tuples DRed
-    /// will delete and attempt to rederive. Observability reports this as
-    /// the `dred_overestimate` counter.
-    pub fn len(&self) -> usize {
-        self.overlay.len()
-    }
-
-    /// True when the overestimate is empty (the retraction reached no
-    /// derived fact).
-    pub fn is_empty(&self) -> bool {
-        self.overlay.is_empty()
-    }
+    /// The deleted-facts overlay, holding just the retracted tuple.
+    deleted: DerivedFacts,
+    /// Derived facts with a derivation through the retracted tuple.
+    candidates: Vec<(Sym, Tuple)>,
 }
 
 /// Everything a maintained store derives from the rules alone: the
-/// program plan, the stratification, delta-first rule variants for every
-/// positive body occurrence, head-bound plans for rederivability checks,
-/// and which predicates each mutation can reach. Shared behind an `Arc` by
+/// program plan, the stratification and dependency components,
+/// delta-first rule variants for every positive body occurrence,
+/// head-bound plans for the backward check, and which predicates each
+/// mutation can reach. Shared behind an `Arc` by
 /// every clone of the store (transaction undo copies, published epochs)
 /// and rebuilt only when the rules change.
 #[derive(Debug)]
@@ -126,16 +128,21 @@ struct RuleParts {
     stratum_rules: Vec<Vec<usize>>,
     /// Per rule (parallel to `plan.plans()`): every positive non-builtin
     /// body occurrence paired with the delta-first re-plan that scans it
-    /// outermost. Insertion propagation and DRed's overestimation both
-    /// fire these.
+    /// outermost. Insertion propagation and the retraction's forward step
+    /// both fire these.
     variants: Vec<Vec<(usize, RulePlan)>>,
+    /// Per scanned predicate, the variants (rule, position in
+    /// `variants[rule]`) whose delta occurrence reads it.
+    readers: FxHashMap<Sym, Vec<(usize, usize)>>,
     /// The predicates the variants scan, each once: the relations whose
     /// high-water marks are a propagation's baseline.
     scanned: Vec<Sym>,
-    /// Per rule: the body re-planned with every head slot pre-bound — the
-    /// one-step rederivability check executes this with the deleted tuple's
-    /// values already in the frame.
-    bound_plans: Vec<RulePlan>,
+    /// The dependency component of every rule head, numbered in
+    /// dependency order: a component's rules read only its own and lower
+    /// components' predicates.
+    component: FxHashMap<Sym, usize>,
+    /// Per rule: how the backward check enumerates its derivations.
+    checks: Vec<CheckPlan>,
     /// Rules per head predicate, in rule order.
     by_head: FxHashMap<Sym, Vec<usize>>,
     /// Every predicate some rule body reads (either polarity), with the
@@ -169,7 +176,7 @@ impl RuleParts {
                 rules
             })
             .collect();
-        let (variants, bound_plans) = compile_variants(&plan);
+        let variants = compile_variants(&plan);
         let mut scanned: Vec<Sym> = Vec::new();
         let mut seen: FxHashSet<&Sym> = FxHashSet::default();
         for (_, dp) in variants.iter().flatten() {
@@ -182,14 +189,41 @@ impl RuleParts {
                 }
             }
         }
+        let mut readers: FxHashMap<Sym, Vec<(usize, usize)>> = FxHashMap::default();
+        for (r, rule_variants) in variants.iter().enumerate() {
+            for (k, (i, dp)) in rule_variants.iter().enumerate() {
+                readers
+                    .entry(dp.compiled.body[*i].atom.pred.clone())
+                    .or_default()
+                    .push((r, k));
+            }
+        }
+        let mut component: FxHashMap<Sym, usize> = FxHashMap::default();
+        let mut components = 0;
+        for scc in DependencyGraph::for_evaluation(idb).sccs_in_order() {
+            let before = component.len();
+            for p in scc.into_iter().filter(|p| by_head.contains_key(p)) {
+                component.insert(p, components);
+            }
+            if component.len() > before {
+                components += 1;
+            }
+        }
+        let checks = plan
+            .plans()
+            .iter()
+            .map(|rp| CheckPlan::new(rp, &component, plan.stats()))
+            .collect();
         Ok(RuleParts {
             reach: fallback_reasons(idb),
             plan,
             strat,
             stratum_rules,
             variants,
+            readers,
             scanned,
-            bound_plans,
+            component,
+            checks,
             by_head,
         })
     }
@@ -287,10 +321,9 @@ fn materialize(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts>
     )
 }
 
-/// The delta-variant and head-bound plans for every rule of `plan`.
-fn compile_variants(plan: &ProgramPlan) -> (Vec<Vec<(usize, RulePlan)>>, Vec<RulePlan>) {
-    let variants = plan
-        .plans()
+/// The delta-variant plans for every rule of `plan`.
+fn compile_variants(plan: &ProgramPlan) -> Vec<Vec<(usize, RulePlan)>> {
+    plan.plans()
         .iter()
         .map(|rp| {
             rp.compiled
@@ -301,26 +334,73 @@ fn compile_variants(plan: &ProgramPlan) -> (Vec<Vec<(usize, RulePlan)>>, Vec<Rul
                 .map(|(i, _)| (i, rp.delta_variant(i, plan.stats())))
                 .collect()
         })
-        .collect();
-    let bound_plans = plan
-        .plans()
-        .iter()
-        .map(|rp| {
-            let mut bound = vec![false; rp.compiled.num_slots()];
-            for arg in &rp.compiled.head.args {
-                if let IrTerm::Slot(s) = arg {
-                    bound[*s as usize] = true;
-                }
+        .collect()
+}
+
+/// How the backward check enumerates one rule's derivations of a given
+/// head fact.
+#[derive(Debug)]
+struct CheckPlan {
+    /// The body with every head slot pre-bound, minus the looked-up atoms.
+    plan: RulePlan,
+    /// The positive body atoms in the head's own component — the body
+    /// facts a check recurses into instead of reading as settled — each
+    /// with whether it is looked up rather than scanned: an atom whose
+    /// every slot the head or a scanned atom binds is left out of `plan`
+    /// and looked up by value once the rest of the body matched.
+    recursive: Vec<(usize, bool)>,
+}
+
+impl CheckPlan {
+    fn new(
+        rp: &RulePlan,
+        component: &FxHashMap<Sym, usize>,
+        stats: Option<&qdk_storage::CatalogStats>,
+    ) -> CheckPlan {
+        let c = &rp.compiled;
+        let own = component.get(&c.head.pred);
+        let database = |i: usize| c.body[i].positive && !c.source.body[i].is_builtin();
+        let same: Vec<usize> = (0..c.body.len())
+            .filter(|&i| database(i) && component.get(&c.body[i].atom.pred) == own)
+            .collect();
+        let slots = |atom: &IrAtom| -> Vec<u32> {
+            atom.args
+                .iter()
+                .filter_map(|t| match t {
+                    IrTerm::Slot(s) => Some(*s),
+                    IrTerm::Const(_) => None,
+                })
+                .collect()
+        };
+        let mut bound = vec![false; c.num_slots()];
+        for s in slots(&c.head) {
+            bound[s as usize] = true;
+        }
+        let mut by_rest = bound.clone();
+        for i in (0..c.body.len()).filter(|i| database(*i) && !same.contains(i)) {
+            for s in slots(&c.body[i].atom) {
+                by_rest[s as usize] = true;
             }
-            RulePlan::with_bound(
-                rp.compiled.clone(),
-                rp.rule_str.clone(),
-                bound,
-                plan.stats(),
-            )
-        })
-        .collect();
-    (variants, bound_plans)
+        }
+        let recursive: Vec<(usize, bool)> = same
+            .iter()
+            .map(|&i| {
+                (
+                    i,
+                    slots(&c.body[i].atom).iter().all(|&s| by_rest[s as usize]),
+                )
+            })
+            .collect();
+        let mut scanned = c.clone();
+        for &(i, _) in recursive.iter().rev().filter(|(_, looked_up)| *looked_up) {
+            scanned.body.remove(i);
+            scanned.source.body.remove(i);
+        }
+        CheckPlan {
+            plan: RulePlan::with_bound(scanned, rp.rule_str.clone(), bound, stats),
+            recursive,
+        }
+    }
 }
 
 impl MaintainedStore {
@@ -463,102 +543,28 @@ impl MaintainedStore {
         Ok(stats)
     }
 
-    /// DRed phase A, run against the *pre-retraction* state: computes the
-    /// overestimate of derived tuples whose derivations may all depend on
-    /// the retracted `tuple` of `pred`. Read-only; call before removing
-    /// the tuple from the EDB, and check
+    /// The first forward step of a retraction, run against the
+    /// *pre-retraction* state: finds the derived facts with a derivation
+    /// through the retracted `tuple` of `pred`. Read-only; call before
+    /// removing the tuple from the EDB, and check
     /// [`MaintainedStore::retract_fallback_reason`] first — this method
     /// assumes the retraction is maintainable.
     pub fn prepare_retract(&self, edb: &Edb, pred: &str, tuple: &Tuple) -> Result<Retraction> {
         if !self.is_read(pred) {
             return Ok(Retraction::Clean);
         }
-        let opts = EvalOptions::default();
-        let gov = opts.governor();
-        let mut overlay = DerivedFacts::new();
-        let pred_sym = Sym::new(pred);
-        overlay.insert(&pred_sym, tuple.clone())?;
-        let mut consumed: FxHashMap<Sym, usize> = FxHashMap::default();
-        // Global monotone fixpoint over all rules: ordering across strata
-        // does not matter for an overestimate, only coverage does.
-        loop {
-            let mut ranges = DeltaRanges::default();
-            for variants in &self.rules.variants {
-                for (i, dp) in variants {
-                    let p = &dp.compiled.body[*i].atom.pred;
-                    let mark = overlay.relation(p.as_str()).map_or(0, Relation::high_water);
-                    let c = consumed.get(p).copied().unwrap_or(0);
-                    if mark > c {
-                        ranges.insert(p.clone(), (c, mark));
-                    }
-                }
-            }
-            if ranges.is_empty() {
-                break;
-            }
-            let mut buffers: Vec<(Sym, Vec<Tuple>)> = Vec::new();
-            for (r, variants) in self.rules.variants.iter().enumerate() {
-                for (i, dp) in variants {
-                    if !ranges.contains_key(&dp.compiled.body[*i].atom.pred) {
-                        continue;
-                    }
-                    gov.tick()?;
-                    let view = FactView::with_overlay(edb, &self.derived, &overlay, &ranges, *i);
-                    let head = &dp.compiled.head;
-                    let known = self.derived.relation(head.pred.as_str());
-                    let doomed = overlay.relation(head.pred.as_str());
-                    let mut frame = Frame::new(dp.compiled.num_slots());
-                    let mut buf: Vec<Tuple> = Vec::new();
-                    let mut err: Option<EngineError> = None;
-                    let mut row: Vec<Value> = Vec::with_capacity(head.args.len());
-                    exec(dp, 0, &view, &mut frame, &mut |frame| {
-                        row.clear();
-                        for t in &head.args {
-                            match t.resolve(frame) {
-                                Some(c) => row.push(c.clone()),
-                                None => {
-                                    if err.is_none() {
-                                        err = Some(EngineError::UnsafeRule {
-                                            rule: dp.rule_str.clone(),
-                                            literal: head
-                                                .reify(frame, &dp.compiled.slots)
-                                                .to_string(),
-                                        });
-                                    }
-                                    return Ok(());
-                                }
-                            }
-                        }
-                        // A deletion candidate must currently be derived and
-                        // not already doomed.
-                        if known.is_some_and(|rel| rel.contains_slice(&row))
-                            && !doomed.is_some_and(|rel| rel.contains_slice(&row))
-                        {
-                            buf.push(Tuple::new(row.clone()));
-                        }
-                        Ok(())
-                    })?;
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    if !buf.is_empty() {
-                        buffers.push((self.rules.plan.plans()[r].compiled.head.pred.clone(), buf));
-                    }
-                }
-            }
-            for (p, &(_, hi)) in &ranges {
-                consumed.insert(p.clone(), hi);
-            }
-            for (p, buf) in buffers {
-                overlay.insert_all(&p, buf)?;
-            }
-        }
-        if overlay.len() <= 1 {
+        let pred = Sym::new(pred);
+        let mut deleted = DerivedFacts::new();
+        deleted.insert(&pred, tuple.clone())?;
+        let mut window = DeltaRanges::default();
+        window.insert(pred, (0, 1));
+        let candidates = self.forward(edb, &deleted, &window)?;
+        if candidates.is_empty() {
             return Ok(Retraction::Clean);
         }
         Ok(Retraction::Prepared(Doomed {
-            overlay,
-            pred: pred_sym,
+            deleted,
+            candidates,
         }))
     }
 
@@ -569,84 +575,111 @@ impl MaintainedStore {
         self.fallback_reason(edb, idb, pred)
     }
 
-    /// DRed phases B and C, run after the EDB tuple has been removed:
-    /// batch-delete the overestimate, then walk the strata in order
-    /// re-inserting every deleted tuple with a surviving one-step
-    /// derivation and propagating the reinsertions (which can only ever
-    /// re-add deleted tuples — anything derivable from the shrunken state
-    /// was derivable before).
+    /// The rest of a Backward/Forward retraction, run after the EDB tuple
+    /// has been removed (`idb` is not read: the rule-derived parts the
+    /// store carries are its compilation). Component by component in
+    /// dependency order, each candidate is checked for another
+    /// derivation; the unproved ones are removed in one batch per
+    /// relation, after the forward step from that batch has found the
+    /// next candidates. A component is settled before any component
+    /// reading it is checked.
     pub fn finish_retract(
         &mut self,
         edb: &Edb,
-        idb: &Idb,
+        _idb: &Idb,
         doomed: Doomed,
     ) -> Result<MaintainStats> {
-        let Doomed { overlay, pred } = doomed;
-        let mut stats = MaintainStats::default();
-        // Phase B: one batched removal per affected relation.
-        for (p, rel) in overlay.iter() {
-            if p == &pred && !idb.defines(p.as_str()) {
-                continue; // the retracted EDB tuple itself is not derived state
-            }
-            stats.derived_deleted += self.derived.remove_all(p, rel.iter());
-        }
-        // Phase C, stratum by stratum: lower-stratum support is settled
-        // before a tuple's own rederivability is judged. Id windows are
-        // taken only now, after every removal of phase B.
+        let Doomed {
+            mut deleted,
+            candidates,
+        } = doomed;
         let rules = Arc::clone(&self.rules);
-        for stratum in rules.strat.strata() {
-            let mut reinserted = DeltaRanges::default();
-            let mut pending: Vec<(Sym, Tuple)> = Vec::new();
-            for p in stratum {
-                let Some(rel) = overlay.relation(p.as_str()) else {
-                    continue;
-                };
-                for t in rel.iter() {
-                    pending.push((p.clone(), t.clone()));
-                }
-            }
-            for (p, tuple) in pending {
-                if self
-                    .derived
-                    .relation(p.as_str())
-                    .is_some_and(|r| r.contains(&tuple))
-                {
-                    continue; // already restored by an earlier propagation
-                }
-                let mut found = false;
-                for &r in rules.by_head.get(&p).into_iter().flatten() {
-                    let bp = &rules.bound_plans[r];
-                    let Some(mut frame) = bind_head(bp, &tuple) else {
-                        continue;
-                    };
-                    let view = FactView::total(edb, &self.derived);
-                    exec(bp, 0, &view, &mut frame, &mut |_| {
-                        found = true;
-                        Ok(())
-                    })?;
-                    if found {
-                        break;
+        let mut stats = MaintainStats::default();
+        // The overlay ids each forward step has read: the retracted
+        // tuple's step ran in `prepare_retract`.
+        let mut consumed: FxHashMap<Sym, usize> = deleted
+            .iter()
+            .map(|(p, rel)| (p.clone(), rel.high_water()))
+            .collect();
+        // Candidates per component, settled in dependency order.
+        let mut pending: BTreeMap<usize, Vec<(Sym, Tuple)>> = BTreeMap::new();
+        for (p, t) in candidates {
+            pending.entry(rules.component[&p]).or_default().push((p, t));
+        }
+        while let Some((c, mut todo)) = pending.pop_first() {
+            let mut back = Backward::default();
+            while !todo.is_empty() {
+                for (p, t) in todo.drain(..) {
+                    if !back.check(&rules, edb, &self.derived, &p, &t)? {
+                        deleted.insert(&p, t)?;
                     }
                 }
-                if found {
-                    let before = self
+                let mut batch = DeltaRanges::default();
+                for (p, rel) in deleted.iter() {
+                    let lo = consumed.get(p).copied().unwrap_or(0);
+                    if rel.high_water() > lo {
+                        batch.insert(p.clone(), (lo, rel.high_water()));
+                    }
+                }
+                if batch.is_empty() {
+                    break;
+                }
+                // The forward step reads the batch still in place, so a
+                // derivation using two of its facts is seen.
+                for (p, t) in self.forward(edb, &deleted, &batch)? {
+                    match rules.component[&p] {
+                        d if d == c => todo.push((p, t)),
+                        d => pending.entry(d).or_default().push((p, t)),
+                    }
+                }
+                for (p, (lo, hi)) in batch {
+                    let gone = deleted.relation(p.as_str()).map(|rel| rel.delta(lo, hi));
+                    stats.derived_deleted += self
                         .derived
-                        .relation(p.as_str())
-                        .map_or(0, Relation::high_water);
-                    if self.derived.insert(&p, tuple)? {
-                        stats.rederived += 1;
-                        let entry = reinserted.entry(p.clone()).or_insert((before, before));
-                        entry.1 = before + 1;
-                    }
+                        .remove_all(&p, gone.iter().flat_map(|view| view.iter()));
+                    consumed.insert(p, hi);
                 }
             }
-            if !reinserted.is_empty() {
-                // Propagation from reinserted tuples can only re-add
-                // deleted facts (see module docs); count them as rederived.
-                stats.rederived += self.propagate(edb, &reinserted)?;
-            }
+            stats.checked += back.explored;
+            stats.rederived += back.kept();
         }
         Ok(stats)
+    }
+
+    /// The forward step: every derived fact with a derivation that reads
+    /// a tuple of `deleted` inside `window` at some positive body
+    /// position, every other position reading the current EDB and derived
+    /// store. Returns those not already in `deleted`, duplicates included.
+    fn forward(
+        &self,
+        edb: &Edb,
+        deleted: &DerivedFacts,
+        window: &DeltaRanges,
+    ) -> Result<Vec<(Sym, Tuple)>> {
+        let gov = EvalOptions::default().governor();
+        let mut found: Vec<(Sym, Tuple)> = Vec::new();
+        let mut row: Vec<Value> = Vec::new();
+        for p in window.keys() {
+            for &(r, k) in self.rules.readers.get(p).into_iter().flatten() {
+                gov.tick()?;
+                let (i, dp) = &self.rules.variants[r][k];
+                let view = FactView::with_overlay(edb, &self.derived, deleted, window, *i);
+                let head = &dp.compiled.head;
+                let known = self.derived.relation(head.pred.as_str());
+                let gone = deleted.relation(head.pred.as_str());
+                let mut frame = Frame::new(dp.compiled.num_slots());
+                exec(dp, 0, &view, &mut frame, &mut |frame| {
+                    resolve_into(&mut row, head, frame, dp)?;
+                    if known.is_some_and(|rel| rel.contains_slice(&row))
+                        && !gone.is_some_and(|rel| rel.contains_slice(&row))
+                    {
+                        found.push((head.pred.clone(), row.iter().cloned().collect()));
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+        Ok(found)
     }
 
     /// Applies a rule-set change whose new rule heads `head`: drop the
@@ -743,6 +776,263 @@ fn bind_head(plan: &RulePlan, tuple: &Tuple) -> Option<Frame> {
     Some(frame)
 }
 
+/// Fills `row` with `atom`'s arguments under `frame`; an unbound slot is
+/// an unsafe rule.
+fn resolve_into(row: &mut Vec<Value>, atom: &IrAtom, frame: &Frame, plan: &RulePlan) -> Result<()> {
+    row.clear();
+    for t in &atom.args {
+        match t.resolve(frame) {
+            Some(c) => row.push(c.clone()),
+            None => {
+                return Err(EngineError::UnsafeRule {
+                    rule: plan.rule_str.clone(),
+                    literal: atom.reify(frame, &plan.compiled.slots).to_string(),
+                })
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What the backward check knows about one fact of the component under
+/// retraction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum State {
+    /// Met as a body fact; its derivations are not enumerated.
+    Unknown,
+    /// On the frontier, to be explored.
+    Queued,
+    /// Derivations enumerated, none proved yet.
+    Open,
+    /// Derivable from surviving facts: it stays.
+    Proved,
+    /// No derivation survives.
+    Refuted,
+}
+
+/// A fact of the component under retraction, as the backward check met it.
+#[derive(Debug)]
+struct Node {
+    pred: Sym,
+    tuple: Tuple,
+    state: State,
+    /// The instances with this fact among their unproved body facts.
+    waiters: Vec<usize>,
+    /// A forward step named it: a check was asked for it directly.
+    candidate: bool,
+}
+
+/// A rule instance whose head waits for `missing` more of its body facts
+/// in the head's component to be proved.
+#[derive(Debug)]
+struct Instance {
+    head: usize,
+    missing: usize,
+}
+
+/// The backward check of one component's retraction, memoised across
+/// every candidate of the component.
+///
+/// Exploring a fact enumerates its derivations over the current store
+/// with the head-bound plans. Body facts of lower components and the EDB
+/// are settled, so a derivation is proved once its body facts of the
+/// component itself are; those are explored in turn (depth first, from
+/// the `frontier`), and proving a fact proves every instance waiting on
+/// it. When the frontier runs dry every explored fact left unproved has
+/// no derivation from surviving facts — mutual support included — and is
+/// refuted. A fact is explored at most once per retraction.
+#[derive(Debug, Default)]
+struct Backward {
+    ids: FxHashMap<Sym, FxHashMap<Tuple, usize>>,
+    nodes: Vec<Node>,
+    instances: Vec<Instance>,
+    frontier: Vec<usize>,
+    /// Explored facts not yet proved or refuted.
+    open: Vec<usize>,
+    /// How many facts were explored.
+    explored: usize,
+}
+
+impl Backward {
+    fn state(&self, pred: &Sym, values: &[Value]) -> State {
+        self.ids
+            .get(pred)
+            .and_then(|m| m.get(values))
+            .map_or(State::Unknown, |&id| self.nodes[id].state)
+    }
+
+    fn node(&mut self, pred: &Sym, tuple: Tuple) -> usize {
+        if let Some(&id) = self.ids.get(pred).and_then(|m| m.get(tuple.values())) {
+            return id;
+        }
+        let id = self.nodes.len();
+        self.ids
+            .entry(pred.clone())
+            .or_default()
+            .insert(tuple.clone(), id);
+        self.nodes.push(Node {
+            pred: pred.clone(),
+            tuple,
+            state: State::Unknown,
+            waiters: Vec::new(),
+            candidate: false,
+        });
+        id
+    }
+
+    /// How many candidates were proved.
+    fn kept(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| n.candidate && n.state == State::Proved)
+            .count()
+    }
+
+    /// True if the candidate `tuple` of `pred` keeps a derivation.
+    fn check(
+        &mut self,
+        rules: &RuleParts,
+        edb: &Edb,
+        derived: &DerivedFacts,
+        pred: &Sym,
+        tuple: &Tuple,
+    ) -> Result<bool> {
+        let id = self.node(pred, tuple.clone());
+        self.nodes[id].candidate = true;
+        if matches!(self.nodes[id].state, State::Unknown | State::Queued) {
+            self.nodes[id].state = State::Queued;
+            self.frontier.push(id);
+        }
+        loop {
+            match self.nodes[id].state {
+                State::Proved => return Ok(true),
+                State::Refuted => return Ok(false),
+                _ => {}
+            }
+            let Some(next) = self.frontier.pop() else {
+                for f in self.open.drain(..) {
+                    if self.nodes[f].state == State::Open {
+                        self.nodes[f].state = State::Refuted;
+                    }
+                }
+                continue;
+            };
+            if self.nodes[next].state != State::Queued {
+                continue;
+            }
+            // A fact only proved heads wait on is not worth exploring; a
+            // later instance that needs it queues it again.
+            let needed = self.nodes[next].candidate
+                || self.nodes[next]
+                    .waiters
+                    .iter()
+                    .any(|&i| self.nodes[self.instances[i].head].state != State::Proved);
+            if needed {
+                self.explore(rules, edb, derived, next)?;
+            } else {
+                self.nodes[next].state = State::Unknown;
+            }
+        }
+    }
+
+    /// Enumerates the derivations of fact `id` over the current store:
+    /// proves it if one rests on proved facts only, else registers each
+    /// surviving instance on its unproved body facts and queues them.
+    fn explore(
+        &mut self,
+        rules: &RuleParts,
+        edb: &Edb,
+        derived: &DerivedFacts,
+        id: usize,
+    ) -> Result<()> {
+        self.explored += 1;
+        let (pred, tuple) = (self.nodes[id].pred.clone(), self.nodes[id].tuple.clone());
+        let view = FactView::total(edb, derived);
+        let mut proved = false;
+        // Per instance, its body facts in the component not yet proved.
+        let mut waiting: Vec<Vec<(Sym, Tuple)>> = Vec::new();
+        let mut row: Vec<Value> = Vec::new();
+        for &r in rules.by_head.get(&pred).into_iter().flatten() {
+            let check = &rules.checks[r];
+            let Some(mut frame) = bind_head(&check.plan, &tuple) else {
+                continue;
+            };
+            let body = &rules.plan.plans()[r].compiled.body;
+            exec(&check.plan, 0, &view, &mut frame, &mut |frame| {
+                if proved {
+                    return Ok(());
+                }
+                let mut missing: Vec<(Sym, Tuple)> = Vec::new();
+                for &(j, looked_up) in &check.recursive {
+                    let atom = &body[j].atom;
+                    resolve_into(&mut row, atom, frame, &check.plan)?;
+                    match self.state(&atom.pred, &row) {
+                        State::Proved => {}
+                        State::Refuted => return Ok(()),
+                        _ if looked_up
+                            && !derived
+                                .relation(atom.pred.as_str())
+                                .is_some_and(|rel| rel.contains_slice(&row)) =>
+                        {
+                            return Ok(())
+                        }
+                        _ => missing.push((atom.pred.clone(), row.iter().cloned().collect())),
+                    }
+                }
+                if missing.is_empty() {
+                    proved = true;
+                } else {
+                    waiting.push(missing);
+                }
+                Ok(())
+            })?;
+            if proved {
+                self.prove(id);
+                return Ok(());
+            }
+        }
+        self.nodes[id].state = State::Open;
+        self.open.push(id);
+        for mut missing in waiting {
+            missing.sort_unstable();
+            missing.dedup();
+            let inst = self.instances.len();
+            self.instances.push(Instance {
+                head: id,
+                missing: missing.len(),
+            });
+            for (p, t) in missing {
+                let g = self.node(&p, t);
+                self.nodes[g].waiters.push(inst);
+                if self.nodes[g].state == State::Unknown {
+                    self.nodes[g].state = State::Queued;
+                    self.frontier.push(g);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Marks fact `id` proved, and with it every fact an instance then
+    /// completes.
+    fn prove(&mut self, id: usize) {
+        let mut work = vec![id];
+        while let Some(f) = work.pop() {
+            if self.nodes[f].state == State::Proved {
+                continue;
+            }
+            self.nodes[f].state = State::Proved;
+            for i in std::mem::take(&mut self.nodes[f].waiters) {
+                let inst = &mut self.instances[i];
+                inst.missing -= 1;
+                if inst.missing == 0 {
+                    work.push(inst.head);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,8 +1075,10 @@ mod tests {
     fn same_facts(a: &DerivedFacts, b: &DerivedFacts) -> bool {
         a.len() == b.len()
             && a.iter().all(|(p, rel)| {
-                b.relation(p.as_str())
-                    .is_some_and(|other| rel.iter().all(|t| other.contains(t)))
+                rel.iter().all(|t| {
+                    b.relation(p.as_str())
+                        .is_some_and(|other| other.contains(t))
+                })
             })
     }
 
@@ -885,10 +1177,91 @@ mod tests {
             panic!("expected Prepared");
         };
         let stats = s.finish_retract(&edb, &idb, doomed).unwrap();
-        // reach(a, b) dies for good; reach(a, d) was doomed but rederives
-        // through c.
-        assert!(stats.derived_deleted >= 2);
-        assert!(stats.rederived >= 1);
+        // reach(a, b) has no other derivation and goes; reach(a, d) is
+        // proved through reach(c, d) and stays. Checked: those three.
+        assert_eq!(stats.derived_deleted, 1);
+        assert_eq!(stats.rederived, 1);
+        assert_eq!(stats.checked, 3);
+        assert_matches_fresh(&s, &edb, &idb);
+    }
+
+    #[test]
+    fn retract_on_a_cycle_deletes_what_only_supports_itself() {
+        // a -> b -> c -> b: once edge(a, b) goes, reach(a, b) and
+        // reach(a, c) support each other only through the cycle.
+        let mut edb = Edb::new();
+        edb.declare("edge", &["A", "B"]).unwrap();
+        for f in ["edge(a, b)", "edge(b, c)", "edge(c, b)"] {
+            edb.insert_fact(&parse_atom(f).unwrap()).unwrap();
+        }
+        let idb = Idb::from_rules(
+            parse_program(
+                "reach(X, Y) :- edge(X, Y).\n\
+                 reach(X, Y) :- reach(X, Z), edge(Z, Y).",
+            )
+            .unwrap()
+            .rules,
+        )
+        .unwrap();
+        let mut s = store(&edb, &idb);
+        let (pred, tuple) = atom_tuple("edge(a, b)");
+        let prep = s.prepare_retract(&edb, &pred, &tuple).unwrap();
+        edb.remove_fact(&parse_atom("edge(a, b)").unwrap()).unwrap();
+        let Retraction::Prepared(doomed) = prep else {
+            panic!("expected Prepared");
+        };
+        let stats = s.finish_retract(&edb, &idb, doomed).unwrap();
+        assert_eq!(stats.derived_deleted, 2);
+        assert_eq!(stats.rederived, 0);
+        assert_matches_fresh(&s, &edb, &idb);
+    }
+
+    #[test]
+    fn retract_sees_a_derivation_that_reads_the_tuple_twice() {
+        let mut edb = Edb::new();
+        edb.declare("e", &["A", "B"]).unwrap();
+        for f in ["e(a, a)", "e(b, c)", "e(c, b)"] {
+            edb.insert_fact(&parse_atom(f).unwrap()).unwrap();
+        }
+        let idb =
+            Idb::from_rules(parse_program("p(X) :- e(X, Y), e(Y, X).").unwrap().rules).unwrap();
+        let mut s = store(&edb, &idb);
+        let (pred, tuple) = atom_tuple("e(a, a)");
+        let prep = s.prepare_retract(&edb, &pred, &tuple).unwrap();
+        edb.remove_fact(&parse_atom("e(a, a)").unwrap()).unwrap();
+        let Retraction::Prepared(doomed) = prep else {
+            panic!("expected Prepared");
+        };
+        let stats = s.finish_retract(&edb, &idb, doomed).unwrap();
+        assert_eq!(stats.derived_deleted, 1);
+        assert_matches_fresh(&s, &edb, &idb);
+    }
+
+    #[test]
+    fn retract_sees_a_derivation_through_two_facts_of_one_batch() {
+        // p(a) and p(b) go in one batch; every r fact joins two of them.
+        let mut edb = Edb::new();
+        edb.declare("src", &["K"]).unwrap();
+        edb.insert_fact(&parse_atom("src(k)").unwrap()).unwrap();
+        let idb = Idb::from_rules(
+            parse_program(
+                "p(a) :- src(X).\n\
+                 p(b) :- src(X).\n\
+                 r(X, Y) :- p(X), p(Y).",
+            )
+            .unwrap()
+            .rules,
+        )
+        .unwrap();
+        let mut s = store(&edb, &idb);
+        let (pred, tuple) = atom_tuple("src(k)");
+        let prep = s.prepare_retract(&edb, &pred, &tuple).unwrap();
+        edb.remove_fact(&parse_atom("src(k)").unwrap()).unwrap();
+        let Retraction::Prepared(doomed) = prep else {
+            panic!("expected Prepared");
+        };
+        let stats = s.finish_retract(&edb, &idb, doomed).unwrap();
+        assert_eq!(stats.derived_deleted, 6);
         assert_matches_fresh(&s, &edb, &idb);
     }
 

@@ -159,7 +159,7 @@ impl fmt::Display for AutoChoice {
 /// An evaluation mode a [`Downgrade`] can degrade from or to: one of the
 /// three retrieve strategies, or one of the two maintenance modes a live
 /// knowledge base keeps its derived state in — incremental (delta
-/// propagation / delete-and-rederive) and full recomputation.
+/// propagation / Backward/Forward retraction) and full recomputation.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// A retrieve evaluation strategy.
@@ -197,7 +197,7 @@ impl PartialEq<Strategy> for Mode {
 
 /// A recorded degradation: the requested evaluation or maintenance mode
 /// could not complete (e.g. the QSQ net met negation in the demanded
-/// slice, or delete-and-rederive met negation over an affected
+/// slice, or a retraction met negation over an affected
 /// predicate), and a simpler mode produced the result instead of
 /// erroring.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -220,8 +220,9 @@ impl Downgrade {
         }
     }
 
-    /// An incremental-maintenance fallback: delta propagation or DRed
-    /// bailed out and the derived state was fully recomputed.
+    /// An incremental-maintenance fallback: delta propagation or a
+    /// Backward/Forward retraction bailed out and the derived state was
+    /// fully recomputed.
     pub fn maintenance(reason: impl Into<String>) -> Self {
         Downgrade {
             from: Mode::Incremental,
@@ -328,8 +329,13 @@ impl fmt::Display for DataAnswer {
             writeln!(f)?;
         }
         for row in &self.rows {
-            let vals: Vec<String> = row.values().iter().map(ToString::to_string).collect();
-            writeln!(f, "{}", vals.join("\t"))?;
+            for (i, v) in row.values().iter().enumerate() {
+                if i > 0 {
+                    f.write_str("\t")?;
+                }
+                write!(f, "{v}")?;
+            }
+            writeln!(f)?;
         }
         for d in &self.downgrades {
             writeln!(f, "-- note: {d}")?;

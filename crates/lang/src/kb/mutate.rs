@@ -22,15 +22,15 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// How a retraction interacts with the maintained store, decided *before*
-/// the tuple leaves the EDB (DRed's deletion phase reads the
-/// pre-retraction state) and applied after.
+/// the tuple leaves the EDB (the first forward step of Backward/Forward
+/// reads the pre-retraction state) and applied after.
 enum RetractPlan {
     /// No maintained store, or the fact was not stored: nothing to do.
     Untracked,
     /// Negation over the affected region: fall back to recomputation.
     Recompute(String),
-    /// DRed prepared a deletion overestimate (or proved the retraction
-    /// touches no derived fact).
+    /// The first forward step found the derived facts with a derivation
+    /// through the retracted fact (or proved there are none).
     Ready(Retraction),
     /// Preparation failed; the store must be dropped.
     Lost(String),
@@ -339,12 +339,12 @@ impl KnowledgeBase {
     /// Retracts a stored fact; returns `true` if it was stored. Same
     /// discipline as [`Self::add_fact`]; the compiled plan is retained.
     /// When the maintained store is live, the retraction runs
-    /// delete-and-rederive: doomed derived facts are computed against the
-    /// pre-retraction state, removed with the tuple, and the ones with
-    /// surviving alternative derivations are put back.
+    /// Backward/Forward: the derived facts with a derivation through the
+    /// tuple are found against the pre-retraction state, and after the
+    /// tuple is removed only those with no other derivation are deleted.
     pub fn retract_fact(&mut self, atom: &qdk_logic::Atom) -> Result<bool> {
         self.edb.validate_fact(atom)?;
-        // DRed's deletion phase reads the *pre-retraction* state, so the
+        // The first forward step reads the *pre-retraction* state, so the
         // retraction is prepared before the tuple is logged or removed.
         let plan = self.prepare_retract_maintenance(atom);
         if self.durable.is_some() {
@@ -411,15 +411,17 @@ impl KnowledgeBase {
                     return;
                 };
                 let obs = self.opts.sink.clone();
-                if obs.enabled() {
-                    obs.counter("dred_overestimate", doomed.len() as u64);
-                }
                 let result = {
                     let _span = obs.span("maintain_retract", 0);
                     self.finish_retract(&mut store, doomed)
                 };
                 match result {
                     Ok(stats) => {
+                        if obs.enabled() {
+                            obs.counter("retract_checked", stats.checked as u64);
+                            obs.counter("retract_deleted", stats.derived_deleted as u64);
+                        }
+                        self.maintain_total.add_retract(&stats);
                         self.absorb_maintenance(&stats);
                         self.maintained = Some(store);
                     }
@@ -430,7 +432,7 @@ impl KnowledgeBase {
         }
     }
 
-    /// Borrow-splitting shim for DRed phases B/C.
+    /// Borrow-splitting shim for the Backward/Forward rounds.
     fn finish_retract(
         &self,
         store: &mut MaintainedStore,

@@ -118,6 +118,8 @@ pub(super) struct MaintainTotals {
     pub(super) rederived: u64,
     pub(super) strata_invalidated: u64,
     pub(super) recomputes: u64,
+    pub(super) retract_checked: u64,
+    pub(super) retract_deleted: u64,
 }
 
 impl MaintainTotals {
@@ -128,6 +130,13 @@ impl MaintainTotals {
         self.rederived += stats.rederived as u64;
         self.strata_invalidated += stats.strata_invalidated as u64;
         self.recomputes += stats.recomputes() as u64;
+    }
+
+    /// Folds one incremental retraction's backward-check and deletion
+    /// counts in (on top of [`Self::add`]).
+    pub(super) fn add_retract(&mut self, stats: &MaintainStats) {
+        self.retract_checked += stats.checked as u64;
+        self.retract_deleted += stats.derived_deleted as u64;
     }
 }
 
@@ -372,6 +381,8 @@ impl KnowledgeBase {
         reg.gauge_set("maintain_rederived", totals.rederived);
         reg.gauge_set("maintain_strata_invalidated", totals.strata_invalidated);
         reg.gauge_set("maintain_recomputes", totals.recomputes);
+        reg.gauge_set("retract_checked", totals.retract_checked);
+        reg.gauge_set("retract_deleted", totals.retract_deleted);
         if let Some(m) = self.durability_metrics() {
             reg.gauge_set("wal_appended", m.wal_appends);
             reg.gauge_set("wal_appended_bytes", m.wal_bytes);

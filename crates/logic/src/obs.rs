@@ -25,9 +25,77 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+/// Every span and counter name the workspace emits: the taxonomy of
+/// DESIGN.md §12, as a value. A name outside this slice is drift, and a
+/// test traces every statement kind and a mutation batch against it.
+pub const NAMES: &[&str] = &[
+    // Spans: statement stages.
+    "parse",
+    "plan",
+    "execute",
+    // Spans: retrieve strategies and their fixpoint nesting.
+    "seminaive",
+    "topdown",
+    "qsq",
+    "project",
+    "stratum",
+    "iteration",
+    // Spans: describe phases.
+    "transform",
+    "enumerate",
+    "assemble",
+    "reduce",
+    // Spans: maintenance.
+    "maintain_insert",
+    "maintain_retract",
+    "maintain_rules",
+    // Counters: evaluation.
+    "rule_firings",
+    "delta_facts",
+    "delta_size",
+    "delta_tasks",
+    "index_probes",
+    "full_scans",
+    "plan_cache_hit",
+    "plan_cache_miss",
+    "plan_analysis_build",
+    "downgrade",
+    "qsq_net_nodes",
+    "qsq_subqueries",
+    "qsq_input_tuples",
+    "maintained_serve",
+    "retrieve_auto_maintained",
+    "retrieve_auto_edb",
+    "retrieve_auto_seminaive",
+    "retrieve_auto_topdown",
+    "retrieve_auto_qsq",
+    // Counters: describe.
+    "describe_prep_hit",
+    "describe_prep_miss",
+    "describe_cache_hit",
+    "describe_cache_miss",
+    "trees_expanded",
+    "leaves_identified",
+    "cuts",
+    "governor_spend_at_truncation",
+    // Counters: mutation and maintenance.
+    "rules_invalidated",
+    "maintain_derived_added",
+    "maintain_derived_deleted",
+    "maintain_rederived",
+    "maintain_strata_invalidated",
+    "maintain_recompute",
+    "maintain_lost",
+    "retract_checked",
+    "retract_deleted",
+    // Counters: epochs.
+    "epoch_publish",
+    "epoch_refresh",
+];
+
 /// One observability event.
 ///
-/// `name` is a `&'static str` from the fixed taxonomy in DESIGN.md §12
+/// `name` is a `&'static str` from the fixed taxonomy [`NAMES`]
 /// (e.g. `"seminaive"`, `"stratum"`, `"delta_facts"`); `arg` carries the
 /// span's discriminator (stratum index, iteration number, …) and is `0`
 /// when unused.

@@ -197,8 +197,12 @@ pub struct Applied {
     pub constraints_added: usize,
     /// EDB predicates declared.
     pub declared: usize,
-    /// What incremental maintenance did: derived facts added, deleted,
-    /// rederived; strata invalidated; recompute fallback reasons.
+    /// What incremental maintenance did: derived facts added; deleted
+    /// (by a retraction, only those that lost their last derivation);
+    /// `rederived`, the retraction candidates a backward check proved
+    /// from another derivation and kept in place; `checked`, the facts
+    /// whose derivations those checks enumerated; strata invalidated;
+    /// recompute fallback reasons.
     pub maintenance: MaintainStats,
     /// Maintenance downgrades queued for the next retrieve's answer
     /// (copies — the answer still receives them).

@@ -285,6 +285,27 @@ fn session_metrics_aggregate_queries_and_gauges() {
     assert_eq!(snap.counter("slow_queries"), None);
 }
 
+/// A retraction reports what its backward check examined and what it
+/// deleted, as per-retraction counters and as lifetime gauges.
+#[test]
+fn retractions_count_checked_and_deleted_facts() {
+    let mut s = chain_session(&[(1, 0), (2, 1), (2, 0)]);
+    s.enable_metrics();
+    // prior(c2, c0) keeps its derivation through the direct edge;
+    // prior(c1, c0) has no other and goes.
+    let applied = s
+        .apply(qdk::Mutation::new().retract("prereq(c1, c0)"))
+        .unwrap();
+    assert_eq!(applied.maintenance.derived_deleted, 1);
+    assert_eq!(applied.maintenance.rederived, 1);
+    assert_eq!(applied.maintenance.checked, 2);
+    let snap = s.metrics_snapshot().unwrap();
+    assert_eq!(snap.counter("retract_checked"), Some(2));
+    assert_eq!(snap.counter("retract_deleted"), Some(1));
+    assert_eq!(snap.gauge("retract_checked"), Some(2));
+    assert_eq!(snap.gauge("retract_deleted"), Some(1));
+}
+
 /// Slow-query lines are self-contained JSON with monotonically
 /// increasing run ids, and only queries over the threshold log one.
 #[test]

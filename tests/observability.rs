@@ -12,10 +12,12 @@
 //!   response and in the trace.
 
 use proptest::prelude::*;
-use qdk::obs::check_nesting;
+use qdk::obs::{check_nesting, NAMES};
 use qdk::{
-    datasets, CollectSink, DescribeOptions, ObsSink, Request, ResourceLimits, Session, Strategy,
+    datasets, CollectSink, DescribeOptions, Event, Mutation, ObsSink, Request, ResourceLimits,
+    Session, Strategy,
 };
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A 128-edge prerequisite chain with the recursive `prior` closure —
@@ -222,6 +224,69 @@ fn spans_nest_correctly_across_both_statements() {
     assert!(!events.is_empty());
     check_nesting(&events).unwrap();
     assert_eq!(collector.dropped(), 0);
+}
+
+/// Every span and counter a traced run emits is named in `obs::NAMES`:
+/// one statement of each read kind, retrieves under every strategy, and
+/// a mutation batch that inserts, retracts and adds a rule, read back
+/// live and from a snapshot.
+#[test]
+fn every_emitted_name_is_in_the_taxonomy() {
+    let collector = Arc::new(CollectSink::new());
+    let kb = datasets::university_extended()
+        .with_describe_options(DescribeOptions::paper().with_sink(ObsSink::new(collector.clone())));
+    let mut s = Session::over(kb);
+    for statement in [
+        "retrieve can_ta(X, databases) where student(X, math, V) and V > 3.7.",
+        "describe can_ta(X, Y) where honor(X) and teach(susan, Y).",
+        "explain prior(X, Y) where prior(databases, Y).",
+        "describe can_ta(X, Y) where necessary honor(X).",
+        "describe honor(X) where student(X, math, V) and V > 3.8 \
+         or student(X, M, W) and W > 3.9.",
+        "describe can_ta(X, Y) where not honor(X).",
+        "describe where foreign(X) and unmarried(X).",
+        "describe * where honor(X).",
+        "compare (describe honor(X)) with (describe deans_list(X)).",
+        "show rules.",
+    ] {
+        s.query(Request::statement(statement)).unwrap();
+    }
+    for strategy in Strategy::ALL {
+        for subject in ["prior(X, Y)", "prior(databases, Y)"] {
+            s.retrieve(Request::subject(subject).strategy(strategy))
+                .unwrap();
+        }
+    }
+    s.apply(
+        Mutation::new()
+            .insert("prereq(programming, logic)")
+            .retract("prereq(databases, datastructures)")
+            .rule("advanced(X) :- prior(X, programming)"),
+    )
+    .unwrap();
+    s.retrieve(Request::subject("prior(X, Y)")).unwrap();
+    s.snapshot()
+        .unwrap()
+        .retrieve(Request::subject("advanced(X)"))
+        .unwrap();
+
+    let emitted: BTreeSet<&str> = collector
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart { name, .. } | Event::Counter { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect();
+    let unknown: Vec<&str> = emitted
+        .iter()
+        .copied()
+        .filter(|name| !NAMES.contains(name))
+        .collect();
+    assert!(unknown.is_empty(), "not in obs::NAMES: {unknown:?}");
+    for name in ["maintain_retract", "retract_checked", "retract_deleted"] {
+        assert!(emitted.contains(name), "{name} not emitted: {emitted:?}");
+    }
 }
 
 /// One evaluation's observable outcome: rows in order, downgrade notes,
