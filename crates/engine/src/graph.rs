@@ -5,10 +5,15 @@
 //! closure; a rule is *recursive* if its head predicate and at least one
 //! body predicate are *mutually* dependent. This module computes the
 //! dependency graph and its strongly connected components (Tarjan), from
-//! which recursion and evaluation order fall out.
+//! which recursion and evaluation order fall out — including the strata
+//! of a program with negation ([`DependencyGraph::strata`]): a program is
+//! *stratified* when no predicate depends on itself through a negated
+//! literal, and is then evaluated stratum by stratum, each negation read
+//! against completed lower strata (closed world).
 
+use crate::error::{EngineError, Result};
 use crate::idb::Idb;
-use qdk_logic::{FxHashSet, Sym};
+use qdk_logic::{FxHashMap, FxHashSet, Rule, Sym};
 use std::collections::HashMap;
 
 /// The predicate dependency graph of an IDB.
@@ -260,21 +265,109 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// SCCs in dependency order (every SCC's dependencies precede it):
-    /// evaluation strata for bottom-up computation.
-    pub fn sccs_in_order(&self) -> Vec<Vec<Sym>> {
-        // Tarjan emits SCCs in reverse topological order of the
-        // condensation: an SCC is emitted only after everything it depends
-        // on. So scc_members is already in dependency order.
-        self.scc_members
-            .iter()
-            .map(|m| m.iter().map(|&v| self.names[v].clone()).collect())
-            .collect()
+    /// The SCC of `pred`, numbered in dependency order: an SCC's
+    /// dependencies have smaller numbers (Tarjan emits an SCC only after
+    /// everything it depends on).
+    pub fn component(&self, pred: &str) -> Option<usize> {
+        self.id(pred).map(|v| self.scc_of[v])
     }
 
-    /// All known predicate names.
-    pub fn predicates(&self) -> &[Sym] {
-        &self.names
+    /// The strata of `idb`, whose evaluation graph this must be
+    /// ([`Self::for_evaluation`]), in one pass over the SCCs in
+    /// dependency order: an SCC's stratum is the largest stratum its rule
+    /// bodies read in another SCC, plus 1 across a negated literal (stored
+    /// predicates are stratum 0). A negated literal inside its head's own
+    /// SCC makes the program unstratified; the error names the head of
+    /// the first such rule in rule order.
+    pub fn strata(&self, idb: &Idb) -> Result<Strata> {
+        if let Some(rule) = idb.rules().iter().find(|r| {
+            let own = self.component(r.head.pred.as_str());
+            self.reads(idb, r).any(|read| read == (own, false))
+        }) {
+            return Err(EngineError::NotStratified(rule.head.pred.to_string()));
+        }
+        let mut level = vec![0usize; self.scc_members.len()];
+        for (c, members) in self.scc_members.iter().enumerate() {
+            for rule in members
+                .iter()
+                .flat_map(|&v| idb.rules_for(self.names[v].as_str()))
+            {
+                for (d, positive) in self.reads(idb, rule) {
+                    if let Some(d) = d.filter(|&d| d != c) {
+                        level[c] = level[c].max(level[d] + usize::from(!positive));
+                    }
+                }
+            }
+        }
+        let preds = idb.predicates();
+        let stratum = |p: &Sym| self.component(p.as_str()).map_or(0, |c| level[c]);
+        let len = preds.iter().map(stratum).max().map_or(0, |top| top + 1);
+        let mut strata = Strata {
+            stratum_of: FxHashMap::default(),
+            predicates: vec![Vec::new(); len],
+            rules: vec![Vec::new(); len],
+        };
+        for p in preds {
+            let s = stratum(&p);
+            strata.predicates[s].push(p.clone());
+            strata.stratum_of.insert(p, s);
+        }
+        for (r, rule) in idb.rules().iter().enumerate() {
+            strata.rules[strata.stratum_of[&rule.head.pred]].push(r);
+        }
+        Ok(strata)
+    }
+
+    /// The SCC and polarity of every IDB predicate `rule`'s body reads.
+    fn reads<'a>(
+        &'a self,
+        idb: &'a Idb,
+        rule: &'a Rule,
+    ) -> impl Iterator<Item = (Option<usize>, bool)> + 'a {
+        rule.body
+            .iter()
+            .filter(move |l| !l.is_builtin() && idb.defines(l.atom.pred.as_str()))
+            .map(|l| (self.component(l.atom.pred.as_str()), l.positive))
+    }
+}
+
+/// A stratification: the stratum of every IDB predicate, and per stratum
+/// its predicates (in `Idb::predicates()` order) and the rules that derive
+/// them (positions in `Idb::rules()`, ascending). Strata are numbered in
+/// evaluation order, and none is empty.
+#[derive(Clone, Debug)]
+pub struct Strata {
+    stratum_of: FxHashMap<Sym, usize>,
+    predicates: Vec<Vec<Sym>>,
+    rules: Vec<Vec<usize>>,
+}
+
+impl Strata {
+    /// The stratum of an IDB predicate (stored predicates are stratum 0
+    /// and are not listed).
+    pub fn stratum_of(&self, pred: &str) -> Option<usize> {
+        self.stratum_of.get(pred).copied()
+    }
+
+    /// The IDB predicates of each stratum.
+    pub fn predicates(&self) -> &[Vec<Sym>] {
+        &self.predicates
+    }
+
+    /// The rules of each stratum, by position in `Idb::rules()` — also
+    /// their position in the compiled `ProgramPlan`.
+    pub fn rules(&self) -> &[Vec<usize>] {
+        &self.rules
+    }
+
+    /// Number of strata.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// True if there are no IDB predicates.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
     }
 }
 
@@ -343,22 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn sccs_in_dependency_order() {
+    fn components_in_dependency_order() {
         let g = graph(
             "a(X) :- b(X).\n\
              b(X) :- c(X), b(X).\n\
              c(X) :- d(X).",
         );
-        let order = g.sccs_in_order();
-        let pos = |p: &str| {
-            order
-                .iter()
-                .position(|scc| scc.iter().any(|s| s.as_str() == p))
-                .unwrap()
-        };
+        let pos = |p: &str| g.component(p).unwrap();
         assert!(pos("d") < pos("c"));
         assert!(pos("c") < pos("b"));
         assert!(pos("b") < pos("a"));
+        assert_eq!(g.component("ghost"), None);
     }
 
     #[test]
@@ -421,5 +509,178 @@ mod tests {
         assert!(!g.depends_on("ghost", "q"));
         assert!(!g.is_recursive("ghost"));
         assert!(g.reachable_from("ghost").is_empty());
+    }
+
+    fn strata(src: &str) -> Result<Strata> {
+        let idb = Idb::from_rules(parse_program(src).unwrap().rules).unwrap();
+        DependencyGraph::for_evaluation(&idb).strata(&idb)
+    }
+
+    #[test]
+    fn positive_program_is_single_stratum() {
+        let s = strata(
+            "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
+             prior(X, Y) :- prereq(X, Y).\n\
+             prior(X, Y) :- prereq(X, Z), prior(Z, Y).",
+        )
+        .unwrap();
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.stratum_of("honor"), Some(0));
+        assert_eq!(s.stratum_of("prior"), Some(0));
+        assert_eq!(s.stratum_of("prereq"), None);
+        assert_eq!(s.rules(), [vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn negation_pushes_to_higher_stratum() {
+        let s = strata(
+            "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
+             ordinary(X) :- student(X, Y, Z), not honor(X).",
+        )
+        .unwrap();
+        assert_eq!(s.stratum_of("honor"), Some(0));
+        assert_eq!(s.stratum_of("ordinary"), Some(1));
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn chained_negation_stacks_strata() {
+        let s = strata(
+            "c(X) :- e(X), not b(X).\n\
+             a(X) :- e(X).\n\
+             b(X) :- e(X), not a(X).",
+        )
+        .unwrap();
+        assert_eq!(s.stratum_of("a"), Some(0));
+        assert_eq!(s.stratum_of("b"), Some(1));
+        assert_eq!(s.stratum_of("c"), Some(2));
+        assert_eq!(s.rules(), [vec![1], vec![2], vec![0]]);
+    }
+
+    #[test]
+    fn negative_cycle_is_rejected_naming_the_first_rule_on_it() {
+        let err = strata(
+            "win(X) :- move(X, Y), not win(Y).\n\
+             move(X, Y) :- edge(X, Y), win(X).",
+        )
+        .unwrap_err();
+        assert_eq!(err, EngineError::NotStratified("win".into()));
+        let err = strata(
+            "ok(X) :- e(X), not b(X).\n\
+             b(X) :- e(X), a(X).\n\
+             a(X) :- e(X), not b(X).",
+        )
+        .unwrap_err();
+        assert_eq!(err, EngineError::NotStratified("a".into()));
+    }
+
+    #[test]
+    fn positive_recursion_with_negation_below_is_fine() {
+        let s = strata(
+            "base(X) :- e(X), not excluded(X).\n\
+             excluded(X) :- f(X).\n\
+             closure(X) :- base(X).\n\
+             closure(X) :- g(X, Y), closure(Y).",
+        )
+        .unwrap();
+        assert_eq!(s.stratum_of("excluded"), Some(0));
+        assert_eq!(s.stratum_of("base"), Some(1));
+        assert_eq!(s.stratum_of("closure"), Some(1));
+        assert_eq!(s.predicates()[1], ["base", "closure"].map(Sym::new));
+    }
+
+    #[test]
+    fn empty_idb_has_no_strata() {
+        let idb = Idb::new();
+        assert!(DependencyGraph::for_evaluation(&idb)
+            .strata(&idb)
+            .unwrap()
+            .is_empty());
+    }
+
+    /// The least-fixpoint definition of strata, for the proptest below:
+    /// raise each head to the stratum its body needs until nothing moves.
+    /// A stratified program settles within `n` rounds (a stratum counts
+    /// the negated literals on a simple path); still moving after `n + 1`
+    /// means a cycle through negation.
+    fn oracle(idb: &Idb) -> Option<HashMap<Sym, usize>> {
+        let preds = idb.predicates();
+        let mut stratum: HashMap<Sym, usize> = preds.iter().map(|p| (p.clone(), 0)).collect();
+        for _ in 0..=preds.len() {
+            let mut changed = false;
+            for rule in idb.rules() {
+                let head = stratum[&rule.head.pred];
+                let needed = rule
+                    .body
+                    .iter()
+                    .filter_map(|l| Some(stratum.get(&l.atom.pred)? + usize::from(!l.positive)))
+                    .fold(head, usize::max);
+                if needed > head {
+                    stratum.insert(rule.head.pred.clone(), needed);
+                    changed = true;
+                }
+            }
+            if !changed {
+                return Some(stratum);
+            }
+        }
+        None
+    }
+
+    use proptest::prelude::*;
+    use qdk_logic::{Atom, Literal, Term};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random programs over `p0`..`p4` — positive (mode 0),
+        /// stratified by construction (mode 1: a literal names a `p` of
+        /// no higher index than the head, and a negated one a lower
+        /// index) and unrestricted (mode 2, often unstratified) — get the
+        /// oracle's verdict, stratum numbers and per-stratum lists.
+        #[test]
+        fn strata_match_the_least_fixpoint(
+            mode in 0u8..3,
+            specs in proptest::collection::vec(
+                (0usize..5, proptest::collection::vec((0usize..7, 0u8..3), 1..4)),
+                1..9,
+            ),
+        ) {
+            let rules = specs.iter().map(|(head, body)| {
+                let atom = |name: String| Atom::new(name.as_str(), vec![Term::var("X")]);
+                let mut lits = vec![Literal::pos(atom("e0".into()))];
+                for &(pred, sign) in body {
+                    let negated = mode > 0 && sign == 0;
+                    let name = match pred.checked_sub(2) {
+                        Some(j) if mode < 2 && (j > *head || (negated && j == *head)) => "e1".into(),
+                        Some(j) => format!("p{j}"),
+                        None => format!("e{pred}"),
+                    };
+                    lits.push(if negated { Literal::neg(atom(name)) } else { Literal::pos(atom(name)) });
+                }
+                Rule::with_literals(atom(format!("p{head}")), lits)
+            });
+            let idb = Idb::from_rules(rules).unwrap();
+            let got = DependencyGraph::for_evaluation(&idb).strata(&idb);
+            let Some(want) = oracle(&idb) else {
+                prop_assert!(matches!(got, Err(EngineError::NotStratified(_))), "{:?}", idb.rules());
+                prop_assert_eq!(mode, 2);
+                return Ok(());
+            };
+            let got = got.unwrap();
+            let mut lists: Vec<Vec<Sym>> = vec![Vec::new(); got.len()];
+            for p in idb.predicates() {
+                prop_assert_eq!(got.stratum_of(p.as_str()), Some(want[&p]));
+                lists.get_mut(want[&p]).unwrap().push(p);
+            }
+            prop_assert_eq!(got.predicates(), &lists[..]);
+            prop_assert!(mode > 0 || got.len() == 1);
+            for (s, rules) in got.rules().iter().enumerate() {
+                let expected: Vec<usize> = (0..idb.len())
+                    .filter(|&r| want[&idb.rules()[r].head.pred] == s)
+                    .collect();
+                prop_assert_eq!(rules, &expected);
+            }
+        }
     }
 }

@@ -7,10 +7,11 @@
 //!
 //! * [`Idb`] — the intensional database: rules grouped by head predicate;
 //! * [`graph::DependencyGraph`] — predicate dependencies, Tarjan SCCs,
-//!   recursion detection (§2.1's *dependent* / *mutually dependent*);
+//!   recursion detection (§2.1's *dependent* / *mutually dependent*), and
+//!   the strata of a program with (extension) negation, computed from the
+//!   SCCs;
 //! * [`analysis`] — per-rule linearity / strong linearity / typedness
 //!   checks and whole-IDB validation of the paper's assumptions;
-//! * [`stratify`] — stratification for the (extension) negation support;
 //! * [`plan`] — compile-once rule planning: every rule's body schedule
 //!   (literal order, index probes, slot read/write sets) is computed one
 //!   time per program instead of once per recursion step, and executed
@@ -40,7 +41,6 @@ pub mod plan;
 pub mod qsq;
 pub mod query;
 pub mod seminaive;
-pub mod stratify;
 pub mod topdown;
 
 pub use bindings::{DerivedFacts, FactView};

@@ -36,13 +36,13 @@
 
 use crate::bindings::{exec, DeltaRanges, DerivedFacts, FactView};
 use crate::error::{EngineError, Result};
-use crate::graph::DependencyGraph;
+use crate::graph::Strata;
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive::{self, Fixpoint, RoundRule, Start};
-use crate::stratify::{stratify, Stratification};
 use qdk_logic::fasthash::{FxHashMap, FxHashSet};
+use qdk_logic::obs::ObsSink;
 use qdk_logic::{Frame, IrAtom, IrTerm, Rule, Sym};
 use qdk_storage::{Edb, Relation, Tuple, Value};
 use std::collections::BTreeMap;
@@ -114,18 +114,18 @@ pub struct Doomed {
 }
 
 /// Everything a maintained store derives from the rules alone: the
-/// program plan, the stratification and dependency components,
-/// delta-first rule variants for every positive body occurrence,
-/// head-bound plans for the backward check, and which predicates each
-/// mutation can reach. Shared behind an `Arc` by
-/// every clone of the store (transaction undo copies, published epochs)
-/// and rebuilt only when the rules change.
+/// program plan, the strata and dependency components of the plan's
+/// analysis, delta-first rule variants for every positive body
+/// occurrence, head-bound plans for the backward check, and which
+/// predicates each mutation can reach. Shared behind an `Arc` by every
+/// clone of the store (transaction undo copies, published epochs) and
+/// rebuilt only when the rules change.
 #[derive(Debug)]
 struct RuleParts {
     plan: Arc<ProgramPlan>,
-    strat: Stratification,
-    /// Per stratum, the rules (positions in `plan.plans()`) it derives.
-    stratum_rules: Vec<Vec<usize>>,
+    /// The strata, with each stratum's rules (positions in
+    /// `plan.plans()`), as the plan's analysis computed them.
+    strata: Arc<Strata>,
     /// Per rule (parallel to `plan.plans()`): every positive non-builtin
     /// body occurrence paired with the delta-first re-plan that scans it
     /// outermost. Insertion propagation and the retraction's forward step
@@ -143,8 +143,6 @@ struct RuleParts {
     component: FxHashMap<Sym, usize>,
     /// Per rule: how the backward check enumerates its derivations.
     checks: Vec<CheckPlan>,
-    /// Rules per head predicate, in rule order.
-    by_head: FxHashMap<Sym, Vec<usize>>,
     /// Every predicate some rule body reads (either polarity), with the
     /// reason a mutation of it cannot be maintained incrementally, if it
     /// cannot (see [`fallback_reasons`]). A predicate no rule reads is
@@ -153,28 +151,17 @@ struct RuleParts {
 }
 
 impl RuleParts {
-    /// Stratifies `idb` and compiles everything maintenance fires from
-    /// `plan`, its compilation.
-    fn new(idb: &Idb, plan: Arc<ProgramPlan>) -> Result<RuleParts> {
-        let strat = stratify(idb)?;
-        let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
-        for (r, rp) in plan.plans().iter().enumerate() {
-            by_head
-                .entry(rp.compiled.head.pred.clone())
-                .or_default()
-                .push(r);
-        }
-        let stratum_rules = strat
-            .strata()
-            .iter()
-            .map(|stratum| {
-                let mut rules: Vec<usize> = stratum
-                    .iter()
-                    .flat_map(|p| by_head.get(p).into_iter().flatten().copied())
-                    .collect();
-                rules.sort_unstable();
-                rules
-            })
+    /// Reads the strata and dependency components of `plan`'s analysis
+    /// (built on `obs` if no retrieve built it yet) and compiles
+    /// everything maintenance fires from `plan`, the compilation of
+    /// `idb`.
+    fn new(idb: &Idb, plan: Arc<ProgramPlan>, obs: &ObsSink) -> Result<RuleParts> {
+        let analysis = plan.analysis(idb, obs);
+        let strata = Arc::clone(analysis.strata()?);
+        let component: FxHashMap<Sym, usize> = idb
+            .predicates()
+            .into_iter()
+            .filter_map(|p| analysis.graph().component(p.as_str()).map(|c| (p, c)))
             .collect();
         let variants = compile_variants(&plan);
         let mut scanned: Vec<Sym> = Vec::new();
@@ -198,17 +185,6 @@ impl RuleParts {
                     .push((r, k));
             }
         }
-        let mut component: FxHashMap<Sym, usize> = FxHashMap::default();
-        let mut components = 0;
-        for scc in DependencyGraph::for_evaluation(idb).sccs_in_order() {
-            let before = component.len();
-            for p in scc.into_iter().filter(|p| by_head.contains_key(p)) {
-                component.insert(p, components);
-            }
-            if component.len() > before {
-                components += 1;
-            }
-        }
         let checks = plan
             .plans()
             .iter()
@@ -217,14 +193,12 @@ impl RuleParts {
         Ok(RuleParts {
             reach: fallback_reasons(idb),
             plan,
-            strat,
-            stratum_rules,
+            strata,
             variants,
             readers,
             scanned,
             component,
             checks,
-            by_head,
         })
     }
 }
@@ -407,10 +381,10 @@ impl MaintainedStore {
     /// Materializes the full fixpoint of `idb` over `edb` and prepares the
     /// maintenance plans. `plan` must be the compilation of `idb`.
     pub fn build(edb: &Edb, idb: &Idb, plan: Arc<ProgramPlan>) -> Result<MaintainedStore> {
-        let rules = RuleParts::new(idb, plan)?;
+        let rules = RuleParts::new(idb, plan, &ObsSink::disabled())?;
         let derived = materialize(edb, idb, &rules.plan)?;
         Ok(MaintainedStore {
-            gens: vec![0; rules.strat.len()],
+            gens: vec![0; rules.strata.len()],
             rules: Arc::new(rules),
             derived,
         })
@@ -437,7 +411,7 @@ impl MaintainedStore {
     /// The generation of the stratum an IDB predicate belongs to.
     pub fn generation_of(&self, pred: &str) -> Option<u64> {
         self.rules
-            .strat
+            .strata
             .stratum_of(pred)
             .and_then(|s| self.gens.get(s).copied())
     }
@@ -497,7 +471,7 @@ impl MaintainedStore {
             base.insert(p, lo);
         }
         let mut added = 0usize;
-        for rule_ids in &rules.stratum_rules {
+        for rule_ids in rules.strata.rules() {
             let mut delta = DeltaRanges::default();
             for &r in rule_ids {
                 for (i, dp) in &rules.variants[r] {
@@ -576,8 +550,9 @@ impl MaintainedStore {
     }
 
     /// The rest of a Backward/Forward retraction, run after the EDB tuple
-    /// has been removed (`idb` is not read: the rule-derived parts the
-    /// store carries are its compilation). Component by component in
+    /// has been removed; `idb` is the program the store's rule-derived
+    /// parts were compiled from (its by-head index names the rules a
+    /// check enumerates). Component by component in
     /// dependency order, each candidate is checked for another
     /// derivation; the unproved ones are removed in one batch per
     /// relation, after the forward step from that batch has found the
@@ -586,7 +561,7 @@ impl MaintainedStore {
     pub fn finish_retract(
         &mut self,
         edb: &Edb,
-        _idb: &Idb,
+        idb: &Idb,
         doomed: Doomed,
     ) -> Result<MaintainStats> {
         let Doomed {
@@ -610,7 +585,7 @@ impl MaintainedStore {
             let mut back = Backward::default();
             while !todo.is_empty() {
                 for (p, t) in todo.drain(..) {
-                    if !back.check(&rules, edb, &self.derived, &p, &t)? {
+                    if !back.check(&rules, idb, edb, &self.derived, &p, &t)? {
                         deleted.insert(&p, t)?;
                     }
                 }
@@ -686,25 +661,32 @@ impl MaintainedStore {
     /// extensions of `head` and everything depending on it, re-derive just
     /// those predicates with the surviving relations as seed, rebuild the
     /// rule-derived parts, and bump the generation of each invalidated
-    /// stratum. `plan` must be the compilation of the new `idb`.
+    /// stratum. `plan` must be the compilation of the new `idb`; its
+    /// analysis, if no retrieve built it yet, is built on `obs`.
     pub fn rules_changed(
         &mut self,
         edb: &Edb,
         idb: &Idb,
         plan: Arc<ProgramPlan>,
         head: &str,
+        obs: &ObsSink,
     ) -> Result<MaintainStats> {
         let mut stats = MaintainStats::default();
-        let rules = RuleParts::new(idb, plan)?;
-        let graph = DependencyGraph::build(idb);
-        // Affected under the *new* dependency graph, so a rule that adds a
-        // dependency invalidates through it.
-        let mut affected: Vec<Sym> = Vec::new();
-        for q in idb.predicates() {
-            if q.as_str() == head || graph.depends_on(q.as_str(), head) {
-                affected.push(q);
-            }
-        }
+        let rules = RuleParts::new(idb, plan, obs)?;
+        // Affected under the *new* evaluation graph, so a rule that adds a
+        // dependency invalidates through it; the graph follows negated
+        // literals, so a head that negates an affected predicate is
+        // affected too.
+        let slice = rules
+            .plan
+            .analysis(idb, obs)
+            .graph()
+            .slices_containing(|p| p.as_str() == head);
+        let affected: Vec<Sym> = idb
+            .predicates()
+            .into_iter()
+            .filter(|p| slice.contains(p))
+            .collect();
         for p in &affected {
             stats.derived_deleted += self.derived.remove_relation(p);
         }
@@ -723,11 +705,11 @@ impl MaintainedStore {
             .sum();
         // Carry generations by stratum index; new strata start at 0, and
         // every stratum containing an affected predicate is bumped.
-        let strata = rules.strat.len();
+        let strata = rules.strata.len();
         self.gens.resize(strata, 0);
         let mut bumped = vec![false; strata];
         for p in &affected {
-            if let Some(s) = rules.strat.stratum_of(p.as_str()) {
+            if let Some(s) = rules.strata.stratum_of(p.as_str()) {
                 if !bumped[s] {
                     bumped[s] = true;
                     self.gens[s] += 1;
@@ -892,6 +874,7 @@ impl Backward {
     fn check(
         &mut self,
         rules: &RuleParts,
+        idb: &Idb,
         edb: &Edb,
         derived: &DerivedFacts,
         pred: &Sym,
@@ -928,7 +911,7 @@ impl Backward {
                     .iter()
                     .any(|&i| self.nodes[self.instances[i].head].state != State::Proved);
             if needed {
-                self.explore(rules, edb, derived, next)?;
+                self.explore(rules, idb, edb, derived, next)?;
             } else {
                 self.nodes[next].state = State::Unknown;
             }
@@ -941,6 +924,7 @@ impl Backward {
     fn explore(
         &mut self,
         rules: &RuleParts,
+        idb: &Idb,
         edb: &Edb,
         derived: &DerivedFacts,
         id: usize,
@@ -952,7 +936,7 @@ impl Backward {
         // Per instance, its body facts in the component not yet proved.
         let mut waiting: Vec<Vec<(Sym, Tuple)>> = Vec::new();
         let mut row: Vec<Value> = Vec::new();
-        for &r in rules.by_head.get(&pred).into_iter().flatten() {
+        for &r in idb.rule_indices(pred.as_str()) {
             let check = &rules.checks[r];
             let Some(mut frame) = bind_head(&check.plan, &tuple) else {
                 continue;
@@ -1345,7 +1329,9 @@ mod tests {
             .unwrap();
         let plan2 = Arc::new(ProgramPlan::compile_with_stats(&idb2, edb.stats()));
         let before_reach = s.derived().relation("reach").unwrap().len();
-        let stats = s.rules_changed(&edb, &idb2, plan2, "loop").unwrap();
+        let stats = s
+            .rules_changed(&edb, &idb2, plan2, "loop", &ObsSink::disabled())
+            .unwrap();
         assert_eq!(stats.derived_deleted, 0); // loop had no extension yet
         assert_eq!(s.derived().relation("reach").unwrap().len(), before_reach);
         assert_matches_fresh(&s, &edb, &idb2);
@@ -1354,7 +1340,9 @@ mod tests {
         idb3.add_rule(qdk_logic::parser::parse_rule("reach(X, X) :- edge(X, Y).").unwrap())
             .unwrap();
         let plan3 = Arc::new(ProgramPlan::compile_with_stats(&idb3, edb.stats()));
-        let stats = s.rules_changed(&edb, &idb3, plan3, "reach").unwrap();
+        let stats = s
+            .rules_changed(&edb, &idb3, plan3, "reach", &ObsSink::disabled())
+            .unwrap();
         assert!(stats.derived_deleted >= before_reach);
         assert!(stats.strata_invalidated >= 1);
         assert_matches_fresh(&s, &edb, &idb3);
@@ -1382,7 +1370,8 @@ mod tests {
         idb2.add_rule(qdk_logic::parser::parse_rule("b(X) :- e(X), e(X).").unwrap())
             .unwrap();
         let plan2 = Arc::new(ProgramPlan::compile_with_stats(&idb2, edb.stats()));
-        s.rules_changed(&edb, &idb2, plan2, "b").unwrap();
+        s.rules_changed(&edb, &idb2, plan2, "b", &ObsSink::disabled())
+            .unwrap();
         assert_eq!(s.generation_of("a").unwrap(), g_a);
         assert_eq!(s.generation_of("b").unwrap(), 1);
     }

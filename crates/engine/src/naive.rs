@@ -11,27 +11,27 @@ use crate::bindings::{fire_rule_batch, DerivedFacts, RuleTask};
 use crate::error::Result;
 use crate::idb::Idb;
 use crate::plan::ProgramPlan;
-use crate::stratify::stratify;
 use qdk_logic::governor::{Governor, ResourceLimits};
+use qdk_logic::obs::ObsSink;
 use qdk_storage::Edb;
 
 /// Computes the least fixpoint of the IDB over the EDB naively, stratum by
 /// stratum, sequentially and without resource limits. `plan` must be the
-/// compilation of `idb`. Returns all derived facts.
+/// compilation of `idb`; its analysis supplies the strata (checked
+/// against their least-fixpoint definition in `graph`'s tests). Returns
+/// all derived facts.
 ///
 /// Each iteration fires every rule of the stratum against the facts known
 /// at the iteration's start (jacobi-style) and merges the batches in rule
 /// order.
 pub fn eval(edb: &Edb, idb: &Idb, plan: &ProgramPlan) -> Result<DerivedFacts> {
-    let strat = stratify(idb)?;
+    let strata = plan.analysis(idb, &ObsSink::disabled()).strata()?;
     let mut derived = DerivedFacts::new();
     let gov = Governor::new(ResourceLimits::default());
-    for stratum in strat.strata() {
-        let tasks: Vec<RuleTask<'_>> = plan
-            .plans()
+    for stratum in strata.rules() {
+        let tasks: Vec<RuleTask<'_>> = stratum
             .iter()
-            .filter(|rp| stratum.contains(&rp.compiled.head.pred))
-            .map(RuleTask::total)
+            .map(|&r| RuleTask::total(&plan.plans()[r]))
             .collect();
         while fire_rule_batch(&gov, edb, &mut derived, &tasks)? > 0 {}
     }

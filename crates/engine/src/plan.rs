@@ -23,9 +23,8 @@
 //! data-dependent nature of the original diagnostic.
 
 use crate::error::Result;
-use crate::graph::DependencyGraph;
+use crate::graph::{DependencyGraph, Strata};
 use crate::idb::Idb;
-use crate::stratify::{stratify, Stratification};
 use qdk_logic::obs::ObsSink;
 use qdk_logic::{CompiledRule, FxHashMap, FxHashSet, Interner, IrTerm, Literal, Rule, Sym, SymId};
 use qdk_storage::{CatalogStats, Value};
@@ -382,15 +381,16 @@ pub struct ProgramPlan {
 /// [`crate::topdown`].
 type CallPlans = FxHashMap<(usize, Vec<bool>), Arc<RulePlan>>;
 
-/// The rules-only analysis behind every retrieve: which predicates a goal
-/// demands, in which order they are evaluated, and the two properties of
-/// a demanded slice `Strategy::Auto` decides on.
+/// The engine's one analysis of a rule base, shared by every retrieve
+/// and by maintenance: which predicates a goal demands, the strata and
+/// dependency components they are evaluated in, and the two properties
+/// of a demanded slice `Strategy::Auto` decides on.
 #[derive(Debug)]
 pub(crate) struct PlanAnalysis {
     graph: DependencyGraph,
     /// Kept as its `Result` so a program that is not stratified fails
     /// where it always did: when something evaluates it bottom-up.
-    strat: Result<Stratification>,
+    strata: Result<Arc<Strata>>,
     /// Predicates whose slice contains a recursive predicate.
     recursive: FxHashSet<Sym>,
     /// Predicates whose slice contains a rule with a negated literal.
@@ -406,7 +406,7 @@ impl PlanAnalysis {
                 .any(|r| r.body.iter().any(|l| !l.positive))
         });
         PlanAnalysis {
-            strat: stratify(idb),
+            strata: graph.strata(idb).map(Arc::new),
             graph,
             recursive,
             negated,
@@ -420,8 +420,8 @@ impl PlanAnalysis {
     }
 
     /// The program's strata, or why it has none.
-    pub(crate) fn stratification(&self) -> Result<&Stratification> {
-        self.strat.as_ref().map_err(Clone::clone)
+    pub(crate) fn strata(&self) -> Result<&Arc<Strata>> {
+        self.strata.as_ref().map_err(Clone::clone)
     }
 
     /// The predicates every goal of `goals` reaches, goal predicates

@@ -197,25 +197,22 @@ pub fn eval(
     seed: DerivedFacts,
     opts: EvalOptions,
 ) -> Result<DerivedFacts> {
-    let strat = plan.analysis(idb, &opts.sink).stratification()?;
+    let strata = plan.analysis(idb, &opts.sink).strata()?;
     let mut derived = seed;
     let fixpoint = Fixpoint::new(edb, &opts);
-    for (si, stratum) in strat.strata().iter().enumerate() {
+    for (si, stratum) in strata.rules().iter().enumerate() {
         // Per rule of the stratum, a delta-first variant for each body
         // occurrence that can read a delta: a positive literal over a
         // predicate of this stratum.
-        let variants: Vec<(&RulePlan, Vec<(usize, RulePlan)>)> = plan
-            .plans()
+        let variants: Vec<(&RulePlan, Vec<(usize, RulePlan)>)> = stratum
             .iter()
-            .filter(|rp| {
-                let head = &rp.compiled.head.pred;
-                stratum.contains(head) && relevant.is_none_or(|r| r.contains(head))
-            })
+            .map(|&r| &plan.plans()[r])
+            .filter(|rp| relevant.is_none_or(|keep| keep.contains(&rp.compiled.head.pred)))
             .map(|rp| {
                 let occurrences = rp.compiled.body.iter().enumerate().filter(|(i, lit)| {
                     lit.positive
                         && !rp.compiled.source.body[*i].is_builtin()
-                        && stratum.contains(&lit.atom.pred)
+                        && strata.stratum_of(lit.atom.pred.as_str()) == Some(si)
                 });
                 let deltas = occurrences
                     .map(|(i, _)| (i, rp.delta_variant(i, plan.stats())))

@@ -544,7 +544,7 @@ impl KnowledgeBase {
         let obs = self.opts.sink.clone();
         let result = {
             let _span = obs.span("maintain_rules", 0);
-            store.rules_changed(&self.edb, &self.idb, plan, head)
+            store.rules_changed(&self.edb, &self.idb, plan, head, &obs)
         };
         match result {
             Ok(stats) => {

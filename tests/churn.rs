@@ -8,9 +8,9 @@
 //! every mutation, evaluated by the full fixpoint.
 //!
 //! * random interleavings of insert / retract / rule-add / query over
-//!   random safe programs (the `differential.rs` generator) must leave
-//!   the maintained session observationally identical to the rebuilt
-//!   one;
+//!   random safe, stratified programs (the `differential.rs` generator,
+//!   plus an optional negated literal per rule) must leave the maintained
+//!   session observationally identical to the rebuilt one;
 //! * describe answers depend only on the IDB and constraints, so the
 //!   describe cache must keep serving hits across fact churn, evict on
 //!   rule and constraint changes, and survive rules that existing rules
@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use qdk::logic::parser::parse_atom;
-use qdk::logic::{Atom, Rule, Term};
+use qdk::logic::{Atom, Literal, Rule, Term};
 use qdk::{KnowledgeBase, Mutation, Request, Session, Strategy};
 use std::collections::BTreeSet;
 
@@ -41,10 +41,18 @@ fn term_for(spec: u8, pool: &[&str]) -> Term {
 }
 
 /// Builds a safe rule from raw specs: body first, then a head whose
-/// variable arguments are drawn only from variables the body binds.
-fn build_rule(head_pred: u8, head_args: &[u8], body: &[(u8, Vec<u8>)]) -> Rule {
+/// variable arguments are drawn only from variables the body binds. A
+/// `negated` pick of 5 or more adds a negated literal over an extensional
+/// predicate or a `p*` of lower index than the head, its variables again
+/// drawn from the body's.
+fn build_rule(
+    head_pred: u8,
+    head_args: &[u8],
+    body: &[(u8, Vec<u8>)],
+    negated: (u8, &[u8]),
+) -> Rule {
     let vars = ["V0", "V1", "V2", "V3", "V4"];
-    let mut atoms = Vec::new();
+    let mut literals = Vec::new();
     let mut bound: Vec<&str> = Vec::new();
     for (p, args) in body {
         let (name, arity) = PREDS[*p as usize % PREDS.len()];
@@ -61,9 +69,10 @@ fn build_rule(head_pred: u8, head_args: &[u8], body: &[(u8, Vec<u8>)]) -> Rule {
                 t
             })
             .collect();
-        atoms.push(Atom::new(name, args));
+        literals.push(Literal::pos(Atom::new(name, args)));
     }
-    let (head_name, head_arity) = PREDS[2 + (head_pred as usize % 3)];
+    let head = 2 + head_pred as usize % 3;
+    let (head_name, head_arity) = PREDS[head];
     let head_args: Vec<Term> = head_args
         .iter()
         .take(head_arity)
@@ -75,7 +84,55 @@ fn build_rule(head_pred: u8, head_args: &[u8], body: &[(u8, Vec<u8>)]) -> Rule {
             }
         })
         .collect();
-    Rule::new(Atom::new(head_name, head_args), atoms)
+    let (pick, args) = negated;
+    if let Some(k) = pick.checked_sub(5) {
+        let (name, arity) = PREDS[k as usize % head];
+        let args = args.iter().take(arity).map(|a| term_for(*a, &bound));
+        literals.push(Literal::neg(Atom::new(name, args.collect())));
+    }
+    Rule::with_literals(Atom::new(head_name, head_args), literals)
+}
+
+/// True if no predicate of `rules` depends on itself through a negated
+/// literal.
+fn stratified(rules: &[Rule]) -> bool {
+    // Whether some chain of rule bodies leads from `from` to `to`.
+    let leads = |from: &str, to: &str| {
+        let mut seen = BTreeSet::from([from]);
+        let mut work = vec![from];
+        while let Some(p) = work.pop() {
+            for rule in rules.iter().filter(|r| r.head.pred.as_str() == p) {
+                for q in rule.body.iter().map(|l| l.atom.pred.as_str()) {
+                    if q == to {
+                        return true;
+                    }
+                    if seen.insert(q) {
+                        work.push(q);
+                    }
+                }
+            }
+        }
+        false
+    };
+    rules.iter().all(|r| {
+        r.body
+            .iter()
+            .all(|l| l.positive || !leads(l.atom.pred.as_str(), r.head.pred.as_str()))
+    })
+}
+
+/// `rule`, else `rule` without its negated literal, whichever keeps the
+/// program `rules` stratified; `None` when neither does.
+fn stratified_variant(rules: &[Rule], rule: Rule) -> Option<Rule> {
+    let positive = Rule::with_literals(
+        rule.head.clone(),
+        rule.body.iter().filter(|l| l.positive).cloned().collect(),
+    );
+    [rule, positive].into_iter().find(|candidate| {
+        let mut program = rules.to_vec();
+        program.push(candidate.clone());
+        stratified(&program)
+    })
 }
 
 /// A session over a knowledge base built from scratch: the declared
@@ -118,11 +175,12 @@ fn pred_rows(session: &Session, pred: &str, arity: usize) -> Vec<String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Random safe programs under random churn scripts: after every
-    /// mutation the maintained session derives exactly what a knowledge
-    /// base rebuilt from the surviving facts derives.
+    /// Random safe programs, stratified but free to negate, under random
+    /// churn scripts: after every mutation the maintained session derives
+    /// exactly what a knowledge base rebuilt from the surviving facts
+    /// derives.
     #[test]
     fn maintained_session_matches_rebuilt_from_scratch(
         specs in proptest::collection::vec(
@@ -133,6 +191,7 @@ proptest! {
                     (0u8..5, proptest::collection::vec(0u8..10, 2..3)),
                     1..3,
                 ),
+                (0u8..10, proptest::collection::vec(0u8..10, 2..3)),
             ),
             1..4,
         ),
@@ -140,10 +199,11 @@ proptest! {
         e1 in proptest::collection::vec(0u8..5, 0..4),
         script in proptest::collection::vec((0u8..8, 0u8..5, 0u8..5), 1..12),
     ) {
-        let mut rules: Vec<Rule> = specs
-            .iter()
-            .map(|(h, ha, body)| build_rule(*h, ha, body))
-            .collect();
+        let mut rules: Vec<Rule> = Vec::new();
+        for (h, ha, body, (pick, args)) in &specs {
+            let rule = build_rule(*h, ha, body, (*pick, args));
+            rules.extend(stratified_variant(&rules, rule));
+        }
         // The declared schema is fixed up front: every predicate the
         // initial program leaves extensional. A churned rule may later
         // define a declared predicate — maintenance must stay correct
@@ -194,12 +254,15 @@ proptest! {
                         prop_assert_eq!(applied.missing, 1);
                     }
                 }
-                // Rule churn: the maintained store re-derives the
-                // affected region in place.
+                // Rule churn, half of it negating: the maintained store
+                // re-derives the affected region in place.
                 _ => {
-                    let rule = build_rule(a, &[b, a], &[(b, vec![a, b])]);
-                    live.batch(|kb| kb.add_rule(rule.clone())).unwrap();
-                    rules.push(rule);
+                    let negated = (if op == 7 { 5 + b } else { 0 }, &[b, a][..]);
+                    let rule = build_rule(a, &[b, a], &[(b, vec![a, b])], negated);
+                    if let Some(rule) = stratified_variant(&rules, rule) {
+                        live.batch(|kb| kb.add_rule(rule.clone())).unwrap();
+                        rules.push(rule);
+                    }
                 }
             }
 
@@ -572,6 +635,31 @@ fn maintenance_fallback_surfaces_as_downgrade() {
         "recompute must reflect the widened negation"
     );
     assert!(session.knowledge_base().is_maintained());
+}
+
+/// A rule change re-derives the heads that negate what it changes: a new
+/// `q` rule on a maintained session shrinks `p(X) :- e(X), not q(X)`
+/// exactly as it does in a knowledge base rebuilt with the rule.
+#[test]
+fn a_rule_change_under_negation_rederives_its_readers() {
+    let script = "predicate e(A).
+         predicate g(A).
+         e(a). e(b). e(c).
+         p(X) :- e(X), not q(X).
+         q(X) :- g(X).";
+    let mut live = Session::new();
+    live.load(script).unwrap();
+    live.batch(|kb| kb.materialize_maintained()).unwrap();
+    assert_eq!(pred_rows(&live, "p", 1), ["p(a)", "p(b)", "p(c)"]);
+    live.apply(Mutation::new().rule("q(X) :- e(X), X = a"))
+        .unwrap();
+    let mut rebuilt = Session::new();
+    rebuilt
+        .load(&format!("{script}\nq(X) :- e(X), X = a."))
+        .unwrap();
+    assert_eq!(pred_rows(&rebuilt, "p", 1), ["p(b)", "p(c)"]);
+    assert_eq!(pred_rows(&live, "p", 1), pred_rows(&rebuilt, "p", 1));
+    assert!(live.knowledge_base().is_maintained());
 }
 
 /// After a burst of fact churn, every retrieve strategy — including the
