@@ -15,6 +15,10 @@
 //! with one whole-file symbol table inside the body, so a million-fact
 //! snapshot writes each fact as a few varint ids.
 //!
+//! The writer reads a [`CheckpointView`]: the declared state borrowed
+//! from the live knowledge base, so no row is cloned to take a
+//! checkpoint. Decoding returns the owned [`CheckpointData`].
+//!
 //! The write is atomic: body → temp file in the same directory → fsync →
 //! rename over the target → fsync the directory (on unix). Readers
 //! either see the previous complete checkpoint or the new one, never a
@@ -24,12 +28,12 @@
 //! the truncated WAL no longer holds the history it covered).
 
 use crate::codec::{Dec, Enc};
-use crate::crc32::crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::error::{DurabilityError, Result};
 use crate::op::{decode_named_tuple, encode_named_tuple};
 use crate::wal::Lsn;
-use qdk_logic::{Constraint, Rule};
-use qdk_storage::Tuple;
+use qdk_logic::{Constraint, Rule, Sym};
+use qdk_storage::{Relation, Tuple};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -37,13 +41,13 @@ use std::path::Path;
 /// Magic bytes opening every checkpoint file (name + format version).
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"QDKCKP01";
 
-/// One declared relation in a snapshot.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// One declared relation in a decoded snapshot.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RelationSnapshot {
     /// Predicate name.
-    pub name: String,
+    pub name: Sym,
     /// Attribute names, in order.
-    pub attrs: Vec<String>,
+    pub attrs: Vec<Sym>,
     /// Key prefix length, if declared.
     pub key: Option<usize>,
     /// Stored rows in insertion order (order matters: fact ids, delta
@@ -51,7 +55,8 @@ pub struct RelationSnapshot {
     pub facts: Vec<Tuple>,
 }
 
-/// The full declared state of a knowledge base at one LSN.
+/// The full declared state of a knowledge base at one LSN, as decoding
+/// returns it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CheckpointData {
     /// The last LSN this snapshot covers; replay resumes after it.
@@ -64,23 +69,43 @@ pub struct CheckpointData {
     pub constraints: Vec<Constraint>,
 }
 
-impl CheckpointData {
-    /// Ops this snapshot stands for (declarations + facts + rules +
-    /// constraints) — recovery-report accounting.
-    pub fn op_count(&self) -> u64 {
-        let facts: usize = self.relations.iter().map(|r| r.facts.len()).sum();
-        (self.relations.len() + facts + self.rules.len() + self.constraints.len()) as u64
-    }
+/// One declared relation as a checkpoint writes it, borrowed.
+#[derive(Clone, Copy, Debug)]
+pub struct RelationView<'a> {
+    /// Predicate name.
+    pub name: &'a Sym,
+    /// Attribute names, in order.
+    pub attrs: &'a [Sym],
+    /// Key prefix length, if declared.
+    pub key: Option<usize>,
+    /// The stored rows, written in row-id (insertion) order.
+    pub rows: &'a Relation,
+}
 
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.varint(self.last_lsn.0);
+/// The declared state a checkpoint is written from: schemas (with key
+/// declarations), rows, rules and constraints, all borrowed.
+#[derive(Clone, Debug, Default)]
+pub struct CheckpointView<'a> {
+    /// Declared relations, in declaration order.
+    pub relations: Vec<RelationView<'a>>,
+    /// IDB rules in insertion order.
+    pub rules: &'a [Rule],
+    /// Integrity constraints in insertion order.
+    pub constraints: &'a [Constraint],
+}
+
+impl CheckpointView<'_> {
+    /// Encodes the body of a checkpoint covering `last_lsn`.
+    fn encode(&self, last_lsn: Lsn, enc: &mut Enc) {
+        enc.varint(last_lsn.0);
         enc.varint(self.relations.len() as u64);
         for rel in &self.relations {
-            enc.str(&rel.name);
+            // Every fact repeats the relation's name: look its id up once.
+            let name = enc.str_id(rel.name.as_str());
+            enc.varint(u64::from(name));
             enc.varint(rel.attrs.len() as u64);
-            for a in &rel.attrs {
-                enc.str(a);
+            for a in rel.attrs {
+                enc.str(a.as_str());
             }
             match rel.key {
                 None => enc.byte(0),
@@ -89,20 +114,28 @@ impl CheckpointData {
                     enc.varint(k as u64);
                 }
             }
-            enc.varint(rel.facts.len() as u64);
-            for t in &rel.facts {
-                encode_named_tuple(&mut enc, &rel.name, t);
+            enc.varint(rel.rows.len() as u64);
+            for t in rel.rows {
+                encode_named_tuple(enc, name, t);
             }
         }
         enc.varint(self.rules.len() as u64);
-        for r in &self.rules {
+        for r in self.rules {
             enc.rule(r);
         }
         enc.varint(self.constraints.len() as u64);
-        for c in &self.constraints {
+        for c in self.constraints {
             enc.constraint(c);
         }
-        enc.finish()
+    }
+}
+
+impl CheckpointData {
+    /// Ops this snapshot stands for (declarations + facts + rules +
+    /// constraints) — recovery-report accounting.
+    pub fn op_count(&self) -> u64 {
+        let facts: usize = self.relations.iter().map(|r| r.facts.len()).sum();
+        (self.relations.len() + facts + self.rules.len() + self.constraints.len()) as u64
     }
 
     fn decode(body: &[u8]) -> Result<CheckpointData> {
@@ -115,11 +148,11 @@ impl CheckpointData {
         let nrel = dec.checked_count()?;
         let mut relations = Vec::with_capacity(nrel);
         for _ in 0..nrel {
-            let name = dec.sym()?.as_str().to_string();
+            let name = dec.sym()?;
             let nattr = dec.checked_count()?;
             let mut attrs = Vec::with_capacity(nattr);
             for _ in 0..nattr {
-                attrs.push(dec.sym()?.as_str().to_string());
+                attrs.push(dec.sym()?);
             }
             let key = match dec.byte()? {
                 0 => None,
@@ -162,26 +195,41 @@ impl CheckpointData {
     }
 }
 
-/// Atomically writes `data` to `path`. Returns the bytes written.
-pub fn write(path: &Path, data: &CheckpointData) -> Result<u64> {
-    let body = data.encode();
-    let mut bytes = Vec::with_capacity(12 + body.len());
-    bytes.extend_from_slice(CHECKPOINT_MAGIC);
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+/// Atomically writes the checkpoint of `state`, covering `last_lsn`, to
+/// `path`. `size_hint` sizes the body buffer before it grows (the
+/// previous checkpoint's size is a good one). Returns the bytes written.
+pub fn write(
+    path: &Path,
+    last_lsn: Lsn,
+    state: &CheckpointView<'_>,
+    size_hint: usize,
+) -> Result<u64> {
+    let mut enc = Enc::with_capacity(size_hint);
+    state.encode(last_lsn, &mut enc);
+    // The symbol table is known only once the body is encoded, but comes
+    // first in the file: the head is magic, checksum and table, and the
+    // body is written from the encoder's own buffer, never copied.
+    let mut head = CHECKPOINT_MAGIC.to_vec();
+    head.extend_from_slice(&[0; 4]);
+    enc.table_into(&mut head);
+    let mut crc = Crc32::default();
+    crc.update(&head[12..]);
+    crc.update(enc.body());
+    head[8..12].copy_from_slice(&crc.finish().to_le_bytes());
 
     let tmp = path.with_extension("tmp");
     {
         let mut f =
             File::create(&tmp).map_err(|e| DurabilityError::io("create checkpoint", &tmp, &e))?;
-        f.write_all(&bytes)
+        f.write_all(&head)
+            .and_then(|()| f.write_all(enc.body()))
             .map_err(|e| DurabilityError::io("write checkpoint", &tmp, &e))?;
         f.sync_all()
             .map_err(|e| DurabilityError::io("sync checkpoint", &tmp, &e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| DurabilityError::io("publish checkpoint", path, &e))?;
     sync_parent_dir(path)?;
-    Ok(bytes.len() as u64)
+    Ok((head.len() + enc.body().len()) as u64)
 }
 
 /// Makes the rename itself durable by syncing the containing directory
@@ -228,7 +276,7 @@ pub fn read(path: &Path) -> Result<Option<CheckpointData>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qdk_logic::parser::parse_rule;
     use qdk_storage::Value;
@@ -239,6 +287,44 @@ mod tests {
         static N: AtomicU32 = AtomicU32::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("qdk-ckp-{tag}-{}-{n}.ckp", std::process::id()))
+    }
+
+    /// `data`'s relations as stored relations, for a view to borrow.
+    pub(crate) fn stored(data: &CheckpointData) -> Vec<Relation> {
+        data.relations
+            .iter()
+            .map(|r| {
+                let mut rel = Relation::new(r.name.clone(), r.attrs.len());
+                for t in &r.facts {
+                    rel.insert(t.clone()).unwrap();
+                }
+                rel
+            })
+            .collect()
+    }
+
+    /// The view a writer reads of `data`, rows borrowed from `stored`.
+    pub(crate) fn view<'a>(data: &'a CheckpointData, stored: &'a [Relation]) -> CheckpointView<'a> {
+        CheckpointView {
+            relations: data
+                .relations
+                .iter()
+                .zip(stored)
+                .map(|(r, rows)| RelationView {
+                    name: &r.name,
+                    attrs: &r.attrs,
+                    key: r.key,
+                    rows,
+                })
+                .collect(),
+            rules: &data.rules,
+            constraints: &data.constraints,
+        }
+    }
+
+    /// Writes `data` as the checkpoint at `path`.
+    pub(crate) fn write_data(path: &Path, data: &CheckpointData) -> Result<u64> {
+        write(path, data.last_lsn, &view(data, &stored(data)), 0)
     }
 
     fn sample() -> CheckpointData {
@@ -262,7 +348,7 @@ mod tests {
     fn write_read_roundtrip() {
         let path = temp_ckp("roundtrip");
         let data = sample();
-        write(&path, &data).unwrap();
+        write_data(&path, &data).unwrap();
         assert_eq!(read(&path).unwrap(), Some(data));
         std::fs::remove_file(&path).ok();
     }
@@ -275,7 +361,7 @@ mod tests {
     #[test]
     fn corrupted_body_is_an_error_not_a_panic() {
         let path = temp_ckp("corrupt");
-        write(&path, &sample()).unwrap();
+        write_data(&path, &sample()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -293,14 +379,73 @@ mod tests {
     #[test]
     fn rewrite_replaces_previous_snapshot() {
         let path = temp_ckp("rewrite");
-        write(&path, &sample()).unwrap();
+        write_data(&path, &sample()).unwrap();
         let mut next = sample();
         next.last_lsn = Lsn(99);
         next.relations[0]
             .facts
             .push(Tuple::new(vec![Value::sym("c"), Value::sym("d")]));
-        write(&path, &next).unwrap();
+        write_data(&path, &next).unwrap();
         assert_eq!(read(&path).unwrap(), Some(next));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A checkpoint an earlier encoder wrote (every value tag, a key, a
+    /// rule with a negated literal, a constraint) decodes to the state it
+    /// was written from, and encoding that state writes the same bytes.
+    #[test]
+    fn golden_file_decodes_and_re_encodes_byte_for_byte() {
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden.ckp");
+        let data = read(&golden).unwrap().unwrap();
+        assert_eq!(data.last_lsn, Lsn(13));
+        let names: Vec<&str> = data.relations.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["flag", "knows", "person"]);
+        assert_eq!(data.relations[2].key, Some(1));
+        let rows = |i: usize| -> Vec<Vec<Value>> {
+            let facts = &data.relations[i].facts;
+            facts.iter().map(|t| t.values().to_vec()).collect()
+        };
+        assert_eq!(
+            rows(0),
+            [
+                vec![Value::sym("ann"), Value::Bool(true)],
+                vec![Value::sym("bob"), Value::Bool(false)],
+            ]
+        );
+        assert_eq!(
+            rows(2),
+            [
+                vec![
+                    Value::sym("ann"),
+                    Value::Int(-42),
+                    Value::Num(1.75),
+                    Value::str("naïve ça \"va\""),
+                ],
+                vec![
+                    Value::sym("bob"),
+                    Value::Int(7),
+                    Value::Num(-0.5),
+                    Value::str("plain"),
+                ],
+            ]
+        );
+        let rules: Vec<String> = data.rules.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            rules,
+            [
+                "reach(X, Y) :- knows(X, Y).",
+                "reach(X, Z) :- knows(X, Y), reach(Y, Z).",
+                "loner(X) :- person(X, A, H, M), not reach(X, bob).",
+            ]
+        );
+        assert_eq!(data.constraints.len(), 1);
+
+        let path = temp_ckp("golden");
+        write_data(&path, &data).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&golden).unwrap()
+        );
         std::fs::remove_file(&path).ok();
     }
 

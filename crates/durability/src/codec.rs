@@ -1,9 +1,8 @@
 //! Compact binary encoding for logged operations and checkpoint bodies.
 //!
 //! Strings (predicate names, symbolic constants, variable names, quoted
-//! strings) are written once into a dense symbol table — the same
-//! interning scheme the compiled query core uses ([`Interner`], dense
-//! `u32` ids) — and referenced by id everywhere else. A WAL record
+//! strings) are written once into a dense symbol table (ids in order of
+//! first use) and referenced by id everywhere else. A WAL record
 //! carries its own small table (records must be self-contained so the
 //! tail can be replayed without any other state); a checkpoint carries
 //! one table for the whole snapshot, which is what makes million-fact
@@ -15,7 +14,7 @@
 //! never panics, whatever the bytes.
 
 use crate::error::{DurabilityError, Result};
-use qdk_logic::{Atom, Constraint, Interner, Literal, Rule, Sym, Term, Var};
+use qdk_logic::{Atom, Constraint, FxHashMap, Literal, Rule, Sym, Term, Var};
 use qdk_storage::Value;
 
 /// Value kind tags (stable on disk — bump the format version to change).
@@ -36,12 +35,73 @@ fn corrupt(detail: impl Into<String>) -> DurabilityError {
     }
 }
 
+/// Appends `v` to `out` as an unsigned LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// The encoder's string table: dense ids in order of first use.
+///
+/// A [`Sym`] is looked up by the address of its text first — values that
+/// share one `Arc` cost one integer hash, however long the text — and by
+/// its Fx-hashed text second. Each address entry holds a clone of its
+/// `Sym`, so no address can be freed and reused by other text while the
+/// table lives.
+#[derive(Default)]
+struct SymTable {
+    by_addr: FxHashMap<usize, (u32, Sym)>,
+    by_text: FxHashMap<Sym, u32>,
+    texts: Vec<Sym>,
+}
+
+impl SymTable {
+    fn sym(&mut self, s: &Sym) -> u32 {
+        // An aligned address has zero low bits, and Fx's multiply keeps
+        // them zero where the map picks its bucket: rotate them away (a
+        // bijection, so distinct addresses stay distinct keys).
+        let addr = (s.as_str().as_ptr() as usize).rotate_right(3);
+        if let Some(&(id, _)) = self.by_addr.get(&addr) {
+            return id;
+        }
+        let id = match self.by_text.get(s) {
+            Some(&id) => id,
+            None => self.push(s.clone()),
+        };
+        self.by_addr.insert(addr, (id, s.clone()));
+        id
+    }
+
+    fn str(&mut self, s: &str) -> u32 {
+        match self.by_text.get(s) {
+            Some(&id) => id,
+            None => self.push(Sym::new(s)),
+        }
+    }
+
+    fn push(&mut self, s: Sym) -> u32 {
+        let id = u32::try_from(self.texts.len()).unwrap_or(u32::MAX);
+        self.by_text.insert(s.clone(), id);
+        self.texts.push(s);
+        id
+    }
+}
+
 /// Encoder: a body buffer plus the symbol table it references. Call the
-/// typed writers, then [`Enc::finish`] to assemble `[table][body]`.
+/// typed writers, then [`Enc::finish`] to assemble `[table][body]` (or
+/// [`Enc::table_into`] and [`Enc::body`] to write the two without
+/// joining them).
 #[derive(Default)]
 pub struct Enc {
     body: Vec<u8>,
-    syms: Interner,
+    syms: SymTable,
 }
 
 impl Enc {
@@ -50,17 +110,17 @@ impl Enc {
         Enc::default()
     }
 
-    /// Appends an unsigned LEB128 varint.
-    pub fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.body.push(byte);
-                return;
-            }
-            self.body.push(byte | 0x80);
+    /// Fresh encoder whose body buffer holds `bytes` before it grows.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            body: Vec::with_capacity(bytes),
+            syms: SymTable::default(),
         }
+    }
+
+    /// Appends an unsigned LEB128 varint.
+    pub fn varint(&mut self, v: u64) {
+        put_varint(&mut self.body, v);
     }
 
     /// Appends a zigzag-encoded signed varint.
@@ -80,14 +140,21 @@ impl Enc {
 
     /// Appends a symbol as its dense table id.
     pub fn sym(&mut self, s: &Sym) {
-        let id = self.syms.intern(s);
-        self.varint(u64::from(id.0));
+        let id = self.syms.sym(s);
+        self.varint(u64::from(id));
     }
 
     /// Appends a string slice as its dense table id.
     pub fn str(&mut self, s: &str) {
-        let id = self.syms.intern_str(s);
-        self.varint(u64::from(id.0));
+        let id = self.str_id(s);
+        self.varint(u64::from(id));
+    }
+
+    /// The table id of `s`, interning it now if it is new, without
+    /// appending anything: a caller that writes one name many times
+    /// looks it up once and appends the id with [`Enc::varint`].
+    pub fn str_id(&mut self, s: &str) -> u32 {
+        self.syms.str(s)
     }
 
     /// Appends a stored value.
@@ -162,23 +229,26 @@ impl Enc {
         }
     }
 
-    /// Assembles the final bytes: `[varint table len][strings…][body]`,
+    /// Appends the symbol table to `out`: `[varint count][strings…]`,
     /// each string `[varint byte len][utf8 bytes]`.
-    pub fn finish(self) -> Vec<u8> {
-        let mut head = Enc::new();
-        head.varint(self.syms.len() as u64);
-        let mut out = head.body;
-        for i in 0..self.syms.len() {
-            let s = self
-                .syms
-                .resolve(qdk_logic::SymId(i as u32))
-                .as_str()
-                .as_bytes();
-            let mut len = Enc::new();
-            len.varint(s.len() as u64);
-            out.extend_from_slice(&len.body);
-            out.extend_from_slice(s);
+    pub fn table_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.syms.texts.len() as u64);
+        for s in &self.syms.texts {
+            let bytes = s.as_str().as_bytes();
+            put_varint(out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
         }
+    }
+
+    /// The body written so far (everything but the table).
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// Assembles the final bytes: `[table][body]`.
+    pub fn finish(self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.table_into(&mut out);
         out.extend_from_slice(&self.body);
         out
     }

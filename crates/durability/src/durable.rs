@@ -15,7 +15,7 @@
 //! its ordinary mutation paths. The handle itself never interprets ops —
 //! it assigns LSNs, appends, schedules checkpoints and meters bytes.
 
-use crate::checkpoint::{self, CheckpointData};
+use crate::checkpoint::{self, CheckpointData, CheckpointView};
 use crate::error::{DurabilityError, Result};
 use crate::op::WalOp;
 use crate::wal::{self, FsyncPolicy, Lsn, RecoveryReport, WalRecord, WalWriter};
@@ -188,13 +188,16 @@ impl Durable {
         }
     }
 
-    /// Snapshots `data` (stamped with the current last LSN), atomically
-    /// publishes it, then truncates the WAL. Returns the LSN the
-    /// checkpoint covers and the bytes written.
-    pub fn checkpoint(&mut self, mut data: CheckpointData) -> Result<(Lsn, u64)> {
+    /// Writes `state` as a checkpoint covering the current last LSN,
+    /// atomically publishes it, then truncates the WAL. Returns the LSN
+    /// the checkpoint covers and the bytes written. On an error the WAL
+    /// is left whole and the next call retries.
+    pub fn checkpoint(&mut self, state: &CheckpointView<'_>) -> Result<(Lsn, u64)> {
         let covered = Lsn(self.next_lsn.0.saturating_sub(1));
-        data.last_lsn = covered;
-        let bytes = checkpoint::write(&self.dir.join(CHECKPOINT_FILE), &data)?;
+        // The store changes little between checkpoints: the last one's
+        // size fits the next body without regrowing the buffer.
+        let hint = self.metrics.last_checkpoint_bytes as usize;
+        let bytes = checkpoint::write(&self.dir.join(CHECKPOINT_FILE), covered, state, hint)?;
         // Truncation is safe only now: the snapshot is published.
         self.writer.truncate_to_header()?;
         self.ops_since_checkpoint = 0;
@@ -306,7 +309,9 @@ mod tests {
                 }],
                 ..CheckpointData::default()
             };
-            let (covered, _) = d.checkpoint(data).unwrap();
+            let stored = checkpoint::tests::stored(&data);
+            let view = checkpoint::tests::view(&data, &stored);
+            let (covered, _) = d.checkpoint(&view).unwrap();
             assert_eq!(covered, Lsn(3));
             assert!(!d.should_checkpoint());
             // Post-checkpoint appends continue the LSN sequence.
@@ -344,7 +349,7 @@ mod tests {
             assert_eq!(m.last_lsn, 2);
             assert_eq!(m.checkpoint_lsn, 0);
             assert_eq!(m.checkpoint_lsn_lag(), 2);
-            d.checkpoint(CheckpointData::default()).unwrap();
+            d.checkpoint(&CheckpointView::default()).unwrap();
             let m = d.metrics();
             assert_eq!(m.checkpoint_lsn, 2);
             assert_eq!(m.checkpoint_lsn_lag(), 0);
@@ -385,7 +390,7 @@ mod tests {
                 last_lsn: Lsn(2),
                 ..CheckpointData::default()
             };
-            checkpoint::write(&dir.join(CHECKPOINT_FILE), &data).unwrap();
+            checkpoint::tests::write_data(&dir.join(CHECKPOINT_FILE), &data).unwrap();
         }
         let opened = Durable::open(&dir, opts()).unwrap();
         assert_eq!(opened.tail.len(), 0);

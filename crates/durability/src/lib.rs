@@ -12,10 +12,10 @@
 //!   *before* it is applied in memory, under a configurable
 //!   [`FsyncPolicy`];
 //! * a **checkpoint** ([`checkpoint`]) periodically snapshots the full
-//!   EDB + rule set, serialized through a dense `u32` symbol table (the
-//!   same interning scheme the compiled query core uses), written
-//!   atomically (temp file + rename) and stamped with the LSN it covers;
-//!   the WAL is then truncated past that LSN;
+//!   EDB + rule set, read straight from the live relations and
+//!   serialized through a dense `u32` symbol table, written atomically
+//!   (temp file + rename) and stamped with the LSN it covers; the WAL is
+//!   then truncated past that LSN;
 //! * **recovery-on-open** loads the latest valid checkpoint and replays
 //!   the WAL tail, tolerating a torn or truncated final record: scanning
 //!   stops at the first bad CRC and the discarded bytes are reported in a
@@ -26,7 +26,8 @@
 //! The log is a log of *knowledge*, not of work.
 //!
 //! The crate is storage-layer only: it knows how to persist and recover
-//! the operations ([`WalOp`]) and state ([`checkpoint::CheckpointData`]),
+//! the operations ([`WalOp`]) and state (written from a
+//! [`CheckpointView`], read back as a [`CheckpointData`]),
 //! while `qdk-lang::KnowledgeBase` owns applying them through the exact
 //! same code paths live mutations take.
 
@@ -43,7 +44,7 @@ mod error;
 mod op;
 pub mod wal;
 
-pub use checkpoint::{CheckpointData, RelationSnapshot};
+pub use checkpoint::{CheckpointData, CheckpointView, RelationSnapshot, RelationView};
 pub use durable::{DurabilityMetrics, DurabilityOptions, Durable, Opened};
 pub use error::{DurabilityError, Result};
 pub use op::WalOp;

@@ -7,7 +7,7 @@
 
 use crate::codec::{Dec, Enc};
 use crate::error::{DurabilityError, Result};
-use qdk_logic::{Atom, Constraint, Rule};
+use qdk_logic::{Atom, Constraint, Rule, Sym};
 use qdk_storage::Tuple;
 
 /// Op kind tags (stable on disk).
@@ -92,6 +92,7 @@ impl WalOp {
             }
             WalOp::AddFact { pred, tuple } => {
                 enc.byte(OP_ADD_FACT);
+                let pred = enc.str_id(pred);
                 encode_named_tuple(enc, pred, tuple);
             }
             WalOp::AddRule(rule) => {
@@ -100,6 +101,7 @@ impl WalOp {
             }
             WalOp::Retract { pred, tuple } => {
                 enc.byte(OP_RETRACT);
+                let pred = enc.str_id(pred);
                 encode_named_tuple(enc, pred, tuple);
             }
             WalOp::AddConstraint(c) => {
@@ -140,12 +142,18 @@ impl WalOp {
             }
             OP_ADD_FACT => {
                 let (pred, tuple) = decode_named_tuple(dec)?;
-                WalOp::AddFact { pred, tuple }
+                WalOp::AddFact {
+                    pred: pred.as_str().to_string(),
+                    tuple,
+                }
             }
             OP_ADD_RULE => WalOp::AddRule(dec.rule()?),
             OP_RETRACT => {
                 let (pred, tuple) = decode_named_tuple(dec)?;
-                WalOp::Retract { pred, tuple }
+                WalOp::Retract {
+                    pred: pred.as_str().to_string(),
+                    tuple,
+                }
             }
             OP_ADD_CONSTRAINT => WalOp::AddConstraint(dec.constraint()?),
             OP_BATCH => {
@@ -166,9 +174,10 @@ impl WalOp {
     }
 }
 
-/// Encodes `pred(tuple)` as a name id + value row.
-pub(crate) fn encode_named_tuple(enc: &mut Enc, pred: &str, tuple: &Tuple) {
-    enc.str(pred);
+/// Encodes `pred(tuple)` as a name id + value row, `pred` being the
+/// name's table id ([`Enc::str_id`]).
+pub(crate) fn encode_named_tuple(enc: &mut Enc, pred: u32, tuple: &Tuple) {
+    enc.varint(u64::from(pred));
     enc.varint(tuple.arity() as u64);
     for v in tuple.values() {
         enc.value(v);
@@ -176,8 +185,8 @@ pub(crate) fn encode_named_tuple(enc: &mut Enc, pred: &str, tuple: &Tuple) {
 }
 
 /// Decodes a name id + value row.
-pub(crate) fn decode_named_tuple(dec: &mut Dec<'_>) -> Result<(String, Tuple)> {
-    let pred = dec.sym()?.as_str().to_string();
+pub(crate) fn decode_named_tuple(dec: &mut Dec<'_>) -> Result<(Sym, Tuple)> {
+    let pred = dec.sym()?;
     let n = dec.checked_count()?;
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {

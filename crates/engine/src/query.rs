@@ -157,9 +157,10 @@ impl fmt::Display for AutoChoice {
 }
 
 /// An evaluation mode a [`Downgrade`] can degrade from or to: one of the
-/// three retrieve strategies, or one of the two maintenance modes a live
+/// three retrieve strategies, one of the two maintenance modes a live
 /// knowledge base keeps its derived state in — incremental (delta
-/// propagation / Backward/Forward retraction) and full recomputation.
+/// propagation / Backward/Forward retraction) and full recomputation —
+/// or one of the two ways a durable store covers its history.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// A retrieve evaluation strategy.
@@ -168,6 +169,10 @@ pub enum Mode {
     Incremental,
     /// Full fixpoint recomputation of derived facts.
     Recompute,
+    /// A checkpoint snapshots the state and the WAL is truncated.
+    Checkpoint,
+    /// The WAL keeps the history and recovery replays it.
+    WalReplay,
 }
 
 impl fmt::Debug for Mode {
@@ -179,6 +184,8 @@ impl fmt::Debug for Mode {
             Mode::Strategy(s) => write!(f, "{s:?}"),
             Mode::Incremental => write!(f, "Incremental"),
             Mode::Recompute => write!(f, "Recompute"),
+            Mode::Checkpoint => write!(f, "Checkpoint"),
+            Mode::WalReplay => write!(f, "WalReplay"),
         }
     }
 }
@@ -227,6 +234,16 @@ impl Downgrade {
         Downgrade {
             from: Mode::Incremental,
             to: Mode::Recompute,
+            reason: reason.into(),
+        }
+    }
+
+    /// A failed automatic checkpoint: the mutation that triggered it
+    /// stands, and the WAL keeps its history until a retry succeeds.
+    pub fn checkpoint(reason: impl Into<String>) -> Self {
+        Downgrade {
+            from: Mode::Checkpoint,
+            to: Mode::WalReplay,
             reason: reason.into(),
         }
     }

@@ -11,10 +11,10 @@ use crate::error::Result;
 use crate::parser::{parse_script, parse_statement};
 use qdk_core::{redundancy, DescribeCache};
 use qdk_durability::{
-    CheckpointData, DurabilityOptions, Durable, Lsn, Opened, RelationSnapshot, WalOp,
+    CheckpointData, CheckpointView, DurabilityOptions, Durable, Lsn, Opened, RelationView, WalOp,
 };
 use qdk_engine::maintain::Doomed;
-use qdk_engine::{Downgrade, MaintainStats, MaintainedStore, ProgramPlan, Retraction};
+use qdk_engine::{Downgrade, MaintainStats, MaintainedStore, Mode, ProgramPlan, Retraction};
 use qdk_logic::obs::Event;
 use qdk_logic::{Constraint, Rule, Sym, Term};
 use qdk_storage::Tuple;
@@ -83,13 +83,13 @@ impl KnowledgeBase {
     /// insertion paths live mutations take.
     fn apply_checkpoint(&mut self, ckp: CheckpointData) -> Result<()> {
         for rel in ckp.relations {
-            let attrs: Vec<&str> = rel.attrs.iter().map(String::as_str).collect();
-            self.edb.declare(&rel.name, &attrs)?;
-            if let Some(k) = rel.key {
-                self.keys.insert(Sym::new(&rel.name), k);
-            }
+            let attrs: Vec<&str> = rel.attrs.iter().map(Sym::as_str).collect();
+            self.edb.declare(rel.name.as_str(), &attrs)?;
             for tuple in rel.facts {
-                self.edb.insert_tuple(&rel.name, tuple)?;
+                self.edb.insert_tuple(rel.name.as_str(), tuple)?;
+            }
+            if let Some(k) = rel.key {
+                self.keys.insert(rel.name, k);
             }
         }
         let idb = Arc::make_mut(&mut self.idb);
@@ -154,18 +154,31 @@ impl KnowledgeBase {
     /// crossed. Called after every applied mutation; a no-op while a
     /// transaction is open (a checkpoint must never capture the applied
     /// half of an uncommitted batch).
-    fn maybe_checkpoint(&mut self) -> Result<()> {
+    ///
+    /// The mutation that triggered it is already logged and applied, so
+    /// a failed checkpoint does not fail it: the WAL stays whole (recovery
+    /// replays it), the failure is counted as `checkpoint_failed` and
+    /// noted as a downgrade, and the next mutation tries again.
+    fn maybe_checkpoint(&mut self) {
         if self.batch.is_some() {
-            return Ok(());
+            return;
         }
         let due = match &self.durable {
             Some(d) => d.lock().should_checkpoint(),
             None => false,
         };
-        if due {
-            self.checkpoint()?;
+        if !due {
+            return;
         }
-        Ok(())
+        if let Err(e) = self.checkpoint() {
+            self.opts.sink.counter("checkpoint_failed", 1);
+            // One pending note per outage: a store that keeps failing
+            // must not grow the list by one note per commit.
+            let mut pending = self.pending.lock();
+            if !pending.iter().any(|d| d.from == Mode::Checkpoint) {
+                pending.push(Downgrade::checkpoint(format!("checkpoint: {e}")));
+            }
+        }
     }
 
     /// Runs `f` as an atomic batch. Mutations inside the closure apply to
@@ -194,7 +207,7 @@ impl KnowledgeBase {
                         return Err(e);
                     }
                 }
-                self.maybe_checkpoint()?;
+                self.maybe_checkpoint();
                 Ok(value)
             }
             Err(e) => {
@@ -204,47 +217,43 @@ impl KnowledgeBase {
         }
     }
 
-    /// Snapshots the current state and atomically publishes it as the
-    /// checkpoint, truncating the WAL. Returns the covered LSN and the
-    /// snapshot's size in bytes (`None` for an in-memory KB).
+    /// Writes the current state as the checkpoint, atomically, and
+    /// truncates the WAL. Returns the covered LSN and the checkpoint's
+    /// size in bytes (`None` for an in-memory KB).
     pub fn checkpoint(&mut self) -> Result<Option<(Lsn, u64)>> {
         let Some(d) = &self.durable else {
             return Ok(None);
         };
-        let data = self.snapshot();
-        let (lsn, bytes) = d.lock().checkpoint(data)?;
+        let (lsn, bytes) = d.lock().checkpoint(&self.checkpoint_view())?;
         if self.opts.sink.enabled() {
             self.opts.sink.emit(Event::Checkpoint { lsn: lsn.0, bytes });
         }
         Ok(Some((lsn, bytes)))
     }
 
-    /// The full declared state as checkpoint data: schemas (with keys),
-    /// facts in per-relation insertion order, rules, constraints.
-    fn snapshot(&self) -> CheckpointData {
-        let mut relations = Vec::new();
-        for schema in self.edb.catalog().iter() {
-            let facts = self
-                .edb
-                .relation(schema.name.as_str())
-                .map(|rel| rel.iter().cloned().collect())
-                .unwrap_or_default();
-            relations.push(RelationSnapshot {
-                name: schema.name.as_str().to_string(),
-                attrs: schema
-                    .attrs
-                    .iter()
-                    .map(|a| a.as_str().to_string())
-                    .collect(),
-                key: self.keys.get(&schema.name).copied(),
-                facts,
-            });
-        }
-        CheckpointData {
-            last_lsn: Lsn(0), // stamped by the durable handle
+    /// The full declared state as a checkpoint reads it, borrowed:
+    /// schemas (with keys), facts in per-relation insertion order, rules,
+    /// constraints.
+    fn checkpoint_view(&self) -> CheckpointView<'_> {
+        // `Edb::declare` makes a schema and its relation together, and
+        // neither is ever dropped, so every schema finds its rows.
+        let relations = self
+            .edb
+            .catalog()
+            .iter()
+            .filter_map(|schema| {
+                Some(RelationView {
+                    name: &schema.name,
+                    attrs: &schema.attrs,
+                    key: self.keys.get(&schema.name).copied(),
+                    rows: self.edb.relation(schema.name.as_str())?,
+                })
+            })
+            .collect();
+        CheckpointView {
             relations,
-            rules: self.idb.rules().to_vec(),
-            constraints: self.constraints.clone(),
+            rules: self.idb.rules(),
+            constraints: &self.constraints,
         }
     }
 
@@ -272,7 +281,8 @@ impl KnowledgeBase {
         if let Some(k) = key {
             self.keys.insert(Sym::new(name), k);
         }
-        self.maybe_checkpoint()
+        self.maybe_checkpoint();
+        Ok(())
     }
 
     /// Adds a fact (ground atom) to the EDB, under the validate → log →
@@ -305,7 +315,7 @@ impl KnowledgeBase {
                 }
             }
         }
-        self.maybe_checkpoint()?;
+        self.maybe_checkpoint();
         Ok(new)
     }
 
@@ -333,7 +343,8 @@ impl KnowledgeBase {
             cache.rule_added(&head, redundant);
         });
         self.maintain_rules_changed(&head);
-        self.maybe_checkpoint()
+        self.maybe_checkpoint();
+        Ok(())
     }
 
     /// Retracts a stored fact; returns `true` if it was stored. Same
@@ -356,7 +367,7 @@ impl KnowledgeBase {
         if removed {
             self.apply_retract_maintenance(plan);
         }
-        self.maybe_checkpoint()?;
+        self.maybe_checkpoint();
         Ok(removed)
     }
 
@@ -459,7 +470,8 @@ impl KnowledgeBase {
         self.fork_describe_cache(|cache| {
             cache.constraint_added(&preds);
         });
-        self.maybe_checkpoint()
+        self.maybe_checkpoint();
+        Ok(())
     }
 
     /// Gives this knowledge base a describe cache of its own, holding

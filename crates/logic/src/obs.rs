@@ -88,6 +88,7 @@ pub const NAMES: &[&str] = &[
     "maintain_lost",
     "retract_checked",
     "retract_deleted",
+    "checkpoint_failed",
     // Counters: epochs.
     "epoch_publish",
     "epoch_refresh",

@@ -4,9 +4,14 @@
 //! both recovery paths (pure WAL replay and checkpoint + tail).
 
 use qdk::durability::DurabilityOptions;
-use qdk::{datasets, FsyncPolicy, KnowledgeBase, Request, Session};
-use std::path::PathBuf;
+use qdk::storage::Value;
+use qdk::{
+    datasets, CollectSink, DescribeOptions, Event, FsyncPolicy, KnowledgeBase, Mode, Mutation,
+    ObsSink, Request, Session,
+};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -449,5 +454,171 @@ fn recovery_lands_on_the_last_published_epoch_despite_held_snapshots() {
     assert_eq!(old_reader.knowledge_base().edb().fact_count(), 1);
     let d = old_reader.retrieve(Request::subject("path(X, Y)")).unwrap();
     assert_eq!(d.as_data().unwrap().len(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint that cannot be written does not fail the commit that
+/// triggered it: the batch is already logged and applied, so `apply`
+/// returns `Ok`, the WAL keeps the batch, the failure is a downgrade and
+/// a `checkpoint_failed` count, and the next due commit retries. An
+/// explicit checkpoint still reports the error.
+#[test]
+fn a_failed_checkpoint_does_not_fail_the_commit_that_triggered_it() {
+    let dir = temp_dir("ckpt-fail");
+    let opts = DurabilityOptions {
+        fsync: FsyncPolicy::Never,
+        checkpoint_every_ops: Some(1),
+    };
+    let wal_len = |dir: &Path| std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    let collector = Arc::new(CollectSink::new());
+    {
+        let kb = KnowledgeBase::open_durable_with(&dir, opts)
+            .unwrap()
+            .with_describe_options(
+                DescribeOptions::paper().with_sink(ObsSink::new(collector.clone())),
+            );
+        let mut s = Session::over(kb);
+        s.run("predicate edge(A, B).").unwrap();
+        let checkpoints =
+            |s: &Session| s.knowledge_base().durability_metrics().unwrap().checkpoints;
+        assert_eq!(checkpoints(&s), 1);
+        assert_eq!(wal_len(&dir), 8, "a checkpoint leaves only the WAL header");
+
+        // A directory where the checkpoint's temp file goes fails every
+        // checkpoint at its first step, for any user.
+        let blocker = dir.join("checkpoint.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let applied = s.apply(Mutation::new().insert("edge(a, b)")).unwrap();
+        assert_eq!(applied.inserted, 1);
+        let [downgrade] = applied.downgrades.as_slice() else {
+            panic!("one downgrade expected: {:?}", applied.downgrades);
+        };
+        assert_eq!(
+            (downgrade.from, downgrade.to),
+            (Mode::Checkpoint, Mode::WalReplay)
+        );
+        assert!(
+            downgrade
+                .reason
+                .starts_with("checkpoint: durability i/o error (create checkpoint"),
+            "{downgrade}"
+        );
+        assert_eq!(checkpoints(&s), 1);
+        assert!(wal_len(&dir) > 8, "the WAL keeps the commit");
+        let failed = |c: &CollectSink| {
+            c.events()
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        Event::Counter {
+                            name: "checkpoint_failed",
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(failed(&collector), 1);
+        // Each due commit retries and counts its failure, but the note
+        // waiting for the next read is not repeated.
+        let applied = s.apply(Mutation::new().insert("edge(b, c)")).unwrap();
+        assert_eq!(applied.downgrades.len(), 1, "{:?}", applied.downgrades);
+        assert_eq!(failed(&collector), 2);
+        let rows = s.retrieve(Request::subject("edge(X, Y)")).unwrap();
+        assert_eq!(rows.as_data().unwrap().len(), 2, "the commits are served");
+        assert!(s.checkpoint().is_err(), "an explicit checkpoint reports it");
+
+        // Obstruction gone: the next commit is due and checkpoints.
+        std::fs::remove_dir(&blocker).unwrap();
+        let applied = s.apply(Mutation::new().insert("edge(c, d)")).unwrap();
+        assert!(applied.downgrades.is_empty(), "{:?}", applied.downgrades);
+        assert_eq!(checkpoints(&s), 2);
+        assert_eq!(wal_len(&dir), 8);
+        assert_eq!(failed(&collector), 2);
+    }
+    let s = Session::open_with(&dir, opts).unwrap();
+    let report = s.recovery_report().unwrap();
+    assert_eq!((report.checkpointed, report.replayed), (4, 0));
+    let rows = s.retrieve(Request::subject("edge(X, Y)")).unwrap();
+    assert_eq!(rows.as_data().unwrap().len(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store a checkpoint written by an earlier encoder describes:
+/// every value tag (symbol, negative int, float, quoted non-ASCII string,
+/// bool), a key, a rule with a negated literal and a constraint.
+const GOLDEN_DUMP: &str = "\
+predicate flag(Name, On).
+predicate knows(A, B).
+predicate person(Name, Age, Height, Motto) key 1.
+flag(ann, true).
+flag(bob, false).
+knows(ann, bob).
+knows(bob, cara).
+person(ann, -42, 1.75, \"naïve ça \\\"va\\\"\").
+person(bob, 7, -0.5, \"plain\").
+reach(X, Y) :- knows(X, Y).
+reach(X, Z) :- knows(X, Y), reach(Y, Z).
+loner(X) :- person(X, A, H, M), not reach(X, bob).
+:- flag(X, F), knows(X, X).
+";
+
+/// A checkpoint written before the current encoder opens, answers as it
+/// did when it was written, and checkpointing the reopened store
+/// rewrites it byte for byte.
+#[test]
+fn a_golden_checkpoint_opens_answers_and_rewrites_byte_for_byte() {
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/durability/tests/data/golden.ckp");
+    let dir = temp_dir("golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(&golden, dir.join("checkpoint.ckp")).unwrap();
+
+    let mut kb = KnowledgeBase::open_durable_with(&dir, wal_only()).unwrap();
+    let report = kb.recovery_report().unwrap();
+    assert_eq!((report.checkpointed, report.replayed), (13, 0));
+    assert_eq!(kb.dump(), GOLDEN_DUMP);
+    // `true` is a bool, not the symbol `true`.
+    let flags: Vec<Value> = kb
+        .edb()
+        .relation("flag")
+        .unwrap()
+        .iter()
+        .map(|t| t.values()[1].clone())
+        .collect();
+    assert_eq!(flags, [Value::Bool(true), Value::Bool(false)]);
+    for (statement, answer) in [
+        (
+            "retrieve person(X, A, H, M).",
+            "X\tA\tH\tM\nann\t-42\t1.75\t\"naïve ça \\\"va\\\"\"\nbob\t7\t-0.5\t\"plain\"\n",
+        ),
+        ("retrieve flag(X, F).", "X\tF\nann\ttrue\nbob\tfalse\n"),
+        (
+            "retrieve reach(X, Y).",
+            "X\tY\nann\tbob\nbob\tcara\nann\tcara\n",
+        ),
+        ("retrieve loner(X).", "X\nbob\n"),
+        (
+            "describe reach(X, cara).",
+            "reach(X, cara) ← knows(X, cara)\nreach(X, cara) ← reach(X, Y) ∧ reach(Y, cara)\n",
+        ),
+        ("show constraints.", ":- flag(X, F), knows(X, X).\n"),
+    ] {
+        assert_eq!(
+            kb.run(statement).unwrap().to_string(),
+            answer,
+            "{statement}"
+        );
+    }
+
+    let (lsn, bytes) = kb.checkpoint().unwrap().unwrap();
+    assert_eq!(lsn.0, 13, "no new op: the same LSN is covered");
+    let rewritten = std::fs::read(dir.join("checkpoint.ckp")).unwrap();
+    assert_eq!(bytes, rewritten.len() as u64);
+    assert!(
+        rewritten == std::fs::read(&golden).unwrap(),
+        "checkpoint bytes changed"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

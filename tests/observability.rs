@@ -289,6 +289,23 @@ fn every_emitted_name_is_in_the_taxonomy() {
     }
 }
 
+/// DESIGN.md §12's taxonomy table has one row per name in `obs::NAMES`,
+/// in the same order: a name added to or dropped from either shows here.
+#[test]
+fn the_design_table_lists_exactly_the_taxonomy() {
+    let design =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md")).unwrap();
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("12. "))
+        .expect("DESIGN.md has a §12");
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    assert_eq!(rows, NAMES);
+}
+
 /// One evaluation's observable outcome: rows in order, downgrade notes,
 /// and the diagnostic if the query exhausted a limit.
 fn retrieve_outcome(
