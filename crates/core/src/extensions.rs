@@ -475,9 +475,10 @@ impl PreparedIdb {
     /// [`describe_wildcard`] over this preparation: one describe per
     /// subject, all over the same prepared rules. A predicate name the
     /// rule base defines at several arities is asked once per arity. A
-    /// subject none of whose theorems can use the hypothesis is not
-    /// described at all, unless a limit has already tripped: then its
-    /// describe runs, and reports the truncation.
+    /// subject whose rules reach a negated literal is skipped. A subject
+    /// none of whose theorems can use the hypothesis is not described at
+    /// all, unless a limit has already tripped: then its describe runs,
+    /// and reports the truncation.
     pub fn describe_wildcard(
         &self,
         integrity: &[Constraint],
@@ -486,6 +487,11 @@ impl PreparedIdb {
     ) -> Result<Vec<(Sym, DescribeAnswer)>> {
         let mut out = Vec::new();
         for (pred, arity) in self.subjects() {
+            // A concept whose rules reach a negation is not a subject
+            // `describe` is defined on (§3.2).
+            if self.negation_in_reach(pred.as_str()).is_some() {
+                continue;
+            }
             // A subject atom with fresh distinct variables.
             let subject = Atom::new(
                 pred.clone(),
@@ -751,8 +757,9 @@ mod tests {
 
     #[test]
     fn wildcard_skips_only_subjects_the_hypothesis_cannot_reach() {
-        // `late` reaches `honor` through its negated literal; no rule of
-        // `flag` reaches it, so `flag` is not described — unless a
+        // `late` negates a literal, so it is no subject `describe` is
+        // defined on (§3.2) and is skipped. No rule of `flag` reaches
+        // `honor`, so `flag` is not described — unless a
         // hypothesis comparison on the subject's own variable implies
         // `flag`'s comparison, which makes its one-level theorem use the
         // hypothesis.
@@ -777,7 +784,6 @@ mod tests {
         let reached = vec![
             "honor: honor(S0) ← (S0 = H)",
             "dean: dean(S0) ← enroll(H, X) ∧ (S0 = H)",
-            "late: late(S0) ← enroll(S0, H)",
         ];
         assert_eq!(concepts("honor(H)"), reached);
         let mut implied = reached;

@@ -40,6 +40,10 @@ pub struct PreparedIdb {
     /// subject that involves recursion needs the transformation, so the
     /// error is kept here and raised for those subjects alone.
     unsupported: Option<DescribeError>,
+    /// The source rules that negate a body literal, in rule order, each
+    /// with its head. §3.2 defines `describe` over positive formulas, so
+    /// a subject that reaches one of these rules has no answer.
+    negating: Vec<(Sym, String)>,
 }
 
 impl PreparedIdb {
@@ -53,11 +57,18 @@ impl PreparedIdb {
             Ok(rules) => (rules, None),
             Err(e) => (TransformedIdb::untransformed(idb), Some(e)),
         };
+        let negating = idb
+            .rules()
+            .iter()
+            .filter(|r| r.body.iter().any(|l| !l.positive))
+            .map(|r| (r.head.pred.clone(), r.to_string()))
+            .collect();
         PreparedIdb {
             policy,
             graph,
             rules,
             unsupported,
+            negating,
         }
     }
 
@@ -89,12 +100,33 @@ impl PreparedIdb {
     }
 
     /// The rules to enumerate for a subject on `pred`, and whether typing
-    /// preservation applies (Algorithm 2) — the §4/§5 dispatch.
+    /// preservation applies (Algorithm 2) — the §4/§5 dispatch. A subject
+    /// whose rules reach a negated body literal is refused
+    /// ([`DescribeError::UnsupportedIdb`], naming the first such rule):
+    /// the enumeration would state the literal unnegated.
     pub fn rules_for_subject(&self, pred: &str) -> Result<(&TransformedIdb, bool)> {
+        if let Some(rule) = self.negation_in_reach(pred) {
+            return Err(DescribeError::UnsupportedIdb(format!(
+                "describe is defined over positive rules, but this rule negates a body literal: {rule}"
+            )));
+        }
         if !self.graph.involves_recursion(pred) {
             return Ok((&self.rules, false));
         }
         Ok((self.rules()?, self.policy != TransformPolicy::None))
+    }
+
+    /// The first source rule (rendered) that negates a body literal among
+    /// the rules of `pred` and of every predicate their bodies reach.
+    pub(crate) fn negation_in_reach(&self, pred: &str) -> Option<&str> {
+        if self.negating.is_empty() {
+            return None;
+        }
+        let reach = self.graph.reachable_from(pred);
+        self.negating
+            .iter()
+            .find(|(head, _)| reach.contains(head))
+            .map(|(_, rule)| rule.as_str())
     }
 
     /// True if `pred` heads a rule of the source IDB (step predicates the

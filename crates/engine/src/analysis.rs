@@ -3,15 +3,13 @@
 //! §2.1 assumes that **all recursive IDB predicates are defined by
 //! recursive rules that are strongly linear and typed with respect to
 //! their head predicate**. Algorithm 2's transformation relies on that
-//! shape. This module classifies rules and validates whole IDBs, reporting
-//! each violation so callers (the describe engine, the language facade)
-//! can reject or specially handle nonconforming programs — e.g. the §6
-//! "untyped rules of certain structure" extension.
+//! shape. This module classifies rules; the §5.2 transformation
+//! (`qdk-core`) refuses a rule base whose recursive rules have another
+//! shape, or specially handles it — e.g. the §6 "untyped rules of certain
+//! structure" extension.
 
 use crate::graph::DependencyGraph;
-use crate::idb::Idb;
 use qdk_logic::Rule;
-use std::fmt;
 
 /// Classification of one rule relative to the dependency graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,81 +55,10 @@ pub fn is_recursive_rule(rule: &Rule, graph: &DependencyGraph) -> bool {
     classify_rule(rule, graph) != RuleShape::NonRecursive
 }
 
-/// One violation of the paper's IDB assumptions.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Violation {
-    /// A recursive rule is not strongly linear.
-    NotStronglyLinear {
-        /// The offending rule (rendered).
-        rule: String,
-        /// Its actual shape.
-        shape: RuleShape,
-    },
-    /// A recursive rule is not typed with respect to its head predicate.
-    NotTyped {
-        /// The offending rule (rendered).
-        rule: String,
-    },
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Violation::NotStronglyLinear { rule, shape } => {
-                write!(
-                    f,
-                    "recursive rule is {shape:?}, not strongly linear: {rule}"
-                )
-            }
-            Violation::NotTyped { rule } => {
-                write!(f, "recursive rule is not typed w.r.t. its head: {rule}")
-            }
-        }
-    }
-}
-
-/// A validation report for an IDB.
-#[derive(Clone, Debug, Default)]
-pub struct IdbReport {
-    /// All violations found, in rule order.
-    pub violations: Vec<Violation>,
-}
-
-impl IdbReport {
-    /// True if the IDB satisfies the paper's assumptions.
-    pub fn conforms(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Validates an IDB against the paper's assumptions: every recursive rule
-/// strongly linear and typed with respect to its head predicate.
-pub fn validate(idb: &Idb) -> IdbReport {
-    let graph = DependencyGraph::build(idb);
-    let mut report = IdbReport::default();
-    for rule in idb.rules() {
-        let shape = classify_rule(rule, &graph);
-        match shape {
-            RuleShape::NonRecursive | RuleShape::StronglyLinear => {}
-            RuleShape::Linear | RuleShape::NonLinear => {
-                report.violations.push(Violation::NotStronglyLinear {
-                    rule: rule.to_string(),
-                    shape,
-                });
-            }
-        }
-        if shape != RuleShape::NonRecursive && !rule.is_typed_wrt(rule.head.pred.as_str()) {
-            report.violations.push(Violation::NotTyped {
-                rule: rule.to_string(),
-            });
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idb::Idb;
     use qdk_logic::parser::parse_program;
 
     fn idb(src: &str) -> Idb {
@@ -145,7 +72,6 @@ mod tests {
         let g = DependencyGraph::build(&i);
         assert_eq!(classify_rule(&i.rules()[0], &g), RuleShape::NonRecursive);
         assert_eq!(classify_rule(&i.rules()[1], &g), RuleShape::StronglyLinear);
-        assert!(validate(&i).conforms());
     }
 
     #[test]
@@ -155,9 +81,7 @@ mod tests {
              odd(X) :- succ(Y, X), even(Y).");
         let g = DependencyGraph::build(&i);
         assert_eq!(classify_rule(&i.rules()[1], &g), RuleShape::Linear);
-        let report = validate(&i);
-        assert!(!report.conforms());
-        assert_eq!(report.violations.len(), 2);
+        assert_eq!(classify_rule(&i.rules()[2], &g), RuleShape::Linear);
     }
 
     #[test]
@@ -166,25 +90,6 @@ mod tests {
              prior(X, Y) :- prior(X, Z), prior(Z, Y).");
         let g = DependencyGraph::build(&i);
         assert_eq!(classify_rule(&i.rules()[1], &g), RuleShape::NonLinear);
-        assert!(!validate(&i).conforms());
-    }
-
-    #[test]
-    fn untyped_recursive_rule_is_flagged() {
-        // reach(X, Y) :- reach(Y, X): strongly linear but not typed
-        // (the §6 symmetric-reachability example).
-        let i = idb("reach(X, Y) :- edge(X, Y).\n\
-             reach(X, Y) :- reach(Y, X).");
-        let report = validate(&i);
-        assert_eq!(report.violations.len(), 1);
-        assert!(matches!(report.violations[0], Violation::NotTyped { .. }));
-    }
-
-    #[test]
-    fn nonrecursive_untypedness_is_not_a_violation() {
-        // Typedness is only required of recursive rules.
-        let i = idb("p(X, Y) :- q(X, Y), q(Y, X).");
-        assert!(validate(&i).conforms());
     }
 
     #[test]
@@ -196,6 +101,5 @@ mod tests {
         assert_eq!(classify_rule(&i.rules()[0], &g), RuleShape::NonRecursive);
         assert_eq!(classify_rule(&i.rules()[1], &g), RuleShape::StronglyLinear);
         assert_eq!(classify_rule(&i.rules()[2], &g), RuleShape::NonRecursive);
-        assert!(validate(&i).conforms());
     }
 }

@@ -10,8 +10,8 @@
 //!   recursion detection (§2.1's *dependent* / *mutually dependent*), and
 //!   the strata of a program with (extension) negation, computed from the
 //!   SCCs;
-//! * [`analysis`] — per-rule linearity / strong linearity / typedness
-//!   checks and whole-IDB validation of the paper's assumptions;
+//! * [`analysis`] — the per-rule linearity / strong linearity
+//!   classification of §2.1;
 //! * [`plan`] — compile-once rule planning: every rule's body schedule
 //!   (literal order, index probes, slot read/write sets) is computed one
 //!   time per program instead of once per recursion step, and executed

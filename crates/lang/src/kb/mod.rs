@@ -217,7 +217,7 @@ mod tests {
                 .describe_options()
                 .clone()
                 .with_sink(ObsSink::new(collect.clone()));
-            kb.serve(&stmt, kb.strategy(), &opts, None).unwrap();
+            kb.serve(&stmt, kb.strategy(), &opts).unwrap();
             let hits = |wanted: &str| {
                 collect
                     .events()

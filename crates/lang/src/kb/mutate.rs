@@ -3,23 +3,23 @@
 //! mutations with their incremental maintenance, epoch-publish
 //! preparation, and `execute` for the statements that mutate.
 
-use super::state::{next_rules_gen, Cell};
+use super::state::{Cell, RulesGen};
 use super::KnowledgeBase;
 use crate::answer::Answer;
 use crate::ast::Statement;
 use crate::error::Result;
 use crate::parser::{parse_script, parse_statement};
-use qdk_core::{redundancy, DescribeCache};
+use qdk_core::redundancy;
 use qdk_durability::{
     CheckpointData, CheckpointView, DurabilityOptions, Durable, Lsn, Opened, RelationView, WalOp,
 };
 use qdk_engine::maintain::Doomed;
-use qdk_engine::{Downgrade, MaintainStats, MaintainedStore, Mode, ProgramPlan, Retraction};
+use qdk_engine::{Downgrade, MaintainStats, MaintainedStore, Mode, Retraction};
 use qdk_logic::obs::Event;
 use qdk_logic::{Constraint, Rule, Sym, Term};
 use qdk_storage::Tuple;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How a retraction interacts with the maintained store, decided *before*
 /// the tuple leaves the EDB (the first forward step of Backward/Forward
@@ -65,8 +65,6 @@ impl KnowledgeBase {
         for rec in tail {
             kb.apply_op(rec.op)?;
         }
-        // Replay added rules without going through `add_rule`.
-        kb.rules_gen = next_rules_gen();
         if kb.opts.sink.enabled()
             && (report.checkpointed + report.replayed > 0 || report.discarded_tail_bytes > 0)
         {
@@ -92,11 +90,11 @@ impl KnowledgeBase {
                 self.keys.insert(rel.name, k);
             }
         }
-        let idb = Arc::make_mut(&mut self.idb);
+        let rules = self.next_rules();
         for rule in ckp.rules {
-            idb.add_rule(rule)?;
+            rules.idb.add_rule(rule)?;
         }
-        self.constraints.extend(ckp.constraints);
+        rules.constraints.extend(ckp.constraints);
         Ok(())
     }
 
@@ -114,11 +112,11 @@ impl KnowledgeBase {
             WalOp::AddFact { pred, tuple } => {
                 self.edb.insert_tuple(&pred, tuple)?;
             }
-            WalOp::AddRule(rule) => Arc::make_mut(&mut self.idb).add_rule(rule)?,
+            WalOp::AddRule(rule) => self.next_rules().idb.add_rule(rule)?,
             WalOp::Retract { pred, tuple } => {
                 self.edb.remove_tuple(&pred, &tuple)?;
             }
-            WalOp::AddConstraint(c) => self.constraints.push(c),
+            WalOp::AddConstraint(c) => self.next_rules().constraints.push(c),
             WalOp::Batch(ops) => {
                 for op in ops {
                     self.apply_op(op)?;
@@ -252,8 +250,8 @@ impl KnowledgeBase {
             .collect();
         CheckpointView {
             relations,
-            rules: self.idb.rules(),
-            constraints: &self.constraints,
+            rules: self.rules.idb.rules(),
+            constraints: &self.rules.constraints,
         }
     }
 
@@ -289,7 +287,7 @@ impl KnowledgeBase {
     /// apply discipline: a fact that fails validation leaves the KB and
     /// the WAL untouched. The compiled plan is retained — answers flow
     /// from the live EDB, the plan only fixes the literal schedules (see
-    /// `GenCache`).
+    /// `RulesGen`).
     pub fn add_fact(&mut self, atom: &qdk_logic::Atom) -> Result<bool> {
         self.edb.validate_fact(atom)?;
         if self.durable.is_some() {
@@ -304,7 +302,7 @@ impl KnowledgeBase {
                 let obs = self.opts.sink.clone();
                 let result = {
                     let _span = obs.span("maintain_insert", 0);
-                    store.after_insert(&self.edb, &self.idb, atom.pred.as_str())
+                    store.after_insert(&self.edb, &self.rules.idb, atom.pred.as_str())
                 };
                 match result {
                     Ok(stats) => {
@@ -320,28 +318,26 @@ impl KnowledgeBase {
     }
 
     /// Adds a rule to the IDB, under the same validate → log → apply
-    /// discipline as [`Self::add_fact`] — plus plan invalidation: rule
-    /// changes bump the rules generation, so every retrieve recompiles.
-    /// The maintained store (when live) re-derives only the predicates
-    /// depending on the new rule's head, and cached describe answers
-    /// survive a rule that an existing same-head rule θ-subsumes (it can
-    /// contribute no new theorems).
+    /// discipline as [`Self::add_fact`]. The rule starts the next rules
+    /// generation, so the next retrieve compiles and the next describe
+    /// prepares afresh. The maintained store (when live) re-derives only
+    /// the predicates depending on the new rule's head, and cached
+    /// describe answers survive a rule that an existing same-head rule
+    /// θ-subsumes (it can contribute no new theorems).
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        self.idb.validate_rule(&rule)?;
+        let idb = &self.rules.idb;
+        idb.validate_rule(&rule)?;
         let head = rule.head.pred.as_str().to_string();
-        let redundant = self
-            .idb
+        let redundant = idb
             .rules_for(&head)
             .any(|existing| redundancy::semantic_subsumes(existing, &rule, &[]));
         if self.durable.is_some() {
             self.log(WalOp::AddRule(rule.clone()))?;
         }
-        Arc::make_mut(&mut self.idb).add_rule(rule)?;
-        self.rules_gen = next_rules_gen();
+        let rules = self.next_rules();
+        rules.idb.add_rule(rule)?;
+        rules.describe_cache.lock().rule_added(&head, redundant);
         self.opts.sink.counter("rules_invalidated", 1);
-        self.fork_describe_cache(|cache| {
-            cache.rule_added(&head, redundant);
-        });
         self.maintain_rules_changed(&head);
         self.maybe_checkpoint();
         Ok(())
@@ -384,7 +380,7 @@ impl KnowledgeBase {
         if !self.edb.relation(pred).is_some_and(|r| r.contains(&tuple)) {
             return RetractPlan::Untracked;
         }
-        if let Some(reason) = store.retract_fallback_reason(&self.edb, &self.idb, pred) {
+        if let Some(reason) = store.retract_fallback_reason(&self.edb, &self.rules.idb, pred) {
             return RetractPlan::Recompute(reason);
         }
         match store.prepare_retract(&self.edb, pred, &tuple) {
@@ -404,7 +400,7 @@ impl KnowledgeBase {
                 let obs = self.opts.sink.clone();
                 let result = {
                     let _span = obs.span("maintain_retract", 0);
-                    store.recompute(&self.edb, &self.idb)
+                    store.recompute(&self.edb, &self.rules.idb)
                 };
                 match result {
                     Ok(()) => {
@@ -449,44 +445,41 @@ impl KnowledgeBase {
         store: &mut MaintainedStore,
         doomed: Doomed,
     ) -> qdk_engine::Result<MaintainStats> {
-        store.finish_retract(&self.edb, &self.idb, doomed)
+        store.finish_retract(&self.edb, &self.rules.idb, doomed)
     }
 
     /// Adds an integrity constraint (logged like every other mutation —
     /// constraints are part of the durable state `dump()` serializes).
-    /// Constraints shape knowledge answers, so they count as a rules
-    /// change for plan-cache purposes.
+    /// Constraints shape knowledge answers, so a constraint starts the
+    /// next rules generation like a rule does.
     pub fn add_constraint(&mut self, c: Constraint) -> Result<()> {
         if self.durable.is_some() {
             self.log(WalOp::AddConstraint(c.clone()))?;
         }
         let preds: Vec<Sym> = c.body.iter().map(|a| a.pred.clone()).collect();
-        self.constraints.push(c);
-        self.rules_gen = next_rules_gen();
-        self.opts.sink.counter("rules_invalidated", 1);
+        let rules = self.next_rules();
+        rules.constraints.push(c);
         // Constraints prune describe answers, so cached entries whose
         // closure reaches a constrained predicate go stale. Retrieve
         // evaluation ignores constraints: the maintained store survives.
-        self.fork_describe_cache(|cache| {
-            cache.constraint_added(&preds);
-        });
+        rules.describe_cache.lock().constraint_added(&preds);
+        self.opts.sink.counter("rules_invalidated", 1);
         self.maybe_checkpoint();
         Ok(())
     }
 
-    /// Gives this knowledge base a describe cache of its own, holding
-    /// what `change` leaves of the shared one: its rules or constraints
-    /// are about to differ from those of every other holder (earlier
-    /// epochs, a transaction's undo copy), whose answers must not mix with
-    /// its own. The cache is changed in place when nothing else holds it.
-    fn fork_describe_cache(&mut self, change: impl FnOnce(&mut DescribeCache)) {
-        if let Some(own) = Arc::get_mut(&mut self.describe_cache) {
-            change(&mut own.lock());
-            return;
-        }
-        let mut fresh = self.describe_cache.lock().clone();
-        change(&mut fresh);
-        self.describe_cache = Arc::new(Cell::new(fresh));
+    /// Starts the next rules generation and returns it for a rule or
+    /// constraint change to apply. It starts from this generation's rules,
+    /// constraints and describe cache, and nothing built for the old
+    /// rules: no plan, no preparation. Every other holder of the old
+    /// generation (earlier epochs, a transaction's undo copy) keeps it
+    /// whole; when there is none, the old one is reused in place.
+    fn next_rules(&mut self) -> &mut RulesGen {
+        let rules = Arc::make_mut(&mut self.rules);
+        rules.number += 1;
+        rules.plan = OnceLock::new();
+        rules.prepared = Cell::default();
+        rules
     }
 
     /// Builds the incrementally maintained derived-fact store if it is
@@ -500,7 +493,7 @@ impl KnowledgeBase {
             return Ok(());
         }
         let plan = self.compiled_plan();
-        self.maintained = Some(MaintainedStore::build(&self.edb, &self.idb, plan)?);
+        self.maintained = Some(MaintainedStore::build(&self.edb, &self.rules.idb, plan)?);
         Ok(())
     }
 
@@ -556,7 +549,7 @@ impl KnowledgeBase {
         let obs = self.opts.sink.clone();
         let result = {
             let _span = obs.span("maintain_rules", 0);
-            store.rules_changed(&self.edb, &self.idb, plan, head, &obs)
+            store.rules_changed(&self.edb, &self.rules.idb, plan, head, &obs)
         };
         match result {
             Ok(stats) => {
@@ -567,28 +560,21 @@ impl KnowledgeBase {
         }
     }
 
-    /// Prepares this KB for an epoch publish and returns the plan the
-    /// snapshot should pin: adopt the index demand readers expressed on
-    /// the previous epoch (`prev`) — in the stored facts and in the
-    /// maintained derived facts, so no reader of the new epoch rebuilds an
-    /// index a reader of the old one built — and, when the rules have not
-    /// changed since, the describe preparation a reader of that epoch
-    /// built; resolve the compiled plan; and force the WAL to stable
-    /// storage so a published epoch is always durable.
-    pub(crate) fn prepare_publish(
-        &mut self,
-        prev: Option<&KnowledgeBase>,
-    ) -> Result<Arc<ProgramPlan>> {
+    /// Prepares this KB for an epoch publish: adopt the index demand
+    /// readers expressed on the previous epoch (`prev`) — in the stored
+    /// facts and in the maintained derived facts, so no reader of the new
+    /// epoch rebuilds an index a reader of the old one built — build the
+    /// compiled plan, so the epoch's readers find it built, and force the
+    /// WAL to stable storage so a published epoch is always durable.
+    pub(crate) fn prepare_publish(&mut self, prev: Option<&KnowledgeBase>) -> Result<()> {
         if let Some(prev) = prev {
             self.edb.adopt_index_demand(prev.edb());
             if let (Some(mine), Some(theirs)) = (&mut self.maintained, &prev.maintained) {
                 mine.adopt_index_demand(theirs);
             }
-            self.prepared.adopt(self.rules_gen, &prev.prepared);
         }
-        let plan = self.compiled_plan();
-        self.sync()?;
-        Ok(plan)
+        self.plan();
+        self.sync()
     }
 
     /// Executes one parsed statement: the statements that change the
@@ -626,7 +612,7 @@ impl KnowledgeBase {
                     format!("not stored: {atom}")
                 }))
             }
-            _ => self.serve(stmt, self.strategy, &self.opts, None),
+            _ => self.serve(stmt, self.strategy, &self.opts),
         }
     }
 

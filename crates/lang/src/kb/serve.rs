@@ -28,58 +28,59 @@ impl KnowledgeBase {
     /// policies. A statement that would change the knowledge
     /// base is refused with [`LangError::ReadOnly`], never executed.
     ///
-    /// `pinned` is the compiled program a `retrieve` evaluates. `None`
-    /// resolves it through the plan cache (counting a hit or a miss).
-    /// `Some` is the snapshot read path: an epoch snapshot pins the plan
-    /// next to the data it was compiled for, so its readers never consult
-    /// the cache (or its lock); the caller guarantees the plan was
-    /// compiled from this KB's IDB.
+    /// Everything the statement needs from the rules alone — the compiled
+    /// program, the describe preparation, a cached describe answer — comes
+    /// from this knowledge base's rules generation, built by whichever
+    /// holder of the generation (the writer or a reader of any of its
+    /// epochs) needed it first. A published epoch's plan was built at
+    /// publish, so a snapshot retrieve reads it without a lock.
     ///
-    /// A `retrieve` traces as the stages `plan` + `execute`, everything
-    /// else as one `execute` stage.
+    /// A `retrieve` traces as the stages `plan` + `execute` (one
+    /// `execute` when the maintained store answers it), everything else
+    /// as one `execute` stage.
     pub fn serve(
         &self,
         stmt: &Statement,
         strategy: Strategy,
         opts: &DescribeOptions,
-        pinned: Option<&ProgramPlan>,
     ) -> Result<Answer> {
         let retrieve = matches!(stmt, Statement::Retrieve(_));
         let _span = (!retrieve).then(|| opts.sink.span("execute", 0));
+        let rules = &*self.rules;
         Ok(match stmt {
-            Statement::Retrieve(r) => Answer::Data(self.retrieve(r, strategy, opts, pinned)?),
+            Statement::Retrieve(r) => Answer::Data(self.retrieve(r, strategy, opts)?),
             Statement::Describe(d) => Answer::Knowledge(self.describe(d, opts)?),
             Statement::Explain(d) => Answer::Ack(explain(&self.describe(d, opts)?)),
             Statement::DescribeNecessary(d) => Answer::Knowledge(
                 self.prepared(opts)
-                    .describe_necessary(&self.constraints, d, opts)?,
+                    .describe_necessary(&rules.constraints, d, opts)?,
             ),
             Statement::DescribeDisjunctive { subject, disjuncts } => {
                 Answer::Knowledge(self.prepared(opts).describe_disjunctive(
-                    &self.constraints,
+                    &rules.constraints,
                     subject,
                     disjuncts,
                     opts,
                 )?)
             }
             Statement::DescribeWithout { subject, negated } => Answer::Necessity(
-                extensions::describe_without(&self.idb, subject, negated, opts)?,
+                extensions::describe_without(&rules.idb, subject, negated, opts)?,
             ),
             Statement::DescribePossible { hypothesis } => {
                 Answer::Possibility(extensions::describe_possible(
-                    &self.idb,
+                    &rules.idb,
                     hypothesis,
                     &self.keys,
-                    &self.constraints,
+                    &rules.constraints,
                     opts,
                 )?)
             }
             Statement::DescribeWildcard { hypothesis } => Answer::Wildcard(
                 self.prepared(opts)
-                    .describe_wildcard(&self.constraints, hypothesis, opts)?,
+                    .describe_wildcard(&rules.constraints, hypothesis, opts)?,
             ),
             Statement::Compare { first, second } => {
-                Answer::Comparison(Box::new(compare::compare(&self.idb, first, second, opts)?))
+                Answer::Comparison(Box::new(compare::compare(&rules.idb, first, second, opts)?))
             }
             Statement::Show(kind) => {
                 // A listing has no evaluation to bound, but a request
@@ -110,9 +111,9 @@ impl KnowledgeBase {
         r: &Retrieve,
         strategy: Strategy,
         opts: &DescribeOptions,
-        pinned: Option<&ProgramPlan>,
     ) -> Result<DataAnswer> {
         let obs = &opts.sink;
+        let idb = &self.rules.idb;
         let eval = EvalOptions {
             limits: opts.limits,
             cancel: opts.cancel.clone(),
@@ -122,7 +123,7 @@ impl KnowledgeBase {
             let _span = obs.span("execute", 0);
             obs.counter("maintained_serve", 1);
             let mut answer =
-                query::retrieve_precomputed_with(&self.edb, &self.idb, store.derived(), r, eval)?;
+                query::retrieve_precomputed_with(&self.edb, idb, store.derived(), r, eval)?;
             if strategy == Strategy::Auto {
                 obs.counter(AutoChoice::Maintained.counter(), 1);
                 answer.auto = Some(AutoChoice::Maintained);
@@ -130,27 +131,19 @@ impl KnowledgeBase {
             self.surface_pending(&mut answer, obs);
             return Ok(answer);
         }
-        let cached;
-        let plan = match pinned {
-            Some(plan) => {
-                obs.counter("plan_cache_hit", 1);
-                plan
-            }
-            None => {
-                let _span = obs.span("plan", 0);
-                let (plan, hit) = self.compiled_plan_hit();
-                let name = if hit {
-                    "plan_cache_hit"
-                } else {
-                    "plan_cache_miss"
-                };
-                obs.counter(name, 1);
-                cached = plan;
-                &*cached
-            }
+        let plan = {
+            let _span = obs.span("plan", 0);
+            let (plan, hit) = self.plan();
+            let name = if hit {
+                "plan_cache_hit"
+            } else {
+                "plan_cache_miss"
+            };
+            obs.counter(name, 1);
+            plan
         };
         let _span = obs.span("execute", 0);
-        let mut answer = query::retrieve_compiled(&self.edb, &self.idb, plan, r, strategy, eval)?;
+        let mut answer = query::retrieve_compiled(&self.edb, idb, plan, r, strategy, eval)?;
         self.surface_pending(&mut answer, obs);
         Ok(answer)
     }
@@ -160,29 +153,27 @@ impl KnowledgeBase {
     /// discarded. Complete, unbounded answers are cached by subject
     /// signature and survive fact churn untouched (a describe answer
     /// never reads the EDB); rule and constraint changes evict per
-    /// predicate closure. An answer that has to be computed runs over the
-    /// rule base prepared for the current rules generation (built by the
-    /// first describe-family statement that needs it).
+    /// predicate closure. Both the cache and the rule base an answer that
+    /// has to be computed runs over (built by the first describe-family
+    /// statement that needs it) belong to the rules generation.
     fn describe(&self, d: &Describe, opts: &DescribeOptions) -> Result<DescribeAnswer> {
+        let cache = &self.rules.describe_cache;
         let key = describe_cache_key(d, opts);
         if let Some(k) = &key {
-            if let Some(hit) = self.describe_cache.lock().get(d.subject.pred.as_str(), k) {
+            if let Some(hit) = cache.lock().get(d.subject.pred.as_str(), k) {
                 opts.sink.counter("describe_cache_hit", 1);
                 return Ok(hit);
             }
             opts.sink.counter("describe_cache_miss", 1);
         }
         let prep = self.prepared(opts);
-        let answer = prep.describe_with_constraints(&self.constraints, d, opts)?;
+        let answer = prep.describe_with_constraints(&self.rules.constraints, d, opts)?;
         if let Some(k) = key {
             if !answer.is_truncated() {
                 let closure = describe_closure(prep.graph(), d);
-                self.describe_cache.lock().insert(
-                    d.subject.pred.as_str(),
-                    k,
-                    closure,
-                    answer.clone(),
-                );
+                cache
+                    .lock()
+                    .insert(d.subject.pred.as_str(), k, closure, answer.clone());
             }
         }
         Ok(answer)
@@ -209,12 +200,12 @@ impl KnowledgeBase {
                 }
             }
             ShowKind::Rules => {
-                for rule in self.idb.rules() {
+                for rule in self.rules.idb.rules() {
                     let _ = writeln!(out, "{rule}");
                 }
             }
             ShowKind::Constraints => {
-                for c in &self.constraints {
+                for c in &self.rules.constraints {
                     let _ = writeln!(out, "{c}");
                 }
             }
@@ -245,20 +236,25 @@ impl KnowledgeBase {
         answer.downgrades.splice(0..0, drained);
     }
 
-    /// The compiled program for the current rules generation, filling the
-    /// cache if needed (without emitting query counters).
+    /// The compiled program for the current rules generation, compiling
+    /// it (against a fresh cardinality snapshot of the EDB) if no holder
+    /// of the generation has yet, without emitting query counters.
     pub fn compiled_plan(&self) -> Arc<ProgramPlan> {
-        self.compiled_plan_hit().0
+        Arc::clone(self.plan().0)
     }
 
-    /// [`Self::compiled_plan`], compiling against a fresh cardinality
-    /// snapshot of the EDB on a miss, with whether the cache hit.
-    fn compiled_plan_hit(&self) -> (Arc<ProgramPlan>, bool) {
-        self.plan.get_or_build(
-            self.rules_gen,
-            |_| true,
-            || ProgramPlan::compile_with_stats(&self.idb, self.edb.stats()),
-        )
+    /// [`Self::compiled_plan`], borrowed, with whether it was already
+    /// built. Concurrent readers that find it missing compile it once.
+    pub(super) fn plan(&self) -> (&Arc<ProgramPlan>, bool) {
+        let mut hit = true;
+        let plan = self.rules.plan.get_or_init(|| {
+            hit = false;
+            Arc::new(ProgramPlan::compile_with_stats(
+                &self.rules.idb,
+                self.edb.stats(),
+            ))
+        });
+        (plan, hit)
     }
 
     /// The rule base prepared for the describe family under
@@ -266,37 +262,26 @@ impl KnowledgeBase {
     /// `transform` span covers the lookup and, on a miss, the build.
     fn prepared(&self, opts: &DescribeOptions) -> Arc<PreparedIdb> {
         let _span = opts.sink.span("transform", 0);
-        let (prep, hit) = self.prepared.get_or_build(
-            self.rules_gen,
-            |p| p.policy() == opts.transform,
-            || PreparedIdb::prepare(&self.idb, opts.transform),
-        );
-        let name = if hit {
-            "describe_prep_hit"
-        } else {
-            "describe_prep_miss"
+        let mut slot = self.rules.prepared.lock();
+        let (prep, name) = match &*slot {
+            Some(prep) if prep.policy() == opts.transform => {
+                (Arc::clone(prep), "describe_prep_hit")
+            }
+            _ => {
+                let prep = Arc::new(PreparedIdb::prepare(&self.rules.idb, opts.transform));
+                *slot = Some(Arc::clone(&prep));
+                (prep, "describe_prep_miss")
+            }
         };
         opts.sink.counter(name, 1);
         prep
     }
 
-    /// Drops the cached compiled program; the next retrieve recompiles
-    /// against a fresh cardinality snapshot. Fact mutations deliberately
-    /// keep the plan (only join *order* can go stale, never answers);
-    /// call this after bulk loads that change relative relation sizes
-    /// enough to matter.
-    pub fn invalidate_plan(&self) {
-        *self.plan.lock() = None;
-    }
-
-    /// True if a compiled program for the *current* rules generation is
-    /// cached — i.e. the next query will hit, not recompile (test hook).
+    /// True if the compiled program for the current rules generation is
+    /// built — i.e. the next retrieve will hit, not compile (test hook).
     #[cfg(test)]
-    pub(super) fn plan_cached(&self) -> bool {
-        self.plan
-            .lock()
-            .as_ref()
-            .is_some_and(|(gen, _)| *gen == self.rules_gen)
+    pub(crate) fn plan_cached(&self) -> bool {
+        self.rules.plan.get().is_some()
     }
 }
 

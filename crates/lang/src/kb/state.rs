@@ -11,8 +11,7 @@ use qdk_logic::obs::{FanoutSink, ObsSink};
 use qdk_logic::{Constraint, Sym};
 use qdk_storage::{Edb, Relation};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A value behind a mutex whose guard recovers from poisoning: a poisoned
 /// lock only means another thread panicked mid-access, and every update
@@ -45,67 +44,43 @@ impl<T> std::fmt::Debug for Cell<T> {
     }
 }
 
-/// One value derived from the rules alone, cached under the rules
-/// generation it was built for. Interior-mutable so queries — which take
-/// `&self`, possibly from several snapshot readers at once — can fill it
-/// on first use. Two of these hang off a knowledge base: the compiled
-/// program `retrieve` runs ([`ProgramPlan`]) and the rule base prepared
-/// for `describe` ([`PreparedIdb`]).
+/// Everything a knowledge base knows from its rules and constraints
+/// alone, for one rules generation: the rules, the constraints, and what
+/// is built from them — the compiled program `retrieve` runs, the rule
+/// base prepared for the describe family, and the describe-answer cache.
+/// A knowledge base holds its generation behind one `Arc`, so its clones
+/// share it: a transaction's undo copy, and every epoch published while
+/// the rules stay unchanged. Whatever any of them builds for these rules,
+/// the others find built.
 ///
-/// Fact mutations do **not** touch either: a compiled program depends
-/// only on the IDB (rule bodies, literal schedules) plus a cardinality
-/// snapshot that steers join *order*, never answers — so fact churn can
-/// at worst leave the order mildly stale, and the next rule change or
-/// explicit [`KnowledgeBase::invalidate_plan`] refreshes the stats along
-/// with the plans — and a preparation never reads the EDB at all. Rule
-/// and constraint mutations move the knowledge base to a new generation,
-/// which makes the cached entry unreachable.
-pub(super) type GenCache<T> = Cell<Option<(u64, Arc<T>)>>;
-
-impl<T> GenCache<T> {
-    /// The value cached for rules generation `gen` if it `fits` the
-    /// request; otherwise `build`s one (under the lock, so concurrent
-    /// readers build once) and caches it in the other's place. The flag
-    /// reports whether this call was a cache hit (for observability).
-    pub(super) fn get_or_build(
-        &self,
-        gen: u64,
-        fits: impl Fn(&T) -> bool,
-        build: impl FnOnce() -> T,
-    ) -> (Arc<T>, bool) {
-        let mut slot = self.lock();
-        if let Some((cached_gen, v)) = &*slot {
-            if *cached_gen == gen && fits(v) {
-                return (Arc::clone(v), true);
-            }
-        }
-        let v = Arc::new(build());
-        *slot = Some((gen, Arc::clone(&v)));
-        (v, false)
-    }
-
-    /// Takes over `other`'s entry when it was built for generation `gen`
-    /// and this cache holds nothing for that generation.
-    pub(super) fn adopt(&self, gen: u64, other: &GenCache<T>) {
-        let theirs = other.lock().clone();
-        let mut slot = self.lock();
-        let stale = !matches!(&*slot, Some((g, _)) if *g == gen);
-        if stale && matches!(&theirs, Some((g, _)) if *g == gen) {
-            *slot = theirs;
-        }
-    }
-}
-
-/// Rules generations are unique within the process: two knowledge bases
-/// carry the same generation only when one is a clone of the other and
-/// neither's rules or constraints have changed since. That is what lets a
-/// generation — never an address — identify what a [`GenCache`] entry was
-/// built from, also across the clones an epoch publish makes. Generation
-/// 0 is the empty rule base every new knowledge base starts from.
-pub(super) fn next_rules_gen() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    // Only uniqueness matters; the counter publishes no other data.
-    NEXT.fetch_add(1, Ordering::Relaxed)
+/// Fact mutations leave the generation alone. A compiled program depends
+/// only on the rules plus a cardinality snapshot that steers join
+/// *order*, never answers, so fact churn can at worst leave the order
+/// mildly stale; a preparation and a describe answer never read the EDB
+/// at all. A rule or constraint change starts the next generation (see
+/// `KnowledgeBase::next_rules`): of what was built for the old rules it
+/// carries over only the describe cache's surviving entries. That is the
+/// one place a `RulesGen` is cloned, and it drops the cloned plan and
+/// preparation at once.
+#[derive(Clone, Debug, Default)]
+pub(super) struct RulesGen {
+    /// How many rule and constraint changes led from the empty rule base
+    /// to this generation: the `rules_generation` gauge.
+    pub(super) number: u64,
+    pub(super) idb: Idb,
+    pub(super) constraints: Vec<Constraint>,
+    /// The compiled program, set by the first retrieve (or publish) that
+    /// needs it and read without a lock after that.
+    pub(super) plan: OnceLock<Arc<ProgramPlan>>,
+    /// The rule base prepared for the describe family (dependency graph,
+    /// §5.2 transformation, compiled rules), built by the first
+    /// describe-family statement that needs it. At most one is held:
+    /// asking under another [`qdk_core::TransformPolicy`] replaces it.
+    pub(super) prepared: Cell<Option<Arc<PreparedIdb>>>,
+    /// Cached complete describe answers (see [`qdk_core::cache`]). A
+    /// describe answer reads only rules and constraints, so an answer any
+    /// holder of this generation computes is a hit for all of them.
+    pub(super) describe_cache: Cell<DescribeCache>,
 }
 
 /// Lifetime maintenance totals, the source of the `maintain_*` metrics
@@ -144,30 +119,22 @@ impl MaintainTotals {
 /// constraints, and the unified query interface over them.
 ///
 /// Cloning costs O(relations): the stored relations share their storage
-/// with the clone (see [`qdk_storage::Relation`]), the rule base, the
-/// maintained store's rule-derived parts and the describe cache are each
-/// one `Arc`, and everything else is a few words per predicate. Every
-/// transaction (its undo copy) and every epoch publish clones.
+/// with the clone (see [`qdk_storage::Relation`]), the rules generation
+/// (rules, constraints, compiled plan, describe preparation and describe
+/// cache) and the maintained store's rule-derived parts are each one
+/// `Arc`, and everything else is a few words per predicate. Every
+/// transaction (its undo copy) and every epoch publish clones, and so
+/// shares everything already built for its rules.
 #[derive(Clone, Debug, Default)]
 pub struct KnowledgeBase {
     pub(super) edb: Edb,
-    /// The rules, shared with every clone until a rule change copies them.
-    pub(super) idb: Arc<Idb>,
-    pub(super) constraints: Vec<Constraint>,
+    /// The rules generation: rules, constraints and everything built
+    /// from them alone, shared with every clone until a rule or
+    /// constraint change starts the next one.
+    pub(super) rules: Arc<RulesGen>,
     pub(super) keys: HashMap<Sym, usize>,
     pub(super) strategy: Strategy,
     pub(super) opts: DescribeOptions,
-    /// Compiled program shared by every retrieve until the rules change.
-    pub(super) plan: GenCache<ProgramPlan>,
-    /// The rule base prepared for the describe family (dependency graph,
-    /// §5.2 transformation, compiled rules), shared by every describe
-    /// until the rules change. At most one is held: asking under another
-    /// [`qdk_core::TransformPolicy`] replaces it.
-    pub(super) prepared: GenCache<PreparedIdb>,
-    /// Rules generation ([`next_rules_gen`]): renewed by rule/constraint
-    /// mutations, the key of both caches above. Fact mutations leave it
-    /// (and the caches) alone.
-    pub(super) rules_gen: u64,
     /// In-flight transaction buffer: while `Some`, logged ops collect
     /// here instead of hitting the WAL, and commit writes them as one
     /// atomic [`WalOp::Batch`] record (see [`Self::transaction`]).
@@ -200,16 +167,6 @@ pub struct KnowledgeBase {
     /// degraded service is never silent. Interior-mutable because
     /// retrieves take `&self`.
     pub(super) pending: Cell<Vec<Downgrade>>,
-    /// Cached complete describe answers (see [`qdk_core::cache`]), behind
-    /// a lock so knowledge queries — which take `&self` — can record their
-    /// answers. One cache per rules generation: a describe answer reads
-    /// only rules and constraints, never facts, so the writer, its
-    /// transaction copies and every epoch published while the rules stay
-    /// unchanged share this one `Arc`, and an answer any of their readers
-    /// computes is a hit for all of them. A rule or constraint mutation
-    /// gives the mutated knowledge base a fresh copy holding only the
-    /// entries that survive it; every other holder keeps the old one.
-    pub(super) describe_cache: Arc<Cell<DescribeCache>>,
 }
 
 impl KnowledgeBase {
@@ -244,7 +201,7 @@ impl KnowledgeBase {
 
     /// The intensional database.
     pub fn idb(&self) -> &Idb {
-        &self.idb
+        &self.rules.idb
     }
 
     /// The declared key-prefix lengths.
@@ -307,12 +264,12 @@ impl KnowledgeBase {
     }
 
     /// Cumulative counters of this knowledge base's describe cache. The
-    /// cache is shared by every knowledge base of one rules generation
-    /// (writer and published epochs alike), so hits and misses count the
-    /// lookups of all of them; a rule or constraint change starts a fresh
-    /// copy that carries the counters forward.
+    /// cache belongs to the rules generation, which the writer shares
+    /// with every epoch published while the rules stay unchanged, so hits
+    /// and misses count the lookups of all of them; the next generation's
+    /// cache carries the counters forward.
     pub fn describe_cache_stats(&self) -> qdk_core::CacheStats {
-        self.describe_cache.lock().stats()
+        self.rules.describe_cache.lock().stats()
     }
 
     /// Attaches a fresh [`MetricsHub`] to this KB and starts aggregating:
@@ -354,10 +311,10 @@ impl KnowledgeBase {
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         let hub = self.metrics.as_ref()?;
         let reg = hub.registry();
-        reg.gauge_set("rules_generation", self.rules_gen);
+        reg.gauge_set("rules_generation", self.rules.number);
         reg.gauge_set("edb_facts", self.edb.fact_count() as u64);
-        reg.gauge_set("idb_rules", self.idb.rules().len() as u64);
-        reg.gauge_set("constraints", self.constraints.len() as u64);
+        reg.gauge_set("idb_rules", self.rules.idb.rules().len() as u64);
+        reg.gauge_set("constraints", self.rules.constraints.len() as u64);
         reg.gauge_set("pending_downgrades", self.pending.lock().len() as u64);
         let cache = self.describe_cache_stats();
         reg.gauge_set("describe_cache_hits", cache.hits);
@@ -366,7 +323,7 @@ impl KnowledgeBase {
         reg.gauge_set("describe_cache_survived", cache.survived);
         reg.gauge_set(
             "describe_cache_entries",
-            self.describe_cache.lock().len() as u64,
+            self.rules.describe_cache.lock().len() as u64,
         );
         reg.gauge_set("maintained", u64::from(self.maintained.is_some()));
         reg.gauge_set(
@@ -401,7 +358,7 @@ impl KnowledgeBase {
 
     /// The declared integrity constraints.
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.rules.constraints
     }
 
     /// Serializes the knowledge base as a script that [`Self::load`]
@@ -426,10 +383,10 @@ impl KnowledgeBase {
                 }
             }
         }
-        for rule in self.idb.rules() {
+        for rule in self.rules.idb.rules() {
             let _ = writeln!(out, "{rule}");
         }
-        for c in &self.constraints {
+        for c in &self.rules.constraints {
             let _ = writeln!(out, "{c}");
         }
         out

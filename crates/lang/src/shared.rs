@@ -2,40 +2,35 @@
 //!
 //! A [`Publisher`] owns the single writer's side of an
 //! [`EpochCell`]: after a batch of mutations it freezes the current
-//! [`KnowledgeBase`] into an immutable [`KbState`] — data *and* the
-//! compiled plan for that data — and publishes it atomically. Readers
-//! pin `(version, Arc<KbState>)` pairs and query without taking any
-//! lock: the knowledge base's copy-on-write storage means the clone
-//! taken at publish time shares every tuple segment and index shard the
-//! next batch does not touch, so a publish — and the refresh that later
-//! drops the epoch it replaced — costs what the batch touched.
+//! [`KnowledgeBase`] into an immutable [`KbState`] and publishes it
+//! atomically. Readers pin `(version, Arc<KbState>)` pairs and retrieve
+//! without taking any lock: the knowledge base's copy-on-write storage
+//! means the clone taken at publish time shares every tuple segment and
+//! index shard the next batch does not touch, so a publish — and the
+//! refresh that later drops the epoch it replaced — costs what the batch
+//! touched.
 
 use std::sync::Arc;
 
-use qdk_engine::ProgramPlan;
 use qdk_storage::{EpochCell, EpochId};
 
 use crate::error::Result;
 use crate::kb::KnowledgeBase;
 
-/// One published epoch: an immutable knowledge base plus the compiled
-/// plan pinned next to the data it was compiled for. Readers holding an
-/// `Arc<KbState>` answer retrieves with zero locks — the plan rides along,
-/// so even the plan-cache mutex is never touched on the snapshot path.
-/// Describes go through `kb`'s describe-answer cache, which is not the
-/// epoch's own: it is the one cache of the rules generation, shared with
-/// the writer and with every epoch published while the rules stay
-/// unchanged, so an answer a reader of this epoch computes is a hit on
-/// the next. The prepared rule base a reader builds here is adopted by
-/// the next publish while the rules stay unchanged.
+/// One published epoch: an immutable knowledge base. Its facts are the
+/// epoch's own; its rules generation — rules, constraints, compiled plan,
+/// describe preparation and describe cache — is shared with the writer
+/// and with every epoch published while the rules stay unchanged. The
+/// plan is built before the epoch is published, so readers answer
+/// retrieves with zero locks; a preparation or a describe answer any
+/// holder of the generation builds is there for all the others, the
+/// writer included, with no publish in between.
 #[derive(Debug)]
 pub struct KbState {
     /// Which epoch this state was published as.
     pub epoch: EpochId,
     /// The frozen knowledge base (facts, rules, constraints, options).
     pub kb: KnowledgeBase,
-    /// The compiled program for `kb`'s rules, prebuilt at publish time.
-    pub plan: Arc<ProgramPlan>,
 }
 
 /// The single writer's handle on the epoch cell: batches mutations in a
@@ -51,11 +46,10 @@ impl Publisher {
     /// writer handle. `kb` stays with the caller; the published state is
     /// a copy-on-write clone.
     pub fn new(kb: &mut KnowledgeBase) -> Result<Publisher> {
-        let plan = kb.prepare_publish(None)?;
+        kb.prepare_publish(None)?;
         let state = Arc::new(KbState {
             epoch: EpochId(1),
             kb: kb.clone(),
-            plan,
         });
         Ok(Publisher {
             cell: Arc::new(EpochCell::from_arc(Arc::clone(&state))),
@@ -87,19 +81,17 @@ impl Publisher {
     }
 
     /// Freezes `kb` and publishes it as the next epoch. Index demand
-    /// observed by readers of the previous epoch is adopted first,
-    /// the plan's multi-bound scans get their indexes prebuilt, and the
-    /// WAL (if any) is forced to stable storage *before* the new epoch
-    /// becomes visible — a published epoch is always durable. Readers
-    /// that pinned an older snapshot are unaffected; they see the new
-    /// epoch at their next `refresh`.
+    /// observed by readers of the previous epoch is adopted first, the
+    /// compiled plan is built, and the WAL (if any) is forced to stable
+    /// storage *before* the new epoch becomes visible — a published epoch
+    /// is always durable. Readers that pinned an older snapshot are
+    /// unaffected; they see the new epoch at their next `refresh`.
     pub fn publish(&mut self, kb: &mut KnowledgeBase) -> Result<EpochId> {
-        let plan = kb.prepare_publish(Some(&self.last.kb))?;
+        kb.prepare_publish(Some(&self.last.kb))?;
         let epoch = EpochId(self.last.epoch.0 + 1);
         let state = Arc::new(KbState {
             epoch,
             kb: kb.clone(),
-            plan,
         });
         self.last = Arc::clone(&state);
         self.cell.publish_arc(state);
@@ -144,22 +136,26 @@ mod tests {
     }
 
     #[test]
-    fn published_state_pins_a_plan_for_its_own_rules() {
+    fn published_state_holds_a_built_plan_for_its_own_rules() {
         let mut kb = kb_with(&["edge(a, b)", "edge(b, c)"]);
         kb.run("path(X, Y) :- edge(X, Y).").unwrap();
+        assert!(!kb.plan_cached());
         let mut publisher = Publisher::new(&mut kb).unwrap();
         let s1 = Arc::clone(publisher.last());
 
         kb.run("path(X, Z) :- edge(X, Y), path(Y, Z).").unwrap();
+        assert!(!kb.plan_cached());
         publisher.publish(&mut kb).unwrap();
         let s2 = Arc::clone(publisher.last());
 
-        // Each epoch's plan matches its own rule set.
-        assert!(!Arc::ptr_eq(&s1.plan, &s2.plan));
+        // Each epoch's plan is built at publish, for its own rule set.
+        assert!(s1.kb.plan_cached() && s2.kb.plan_cached());
+        assert!(!Arc::ptr_eq(&s1.kb.compiled_plan(), &s2.kb.compiled_plan()));
+        assert!(Arc::ptr_eq(&s2.kb.compiled_plan(), &kb.compiled_plan()));
         let r = crate::parser::parse_statement("retrieve path(X, Y).").unwrap();
         let rows = |s: &KbState| {
             let kb = &s.kb;
-            kb.serve(&r, kb.strategy(), kb.describe_options(), Some(&s.plan))
+            kb.serve(&r, kb.strategy(), kb.describe_options())
                 .unwrap()
                 .into_data()
                 .unwrap()

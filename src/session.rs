@@ -43,7 +43,7 @@
 use crate::trace::QueryTrace;
 use crate::{Error, Result};
 use qdk_core::{Describe, DescribeAnswer, DescribeOptions};
-use qdk_engine::{AutoChoice, DataAnswer, Downgrade, ProgramPlan, Retrieve, Strategy};
+use qdk_engine::{AutoChoice, DataAnswer, Downgrade, Retrieve, Strategy};
 use qdk_lang::ast::Statement;
 use qdk_lang::parser::{parse_script, parse_statement};
 use qdk_lang::shared::{KbState, Publisher};
@@ -375,17 +375,17 @@ impl Session {
             return self.kb.execute(&stmt);
         }
         let request = Request::new(Ask::Parsed(stmt));
-        query_on(&self.kb, None, request, None).map(Response::into_answer)
+        query_on(&self.kb, request, None).map(Response::into_answer)
     }
 
     /// Evaluates a data query: `retrieve subject where qualifier`.
     pub fn retrieve(&self, request: Request) -> Result<Response> {
-        query_on(&self.kb, None, request, Some(Keyword::Retrieve))
+        query_on(&self.kb, request, Some(Keyword::Retrieve))
     }
 
     /// Evaluates a knowledge query: `describe subject where hypothesis`.
     pub fn describe(&self, request: Request) -> Result<Response> {
-        query_on(&self.kb, None, request, Some(Keyword::Describe))
+        query_on(&self.kb, request, Some(Keyword::Describe))
     }
 
     /// Evaluates the read statement a [`Request::statement`] carries,
@@ -394,7 +394,7 @@ impl Session {
     /// base is refused with [`Error::ReadOnly`] and not executed — use
     /// [`Session::run`] or [`Session::apply`] for those.
     pub fn query(&self, request: Request) -> Result<Response> {
-        query_on(&self.kb, None, request, None)
+        query_on(&self.kb, request, None)
     }
 
     /// Forces the write-ahead log to stable storage regardless of the
@@ -528,9 +528,10 @@ impl From<KnowledgeBase> for Session {
 /// [`Session::snapshot`]; `Send + Sync` and cheap to clone, so any number
 /// of threads can hold one and ask it any read statement concurrently.
 /// Retrieves against a snapshot acquire **no lock**: the epoch owns its
-/// facts, rules and compiled plan, all frozen at publish time; a column
-/// index a retrieve probes first is built once in a `OnceLock` (the
-/// describe family briefly locks the epoch's shared caches, see
+/// facts, frozen at publish time, and its rules generation's compiled
+/// plan was built before the epoch was published; a column index a
+/// retrieve probes first is built once in a `OnceLock` (the describe
+/// family briefly locks the generation's shared caches, see
 /// [`SnapshotSession::describe`]).
 ///
 /// A snapshot never changes underneath its holder — a writer publishing
@@ -587,16 +588,15 @@ impl SnapshotSession {
         self.serve(request, Some(Keyword::Retrieve))
     }
 
-    /// Evaluates a knowledge query against the pinned epoch. Readers of
-    /// one epoch share its prepared rule base: whichever reader asks first
-    /// builds the preparation, the rest reuse it, and the next publish
-    /// carries it forward while the rules stay unchanged. Describe answers
-    /// are shared more widely still: every epoch of one rules generation,
-    /// and the writer, hold the same describe cache, so an answer computed
-    /// on this epoch is a hit on the next. Both sit behind a mutex held for
-    /// the lookup — and, the first time in a rules generation, for building
-    /// the preparation — so the describe family is where a snapshot reader
-    /// takes a lock.
+    /// Evaluates a knowledge query against the pinned epoch. The prepared
+    /// rule base and the describe cache belong to the epoch's rules
+    /// generation, which the writer and every epoch published while the
+    /// rules stay unchanged share: whichever of them asks first builds the
+    /// preparation or computes the answer, and the rest — the writer too,
+    /// with no publish in between — reuse it. Both sit behind a mutex held
+    /// for the lookup — and, the first time in a rules generation, for
+    /// building the preparation — so the describe family is where a
+    /// snapshot reader takes a lock.
     pub fn describe(&self, request: Request) -> Result<Response> {
         self.serve(request, Some(Keyword::Describe))
     }
@@ -608,10 +608,8 @@ impl SnapshotSession {
         self.serve(request, None)
     }
 
-    /// Every read goes through the epoch's pinned plan, never the plan
-    /// cache.
     fn serve(&self, request: Request, keyword: Option<Keyword>) -> Result<Response> {
-        query_on(&self.state.kb, Some(&self.state.plan), request, keyword)
+        query_on(&self.state.kb, request, keyword)
     }
 }
 
@@ -644,16 +642,8 @@ fn request_sink(kb: &KnowledgeBase, trace: bool) -> (ObsSink, Option<Arc<Collect
 /// its kind and whichever call it came through. It owns the request's
 /// sink, resolves the request's knobs against the knowledge base's
 /// defaults into the one options struct `serve` takes, times the whole of
-/// parse + evaluation, and hands the rest to [`finish_query`]. With
-/// `plan`, a retrieve uses the given precompiled program and bypasses the
-/// plan cache entirely (the snapshot path); without, it goes through the
-/// cache.
-fn query_on(
-    kb: &KnowledgeBase,
-    plan: Option<&ProgramPlan>,
-    request: Request,
-    keyword: Option<Keyword>,
-) -> Result<Response> {
+/// parse + evaluation, and hands the rest to [`finish_query`].
+fn query_on(kb: &KnowledgeBase, request: Request, keyword: Option<Keyword>) -> Result<Response> {
     let (obs, collector) = request_sink(kb, request.trace);
     let started = Instant::now();
     let defaults = kb.describe_options();
@@ -668,7 +658,7 @@ fn query_on(
         let _span = opts.sink.span("parse", 0);
         request.ask.into_statement(keyword)?
     };
-    let answer = kb.serve(&stmt, strategy, &opts, plan)?;
+    let answer = kb.serve(&stmt, strategy, &opts)?;
     let wall = started.elapsed().as_micros() as u64;
     let trace = finish_query(kb, collector, request.trace, &stmt, wall, &answer);
     Ok(Response { answer, trace })

@@ -209,6 +209,69 @@ fn describe_cache_is_shared_by_every_epoch_of_one_rules_generation() {
     assert_eq!(describe_on(&pinned, ask()), (first, (1, 0)));
 }
 
+/// One rules generation is one object, shared by the writer and by every
+/// epoch published while the rules stay unchanged: what a snapshot reader
+/// builds for the rules — the describe preparation, a describe answer —
+/// the writer finds built, with no publish in between.
+#[test]
+fn one_generation_a_reader_builds_for_is_built_for_the_writer() {
+    let mut s = policy_session();
+    let reader = s.snapshot().unwrap();
+    let ask = || Request::subject("pol1_7(X)").where_clause("attr5(X, V), V > 2");
+    let on_reader = reader.describe(ask()).unwrap().to_string();
+    assert_eq!(prep_counts(&s), (1, 0));
+    assert_eq!(cache_counts(&reader), (0, 1));
+
+    // The reader's answer is a hit for the writer...
+    assert_eq!(s.describe(ask()).unwrap().to_string(), on_reader);
+    assert_eq!(prep_counts(&s), (1, 0));
+    let writer = s.knowledge_base().describe_cache_stats();
+    assert_eq!((writer.hits, writer.misses), (1, 1));
+    // ...and a describe the reader never asked runs over the reader's
+    // preparation.
+    s.run(&nth_describe(4)).unwrap();
+    assert_eq!(prep_counts(&s), (1, 1));
+    assert_eq!(cache_counts(&reader), (1, 2));
+}
+
+/// A batch that adds a rule and then fails rolls back to the generation
+/// it started from, with everything built for it: the plan, the
+/// preparation and the describe cache's entries.
+#[test]
+fn one_generation_survives_a_failed_batch_that_added_a_rule() {
+    let mut s = policy_session();
+    let retrieve = |s: &Session, counter: &str| {
+        let response = s
+            .retrieve(Request::subject("pol0_3(X)").with_trace(true))
+            .unwrap();
+        response.trace().unwrap().counter(counter)
+    };
+    let ask = || Request::subject("pol1_7(X)");
+    assert_eq!(retrieve(&s, "plan_cache_miss"), Some(1));
+    let answer = s.describe(ask()).unwrap().to_string();
+    let generation = |s: &Session| s.metrics_snapshot().unwrap().gauge("rules_generation");
+    let before = generation(&s);
+    // The gauge counts the rule and constraint changes behind the
+    // generation: the 600 rules loaded.
+    assert_eq!(before, Some(600));
+
+    let failed = s.batch(|kb| {
+        kb.run("pol1_7(X) :- vip(X).")?;
+        kb.run("this is not a statement.")
+    });
+    assert!(failed.is_err());
+    assert_eq!(generation(&s), before);
+    assert_eq!(retrieve(&s, "plan_cache_hit"), Some(1));
+    let stats = s.knowledge_base().describe_cache_stats();
+    assert_eq!(s.describe(ask()).unwrap().to_string(), answer);
+    let after = s.knowledge_base().describe_cache_stats();
+    assert_eq!(
+        (after.hits - stats.hits, after.misses - stats.misses),
+        (1, 0)
+    );
+    assert_eq!(prep_counts(&s), (1, 0));
+}
+
 /// The rules a describe of `pred` could apply: the subject's own and,
 /// transitively, those of every concept their bodies mention.
 fn cone(s: &Session, pred: &str) -> usize {

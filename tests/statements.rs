@@ -253,13 +253,14 @@ fn every_kind_yields_a_trace() {
                 parse_statement(kind.university).unwrap(),
                 "{what}"
             );
-            // The stages tile the wall time: parse, then (for a live
-            // retrieve) plan, then execute; together they leave out a
-            // tenth of the wall at most — or, for a statement of a few
-            // microseconds, the truncation of each stage to whole ones.
+            // The stages tile the wall time: parse, then (for a
+            // retrieve, on either handle) plan, then execute; together
+            // they leave out a tenth of the wall at most — or, for a
+            // statement of a few microseconds, the truncation of each
+            // stage to whole ones.
             let stages: Vec<&str> = trace.stages().map(|s| s.name).collect();
-            let expected: &[&str] = match (kind.name, handle) {
-                ("Retrieve", "session") => &["parse", "plan", "execute"],
+            let expected: &[&str] = match kind.name {
+                "Retrieve" => &["parse", "plan", "execute"],
                 _ => &["parse", "execute"],
             };
             assert_eq!(stages, expected, "{what}");
@@ -316,4 +317,52 @@ fn a_statement_that_mutates_is_refused_unexecuted() {
     // Parts without a keyword are not a statement either.
     let err = session.query(Request::subject("honor(X)")).unwrap_err();
     assert!(matches!(err, Error::Parse(_)), "{err:?}");
+}
+
+#[test]
+fn describe_refuses_a_subject_whose_rules_negate() {
+    // §3.2 defines `describe` over positive formulas. Enumerating `p`'s
+    // rule as if it were positive answers `p(X) ← e(X) ∧ q(X)` and,
+    // under `where q(X)`, `p(X) ← e(X)`: both the opposite of the rule.
+    let mut kb = KnowledgeBase::new();
+    kb.load(
+        "predicate e(X).\n\
+         predicate q0(X).\n\
+         q(X) :- q0(X).\n\
+         p(X) :- e(X), not q(X).\n\
+         above(X) :- p(X).",
+    )
+    .unwrap();
+    let (session, snapshot) = handles(kb);
+    let refusal = "unsupported IDB: describe is defined over positive rules, \
+                   but this rule negates a body literal: p(X) :- e(X), not q(X).";
+    for (handle, ask) in asks(&session, &snapshot) {
+        for statement in [
+            "describe p(X).",
+            "describe p(X) where q(X).",
+            // A subject that reaches the rule through another concept.
+            "describe above(X).",
+            "explain p(X).",
+        ] {
+            let err = ask(Request::statement(statement)).expect_err(statement);
+            assert!(
+                matches!(
+                    err,
+                    Error::Describe(qdk::core::DescribeError::UnsupportedIdb(_))
+                ),
+                "{statement} on the {handle}: {err:?}"
+            );
+            assert_eq!(err.to_string(), refusal, "{statement} on the {handle}");
+        }
+        // The negation-free concept beside it still answers.
+        let sibling = ask(Request::statement("describe q(X).")).unwrap();
+        assert_eq!(
+            sibling.as_knowledge().unwrap().rendered(),
+            vec!["q(X) ← q0(X)"],
+            "{handle}"
+        );
+        // `describe *` skips the concepts it cannot describe.
+        let all = ask(Request::statement("describe * where q0(X).")).unwrap();
+        assert_eq!(all.to_string(), "q:\nq(S0) ← (S0 = X)\n", "{handle}");
+    }
 }
