@@ -23,6 +23,7 @@ use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::expand;
 use crate::prepared::PreparedIdb;
+use crate::transform::TransformedIdb;
 use qdk_engine::Idb;
 use qdk_logic::governor::Governor;
 use qdk_logic::{
@@ -475,10 +476,12 @@ impl PreparedIdb {
     /// [`describe_wildcard`] over this preparation: one describe per
     /// subject, all over the same prepared rules. A predicate name the
     /// rule base defines at several arities is asked once per arity. A
-    /// subject whose rules reach a negated literal is skipped. A subject
-    /// none of whose theorems can use the hypothesis is not described at
-    /// all, unless a limit has already tripped: then its describe runs,
-    /// and reports the truncation.
+    /// subject `describe` is not defined on — its describe would fail with
+    /// [`DescribeError::UnsupportedIdb`] because its rules reach a negated
+    /// literal or a recursion the §5.2 transformation refuses — is
+    /// skipped. A subject none of whose theorems can use the hypothesis is
+    /// not described at all, unless a limit has already tripped: then its
+    /// describe runs, and reports the truncation.
     pub fn describe_wildcard(
         &self,
         integrity: &[Constraint],
@@ -487,11 +490,11 @@ impl PreparedIdb {
     ) -> Result<Vec<(Sym, DescribeAnswer)>> {
         let mut out = Vec::new();
         for (pred, arity) in self.subjects() {
-            // A concept whose rules reach a negation is not a subject
-            // `describe` is defined on (§3.2).
-            if self.negation_in_reach(pred.as_str()).is_some() {
+            // Not a subject `describe` is defined on: its rules negate
+            // (§3.2), or reach a recursion the transformation refused.
+            let Ok((rules, _)) = self.rules_for_subject(pred.as_str()) else {
                 continue;
-            }
+            };
             // A subject atom with fresh distinct variables.
             let subject = Atom::new(
                 pred.clone(),
@@ -500,7 +503,7 @@ impl PreparedIdb {
                     .collect(),
             );
             let query = Describe::new(subject, hypothesis.to_vec());
-            if !self.may_use_hypothesis(&query) && opts.governor().poll().is_ok() {
+            if !may_use_hypothesis(rules, &query) && opts.governor().poll().is_ok() {
                 continue;
             }
             let mut answer = self.describe_with_constraints(integrity, &query, opts)?;
@@ -514,38 +517,33 @@ impl PreparedIdb {
         }
         Ok(out)
     }
+}
 
-    /// False only when no theorem of `query` can use its hypothesis:
-    /// no hypothesis atom is on the subject's predicate (nothing to
-    /// identify the root with), no rule of the subject reaches a
-    /// hypothesis predicate (nothing to identify below it), and no
-    /// hypothesis comparison mentions a subject variable (the only way
-    /// one could imply a comparison of a one-level theorem). A subject
-    /// the transformation refused counts as usable, so that its describe
-    /// reports the refusal.
-    fn may_use_hypothesis(&self, query: &Describe) -> bool {
-        let subject = &query.subject;
-        let Ok((rules, _)) = self.rules_for_subject(subject.pred.as_str()) else {
-            return true;
-        };
-        let vars = subject.vars();
-        let mut preds = Vec::new();
-        for l in query.hypothesis.iter().filter(|l| l.positive) {
-            if !l.is_builtin() {
-                preds.push(&l.atom.pred);
-            } else if l.atom.vars().iter().any(|v| vars.contains(v)) {
-                return true;
-            }
-        }
-        if preds.contains(&&subject.pred) {
+/// False only when no theorem of `query`, enumerated over `rules`, can use
+/// its hypothesis: no hypothesis atom is on the subject's predicate
+/// (nothing to identify the root with), no rule of the subject reaches a
+/// hypothesis predicate (nothing to identify below it), and no hypothesis
+/// comparison mentions a subject variable (the only way one could imply a
+/// comparison of a one-level theorem).
+fn may_use_hypothesis(rules: &TransformedIdb, query: &Describe) -> bool {
+    let subject = &query.subject;
+    let vars = subject.vars();
+    let mut preds = Vec::new();
+    for l in query.hypothesis.iter().filter(|l| l.positive) {
+        if !l.is_builtin() {
+            preds.push(&l.atom.pred);
+        } else if l.atom.vars().iter().any(|v| vars.contains(v)) {
             return true;
         }
-        let preds = rules.pred_set(preds);
-        rules
-            .rule_indexes_for(&subject.pred)
-            .iter()
-            .any(|&ri| rules.reaches(ri, &preds))
     }
+    if preds.contains(&&subject.pred) {
+        return true;
+    }
+    let preds = rules.pred_set(preds);
+    rules
+        .rule_indexes_for(&subject.pred)
+        .iter()
+        .any(|&ri| rules.reaches(ri, &preds))
 }
 
 #[cfg(test)]

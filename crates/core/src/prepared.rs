@@ -118,7 +118,7 @@ impl PreparedIdb {
 
     /// The first source rule (rendered) that negates a body literal among
     /// the rules of `pred` and of every predicate their bodies reach.
-    pub(crate) fn negation_in_reach(&self, pred: &str) -> Option<&str> {
+    fn negation_in_reach(&self, pred: &str) -> Option<&str> {
         if self.negating.is_empty() {
             return None;
         }

@@ -36,18 +36,27 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 /// schedules ahead of an unbound stored scan.
 const DEFAULT_CARD_FLOOR: usize = 16;
 
-/// Estimated rows a scan of `pred` produces with `bound` columns already
-/// fixed: the stored cardinality (or, for derived predicates, the total
-/// stored-fact count floored at [`DEFAULT_CARD_FLOOR`]) quartered per
-/// bound column, floored at 1. Deliberately coarse — the model only has
-/// to *order* literals, and a wrong guess still executes correctly
-/// through the same probes.
-fn est_rows(stats: &CatalogStats, pred: &Sym, bound: usize) -> usize {
+/// Estimated rows a scan of `pred` produces with the columns at positions
+/// `bound` already fixed: the stored cardinality (or, for derived
+/// predicates, the total stored-fact count floored at
+/// [`DEFAULT_CARD_FLOOR`]) divided by the distinct-value estimate of each
+/// bound column (System R's 1/distinct selectivity, columns taken as
+/// independent), floored at 1. A column the snapshot has no estimate for
+/// — a derived predicate's, or any under a snapshot built from
+/// cardinalities alone — divides by 4 instead. The model only has to
+/// *order* literals; a wrong guess still executes correctly through the
+/// same probes.
+fn est_rows(stats: &CatalogStats, pred: &Sym, bound: impl IntoIterator<Item = usize>) -> usize {
     let card = stats
         .cardinality(pred.as_str())
         .unwrap_or_else(|| stats.total_facts().max(DEFAULT_CARD_FLOOR));
-    let shift = (2 * bound).min(usize::BITS as usize - 1);
-    (card >> shift).max(1)
+    bound
+        .into_iter()
+        .fold(card, |rows, col| match stats.distinct(pred.as_str(), col) {
+            Some(d) => rows / (d as usize).max(1),
+            None => rows >> 2,
+        })
+        .max(1)
 }
 
 /// One column of a [`Step::Scan`]: what the executor must match this
@@ -184,9 +193,9 @@ impl RulePlan {
     }
 
     /// Re-plans an already compiled rule under an adornment: `bound[s]`
-    /// marks slot `s` as pre-bound (the top-down solver binds head slots
-    /// from the call before executing the body).
-    pub(crate) fn with_bound(
+    /// marks slot `s` as pre-bound. This is the top-down solver's call
+    /// plan: it binds head slots from the call before executing the body.
+    pub fn with_bound(
         compiled: CompiledRule,
         rule_str: String,
         bound: Vec<bool>,
@@ -637,8 +646,8 @@ pub(crate) fn compile_steps_opt(
                 } else if lit.positive {
                     match stats {
                         Some(stats) => {
-                            let bound_cols =
-                                lit.atom.args.iter().filter(|t| ground(t, &bound)).count();
+                            let bound_cols = (0..lit.atom.args.len())
+                                .filter(|&c| ground(&lit.atom.args[c], &bound));
                             let cost = est_rows(stats, &lit.atom.pred, bound_cols);
                             if choice.is_none() || cost < best_cost {
                                 choice = Some(i);
@@ -712,10 +721,8 @@ pub(crate) fn compile_steps_opt(
                 })
                 .collect();
             let est = stats.map(|stats| {
-                let bound_cols = cols
-                    .iter()
-                    .filter(|c| matches!(c, Col::Const(_) | Col::Slot { probe: true, .. }))
-                    .count();
+                let bound_cols = (0..cols.len())
+                    .filter(|&c| matches!(cols[c], Col::Const(_) | Col::Slot { probe: true, .. }));
                 est_rows(stats, &lit.atom.pred, bound_cols)
             });
             steps.push(Step::Scan {
@@ -907,14 +914,40 @@ mod tests {
     #[test]
     fn est_rows_discounts_by_bound_columns() {
         let s = stats(&[("edge", 1024)]);
-        assert_eq!(est_rows(&s, &Sym::new("edge"), 0), 1024);
-        assert_eq!(est_rows(&s, &Sym::new("edge"), 1), 256);
-        assert_eq!(est_rows(&s, &Sym::new("edge"), 2), 64);
+        let edge = Sym::new("edge");
+        assert_eq!(est_rows(&s, &edge, []), 1024);
+        assert_eq!(est_rows(&s, &edge, [1]), 256);
+        assert_eq!(est_rows(&s, &edge, [0, 1]), 64);
         // Derived predicates default to the total stored size (floored).
-        assert_eq!(est_rows(&s, &Sym::new("derived"), 0), 1024);
-        assert_eq!(est_rows(&stats(&[]), &Sym::new("derived"), 0), 16);
+        assert_eq!(est_rows(&s, &Sym::new("derived"), []), 1024);
+        assert_eq!(est_rows(&stats(&[]), &Sym::new("derived"), []), 16);
         // Never below one row.
-        assert_eq!(est_rows(&s, &Sym::new("edge"), 31), 1);
+        assert_eq!(est_rows(&s, &edge, 0..31), 1);
+    }
+
+    #[test]
+    fn est_rows_divides_by_each_bound_columns_distinct_count() {
+        // complete(S, C, Sem, G): 5 000 rows over 1 000 students, 100
+        // courses, 3 semesters and 5 grades.
+        let mut complete = qdk_storage::Relation::new("complete", 4);
+        for i in 0..5_000i64 {
+            let row = [i % 1_000, i % 100, i % 3, i / 1_000].map(qdk_storage::Value::Int);
+            complete
+                .insert(qdk_storage::Tuple::new(row.to_vec()))
+                .unwrap();
+        }
+        let s = CatalogStats::from_relations([&complete]);
+        let pred = Sym::new("complete");
+        assert_eq!(est_rows(&s, &pred, []), 5_000);
+        // The strided sample holds most students once, and GEE scales
+        // those by √(n/r) ≈ 2.2: its guaranteed error factor.
+        let students = s.distinct("complete", 0).unwrap();
+        assert!((1_000..=2_210).contains(&students), "{students}");
+        assert_eq!(est_rows(&s, &pred, [0]), 5_000 / students as usize);
+        assert_eq!(s.distinct("complete", 1), Some(100));
+        assert_eq!(est_rows(&s, &pred, [1]), 50);
+        assert_eq!(est_rows(&s, &pred, [1, 2]), 16);
+        assert_eq!(est_rows(&s, &pred, 0..4), 1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Predicate declarations.
 
+use crate::relation::Relation;
 use qdk_logic::Sym;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A predicate schema: its name and attribute names.
 ///
@@ -45,30 +47,77 @@ impl fmt::Display for Schema {
     }
 }
 
-/// A cardinality snapshot of the stored relations, taken at plan-compile
-/// time so the engine's cost model can order joins by estimated
-/// selectivity without touching live relations during execution.
+/// A statistics snapshot of the stored relations — each one's
+/// cardinality and per-column distinct-value estimate — taken at
+/// plan-compile time so the engine's cost model can order joins by
+/// estimated selectivity without touching live relations during
+/// execution.
 ///
 /// Kept in a `BTreeMap` so iteration (and therefore anything derived from
 /// it, like explain output) is deterministic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CatalogStats {
-    cards: BTreeMap<Sym, usize>,
+    rels: BTreeMap<Sym, RelStats>,
     total: usize,
 }
 
+/// One relation's entry in a [`CatalogStats`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RelStats {
+    card: usize,
+    /// Distinct values per column, shared with the relation that measured
+    /// them; `None` when the snapshot was built from cardinalities alone.
+    distinct: Option<Arc<[u32]>>,
+}
+
 impl CatalogStats {
-    /// Builds a snapshot from `(predicate, cardinality)` pairs.
+    /// Builds a snapshot from `(predicate, cardinality)` pairs, with no
+    /// distinct-value estimates.
     pub fn from_cards(cards: impl IntoIterator<Item = (Sym, usize)>) -> Self {
-        let cards: BTreeMap<Sym, usize> = cards.into_iter().collect();
-        let total = cards.values().sum();
-        CatalogStats { cards, total }
+        CatalogStats::build(cards.into_iter().map(|(pred, card)| {
+            (
+                pred,
+                RelStats {
+                    card,
+                    distinct: None,
+                },
+            )
+        }))
+    }
+
+    /// Builds a snapshot of stored relations: each one's live row count
+    /// and its [`Relation::distinct`] estimate (measured now if the
+    /// relation holds none; otherwise a reference bump).
+    pub fn from_relations<'a>(rels: impl IntoIterator<Item = &'a Relation>) -> Self {
+        CatalogStats::build(rels.into_iter().map(|r| {
+            (
+                r.name().clone(),
+                RelStats {
+                    card: r.len(),
+                    distinct: Some(r.distinct()),
+                },
+            )
+        }))
+    }
+
+    fn build(rels: impl Iterator<Item = (Sym, RelStats)>) -> Self {
+        let rels: BTreeMap<Sym, RelStats> = rels.collect();
+        let total = rels.values().map(|r| r.card).sum();
+        CatalogStats { rels, total }
     }
 
     /// The stored cardinality of a predicate, or `None` if it is not a
     /// stored (EDB) predicate.
     pub fn cardinality(&self, pred: &str) -> Option<usize> {
-        self.cards.get(pred).copied()
+        self.rels.get(pred).map(|r| r.card)
+    }
+
+    /// The estimated number of distinct values in column `col` of a
+    /// stored predicate, or `None` when the snapshot has no estimate for
+    /// it (a derived predicate, a snapshot built by
+    /// [`from_cards`](CatalogStats::from_cards), or a column out of range).
+    pub fn distinct(&self, pred: &str, col: usize) -> Option<u32> {
+        self.rels.get(pred)?.distinct.as_ref()?.get(col).copied()
     }
 
     /// Total stored facts across all relations (the cost model's default
@@ -80,7 +129,7 @@ impl CatalogStats {
 
     /// True if the snapshot covers no predicates.
     pub fn is_empty(&self) -> bool {
-        self.cards.is_empty()
+        self.rels.is_empty()
     }
 }
 

@@ -211,15 +211,13 @@ impl Edb {
             .sum()
     }
 
-    /// A cardinality snapshot of the stored relations for the engine's
-    /// cost model (one `len()` per relation; cheap enough to retake at
-    /// every plan-cache fill).
+    /// A statistics snapshot of the stored relations for the engine's
+    /// cost model: per relation one `len()` and one reference bump on its
+    /// distinct-value estimate, cheap enough to retake for every query. A
+    /// relation with no current estimate is measured first (see
+    /// [`Relation::distinct`]).
     pub fn stats(&self) -> crate::catalog::CatalogStats {
-        crate::catalog::CatalogStats::from_cards(
-            self.relations
-                .iter()
-                .map(|(name, r)| (name.clone(), r.len())),
-        )
+        crate::catalog::CatalogStats::from_relations(self.relations.values())
     }
 
     /// Extends `subst` in all ways that make `atom` true against the stored

@@ -36,7 +36,7 @@ use crate::store::{TupleIter, TupleStore};
 use crate::tuple::Tuple;
 use crate::Value;
 use qdk_logic::fasthash::FxHasher;
-use qdk_logic::Sym;
+use qdk_logic::{FxHashMap, Sym};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -180,6 +180,12 @@ impl<'a> DeltaView<'a> {
 /// the ones an index kept since the first insert would hold, so answers,
 /// their order and the probe counters do not depend on when it was built.
 ///
+/// Each column also has an estimate of its number of distinct values
+/// ([`distinct`](Relation::distinct)), which the engine's cost model
+/// divides the cardinality by. It is measured on first demand, reading at
+/// most 1 024 rows, and kept until the live row count has doubled or
+/// halved.
+///
 /// Every access-path decision is metered: [`probe`](Relation::probe) and
 /// indexed selections bump [`index_probes`](Relation::index_probes), while
 /// selections with no bound column bump [`full_scans`](Relation::full_scans).
@@ -216,8 +222,23 @@ pub struct Relation {
     /// `columns[c]`: each value in column `c` with the ids carrying it,
     /// built on the first probe of `c` (see [`ids`](Relation::ids)).
     columns: Box<[OnceLock<ColumnIndex>]>,
+    /// The per-column distinct-value estimate, measured on first demand
+    /// (see [`distinct`](Relation::distinct)).
+    distinct: OnceLock<Distinct>,
     probes: AtomicU64,
     scans: AtomicU64,
+}
+
+/// Rows a distinct-value measurement reads at most. At or below this many
+/// live rows it reads them all and the count is exact.
+const DISTINCT_SAMPLE: usize = 1024;
+
+/// A per-column distinct-value estimate and the live row count it was
+/// measured at.
+#[derive(Clone, Debug)]
+struct Distinct {
+    at: usize,
+    cols: Arc<[u32]>,
 }
 
 impl Clone for Relation {
@@ -228,6 +249,7 @@ impl Clone for Relation {
             tuples: self.tuples.clone(),
             present: self.present.clone(),
             columns: self.columns.clone(),
+            distinct: self.distinct.clone(),
             probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
             scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
         }
@@ -277,6 +299,7 @@ impl Relation {
             tuples: TupleStore::default(),
             present: HashShards::default(),
             columns: unbuilt(arity),
+            distinct: OnceLock::new(),
             probes: AtomicU64::new(0),
             scans: AtomicU64::new(0),
         }
@@ -352,7 +375,70 @@ impl Relation {
             }
         }
         self.present.insert_new(h, id);
+        self.settle_distinct();
         Ok(true)
+    }
+
+    /// The estimated number of distinct values in each column, one entry
+    /// per column.
+    ///
+    /// Measured on first demand from the live rows: all of them when there
+    /// are at most 1 024, so the count is exact; otherwise 1 024 rows
+    /// evenly strided through the live order, with the GEE estimator
+    /// `√(n/r)·f₁ + Σ_{j≥2} f_j` (Charikar et al., PODS 2000), where `n` is
+    /// the live row count, `r` the sample size and `f_j` the number of
+    /// values the sample holds exactly `j` times. The estimate is capped
+    /// at `n`.
+    ///
+    /// The measurement is kept, and shared by clones, until a write leaves
+    /// the live row count at twice or at most half the count it was
+    /// measured at. Steady churn around a size therefore never measures
+    /// again, and a relation grown from empty is measured once per
+    /// doubling. Each measurement is a fresh `Arc`, so [`Arc::ptr_eq`] on
+    /// two results tells whether one was re-measured.
+    pub fn distinct(&self) -> Arc<[u32]> {
+        let d = self.distinct.get_or_init(|| Distinct {
+            at: self.len(),
+            cols: self.measure_distinct().into(),
+        });
+        Arc::clone(&d.cols)
+    }
+
+    /// One measurement for [`distinct`](Relation::distinct).
+    fn measure_distinct(&self) -> Vec<u32> {
+        let n = self.len();
+        let sample = self.tuples.strided_live(DISTINCT_SAMPLE);
+        let scale = if sample.is_empty() {
+            1.0
+        } else {
+            (n as f64 / sample.len() as f64).sqrt()
+        };
+        let mut freq: FxHashMap<&Value, u32> = FxHashMap::default();
+        (0..self.arity)
+            .map(|c| {
+                freq.clear();
+                for &id in &sample {
+                    *freq.entry(&self.tuples.get(id).values()[c]).or_default() += 1;
+                }
+                let once = freq.values().filter(|&&f| f == 1).count();
+                let est = (scale * once as f64).round() as usize + (freq.len() - once);
+                u32::try_from(est.min(n)).unwrap_or(u32::MAX)
+            })
+            .collect()
+    }
+
+    /// Drops the distinct-value estimate once the live row count has
+    /// doubled or halved since it was measured (see
+    /// [`distinct`](Relation::distinct)).
+    fn settle_distinct(&mut self) {
+        let n = self.len();
+        if self
+            .distinct
+            .get()
+            .is_some_and(|d| n >= 2 * d.at || 2 * n <= d.at)
+        {
+            self.distinct.take();
+        }
     }
 
     /// Adopts the index demand of another relation (typically the
@@ -540,6 +626,7 @@ impl Relation {
         if self.tuples.dead() > self.tuples.len() {
             self.compact();
         }
+        self.settle_distinct();
         doomed.len()
     }
 
@@ -555,11 +642,13 @@ impl Relation {
     }
 
     /// Removes all tuples and resets the probe/scan counters. Every column
-    /// index is dropped (the next probe of a column builds it afresh).
+    /// index and the distinct-value estimate are dropped (the next probe
+    /// of a column builds it afresh, the next ask measures again).
     pub fn clear(&mut self) {
         self.tuples.clear();
         self.present = HashShards::default();
         self.columns = unbuilt(self.arity);
+        self.distinct = OnceLock::new();
         self.probes.store(0, Ordering::Relaxed);
         self.scans.store(0, Ordering::Relaxed);
     }

@@ -159,6 +159,23 @@ impl TupleStore {
             .map(|i| i as u32)
     }
 
+    /// The ids of `r` live rows evenly strided through the live order: for
+    /// `i` in `0..r`, the row of live rank `⌊i · len / r⌋` (every live row
+    /// when `r >= len`). Walks the tombstone bits, not the rows.
+    pub(crate) fn strided_live(&self, r: usize) -> Vec<u32> {
+        let n = self.live;
+        let mut next = 0;
+        self.live_ids()
+            .enumerate()
+            .filter(|&(rank, _)| {
+                let hit = next < r && rank == next * n / r.min(n);
+                next += usize::from(hit);
+                hit
+            })
+            .map(|(_, id)| id)
+            .collect()
+    }
+
     /// A dense copy holding the live rows in order, plus the map from old
     /// id to new (`u32::MAX` for tombstones). Monotone, so posting lists
     /// remapped through it stay ascending.
@@ -322,6 +339,27 @@ mod tests {
         assert_eq!(snap.len(), SEG_LEN * 2 + 3);
         assert_eq!(snap.iter().count(), SEG_LEN * 2 + 3);
         assert_eq!(s.iter().count(), SEG_LEN * 2 + 3);
+    }
+
+    #[test]
+    fn strided_live_rows_are_evenly_spaced_by_live_rank() {
+        let mut s = TupleStore::default();
+        for i in 0..(SEG_LEN * 3) {
+            s.push(row(i as i64));
+        }
+        assert_eq!(s.strided_live(4), vec![0, 384, 768, 1152]);
+        // Tombstone every other row of the first two segments: the live
+        // ranks shift past them.
+        for i in (0..SEG_LEN * 2).step_by(2) {
+            s.kill(i as u32);
+        }
+        let live: Vec<u32> = s.live_ids().collect();
+        let n = live.len();
+        let picked = s.strided_live(7);
+        let expected: Vec<u32> = (0..7).map(|i| live[i * n / 7]).collect();
+        assert_eq!(picked, expected);
+        assert_eq!(s.strided_live(n), live);
+        assert_eq!(s.strided_live(n + 5), live);
     }
 
     #[test]

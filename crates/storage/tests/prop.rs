@@ -16,9 +16,16 @@
 //! tombstones and compaction must never show through — a third does the
 //! same for column indexes first built late, after compaction or on a
 //! clone, and a fourth bounds what a write after a clone copies.
+//!
+//! The last two pin the per-column distinct-value estimate the cost model
+//! reads: a measurement of at most 1 024 live rows is an exact count, and
+//! a relation is measured again only once its live row count has doubled
+//! or halved.
 
 use proptest::prelude::*;
 use qdk_storage::{Relation, Tuple, Value};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const ARITY: usize = 3;
 
@@ -425,4 +432,100 @@ proptest! {
         );
         prop_assert_eq!(snap.len(), 3_000);
     }
+}
+
+/// The exact number of distinct values in each column.
+fn distinct_counts(rel: &Relation) -> Vec<u32> {
+    (0..rel.arity())
+        .map(|c| {
+            let values: BTreeSet<String> = rel.iter().map(|t| t.values()[c].to_string()).collect();
+            values.len() as u32
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Asked after every write of a random insert / remove / clear run
+    /// that stays at or below 1 024 live rows, the estimate is measured
+    /// again exactly when the write left the live row count at twice or
+    /// at most half the count of the last measurement, and every
+    /// measurement equals a `BTreeSet` count per column.
+    #[test]
+    fn a_measurement_at_or_below_1024_rows_is_an_exact_count(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                12 => (0i64..400, 0i64..40, 0i64..3).prop_map(|(a, b, c)| Op::Insert([a, b, c])),
+                6 => (0i64..400, 0i64..40, 0i64..3).prop_map(|(a, b, c)| Op::Remove([a, b, c])),
+                1 => Just(Op::Clear),
+            ],
+            1..1_200,
+        ),
+    ) {
+        let mut rel = Relation::new("p", ARITY);
+        let mut last = rel.distinct();
+        let mut at = 0;
+        prop_assert_eq!(&*last, &[0, 0, 0][..]);
+        for op in &ops {
+            let wrote = match op {
+                Op::Insert(vals) => rel.insert(tuple(vals)).expect("arity matches"),
+                Op::Remove(vals) => rel.remove(&tuple(vals)),
+                Op::Clear => {
+                    rel.clear();
+                    true
+                }
+            };
+            prop_assert!(rel.len() <= 1_024);
+            let n = rel.len();
+            let d = rel.distinct();
+            let fresh = !Arc::ptr_eq(&d, &last);
+            prop_assert_eq!(fresh, wrote && (n >= 2 * at || 2 * n <= at), "{:?} at {} rows", op, n);
+            if fresh {
+                prop_assert_eq!(&*d, &distinct_counts(&rel)[..], "{:?} at {} rows", op, n);
+                at = n;
+                last = d;
+            }
+        }
+    }
+}
+
+/// A relation grown from empty to 10⁴ rows, asked for its estimate after
+/// every insert, is measured once per doubling: at 0, 1, 2, 4, …, 8 192
+/// rows. Steady churn at that size — one insert and one remove, 10⁴ times
+/// — measures it never again. Above 1 024 rows a measurement reads a
+/// 1 024-row sample, and GEE's error stays within its `√(n/r)` factor of
+/// the true count.
+#[test]
+fn distinct_estimates_are_measured_once_per_doubling_and_never_under_churn() {
+    let row = |k: i64| Tuple::new(vec![v(k), v(k % 97), v(k % 3)]);
+    let mut rel = Relation::new("p", ARITY);
+    let mut last = rel.distinct();
+    let mut measured = 1;
+    for k in 0..10_000 {
+        rel.insert(row(k)).expect("arity matches");
+        let d = rel.distinct();
+        if !Arc::ptr_eq(&d, &last) {
+            measured += 1;
+            last = d;
+        }
+    }
+    assert_eq!(measured, 15);
+    // Measured at 8 192 rows from every eighth row: the unique column's
+    // sample holds 1 024 singletons, scaled by √(8192/1024): the truth
+    // divided by √8, GEE's worst case. The other columns' values recur.
+    assert_eq!(&*last, &[2_896, 97, 3][..]);
+    for k in 0..10_000 {
+        rel.insert(row(10_000 + k)).expect("arity matches");
+        assert!(rel.remove(&row(k)));
+        assert!(
+            Arc::ptr_eq(&rel.distinct(), &last),
+            "re-measured at churn step {k}"
+        );
+    }
+    // Halving is a write like any other: it measures again.
+    let doomed: Vec<Tuple> = rel.iter().take(5_904).cloned().collect();
+    rel.remove_batch(&doomed);
+    assert_eq!(rel.len(), 4_096);
+    assert!(!Arc::ptr_eq(&rel.distinct(), &last));
 }
