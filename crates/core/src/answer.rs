@@ -138,6 +138,26 @@ impl DescribeAnswer {
     pub fn contains_rendered(&self, expected: &str) -> bool {
         self.theorems.iter().any(|t| t.to_string() == expected)
     }
+
+    /// Drops the spare capacity its vectors and strings grew while the
+    /// answer was built, in place — what a copy would drop, for an answer
+    /// kept rather than copied (the describe cache holds answers behind
+    /// an `Arc`).
+    pub fn shrink_to_fit(&mut self) {
+        self.theorems.shrink_to_fit();
+        for t in &mut self.theorems {
+            let rule = &mut t.rule;
+            rule.head.args.shrink_to_fit();
+            rule.body.shrink_to_fit();
+            for lit in &mut rule.body {
+                lit.atom.args.shrink_to_fit();
+            }
+            t.derivation.shrink_to_fit();
+            for line in &mut t.derivation {
+                line.shrink_to_fit();
+            }
+        }
+    }
 }
 
 impl fmt::Display for DescribeAnswer {

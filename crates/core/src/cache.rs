@@ -14,11 +14,13 @@
 //! the IDB, and reports it through the `redundant` flag.
 //!
 //! Entries are bucketed by subject predicate, so invalidation scans one
-//! bucket's closures instead of every cached answer.
+//! bucket's closures instead of every cached answer. Answers are held
+//! behind an `Arc`: a hit hands out a reference, not a copy.
 
 use crate::answer::DescribeAnswer;
 use qdk_logic::Sym;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Soft cap on cached entries; the oldest entry in the fullest bucket is
 /// dropped when reached. Knowledge answers are small (rules, not data),
@@ -34,7 +36,7 @@ struct Entry {
     /// The predicates the subject could reach through the rule set when
     /// the answer was computed — the invalidation footprint.
     closure: Vec<Sym>,
-    answer: DescribeAnswer,
+    answer: Arc<DescribeAnswer>,
 }
 
 /// Cumulative cache counters, exposed so mutation reports can show how
@@ -84,12 +86,12 @@ impl DescribeCache {
 
     /// Looks up the answer cached under `key` for `subject_pred`, counting
     /// a hit or miss.
-    pub fn get(&mut self, subject_pred: &str, key: &str) -> Option<DescribeAnswer> {
+    pub fn get(&mut self, subject_pred: &str, key: &str) -> Option<Arc<DescribeAnswer>> {
         let found = self
             .buckets
             .get(subject_pred)
             .and_then(|b| b.iter().find(|e| e.key == key))
-            .map(|e| e.answer.clone());
+            .map(|e| Arc::clone(&e.answer));
         if found.is_some() {
             self.stats.hits += 1;
         } else {
@@ -106,8 +108,9 @@ impl DescribeCache {
         subject_pred: &str,
         key: String,
         closure: Vec<Sym>,
-        answer: DescribeAnswer,
+        answer: impl Into<Arc<DescribeAnswer>>,
     ) {
+        let answer = answer.into();
         if let Some(e) = self
             .buckets
             .get_mut(subject_pred)

@@ -37,6 +37,7 @@ mod idb;
 pub mod maintain;
 pub mod naive;
 mod options;
+mod order;
 pub mod plan;
 pub mod qsq;
 pub mod query;
@@ -50,7 +51,8 @@ pub use maintain::{MaintainStats, MaintainedStore, Retraction};
 pub use options::EvalOptions;
 pub use plan::{ProgramPlan, RulePlan};
 pub use qdk_logic::governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
+pub use qsq::QsqTables;
 pub use query::{
-    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_precomputed_with, retrieve_with,
-    AutoChoice, DataAnswer, Downgrade, Mode, Retrieve, Strategy,
+    retrieve, retrieve_compiled, retrieve_precomputed, retrieve_precomputed_with, retrieve_tabled,
+    retrieve_with, AutoChoice, DataAnswer, Downgrade, Mode, Retrieve, Strategy,
 };

@@ -41,7 +41,7 @@ use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::seminaive::{self, Fixpoint, RoundRule, Start};
-use qdk_logic::fasthash::{FxHashMap, FxHashSet};
+use qdk_logic::fasthash::{FxHashMap, FxHashSet, FxMixHashMap};
 use qdk_logic::obs::ObsSink;
 use qdk_logic::{Frame, IrAtom, IrTerm, Rule, Sym};
 use qdk_storage::{Edb, Relation, Tuple, Value};
@@ -459,7 +459,7 @@ impl MaintainedStore {
     /// every higher stratum.
     fn propagate(&mut self, edb: &Edb, seed: &DeltaRanges) -> Result<usize> {
         let opts = EvalOptions::default();
-        let fixpoint = Fixpoint::new(edb, &opts);
+        let fixpoint = Fixpoint::new(edb, &self.derived, &opts);
         let rules = Arc::clone(&self.rules);
         // Baseline: everything below these ids is already reflected in the
         // store; seed windows start below their predicate's mark.
@@ -823,9 +823,12 @@ struct Instance {
 /// it. When the frontier runs dry every explored fact left unproved has
 /// no derivation from surviving facts — mutual support included — and is
 /// refuted. A fact is explored at most once per retraction.
+///
+/// `ids` is only looked up, never iterated, so its tuples hash through
+/// [`FxMixHashMap`]: a row of small numbers spreads over the buckets.
 #[derive(Debug, Default)]
 struct Backward {
-    ids: FxHashMap<Sym, FxHashMap<Tuple, usize>>,
+    ids: FxHashMap<Sym, FxMixHashMap<Tuple, usize>>,
     nodes: Vec<Node>,
     instances: Vec<Instance>,
     frontier: Vec<usize>,

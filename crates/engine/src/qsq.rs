@@ -60,6 +60,13 @@
 //! whole store and scan a stored relation in full, probing the one-row
 //! seed once per stored row.
 //!
+//! A bound subject's net can keep its relations across calls in a
+//! [`QsqTables`], one per data epoch: QSQN answers each subquery once
+//! because its input relations record what is done, and the table carries
+//! that record from one call to the next. A seed the table's input
+//! relation already holds is answered from its answer relation with no
+//! fixpoint; a new seed is a delta over the table (see [`QsqTables`]).
+//!
 //! Shapes the net cannot host — negation anywhere in the demanded slice
 //! (the net is a positive program) or adornments whose filter chains
 //! cannot be scheduled (`UnsafeRule`) — surface as errors here; the
@@ -67,6 +74,7 @@
 //! [`crate::query::Downgrade`].
 
 use crate::adorn::{bound_args, persistent_occurrence, suffix, Adornment, SipWalk};
+use crate::bindings::DeltaRanges;
 use crate::bindings::DerivedFacts;
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
@@ -74,10 +82,10 @@ use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
 use crate::query::Retrieve;
 use crate::seminaive::{Fixpoint, RoundRule, Start};
-use qdk_logic::{Atom, FxHashMap, Interner, Literal, Rule, Subst, Sym, Term, Var};
+use qdk_logic::{Atom, FxHashMap, Interner, Literal, Rule, Sym, Term, Var};
 use qdk_storage::{CatalogStats, Edb, Relation, Tuple, Value};
 use std::collections::{HashSet, VecDeque};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The reserved head predicate of the per-query wrapper rule.
 const QUERY_PRED: &str = "__qsq_query";
@@ -621,34 +629,40 @@ fn bound_subject<'q>(idb: &Idb, columns: &[Var], goals: &'q [Literal]) -> Option
 }
 
 impl BoundSubject<'_> {
-    /// The subject's answers in the answer relation of `root`. A plain
-    /// relation serves every subquery the net demanded, so only the
-    /// tuples matching the seed's constants are ours; a factored one
-    /// holds the seed's free columns and nothing else.
-    fn substs(&self, root: &Fragment, derived: &DerivedFacts) -> Vec<Subst> {
+    /// The subject's answers in the answer relation of `root`, projected
+    /// onto `columns`. A plain relation serves every subquery the net
+    /// demanded, so only the tuples matching the seed's constants are
+    /// ours, found by a probe; a factored one holds the seed's free
+    /// columns and nothing else.
+    fn rows(&self, root: &Fragment, derived: &DerivedFacts, columns: &[Var]) -> Vec<Tuple> {
         let Some(rel) = derived.relation(root.ans.as_str()) else {
             return Vec::new();
         };
-        let ours = |vals: &[Value]| {
-            root.factored
-                || self.atom.args.iter().zip(vals).all(|(t, v)| match t {
-                    Term::Const(c) => c == v,
-                    Term::Var(_) => true,
-                })
-        };
-        rel.iter()
-            .map(Tuple::values)
-            .filter(|vals| ours(vals))
-            .map(|vals| {
-                self.vars
-                    .iter()
-                    .enumerate()
-                    .map(|(j, (v, i))| {
-                        let col = if root.factored { j } else { *i };
-                        ((*v).clone(), Term::Const(vals[col].clone()))
-                    })
-                    .collect()
+        // Where each column sits in an answer tuple.
+        let at: Vec<usize> = columns
+            .iter()
+            .filter_map(|c| {
+                let j = self.vars.iter().position(|(v, _)| *v == c)?;
+                Some(if root.factored { j } else { self.vars[j].1 })
             })
+            .collect();
+        let project = |t: &Tuple| at.iter().map(|&i| t.values()[i].clone()).collect();
+        if root.factored {
+            return rel.iter().map(project).collect();
+        }
+        let bound: Vec<(usize, &Value)> = self
+            .atom
+            .args
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match t {
+                Term::Const(c) => Some((i, c)),
+                Term::Var(_) => None,
+            })
+            .collect();
+        rel.probe_cols(&bound)
+            .into_iter()
+            .map(|id| project(rel.tuple_at(id)))
             .collect()
     }
 }
@@ -693,58 +707,200 @@ impl Net {
         })
     }
 
-    /// Seeds the root's input and runs the net fixpoint.
-    fn eval(&self, edb: &Edb, opts: &EvalOptions) -> Result<DerivedFacts> {
-        let mut derived = DerivedFacts::new();
-        derived.insert(&self.root.input, self.seed.clone())?;
-        eval_net(edb, &self.root, &self.frags, &mut derived, opts)?;
+    /// Seeds the root's input in `derived` and runs the net to its
+    /// fixpoint. An empty `derived` starts from round 0 over the totals;
+    /// a non-empty one is a net at its fixpoint already (a table's), and
+    /// the seed is the one new fact: the rounds start from it alone.
+    fn eval(
+        &self,
+        edb: &Edb,
+        mut derived: DerivedFacts,
+        opts: &EvalOptions,
+    ) -> Result<DerivedFacts> {
+        let start = if derived.is_empty() {
+            derived.insert(&self.root.input, self.seed.clone())?;
+            Start::Totals
+        } else {
+            let mark = |d: &DerivedFacts| {
+                d.relation(self.root.input.as_str())
+                    .map_or(0, Relation::high_water)
+            };
+            let before = mark(&derived);
+            derived.insert(&self.root.input, self.seed.clone())?;
+            let mut delta = DeltaRanges::default();
+            delta.insert(self.root.input.clone(), (before, mark(&derived)));
+            Start::Delta(delta)
+        };
+        eval_net(edb, &self.root, &self.frags, &mut derived, start, opts)?;
+        Ok(derived)
+    }
+
+    /// The table key of a seeded net: a factored net's answers hold no
+    /// seed column, so its table serves one seed only.
+    fn key(&self) -> TableKey {
+        let root = &self.root;
+        let seed = root.factored.then(|| self.seed.clone());
+        (root.pred.clone(), root.adornment.clone(), seed)
+    }
+
+    /// The net's relations with the seed answered: read from `tables`
+    /// when they hold the seed; else, while the tables are under their
+    /// cap, derived from the table's relations (or from empty ones) and
+    /// kept if they still fit; else derived from empty relations.
+    fn tabled(
+        &self,
+        edb: &Edb,
+        tables: &QsqTables,
+        opts: &EvalOptions,
+    ) -> Result<Arc<DerivedFacts>> {
+        let key = self.key();
+        let warm = tables.get(&key);
+        if let Some(warm) = &warm {
+            let input = warm.relation(self.root.input.as_str());
+            if input.is_some_and(|r| r.contains(&self.seed)) {
+                opts.sink.counter("qsq_table_hit", 1);
+                return Ok(Arc::clone(warm));
+            }
+        }
+        if tables.full() {
+            return Ok(Arc::new(self.eval(edb, DerivedFacts::new(), opts)?));
+        }
+        // A fork: its relations are shared with the table's, and a write
+        // copies only what it touches.
+        let fork = warm.map_or_else(DerivedFacts::new, |warm| (*warm).clone());
+        let derived = Arc::new(self.eval(edb, fork, opts)?);
+        tables.adopt(key, &derived);
         Ok(derived)
     }
 }
 
-/// QSQ evaluation of a goal conjunction: a bound subject seeds its own
-/// fragment; anything else builds the wrapper fragment, pulls the
-/// demanded sub-fragments from the plan cache, seeds the wrapper's input
-/// relation, runs the net fixpoint, and reads the wrapper's answers.
-pub(crate) fn qsq_substs(
+/// Rows a [`QsqTables`] holds at most, over all its nets. A call that
+/// finds the tables full runs its net from empty relations, and a net
+/// that would push them over is not kept. Sized so that a data epoch's
+/// hot subqueries stay warm while the tables add a few megabytes at most
+/// beside the stored relations.
+pub const TABLE_ROW_CAP: usize = 1 << 16;
+
+/// The key of a kept net: (predicate, adornment, the seed of a factored
+/// net).
+type TableKey = (Sym, Adornment, Option<Tuple>);
+
+/// The relations of the QSQ nets run over one data epoch — one EDB and one
+/// rules generation — kept across calls, per (predicate, adornment) and,
+/// for a factored net, per seed. The knowledge-base layer starts empty
+/// tables on every fact or rule change and shares them with every clone
+/// of the epoch (snapshot readers included).
+///
+/// A seed already in a table's input relation is answered from its
+/// answer relation, with no fixpoint. A new seed runs as a delta from the
+/// table's marks in a structurally shared fork, which replaces the table
+/// only once its fixpoint completes: a call that trips a limit or is
+/// cancelled leaves the table as it was. Two calls extending one net at
+/// once both finish; the later adoption wins, and the other's seed is
+/// derived again when next asked.
+#[derive(Debug, Default)]
+pub struct QsqTables {
+    nets: Mutex<TableMap>,
+}
+
+#[derive(Debug, Default)]
+struct TableMap {
+    nets: FxHashMap<TableKey, Arc<DerivedFacts>>,
+    rows: usize,
+}
+
+impl QsqTables {
+    /// Rows held, over every kept net.
+    pub fn rows(&self) -> usize {
+        self.lock().rows
+    }
+
+    /// Nets kept.
+    pub fn nets(&self) -> usize {
+        self.lock().nets.len()
+    }
+
+    /// Drops every kept net.
+    pub fn clear(&mut self) {
+        *self.nets.get_mut().unwrap_or_else(PoisonError::into_inner) = TableMap::default();
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, TableMap> {
+        self.nets.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &TableKey) -> Option<Arc<DerivedFacts>> {
+        self.lock().nets.get(key).cloned()
+    }
+
+    fn full(&self) -> bool {
+        self.lock().rows >= TABLE_ROW_CAP
+    }
+
+    /// Keeps `derived` as the net of `key` if the tables stay within
+    /// [`TABLE_ROW_CAP`].
+    fn adopt(&self, key: TableKey, derived: &Arc<DerivedFacts>) {
+        let mut map = self.lock();
+        let old = map.nets.get(&key).map_or(0, |d| d.len());
+        let rows = map.rows - old + derived.len();
+        if rows <= TABLE_ROW_CAP {
+            map.rows = rows;
+            map.nets.insert(key, Arc::clone(derived));
+        }
+    }
+}
+
+/// QSQ evaluation of a goal conjunction, projected onto `columns`: a
+/// bound subject seeds its own fragment, kept in `tables` when given;
+/// anything else builds the wrapper fragment, pulls the demanded
+/// sub-fragments from the plan cache, seeds the wrapper's input relation,
+/// runs the net fixpoint from empty relations, and reads the wrapper's
+/// answers. The rows come in no particular order.
+pub(crate) fn qsq_rows(
     edb: &Edb,
     idb: &Idb,
     plan: &ProgramPlan,
+    tables: Option<&QsqTables>,
     columns: &[Var],
     goals: &[Literal],
-    opts: EvalOptions,
-) -> Result<Vec<Subst>> {
+    opts: &EvalOptions,
+) -> Result<Vec<Tuple>> {
     if let Some(subject) = bound_subject(idb, columns, goals) {
         let net = Net::seeded(plan, idb, &subject)?;
-        let derived = net.eval(edb, &opts)?;
-        return Ok(subject.substs(&net.root, &derived));
+        let derived = match tables {
+            Some(tables) => net.tabled(edb, tables, opts)?,
+            None => Arc::new(net.eval(edb, DerivedFacts::new(), opts)?),
+        };
+        return Ok(subject.rows(&net.root, &derived, columns));
     }
     let vars = query_vars(columns, goals);
     let net = Net::wrapper(plan, idb, &vars, goals)?;
-    let derived = net.eval(edb, &opts)?;
+    let derived = net.eval(edb, DerivedFacts::new(), opts)?;
     let Some(rel) = derived.relation(net.root.ans.as_str()) else {
         return Ok(Vec::new());
     };
+    // `vars` ends with every column, so each is found.
+    let at: Vec<usize> = columns
+        .iter()
+        .filter_map(|c| vars.iter().position(|v| v == c))
+        .collect();
     Ok(rel
         .iter()
-        .map(|tuple| {
-            vars.iter()
-                .cloned()
-                .zip(tuple.values().iter().cloned().map(Term::Const))
-                .collect()
-        })
+        .map(|t| at.iter().map(|&i| t.values()[i].clone()).collect())
         .collect())
 }
 
 /// The net fixpoint: the (positive, hence monotone) net program run by
-/// the semi-naive round loop — round 0 fires every net rule against the
-/// totals (the seeded input), then delta rounds fire the prebuilt
-/// delta-first variants whose net occurrence grew — plus the QSQ counters.
+/// the semi-naive round loop from `start` — round 0 fires every net rule
+/// against the totals (the seeded input), or the given delta stands in
+/// for it; then delta rounds fire the prebuilt delta-first variants whose
+/// net occurrence grew — plus the QSQ counters.
 fn eval_net(
     edb: &Edb,
     qfrag: &Fragment,
     frags: &[Arc<Fragment>],
     derived: &mut DerivedFacts,
+    start: Start,
     opts: &EvalOptions,
 ) -> Result<()> {
     let net: Vec<RoundRule<'_>> = qfrag
@@ -753,8 +909,8 @@ fn eval_net(
         .chain(frags.iter().flat_map(|f| f.rules.iter()))
         .map(|nr| (&nr.plan, &nr.delta[..]))
         .collect();
-    let fixpoint = Fixpoint::new(edb, opts);
-    fixpoint.run(&net, derived, Start::Totals)?;
+    let fixpoint = Fixpoint::new(edb, derived, opts);
+    fixpoint.run(&net, derived, start)?;
     fixpoint.finish(derived);
     let obs = &opts.sink;
     if obs.enabled() {
@@ -899,7 +1055,7 @@ mod tests {
             let q = Retrieve::new(parse_atom(subject).unwrap(), vec![]);
             let qsq = query::retrieve(&edb, &idb, &q, Strategy::Qsq).unwrap();
             let semi = query::retrieve(&edb, &idb, &q, Strategy::SemiNaive).unwrap();
-            assert_eq!(qsq.sorted(), semi.sorted(), "{subject}");
+            assert_eq!(qsq.rows, semi.rows, "{subject}");
             assert!(qsq.downgrades.is_empty(), "{subject}");
         }
     }
@@ -914,7 +1070,7 @@ mod tests {
         );
         let qsq = query::retrieve(&edb, &idb, &q, Strategy::Qsq).unwrap();
         let semi = query::retrieve(&edb, &idb, &q, Strategy::SemiNaive).unwrap();
-        assert_eq!(qsq.sorted(), semi.sorted());
+        assert_eq!(qsq.rows, semi.rows);
     }
 
     #[test]
@@ -926,9 +1082,31 @@ mod tests {
         let q = Retrieve::new(parse_atom("prior(c5, Y)").unwrap(), vec![]);
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
         let (columns, goals) = query::query_goals(&edb, &idb, &q).unwrap();
-        let substs =
-            qsq_substs(&edb, &idb, &plan, &columns, &goals, EvalOptions::default()).unwrap();
-        assert_eq!(substs.len(), 5);
+        let opts = EvalOptions::default();
+        let rows = qsq_rows(&edb, &idb, &plan, None, &columns, &goals, &opts).unwrap();
+        assert_eq!(rows.len(), 5);
+    }
+
+    #[test]
+    fn tables_stay_under_their_row_cap_and_answer_alike_above_it() {
+        // prior(cK, Y) keeps one factored net of about 2K rows per seed:
+        // 300 seeds would hold about 90 000.
+        let edb = chain(300);
+        let idb = prior_idb();
+        let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
+        let tables = QsqTables::default();
+        for k in 1..=300 {
+            let q = Retrieve::new(parse_atom(&format!("prior(c{k}, Y)")).unwrap(), vec![]);
+            let opts = EvalOptions::default();
+            let run = |tables| {
+                query::retrieve_tabled(&edb, &idb, &plan, tables, &q, Strategy::Qsq, opts.clone())
+                    .unwrap()
+            };
+            assert_eq!(run(Some(&tables)), run(None), "prior(c{k}, Y)");
+            assert_eq!(run(Some(&tables)).len(), k);
+            assert!(tables.rows() <= TABLE_ROW_CAP, "{} rows", tables.rows());
+        }
+        assert!(tables.nets() < 300 && tables.rows() > TABLE_ROW_CAP / 2);
     }
 
     /// `retrieve subject where qualifier`; an empty qualifier is none.
@@ -999,7 +1177,9 @@ mod tests {
         let subject = bound_subject(&idb, &columns, &goals).unwrap();
         let net = Net::seeded(&plan, &idb, &subject).unwrap();
         assert!(net.root.factored && net.frags.is_empty());
-        let derived = net.eval(&edb, &EvalOptions::default()).unwrap();
+        let derived = net
+            .eval(&edb, DerivedFacts::new(), &EvalOptions::default())
+            .unwrap();
         let ans = derived.relation(net.root.ans.as_str()).unwrap();
         assert_eq!(ans.arity(), 1);
         assert_eq!(ans.len(), 5);
@@ -1109,7 +1289,7 @@ mod tests {
             let q = Retrieve::new(parse_atom(subject).unwrap(), vec![]);
             let qsq = query::retrieve(&edb, &idb, &q, Strategy::Qsq).unwrap();
             let semi = query::retrieve(&edb, &idb, &q, Strategy::SemiNaive).unwrap();
-            assert_eq!(qsq.sorted(), semi.sorted(), "{subject}");
+            assert_eq!(qsq.rows, semi.rows, "{subject}");
         }
     }
 
@@ -1134,7 +1314,7 @@ mod tests {
             let q = Retrieve::new(parse_atom(subject).unwrap(), vec![]);
             let qsq = query::retrieve(&edb, &idb, &q, Strategy::Qsq).unwrap();
             let semi = query::retrieve(&edb, &idb, &q, Strategy::SemiNaive).unwrap();
-            assert_eq!(qsq.sorted(), semi.sorted(), "{subject}");
+            assert_eq!(qsq.rows, semi.rows, "{subject}");
         }
     }
 

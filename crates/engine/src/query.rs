@@ -16,11 +16,12 @@ use crate::error::{EngineError, Result};
 use crate::idb::Idb;
 use crate::options::EvalOptions;
 use crate::plan::{ProgramPlan, RulePlan};
+use crate::qsq::QsqTables;
 use crate::seminaive;
 use crate::topdown::Solver;
 use qdk_logic::governor::Governor;
 use qdk_logic::obs::ObsSink;
-use qdk_logic::{Atom, Frame, FxHashSet, Interner, Literal, Rule, Subst, Term, Var};
+use qdk_logic::{Atom, Frame, Interner, Literal, Rule, Subst, Term, Var};
 use qdk_storage::{Edb, Tuple, Value};
 use std::fmt;
 
@@ -288,12 +289,14 @@ impl fmt::Display for Retrieve {
 }
 
 /// The answer to a data query: a header of variables and the retrieved
-/// value rows.
+/// value rows — a set, so the rows are sorted under `Ord` on values and
+/// hold no duplicate. No strategy, snapshot or maintained store can move
+/// an answer byte.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DataAnswer {
     /// The free variables, in subject-argument order.
     pub columns: Vec<Var>,
-    /// The retrieved rows, deduplicated.
+    /// The retrieved rows, ascending and distinct.
     pub rows: Vec<Tuple>,
     /// Strategy degradations recorded while answering (empty when the
     /// requested strategy completed on its own).
@@ -304,6 +307,18 @@ pub struct DataAnswer {
 }
 
 impl DataAnswer {
+    /// The answer over `columns` holding the set of `rows`: sorted and
+    /// deduplicated here, the one place a retrieve answer is built.
+    fn new(columns: Vec<Var>, mut rows: Vec<Tuple>) -> Self {
+        crate::order::sort_dedup(&mut rows);
+        DataAnswer {
+            columns,
+            rows,
+            downgrades: Vec::new(),
+            auto: None,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -325,13 +340,6 @@ impl DataAnswer {
                     .all(|(v, w)| v.to_string() == *w)
         })
     }
-
-    /// Sorted copy of the rows (stable rendering for tests/examples).
-    pub fn sorted(&self) -> Vec<Tuple> {
-        let mut rows = self.rows.clone();
-        rows.sort();
-        rows
-    }
 }
 
 impl fmt::Display for DataAnswer {
@@ -350,9 +358,9 @@ impl fmt::Display for DataAnswer {
                 if i > 0 {
                     f.write_str("\t")?;
                 }
-                write!(f, "{v}")?;
+                v.fmt(f)?;
             }
-            writeln!(f)?;
+            f.write_str("\n")?;
         }
         for d in &self.downgrades {
             writeln!(f, "-- note: {d}")?;
@@ -383,11 +391,28 @@ pub fn retrieve_with(
 /// [`retrieve_with`] over an already compiled program. `plan` must be the
 /// compilation of `idb`. [`Strategy::Auto`] is resolved here, before any
 /// evaluation, and recorded on the answer and as a `retrieve_auto_*`
-/// counter.
+/// counter. Every QSQ net runs cold, from empty relations.
 pub fn retrieve_compiled(
     edb: &Edb,
     idb: &Idb,
     plan: &ProgramPlan,
+    query: &Retrieve,
+    strategy: Strategy,
+    opts: EvalOptions,
+) -> Result<DataAnswer> {
+    retrieve_tabled(edb, idb, plan, None, query, strategy, opts)
+}
+
+/// [`retrieve_compiled`], keeping the relations of the QSQ nets it runs
+/// in `tables` (see [`QsqTables`]): a subquery `tables` has answered is
+/// read from them, and a new one extends them. `tables` must belong to
+/// this EDB and these rules — the knowledge-base layer keeps one per data
+/// epoch. `None` runs every net cold.
+pub fn retrieve_tabled(
+    edb: &Edb,
+    idb: &Idb,
+    plan: &ProgramPlan,
+    tables: Option<&QsqTables>,
     query: &Retrieve,
     strategy: Strategy,
     opts: EvalOptions,
@@ -399,10 +424,6 @@ pub fn retrieve_compiled(
         obs.counter(choice.counter(), 1);
         choice
     });
-    let project = |substs| {
-        let _span = obs.span("project", 0);
-        project_answer(query, &columns, substs)
-    };
     // Bottom-up answers: the goal conjunction against EDB + materialized
     // facts, under the statement's deadline and cancel token.
     let gov = opts.governor();
@@ -410,21 +431,38 @@ pub fn retrieve_compiled(
         let _span = obs.span("project", 0);
         solve_projected(edb, derived, &goals, query, &columns, &gov)
     };
-    let answer = match auto.map_or(Some(strategy), AutoChoice::evaluator) {
+    // Semi-naive: materialize the predicates the goals demand.
+    let seminaive = || {
+        let span = obs.span("seminaive", 0);
+        let relevant = plan.analysis(idb, &obs).demanded(&goals);
+        let derived = seminaive::eval(
+            edb,
+            idb,
+            plan,
+            Some(&relevant),
+            DerivedFacts::new(),
+            opts.clone(),
+        )?;
+        drop(span);
+        solve(&derived)
+    };
+    let mut downgrades = Vec::new();
+    let rows = match auto.map_or(Some(strategy), AutoChoice::evaluator) {
         // No goal is derived: nothing to materialize.
-        None => solve(&DerivedFacts::new()),
+        None => solve(&DerivedFacts::new())?,
         Some(Strategy::TopDown) => {
             let span = obs.span("topdown", 0);
-            let substs = Solver::with_plan(edb, idb, plan, opts).solve_all(&goals)?;
+            let substs = Solver::with_plan(edb, idb, plan, opts.clone()).solve_all(&goals)?;
             drop(span);
-            project(substs)
+            let _span = obs.span("project", 0);
+            project_rows(query, &columns, substs)?
         }
         Some(Strategy::Qsq) => {
             let span = obs.span("qsq", 0);
-            let substs = crate::qsq::qsq_substs(edb, idb, plan, &columns, &goals, opts.clone());
+            let rows = crate::qsq::qsq_rows(edb, idb, plan, tables, &columns, &goals, &opts);
             drop(span);
-            match substs {
-                Ok(substs) => project(substs),
+            match rows {
+                Ok(rows) => rows,
                 // Graceful degradation: if the net cannot host the query
                 // (negation in the demanded slice, or an adornment whose
                 // filter chain cannot be scheduled surfaces `UnsafeRule`
@@ -436,29 +474,26 @@ pub fn retrieve_compiled(
                 // request with a second evaluation.
                 Err(e @ (EngineError::NotStratified(_) | EngineError::UnsafeRule { .. })) => {
                     obs.counter("downgrade", 1);
-                    let mut answer =
-                        retrieve_compiled(edb, idb, plan, query, Strategy::SemiNaive, opts)?;
-                    answer.downgrades.insert(
-                        0,
-                        Downgrade::strategy(Strategy::Qsq, Strategy::SemiNaive, e.to_string()),
-                    );
-                    Ok(answer)
+                    downgrades.push(Downgrade::strategy(
+                        Strategy::Qsq,
+                        Strategy::SemiNaive,
+                        e.to_string(),
+                    ));
+                    seminaive()?
                 }
-                Err(e) => Err(e),
+                Err(e) => return Err(e),
             }
         }
-        // Semi-naive (`Auto` was resolved above): materialize the
-        // predicates the goals demand.
-        Some(Strategy::SemiNaive | Strategy::Auto) => {
-            let span = obs.span("seminaive", 0);
-            let relevant = plan.analysis(idb, &obs).demanded(&goals);
-            let derived =
-                seminaive::eval(edb, idb, plan, Some(&relevant), DerivedFacts::new(), opts)?;
-            drop(span);
-            solve(&derived)
-        }
+        // `Auto` was resolved above.
+        Some(Strategy::SemiNaive | Strategy::Auto) => seminaive()?,
     };
-    answer.map(|answer| DataAnswer { auto, ..answer })
+    // Every evaluation's derived store is dropped by now, so the sort's
+    // keys never sit beside it.
+    Ok(DataAnswer {
+        downgrades,
+        auto,
+        ..DataAnswer::new(columns, rows)
+    })
 }
 
 /// Validates the query subject and builds the answer columns and goal
@@ -525,17 +560,16 @@ pub fn retrieve_precomputed_with(
     opts: EvalOptions,
 ) -> Result<DataAnswer> {
     let (columns, goals) = query_goals(edb, idb, query)?;
-    solve_projected(edb, derived, &goals, query, &columns, &opts.governor())
+    let rows = solve_projected(edb, derived, &goals, query, &columns, &opts.governor())?;
+    Ok(DataAnswer::new(columns, rows))
 }
 
 /// Solves a goal conjunction against the EDB plus a materialized derived
 /// store and projects each satisfying frame straight onto the subject's
-/// columns. Row content, order, and deduplication are identical to
-/// solving into substitutions and then projecting with
-/// [`project_answer`]; skipping the per-row substitution map is the
-/// bottom-up answer fast path. `gov` is polled every
-/// [`FIRE_POLL_EMISSIONS`] satisfying frames, the cadence rule firings
-/// use.
+/// columns — the rows, duplicates included, in no particular order.
+/// Skipping the per-row substitution map is the bottom-up answer fast
+/// path. `gov` is polled every [`FIRE_POLL_EMISSIONS`] satisfying frames,
+/// the cadence rule firings use.
 fn solve_projected(
     edb: &Edb,
     derived: &DerivedFacts,
@@ -543,14 +577,9 @@ fn solve_projected(
     query: &Retrieve,
     columns: &[Var],
     gov: &Governor,
-) -> Result<DataAnswer> {
+) -> Result<Vec<Tuple>> {
     if let Some(rows) = full_extension(edb, derived, goals, columns) {
-        return Ok(DataAnswer {
-            columns: columns.to_vec(),
-            rows,
-            downgrades: Vec::new(),
-            auto: None,
-        });
+        return Ok(rows);
     }
     let dummy = Rule::with_literals(Atom::new("_goal", vec![]), goals.to_vec());
     let stats = edb.stats();
@@ -559,7 +588,6 @@ fn solve_projected(
     let slots: Vec<Option<u32>> = columns.iter().map(|v| plan.compiled.slot_of(v)).collect();
     let mut frame = Frame::new(plan.compiled.num_slots());
     let mut rows: Vec<Tuple> = Vec::new();
-    let mut seen: FxHashSet<Tuple> = FxHashSet::default();
     let mut unbound = false;
     let mut emitted = 0u64;
     exec(&plan, 0, &view, &mut frame, &mut |f| {
@@ -578,36 +606,31 @@ fn solve_projected(
                 }
             }
         }
-        let t = Tuple::new(row);
-        if seen.insert(t.clone()) {
-            rows.push(t);
-        }
+        rows.push(Tuple::new(row));
         Ok(())
     })?;
     if unbound {
-        return Err(EngineError::UnsafeRule {
-            rule: query.to_string(),
-            literal: "free variable not bound by query".to_string(),
-        });
+        return Err(unbound_column(query));
     }
-    Ok(DataAnswer {
-        columns: columns.to_vec(),
-        rows,
-        downgrades: Vec::new(),
-        auto: None,
-    })
+    Ok(rows)
+}
+
+/// The error for an answer column no goal binds.
+fn unbound_column(query: &Retrieve) -> EngineError {
+    EngineError::UnsafeRule {
+        rule: query.to_string(),
+        literal: "free variable not bound by query".to_string(),
+    }
 }
 
 /// The whole-extension fast path: a single positive goal whose arguments
 /// are distinct variables matching the answer columns one-for-one asks
 /// for every stored tuple of one predicate, so the rows are the backing
-/// relation's tuples verbatim — no plan, no execution, no dedup (the
-/// relation is a set) and no projection (the row *is* the tuple). Order
-/// matches the general path, which scans the same relation in id order.
-/// Returns `None` when the query needs real goal solving (constants,
-/// repeated or reordered variables, several goals, negation, builtins) or
-/// when the stored arity disagrees with the goal (the general path owns
-/// that error).
+/// relation's tuples verbatim — no plan, no execution and no projection
+/// (the row *is* the tuple). Returns `None` when the query needs real
+/// goal solving (constants, repeated or reordered variables, several
+/// goals, negation, builtins) or when the stored arity disagrees with the
+/// goal (the general path owns that error).
 fn full_extension(
     edb: &Edb,
     derived: &DerivedFacts,
@@ -649,43 +672,23 @@ fn full_extension(
     Some(rel.iter().cloned().collect())
 }
 
-/// Projects satisfying substitutions onto the subject's variables,
-/// deduplicating rows.
-fn project_answer(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Result<DataAnswer> {
-    // Project onto the subject's variables. Constants in the subject are
-    // checked by the goal conjunction itself (p was a goal) or — for a new
-    // predicate — are simply echoed.
-    let mut answer = DataAnswer {
-        columns: columns.to_vec(),
-        rows: Vec::new(),
-        downgrades: Vec::new(),
-        auto: None,
-    };
-    let mut seen = std::collections::HashSet::new();
-    for s in substs {
-        let mut row: Vec<Value> = Vec::with_capacity(columns.len());
-        let mut complete = true;
-        for v in columns {
-            match s.apply_term(&Term::Var(v.clone())) {
-                Term::Const(c) => row.push(c),
-                Term::Var(_) => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if !complete {
-            return Err(EngineError::UnsafeRule {
-                rule: query.to_string(),
-                literal: "free variable not bound by query".to_string(),
-            });
-        }
-        let t = Tuple::new(row);
-        if seen.insert(t.clone()) {
-            answer.rows.push(t);
-        }
-    }
-    Ok(answer)
+/// Projects satisfying substitutions onto the subject's variables.
+fn project_rows(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Result<Vec<Tuple>> {
+    // Constants in the subject are checked by the goal conjunction itself
+    // (p was a goal) or — for a new predicate — are simply echoed.
+    substs
+        .into_iter()
+        .map(|s| {
+            columns
+                .iter()
+                .map(|v| match s.apply_term(&Term::Var(v.clone())) {
+                    Term::Const(c) => Ok(c),
+                    Term::Var(_) => Err(unbound_column(query)),
+                })
+                .collect::<Result<Vec<Value>>>()
+                .map(Tuple::new)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -873,9 +876,7 @@ mod tests {
             let mut renders: Vec<Vec<String>> = Vec::new();
             for st in Strategy::ALL {
                 let a = retrieve(&edb, &idb, &q, st).unwrap();
-                let mut rows: Vec<String> = a.sorted().iter().map(ToString::to_string).collect();
-                rows.dedup();
-                renders.push(rows);
+                renders.push(a.rows.iter().map(ToString::to_string).collect());
             }
             for other in &renders[1..] {
                 assert_eq!(&renders[0], other, "{pred}");

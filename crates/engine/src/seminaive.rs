@@ -48,12 +48,23 @@ pub(crate) struct Fixpoint<'a> {
     probes0: (u64, u64),
 }
 
+/// The index probes and full scans `derived`'s relations have served.
+fn derived_access(derived: &DerivedFacts) -> (u64, u64) {
+    derived.iter().fold((0, 0), |(p, s), (_, r)| {
+        (p + r.index_probes(), s + r.full_scans())
+    })
+}
+
 impl<'a> Fixpoint<'a> {
-    /// Starts an evaluation over `edb` under `opts`.
-    pub(crate) fn new(edb: &'a Edb, opts: &'a EvalOptions) -> Self {
+    /// Starts an evaluation over `edb` under `opts`, deriving into
+    /// `derived` (whose relations may already have served probes: a
+    /// warm QSQ table, a maintained store).
+    pub(crate) fn new(edb: &'a Edb, derived: &DerivedFacts, opts: &'a EvalOptions) -> Self {
         let obs = &opts.sink;
         let probes0 = if obs.enabled() {
-            edb.access_stats()
+            let (p, s) = edb.access_stats();
+            let (dp, ds) = derived_access(derived);
+            (p + dp, s + ds)
         } else {
             (0, 0)
         };
@@ -146,13 +157,11 @@ impl<'a> Fixpoint<'a> {
             return;
         }
         let (p, s) = self.edb.access_stats();
-        let (dp, ds) = derived.iter().fold((0, 0), |(p, s), (_, r)| {
-            (p + r.index_probes(), s + r.full_scans())
-        });
+        let (dp, ds) = derived_access(derived);
         self.obs
-            .counter("index_probes", p.saturating_sub(self.probes0.0) + dp);
+            .counter("index_probes", (p + dp).saturating_sub(self.probes0.0));
         self.obs
-            .counter("full_scans", s.saturating_sub(self.probes0.1) + ds);
+            .counter("full_scans", (s + ds).saturating_sub(self.probes0.1));
     }
 }
 
@@ -199,7 +208,7 @@ pub fn eval(
 ) -> Result<DerivedFacts> {
     let strata = plan.analysis(idb, &opts.sink).strata()?;
     let mut derived = seed;
-    let fixpoint = Fixpoint::new(edb, &opts);
+    let fixpoint = Fixpoint::new(edb, &derived, &opts);
     for (si, stratum) in strata.rules().iter().enumerate() {
         // Per rule of the stratum, a delta-first variant for each body
         // occurrence that can read a delta: a positive literal over a

@@ -6,6 +6,7 @@ use qdk_core::DescribeAnswer;
 use qdk_engine::DataAnswer;
 use qdk_logic::Sym;
 use std::fmt;
+use std::sync::Arc;
 
 /// The answer to one statement of the unified language. The paper's three
 /// query-answering mechanisms map onto the variants: data queries answer
@@ -14,8 +15,9 @@ use std::fmt;
 pub enum Answer {
     /// Rows of data (from `retrieve`).
     Data(DataAnswer),
-    /// Theorems (from `describe` and `describe … where necessary`).
-    Knowledge(DescribeAnswer),
+    /// Theorems (from `describe` and `describe … where necessary`),
+    /// shared with the describe cache when it served them.
+    Knowledge(Arc<DescribeAnswer>),
     /// A necessity verdict (from `describe … where not h`).
     Necessity(NegationAnswer),
     /// A possibility verdict (from subjectless `describe where ψ`).
@@ -41,7 +43,7 @@ impl Answer {
     /// The knowledge answer, if this is one.
     pub fn as_knowledge(&self) -> Option<&DescribeAnswer> {
         match self {
-            Answer::Knowledge(k) => Some(k),
+            Answer::Knowledge(k) => Some(k.as_ref()),
             _ => None,
         }
     }
@@ -54,10 +56,11 @@ impl Answer {
         }
     }
 
-    /// Consumes the answer into its knowledge answer.
+    /// Consumes the answer into its knowledge answer (a copy when the
+    /// describe cache still holds it).
     pub fn into_knowledge(self) -> Option<DescribeAnswer> {
         match self {
-            Answer::Knowledge(k) => Some(k),
+            Answer::Knowledge(k) => Some(Arc::try_unwrap(k).unwrap_or_else(|k| (*k).clone())),
             _ => None,
         }
     }

@@ -166,7 +166,7 @@ mod tests {
         let q = "retrieve honor(X) where enroll(X, databases).";
         let a = kb.run(q).unwrap();
         let b = restored.run(q).unwrap();
-        assert_eq!(a.as_data().unwrap().sorted(), b.as_data().unwrap().sorted());
+        assert_eq!(a.as_data().unwrap().rows, b.as_data().unwrap().rows);
         let q = "describe can_ta(X, Y) where honor(X) and teach(susan, Y).";
         let a = kb.run(q).unwrap();
         let b = restored.run(q).unwrap();

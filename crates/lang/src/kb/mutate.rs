@@ -80,6 +80,7 @@ impl KnowledgeBase {
     /// Restores a checkpoint snapshot through the same declaration and
     /// insertion paths live mutations take.
     fn apply_checkpoint(&mut self, ckp: CheckpointData) -> Result<()> {
+        self.next_data_epoch();
         for rel in ckp.relations {
             let attrs: Vec<&str> = rel.attrs.iter().map(Sym::as_str).collect();
             self.edb.declare(rel.name.as_str(), &attrs)?;
@@ -110,10 +111,12 @@ impl KnowledgeBase {
                 }
             }
             WalOp::AddFact { pred, tuple } => {
+                self.next_data_epoch();
                 self.edb.insert_tuple(&pred, tuple)?;
             }
             WalOp::AddRule(rule) => self.next_rules().idb.add_rule(rule)?,
             WalOp::Retract { pred, tuple } => {
+                self.next_data_epoch();
                 self.edb.remove_tuple(&pred, &tuple)?;
             }
             WalOp::AddConstraint(c) => self.next_rules().constraints.push(c),
@@ -276,6 +279,7 @@ impl KnowledgeBase {
             key,
         })?;
         self.edb.declare(name, attrs)?;
+        self.next_data_epoch();
         if let Some(k) = key {
             self.keys.insert(Sym::new(name), k);
         }
@@ -298,6 +302,7 @@ impl KnowledgeBase {
         }
         let new = self.edb.insert_fact(atom)?;
         if new {
+            self.next_data_epoch();
             if let Some(mut store) = self.maintained.take() {
                 let obs = self.opts.sink.clone();
                 let result = {
@@ -361,6 +366,7 @@ impl KnowledgeBase {
         }
         let removed = self.edb.remove_fact(atom)?;
         if removed {
+            self.next_data_epoch();
             self.apply_retract_maintenance(plan);
         }
         self.maybe_checkpoint();
@@ -468,13 +474,26 @@ impl KnowledgeBase {
         Ok(())
     }
 
-    /// Starts the next rules generation and returns it for a rule or
-    /// constraint change to apply. It starts from this generation's rules,
-    /// constraints and describe cache, and nothing built for the old
-    /// rules: no plan, no preparation. Every other holder of the old
+    /// Starts the next data epoch: the QSQ tables of this one answer for
+    /// facts and rules that no longer hold, so the next retrieve starts
+    /// empty ones. Clones holding the old tables (published epochs, a
+    /// transaction's undo copy) keep them; tables no clone holds are
+    /// emptied in place.
+    fn next_data_epoch(&mut self) {
+        match Arc::get_mut(&mut self.qsq) {
+            Some(tables) => tables.clear(),
+            None => self.qsq = Arc::default(),
+        }
+    }
+
+    /// Starts the next rules generation (and data epoch) and returns it
+    /// for a rule or constraint change to apply. It starts from this
+    /// generation's rules, constraints and describe cache, and nothing
+    /// built for the old rules: no plan, no preparation. Every other holder of the old
     /// generation (earlier epochs, a transaction's undo copy) keeps it
     /// whole; when there is none, the old one is reused in place.
     fn next_rules(&mut self) -> &mut RulesGen {
+        self.next_data_epoch();
         let rules = Arc::make_mut(&mut self.rules);
         rules.number += 1;
         rules.plan = OnceLock::new();

@@ -50,18 +50,18 @@ impl KnowledgeBase {
         Ok(match stmt {
             Statement::Retrieve(r) => Answer::Data(self.retrieve(r, strategy, opts)?),
             Statement::Describe(d) => Answer::Knowledge(self.describe(d, opts)?),
-            Statement::Explain(d) => Answer::Ack(explain(&self.describe(d, opts)?)),
-            Statement::DescribeNecessary(d) => Answer::Knowledge(
+            Statement::Explain(d) => Answer::Ack(explain(&*self.describe(d, opts)?)),
+            Statement::DescribeNecessary(d) => Answer::Knowledge(Arc::new(
                 self.prepared(opts)
                     .describe_necessary(&rules.constraints, d, opts)?,
-            ),
+            )),
             Statement::DescribeDisjunctive { subject, disjuncts } => {
-                Answer::Knowledge(self.prepared(opts).describe_disjunctive(
+                Answer::Knowledge(Arc::new(self.prepared(opts).describe_disjunctive(
                     &rules.constraints,
                     subject,
                     disjuncts,
                     opts,
-                )?)
+                )?))
             }
             Statement::DescribeWithout { subject, negated } => Answer::Necessity(
                 extensions::describe_without(&rules.idb, subject, negated, opts)?,
@@ -105,7 +105,8 @@ impl KnowledgeBase {
     /// [`EvalOptions`] are derived from the describe options. When the
     /// maintained store is live and the strategy is `Auto` or semi-naive,
     /// the answer is projected straight from the maintained derived facts
-    /// — no fixpoint runs.
+    /// — no fixpoint runs. Otherwise a QSQ net keeps its relations in this
+    /// data epoch's tables, so a subquery is answered once per epoch.
     fn retrieve(
         &self,
         r: &Retrieve,
@@ -143,7 +144,8 @@ impl KnowledgeBase {
             plan
         };
         let _span = obs.span("execute", 0);
-        let mut answer = query::retrieve_compiled(&self.edb, idb, plan, r, strategy, eval)?;
+        let tables = Some(&*self.qsq);
+        let mut answer = query::retrieve_tabled(&self.edb, idb, plan, tables, r, strategy, eval)?;
         self.surface_pending(&mut answer, obs);
         Ok(answer)
     }
@@ -156,7 +158,7 @@ impl KnowledgeBase {
     /// predicate closure. Both the cache and the rule base an answer that
     /// has to be computed runs over (built by the first describe-family
     /// statement that needs it) belong to the rules generation.
-    fn describe(&self, d: &Describe, opts: &DescribeOptions) -> Result<DescribeAnswer> {
+    fn describe(&self, d: &Describe, opts: &DescribeOptions) -> Result<Arc<DescribeAnswer>> {
         let cache = &self.rules.describe_cache;
         let key = describe_cache_key(d, opts);
         if let Some(k) = &key {
@@ -167,15 +169,18 @@ impl KnowledgeBase {
             opts.sink.counter("describe_cache_miss", 1);
         }
         let prep = self.prepared(opts);
-        let answer = prep.describe_with_constraints(&self.rules.constraints, d, opts)?;
-        if let Some(k) = key {
-            if !answer.is_truncated() {
-                let closure = describe_closure(prep.graph(), d);
-                cache
-                    .lock()
-                    .insert(d.subject.pred.as_str(), k, closure, answer.clone());
-            }
-        }
+        let mut answer = prep.describe_with_constraints(&self.rules.constraints, d, opts)?;
+        let Some(k) = key.filter(|_| !answer.is_truncated()) else {
+            return Ok(Arc::new(answer));
+        };
+        // The cache keeps this very answer: drop what building it left
+        // spare, as a copy would.
+        answer.shrink_to_fit();
+        let answer = Arc::new(answer);
+        let closure = describe_closure(prep.graph(), d);
+        cache
+            .lock()
+            .insert(d.subject.pred.as_str(), k, closure, Arc::clone(&answer));
         Ok(answer)
     }
 

@@ -5,7 +5,9 @@
 
 use qdk_core::{DescribeCache, DescribeOptions, PreparedIdb};
 use qdk_durability::{DurabilityMetrics, Durable, RecoveryReport, WalOp};
-use qdk_engine::{Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, Strategy};
+use qdk_engine::{
+    Downgrade, Idb, MaintainStats, MaintainedStore, ProgramPlan, QsqTables, Strategy,
+};
 use qdk_logic::metrics::{MetricsHub, MetricsSink, MetricsSnapshot};
 use qdk_logic::obs::{FanoutSink, ObsSink};
 use qdk_logic::{Constraint, Sym};
@@ -121,8 +123,8 @@ impl MaintainTotals {
 /// Cloning costs O(relations): the stored relations share their storage
 /// with the clone (see [`qdk_storage::Relation`]), the rules generation
 /// (rules, constraints, compiled plan, describe preparation and describe
-/// cache) and the maintained store's rule-derived parts are each one
-/// `Arc`, and everything else is a few words per predicate. Every
+/// cache), the QSQ tables and the maintained store's rule-derived parts
+/// are each one `Arc`, and everything else is a few words per predicate. Every
 /// transaction (its undo copy) and every epoch publish clones, and so
 /// shares everything already built for its rules.
 #[derive(Clone, Debug, Default)]
@@ -132,6 +134,11 @@ pub struct KnowledgeBase {
     /// from them alone, shared with every clone until a rule or
     /// constraint change starts the next one.
     pub(super) rules: Arc<RulesGen>,
+    /// The QSQ nets this data epoch has run (see [`QsqTables`]): shared
+    /// with every clone until a fact or rules change here starts empty
+    /// ones, so a published epoch's readers and the writer that published
+    /// it share one until the writer's next change.
+    pub(super) qsq: Arc<QsqTables>,
     pub(super) keys: HashMap<Sym, usize>,
     pub(super) strategy: Strategy,
     pub(super) opts: DescribeOptions,
@@ -304,8 +311,8 @@ impl KnowledgeBase {
         self.metrics.as_ref()
     }
 
-    /// Polls the point-in-time subsystem gauges (EDB/IDB sizes, plan and
-    /// describe-cache state, maintenance totals, WAL and checkpoint
+    /// Polls the point-in-time subsystem gauges (EDB/IDB sizes, plan,
+    /// describe-cache and QSQ-table state, maintenance totals, WAL and checkpoint
     /// positions) into the registry, then returns a consistent snapshot
     /// of every aggregate. `None` until [`Self::enable_metrics`].
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
@@ -325,6 +332,8 @@ impl KnowledgeBase {
             "describe_cache_entries",
             self.rules.describe_cache.lock().len() as u64,
         );
+        reg.gauge_set("qsq_table_rows", self.qsq.rows() as u64);
+        reg.gauge_set("qsq_table_nets", self.qsq.nets() as u64);
         reg.gauge_set("maintained", u64::from(self.maintained.is_some()));
         reg.gauge_set(
             "maintained_facts",

@@ -22,9 +22,11 @@ use crate::kb::KnowledgeBase;
 /// describe preparation and describe cache — is shared with the writer
 /// and with every epoch published while the rules stay unchanged. The
 /// plan is built before the epoch is published, so readers answer
-/// retrieves with zero locks; a preparation or a describe answer any
+/// retrieves without locking it; a preparation or a describe answer any
 /// holder of the generation builds is there for all the others, the
-/// writer included, with no publish in between.
+/// writer included, with no publish in between. The epoch's QSQ tables
+/// are shared the same way by its readers and, until its next change, by
+/// the writer.
 #[derive(Debug)]
 pub struct KbState {
     /// Which epoch this state was published as.

@@ -60,7 +60,7 @@ mod unify;
 pub use atom::{Atom, Literal};
 pub use clause::{Constraint, Program, Rule};
 pub use error::{ParseError, Result};
-pub use fasthash::{FxHashMap, FxHashSet, FxHasher};
+pub use fasthash::{FxHashMap, FxHashSet, FxHasher, FxMixHashMap};
 pub use governor::{CancelToken, Exhausted, Governor, Resource, ResourceLimits};
 pub use intern::{Interner, SymId};
 pub use ir::{CompiledRule, Frame, IrAtom, IrLiteral, IrTerm};

@@ -63,6 +63,7 @@ pub const NAMES: &[&str] = &[
     "qsq_net_nodes",
     "qsq_subqueries",
     "qsq_input_tuples",
+    "qsq_table_hit",
     "maintained_serve",
     "retrieve_auto_maintained",
     "retrieve_auto_edb",

@@ -126,7 +126,7 @@ impl Hash for Const {
 impl fmt::Display for Const {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Const::Sym(s) => write!(f, "{s}"),
+            Const::Sym(s) => f.write_str(s.as_str()),
             Const::Int(i) => write!(f, "{i}"),
             Const::Num(n) => {
                 if n.fract() == 0.0 && n.is_finite() && n.abs() < 1e15 {

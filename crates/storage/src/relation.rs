@@ -35,8 +35,8 @@ use crate::shards::HashShards;
 use crate::store::{TupleIter, TupleStore};
 use crate::tuple::Tuple;
 use crate::Value;
-use qdk_logic::fasthash::FxHasher;
-use qdk_logic::{FxHashMap, Sym};
+use qdk_logic::fasthash::{mix, FxHasher};
+use qdk_logic::{FxMixHashMap, Sym};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -44,13 +44,15 @@ use std::sync::{Arc, OnceLock};
 /// Hashes a key value by value (a whole tuple for the presence map, one
 /// value for a column index). The value count is fixed per map, so no
 /// length prefix is needed. Computed once per lookup: the same hash picks
-/// the shard and probes its table.
+/// the shard (its high bits) and probes the shard's table (its low bits),
+/// so it is finished with [`mix`]: Fx alone leaves both ranges zero for a
+/// key of small numbers, which hash as `f64` bits.
 fn hash_key<'a>(vals: impl Iterator<Item = &'a Value>) -> u64 {
     let mut h = FxHasher::default();
     for v in vals {
         v.hash(&mut h);
     }
-    h.finish()
+    mix(h.finish())
 }
 
 /// The hash of a single index key.
@@ -384,7 +386,7 @@ impl Relation {
     ///
     /// Measured on first demand from the live rows: all of them when there
     /// are at most 1 024, so the count is exact; otherwise 1 024 rows
-    /// evenly strided through the live order, with the GEE estimator
+    /// picked by a hash of their row id, with the GEE estimator
     /// `√(n/r)·f₁ + Σ_{j≥2} f_j` (Charikar et al., PODS 2000), where `n` is
     /// the live row count, `r` the sample size and `f_j` the number of
     /// values the sample holds exactly `j` times. The estimate is capped
@@ -407,13 +409,13 @@ impl Relation {
     /// One measurement for [`distinct`](Relation::distinct).
     fn measure_distinct(&self) -> Vec<u32> {
         let n = self.len();
-        let sample = self.tuples.strided_live(DISTINCT_SAMPLE);
+        let sample = self.tuples.sampled_live(DISTINCT_SAMPLE);
         let scale = if sample.is_empty() {
             1.0
         } else {
             (n as f64 / sample.len() as f64).sqrt()
         };
-        let mut freq: FxHashMap<&Value, u32> = FxHashMap::default();
+        let mut freq: FxMixHashMap<&Value, u32> = FxMixHashMap::default();
         (0..self.arity)
             .map(|c| {
                 freq.clear();
@@ -728,6 +730,24 @@ impl<'a> IntoIterator for &'a Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn consecutive_integer_keys_spread_over_the_shards() {
+        let mut r = Relation::new("n", 2);
+        for k in 0..10_000 {
+            r.insert(Tuple::new(vec![Value::Int(k), Value::Int(k % 7)]))
+                .unwrap();
+        }
+        assert_eq!(r.probe(0, &Value::Int(4_321)).len(), 1);
+        let built = r.columns[0].get().unwrap();
+        for (what, (used, shards)) in [
+            ("presence", r.present.occupancy()),
+            ("column", built.occupancy()),
+        ] {
+            assert!(shards >= 64, "{what}: {shards} shards");
+            assert!(2 * used >= shards, "{what}: {used} of {shards} shards");
+        }
+    }
 
     fn sample() -> Relation {
         let mut r = Relation::new("complete", 3);

@@ -228,6 +228,14 @@ impl<E> HashShards<E> {
         self.len
     }
 
+    /// How many shards hold an entry, and how many shards there are.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> (usize, usize) {
+        let shards = self.dir.as_slice();
+        let used = shards.iter().filter(|s| !s.table.is_empty()).count();
+        (used, shards.len())
+    }
+
     /// The entry `is` accepts under hash `h`.
     pub(crate) fn get(&self, h: u64, is: impl Fn(&E) -> bool) -> Option<&E> {
         let shards = self.dir.as_slice();

@@ -19,6 +19,8 @@
 
 use crate::pieces::Pieces;
 use crate::tuple::Tuple;
+use qdk_logic::fasthash::mix;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Log2 of the segment length.
@@ -159,21 +161,26 @@ impl TupleStore {
             .map(|i| i as u32)
     }
 
-    /// The ids of `r` live rows evenly strided through the live order: for
-    /// `i` in `0..r`, the row of live rank `⌊i · len / r⌋` (every live row
-    /// when `r >= len`). Walks the tombstone bits, not the rows.
-    pub(crate) fn strided_live(&self, r: usize) -> Vec<u32> {
-        let n = self.live;
-        let mut next = 0;
-        self.live_ids()
-            .enumerate()
-            .filter(|&(rank, _)| {
-                let hit = next < r && rank == next * n / r.min(n);
-                next += usize::from(hit);
-                hit
-            })
-            .map(|(_, id)| id)
-            .collect()
+    /// The ids of `r` live rows picked by a hash of the row id (every live
+    /// row when `r >= len`), ascending: the `r` whose [`mix`]ed id is
+    /// smallest. A hash ignores the rows' order, so a column whose values
+    /// cycle through the ids is sampled like any other; an even stride
+    /// sharing a factor with the cycle would see a fraction of its values.
+    /// Walks the tombstone bits, not the rows.
+    pub(crate) fn sampled_live(&self, r: usize) -> Vec<u32> {
+        if r >= self.live {
+            return self.live_ids().collect();
+        }
+        let mut kept: BinaryHeap<(u64, u32)> = BinaryHeap::with_capacity(r + 1);
+        for id in self.live_ids() {
+            kept.push((mix(u64::from(id)), id));
+            if kept.len() > r {
+                kept.pop();
+            }
+        }
+        let mut ids: Vec<u32> = kept.into_iter().map(|(_, id)| id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// A dense copy holding the live rows in order, plus the map from old
@@ -342,24 +349,28 @@ mod tests {
     }
 
     #[test]
-    fn strided_live_rows_are_evenly_spaced_by_live_rank() {
+    fn sampled_live_rows_are_live_distinct_and_ascending() {
         let mut s = TupleStore::default();
         for i in 0..(SEG_LEN * 3) {
             s.push(row(i as i64));
         }
-        assert_eq!(s.strided_live(4), vec![0, 384, 768, 1152]);
-        // Tombstone every other row of the first two segments: the live
-        // ranks shift past them.
+        let picked = s.sampled_live(100);
+        assert_eq!(picked.len(), 100);
+        assert!(picked.windows(2).all(|w| w[0] < w[1]));
+        // Spread over the whole id range, not a prefix.
+        assert!(picked.iter().any(|&id| id as usize >= SEG_LEN * 2));
+        // Tombstone every other row of the first two segments: only live
+        // rows are picked, and the pick is the same every time.
         for i in (0..SEG_LEN * 2).step_by(2) {
             s.kill(i as u32);
         }
+        let picked = s.sampled_live(100);
+        assert_eq!(picked.len(), 100);
+        assert!(picked.iter().all(|&id| !s.is_dead(id as usize)));
+        assert_eq!(s.sampled_live(100), picked);
         let live: Vec<u32> = s.live_ids().collect();
-        let n = live.len();
-        let picked = s.strided_live(7);
-        let expected: Vec<u32> = (0..7).map(|i| live[i * n / 7]).collect();
-        assert_eq!(picked, expected);
-        assert_eq!(s.strided_live(n), live);
-        assert_eq!(s.strided_live(n + 5), live);
+        assert_eq!(s.sampled_live(live.len()), live);
+        assert_eq!(s.sampled_live(live.len() + 5), live);
     }
 
     #[test]

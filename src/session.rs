@@ -434,9 +434,10 @@ impl Session {
 
     /// Publishes the current state (see [`Session::publish`]) and opens a
     /// read handle pinned to it. The handle is `Send + Sync` and clones
-    /// cheaply: hand copies to as many threads as you like, and every
-    /// query they run touches no lock — the snapshot owns an immutable
-    /// knowledge base with its plan and indexes prebuilt.
+    /// cheaply: hand copies to as many threads as you like. The snapshot
+    /// owns an immutable knowledge base with its plan and indexes
+    /// prebuilt; a retrieve locks nothing but the epoch's QSQ tables, for
+    /// a lookup and an adoption when it runs a QSQ net.
     pub fn snapshot(&mut self) -> Result<SnapshotSession> {
         self.publish_then(|p| {
             let cell = p.cell();
@@ -527,11 +528,13 @@ impl From<KnowledgeBase> for Session {
 /// An immutable read handle pinned to one published epoch. Obtained from
 /// [`Session::snapshot`]; `Send + Sync` and cheap to clone, so any number
 /// of threads can hold one and ask it any read statement concurrently.
-/// Retrieves against a snapshot acquire **no lock**: the epoch owns its
-/// facts, frozen at publish time, and its rules generation's compiled
+/// Retrieves against a snapshot take no lock on the data: the epoch owns
+/// its facts, frozen at publish time, and its rules generation's compiled
 /// plan was built before the epoch was published; a column index a
-/// retrieve probes first is built once in a `OnceLock` (the describe
-/// family briefly locks the generation's shared caches, see
+/// retrieve probes first is built once in a `OnceLock`. The one lock a
+/// retrieve can take guards the epoch's QSQ tables, which every clone of
+/// the epoch shares, for a lookup and an adoption around a QSQ net (the
+/// describe family briefly locks the generation's shared caches, see
 /// [`SnapshotSession::describe`]).
 ///
 /// A snapshot never changes underneath its holder — a writer publishing
@@ -583,7 +586,8 @@ impl SnapshotSession {
         self.state.kb.metrics_snapshot()
     }
 
-    /// Evaluates a data query against the pinned epoch (zero locks).
+    /// Evaluates a data query against the pinned epoch. A QSQ net reads
+    /// and extends the epoch's tables, shared with every clone.
     pub fn retrieve(&self, request: Request) -> Result<Response> {
         self.serve(request, Some(Keyword::Retrieve))
     }

@@ -9,8 +9,14 @@
 //!   `Subst`) must derive exactly the facts the three compiled strategies
 //!   derive, on randomly generated safe programs and random EDBs;
 //! * `Strategy::Auto` must return, on random programs with negation and
-//!   random goal shapes, the rows of the engine's naive reference as a
-//!   multiset and the rows of the strategy it resolved to in order;
+//!   random goal shapes, the rows of the engine's naive reference and of
+//!   the strategy it resolved to;
+//! * a retrieve answer is a set rendered in value order, so on random
+//!   programs every statement renders the same bytes under every
+//!   strategy, through `Session` and `SnapshotSession`, maintained or
+//!   not, on a first call and on a repeated one (which the epoch's QSQ
+//!   tables may answer) — and, pinned by a digest, in a build that
+//!   perturbs hash order (`--cfg qdk_hash_seed`);
 //! * `describe`'s derivation-tree enumeration renames rules through the
 //!   compiled slot maps — standardizing apart via
 //!   [`qdk::logic::CompiledRule::rename_apart`] must be indistinguishable
@@ -28,7 +34,8 @@ use qdk::logic::{
     VarGen,
 };
 use qdk::storage::Edb;
-use qdk::{AutoChoice, Retrieve, Strategy};
+use qdk::{AutoChoice, KnowledgeBase, Request, Response, Retrieve, Session, Strategy};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
@@ -206,6 +213,126 @@ fn goal_shape(kind: u8, pred: &str, arity: usize, c: &str, d: &str) -> Retrieve 
     Retrieve::new(parse_atom(&subject).unwrap(), qualifier)
 }
 
+/// One random rule's specs: head predicate, head arguments, body
+/// literals, and what to negate (see [`negate_something`]).
+type RuleSpec = (u8, Vec<u8>, Vec<(u8, Vec<u8>)>, u8);
+
+/// A random program with (stratified) negation: the specs' rules plus
+/// [`N0_RULE`].
+fn random_rules(specs: &[RuleSpec]) -> Vec<Rule> {
+    let mut rules: Vec<Rule> = specs
+        .iter()
+        .map(|(h, ha, body, neg)| {
+            let mut rule = build_rule(*h, ha, body);
+            negate_something(&mut rule, *neg);
+            rule
+        })
+        .collect();
+    rules.push(parse_rule(N0_RULE).unwrap());
+    rules
+}
+
+/// The script that loads what [`build_edb`] builds, plus the rules.
+fn script(rules: &[Rule], e0: &[(u8, u8)], e1: &[u8]) -> String {
+    let defined: BTreeSet<&str> = rules.iter().map(|r| r.head.pred.as_str()).collect();
+    let mut out = String::new();
+    for (name, arity) in PREDS {
+        if !defined.contains(name) {
+            let attrs: Vec<String> = (0..arity).map(|i| format!("A{i}")).collect();
+            out.push_str(&format!("predicate {name}({}).\n", attrs.join(", ")));
+        }
+    }
+    for (a, b) in e0 {
+        out.push_str(&format!("e0(c{}, c{}).\n", a % 5, b % 5));
+    }
+    for a in e1 {
+        out.push_str(&format!("e1(c{}).\n", a % 5));
+    }
+    for rule in rules {
+        out.push_str(&format!("{rule}\n"));
+    }
+    out
+}
+
+/// A response's rendered answer without its downgrade notes (a pinned
+/// strategy that cannot host a query says so).
+fn rendered_answer(resp: Response) -> String {
+    resp.to_string()
+        .lines()
+        .filter(|l| !l.starts_with("-- note:"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Every goal shape over every derived predicate of a random program,
+/// asked on every path — `Session`, `SnapshotSession`, a maintained
+/// session — under every strategy, twice over (the second pass may be
+/// answered by the QSQ tables the first filled). Asserts that every path
+/// renders every answer to the same bytes, and returns them.
+fn answers_everywhere(rules: &[Rule], e0: &[(u8, u8)], e1: &[u8], consts: (u8, u8)) -> Vec<String> {
+    let script = script(rules, e0, e1);
+    let load = || {
+        let mut kb = KnowledgeBase::new();
+        kb.load(&script).unwrap();
+        kb
+    };
+    let plain = Session::over(load());
+    let mut writer = Session::over(load());
+    let snapshot = writer.snapshot().unwrap();
+    let maintained = {
+        let mut kb = load();
+        kb.materialize_maintained().unwrap();
+        Session::over(kb)
+    };
+    let mut queries = Vec::new();
+    for (pred, arity) in PREDS
+        .iter()
+        .skip(2)
+        .filter(|(p, _)| load().idb().defines(p))
+    {
+        // Constants from a row the predicate really has, when it has one,
+        // so the bound shapes are not all empty.
+        let all = format!("retrieve {pred}({}).", ["X", "Y"][..*arity].join(", "));
+        let first = plain.query(Request::statement(all)).unwrap();
+        let row = first.as_data().unwrap().rows.first().cloned();
+        let constant = |i: usize, fallback: u8| match &row {
+            Some(t) => t.values()[i.min(t.arity() - 1)].to_string(),
+            None => format!("c{fallback}"),
+        };
+        let (c, d) = (constant(0, consts.0), constant(1, consts.1));
+        for kind in 0..10 {
+            queries.push(format!("{}.", goal_shape(kind, pred, *arity, &c, &d)));
+        }
+    }
+    let ask = |path: usize, q: &str, strategy: Strategy| {
+        let request = Request::statement(q).strategy(strategy);
+        let resp = match path {
+            0 => plain.query(request),
+            1 => snapshot.query(request),
+            _ => maintained.query(request),
+        };
+        rendered_answer(resp.unwrap_or_else(|e| panic!("{q} under {strategy:?}: {e}")))
+    };
+    let expected: Vec<String> = queries
+        .iter()
+        .map(|q| ask(0, q, Strategy::SemiNaive))
+        .collect();
+    for pass in 0..2 {
+        for strategy in Strategy::ALL {
+            for (q, want) in queries.iter().zip(&expected) {
+                for (path, name) in ["session", "snapshot", "maintained"].iter().enumerate() {
+                    assert_eq!(
+                        &ask(path, q, strategy),
+                        want,
+                        "{q} on the {name} path under {strategy:?}, pass {pass}, over {rules:?}"
+                    );
+                }
+            }
+        }
+    }
+    expected
+}
+
 /// The extension of `pred` according to a compiled strategy, rendered.
 fn strategy_rows(
     edb: &Edb,
@@ -293,9 +420,9 @@ proptest! {
     /// `Strategy::Auto` against the engine's naive reference and against
     /// the strategy it resolves to, on random programs with (stratified)
     /// negation, recursion in any direction among the `p*`, and one query
-    /// of every goal shape per program. Rows equal the reference's as a
-    /// multiset under every strategy; `Auto`'s equal its choice's in
-    /// order, over one shared compiled plan.
+    /// of every goal shape per program. Rows equal the reference's under
+    /// every strategy, and `Auto`'s equal its choice's, over one shared
+    /// compiled plan: an answer is a set in value order.
     #[test]
     fn auto_matches_the_reference_and_its_own_choice(
         specs in proptest::collection::vec(
@@ -315,15 +442,7 @@ proptest! {
         e1 in proptest::collection::vec(0u8..5, 0..5),
         consts in (0u8..5, 0u8..5),
     ) {
-        let mut rules: Vec<Rule> = specs
-            .iter()
-            .map(|(h, ha, body, neg)| {
-                let mut rule = build_rule(*h, ha, body);
-                negate_something(&mut rule, *neg);
-                rule
-            })
-            .collect();
-        rules.push(parse_rule(N0_RULE).unwrap());
+        let rules = random_rules(&specs);
         let idb = Idb::from_rules(rules.clone()).unwrap();
         let edb = build_edb(&rules, &e0, &e1);
         let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
@@ -347,12 +466,10 @@ proptest! {
             let (c, d) = (constant(0, consts.0), constant(1, consts.1));
             for kind in 0..10 {
                 let q = goal_shape(kind, pred, *arity, &c, &d);
-                let mut expected =
+                let expected =
                     rendered(&retrieve_precomputed(&edb, &idb, &reference, &q).unwrap().rows);
-                expected.sort();
                 for strategy in Strategy::ALL {
-                    let mut got = rendered(&run(&q, strategy).rows);
-                    got.sort();
+                    let got = rendered(&run(&q, strategy).rows);
                     prop_assert_eq!(
                         &got, &expected,
                         "{} under {:?} over {:?}", q, strategy, idb.rules()
@@ -453,4 +570,67 @@ proptest! {
             prop_assert_eq!(got, expected, "theorem {} vs rule {}", theorem.rule, rules[ri]);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Answers are sets rendered in value order: on random programs, every
+    /// goal shape renders the same bytes under every strategy, through a
+    /// session and a snapshot, maintained or not, cold and warm.
+    #[test]
+    fn every_path_renders_the_same_answer_bytes(
+        specs in proptest::collection::vec(
+            (
+                0u8..3,
+                proptest::collection::vec(0u8..10, 2..3),
+                proptest::collection::vec(
+                    (0u8..5, proptest::collection::vec(0u8..10, 2..3)),
+                    1..3,
+                ),
+                0u8..10,
+            ),
+            1..5,
+        ),
+        e0 in proptest::collection::vec((0u8..5, 0u8..5), 0..10),
+        e1 in proptest::collection::vec(0u8..5, 0..5),
+        consts in (0u8..5, 0u8..5),
+    ) {
+        answers_everywhere(&random_rules(&specs), &e0, &e1, consts);
+    }
+}
+
+/// The answers of 24 fixed random programs on every path, digested (FNV-1a,
+/// no hash order involved). Pinned, so a build that perturbs hash order
+/// (`--cfg 'qdk_hash_seed="1"'`, `"2"`) is checked against the default
+/// build's bytes; a change that moves an answer on purpose moves this.
+#[test]
+fn retrieve_answers_match_their_pinned_digest() {
+    let mut rng = StdRng::seed_from_u64(47);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for _ in 0..24 {
+        let specs: Vec<RuleSpec> = (0..rng.gen_range(1..5))
+            .map(|_| {
+                let args = |rng: &mut StdRng| (0..2).map(|_| rng.gen_range(0..10)).collect();
+                let head_args = args(&mut rng);
+                let body = (0..rng.gen_range(1..3))
+                    .map(|_| (rng.gen_range(0..5), args(&mut rng)))
+                    .collect();
+                (rng.gen_range(0..3), head_args, body, rng.gen_range(0..10))
+            })
+            .collect();
+        let e0: Vec<(u8, u8)> = (0..rng.gen_range(0..10))
+            .map(|_| (rng.gen_range(0..5), rng.gen_range(0..5)))
+            .collect();
+        let e1: Vec<u8> = (0..rng.gen_range(0..5))
+            .map(|_| rng.gen_range(0..5))
+            .collect();
+        let consts = (rng.gen_range(0..5), rng.gen_range(0..5));
+        for answer in answers_everywhere(&random_rules(&specs), &e0, &e1, consts) {
+            for b in answer.bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(format!("{digest:016x}"), "ea5eb148f64cd902");
 }

@@ -594,9 +594,10 @@ fn a_golden_checkpoint_opens_answers_and_rewrites_byte_for_byte() {
             "X\tA\tH\tM\nann\t-42\t1.75\t\"naïve ça \\\"va\\\"\"\nbob\t7\t-0.5\t\"plain\"\n",
         ),
         ("retrieve flag(X, F).", "X\tF\nann\ttrue\nbob\tfalse\n"),
+        // Rows render in value order (a retrieve answer is a set).
         (
             "retrieve reach(X, Y).",
-            "X\tY\nann\tbob\nbob\tcara\nann\tcara\n",
+            "X\tY\nann\tbob\nann\tcara\nbob\tcara\n",
         ),
         ("retrieve loner(X).", "X\nbob\n"),
         (

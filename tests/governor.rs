@@ -428,7 +428,7 @@ fn qsq_downgrade_to_semi_naive_is_surfaced() {
     let rows: Vec<String> = resp
         .into_data()
         .unwrap()
-        .sorted()
+        .rows
         .iter()
         .map(ToString::to_string)
         .collect();
@@ -437,7 +437,7 @@ fn qsq_downgrade_to_semi_naive_is_surfaced() {
         .unwrap()
         .into_data()
         .unwrap()
-        .sorted()
+        .rows
         .iter()
         .map(ToString::to_string)
         .collect();

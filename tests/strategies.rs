@@ -5,13 +5,20 @@
 //! second half pins what it picks: one test per row of its decision
 //! table, the choice on a snapshot, the
 //! index probes it spends against each fixed strategy, and that the
-//! analysis it decides from is built once per rules generation.
+//! analysis it decides from is built once per rules generation. The last
+//! part pins the QSQ tables: a bound recursive subject is answered once
+//! per data epoch, a call that trips leaves its table alone, every change
+//! starts empty tables, and snapshot readers share their epoch's.
 
 use proptest::prelude::*;
 use qdk::engine::{ProgramPlan, RulePlan};
 use qdk::logic::Var;
-use qdk::{datasets, AutoChoice, KnowledgeBase, Request, Response, Session, Strategy};
+use qdk::{
+    datasets, AutoChoice, CancelToken, KnowledgeBase, Request, ResourceLimits, Response, Session,
+    Strategy,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::time::Duration;
 
 fn request(subject: &str, qualifier: &str) -> Request {
     let request = Request::subject(subject);
@@ -25,9 +32,7 @@ fn request(subject: &str, qualifier: &str) -> Request {
 fn rows(session: &Session, subject: &str, qualifier: &str, strategy: Strategy) -> Vec<String> {
     let request = request(subject, qualifier).strategy(strategy);
     let a = session.retrieve(request).unwrap().into_data().unwrap();
-    let mut rows: Vec<String> = a.sorted().iter().map(ToString::to_string).collect();
-    rows.dedup();
-    rows
+    a.rows.iter().map(ToString::to_string).collect()
 }
 
 fn assert_agree(kb: &qdk::KnowledgeBase, subject: &str, qualifier: &str) {
@@ -584,8 +589,11 @@ fn generated_university(students: usize, courses: usize) -> Session {
 #[test]
 fn auto_costs_what_its_choice_costs_and_materialises_no_more_than_semi_naive() {
     let s = generated_university(200, 30);
-    // (index probes of stored relations, facts derived, response)
+    // (index probes of stored relations, facts derived, response), on a
+    // fresh session each time: one session answers a repeated bound
+    // recursive subject from its QSQ table, and cold is what's compared.
     let cost = |subject: &str, qualifier: &str, strategy: Strategy| {
+        let s = generated_university(200, 30);
         let edb = s.knowledge_base().edb();
         let before = edb.access_stats().0;
         let resp = s
@@ -761,4 +769,182 @@ fn unstratified_programs_fail_the_same_under_every_strategy() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// QSQ tables: a bound recursive subject is answered once per data epoch.
+// ---------------------------------------------------------------------
+
+/// `prior` over a 130-edge prerequisite chain c130 → c129 → … → c0.
+fn prior_chain() -> Session {
+    let mut script = String::from(
+        "predicate prereq(C, P).\n\
+         prior(X, Y) :- prereq(X, Y).\n\
+         prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n",
+    );
+    for i in 0..130 {
+        script.push_str(&format!("prereq(c{}, c{i}).\n", i + 1));
+    }
+    let mut s = Session::new();
+    s.load(&script).unwrap();
+    s
+}
+
+/// A traced QSQ retrieve of `subject`.
+fn qsq(subject: &str) -> Request {
+    Request::subject(subject)
+        .strategy(Strategy::Qsq)
+        .with_trace(true)
+}
+
+/// What a traced retrieve spent: rule firings, facts derived, index
+/// probes, and whether the epoch's table answered it.
+fn work(resp: &Response) -> [u64; 4] {
+    let trace = resp.trace().unwrap();
+    let count = |name: &str| trace.counter(name).unwrap_or(0);
+    [
+        count("rule_firings"),
+        count("delta_facts"),
+        count("index_probes"),
+        count("qsq_table_hit"),
+    ]
+}
+
+/// The gauged size of a session's QSQ tables: (rows, nets).
+fn table_size(s: &mut Session) -> (u64, u64) {
+    if s.metrics_hub().is_none() {
+        s.enable_metrics();
+    }
+    let snap = s.metrics_snapshot().unwrap();
+    let gauge = |name: &str| snap.gauge(name).unwrap();
+    (gauge("qsq_table_rows"), gauge("qsq_table_nets"))
+}
+
+#[test]
+fn a_repeated_bound_recursive_call_is_answered_from_the_epoch_table() {
+    let mut s = prior_chain();
+    assert_eq!(table_size(&mut s), (0, 0));
+    // The factored net of `prior[bf]` (one table per seed) and the plain
+    // net of `prior[fb]` (one table for every seed).
+    for subject in ["prior(c100, Y)", "prior(X, c30)"] {
+        let first = s.retrieve(qsq(subject)).unwrap();
+        let again = s.retrieve(qsq(subject)).unwrap();
+        assert_eq!(first.to_string(), again.to_string(), "{subject}");
+        let [fired, derived, probes, hit] = work(&first);
+        assert!(
+            fired > 0 && derived > 0 && hit == 0,
+            "{subject}: {:?}",
+            work(&first)
+        );
+        let [fired, derived, again_probes, hit] = work(&again);
+        assert_eq!((fired, derived, hit), (0, 0, 1), "{subject}");
+        assert!(
+            again_probes < probes,
+            "{subject}: {again_probes} >= {probes}"
+        );
+    }
+    let (rows, nets) = table_size(&mut s);
+    assert_eq!(nets, 2);
+    assert!(rows > 0);
+    // A new seed of the plain net extends its table and answers as a cold
+    // table would; the old seed still hits, and `Auto` reads the same table.
+    let cold = prior_chain().retrieve(qsq("prior(X, c20)")).unwrap();
+    let warm = s.retrieve(qsq("prior(X, c20)")).unwrap();
+    assert_eq!(warm.to_string(), cold.to_string());
+    assert_eq!(work(&warm)[3], 0);
+    assert_eq!(
+        table_size(&mut s).1,
+        2,
+        "one table for every seed of prior[fb]"
+    );
+    assert_eq!(work(&s.retrieve(qsq("prior(X, c30)")).unwrap())[3], 1);
+    let auto = Request::subject("prior(c100, Y)").with_trace(true);
+    assert_eq!(work(&s.retrieve(auto).unwrap()), [0, 0, 0, 1]);
+}
+
+#[test]
+fn a_tripped_or_cancelled_call_leaves_the_table_as_it_was() {
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let tripping = |subject: &str| {
+        [
+            qsq(subject).limits(ResourceLimits::default().with_deadline(Duration::ZERO)),
+            qsq(subject).cancel(cancelled.clone()),
+            // Trips mid-fixpoint, after the fork has grown.
+            qsq(subject).limits(ResourceLimits::default().with_work_budget(40)),
+        ]
+    };
+    // A cold table, and a table an earlier seed warmed, for both nets.
+    for (warmed_by, subject) in [
+        (None, "prior(c100, Y)"),
+        (None, "prior(X, c20)"),
+        (Some("prior(c90, Y)"), "prior(c100, Y)"),
+        (Some("prior(X, c30)"), "prior(X, c20)"),
+    ] {
+        let warm = |s: &Session| {
+            if let Some(w) = warmed_by {
+                s.retrieve(qsq(w)).unwrap();
+            }
+        };
+        let reference = prior_chain();
+        warm(&reference);
+        let expected = reference.retrieve(qsq(subject)).unwrap();
+        let s = prior_chain();
+        warm(&s);
+        for request in tripping(subject) {
+            let err = s.retrieve(request).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    qdk::LangError::Engine(qdk::engine::EngineError::Exhausted(_))
+                ),
+                "{subject}: {err}"
+            );
+        }
+        let got = s.retrieve(qsq(subject)).unwrap();
+        assert_eq!(got.to_string(), expected.to_string(), "{subject}");
+        assert_eq!(work(&got), work(&expected), "{subject} after {warmed_by:?}");
+    }
+}
+
+#[test]
+fn every_fact_or_rule_change_starts_an_empty_table() {
+    for change in [
+        "prereq(c0, cz).",
+        "retract prereq(c50, c49).",
+        "prior(X, Y) :- prereq(Y, X).",
+    ] {
+        let mut s = prior_chain();
+        let before = s.retrieve(qsq("prior(c100, Y)")).unwrap();
+        assert_eq!(table_size(&mut s).1, 1);
+        s.run(change).unwrap();
+        assert_eq!(table_size(&mut s), (0, 0), "{change}");
+        let after = s.retrieve(qsq("prior(c100, Y)")).unwrap();
+        assert_eq!(work(&after)[3], 0, "{change}");
+        assert_ne!(after.to_string(), before.to_string(), "{change}");
+        let mut fresh = prior_chain();
+        fresh.run(change).unwrap();
+        let expected = fresh.retrieve(qsq("prior(c100, Y)")).unwrap();
+        assert_eq!(after.to_string(), expected.to_string(), "{change}");
+    }
+}
+
+#[test]
+fn snapshot_clones_share_their_epochs_table() {
+    let mut s = prior_chain();
+    let a = s.snapshot().unwrap();
+    let b = a.clone();
+    assert_eq!(work(&a.retrieve(qsq("prior(c100, Y)")).unwrap())[3], 0);
+    assert_eq!(work(&b.retrieve(qsq("prior(c100, Y)")).unwrap())[3], 1);
+    // The writer that published the epoch shares it until it changes.
+    assert_eq!(work(&s.retrieve(qsq("prior(c100, Y)")).unwrap())[3], 1);
+    s.run("prereq(c0, cz).").unwrap();
+    let next = s.snapshot().unwrap();
+    let answer = next.retrieve(qsq("prior(c100, Y)")).unwrap();
+    assert_eq!(work(&answer)[3], 0, "the next epoch starts empty");
+    assert!(answer.as_data().unwrap().contains_row(&["cz"]));
+    // The pinned epoch keeps its own.
+    let old = b.retrieve(qsq("prior(c100, Y)")).unwrap();
+    assert_eq!(work(&old)[3], 1);
+    assert!(!old.as_data().unwrap().contains_row(&["cz"]));
 }
