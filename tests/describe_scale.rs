@@ -321,3 +321,95 @@ fn a_describe_expands_no_more_trees_than_its_cone_has_rules() {
         );
     }
 }
+
+/// The statements of the `explain` golden file: paper Examples 3, 4 and 6
+/// on the university rules, Example 8 on its own program, and ten
+/// level-0 describes of the policy rule base (the deepest trees it has).
+fn explain_transcript() -> String {
+    let mut out = String::new();
+    let mut record = |s: &mut Session, stmt: &str| {
+        let answer = s.run(stmt).unwrap();
+        write!(out, "== {stmt}\n{answer}").unwrap();
+    };
+    let mut university = Session::over(qdk::datasets::university_extended());
+    for stmt in [
+        "explain can_ta(X, databases) where student(X, math, V) and V > 3.7.",
+        "explain honor(X).",
+        "explain prior(X, Y) where prior(databases, Y).",
+    ] {
+        record(&mut university, stmt);
+    }
+    let mut example8 = Session::new();
+    example8
+        .load(
+            "p(X, Y) :- q(X, Z), r(Z, Y).\n\
+             q(X, Y) :- q(X, Z), s(Z, Y).\n\
+             q(X, Y) :- r(X, Y).",
+        )
+        .unwrap();
+    record(&mut example8, "explain p(X, Y) where r(a, Y).");
+    let mut policy = policy_session();
+    for n in (0..30).filter(|n| n % LEVELS == 0) {
+        let stmt = nth_describe(n).replacen("describe ", "explain ", 1);
+        record(&mut policy, &stmt);
+    }
+    out
+}
+
+/// `explain` renders each theorem's derivation tree. The text is pinned
+/// byte for byte in `tests/data/explain.golden`: how the enumerator
+/// records a derivation is free to change, what `explain` prints is not.
+#[test]
+fn explain_text_matches_the_golden_file() {
+    let golden = include_str!("data/explain.golden");
+    let actual = explain_transcript();
+    if actual != golden {
+        let line = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "explain text differs from tests/data/explain.golden at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            actual.lines().nth(line),
+            golden.lines().nth(line)
+        );
+    }
+}
+
+/// The enumerator's work counters are exact: a fixed list of describes
+/// over the policy rule base expands, identifies and cuts the same number
+/// of trees whatever the enumerator's internal representation. So does
+/// the governor, whose spend a truncated answer reports.
+#[test]
+fn enumerator_counters_and_exhausted_text_are_pinned() {
+    let s = policy_session();
+    let mut totals = [0u64; 3];
+    for n in 0..150 {
+        let response = s
+            .query(Request::statement(nth_describe(n)).with_trace(true))
+            .unwrap();
+        let trace = response.trace().unwrap();
+        for (total, name) in totals
+            .iter_mut()
+            .zip(["trees_expanded", "leaves_identified", "cuts"])
+        {
+            *total += trace.counter(name).unwrap_or(0);
+        }
+    }
+    assert_eq!(totals, [614, 315, 614], "trees_expanded, leaves_identified, cuts");
+
+    let budget = qdk::ResourceLimits::default().with_work_budget(120);
+    let truncated = s
+        .query(Request::statement(nth_describe(3)).limits(budget))
+        .unwrap()
+        .to_string();
+    assert_eq!(
+        truncated,
+        "pol0_51(X) ← pol1_57(X) ∧ attr12(X, Y) ∧ attr34(X, Z) ∧ (Z > 2) ∧ pol2_61(X) ∧ attr12(X, U) ∧ (U > 4) ∧ attr19(X, V) ∧ (V > 3)\n\
+         pol0_51(X) ← pol2_13(X) ∧ attr34(X, Y) ∧ attr25(X, Z) ∧ (Z > 1) ∧ attr35(X, U) ∧ (U > 3) ∧ pol1_88(X) ∧ attr19(X, V) ∧ (V > 3)\n\
+         pol0_51(X) ← pol2_13(X) ∧ attr34(X, Y) ∧ attr25(X, Z) ∧ (Z > 1) ∧ attr35(X, U) ∧ (U > 3) ∧ attr12(X, V) ∧ attr34(X, W) ∧ (W > 2) ∧ pol2_61(X) ∧ attr12(X, X1) ∧ (X1 > 4) ∧ attr19(X, Y1) ∧ (Y1 > 3)\n\
+         -- truncated: work budget exhausted: 121 spent of 120 allowed\n"
+    );
+}
