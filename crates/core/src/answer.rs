@@ -1,9 +1,11 @@
 //! Knowledge answers.
 
+use crate::tree::Chain;
 use qdk_logic::governor::Exhausted;
-use qdk_logic::{pretty, Rule};
+use qdk_logic::{pretty, Atom, Rule};
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// Whether a describe answer covers the full theorem set or was cut short
 /// by a resource limit. Truncation is a *reported* outcome, never a silent
@@ -56,9 +58,89 @@ pub struct Theorem {
     /// box 19).
     pub one_level: bool,
     /// The derivation tree that produced this theorem, flattened
-    /// depth-first: one line per rule application or hypothesis
+    /// depth-first: one step per rule application or hypothesis
     /// identification (Figure 1's tree, as provenance).
-    pub derivation: Vec<String>,
+    pub derivation: Derivation,
+}
+
+/// One step of a derivation tree (Figure 1), recorded as data while the
+/// tree is enumerated. Its text is made only when asked for, by
+/// [`Theorem::explain`] or `Display`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum DerivationStep {
+    /// A tree formula expanded by a rule (boxes 8–9).
+    Expanded {
+        /// The formula's depth in the tree (the root is 0).
+        depth: usize,
+        /// The formula, as substituted when it was expanded.
+        node: Atom,
+        /// The rule's index in the prepared rule list.
+        rule: usize,
+        /// The rule's text.
+        text: Arc<str>,
+    },
+    /// A tree formula identified with a hypothesis formula (boxes 2–5).
+    Identified {
+        /// The formula's depth in the tree (the root is 0).
+        depth: usize,
+        /// The formula, as substituted when it was identified.
+        node: Atom,
+        /// The hypothesis formula, substituted likewise.
+        hypothesis: Atom,
+    },
+    /// A one-level answer's rule (Figure 1, box 19).
+    Definition {
+        /// The rule's text.
+        text: Arc<str>,
+    },
+}
+
+impl fmt::Display for DerivationStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DerivationStep::Expanded {
+                depth,
+                node,
+                rule,
+                text,
+            } => write!(f, "{:indent$}{node} expanded by rule {rule}: {text}", "", indent = depth * 2),
+            DerivationStep::Identified {
+                depth,
+                node,
+                hypothesis,
+            } => write!(f, "{:indent$}{node} identified with hypothesis {hypothesis}", "", indent = depth * 2),
+            DerivationStep::Definition { text } => write!(f, "definition: {text}"),
+        }
+    }
+}
+
+/// The steps of a theorem's derivation, in application order. It shares
+/// its steps with the enumeration that found it, so keeping one copies
+/// nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Derivation(pub(crate) Chain<DerivationStep>);
+
+impl Derivation {
+    /// The steps, in application order.
+    pub fn steps(&self) -> impl Iterator<Item = &DerivationStep> {
+        self.0.items_from(0)
+    }
+
+    /// Number of steps.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no steps.
+    pub fn is_empty(&self) -> bool {
+        self.0.len() == 0
+    }
+}
+
+impl PartialEq for Derivation {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.steps().eq(other.steps())
+    }
 }
 
 impl Theorem {
@@ -74,10 +156,9 @@ impl Theorem {
         if self.derivation.is_empty() {
             out.push_str("  (definition)\n");
         }
-        for step in &self.derivation {
-            out.push_str("  ");
-            out.push_str(step);
-            out.push('\n');
+        for step in self.derivation.steps() {
+            // Writing into a String cannot fail.
+            let _ = writeln!(out, "  {step}");
         }
         out
     }
@@ -152,10 +233,6 @@ impl DescribeAnswer {
             for lit in &mut rule.body {
                 lit.atom.args.shrink_to_fit();
             }
-            t.derivation.shrink_to_fit();
-            for line in &mut t.derivation {
-                line.shrink_to_fit();
-            }
         }
     }
 }
@@ -192,7 +269,7 @@ mod tests {
             used_hypothesis: used.iter().copied().collect(),
             root_rule: Some(0),
             one_level: used.is_empty(),
-            derivation: Vec::new(),
+            derivation: Derivation::default(),
         }
     }
 

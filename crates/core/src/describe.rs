@@ -1,18 +1,19 @@
 //! The `describe` statement (§3.2): validation, dispatch, and answer
 //! assembly.
 
-use crate::answer::{Completeness, DescribeAnswer, Theorem};
+use crate::answer::{Completeness, Derivation, DerivationStep, DescribeAnswer, Theorem};
 use crate::config::{DescribeOptions, FallbackPolicy};
 use crate::constraints::{self, Comparison};
 use crate::error::{DescribeError, Result};
 use crate::prepared::PreparedIdb;
 use crate::redundancy;
 use crate::transform::TransformedIdb;
-use crate::tree::{Enumerator, RawAnswer};
+use crate::tree::{Chain, Enumerator, RawAnswer};
 use qdk_engine::Idb;
 use qdk_logic::{unify_atoms, Atom, Literal, Subst, Sym, Term, VarGen};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed `describe` statement.
 #[derive(Clone, Debug, PartialEq)]
@@ -198,9 +199,9 @@ fn run_enumerator(
         .collect();
     let tainted = |r: &RawAnswer| {
         negated.iter().any(|n| {
-            r.tree_atoms
-                .iter()
-                .any(|a| qdk_logic::unify_atoms(&r.subst.apply_atom(a), n).is_some())
+            std::iter::once(&query.subject)
+                .chain(r.tree_atoms())
+                .any(|a| unify_atoms(&r.subst.apply_atom(a), n).is_some())
         })
     };
 
@@ -238,15 +239,17 @@ fn run_enumerator(
         let Some(mgu) = unify_atoms(&query.subject, &renamed.head) else {
             continue;
         };
+        let leaves: Vec<Atom> = renamed.body.into_iter().map(|l| l.atom).collect();
         let raw = RawAnswer {
-            subst: mgu,
-            leaves: renamed.body.iter().map(|l| l.atom.clone()).collect(),
+            subst: Arc::new(mgu),
+            tree: Chain::default().extend(leaves.clone()),
+            tree_from: 0,
+            leaves,
             used: BTreeSet::new(),
             root_rule: Some(*ri),
-            trace: vec![format!("definition: {}", tidb.idb.rules()[*ri])],
-            tree_atoms: std::iter::once(query.subject.clone())
-                .chain(renamed.body.iter().map(|l| l.atom.clone()))
-                .collect(),
+            trace: Chain::default().push(DerivationStep::Definition {
+                text: tidb.rule_text(*ri),
+            }),
         };
         if tainted(&raw) {
             continue;
@@ -283,40 +286,47 @@ fn run_enumerator(
         // conjoined — the less-identified variant says nothing the
         // identified one plus the hypothesis does not.
         // Both subsumption sides are pure functions of one theorem, so
-        // prepare each side once instead of once per pair — and only when
-        // some pair actually passes the hypothesis-set guard: an answer
-        // set whose theorems all used the same hypothesis indexes (the
-        // common case) skips the preparation work entirely.
+        // each is prepared once — and only for a theorem that some pair
+        // the hypothesis-set guard admits actually tests: an answer set
+        // whose theorems all used the same hypothesis indexes (the common
+        // case) prepares nothing.
         let guard = |a: &Theorem, b: &Theorem| {
             a.root_rule == b.root_rule
                 && a.used_hypothesis.len() > b.used_hypothesis.len()
                 && a.used_hypothesis.is_superset(&b.used_hypothesis)
         };
-        let any_candidate = theorems
-            .iter()
-            .any(|b| theorems.iter().any(|a| guard(a, b)));
-        if any_candidate {
+        let pairs: Vec<(usize, usize)> = (0..theorems.len())
+            .flat_map(|bi| (0..theorems.len()).map(move |ai| (ai, bi)))
+            .filter(|&(ai, bi)| guard(&theorems[ai], &theorems[bi]))
+            .collect();
+        if !pairs.is_empty() {
+            let mut augmented: Vec<Option<qdk_logic::Rule>> = vec![None; theorems.len()];
+            let mut tested = vec![false; theorems.len()];
+            for &(ai, bi) in &pairs {
+                augmented[ai].get_or_insert_with(|| {
+                    let mut aug = theorems[ai].rule.clone();
+                    aug.body.extend(query.hypothesis.iter().cloned());
+                    aug
+                });
+                tested[bi] = true;
+            }
+            let specifics: Vec<_> = augmented
+                .iter()
+                .map(|aug| aug.as_ref().map(|r| redundancy::prepare_specific(r, &[])))
+                .collect();
             let generals: Vec<_> = theorems
                 .iter()
-                .map(|b| redundancy::prepare_general(&b.rule))
+                .zip(&tested)
+                .map(|(b, &tested)| tested.then(|| redundancy::prepare_general(&b.rule)))
                 .collect();
-            let augmented: Vec<_> = theorems
-                .iter()
-                .map(|a| {
-                    let mut aug = a.rule.clone();
-                    aug.body.extend(query.hypothesis.iter().cloned());
-                    redundancy::prepare_specific(&aug, &[])
-                })
-                .collect();
-            let dominated: Vec<bool> = theorems
-                .iter()
-                .enumerate()
-                .map(|(bi, b)| {
-                    theorems.iter().enumerate().any(|(ai, a)| {
-                        guard(a, b) && redundancy::subsumes_prepared(&generals[bi], &augmented[ai])
-                    })
-                })
-                .collect();
+            let mut dominated = vec![false; theorems.len()];
+            for (ai, bi) in pairs {
+                if let (Some(general), Some(specific)) = (&generals[bi], &specifics[ai]) {
+                    dominated[bi] = dominated[bi] || redundancy::subsumes_prepared(general, specific);
+                }
+            }
+            // The prepared sides borrow the theorems.
+            drop((generals, specifics));
             theorems = theorems
                 .into_iter()
                 .zip(dominated)
@@ -471,7 +481,7 @@ fn assemble(
         used_hypothesis: used,
         root_rule: raw.root_rule,
         one_level: false,
-        derivation: raw.trace.clone(),
+        derivation: Derivation(raw.trace.clone()),
     })
 }
 

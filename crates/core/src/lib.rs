@@ -62,7 +62,7 @@ pub mod redundancy;
 pub mod transform;
 mod tree;
 
-pub use answer::{Completeness, DescribeAnswer, Theorem};
+pub use answer::{Completeness, Derivation, DerivationStep, DescribeAnswer, Theorem};
 pub use cache::{CacheStats, DescribeCache};
 pub use config::{DescribeOptions, FallbackPolicy, TransformPolicy};
 pub use describe::{describe, Describe};

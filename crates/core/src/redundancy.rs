@@ -17,6 +17,8 @@
 use crate::constraints::{self, Comparison};
 use crate::Theorem;
 use qdk_logic::{match_atom, Atom, Literal, Rule, Subst, Sym, Term, Var};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
 
 /// A literal's shape: predicate, arity, polarity. A general literal can
@@ -44,8 +46,15 @@ fn standardize(rule: &Rule) -> Rule {
 
 /// Closes a body's non-builtin atoms under transitivity of the given
 /// predicates: for `q ∈ trans`, `q(ā, b̄) ∧ q(b̄, c̄)` (splitting the
-/// argument list in half) adds `q(ā, c̄)`. Bounded fixpoint.
-fn transitive_closure(body: &[Literal], trans: &[Sym]) -> Vec<Literal> {
+/// argument list in half) adds `q(ā, c̄)`. Bounded fixpoint. A body with
+/// no atom of a transitive predicate is its own closure, and is borrowed.
+fn transitive_closure<'b>(body: &'b [Literal], trans: &[Sym]) -> Cow<'b, [Literal]> {
+    if !body
+        .iter()
+        .any(|l| l.positive && !l.is_builtin() && trans.contains(&l.atom.pred))
+    {
+        return Cow::Borrowed(body);
+    }
     let mut atoms: Vec<Literal> = body.to_vec();
     loop {
         let mut added = false;
@@ -75,51 +84,70 @@ fn transitive_closure(body: &[Literal], trans: &[Sym]) -> Vec<Literal> {
             }
         }
         if !added || atoms.len() > 64 {
-            return atoms;
+            return Cow::Owned(atoms);
         }
     }
 }
 
-/// The general side of a subsumption test, preprocessed: standardized
-/// apart, with the body partitioned into database and comparison literals.
-/// Pure function of the rule, so N×N subsumption sweeps prepare each rule
-/// once instead of once per pair.
-pub struct PreparedGeneral {
+/// The general side of a subsumption test, preprocessed. Its shapes are
+/// read off the rule as given: standardizing apart renames variables
+/// only, so the shapes are the same. The standardized rule itself, with
+/// its body partitioned into database and comparison literals, is built
+/// by the first test that gets past the shape prefilter — most tests do
+/// not, and standardizing allocates a name per variable. N×N subsumption
+/// sweeps prepare each rule once instead of once per pair.
+pub struct PreparedGeneral<'r> {
+    rule: &'r Rule,
+    /// Shapes of the body's database literals — must be a subset of the
+    /// specific side's [`PreparedSpecific::shapes`] for subsumption to be
+    /// possible.
+    shapes: BTreeSet<Shape>,
+    standardized: OnceCell<Standardized>,
+}
+
+/// A general side standardized apart, its body partitioned.
+struct Standardized {
     head: Atom,
     db_lits: Vec<Literal>,
     cmp_lits: Vec<Literal>,
-    /// Shapes of `db_lits` — must be a subset of the specific side's
-    /// [`PreparedSpecific::shapes`] for subsumption to be possible.
-    shapes: BTreeSet<Shape>,
+}
+
+impl PreparedGeneral<'_> {
+    fn standardized(&self) -> &Standardized {
+        self.standardized.get_or_init(|| {
+            let std = standardize(self.rule);
+            let (db_lits, cmp_lits) = std.body.into_iter().partition(|l| !l.is_builtin());
+            Standardized {
+                head: std.head,
+                db_lits,
+                cmp_lits,
+            }
+        })
+    }
 }
 
 /// The specific side of a subsumption test, preprocessed: the body closed
 /// under transitivity with its comparisons extracted. Pure function of the
 /// rule and `trans`.
-pub struct PreparedSpecific {
-    head: Atom,
-    closed: Vec<Literal>,
+pub struct PreparedSpecific<'r> {
+    head: &'r Atom,
+    closed: Cow<'r, [Literal]>,
     comps: Vec<Comparison>,
     /// Shapes of the closed body's database literals.
     shapes: BTreeSet<Shape>,
 }
 
 /// Preprocesses a rule for use as the general side of [`subsumes_prepared`].
-pub fn prepare_general(rule: &Rule) -> PreparedGeneral {
-    let std = standardize(rule);
-    let (db_lits, cmp_lits): (Vec<Literal>, Vec<Literal>) =
-        std.body.iter().cloned().partition(|l| !l.is_builtin());
-    let shapes = shapes(db_lits.iter());
+pub fn prepare_general(rule: &Rule) -> PreparedGeneral<'_> {
     PreparedGeneral {
-        head: std.head,
-        db_lits,
-        cmp_lits,
-        shapes,
+        rule,
+        shapes: shapes(rule.body.iter()),
+        standardized: OnceCell::new(),
     }
 }
 
 /// Preprocesses a rule for use as the specific side of [`subsumes_prepared`].
-pub fn prepare_specific(rule: &Rule, trans: &[Sym]) -> PreparedSpecific {
+pub fn prepare_specific<'r>(rule: &'r Rule, trans: &[Sym]) -> PreparedSpecific<'r> {
     let closed = transitive_closure(&rule.body, trans);
     let comps = closed
         .iter()
@@ -128,7 +156,7 @@ pub fn prepare_specific(rule: &Rule, trans: &[Sym]) -> PreparedSpecific {
         .collect();
     let shapes = shapes(closed.iter());
     PreparedSpecific {
-        head: rule.head.clone(),
+        head: &rule.head,
         closed,
         comps,
         shapes,
@@ -157,8 +185,9 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
     if !general.shapes.is_subset(&specific.shapes) {
         return false;
     }
+    let general = general.standardized();
     let mut s = Subst::new();
-    if !match_atom(&general.head, &specific.head, &mut s) {
+    if !match_atom(&general.head, specific.head, &mut s) {
         return false;
     }
     // Resolve each general literal's candidate targets (same predicate,
@@ -326,34 +355,40 @@ pub fn subsumes_modulo_idb(
 /// matching attempt. Survivors keep arrival order exactly like the
 /// unbucketed sweep did.
 pub fn remove_redundant(theorems: Vec<Theorem>, trans: &[Sym]) -> Vec<Theorem> {
-    struct Entry {
+    struct Entry<'r> {
         arrival: usize,
-        theorem: Theorem,
-        general: PreparedGeneral,
-        specific: PreparedSpecific,
+        general: PreparedGeneral<'r>,
+        specific: PreparedSpecific<'r>,
     }
-    let mut buckets: HashMap<(Sym, usize), Vec<Entry>> = HashMap::new();
-    'outer: for (arrival, t) in theorems.into_iter().enumerate() {
-        let general = prepare_general(&t.rule);
+    let mut kept = vec![false; theorems.len()];
+    let mut buckets: HashMap<(&Sym, usize), Vec<Entry<'_>>> = HashMap::new();
+    'outer: for (arrival, t) in theorems.iter().enumerate() {
         let specific = prepare_specific(&t.rule, trans);
-        let key = (t.rule.head.pred.clone(), t.rule.head.arity());
-        let kept = buckets.entry(key).or_default();
-        for k in kept.iter() {
+        let bucket = buckets
+            .entry((&t.rule.head.pred, t.rule.head.arity()))
+            .or_default();
+        for k in bucket.iter() {
             if subsumes_prepared(&k.general, &specific) {
                 continue 'outer;
             }
         }
-        kept.retain(|k| !subsumes_prepared(&general, &k.specific));
-        kept.push(Entry {
+        let general = prepare_general(&t.rule);
+        bucket.retain(|k| !subsumes_prepared(&general, &k.specific));
+        bucket.push(Entry {
             arrival,
-            theorem: t,
             general,
             specific,
         });
     }
-    let mut survivors: Vec<Entry> = buckets.into_values().flatten().collect();
-    survivors.sort_by_key(|e| e.arrival);
-    survivors.into_iter().map(|e| e.theorem).collect()
+    for e in buckets.values().flatten() {
+        kept[e.arrival] = true;
+    }
+    drop(buckets);
+    theorems
+        .into_iter()
+        .zip(kept)
+        .filter_map(|(t, kept)| kept.then_some(t))
+        .collect()
 }
 
 #[cfg(test)]
@@ -372,7 +407,7 @@ mod tests {
             used_hypothesis: BTreeSet::new(),
             root_rule: None,
             one_level: false,
-            derivation: Vec::new(),
+            derivation: Default::default(),
         }
     }
 

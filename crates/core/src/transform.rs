@@ -34,8 +34,9 @@ use crate::error::{DescribeError, Result};
 use qdk_engine::analysis::{classify_rule, RuleShape};
 use qdk_engine::graph::DependencyGraph;
 use qdk_engine::{Idb, ProgramPlan};
-use qdk_logic::{Atom, Rule, Sym, Term, Var};
+use qdk_logic::{Atom, Rule, Sym, SymId, Term, Var};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How a rule of the (possibly transformed) IDB behaves under Algorithm
 /// 2's tag discipline.
@@ -153,6 +154,9 @@ pub struct TransformedIdb {
     /// heads (parallel to `idb.rules()` / `program.plans()` order).
     by_head: HashMap<Sym, Vec<usize>>,
     reach: ReachTable,
+    /// Each rule's text, parallel to `idb.rules()`: what a derivation
+    /// step names when `explain` renders it.
+    rule_text: Vec<Arc<str>>,
 }
 
 impl TransformedIdb {
@@ -184,6 +188,7 @@ impl TransformedIdb {
                 .push(i);
         }
         let reach = ReachTable::build(&program);
+        let rule_text = idb.rules().iter().map(|r| r.to_string().into()).collect();
         TransformedIdb {
             idb,
             kinds,
@@ -192,6 +197,7 @@ impl TransformedIdb {
             program,
             by_head,
             reach,
+            rule_text,
         }
     }
 
@@ -200,6 +206,11 @@ impl TransformedIdb {
     /// the rule list.
     pub fn rule_indexes_for(&self, pred: &Sym) -> &[usize] {
         self.by_head.get(pred).map_or(&[], Vec::as_slice)
+    }
+
+    /// Rule `ri`'s text, rendered once per preparation.
+    pub(crate) fn rule_text(&self, ri: usize) -> Arc<str> {
+        Arc::clone(&self.rule_text[ri])
     }
 
     /// `preds` as a set to test rules' reach against. A predicate no rule
@@ -214,6 +225,41 @@ impl TransformedIdb {
             set[id.index() / 64] |= 1 << (id.index() % 64);
         }
         PredSet(set)
+    }
+
+    /// `roots` and every predicate the rules of one of them reach, each
+    /// once: the union of those rules' rows of the reach table, with no
+    /// walk of the rule graph. The step predicates the transformation
+    /// introduced are left out, as a closure over the source rules would
+    /// not have them.
+    pub(crate) fn closure<'p>(&self, roots: impl IntoIterator<Item = &'p Sym>) -> Vec<Sym> {
+        let interner = self.program.interner();
+        let words = self.reach.words;
+        let mut seen = vec![0u64; words];
+        let mut out: Vec<Sym> = Vec::new();
+        for p in roots {
+            match interner.lookup(p.as_str()) {
+                Some(id) => seen[id.index() / 64] |= 1 << (id.index() % 64),
+                // A predicate no rule mentions reaches nothing.
+                None if !out.contains(p) => out.push(p.clone()),
+                None => {}
+            }
+            for &ri in self.rule_indexes_for(p) {
+                union_into(&mut seen, &self.reach.bits[ri * words..][..words]);
+            }
+        }
+        for (w, &word) in seen.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let id = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let pred = interner.resolve(SymId(id as u32));
+                if !self.step_preds.values().any(|t| t == pred) {
+                    out.push(pred.clone());
+                }
+            }
+        }
+        out
     }
 
     /// True if a tree under rule `ri` can hold a formula of a predicate in

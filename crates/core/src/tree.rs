@@ -33,6 +33,7 @@
 //! unidentified leaves, used hypothesis indexes, root provenance — which
 //! the driver assembles into theorems.
 
+use crate::answer::DerivationStep;
 use crate::config::DescribeOptions;
 use crate::transform::{PredSet, RuleKind, TransformedIdb};
 use qdk_logic::governor::{Exhausted, Governor, Resource};
@@ -68,7 +69,7 @@ pub(crate) struct EnumStats {
 #[derive(Clone, Debug)]
 pub(crate) struct RawAnswer {
     /// The accumulated global substitution of the branch.
-    pub subst: Subst,
+    pub subst: Arc<Subst>,
     /// Unidentified leaf formulas (un-substituted; apply `subst`).
     pub leaves: Vec<Atom>,
     /// Hypothesis indexes identified somewhere in the tree.
@@ -76,26 +77,34 @@ pub(crate) struct RawAnswer {
     /// Rule applied at the root (`None` = the subject itself was
     /// identified with a hypothesis formula).
     pub root_rule: Option<usize>,
-    /// Human-readable derivation steps, in application order — the
-    /// derivation tree of Figure 1, flattened depth-first.
-    pub trace: Vec<String>,
-    /// Every formula of the derivation tree (inner nodes and leaves),
-    /// un-substituted. Used by the negated-hypothesis generalization: a
-    /// theorem whose tree mentions a forbidden concept depends on it.
-    pub tree_atoms: Vec<Atom>,
+    /// The derivation steps, in application order — the derivation tree
+    /// of Figure 1, flattened depth-first.
+    pub trace: Chain<DerivationStep>,
+    /// The formulas of the derivation tree below its root (inner nodes
+    /// and leaves), un-substituted, are `tree`'s items from `tree_from`
+    /// on. Used by the negated-hypothesis generalization: a theorem whose
+    /// tree mentions a forbidden concept depends on it. Recorded only
+    /// when the enumerator was asked to (see [`Enumerator::new`]).
+    pub tree: Chain<Atom>,
+    pub tree_from: usize,
+}
+
+impl RawAnswer {
+    /// The recorded formulas of the derivation tree below its root (the
+    /// root is the subject).
+    pub fn tree_atoms(&self) -> impl Iterator<Item = &Atom> {
+        self.tree.items_from(self.tree_from)
+    }
 }
 
 /// A persistent append-only sequence. Extending hands back a new tail
 /// node `Arc`-linked to the previous chain, so cloning a [`Branch`] is a
-/// couple of reference-count bumps instead of a deep copy of every atom
-/// and trace line accumulated so far. Those deep copies dominated
-/// enumeration: the tower workload spent ~20µs per expansion mostly
-/// re-copying ever-growing occurrence and trace vectors through every
-/// branch clone (each visited node clones its context two or more times),
-/// and the copies grow linearly with depth. Chains cut the depth-8 tower
-/// enumeration ~2.3×.
-#[derive(Clone, Debug)]
-struct Chain<T>(Option<Arc<ChainNode<T>>>);
+/// few reference-count bumps instead of a deep copy of every atom and
+/// step accumulated so far. Those deep copies dominated enumeration: each
+/// visited node clones its context two or more times, and the copies grow
+/// linearly with depth.
+#[derive(Debug)]
+pub(crate) struct Chain<T>(Option<Arc<ChainNode<T>>>);
 
 #[derive(Debug)]
 struct ChainNode<T> {
@@ -105,17 +114,19 @@ struct ChainNode<T> {
     len: usize,
 }
 
-impl<T: Clone> Chain<T> {
-    fn new() -> Self {
+impl<T> Default for Chain<T> {
+    fn default() -> Self {
         Chain(None)
     }
+}
 
-    fn len(&self) -> usize {
+impl<T> Chain<T> {
+    pub(crate) fn len(&self) -> usize {
         self.0.as_ref().map_or(0, |n| n.len)
     }
 
     /// Appends `items`, returning the extended chain (`self` unchanged).
-    fn extend(&self, items: Vec<T>) -> Self {
+    pub(crate) fn extend(&self, items: Vec<T>) -> Self {
         if items.is_empty() {
             return self.clone();
         }
@@ -127,13 +138,13 @@ impl<T: Clone> Chain<T> {
         })))
     }
 
-    fn push(&self, item: T) -> Self {
+    pub(crate) fn push(&self, item: T) -> Self {
         self.extend(vec![item])
     }
 
-    /// Materializes the items from index `from` onward, in append order.
-    fn collect_from(&self, from: usize) -> Vec<T> {
-        let mut segs: Vec<&Vec<T>> = Vec::new();
+    /// The items from index `from` onward, in append order.
+    pub(crate) fn items_from(&self, from: usize) -> impl Iterator<Item = &T> {
+        let mut segs: Vec<&[T]> = Vec::new();
         let mut cur = self;
         let base = loop {
             match cur.0.as_deref() {
@@ -144,13 +155,14 @@ impl<T: Clone> Chain<T> {
                 node => break node.map_or(0, |n| n.len),
             }
         };
-        let mut out: Vec<T> = Vec::with_capacity(self.len().saturating_sub(from));
-        for (k, seg) in segs.iter().rev().enumerate() {
-            // `from` may fall inside the earliest collected node.
-            let skip = if k == 0 { from.saturating_sub(base) } else { 0 };
-            out.extend(seg[skip..].iter().cloned());
-        }
-        out
+        // `from` may fall inside the earliest collected node.
+        segs.into_iter().rev().flatten().skip(from - base)
+    }
+}
+
+impl<T> Clone for Chain<T> {
+    fn clone(&self) -> Self {
+        Chain(self.0.clone())
     }
 }
 
@@ -158,32 +170,51 @@ impl<T> Drop for ChainNode<T> {
     fn drop(&mut self) {
         // Unroll the tail-recursive drop of a uniquely owned parent chain
         // so guard-length derivations cannot overflow the stack.
-        let mut parent = std::mem::replace(&mut self.parent, Chain(None));
+        let mut parent = std::mem::take(&mut self.parent);
         while let Some(arc) = parent.0.take() {
             match Arc::try_unwrap(arc) {
-                Ok(mut node) => parent = std::mem::replace(&mut node.parent, Chain(None)),
+                Ok(mut node) => parent = std::mem::take(&mut node.parent),
                 Err(_) => break,
             }
         }
     }
 }
 
-/// One branch state during enumeration of a subtree.
+/// One branch state during enumeration. Every field is shared with the
+/// branch it grew from, so the three possibilities at a tree formula
+/// start from the same context without copying it.
 #[derive(Clone, Debug)]
 struct Branch {
-    subst: Subst,
+    subst: Arc<Subst>,
     /// Every atom occurrence created so far in the whole tree (plus the
     /// subject and hypothesis), un-substituted — the "formulas of the
-    /// tree" that typing preservation quantifies over.
+    /// tree" that typing preservation quantifies over. Recorded only when
+    /// typing is checked or the driver needs the tree's formulas.
     occurrences: Chain<Atom>,
-    /// Applications of each untyped-controlled rule on this branch.
-    untyped_uses: HashMap<usize, usize>,
-    /// Leaves contributed by the subtree under enumeration.
-    leaves: Vec<Atom>,
-    /// Hypothesis indexes identified in the subtree under enumeration.
-    used: BTreeSet<usize>,
+    /// One item per application of an untyped-controlled rule on this
+    /// branch: its rule index.
+    untyped_uses: Chain<usize>,
+    /// The tree's unidentified leaves so far, left to right.
+    leaves: Chain<Atom>,
+    /// One item per identification on this branch: the hypothesis index.
+    /// A subtree identified something exactly when it lengthened this.
+    used: Chain<usize>,
     /// Derivation steps along this branch.
-    trace: Chain<String>,
+    trace: Chain<DerivationStep>,
+}
+
+impl Branch {
+    /// This branch with `node` left as an unidentified leaf.
+    fn with_leaf(&self, node: &Atom) -> Branch {
+        Branch {
+            subst: Arc::clone(&self.subst),
+            occurrences: self.occurrences.clone(),
+            untyped_uses: self.untyped_uses.clone(),
+            leaves: self.leaves.push(node.clone()),
+            used: self.used.clone(),
+            trace: self.trace.clone(),
+        }
+    }
 }
 
 /// The enumerator.
@@ -196,6 +227,10 @@ pub(crate) struct Enumerator<'a> {
     hyp_preds: PredSet,
     /// Whether typing preservation is enforced (Algorithm 2).
     check_typing: bool,
+    /// Whether branches record the tree's formulas: typing preservation
+    /// reads them, and so does the driver's filter for a negated
+    /// hypothesis literal. Nothing else does.
+    record_tree: bool,
     /// Exhaustive mode (completeness audits): the §4 productivity cut is
     /// disabled, so unproductive expansions are enumerated too.
     exhaustive: bool,
@@ -228,7 +263,8 @@ impl<'a> Enumerator<'a> {
     /// Creates an enumerator over a (possibly transformed) IDB and the
     /// hypothesis conjunction. Only positive non-comparison literals take
     /// part in identification (comparisons per §4; negative literals per
-    /// the §6 generalization are handled by the driver's post-filter).
+    /// the §6 generalization are handled by the driver's post-filter, for
+    /// which the raw answers then carry their trees' formulas).
     pub fn new(
         tidb: &'a TransformedIdb,
         hypothesis: &[qdk_logic::Literal],
@@ -246,6 +282,7 @@ impl<'a> Enumerator<'a> {
             hyp_preds: tidb.pred_set(hyp_atoms.iter().map(|(_, a)| &a.pred)),
             hyp_atoms,
             check_typing,
+            record_tree: check_typing || hypothesis.iter().any(|l| !l.positive),
             exhaustive: false,
             cone: true,
             opts,
@@ -344,30 +381,42 @@ impl<'a> Enumerator<'a> {
         // cone leaves nothing to tick on. The trip is sticky.
         let _ = self.gov.poll();
 
-        let base_len = 1 + self.hyp_atoms.len();
-        let base_chain = Chain::new().extend(
-            std::iter::once(subject.clone())
-                .chain(self.hyp_atoms.iter().map(|(_, a)| a.clone()))
-                .collect(),
-        );
+        let base_chain = if self.record_tree {
+            Chain::default().extend(
+                std::iter::once(subject.clone())
+                    .chain(self.hyp_atoms.iter().map(|(_, a)| a.clone()))
+                    .collect(),
+            )
+        } else {
+            Chain::default()
+        };
+        let base_len = base_chain.len();
 
         // Root identification with a hypothesis formula (Example 6's
         // `prior(X, Y) ← (X = databases)` answers).
-        for (i, h) in self.hyp_atoms.clone() {
+        for k in 0..self.hyp_atoms.len() {
             self.tick();
             if self.stopped() {
                 break;
             }
-            if let Some(mgu) = unify_atoms(subject, &h) {
+            let (i, h) = &self.hyp_atoms[k];
+            if let Some(mgu) = unify_atoms(subject, h) {
                 if self.typing_ok(&base_chain, &Subst::new(), &mgu) {
+                    let used = [*i].into();
+                    let step = DerivationStep::Identified {
+                        depth: 0,
+                        node: subject.clone(),
+                        hypothesis: h.clone(),
+                    };
                     self.stats.leaves_identified += 1;
                     answers.push(RawAnswer {
-                        subst: mgu,
+                        subst: Arc::new(mgu),
                         leaves: Vec::new(),
-                        used: [i].into(),
+                        used,
                         root_rule: None,
-                        trace: vec![format!("{subject} identified with hypothesis {h}")],
-                        tree_atoms: vec![subject.clone()],
+                        trace: Chain::default().push(step),
+                        tree: Chain::default(),
+                        tree_from: 0,
                     });
                 }
             }
@@ -379,12 +428,12 @@ impl<'a> Enumerator<'a> {
         // need only be distinct within one derivation, and every rendering
         // canonicalizes them.
         let base = Branch {
-            subst: Subst::new(),
+            subst: Arc::new(Subst::new()),
             occurrences: base_chain,
-            untyped_uses: HashMap::new(),
-            leaves: Vec::new(),
-            used: BTreeSet::new(),
-            trace: Chain::new(),
+            untyped_uses: Chain::default(),
+            leaves: Chain::default(),
+            used: Chain::default(),
+            trace: Chain::default(),
         };
         let tidb = self.tidb;
         for &ri in tidb.rule_indexes_for(&subject.pred) {
@@ -393,25 +442,24 @@ impl<'a> Enumerator<'a> {
             }
             self.gen = VarGen::new();
             for b in self.apply_rule(subject, ri, Tag::Untagged, &base, 0) {
-                // Root context is empty, so subtree-only equals total here.
-                if b.used.is_empty() && !self.exhaustive {
+                let productive = b.used.len() > 0;
+                if !productive && !self.exhaustive {
                     // Tracked separately: the rule's unproductive branches
                     // are represented by its one-level answer (driver).
                     self.stats.cuts += 1;
                     continue;
                 }
-                if !b.used.is_empty() {
+                if productive {
                     productive_rules.insert(ri);
                 }
                 answers.push(RawAnswer {
                     subst: b.subst,
-                    leaves: b.leaves,
-                    used: b.used,
+                    leaves: b.leaves.items_from(0).cloned().collect(),
+                    used: b.used.items_from(0).copied().collect(),
                     root_rule: Some(ri),
-                    trace: b.trace.collect_from(0),
-                    tree_atoms: std::iter::once(subject.clone())
-                        .chain(b.occurrences.collect_from(base_len))
-                        .collect(),
+                    trace: b.trace,
+                    tree: b.occurrences,
+                    tree_from: base_len,
                 });
             }
         }
@@ -420,7 +468,8 @@ impl<'a> Enumerator<'a> {
 
     /// Applies rule `ri` to `node` (boxes 8–9 / 9a–9e): unify the renamed
     /// rule head with the node, then enumerate the children left to right,
-    /// threading the branch state.
+    /// threading the branch state. The branches come back with `ctx`'s
+    /// leaves, identifications and steps followed by the subtree's own.
     fn apply_rule(
         &mut self,
         node: &Atom,
@@ -464,7 +513,8 @@ impl<'a> Enumerator<'a> {
                 }
             }
             RuleKind::UntypedControlled => {
-                if ctx.untyped_uses.get(&ri).copied().unwrap_or(0) >= self.opts.untyped_rule_limit {
+                let uses = ctx.untyped_uses.items_from(0).filter(|&&u| u == ri);
+                if uses.count() >= self.opts.untyped_rule_limit {
                     return Vec::new();
                 }
             }
@@ -475,9 +525,9 @@ impl<'a> Enumerator<'a> {
         // same per-rule metadata the retrieve executor runs — instead of
         // re-collecting variables from the textual rule.
         let tidb = self.tidb;
-        let compiled = &tidb.program.plans()[ri].compiled;
-        let rule = &compiled.source;
-        let renamed = compiled.rename_apart(&mut self.gen);
+        let renamed = tidb.program.plans()[ri]
+            .compiled
+            .rename_apart(&mut self.gen);
         let node_now = ctx.subst.apply_atom(node);
         let Some(mgu) = unify_atoms(&node_now, &renamed.head) else {
             return Vec::new();
@@ -488,22 +538,30 @@ impl<'a> Enumerator<'a> {
         let child_tags = self.child_tags(kind, node_tag, &children);
 
         self.stats.trees_expanded += 1;
-        let mut start = ctx.clone();
-        start.subst = ctx.subst.compose(&mgu);
-        start.trace = ctx.trace.push(format!(
-            "{:indent$}{node_now} expanded by rule {ri}: {rule}",
-            "",
-            indent = depth * 2
-        ));
-        start.occurrences = ctx
-            .occurrences
-            .extend(children.iter().map(|a| (*a).clone()).collect());
-        if *kind == RuleKind::UntypedControlled {
-            *start.untyped_uses.entry(ri).or_insert(0) += 1;
-        }
-        // The subtree's own leaves/used accumulate from empty.
-        start.leaves = Vec::new();
-        start.used = BTreeSet::new();
+        let occurrences = if self.record_tree {
+            ctx.occurrences
+                .extend(children.iter().map(|a| (*a).clone()).collect())
+        } else {
+            ctx.occurrences.clone()
+        };
+        let untyped_uses = if *kind == RuleKind::UntypedControlled {
+            ctx.untyped_uses.push(ri)
+        } else {
+            ctx.untyped_uses.clone()
+        };
+        let start = Branch {
+            subst: Arc::new(ctx.subst.compose(&mgu)),
+            occurrences,
+            untyped_uses,
+            leaves: ctx.leaves.clone(),
+            used: ctx.used.clone(),
+            trace: ctx.trace.push(DerivationStep::Expanded {
+                depth,
+                node: node_now,
+                rule: ri,
+                text: tidb.rule_text(ri),
+            }),
+        };
 
         // Enumerate children sequentially (sibling results thread the
         // global substitution exactly like the flowchart's left-to-right
@@ -525,11 +583,6 @@ impl<'a> Enumerator<'a> {
         if self.stopped() {
             return Vec::new();
         }
-
-        // Branches come back with *subtree-only* leaves/used; callers
-        // merge with their own accumulators (so productivity can be judged
-        // on the subtree's own identifications, even when an earlier
-        // sibling already identified the same hypothesis index).
         frontier
     }
 
@@ -585,48 +638,50 @@ impl<'a> Enumerator<'a> {
         if self.stopped() {
             return Vec::new();
         }
-        let mut out = Vec::new();
 
         // Comparisons are never identified and never expanded (§4).
         if node.is_builtin() {
-            let mut b = ctx.clone();
-            b.leaves.push(node.clone());
-            return vec![b];
+            return vec![ctx.with_leaf(node)];
         }
+        let mut out = Vec::new();
 
-        // (1) Identify with a hypothesis formula. Indexed loop: cloning
-        // one candidate pair per attempt instead of the whole hypothesis
-        // vector per visited node.
+        // (1) Identify with a hypothesis formula. Unification needs the
+        // predicate and arity to agree, which no substitution changes, so
+        // a candidate of another signature is passed over unsubstituted.
+        let mut node_now: Option<Atom> = None;
         for k in 0..self.hyp_atoms.len() {
             self.tick();
             if self.stopped() {
                 return Vec::new();
             }
-            let (i, h) = self.hyp_atoms[k].clone();
-            let node_now = ctx.subst.apply_atom(node);
-            let h_now = ctx.subst.apply_atom(&h);
-            if let Some(mgu) = unify_atoms(&node_now, &h_now) {
+            let (i, h) = &self.hyp_atoms[k];
+            if !node.same_signature(h) {
+                continue;
+            }
+            let i = *i;
+            let h_now = ctx.subst.apply_atom(h);
+            let node_now = node_now.get_or_insert_with(|| ctx.subst.apply_atom(node));
+            if let Some(mgu) = unify_atoms(node_now, &h_now) {
                 if self.typing_ok(&ctx.occurrences, &ctx.subst, &mgu) {
                     self.stats.leaves_identified += 1;
-                    let mut b = ctx.clone();
-                    b.subst = ctx.subst.compose(&mgu);
-                    b.used.insert(i);
-                    b.trace = ctx.trace.push(format!(
-                        "{:indent$}{node_now} identified with hypothesis {h_now}",
-                        "",
-                        indent = depth * 2
-                    ));
-                    out.push(b);
+                    out.push(Branch {
+                        subst: Arc::new(ctx.subst.compose(&mgu)),
+                        occurrences: ctx.occurrences.clone(),
+                        untyped_uses: ctx.untyped_uses.clone(),
+                        leaves: ctx.leaves.clone(),
+                        used: ctx.used.push(i),
+                        trace: ctx.trace.push(DerivationStep::Identified {
+                            depth,
+                            node: node_now.clone(),
+                            hypothesis: h_now,
+                        }),
+                    });
                 }
             }
         }
 
         // (2) Leave as an unidentified leaf.
-        {
-            let mut b = ctx.clone();
-            b.leaves.push(node.clone());
-            out.push(b);
-        }
+        out.push(ctx.with_leaf(node));
 
         // (3) Expand with each rule of the node's predicate, keeping only
         // subtrees that identified something (the cut of §4). A formula
@@ -634,34 +689,22 @@ impl<'a> Enumerator<'a> {
         // necessarily a leaf — no rule scan needed to decide — and a rule
         // that cannot reach the hypothesis is not applied: the cut would
         // discard everything it yields.
-        {
-            let tidb = self.tidb;
-            for &ri in tidb.rule_indexes_for(&node.pred) {
-                if self.stopped() {
-                    return Vec::new();
-                }
-                if !self.applies(ri) {
+        let tidb = self.tidb;
+        for &ri in tidb.rule_indexes_for(&node.pred) {
+            if self.stopped() {
+                return Vec::new();
+            }
+            if !self.applies(ri) {
+                continue;
+            }
+            for b in self.apply_rule(node, ri, tag, ctx, depth) {
+                // The §4 cut tests exactly the subtree's identifications:
+                // those it added to the context's.
+                if b.used.len() == ctx.used.len() && !self.exhaustive {
+                    self.stats.cuts += 1;
                     continue;
                 }
-                // The child subtree accumulates its own used/leaves; pass a
-                // context whose counters are the caller's (apply_rule
-                // resets them and merges back).
-                let branches = self.apply_rule(node, ri, tag, ctx, depth);
-                for mut b in branches {
-                    // apply_rule returns subtree-only leaves/used: the §4
-                    // cut tests exactly the subtree's identifications.
-                    if b.used.is_empty() && !self.exhaustive {
-                        self.stats.cuts += 1;
-                        continue;
-                    }
-                    let mut leaves = ctx.leaves.clone();
-                    leaves.append(&mut b.leaves);
-                    b.leaves = leaves;
-                    let mut used = ctx.used.clone();
-                    used.extend(b.used.iter().copied());
-                    b.used = used;
-                    out.push(b);
-                }
+                out.push(b);
             }
         }
 
@@ -679,20 +722,19 @@ impl<'a> Enumerator<'a> {
         if !self.check_typing {
             return true;
         }
-        // Materialized only on the (Algorithm 2) typing path; the conflict
-        // scan below walks every occurrence anyway, so the snapshot does
-        // not change the asymptotics.
-        let occurrences = occurrences.collect_from(0);
         let after = before.compose(mgu);
-        let conflicts_before = conflicts(&occurrences, before);
-        let conflicts_after = conflicts(&occurrences, &after);
+        let conflicts_before = conflicts(occurrences.items_from(0), before);
+        let conflicts_after = conflicts(occurrences.items_from(0), &after);
         conflicts_after.is_subset(&conflicts_before)
     }
 }
 
 /// The set of (predicate, variable) pairs where the variable occurs at two
 /// or more distinct argument positions across the substituted occurrences.
-fn conflicts(occurrences: &[Atom], subst: &Subst) -> BTreeSet<(String, Var)> {
+fn conflicts<'a>(
+    occurrences: impl Iterator<Item = &'a Atom>,
+    subst: &Subst,
+) -> BTreeSet<(String, Var)> {
     let mut position_of: HashMap<(String, Var), usize> = HashMap::new();
     let mut bad = BTreeSet::new();
     for atom in occurrences {
