@@ -19,11 +19,13 @@
 
 use crate::answer::DescribeAnswer;
 use qdk_logic::Sym;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Soft cap on cached entries; the oldest entry in the fullest bucket is
-/// dropped when reached. Knowledge answers are small (rules, not data),
+/// dropped when reached (of equally full buckets, the one whose oldest
+/// entry was inserted first). Knowledge answers are small (rules, not data),
 /// so the cap exists only to bound a pathological workload.
 const MAX_ENTRIES: usize = 256;
 
@@ -37,6 +39,8 @@ struct Entry {
     /// the answer was computed — the invalidation footprint.
     closure: Vec<Sym>,
     answer: Arc<DescribeAnswer>,
+    /// Insertion sequence number: orders entries across buckets.
+    seq: u64,
 }
 
 /// Cumulative cache counters, exposed so mutation reports can show how
@@ -60,6 +64,8 @@ pub struct CacheStats {
 pub struct DescribeCache {
     buckets: HashMap<String, Vec<Entry>>,
     len: usize,
+    /// The next entry's sequence number.
+    next_seq: u64,
     stats: CacheStats,
 }
 
@@ -128,16 +134,21 @@ impl DescribeCache {
             key,
             closure,
             answer,
+            seq: self.next_seq,
         });
+        self.next_seq += 1;
         self.len += 1;
     }
 
+    /// Drops the oldest entry of the fullest bucket. Ties go by the age of
+    /// each bucket's oldest entry, never by the map's iteration order, so
+    /// what is evicted depends on the statements cached alone.
     fn drop_oldest(&mut self) {
         if let Some(bucket) = self
             .buckets
             .values_mut()
-            .max_by_key(|b| b.len())
             .filter(|b| !b.is_empty())
+            .max_by_key(|b| (b.len(), Reverse(b[0].seq)))
         {
             bucket.remove(0);
             self.len -= 1;
@@ -252,6 +263,20 @@ mod tests {
         c.insert("r", "k".into(), syms(&["r"]), answer());
         assert_eq!(c.constraint_added(&syms(&["q"])), 1);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn a_tie_evicts_the_bucket_whose_oldest_entry_is_oldest() {
+        let mut c = DescribeCache::new();
+        // Fill to the cap with two-entry buckets, oldest first.
+        for i in 0..MAX_ENTRIES {
+            c.insert(&format!("p{}", i / 2), format!("k{i}"), syms(&["p"]), answer());
+        }
+        c.insert("q", "k".into(), syms(&["q"]), answer());
+        assert_eq!(c.len(), MAX_ENTRIES);
+        assert!(c.get("p0", "k0").is_none(), "p0's oldest entry goes");
+        assert!(c.get("p0", "k1").is_some());
+        assert!(c.get("p1", "k2").is_some());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! the prepared list).
 
 use crate::config::{DescribeOptions, TransformPolicy};
+use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::transform::{transform_with, TransformedIdb};
 use qdk_engine::graph::DependencyGraph;
@@ -129,6 +130,18 @@ impl PreparedIdb {
             .map(|(_, rule)| rule.as_str())
     }
 
+    /// Every predicate an answer to `query` can depend on: the subject's
+    /// and each hypothesis literal's predicate, and every predicate the
+    /// rules of one of them reach (hypothesis literals surface in theorem
+    /// bodies, so constraints over them prune answers too). The describe
+    /// cache evicts an answer when a rule or constraint names one of these.
+    pub fn answer_closure(&self, query: &Describe) -> Vec<Sym> {
+        self.rules.closure(
+            std::iter::once(&query.subject.pred)
+                .chain(query.hypothesis.iter().map(|l| &l.atom.pred)),
+        )
+    }
+
     /// True if `pred` heads a rule of the source IDB (step predicates the
     /// transformation introduced are not subjects).
     pub fn defines(&self, pred: &Sym) -> bool {
@@ -163,9 +176,86 @@ impl PreparedIdb {
 mod tests {
     use super::*;
     use qdk_logic::parser::parse_program;
+    use qdk_logic::{Atom, Literal, Term};
+    use std::collections::BTreeSet;
 
     fn idb(src: &str) -> Idb {
         Idb::from_rules(parse_program(src).unwrap().rules).unwrap()
+    }
+
+    /// The closure one dependency-graph walk per predicate gives — the
+    /// subject's, and each hypothesis literal's — as a set.
+    fn walked_closure(prep: &PreparedIdb, query: &Describe) -> BTreeSet<Sym> {
+        let mut out = BTreeSet::new();
+        for pred in std::iter::once(&query.subject.pred)
+            .chain(query.hypothesis.iter().map(|l| &l.atom.pred))
+        {
+            out.insert(pred.clone());
+            out.extend(prep.graph().reachable_from(pred.as_str()));
+        }
+        out
+    }
+
+    #[test]
+    fn answer_closure_is_the_walked_closure() {
+        let university = "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
+             prior(X, Y) :- prereq(X, Y).\n\
+             prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n\
+             can_ta(X, Y) :- honor(X), complete(X, Y, Z, U), U > 3.3, taught(V, Y, Z, W), teach(V, Y).\n\
+             can_ta(X, Y) :- honor(X), complete(X, Y, Z, 4.0).\n\
+             foreign(X) :- demographic(X, N, M), N != usa.\n\
+             unmarried(X) :- demographic(X, N, single).\n\
+             deans_list(X) :- student(X, Y, Z), Z > 3.9.\n\
+             reachable(X, Y) :- flight(X, Y).\n\
+             reachable(X, Y) :- flight(X, Z), reachable(Z, Y).\n\
+             p(X, Y) :- q(X, Z), r(Z, Y).\n\
+             q(X, Y) :- q(X, Z), s(Z, Y).\n\
+             q(X, Y) :- r(X, Y).";
+        // A layered policy rule base, 3 levels of 20 concepts.
+        let mut policy = String::new();
+        for level in 0..3 {
+            for i in 0..20 {
+                for alt in 0..2 {
+                    let pick = |k: usize| (7 * i + 13 * alt + 31 * k + level) % 20;
+                    let below = |k: usize| match level {
+                        2 => format!("attr{}(X, U{k})", pick(k)),
+                        _ => format!("pol{}_{}(X)", level + 1, pick(k)),
+                    };
+                    policy.push_str(&format!(
+                        "pol{level}_{i}(X) :- {}, {}, attr{}(X, V), V > 3.\n",
+                        below(0),
+                        below(1),
+                        pick(2)
+                    ));
+                }
+            }
+        }
+        for (src, transform) in [
+            (university, TransformPolicy::PreferModified),
+            (university, TransformPolicy::AlwaysArtificial),
+            (university, TransformPolicy::None),
+            (policy.as_str(), TransformPolicy::PreferModified),
+        ] {
+            let prep = PreparedIdb::prepare(&idb(src), transform);
+            let atom = |pred: &Sym| Atom::new(pred.clone(), vec![Term::var("X")]);
+            let subjects: Vec<Sym> = prep.subjects().into_iter().map(|(p, _)| p).collect();
+            let mut hypotheses: Vec<Vec<Literal>> = vec![vec![]];
+            for pred in subjects.iter().chain(&[Sym::new("attr3"), Sym::new("student")]) {
+                hypotheses.push(vec![
+                    Literal::pos(atom(pred)),
+                    Literal::pos(Atom::new(">", vec![Term::var("X"), Term::int(3)])),
+                ]);
+            }
+            for subject in &subjects {
+                for hypothesis in &hypotheses {
+                    let query = Describe::new(atom(subject), hypothesis.clone());
+                    let closure = prep.answer_closure(&query);
+                    let set: BTreeSet<Sym> = closure.iter().cloned().collect();
+                    assert_eq!(set.len(), closure.len(), "{query}: {closure:?}");
+                    assert_eq!(set, walked_closure(&prep, &query), "{query}");
+                }
+            }
+        }
     }
 
     #[test]

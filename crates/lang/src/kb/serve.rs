@@ -12,12 +12,11 @@ use qdk_core::{
     compare, extensions, Completeness, Describe, DescribeAnswer, DescribeError, DescribeOptions,
     PreparedIdb, Theorem,
 };
-use qdk_engine::graph::DependencyGraph;
 use qdk_engine::{
     query, AutoChoice, DataAnswer, EvalOptions, MaintainedStore, ProgramPlan, Retrieve, Strategy,
 };
 use qdk_logic::obs::ObsSink;
-use qdk_logic::{Governor, Sym};
+use qdk_logic::Governor;
 use std::sync::Arc;
 
 impl KnowledgeBase {
@@ -177,7 +176,7 @@ impl KnowledgeBase {
         // spare, as a copy would.
         answer.shrink_to_fit();
         let answer = Arc::new(answer);
-        let closure = describe_closure(prep.graph(), d);
+        let closure = prep.answer_closure(d);
         cache
             .lock()
             .insert(d.subject.pred.as_str(), k, closure, Arc::clone(&answer));
@@ -303,27 +302,6 @@ fn explain(answer: &DescribeAnswer) -> String {
         text.push_str(&format!("-- truncated: {e}"));
     }
     text.trim_end().to_string()
-}
-
-/// Every predicate `d`'s answer can depend on: the rule-graph closure
-/// of the subject plus of each hypothesis predicate (hypothesis
-/// literals surface in theorem bodies, so constraints over them prune
-/// answers too).
-fn describe_closure(graph: &DependencyGraph, d: &Describe) -> Vec<Sym> {
-    let mut closure = vec![d.subject.pred.clone()];
-    let mut cover = |preds: Vec<Sym>| {
-        for p in preds {
-            if !closure.contains(&p) {
-                closure.push(p);
-            }
-        }
-    };
-    cover(graph.reachable_from(d.subject.pred.as_str()));
-    for lit in &d.hypothesis {
-        cover(vec![lit.atom.pred.clone()]);
-        cover(graph.reachable_from(lit.atom.pred.as_str()));
-    }
-    closure
 }
 
 /// The describe-cache key for `d` under `opts`, `None` when the

@@ -413,3 +413,22 @@ fn enumerator_counters_and_exhausted_text_are_pinned() {
          -- truncated: work budget exhausted: 121 spent of 120 allowed\n"
     );
 }
+
+/// The describe cache holds 256 answers. Which one a full cache evicts
+/// depends on the statements asked and nothing else, so two sessions that
+/// ask the same statements count the same hits, misses and evictions.
+#[test]
+fn describe_cache_eviction_depends_only_on_the_statements() {
+    let run = || {
+        let mut s = policy_session();
+        // Quadratic residues: repeats at many distances, some past the
+        // cache's reach.
+        for k in 0..600 {
+            s.run(&nth_describe(k * k % 613)).unwrap();
+        }
+        s.knowledge_base().describe_cache_stats()
+    };
+    let first = run();
+    assert!(first.hits > 0 && first.misses > 256, "{first:?}");
+    assert_eq!(run(), first);
+}
