@@ -36,7 +36,7 @@ use qdk_engine::graph::DependencyGraph;
 use qdk_engine::{Idb, ProgramPlan};
 use qdk_logic::{Atom, Rule, Sym, SymId, Term, Var};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How a rule of the (possibly transformed) IDB behaves under Algorithm
 /// 2's tag discipline.
@@ -154,9 +154,9 @@ pub struct TransformedIdb {
     /// heads (parallel to `idb.rules()` / `program.plans()` order).
     by_head: HashMap<Sym, Vec<usize>>,
     reach: ReachTable,
-    /// Each rule's text, parallel to `idb.rules()`: what a derivation
-    /// step names when `explain` renders it.
-    rule_text: Vec<Arc<str>>,
+    /// Each rule's text, parallel to `idb.rules()`, rendered the first
+    /// time a derivation step names the rule: what `explain` prints.
+    rule_text: Vec<OnceLock<Arc<str>>>,
 }
 
 impl TransformedIdb {
@@ -188,7 +188,7 @@ impl TransformedIdb {
                 .push(i);
         }
         let reach = ReachTable::build(&program);
-        let rule_text = idb.rules().iter().map(|r| r.to_string().into()).collect();
+        let rule_text = idb.rules().iter().map(|_| OnceLock::new()).collect();
         TransformedIdb {
             idb,
             kinds,
@@ -208,9 +208,10 @@ impl TransformedIdb {
         self.by_head.get(pred).map_or(&[], Vec::as_slice)
     }
 
-    /// Rule `ri`'s text, rendered once per preparation.
+    /// Rule `ri`'s text, rendered at most once per preparation.
     pub(crate) fn rule_text(&self, ri: usize) -> Arc<str> {
-        Arc::clone(&self.rule_text[ri])
+        let text = self.rule_text[ri].get_or_init(|| self.idb.rules()[ri].to_string().into());
+        Arc::clone(text)
     }
 
     /// `preds` as a set to test rules' reach against. A predicate no rule
