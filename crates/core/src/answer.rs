@@ -103,12 +103,22 @@ impl fmt::Display for DerivationStep {
                 node,
                 rule,
                 text,
-            } => write!(f, "{:indent$}{node} expanded by rule {rule}: {text}", "", indent = depth * 2),
+            } => write!(
+                f,
+                "{:indent$}{node} expanded by rule {rule}: {text}",
+                "",
+                indent = depth * 2
+            ),
             DerivationStep::Identified {
                 depth,
                 node,
                 hypothesis,
-            } => write!(f, "{:indent$}{node} identified with hypothesis {hypothesis}", "", indent = depth * 2),
+            } => write!(
+                f,
+                "{:indent$}{node} identified with hypothesis {hypothesis}",
+                "",
+                indent = depth * 2
+            ),
             DerivationStep::Definition { text } => write!(f, "definition: {text}"),
         }
     }

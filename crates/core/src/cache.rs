@@ -270,7 +270,12 @@ mod tests {
         let mut c = DescribeCache::new();
         // Fill to the cap with two-entry buckets, oldest first.
         for i in 0..MAX_ENTRIES {
-            c.insert(&format!("p{}", i / 2), format!("k{i}"), syms(&["p"]), answer());
+            c.insert(
+                &format!("p{}", i / 2),
+                format!("k{i}"),
+                syms(&["p"]),
+                answer(),
+            );
         }
         c.insert("q", "k".into(), syms(&["q"]), answer());
         assert_eq!(c.len(), MAX_ENTRIES);

@@ -322,7 +322,8 @@ fn run_enumerator(
             let mut dominated = vec![false; theorems.len()];
             for (ai, bi) in pairs {
                 if let (Some(general), Some(specific)) = (&generals[bi], &specifics[ai]) {
-                    dominated[bi] = dominated[bi] || redundancy::subsumes_prepared(general, specific);
+                    dominated[bi] =
+                        dominated[bi] || redundancy::subsumes_prepared(general, specific);
                 }
             }
             // The prepared sides borrow the theorems.
@@ -406,17 +407,24 @@ fn assemble(
             }
         }
     }
-    let subst = raw.subst.compose(&inversion);
+    // Applying `raw.subst` and then `inversion` is applying their
+    // composition (a variable binds to a variable or a constant), without
+    // copying the branch's whole substitution.
+    let resolve = |t: &Term| inversion.apply_term(&raw.subst.apply_term(t));
+    let resolve_atom = |a: &Atom| Atom {
+        pred: a.pred.clone(),
+        args: a.args.iter().map(resolve).collect(),
+    };
 
     // Body: the substituted leaves…
     let mut body: Vec<Literal> = Vec::with_capacity(raw.leaves.len() + subject_vars.len());
     for leaf in &raw.leaves {
-        body.push(Literal::pos(subst.apply_atom(leaf)));
+        body.push(Literal::pos(resolve_atom(leaf)));
     }
     // …plus an equality for every subject variable the derivation bound
     // (Example 6's `prior(X, Y) ← (X = databases)`).
     for v in &subject_vars {
-        let t = subst.apply_term(&Term::Var(v.clone()));
+        let t = resolve(&Term::Var(v.clone()));
         if t != Term::Var(v.clone()) {
             body.push(Literal::pos(Atom::new("=", vec![Term::Var(v.clone()), t])));
         }
@@ -428,7 +436,7 @@ fn assemble(
     if opts.simplify_comparisons {
         let hyp: Vec<(usize, Comparison)> = hyp_comps
             .iter()
-            .filter_map(|(i, a)| Comparison::from_atom(&subst.apply_atom(a)).map(|c| (*i, c)))
+            .filter_map(|(i, a)| Comparison::from_atom(&resolve_atom(a)).map(|c| (*i, c)))
             .collect();
         let mut kept: Vec<Literal> = Vec::with_capacity(body.len());
         for lit in body {

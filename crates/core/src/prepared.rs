@@ -24,7 +24,7 @@ use crate::error::{DescribeError, Result};
 use crate::transform::{transform_with, TransformedIdb};
 use qdk_engine::graph::DependencyGraph;
 use qdk_engine::Idb;
-use qdk_logic::Sym;
+use qdk_logic::{FxHashSet, Sym};
 
 /// An IDB analysed, transformed (§5.2) and compiled for `describe`.
 /// Deliberately not `Clone`: it is as large as the rule base, and sharing
@@ -45,6 +45,10 @@ pub struct PreparedIdb {
     /// with its head. §3.2 defines `describe` over positive formulas, so
     /// a subject that reaches one of these rules has no answer.
     negating: Vec<(Sym, String)>,
+    /// The predicates that are recursive or depend on one (§4/§5: the
+    /// subjects Algorithm 2 answers), found in one pass over the graph
+    /// instead of one walk per describe.
+    involve_recursion: FxHashSet<Sym>,
 }
 
 impl PreparedIdb {
@@ -64,12 +68,14 @@ impl PreparedIdb {
             .filter(|r| r.body.iter().any(|l| !l.positive))
             .map(|r| (r.head.pred.clone(), r.to_string()))
             .collect();
+        let involve_recursion = graph.slices_containing(|p| graph.is_recursive(p.as_str()));
         PreparedIdb {
             policy,
             graph,
             rules,
             unsupported,
             negating,
+            involve_recursion,
         }
     }
 
@@ -111,7 +117,7 @@ impl PreparedIdb {
                 "describe is defined over positive rules, but this rule negates a body literal: {rule}"
             )));
         }
-        if !self.graph.involves_recursion(pred) {
+        if !self.involve_recursion.contains(pred) {
             return Ok((&self.rules, false));
         }
         Ok((self.rules()?, self.policy != TransformPolicy::None))
@@ -197,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn answer_closure_is_the_walked_closure() {
+    fn answer_closure_and_recursion_sets_match_the_graph_walks() {
         let university = "honor(X) :- student(X, Y, Z), Z > 3.7.\n\
              prior(X, Y) :- prereq(X, Y).\n\
              prior(X, Y) :- prereq(X, Z), prior(Z, Y).\n\
@@ -240,13 +246,21 @@ mod tests {
             let atom = |pred: &Sym| Atom::new(pred.clone(), vec![Term::var("X")]);
             let subjects: Vec<Sym> = prep.subjects().into_iter().map(|(p, _)| p).collect();
             let mut hypotheses: Vec<Vec<Literal>> = vec![vec![]];
-            for pred in subjects.iter().chain(&[Sym::new("attr3"), Sym::new("student")]) {
+            for pred in subjects
+                .iter()
+                .chain(&[Sym::new("attr3"), Sym::new("student")])
+            {
                 hypotheses.push(vec![
                     Literal::pos(atom(pred)),
                     Literal::pos(Atom::new(">", vec![Term::var("X"), Term::int(3)])),
                 ]);
             }
             for subject in &subjects {
+                assert_eq!(
+                    prep.involve_recursion.contains(subject),
+                    prep.graph().involves_recursion(subject.as_str()),
+                    "{subject}"
+                );
                 for hypothesis in &hypotheses {
                     let query = Describe::new(atom(subject), hypothesis.clone());
                     let closure = prep.answer_closure(&query);

@@ -34,7 +34,7 @@ use crate::error::{DescribeError, Result};
 use qdk_engine::analysis::{classify_rule, RuleShape};
 use qdk_engine::graph::DependencyGraph;
 use qdk_engine::{Idb, ProgramPlan};
-use qdk_logic::{Atom, Rule, Sym, SymId, Term, Var};
+use qdk_logic::{Atom, FxHashMap, Rule, Sym, SymId, Term, Var};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -152,7 +152,7 @@ pub struct TransformedIdb {
     pub program: ProgramPlan,
     /// Rule indexes grouped by head predicate, derived from the compiled
     /// heads (parallel to `idb.rules()` / `program.plans()` order).
-    by_head: HashMap<Sym, Vec<usize>>,
+    by_head: FxHashMap<Sym, Vec<usize>>,
     reach: ReachTable,
     /// Each rule's text, parallel to `idb.rules()`, rendered the first
     /// time a derivation step names the rule: what `explain` prints.
@@ -180,7 +180,7 @@ impl TransformedIdb {
         modified: Vec<Sym>,
     ) -> TransformedIdb {
         let program = ProgramPlan::compile(&idb);
-        let mut by_head: HashMap<Sym, Vec<usize>> = HashMap::new();
+        let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
         for (i, plan) in program.plans().iter().enumerate() {
             by_head
                 .entry(plan.compiled.head.pred.clone())

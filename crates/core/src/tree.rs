@@ -108,10 +108,26 @@ pub(crate) struct Chain<T>(Option<Arc<ChainNode<T>>>);
 
 #[derive(Debug)]
 struct ChainNode<T> {
-    items: Vec<T>,
+    items: Items<T>,
     parent: Chain<T>,
     /// Items in the whole chain up to and including this node.
     len: usize,
+}
+
+/// A node's items: one held inline (a push, the common case), or several.
+#[derive(Debug)]
+enum Items<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Items<T> {
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Items::One(item) => std::slice::from_ref(item),
+            Items::Many(items) => items,
+        }
+    }
 }
 
 impl<T> Default for Chain<T> {
@@ -125,21 +141,25 @@ impl<T> Chain<T> {
         self.0.as_ref().map_or(0, |n| n.len)
     }
 
+    fn append(&self, items: Items<T>) -> Self {
+        Chain(Some(Arc::new(ChainNode {
+            len: self.len() + items.as_slice().len(),
+            items,
+            parent: self.clone(),
+        })))
+    }
+
     /// Appends `items`, returning the extended chain (`self` unchanged).
     pub(crate) fn extend(&self, items: Vec<T>) -> Self {
         if items.is_empty() {
             return self.clone();
         }
-        let len = self.len() + items.len();
-        Chain(Some(Arc::new(ChainNode {
-            items,
-            parent: self.clone(),
-            len,
-        })))
+        self.append(Items::Many(items))
     }
 
+    /// Appends `item`, returning the extended chain (`self` unchanged).
     pub(crate) fn push(&self, item: T) -> Self {
-        self.extend(vec![item])
+        self.append(Items::One(item))
     }
 
     /// The items from index `from` onward, in append order.
@@ -149,7 +169,7 @@ impl<T> Chain<T> {
         let base = loop {
             match cur.0.as_deref() {
                 Some(n) if n.len > from => {
-                    segs.push(&n.items);
+                    segs.push(n.items.as_slice());
                     cur = &n.parent;
                 }
                 node => break node.map_or(0, |n| n.len),

@@ -273,8 +273,11 @@ impl fmt::Display for Response {
 /// For concurrent serving the session doubles as the **single writer** of
 /// an epoch sequence: [`Session::snapshot`] publishes the current state
 /// as an immutable epoch and hands back a [`SnapshotSession`] — a
-/// `Send + Sync` read handle any number of threads can query with zero
-/// locks while this session keeps mutating and publishing.
+/// `Send + Sync` read handle any number of threads can query while this
+/// session keeps mutating and publishing. Its facts and compiled plan are
+/// read without a lock; the describe cache, the describe preparation and
+/// the epoch's QSQ tables are shared by every reader of the epoch and sit
+/// behind a `Mutex` each, held for a lookup or an insert.
 #[derive(Debug, Default)]
 pub struct Session {
     pub(crate) kb: KnowledgeBase,

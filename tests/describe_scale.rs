@@ -398,7 +398,11 @@ fn enumerator_counters_and_exhausted_text_are_pinned() {
             *total += trace.counter(name).unwrap_or(0);
         }
     }
-    assert_eq!(totals, [614, 315, 614], "trees_expanded, leaves_identified, cuts");
+    assert_eq!(
+        totals,
+        [614, 315, 614],
+        "trees_expanded, leaves_identified, cuts"
+    );
 
     let budget = qdk::ResourceLimits::default().with_work_budget(120);
     let truncated = s
