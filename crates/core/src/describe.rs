@@ -235,7 +235,7 @@ fn run_enumerator(
     for ri in rule_indexes.iter().filter(|ri| emit_fallback_for(ri)) {
         // One-level answers rename through the same compiled slot maps the
         // enumerator (and the retrieve executor) use.
-        let renamed = tidb.program.plans()[*ri].compiled.rename_apart(&mut gen);
+        let renamed = tidb.compiled[*ri].rename_apart(&mut gen);
         let Some(mgu) = unify_atoms(&query.subject, &renamed.head) else {
             continue;
         };

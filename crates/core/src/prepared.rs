@@ -3,7 +3,7 @@
 //! Everything `describe` does before it looks at a subject or a
 //! hypothesis depends on the rules alone: the dependency analysis that
 //! chooses between Algorithm 1 and Algorithm 2 (§4/§5), the §5.2
-//! transformation, the compiled program whose slot maps standardize rules
+//! transformation, the compiled rules whose slot maps standardize them
 //! apart, and the by-head rule index the tree enumerator resolves against.
 //! A [`PreparedIdb`] is that work done once. Every describe-family
 //! algorithm runs over it, so a caller that keeps one per rules generation
@@ -160,7 +160,6 @@ impl PreparedIdb {
     /// name the rule base defines at several arities appears once per
     /// arity).
     pub fn subjects(&self) -> Vec<(Sym, usize)> {
-        let plans = self.rules.program.plans();
         let mut subjects = Vec::new();
         for pred in self.rules.idb.predicates() {
             if !self.defines(&pred) {
@@ -168,7 +167,7 @@ impl PreparedIdb {
             }
             let first = subjects.len();
             for &ri in self.rules.rule_indexes_for(&pred) {
-                let subject = (pred.clone(), plans[ri].compiled.head.args.len());
+                let subject = (pred.clone(), self.rules.compiled[ri].head.args.len());
                 if !subjects[first..].contains(&subject) {
                     subjects.push(subject);
                 }

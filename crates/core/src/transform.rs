@@ -33,8 +33,8 @@ use crate::config::TransformPolicy;
 use crate::error::{DescribeError, Result};
 use qdk_engine::analysis::{classify_rule, RuleShape};
 use qdk_engine::graph::DependencyGraph;
-use qdk_engine::{Idb, ProgramPlan};
-use qdk_logic::{Atom, FxHashMap, Rule, Sym, SymId, Term, Var};
+use qdk_engine::Idb;
+use qdk_logic::{Atom, CompiledRule, Interner, Rule, Sym, SymId, Term, Var};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -65,7 +65,7 @@ pub enum RuleKind {
 }
 
 /// A set of predicates of one [`TransformedIdb`]: a bitset over the dense
-/// ids its compiled program's interner gives them.
+/// ids its compiled rules' interner gives them.
 #[derive(Clone, Debug)]
 pub(crate) struct PredSet(Vec<u64>);
 
@@ -84,12 +84,10 @@ struct ReachTable {
 impl ReachTable {
     /// A fixpoint: a rule reaches its body predicates and whatever the
     /// rules of those predicates reach.
-    fn build(program: &ProgramPlan) -> ReachTable {
-        let preds = program.interner().len();
+    fn build(rules: &[CompiledRule], preds: usize) -> ReachTable {
         let words = preds.div_ceil(64);
         let slot = |i: usize| i * words..(i + 1) * words;
-        let plans = program.plans();
-        let mut bits = vec![0u64; plans.len() * words];
+        let mut bits = vec![0u64; rules.len() * words];
         // What the rules of each predicate reach.
         let mut below = vec![0u64; preds * words];
         loop {
@@ -97,8 +95,7 @@ impl ReachTable {
             // Backwards, because rule bases tend to define a concept
             // before the concepts it uses: a layered base then settles in
             // two passes.
-            for (ri, plan) in plans.iter().enumerate().rev() {
-                let rule = &plan.compiled;
+            for (ri, rule) in rules.iter().enumerate().rev() {
                 let reach = &mut bits[slot(ri)];
                 for (lit, ir) in rule.source.body.iter().zip(&rule.body) {
                     if lit.is_builtin() {
@@ -144,15 +141,17 @@ pub struct TransformedIdb {
     pub step_preds: HashMap<Sym, Sym>,
     /// Recursive predicates that received the modified transformation.
     pub modified: Vec<Sym>,
-    /// The rewritten IDB compiled once — the same program representation
-    /// the `retrieve` executor runs. The tree enumerator reuses its
-    /// per-rule head/body slot maps to standardize rules apart and to
-    /// decide which tree formulas are expandable (leaf identification),
-    /// instead of re-deriving both from the textual rules at every node.
-    pub program: ProgramPlan,
+    /// The rewritten IDB's rules compiled once, parallel to `idb.rules()`:
+    /// the slot form the `retrieve` executor runs, without its join
+    /// plans, which no describe reads. The tree enumerator standardizes a
+    /// rule apart through its slot maps instead of re-collecting the
+    /// variables of the textual rule at every node.
+    pub compiled: Vec<CompiledRule>,
+    /// The predicate ids of `compiled`.
+    interner: Interner,
     /// Rule indexes grouped by head predicate, derived from the compiled
-    /// heads (parallel to `idb.rules()` / `program.plans()` order).
-    by_head: FxHashMap<Sym, Vec<usize>>,
+    /// heads (in `idb.rules()` order).
+    by_head: HashMap<Sym, Vec<usize>>,
     reach: ReachTable,
     /// Each rule's text, parallel to `idb.rules()`, rendered the first
     /// time a derivation step names the rule: what `explain` prints.
@@ -179,22 +178,25 @@ impl TransformedIdb {
         step_preds: HashMap<Sym, Sym>,
         modified: Vec<Sym>,
     ) -> TransformedIdb {
-        let program = ProgramPlan::compile(&idb);
-        let mut by_head: FxHashMap<Sym, Vec<usize>> = FxHashMap::default();
-        for (i, plan) in program.plans().iter().enumerate() {
-            by_head
-                .entry(plan.compiled.head.pred.clone())
-                .or_default()
-                .push(i);
+        let mut interner = Interner::new();
+        let compiled: Vec<CompiledRule> = idb
+            .rules()
+            .iter()
+            .map(|r| CompiledRule::compile(r, &mut interner))
+            .collect();
+        let mut by_head: HashMap<Sym, Vec<usize>> = HashMap::new();
+        for (i, rule) in compiled.iter().enumerate() {
+            by_head.entry(rule.head.pred.clone()).or_default().push(i);
         }
-        let reach = ReachTable::build(&program);
+        let reach = ReachTable::build(&compiled, interner.len());
         let rule_text = idb.rules().iter().map(|_| OnceLock::new()).collect();
         TransformedIdb {
             idb,
             kinds,
             step_preds,
             modified,
-            program,
+            compiled,
+            interner,
             by_head,
             reach,
             rule_text,
@@ -202,7 +204,7 @@ impl TransformedIdb {
     }
 
     /// Indexes of the rules whose head predicate is `pred`, in source
-    /// order — read off the compiled program, not recomputed by scanning
+    /// order — read off the compiled rules' heads, not recomputed by scanning
     /// the rule list.
     pub fn rule_indexes_for(&self, pred: &Sym) -> &[usize] {
         self.by_head.get(pred).map_or(&[], Vec::as_slice)
@@ -217,7 +219,7 @@ impl TransformedIdb {
     /// `preds` as a set to test rules' reach against. A predicate no rule
     /// mentions is reached by none, so it is left out.
     pub(crate) fn pred_set<'p>(&self, preds: impl IntoIterator<Item = &'p Sym>) -> PredSet {
-        let interner = self.program.interner();
+        let interner = &self.interner;
         let mut set = vec![0u64; self.reach.words];
         for id in preds
             .into_iter()
@@ -234,7 +236,7 @@ impl TransformedIdb {
     /// introduced are left out, as a closure over the source rules would
     /// not have them.
     pub(crate) fn closure<'p>(&self, roots: impl IntoIterator<Item = &'p Sym>) -> Vec<Sym> {
-        let interner = self.program.interner();
+        let interner = &self.interner;
         let words = self.reach.words;
         let mut seen = vec![0u64; words];
         let mut out: Vec<Sym> = Vec::new();

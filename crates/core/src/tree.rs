@@ -443,7 +443,7 @@ impl<'a> Enumerator<'a> {
         }
 
         // Root expansions, one per rule of the subject's predicate (read off
-        // the compiled program's head index) that can reach the hypothesis,
+        // the compiled rules' head index) that can reach the hypothesis,
         // in rule order. Each starts a fresh `VarGen`: fresh-variable names
         // need only be distinct within one derivation, and every rendering
         // canonicalizes them.
@@ -545,9 +545,7 @@ impl<'a> Enumerator<'a> {
         // same per-rule metadata the retrieve executor runs — instead of
         // re-collecting variables from the textual rule.
         let tidb = self.tidb;
-        let renamed = tidb.program.plans()[ri]
-            .compiled
-            .rename_apart(&mut self.gen);
+        let renamed = tidb.compiled[ri].rename_apart(&mut self.gen);
         let node_now = ctx.subst.apply_atom(node);
         let Some(mgu) = unify_atoms(&node_now, &renamed.head) else {
             return Vec::new();
