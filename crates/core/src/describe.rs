@@ -286,10 +286,11 @@ fn run_enumerator(
         // conjoined — the less-identified variant says nothing the
         // identified one plus the hypothesis does not.
         // Both subsumption sides are pure functions of one theorem, so
-        // each is prepared once — and only for a theorem that some pair
-        // the hypothesis-set guard admits actually tests: an answer set
-        // whose theorems all used the same hypothesis indexes (the common
-        // case) prepares nothing.
+        // each is prepared once, and only when some pair passes the
+        // hypothesis-set guard: an answer set whose theorems all used the
+        // same hypothesis indexes (the common case) prepares nothing. The
+        // augmented specific side is built only for a theorem that a
+        // guard pair tests.
         let guard = |a: &Theorem, b: &Theorem| {
             a.root_rule == b.root_rule
                 && a.used_hypothesis.len() > b.used_hypothesis.len()
@@ -301,14 +302,12 @@ fn run_enumerator(
             .collect();
         if !pairs.is_empty() {
             let mut augmented: Vec<Option<qdk_logic::Rule>> = vec![None; theorems.len()];
-            let mut tested = vec![false; theorems.len()];
-            for &(ai, bi) in &pairs {
+            for &(ai, _) in &pairs {
                 augmented[ai].get_or_insert_with(|| {
                     let mut aug = theorems[ai].rule.clone();
                     aug.body.extend(query.hypothesis.iter().cloned());
                     aug
                 });
-                tested[bi] = true;
             }
             let specifics: Vec<_> = augmented
                 .iter()
@@ -316,14 +315,13 @@ fn run_enumerator(
                 .collect();
             let generals: Vec<_> = theorems
                 .iter()
-                .zip(&tested)
-                .map(|(b, &tested)| tested.then(|| redundancy::prepare_general(&b.rule)))
+                .map(|b| redundancy::prepare_general(&b.rule))
                 .collect();
             let mut dominated = vec![false; theorems.len()];
             for (ai, bi) in pairs {
-                if let (Some(general), Some(specific)) = (&generals[bi], &specifics[ai]) {
+                if let Some(specific) = &specifics[ai] {
                     dominated[bi] =
-                        dominated[bi] || redundancy::subsumes_prepared(general, specific);
+                        dominated[bi] || redundancy::subsumes_prepared(&generals[bi], specific);
                 }
             }
             // The prepared sides borrow the theorems.
