@@ -383,6 +383,7 @@ pub fn remove_redundant(theorems: Vec<Theorem>, trans: &[Sym]) -> Vec<Theorem> {
     for e in buckets.values().flatten() {
         kept[e.arrival] = true;
     }
+    // The entries borrow the theorems.
     drop(buckets);
     theorems
         .into_iter()
