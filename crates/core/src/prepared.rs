@@ -141,6 +141,8 @@ impl PreparedIdb {
     /// rules of one of them reach (hypothesis literals surface in theorem
     /// bodies, so constraints over them prune answers too). The describe
     /// cache evicts an answer when a rule or constraint names one of these.
+    /// Predicates a rule reaches only through a negated literal count too:
+    /// an answer is evicted more often than it must be, never less.
     pub fn answer_closure(&self, query: &Describe) -> Vec<Sym> {
         self.rules.closure(
             std::iter::once(&query.subject.pred)
