@@ -436,3 +436,60 @@ fn describe_cache_eviction_depends_only_on_the_statements() {
     assert!(first.hits > 0 && first.misses > 256, "{first:?}");
     assert_eq!(run(), first);
 }
+
+/// The statements of the `compare` golden file: level-0 concepts of the
+/// policy rule base compared with each other and with level-1 concepts,
+/// one concept with itself under another variable, the paper's honor
+/// and Dean's-List students, and two `describe *` answers (the largest
+/// renders the policy rule base has).
+fn compare_transcript() -> String {
+    let mut out = String::new();
+    let mut record = |s: &mut Session, stmt: &str| {
+        let answer = s.run(stmt).unwrap();
+        write!(out, "== {stmt}\n{answer}").unwrap();
+    };
+    let mut policy = policy_session();
+    for stmt in [
+        "compare (describe pol0_5(X)) with (describe pol0_5(A)).",
+        "compare (describe pol0_84(X)) with (describe pol0_84(X)).",
+        "compare (describe pol0_3(X)) with (describe pol0_41(X)).",
+        "compare (describe pol0_17(X)) with (describe pol0_60(X)).",
+        "compare (describe pol0_92(X)) with (describe pol0_8(X)).",
+        "compare (describe pol0_29(X)) with (describe pol0_70(X)).",
+        "compare (describe pol0_12(X)) with (describe pol1_19(X)).",
+        "compare (describe pol0_55(X)) with (describe pol1_55(X)).",
+        "compare (describe pol1_33(X)) with (describe pol0_2(X)).",
+        "describe * where attr3(X, V) and V > 5.",
+        "describe * where attr17(X, V) and V > 2.",
+    ] {
+        record(&mut policy, stmt);
+    }
+    let mut university = Session::over(qdk::datasets::university_extended());
+    record(
+        &mut university,
+        "compare (describe honor(X)) with (describe deans_list(X)).",
+    );
+    out
+}
+
+/// `compare` and `describe *` answers are pinned byte for byte in
+/// `tests/data/compare.golden`: how `compare` finds the shared concept
+/// and how a theorem is written are free to change, the text is not.
+#[test]
+fn compare_and_wildcard_text_match_the_golden_file() {
+    let golden = include_str!("data/compare.golden");
+    let actual = compare_transcript();
+    if actual != golden {
+        let line = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "compare text differs from tests/data/compare.golden at line {}:\n  got:  {:?}\n  want: {:?}",
+            line + 1,
+            actual.lines().nth(line),
+            golden.lines().nth(line)
+        );
+    }
+}
