@@ -176,7 +176,7 @@ impl Theorem {
 
 impl fmt::Display for Theorem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&pretty::answer_rule(&self.rule))
+        fmt::Display::fmt(&pretty::AnswerRule(&self.rule), f)
     }
 }
 

@@ -58,7 +58,7 @@ impl fmt::Display for CompletenessReport {
                 self.candidates
             )?;
             for r in &self.missing {
-                writeln!(f, "  {}", qdk_logic::pretty::answer_rule(r))?;
+                writeln!(f, "  {}", qdk_logic::pretty::AnswerRule(r))?;
             }
             Ok(())
         }

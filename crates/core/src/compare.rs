@@ -20,9 +20,11 @@ use crate::config::DescribeOptions;
 use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::expand::{expand_conjunction, Conjunct};
-use crate::redundancy::semantic_subsumes;
-use qdk_logic::{Atom, Literal, Rule, Subst, Term};
+use crate::redundancy::{prepare_general, prepare_specific, subsumes_prepared};
+use qdk_logic::fasthash::FxMixHashMap;
+use qdk_logic::{Atom, Const, Literal, Rule, Subst, Term};
 use std::fmt;
+use std::hash::Hash;
 
 /// The relationship between two compared concepts.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,27 +115,42 @@ pub fn compare(
         })
         .collect();
 
-    let d1 = definitions(idb, first, opts)?;
-    let d2: Vec<Conjunct> = definitions(idb, second, opts)?
+    // Each conjunct becomes the body of a rule with the shared head.
+    let head = Atom::new("_cmp", first.subject.args.clone());
+    let as_rule = |c: Conjunct| Rule::with_literals(head.clone(), c);
+    let d1: Vec<Rule> = definitions(idb, first, opts)?
         .into_iter()
-        .map(|c| c.iter().map(|l| align.apply_literal(l)).collect())
+        .map(as_rule)
         .collect();
+    let mut d2 = definitions(idb, second, opts)?;
+    if !align.is_empty() {
+        for l in d2.iter_mut().flatten() {
+            *l = align.apply_literal(l);
+        }
+    }
+    let d2: Vec<Rule> = d2.into_iter().map(as_rule).collect();
 
     // Subsumption of DNFs: D ≤ D' when every conjunct of D is subsumed by
     // some conjunct of D' (then D implies D', i.e. D' is more general).
-    let head = Atom::new("_cmp", first.subject.args.clone());
-    let as_rule = |c: &Conjunct| Rule::with_literals(head.clone(), c.clone());
-    let dnf_le = |specific: &[Conjunct], general: &[Conjunct]| {
-        specific.iter().all(|cs| {
-            general
-                .iter()
-                .any(|cg| semantic_subsumes(&as_rule(cg), &as_rule(cs), &[]))
+    // Each conjunct is prepared once per role, not once per pair. The
+    // order general conjuncts are tried in cannot change the outcome, so
+    // the one at the specific conjunct's own position goes first: a
+    // concept compared with itself, or with a variant of itself, pairs
+    // its conjuncts position by position.
+    let dnf_le = |specific: &[Rule], general: &[Rule]| {
+        let general: Vec<_> = general.iter().map(prepare_general).collect();
+        specific.iter().enumerate().all(|(j, cs)| {
+            let cs = prepare_specific(cs, &[]);
+            let (before, from) = general.split_at(j.min(general.len()));
+            from.iter()
+                .chain(before)
+                .any(|cg| subsumes_prepared(cg, &cs))
         })
     };
     let first_ge_second = dnf_le(&d2, &d1); // first subsumes second
     let second_ge_first = dnf_le(&d1, &d2);
 
-    let (shared, only_first, only_second) = best_pair(&d1, &d2);
+    let (shared, only_first, only_second) = best_pair(&bodies(&d1), &bodies(&d2));
 
     let relationship = match (first_ge_second, second_ge_first) {
         (true, true) => Relationship::Equivalent,
@@ -166,6 +183,10 @@ pub fn compare(
     })
 }
 
+fn bodies(rules: &[Rule]) -> Vec<&[Literal]> {
+    rules.iter().map(|r| r.body.as_slice()).collect()
+}
+
 /// The concept of a describe statement: the subject's expansions with the
 /// hypothesis atoms conjoined.
 fn definitions(
@@ -176,8 +197,8 @@ fn definitions(
     let mut atoms = vec![d.subject.clone()];
     atoms.extend(d.hypothesis.iter().map(|l| l.atom.clone()));
     // Expand the subject (and any IDB hypothesis atoms) together so shared
-    // variables stay shared; drop the leading subject occurrence from each
-    // result? The subject is IDB-defined, so expansion replaces it.
+    // variables stay shared. The subject is IDB-defined, so expansion
+    // replaces it.
     expand_conjunction(idb, &atoms, opts)
 }
 
@@ -189,66 +210,363 @@ fn literal_key(l: &Literal) -> LiteralKey<'_> {
     (l.positive, l.atom.pred.as_str(), l.atom.arity())
 }
 
-/// A conjunct's literals counted by [`LiteralKey`], sorted by key.
-fn signature(c: &Conjunct) -> Vec<(LiteralKey<'_>, usize)> {
-    let mut keys: Vec<LiteralKey<'_>> = c.iter().map(literal_key).collect();
-    keys.sort_unstable();
-    let mut sig: Vec<(LiteralKey<'_>, usize)> = Vec::new();
-    for k in keys {
-        match sig.last_mut() {
-            Some((last, n)) if *last == k => *n += 1,
-            _ => sig.push((k, 1)),
-        }
-    }
-    sig
+/// A term as [`Numbering`] numbers it: a variable's number, or a
+/// constant's with [`CONST`] set.
+type Code = u32;
+
+const CONST: Code = 1 << 31;
+
+/// Numbers the literal keys, variables and constants of both sides
+/// alike. A variable's number depends on its name only, so a name on
+/// both sides is one variable, as it is to [`shared_concept`]'s
+/// substitution.
+#[derive(Default)]
+struct Numbering<'a> {
+    keys: FxMixHashMap<LiteralKey<'a>, u32>,
+    vars: FxMixHashMap<&'a str, u32>,
+    consts: FxMixHashMap<&'a Const, u32>,
 }
 
-/// The size of the multiset intersection of two signatures: an upper
-/// bound on how many literals [`shared_concept`] can pair up, since it
-/// pairs each literal at most once and only with one of the same key.
-fn overlap(a: &[(LiteralKey<'_>, usize)], b: &[(LiteralKey<'_>, usize)]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += a[i].1.min(b[j].1);
-                i += 1;
-                j += 1;
+/// `key`'s number in `map`, the next free one if it has none yet.
+fn number<K: Hash + Eq>(map: &mut FxMixHashMap<K, u32>, key: K) -> u32 {
+    let next = map.len() as u32;
+    *map.entry(key).or_insert(next)
+}
+
+impl<'a> Numbering<'a> {
+    fn key(&mut self, l: &'a Literal) -> u32 {
+        number(&mut self.keys, literal_key(l))
+    }
+
+    /// Appends the codes of `l`'s arguments to `out`.
+    fn args(&mut self, l: &'a Literal, out: &mut Vec<Code>) {
+        for t in &l.atom.args {
+            out.push(match t {
+                Term::Var(v) => number(&mut self.vars, v.name()),
+                Term::Const(k) => CONST | number(&mut self.consts, k),
+            });
+        }
+    }
+}
+
+/// The second side's conjuncts, numbered once. Each conjunct's literals
+/// are grouped by key, a key's literals in conjunct order: the order in
+/// which [`shared_concept`] tries them.
+struct SecondSide {
+    /// Per conjunct, and one past the last: where its blocks start.
+    block_start: Vec<u32>,
+    /// Per conjunct, one block per key it has, sorted by key.
+    blocks: Vec<Block>,
+    /// Each block's arguments, literal after literal.
+    args: Vec<Code>,
+    literals: usize,
+}
+
+/// The literals of one key in one conjunct.
+#[derive(Clone, Copy)]
+struct Block {
+    key: u32,
+    /// The number of the block's first literal among all of the side's.
+    first: u32,
+    len: u32,
+    arity: u32,
+    /// Where the first literal's arguments start in [`SecondSide::args`].
+    args: u32,
+}
+
+impl SecondSide {
+    fn new<'a>(d2: &[&'a [Literal]], numbering: &mut Numbering<'a>) -> Self {
+        let args = d2
+            .iter()
+            .flat_map(|c| c.iter())
+            .map(|l| l.atom.arity())
+            .sum();
+        let mut side = SecondSide {
+            block_start: vec![0],
+            blocks: Vec::new(),
+            args: Vec::with_capacity(args),
+            literals: 0,
+        };
+        let mut order: Vec<(u32, usize)> = Vec::new();
+        for c in d2 {
+            order.clear();
+            order.extend(c.iter().enumerate().map(|(i, l)| (numbering.key(l), i)));
+            order.sort_unstable();
+            let first_block = side.blocks.len();
+            for &(key, i) in &order {
+                let l = &c[i];
+                match side.blocks[first_block..].last_mut() {
+                    Some(block) if block.key == key => block.len += 1,
+                    _ => side.blocks.push(Block {
+                        key,
+                        first: side.literals as u32,
+                        len: 1,
+                        arity: l.atom.arity() as u32,
+                        args: side.args.len() as u32,
+                    }),
+                }
+                numbering.args(l, &mut side.args);
+                side.literals += 1;
+            }
+            side.block_start.push(side.blocks.len() as u32);
+        }
+        side
+    }
+
+    fn blocks(&self, c: usize) -> &[Block] {
+        &self.blocks[self.block_start[c] as usize..self.block_start[c + 1] as usize]
+    }
+}
+
+/// One first-side conjunct, numbered in its own order.
+#[derive(Default)]
+struct FirstConjunct {
+    keys: Vec<u32>,
+    /// Per literal, and one past the last: where its arguments start.
+    arg_start: Vec<u32>,
+    args: Vec<Code>,
+}
+
+impl FirstConjunct {
+    fn number<'a>(&mut self, c: &'a [Literal], numbering: &mut Numbering<'a>) {
+        self.keys.clear();
+        self.arg_start.clear();
+        self.args.clear();
+        for l in c {
+            self.keys.push(numbering.key(l));
+            self.arg_start.push(self.args.len() as u32);
+            numbering.args(l, &mut self.args);
+        }
+        self.arg_start.push(self.args.len() as u32);
+    }
+
+    fn args(&self, i: usize) -> &[Code] {
+        &self.args[self.arg_start[i] as usize..self.arg_start[i + 1] as usize]
+    }
+}
+
+/// [`shared_concept`]'s greedy match, counted instead of built: the
+/// substitution is a union-find over numbered variables whose roots may
+/// be bound to a constant, undone from a trail after each attempt.
+/// Nothing is allocated per pair.
+struct Matcher {
+    parent: Vec<u32>,
+    size: Vec<u32>,
+    /// Per root: the constant it is bound to, or 0.
+    bound: Vec<Code>,
+    trail: Vec<Undo>,
+    /// Per second-side literal: paired up in the current count.
+    used: Vec<bool>,
+    /// Per key: how many literals of the first-side conjunct have it.
+    counts: Vec<u32>,
+    /// Per key: the second-side conjunct last counted against, and the
+    /// index of the key's block in it.
+    block: Vec<(usize, usize)>,
+}
+
+/// One union-find change, as the trail records it.
+enum Undo {
+    /// A root was linked under another root.
+    Link(u32),
+    /// A root was bound to a constant.
+    Bind(u32),
+}
+
+impl Matcher {
+    fn new(side: &SecondSide) -> Self {
+        Matcher {
+            parent: Vec::new(),
+            size: Vec::new(),
+            bound: Vec::new(),
+            trail: Vec::new(),
+            used: vec![false; side.literals],
+            counts: Vec::new(),
+            block: Vec::new(),
+        }
+    }
+
+    /// Makes room for every key and variable numbered so far, and counts
+    /// the keys of `first`, the conjunct [`Matcher::overlap`] reads.
+    fn set_first(&mut self, first: &FirstConjunct, numbering: &Numbering) {
+        for v in self.parent.len() as u32..numbering.vars.len() as u32 {
+            self.parent.push(v);
+            self.size.push(1);
+            self.bound.push(0);
+        }
+        self.counts.resize(numbering.keys.len(), 0);
+        self.block.resize(numbering.keys.len(), (usize::MAX, 0));
+        for &key in &first.keys {
+            self.counts[key as usize] += 1;
+        }
+    }
+
+    /// Undoes [`Matcher::set_first`]'s count.
+    fn clear_first(&mut self, first: &FirstConjunct) {
+        for &key in &first.keys {
+            self.counts[key as usize] = 0;
+        }
+    }
+
+    /// The size of the multiset intersection of the keys of the first-side
+    /// conjunct and of `c2`: an upper bound on how many literals
+    /// [`shared_concept`] can pair up, since it pairs each literal at most
+    /// once and only with one of the same key.
+    fn overlap(&self, side: &SecondSide, c2: usize) -> usize {
+        side.blocks(c2)
+            .iter()
+            .map(|b| self.counts[b.key as usize].min(b.len) as usize)
+            .sum()
+    }
+
+    /// A variable's root or, if the root is bound, its constant.
+    fn resolve(&self, t: Code) -> Code {
+        if t & CONST != 0 {
+            return t;
+        }
+        let mut root = t;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
+        }
+        match self.bound[root as usize] {
+            0 => root,
+            constant => constant,
+        }
+    }
+
+    fn unify(&mut self, a: Code, b: Code) -> bool {
+        let (a, b) = (self.resolve(a), self.resolve(b));
+        if a == b {
+            return true;
+        }
+        match (a & CONST != 0, b & CONST != 0) {
+            (true, true) => false,
+            (false, true) | (true, false) => {
+                let (root, constant) = if a & CONST == 0 { (a, b) } else { (b, a) };
+                self.bound[root as usize] = constant;
+                self.trail.push(Undo::Bind(root));
+                true
+            }
+            (false, false) => {
+                let (child, root) = if self.size[a as usize] < self.size[b as usize] {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                self.parent[child as usize] = root;
+                self.size[root as usize] += self.size[child as usize];
+                self.trail.push(Undo::Link(child));
+                true
             }
         }
     }
-    n
+
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            match self.trail.pop() {
+                Some(Undo::Link(child)) => {
+                    let root = self.parent[child as usize];
+                    self.size[root as usize] -= self.size[child as usize];
+                    self.parent[child as usize] = child;
+                }
+                Some(Undo::Bind(root)) => self.bound[root as usize] = 0,
+                None => {}
+            }
+        }
+    }
+
+    /// How many literals [`shared_concept`] pairs up between the
+    /// first-side conjunct and conjunct `c2` — or any count no greater
+    /// than `beat`, once the literals left cannot lift the count above
+    /// it. Each first-side literal tries only the literals of `c2` with
+    /// its key, in `c2`'s order.
+    fn count(&mut self, first: &FirstConjunct, side: &SecondSide, c2: usize, beat: usize) -> usize {
+        let blocks = side.blocks(c2);
+        for (b, block) in blocks.iter().enumerate() {
+            self.block[block.key as usize] = (c2, b);
+        }
+        let n = first.keys.len();
+        let mut matched = 0;
+        for i in 0..n {
+            if matched + (n - i) <= beat {
+                break;
+            }
+            let (stamp, b) = self.block[first.keys[i] as usize];
+            if stamp != c2 {
+                continue;
+            }
+            let block = blocks[b];
+            let arity = block.arity as usize;
+            for p in 0..block.len as usize {
+                let j = block.first as usize + p;
+                if self.used[j] {
+                    continue;
+                }
+                let at = block.args as usize + p * arity;
+                let theirs = &side.args[at..at + arity];
+                let mark = self.trail.len();
+                if first
+                    .args(i)
+                    .iter()
+                    .zip(theirs)
+                    .all(|(&x, &y)| self.unify(x, y))
+                {
+                    self.used[j] = true;
+                    matched += 1;
+                    break;
+                }
+                self.undo_to(mark);
+            }
+        }
+        self.undo_to(0);
+        for block in blocks {
+            let first = block.first as usize;
+            self.used[first..first + block.len as usize].fill(false);
+        }
+        matched
+    }
 }
 
 /// The maximal shared concept over the best pair of conjuncts, with each
 /// side's residue: the first pair (in `d1`-major order) whose shared
-/// literal count is the maximum. A pair whose signature overlap cannot
-/// exceed the best count found so far is skipped without being matched.
-/// When no pair shares anything the last pair's conjuncts are the
-/// residues.
-fn best_pair(d1: &[Conjunct], d2: &[Conjunct]) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
-    let sig2: Vec<_> = d2.iter().map(signature).collect();
+/// literal count is the maximum. Pairs are compared by count alone (a
+/// pair whose key overlap cannot exceed the best count found so far is
+/// not even counted); only the winning pair's literals are built. When no
+/// pair shares anything the last pair's conjuncts are the residues.
+fn best_pair<'a>(
+    d1: &[&'a [Literal]],
+    d2: &[&'a [Literal]],
+) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
+    let mut numbering = Numbering::default();
+    let side = SecondSide::new(d2, &mut numbering);
+    let mut first = FirstConjunct::default();
+    let mut matcher = Matcher::new(&side);
     let mut best = None;
     let mut best_len = 0;
-    for c1 in d1 {
-        let sig1 = signature(c1);
-        for (c2, sig2) in d2.iter().zip(&sig2) {
-            if overlap(&sig1, sig2) <= best_len {
+    for (i, c1) in d1.iter().enumerate() {
+        if c1.len() <= best_len {
+            continue;
+        }
+        first.number(c1, &mut numbering);
+        matcher.set_first(&first, &numbering);
+        for (j, c2) in d2.iter().enumerate() {
+            if c2.len() <= best_len || matcher.overlap(&side, j) <= best_len {
                 continue;
             }
-            let found = shared_concept(c1, c2);
-            if found.0.len() > best_len {
-                best_len = found.0.len();
-                best = Some(found);
+            let found = matcher.count(&first, &side, j, best_len);
+            if found > best_len {
+                best_len = found;
+                best = Some((i, j));
             }
         }
+        matcher.clear_first(&first);
     }
-    best.unwrap_or_else(|| match (d1.last(), d2.last()) {
-        (Some(c1), Some(c2)) => (Vec::new(), c1.clone(), c2.clone()),
-        _ => Default::default(),
-    })
+    match best {
+        Some((i, j)) => shared_concept(d1[i], d2[j]),
+        None => match (d1.last(), d2.last()) {
+            (Some(c1), Some(c2)) => (Vec::new(), c1.to_vec(), c2.to_vec()),
+            _ => Default::default(),
+        },
+    }
 }
 
 /// The unpruned search [`best_pair`] must agree with: every pair matched,
@@ -256,8 +574,8 @@ fn best_pair(d1: &[Conjunct], d2: &[Conjunct]) -> (Vec<Literal>, Vec<Literal>, V
 /// shares anything.
 #[cfg(test)]
 fn best_pair_exhaustive(
-    d1: &[Conjunct],
-    d2: &[Conjunct],
+    d1: &[&[Literal]],
+    d2: &[&[Literal]],
 ) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
     let mut best: (usize, Vec<Literal>, Vec<Literal>, Vec<Literal>) =
         (0, Vec::new(), Vec::new(), Vec::new());
@@ -276,7 +594,7 @@ fn best_pair_exhaustive(
 /// unifies a literal of `c1` with one of `c2` under a threaded
 /// substitution, then reports residues. The shared concept is the
 /// unified (most general common) form.
-fn shared_concept(c1: &Conjunct, c2: &Conjunct) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
+fn shared_concept(c1: &[Literal], c2: &[Literal]) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
     let mut shared = Vec::new();
     let mut used2 = vec![false; c2.len()];
     let mut subst = Subst::new();
@@ -453,15 +771,24 @@ mod tests {
     use proptest::prelude::*;
 
     /// Literals over a small vocabulary, so conjuncts collide on sign,
-    /// predicate and arity often enough for unification to matter.
+    /// predicate and arity often enough for unification to matter. `4`
+    /// and `4.0` are one constant; `_0` is a fresh name, shared by both
+    /// sides as the two expansions' fresh names are.
     fn arb_literal() -> impl Strategy<Value = Literal> {
         let term = prop_oneof![
-            prop_oneof![Just("X"), Just("Y"), Just("Z")].prop_map(Term::var),
-            prop_oneof![Just("a"), Just("b")].prop_map(|c| Term::Const(qdk_logic::Const::sym(c))),
+            prop_oneof![Just("X"), Just("Y"), Just("Z"), Just("U"), Just("_0")]
+                .prop_map(|v| Term::Var(qdk_logic::Var::new(v))),
+            prop_oneof![
+                Just(Const::sym("a")),
+                Just(Const::sym("b")),
+                Just(Const::Int(4)),
+                Just(Const::Num(4.0))
+            ]
+            .prop_map(Term::Const),
         ];
         (
             prop_oneof![Just("p"), Just("q"), Just("r"), Just("s")],
-            proptest::collection::vec(term, 1..3),
+            proptest::collection::vec(term, 0..4),
             0u8..4,
         )
             .prop_map(|(pred, args, sign)| Literal {
@@ -470,15 +797,22 @@ mod tests {
             })
     }
 
+    fn slices(d: &[Conjunct]) -> Vec<&[Literal]> {
+        d.iter().map(Vec::as_slice).collect()
+    }
+
     fn arb_dnf() -> impl Strategy<Value = Vec<Conjunct>> {
-        proptest::collection::vec(proptest::collection::vec(arb_literal(), 0..5), 0..5)
+        proptest::collection::vec(proptest::collection::vec(arb_literal(), 0..7), 0..5)
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         /// The pruned best-pair search is the exhaustive one: same shared
         /// concept, same residues, same tie-breaks.
         #[test]
         fn pruned_best_pair_matches_exhaustive(d1 in arb_dnf(), d2 in arb_dnf()) {
+            let (d1, d2) = (slices(&d1), slices(&d2));
             prop_assert_eq!(best_pair(&d1, &d2), best_pair_exhaustive(&d1, &d2));
         }
 
@@ -497,6 +831,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            let (d1, d2) = (slices(&d1), slices(&d2));
             let pruned = best_pair(&d1, &d2);
             prop_assert!(pruned.0.is_empty());
             prop_assert_eq!(pruned, best_pair_exhaustive(&d1, &d2));

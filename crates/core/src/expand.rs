@@ -10,28 +10,26 @@
 
 use crate::config::DescribeOptions;
 use crate::error::Result;
+use crate::tree::Chain;
 use qdk_engine::Idb;
 use qdk_logic::governor::Governor;
-use qdk_logic::{rename_rule_apart, unify_atoms, Atom, Literal, Subst, VarGen};
-use std::collections::HashMap;
+use qdk_logic::{unify_atoms, Atom, Literal, Rule, Subst, Sym, Term, Var, VarGen};
+use std::sync::Arc;
 
 /// One conjunctive definition: a conjunction of EDB atoms and comparisons.
 pub type Conjunct = Vec<Literal>;
 
-/// Applies the final substitution and restores the user's vocabulary: a
-/// user variable that unified with a fresh rule variable is renamed back.
-fn finalize(conj: &Conjunct, subst: &Subst, user_vars: &[qdk_logic::Var]) -> Conjunct {
-    let mut inversion = Subst::new();
-    for v in user_vars {
-        if let qdk_logic::Term::Var(f) = subst.apply_term(&qdk_logic::Term::Var(v.clone())) {
-            if f.is_fresh() && inversion.get(&f).is_none() {
-                inversion.bind(f, qdk_logic::Term::Var(v.clone()));
-            }
-        }
-    }
-    let full = subst.compose(&inversion);
-    conj.iter().map(|l| full.apply_literal(l)).collect()
+/// A conjunction under construction: where its literals are, and the
+/// substitution threaded through them. Extending it shares both with
+/// every other conjunction extended from the same one.
+#[derive(Clone, Default)]
+struct Partial {
+    literals: Chain<Place>,
+    subst: Arc<Subst>,
 }
+
+/// A literal of [`Expander::bodies`]: body `.0`, literal `.1`.
+type Place = (usize, usize);
 
 /// Expands a conjunction of atoms into its DNF of extensional
 /// definitions: the cross product of its atoms' expansions, threading one
@@ -51,8 +49,6 @@ pub fn expand_conjunction(
     atoms: &[Atom],
     opts: &DescribeOptions,
 ) -> Result<Vec<Conjunct>> {
-    let mut gen = VarGen::new();
-    let mut gov = opts.governor();
     let mut user_vars = Vec::new();
     for a in atoms {
         for v in a.vars() {
@@ -61,101 +57,194 @@ pub fn expand_conjunction(
             }
         }
     }
-    let mut frontier: Vec<(Conjunct, Subst)> = vec![(Vec::new(), Subst::new())];
-    for atom in atoms {
+    let top: Arc<[Literal]> = atoms.iter().cloned().map(Literal::pos).collect();
+    let mut x = Expander {
+        idb,
+        max_unfold: opts.untyped_rule_limit + 1,
+        unfolding: Vec::new(),
+        bodies: vec![top.clone()],
+        gen: VarGen::new(),
+        gov: opts.governor(),
+    };
+    let mut frontier = vec![Partial::default()];
+    for (i, lit) in top.iter().enumerate() {
         let mut next = Vec::new();
-        for (prefix, subst) in &frontier {
-            expand_rec(
-                idb,
-                atom,
-                subst,
-                &HashMap::new(),
-                opts.untyped_rule_limit + 1,
-                &mut gen,
-                &mut gov,
-                &mut |conj, s| {
-                    let mut combined = prefix.clone();
-                    combined.extend(conj.iter().cloned());
-                    next.push((combined, s.clone()));
-                },
-            )?;
+        for partial in &frontier {
+            x.expand(lit, (0, i), partial, &mut next)?;
         }
         frontier = next;
     }
     Ok(frontier
-        .into_iter()
-        .map(|(conj, subst)| finalize(&conj, &subst, &user_vars))
+        .iter()
+        .map(|partial| x.finalize(partial, &user_vars))
         .collect())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn expand_rec(
-    idb: &Idb,
-    atom: &Atom,
-    subst: &Subst,
-    depth_of: &HashMap<String, usize>,
+/// The state of one expansion: the fresh-variable generator and governor
+/// it threads through, every rule body it has renamed, and the
+/// predicates being unfolded on the current branch, innermost last.
+struct Expander<'i> {
+    idb: &'i Idb,
     max_unfold: usize,
-    gen: &mut VarGen,
-    gov: &mut Governor,
-    emit: &mut dyn FnMut(&Conjunct, &Subst),
-) -> Result<()> {
-    gov.tick()?;
-    let pred = atom.pred.as_str();
-    if atom.is_builtin() || !idb.defines(pred) {
-        emit(&vec![Literal::pos(atom.clone())], subst);
-        return Ok(());
-    }
-    let unfolds = depth_of.get(pred).copied().unwrap_or(0);
-    if unfolds >= max_unfold {
-        // Cap reached: leave the atom folded (it names the concept).
-        emit(&vec![Literal::pos(atom.clone())], subst);
-        return Ok(());
-    }
-    let mut depth2 = depth_of.clone();
-    *depth2.entry(pred.to_string()).or_insert(0) += 1;
+    unfolding: Vec<Sym>,
+    /// The expanded atoms (as positive literals), then each renamed
+    /// rule's body.
+    bodies: Vec<Arc<[Literal]>>,
+    gen: VarGen,
+    gov: Governor,
+}
 
-    let rules: Vec<_> = idb.rules_for(pred).cloned().collect();
-    for rule in rules {
-        let (renamed, _) = rename_rule_apart(&rule, gen);
-        let atom_now = subst.apply_atom(atom);
-        let Some(mgu) = unify_atoms(&atom_now, &renamed.head) else {
-            continue;
-        };
-        let s0 = subst.compose(&mgu);
-        // Expand the body atoms sequentially under the threaded subst.
-        let mut frontier: Vec<(Conjunct, Subst)> = vec![(Vec::new(), s0)];
-        for lit in &renamed.body {
-            if !lit.positive {
-                // Negative literals pass through unexpanded.
-                for (conj, _) in &mut frontier {
-                    conj.push(lit.clone());
-                }
-                continue;
-            }
-            let mut next = Vec::new();
-            for (prefix, s) in &frontier {
-                expand_rec(
-                    idb,
-                    &lit.atom,
-                    s,
-                    &depth2,
-                    max_unfold,
-                    gen,
-                    gov,
-                    &mut |conj, s2| {
-                        let mut combined = prefix.clone();
-                        combined.extend(conj.iter().cloned());
-                        next.push((combined, s2.clone()));
-                    },
-                )?;
-            }
-            frontier = next;
+impl Expander<'_> {
+    /// Pushes onto `out` each extension of `partial` by one expansion of
+    /// `lit`'s atom, found at `place`, in rule order. Every expansion of
+    /// the atom is found (and its rules renamed apart) before the caller
+    /// expands the next atom, so fresh names follow the breadth of the
+    /// conjunction.
+    fn expand(
+        &mut self,
+        lit: &Literal,
+        place: Place,
+        partial: &Partial,
+        out: &mut Vec<Partial>,
+    ) -> Result<()> {
+        self.gov.tick()?;
+        let atom = &lit.atom;
+        let pred = &atom.pred;
+        let unfolds = self.unfolding.iter().filter(|p| *p == pred).count();
+        if atom.is_builtin() || !self.idb.defines(pred.as_str()) || unfolds >= self.max_unfold {
+            // Extensional, or the cap is reached: the atom stays folded
+            // (it names the concept).
+            out.push(Partial {
+                literals: partial.literals.push(place),
+                subst: partial.subst.clone(),
+            });
+            return Ok(());
         }
-        for (conj, s) in frontier {
-            emit(&conj, &s);
-        }
+        self.unfolding.push(pred.clone());
+        let result = self.expand_rules(atom, partial, out);
+        self.unfolding.pop();
+        result
     }
-    Ok(())
+
+    fn expand_rules(
+        &mut self,
+        atom: &Atom,
+        partial: &Partial,
+        out: &mut Vec<Partial>,
+    ) -> Result<()> {
+        let idb = self.idb;
+        let atom_now = partial.subst.apply_atom(atom);
+        for rule in idb.rules_for(atom.pred.as_str()) {
+            let (head, body) = rename_apart(rule, &mut self.gen);
+            let Some(mgu) = unify_atoms(&atom_now, &head) else {
+                continue;
+            };
+            let b = self.bodies.len();
+            self.bodies.push(body.clone());
+            // Expand the body atoms sequentially under the threaded subst.
+            let mut frontier = vec![Partial {
+                literals: partial.literals.clone(),
+                subst: Arc::new(partial.subst.compose(&mgu)),
+            }];
+            for (i, lit) in body.iter().enumerate() {
+                if !lit.positive {
+                    // Negative literals pass through unexpanded.
+                    for p in &mut frontier {
+                        p.literals = p.literals.push((b, i));
+                    }
+                    continue;
+                }
+                let mut next = Vec::new();
+                for p in &frontier {
+                    self.expand(lit, (b, i), p, &mut next)?;
+                }
+                frontier = next;
+            }
+            out.append(&mut frontier);
+        }
+        Ok(())
+    }
+
+    /// Writes out a finished conjunction: its final substitution applied,
+    /// then the user's vocabulary restored (a user variable that unified
+    /// with a fresh rule variable is renamed back).
+    fn finalize(&self, partial: &Partial, user_vars: &[Var]) -> Conjunct {
+        // The substitution holds a binding or so per unfolded rule: a
+        // scan finds one faster than a hash lookup would.
+        let bindings: Vec<(&Var, &Term)> = partial.subst.iter().collect();
+        let apply = |t: &Term| -> Term {
+            match t {
+                Term::Var(v) => bindings
+                    .iter()
+                    .find(|(w, _)| *w == v)
+                    .map_or_else(|| t.clone(), |(_, to)| (*to).clone()),
+                constant => constant.clone(),
+            }
+        };
+        let mut inversion: Vec<(Var, Term)> = Vec::new();
+        for v in user_vars {
+            if let Term::Var(f) = apply(&Term::Var(v.clone())) {
+                if f.is_fresh() && !inversion.iter().any(|(g, _)| *g == f) {
+                    inversion.push((f, Term::Var(v.clone())));
+                }
+            }
+        }
+        let restore = |t: Term| -> Term {
+            match inversion
+                .iter()
+                .find(|(w, _)| matches!(&t, Term::Var(v) if v == w))
+            {
+                Some((_, to)) => to.clone(),
+                None => t,
+            }
+        };
+        let mut conjunct = Vec::with_capacity(partial.literals.len());
+        conjunct.extend(partial.literals.items_from(0).map(|&(b, i)| {
+            let lit = &self.bodies[b][i];
+            Literal {
+                positive: lit.positive,
+                atom: Atom {
+                    pred: lit.atom.pred.clone(),
+                    args: lit.atom.args.iter().map(|t| restore(apply(t))).collect(),
+                },
+            }
+        }));
+        conjunct
+    }
+}
+
+/// The rule with every variable renamed to a fresh one, in order of first
+/// occurrence (head first): the names `rename_rule_apart` gives.
+fn rename_apart<'r>(rule: &'r Rule, gen: &mut VarGen) -> (Atom, Arc<[Literal]>) {
+    let mut fresh: Vec<(&'r Var, Term)> = Vec::new();
+    let mut rename = |a: &'r Atom| Atom {
+        pred: a.pred.clone(),
+        args: a
+            .args
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => match fresh.iter().find(|(w, _)| *w == v) {
+                    Some((_, f)) => f.clone(),
+                    None => {
+                        let f = Term::Var(gen.fresh_from(v));
+                        fresh.push((v, f.clone()));
+                        f
+                    }
+                },
+                constant => constant.clone(),
+            })
+            .collect(),
+    };
+    let head = rename(&rule.head);
+    let body = rule
+        .body
+        .iter()
+        .map(|l| Literal {
+            positive: l.positive,
+            atom: rename(&l.atom),
+        })
+        .collect();
+    (head, body)
 }
 
 #[cfg(test)]

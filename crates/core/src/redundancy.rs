@@ -19,17 +19,28 @@ use crate::Theorem;
 use qdk_logic::{match_atom, Atom, Literal, Rule, Subst, Sym, Term, Var};
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A literal's shape: predicate, arity, polarity. A general literal can
 /// only map onto a specific literal of the same shape, so shape sets give
 /// a subsumption prefilter that never changes the decision.
 type Shape = (Sym, usize, bool);
 
-fn shapes<'a>(lits: impl Iterator<Item = &'a Literal>) -> BTreeSet<Shape> {
-    lits.filter(|l| !l.is_builtin())
+/// The shapes of `lits`' database literals, sorted and deduplicated.
+fn shapes<'a>(lits: impl Iterator<Item = &'a Literal>) -> Vec<Shape> {
+    let mut shapes: Vec<Shape> = lits
+        .filter(|l| !l.is_builtin())
         .map(|l| (l.atom.pred.clone(), l.atom.arity(), l.positive))
-        .collect()
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    shapes
+}
+
+/// True if every shape of `a` is one of `b`'s; both sorted.
+fn is_subset(a: &[Shape], b: &[Shape]) -> bool {
+    let mut b = b.iter();
+    a.iter().all(|x| b.any(|y| y == x))
 }
 
 /// Standardizes a rule apart with reserved names (same trick as
@@ -101,7 +112,7 @@ pub struct PreparedGeneral<'r> {
     /// Shapes of the body's database literals — must be a subset of the
     /// specific side's [`PreparedSpecific::shapes`] for subsumption to be
     /// possible.
-    shapes: BTreeSet<Shape>,
+    shapes: Vec<Shape>,
     standardized: OnceCell<Standardized>,
 }
 
@@ -134,7 +145,7 @@ pub struct PreparedSpecific<'r> {
     closed: Cow<'r, [Literal]>,
     comps: Vec<Comparison>,
     /// Shapes of the closed body's database literals.
-    shapes: BTreeSet<Shape>,
+    shapes: Vec<Shape>,
 }
 
 /// Preprocesses a rule for use as the general side of [`subsumes_prepared`].
@@ -182,12 +193,12 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
     // Shape prefilter: every general literal needs a same-shape target, so
     // a missing shape refutes the test before any matching. Equivalent to
     // (but much cheaper than) discovering an empty candidate list below.
-    if !general.shapes.is_subset(&specific.shapes) {
+    if !is_subset(&general.shapes, &specific.shapes) {
         return false;
     }
     let general = general.standardized();
-    let mut s = Subst::new();
-    if !match_atom(&general.head, specific.head, &mut s) {
+    let mut s = Bindings::new();
+    if !match_into(&general.head, specific.head, &mut s) {
         return false;
     }
     // Resolve each general literal's candidate targets (same predicate,
@@ -213,19 +224,60 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
         cands.push((g, c));
     }
     cands.sort_by_key(|(_, c)| c.len());
-    map_db_literals(&cands, s, &general.cmp_lits, &specific.comps)
+    map_db_literals(&cands, &mut s, &general.cmp_lits, &specific.comps)
 }
 
-fn map_db_literals(
-    remaining: &[(&Literal, Vec<&Literal>)],
-    s: Subst,
+/// The substitution a match builds: each general variable bound so far,
+/// with its term. A general side is standardized apart (`_sem` names,
+/// which no other rule has), so no bound term holds a general variable
+/// and each variable is bound once; a list undone by truncation is then
+/// the substitution `match_atom` would build, without a copy per try.
+type Bindings<'a> = Vec<(&'a Var, &'a Term)>;
+
+fn bound<'a>(s: &Bindings<'a>, v: &Var) -> Option<&'a Term> {
+    s.iter().find(|(w, _)| *w == v).map(|&(_, t)| t)
+}
+
+/// [`match_atom`] into [`Bindings`].
+fn match_into<'a>(general: &'a Atom, specific: &'a Atom, s: &mut Bindings<'a>) -> bool {
+    general.same_signature(specific)
+        && general
+            .args
+            .iter()
+            .zip(&specific.args)
+            .all(|(g, sp)| match g {
+                Term::Const(x) => matches!(sp, Term::Const(y) if x == y),
+                Term::Var(v) => match bound(s, v) {
+                    Some(t) => t == sp,
+                    None => {
+                        s.push((v, sp));
+                        true
+                    }
+                },
+            })
+}
+
+fn map_db_literals<'a>(
+    remaining: &[(&'a Literal, Vec<&'a Literal>)],
+    s: &mut Bindings<'a>,
     comparisons: &[Literal],
     specific_comps: &[Comparison],
 ) -> bool {
     let Some(((first, cands), rest)) = remaining.split_first() else {
         // All database literals mapped; now the comparisons must follow.
         return comparisons.iter().all(|l| {
-            let inst = s.apply_atom(&l.atom);
+            let inst = Atom {
+                pred: l.atom.pred.clone(),
+                args: l
+                    .atom
+                    .args
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => bound(s, v).unwrap_or(t).clone(),
+                        constant => constant.clone(),
+                    })
+                    .collect(),
+            };
             match Comparison::from_atom(&inst) {
                 Some(Comparison::Ground(Some(true))) | Some(Comparison::SameVar(true)) => {
                     l.positive
@@ -238,12 +290,13 @@ fn map_db_literals(
         });
     };
     for lit in cands {
-        let mut s2 = s.clone();
-        if match_atom(&first.atom, &lit.atom, &mut s2)
-            && map_db_literals(rest, s2, comparisons, specific_comps)
+        let mark = s.len();
+        if match_into(&first.atom, &lit.atom, s)
+            && map_db_literals(rest, s, comparisons, specific_comps)
         {
             return true;
         }
+        s.truncate(mark);
     }
     false
 }

@@ -10,6 +10,7 @@ use crate::atom::{Atom, Literal};
 use crate::clause::Rule;
 use crate::subst::Subst;
 use crate::term::{Term, Var};
+use std::fmt;
 
 /// The friendly variable names, in the order the paper tends to use them.
 const FRIENDLY: &[&str] = &["X", "Y", "Z", "U", "V", "W"];
@@ -80,7 +81,128 @@ pub fn paper_rule(r: &Rule) -> String {
 /// Formats a rule canonically: variables renamed to friendly names, paper
 /// notation. This is the rendering used for knowledge answers.
 pub fn answer_rule(r: &Rule) -> String {
-    paper_rule(&canonicalize_rule(r))
+    AnswerRule(r).to_string()
+}
+
+/// A rule written as a knowledge answer: the text of
+/// `paper_rule(&canonicalize_rule(rule))`, written straight into the
+/// formatter. Nothing is copied: the friendly names are looked up in a
+/// table of the rule's fresh variables as each one is written.
+pub struct AnswerRule<'r>(pub &'r Rule);
+
+impl fmt::Display for AnswerRule<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rule = self.0;
+        let names = FreshNames::of(rule);
+        write_atom(f, &rule.head, &names)?;
+        for (i, l) in rule.body.iter().enumerate() {
+            f.write_str(if i == 0 { " ← " } else { " ∧ " })?;
+            if !l.positive {
+                f.write_str("¬")?;
+            }
+            write_atom(f, &l.atom, &names)?;
+        }
+        Ok(())
+    }
+}
+
+/// Fresh variables held without allocating; a rule with more spills.
+const INLINE_FRESH: usize = 24;
+
+/// The friendly name [`canonicalize_rule`] gives each fresh variable of a
+/// rule, as an index into the sequence of [`friendly_name`]s.
+struct FreshNames<'r> {
+    inline: [Option<(&'r Var, usize)>; INLINE_FRESH],
+    spill: Vec<(&'r Var, usize)>,
+    len: usize,
+}
+
+impl<'r> FreshNames<'r> {
+    /// Numbers the fresh variables in order of first occurrence, head
+    /// first, skipping every name a user variable of the rule already has.
+    fn of(rule: &'r Rule) -> Self {
+        let mut names = FreshNames {
+            inline: [None; INLINE_FRESH],
+            spill: Vec::new(),
+            len: 0,
+        };
+        let mut next_idx = 0;
+        for v in rule_vars(rule).filter(|v| v.is_fresh()) {
+            if names.get(v).is_some() {
+                continue;
+            }
+            while rule_vars(rule).any(|u| !u.is_fresh() && is_friendly_name(u.name(), next_idx)) {
+                next_idx += 1;
+            }
+            if names.len < INLINE_FRESH {
+                names.inline[names.len] = Some((v, next_idx));
+            } else {
+                names.spill.push((v, next_idx));
+            }
+            names.len += 1;
+            next_idx += 1;
+        }
+        names
+    }
+
+    fn get(&self, v: &Var) -> Option<usize> {
+        self.inline
+            .iter()
+            .map_while(|e| *e)
+            .chain(self.spill.iter().copied())
+            .find(|(w, _)| *w == v)
+            .map(|(_, i)| i)
+    }
+}
+
+/// Every variable occurrence of a rule, head first.
+fn rule_vars(rule: &Rule) -> impl Iterator<Item = &Var> {
+    std::iter::once(&rule.head)
+        .chain(rule.body.iter().map(|l| &l.atom))
+        .flat_map(|a| a.args.iter().filter_map(Term::as_var))
+}
+
+/// True if `name` is `friendly_name(i)`.
+fn is_friendly_name(name: &str, i: usize) -> bool {
+    let Some(digits) = name.strip_prefix(FRIENDLY[i % FRIENDLY.len()]) else {
+        return false;
+    };
+    let n = i / FRIENDLY.len();
+    if n == 0 {
+        return digits.is_empty();
+    }
+    !digits.starts_with('0')
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && digits.parse() == Ok(n)
+}
+
+/// Writes an atom as its `Display` does, fresh variables under their
+/// friendly names.
+fn write_atom(f: &mut fmt::Formatter<'_>, a: &Atom, names: &FreshNames) -> fmt::Result {
+    let term = |f: &mut fmt::Formatter<'_>, t: &Term| match t {
+        Term::Var(v) => match names.get(v) {
+            Some(i) if i < FRIENDLY.len() => f.write_str(FRIENDLY[i]),
+            Some(i) => write!(f, "{}{}", FRIENDLY[i % FRIENDLY.len()], i / FRIENDLY.len()),
+            None => f.write_str(v.name()),
+        },
+        Term::Const(_) => write!(f, "{t}"),
+    };
+    if a.is_builtin() && a.args.len() == 2 {
+        f.write_str("(")?;
+        term(f, &a.args[0])?;
+        write!(f, " {} ", a.pred)?;
+        term(f, &a.args[1])?;
+        return f.write_str(")");
+    }
+    f.write_str(a.pred.as_str())?;
+    if a.args.is_empty() {
+        return Ok(());
+    }
+    for (i, t) in a.args.iter().enumerate() {
+        f.write_str(if i == 0 { "(" } else { ", " })?;
+        term(f, t)?;
+    }
+    f.write_str(")")
 }
 
 #[cfg(test)]
@@ -151,6 +273,96 @@ mod tests {
         assert_eq!(friendly_name(5), "W");
         assert_eq!(friendly_name(6), "X1");
         assert_eq!(friendly_name(11), "W1");
+    }
+
+    use crate::term::Const;
+    use proptest::prelude::*;
+
+    /// User variables, some of them friendly names a fresh variable must
+    /// not take, and fresh variables from a pool larger than the inline
+    /// table.
+    fn arb_var() -> impl Strategy<Value = Var> {
+        prop_oneof![
+            prop_oneof![
+                Just("X"),
+                Just("Y"),
+                Just("X1"),
+                Just("W"),
+                Just("Y2"),
+                Just("X01"),
+                Just("Gpa")
+            ]
+            .prop_map(Var::new),
+            (0usize..40).prop_map(|i| Var::new(&format!("_{i}"))),
+            (0usize..40).prop_map(|i| Var::new(&format!("_{i}Z"))),
+        ]
+    }
+
+    fn arb_const() -> impl Strategy<Value = Const> {
+        prop_oneof![
+            (-3i64..5).prop_map(Const::Int),
+            prop_oneof![Just(4.0f64), Just(1e20), Just(3.7), Just(-0.5), Just(1e15)]
+                .prop_map(Const::Num),
+            prop_oneof![Just("a"), Just("databases")].prop_map(Const::sym),
+            prop_oneof![Just("Fall 1989"), Just("say \"hi\"")].prop_map(Const::str),
+            prop_oneof![Just(true), Just(false)].prop_map(Const::Bool),
+        ]
+    }
+
+    fn arb_atom() -> impl Strategy<Value = Atom> {
+        let term = prop_oneof![
+            3 => arb_var().prop_map(Term::Var),
+            1 => arb_const().prop_map(Term::Const),
+        ];
+        (
+            prop_oneof![
+                Just("p"),
+                Just("q"),
+                Just("="),
+                Just("!="),
+                Just("<"),
+                Just("<="),
+                Just(">"),
+                Just(">=")
+            ],
+            proptest::collection::vec(term, 0..6),
+        )
+            .prop_map(|(pred, args)| Atom::new(pred, args))
+    }
+
+    fn arb_rule() -> impl Strategy<Value = Rule> {
+        let literal = (arb_atom(), 0u8..3).prop_map(|(atom, sign)| Literal {
+            positive: sign != 0,
+            atom,
+        });
+        (arb_atom(), proptest::collection::vec(literal, 0..10))
+            .prop_map(|(head, body)| Rule::with_literals(head, body))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Writing an answer in one pass gives the bytes of writing the
+        /// canonicalized copy.
+        #[test]
+        fn answer_rule_writes_the_canonical_copy(r in arb_rule()) {
+            prop_assert_eq!(answer_rule(&r), paper_rule(&canonicalize_rule(&r)));
+        }
+    }
+
+    #[test]
+    fn more_fresh_variables_than_the_inline_table_holds() {
+        let args = (0..INLINE_FRESH + 8)
+            .map(|i| Term::Var(Var::new(&format!("_{i}"))))
+            .collect();
+        let rule = Rule::new(
+            Atom::new("p", vec![Term::var("X"), Term::var("Y3")]),
+            vec![Atom::new("q", args)],
+        );
+        assert_eq!(answer_rule(&rule), paper_rule(&canonicalize_rule(&rule)));
+        // `Y3` is the user's, so the 20th fresh variable skips it.
+        assert!(answer_rule(&rule)
+            .ends_with("X3, Z3, U3, V3, W3, X4, Y4, Z4, U4, V4, W4, X5, Y5, Z5, U5)"));
     }
 
     #[test]

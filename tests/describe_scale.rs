@@ -12,50 +12,11 @@
 //! while the rules stay unchanged, so a describe a reader runs on one
 //! epoch is a hit on the next.
 
+mod policy;
+
+use policy::{nth_describe, policy_session, LEVELS, WIDTH};
 use qdk::{Mutation, Request, Session, SnapshotSession};
 use std::fmt::Write;
-
-const LEVELS: usize = 3;
-const WIDTH: usize = 100;
-const ALTS: usize = 2;
-const ATTRS: usize = 40;
-
-/// A layered, non-recursive policy rule base: `LEVELS × WIDTH` concepts
-/// `pol<level>_<i>(X)`, each with `ALTS` alternative definitions over two
-/// concepts of the next level down (attribute atoms at the bottom level)
-/// plus one attribute comparison. 3 × 100 × 2 = 600 rules.
-fn policy_script() -> String {
-    let mut out = String::new();
-    for a in 0..ATTRS {
-        writeln!(out, "predicate attr{a}(Id, Val).").unwrap();
-    }
-    for level in 0..LEVELS {
-        for i in 0..WIDTH {
-            for alt in 0..ALTS {
-                // Any fixed spread of sub-concepts will do.
-                let pick = |k: usize, modulus: usize| (7 * i + 13 * alt + 31 * k + level) % modulus;
-                write!(out, "pol{level}_{i}(X) :- ").unwrap();
-                for k in 0..2 {
-                    if level + 1 < LEVELS {
-                        write!(out, "pol{}_{}(X), ", level + 1, pick(k, WIDTH)).unwrap();
-                    } else {
-                        write!(out, "attr{}(X, U{k}), ", pick(k, ATTRS)).unwrap();
-                    }
-                }
-                writeln!(out, "attr{}(X, V), V > {}.", pick(2, ATTRS), 1 + pick(3, 8)).unwrap();
-            }
-        }
-    }
-    out
-}
-
-fn policy_session() -> Session {
-    let mut s = Session::new();
-    s.load(&policy_script()).unwrap();
-    assert_eq!(s.knowledge_base().idb().len(), LEVELS * WIDTH * ALTS);
-    s.enable_metrics();
-    s
-}
 
 /// `(describe_prep_miss, describe_prep_hit)` so far.
 fn prep_counts(s: &Session) -> (u64, u64) {
@@ -63,17 +24,6 @@ fn prep_counts(s: &Session) -> (u64, u64) {
     (
         snap.counter("describe_prep_miss").unwrap_or(0),
         snap.counter("describe_prep_hit").unwrap_or(0),
-    )
-}
-
-/// The `n`-th of a family of distinct describes spread over all levels.
-fn nth_describe(n: usize) -> String {
-    format!(
-        "describe pol{}_{}(X) where attr{}(X, V) and V > {}.",
-        n % LEVELS,
-        (17 * n) % WIDTH,
-        n % ATTRS,
-        1 + n % 8
     )
 }
 
@@ -490,6 +440,32 @@ fn compare_and_wildcard_text_match_the_golden_file() {
             line + 1,
             actual.lines().nth(line),
             golden.lines().nth(line)
+        );
+    }
+}
+
+/// ROADMAP item 6 (v), the `compare` half: a concept compared with
+/// itself is equivalent to it, and neither side requires anything the
+/// other does not. Every 10th concept of the policy rule base, all three
+/// levels.
+#[test]
+fn compare_of_a_concept_with_itself_is_equivalent() {
+    let mut s = policy_session();
+    let concepts: Vec<String> = (0..LEVELS)
+        .flat_map(|level| (0..WIDTH).map(move |i| format!("pol{level}_{i}(X)")))
+        .collect();
+    for concept in concepts.iter().step_by(10) {
+        let stmt = format!("compare (describe {concept}) with (describe {concept}).");
+        let answer = s.run(&stmt).unwrap();
+        let compared = answer.as_comparison().unwrap();
+        assert_eq!(
+            compared.relationship,
+            qdk::core::compare::Relationship::Equivalent,
+            "{stmt}\n{answer}"
+        );
+        assert!(
+            compared.only_first.is_empty() && compared.only_second.is_empty(),
+            "{stmt}\n{answer}"
         );
     }
 }
