@@ -1,8 +1,7 @@
 //! Knowledge answers.
 
-use crate::tree::Chain;
 use qdk_logic::governor::Exhausted;
-use qdk_logic::{pretty, Atom, Rule};
+use qdk_logic::{pretty, Atom, Chain, Rule};
 use std::collections::BTreeSet;
 use std::fmt::{self, Write};
 use std::sync::Arc;

@@ -22,7 +22,7 @@ use crate::error::{DescribeError, Result};
 use crate::expand::{expand_conjunction, Conjunct};
 use crate::redundancy::{prepare_general, prepare_specific, subsumes_prepared};
 use qdk_logic::fasthash::FxMixHashMap;
-use qdk_logic::{Atom, Const, Literal, Rule, Subst, Term};
+use qdk_logic::{unify_atoms, Atom, Bindings, Const, Literal, Rule, Term};
 use std::fmt;
 use std::hash::Hash;
 
@@ -104,7 +104,7 @@ pub fn compare(
     }
 
     // Align the second subject's variables with the first's positionally.
-    let align: Subst = second
+    let align: Bindings = second
         .subject
         .args
         .iter()
@@ -597,32 +597,20 @@ fn best_pair_exhaustive(
 fn shared_concept(c1: &[Literal], c2: &[Literal]) -> (Vec<Literal>, Vec<Literal>, Vec<Literal>) {
     let mut shared = Vec::new();
     let mut used2 = vec![false; c2.len()];
-    let mut subst = Subst::new();
+    let mut subst = Bindings::new();
     let mut residue1 = Vec::new();
     for l1 in c1 {
-        let mut matched = false;
-        // `subst` only changes on a match, which ends the inner loop.
-        let a1 = subst.apply_atom(&l1.atom);
         let k1 = literal_key(l1);
-        for (j, l2) in c2.iter().enumerate() {
-            // Literals that differ in sign, predicate or arity cannot unify.
-            if used2[j] || k1 != literal_key(l2) {
-                continue;
-            }
-            let a2 = subst.apply_atom(&l2.atom);
-            if let Some(mgu) = qdk_logic::unify_atoms(&a1, &a2) {
-                shared.push(Literal {
-                    positive: l1.positive,
-                    atom: mgu.apply_atom(&a1),
-                });
+        // Literals that differ in sign, predicate or arity cannot unify.
+        let matched = c2.iter().enumerate().find(|&(j, l2)| {
+            !used2[j] && k1 == literal_key(l2) && unify_atoms(&l1.atom, &l2.atom, &mut subst)
+        });
+        match matched {
+            Some((j, _)) => {
+                shared.push(subst.apply_literal(l1));
                 used2[j] = true;
-                subst = subst.compose(&mgu);
-                matched = true;
-                break;
             }
-        }
-        if !matched {
-            residue1.push(subst.apply_literal(l1));
+            None => residue1.push(subst.apply_literal(l1)),
         }
     }
     let residue2: Vec<Literal> = c2

@@ -8,12 +8,11 @@ use crate::error::{DescribeError, Result};
 use crate::prepared::PreparedIdb;
 use crate::redundancy;
 use crate::transform::TransformedIdb;
-use crate::tree::{Chain, Enumerator, RawAnswer};
+use crate::tree::{Enumerator, RawAnswer};
 use qdk_engine::Idb;
-use qdk_logic::{unify_atoms, Atom, Literal, Subst, Sym, Term, VarGen};
+use qdk_logic::{unify_atoms, Atom, Bindings, Chain, Literal, Sym, Term, VarGen};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// A parsed `describe` statement.
 #[derive(Clone, Debug, PartialEq)]
@@ -201,7 +200,7 @@ fn run_enumerator(
         negated.iter().any(|n| {
             std::iter::once(&query.subject)
                 .chain(r.tree_atoms())
-                .any(|a| unify_atoms(&r.subst.apply_atom(a), n).is_some())
+                .any(|a| unify_atoms(&r.subst.apply_atom(a), n, &mut Bindings::new()))
         })
     };
 
@@ -236,12 +235,13 @@ fn run_enumerator(
         // One-level answers rename through the same compiled slot maps the
         // enumerator (and the retrieve executor) use.
         let renamed = tidb.compiled[*ri].rename_apart(&mut gen);
-        let Some(mgu) = unify_atoms(&query.subject, &renamed.head) else {
+        let mut subst = Bindings::new();
+        if !unify_atoms(&query.subject, &renamed.head, &mut subst) {
             continue;
-        };
+        }
         let leaves: Vec<Atom> = renamed.body.into_iter().map(|l| l.atom).collect();
         let raw = RawAnswer {
-            subst: Arc::new(mgu),
+            subst,
             tree: Chain::default().extend(leaves.clone()),
             tree_from: 0,
             leaves,
@@ -397,10 +397,10 @@ fn assemble(
     // Invert bindings subject-var → fresh-var so heads stay in the user's
     // vocabulary.
     let subject_vars = subject.vars();
-    let mut inversion = Subst::new();
+    let mut inversion = Bindings::new();
     for v in &subject_vars {
         if let Term::Var(f) = raw.subst.apply_term(&Term::Var(v.clone())) {
-            if f.is_fresh() && inversion.get(&f).is_none() {
+            if f.is_fresh() && inversion.lookup(&f).is_none() {
                 inversion.bind(f, Term::Var(v.clone()));
             }
         }
@@ -408,7 +408,7 @@ fn assemble(
     // Applying `raw.subst` and then `inversion` is applying their
     // composition (a variable binds to a variable or a constant), without
     // copying the branch's whole substitution.
-    let resolve = |t: &Term| inversion.apply_term(&raw.subst.apply_term(t));
+    let resolve = |t: &Term| inversion.apply_term(raw.subst.resolve(t));
     let resolve_atom = |a: &Atom| Atom {
         pred: a.pred.clone(),
         args: a.args.iter().map(resolve).collect(),

@@ -10,22 +10,21 @@
 
 use crate::config::DescribeOptions;
 use crate::error::Result;
-use crate::tree::Chain;
 use qdk_engine::Idb;
 use qdk_logic::governor::Governor;
-use qdk_logic::{unify_atoms, Atom, Literal, Rule, Subst, Sym, Term, Var, VarGen};
+use qdk_logic::{unify_atoms, Atom, Bindings, Chain, Literal, Rule, Sym, Term, Var, VarGen};
 use std::sync::Arc;
 
 /// One conjunctive definition: a conjunction of EDB atoms and comparisons.
 pub type Conjunct = Vec<Literal>;
 
 /// A conjunction under construction: where its literals are, and the
-/// substitution threaded through them. Extending it shares both with
-/// every other conjunction extended from the same one.
+/// substitution threaded through them, frozen. Extending it shares both
+/// with every other conjunction extended from the same one.
 #[derive(Clone, Default)]
 struct Partial {
     literals: Chain<Place>,
-    subst: Arc<Subst>,
+    subst: Bindings,
 }
 
 /// A literal of [`Expander::bodies`]: body `.0`, literal `.1`.
@@ -133,18 +132,19 @@ impl Expander<'_> {
         out: &mut Vec<Partial>,
     ) -> Result<()> {
         let idb = self.idb;
-        let atom_now = partial.subst.apply_atom(atom);
         for rule in idb.rules_for(atom.pred.as_str()) {
             let (head, body) = rename_apart(rule, &mut self.gen);
-            let Some(mgu) = unify_atoms(&atom_now, &head) else {
+            let mut subst = partial.subst.clone();
+            if !unify_atoms(atom, &head, &mut subst) {
                 continue;
-            };
+            }
+            subst.freeze();
             let b = self.bodies.len();
             self.bodies.push(body.clone());
             // Expand the body atoms sequentially under the threaded subst.
             let mut frontier = vec![Partial {
                 literals: partial.literals.clone(),
-                subst: Arc::new(partial.subst.compose(&mgu)),
+                subst,
             }];
             for (i, lit) in body.iter().enumerate() {
                 if !lit.positive {
@@ -169,35 +169,14 @@ impl Expander<'_> {
     /// then the user's vocabulary restored (a user variable that unified
     /// with a fresh rule variable is renamed back).
     fn finalize(&self, partial: &Partial, user_vars: &[Var]) -> Conjunct {
-        // The substitution holds a binding or so per unfolded rule: a
-        // scan finds one faster than a hash lookup would.
-        let bindings: Vec<(&Var, &Term)> = partial.subst.iter().collect();
-        let apply = |t: &Term| -> Term {
-            match t {
-                Term::Var(v) => bindings
-                    .iter()
-                    .find(|(w, _)| *w == v)
-                    .map_or_else(|| t.clone(), |(_, to)| (*to).clone()),
-                constant => constant.clone(),
-            }
-        };
-        let mut inversion: Vec<(Var, Term)> = Vec::new();
+        let mut inversion = Bindings::new();
         for v in user_vars {
-            if let Term::Var(f) = apply(&Term::Var(v.clone())) {
-                if f.is_fresh() && !inversion.iter().any(|(g, _)| *g == f) {
-                    inversion.push((f, Term::Var(v.clone())));
+            if let Term::Var(f) = partial.subst.apply_term(&Term::Var(v.clone())) {
+                if f.is_fresh() && inversion.lookup(&f).is_none() {
+                    inversion.bind(f, Term::Var(v.clone()));
                 }
             }
         }
-        let restore = |t: Term| -> Term {
-            match inversion
-                .iter()
-                .find(|(w, _)| matches!(&t, Term::Var(v) if v == w))
-            {
-                Some((_, to)) => to.clone(),
-                None => t,
-            }
-        };
         let mut conjunct = Vec::with_capacity(partial.literals.len());
         conjunct.extend(partial.literals.items_from(0).map(|&(b, i)| {
             let lit = &self.bodies[b][i];
@@ -205,7 +184,12 @@ impl Expander<'_> {
                 positive: lit.positive,
                 atom: Atom {
                     pred: lit.atom.pred.clone(),
-                    args: lit.atom.args.iter().map(|t| restore(apply(t))).collect(),
+                    args: lit
+                        .atom
+                        .args
+                        .iter()
+                        .map(|t| inversion.apply_term(partial.subst.resolve(t)))
+                        .collect(),
                 },
             }
         }));

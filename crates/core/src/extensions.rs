@@ -27,7 +27,7 @@ use crate::transform::TransformedIdb;
 use qdk_engine::Idb;
 use qdk_logic::governor::Governor;
 use qdk_logic::{
-    rename_rule_apart, unify_atoms, Atom, Constraint, Literal, Rule, Subst, Sym, VarGen,
+    rename_rule_apart, unify, unify_atoms, Atom, Bindings, Constraint, Literal, Rule, Sym, VarGen,
 };
 use std::collections::HashMap;
 
@@ -144,17 +144,17 @@ impl<'a> Avoiding<'a> {
 
     /// Renames a rule of `atom`'s predicate apart and unifies its head
     /// with `atom`; `None` for a rule whose head does not unify.
-    fn resolve(&mut self, atom: &Atom, rule: &Rule) -> Option<(Rule, Subst)> {
-        let (renamed, _) = rename_rule_apart(rule, &mut self.gen);
-        let mgu = unify_atoms(atom, &renamed.head)?;
-        Some((renamed, mgu))
+    fn resolve(&mut self, atom: &Atom, rule: &Rule) -> Option<(Rule, Bindings)> {
+        let renamed = rename_rule_apart(rule, &mut self.gen);
+        let mut mgu = Bindings::new();
+        unify_atoms(atom, &renamed.head, &mut mgu).then_some((renamed, mgu))
     }
 
     /// The taboo check, the leaf case and the cycle guard, shared by the
     /// search and its test reference: `Some(answer)` settles `atom`
     /// without unfolding it, `None` means unfold its rules.
     fn settle(&self, atom: &Atom) -> Option<Option<expand::Conjunct>> {
-        if unify_atoms(atom, self.taboo).is_some() {
+        if unify_atoms(atom, self.taboo, &mut Bindings::new()) {
             return Some(None);
         }
         if atom.is_builtin() || !self.idb.defines(atom.pred.as_str()) {
@@ -335,7 +335,7 @@ pub fn describe_possible(
 /// `None` when a required merge fails outright (conflicting constants in
 /// non-key positions make the conjunct unsatisfiable already).
 fn merge_by_keys(conj: &expand::Conjunct, keys: &HashMap<Sym, usize>) -> Option<expand::Conjunct> {
-    let mut subst = Subst::new();
+    let mut subst = Bindings::new();
     let atoms: Vec<&Atom> = conj
         .iter()
         .filter(|l| l.positive && !l.is_builtin())
@@ -349,24 +349,19 @@ fn merge_by_keys(conj: &expand::Conjunct, keys: &HashMap<Sym, usize>) -> Option<
             let Some(&klen) = keys.get(&a.pred) else {
                 continue;
             };
-            let a_now = subst.apply_atom(a);
-            let b_now = subst.apply_atom(b);
-            if a_now.args.len() < klen || b_now.args.len() < klen {
+            if a.args.len() < klen || b.args.len() < klen {
                 continue;
             }
             // Keys must be syntactically unifiable to force a merge.
-            let key_a = Atom::new(a.pred.clone(), a_now.args[..klen].to_vec());
-            let key_b = Atom::new(a.pred.clone(), b_now.args[..klen].to_vec());
-            if let Some(kmgu) = unify_atoms(&key_a, &key_b) {
+            let mark = subst.mark();
+            let mut key_pairs = a.args[..klen].iter().zip(&b.args[..klen]);
+            if key_pairs.all(|(x, y)| unify(x, y, &mut subst)) {
                 // Same key ⇒ the whole tuples must unify.
-                let a2 = kmgu.apply_atom(&a_now);
-                let b2 = kmgu.apply_atom(&b_now);
-                match unify_atoms(&a2, &b2) {
-                    Some(full) => {
-                        subst = subst.compose(&kmgu).compose(&full);
-                    }
-                    None => return None,
+                if !unify_atoms(a, b, &mut subst) {
+                    return None;
                 }
+            } else {
+                subst.undo_to(mark);
             }
         }
     }

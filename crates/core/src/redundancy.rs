@@ -16,7 +16,7 @@
 
 use crate::constraints::{self, Comparison};
 use crate::Theorem;
-use qdk_logic::{match_atom, Atom, Literal, Rule, Subst, Sym, Term, Var};
+use qdk_logic::{match_atom, standardize, Atom, Bindings, Literal, Rule, Sym};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -41,18 +41,6 @@ fn shapes<'a>(lits: impl Iterator<Item = &'a Literal>) -> Vec<Shape> {
 fn is_subset(a: &[Shape], b: &[Shape]) -> bool {
     let mut b = b.iter();
     a.iter().all(|x| b.any(|y| y == x))
-}
-
-/// Standardizes a rule apart with reserved names (same trick as
-/// `qdk_logic::subsume`, local so the semantic matcher controls it).
-fn standardize(rule: &Rule) -> Rule {
-    let renaming: Subst = rule
-        .vars()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, Term::Var(Var::new(&format!("_sem{i}")))))
-        .collect();
-    renaming.apply_rule(rule)
 }
 
 /// Closes a body's non-builtin atoms under transitivity of the given
@@ -126,7 +114,7 @@ struct Standardized {
 impl PreparedGeneral<'_> {
     fn standardized(&self) -> &Standardized {
         self.standardized.get_or_init(|| {
-            let std = standardize(self.rule);
+            let std = standardize(self.rule, "_sem");
             let (db_lits, cmp_lits) = std.body.into_iter().partition(|l| !l.is_builtin());
             Standardized {
                 head: std.head,
@@ -198,7 +186,7 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
     }
     let general = general.standardized();
     let mut s = Bindings::new();
-    if !match_into(&general.head, specific.head, &mut s) {
+    if !match_atom(&general.head, specific.head, &mut s) {
         return false;
     }
     // Resolve each general literal's candidate targets (same predicate,
@@ -227,78 +215,42 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
     map_db_literals(&cands, &mut s, &general.cmp_lits, &specific.comps)
 }
 
-/// The substitution a match builds: each general variable bound so far,
-/// with its term. A general side is standardized apart (`_sem` names,
-/// which no other rule has), so no bound term holds a general variable
-/// and each variable is bound once; a list undone by truncation is then
-/// the substitution `match_atom` would build, without a copy per try.
-type Bindings<'a> = Vec<(&'a Var, &'a Term)>;
-
-fn bound<'a>(s: &Bindings<'a>, v: &Var) -> Option<&'a Term> {
-    s.iter().find(|(w, _)| *w == v).map(|&(_, t)| t)
-}
-
-/// [`match_atom`] into [`Bindings`].
-fn match_into<'a>(general: &'a Atom, specific: &'a Atom, s: &mut Bindings<'a>) -> bool {
-    general.same_signature(specific)
-        && general
-            .args
-            .iter()
-            .zip(&specific.args)
-            .all(|(g, sp)| match g {
-                Term::Const(x) => matches!(sp, Term::Const(y) if x == y),
-                Term::Var(v) => match bound(s, v) {
-                    Some(t) => t == sp,
-                    None => {
-                        s.push((v, sp));
-                        true
-                    }
-                },
-            })
-}
-
-fn map_db_literals<'a>(
-    remaining: &[(&'a Literal, Vec<&'a Literal>)],
-    s: &mut Bindings<'a>,
+fn map_db_literals(
+    remaining: &[(&Literal, Vec<&Literal>)],
+    s: &mut Bindings,
     comparisons: &[Literal],
     specific_comps: &[Comparison],
 ) -> bool {
     let Some(((first, cands), rest)) = remaining.split_first() else {
         // All database literals mapped; now the comparisons must follow.
-        return comparisons.iter().all(|l| {
-            let inst = Atom {
-                pred: l.atom.pred.clone(),
-                args: l
-                    .atom
-                    .args
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(v) => bound(s, v).unwrap_or(t).clone(),
-                        constant => constant.clone(),
-                    })
-                    .collect(),
-            };
-            match Comparison::from_atom(&inst) {
-                Some(Comparison::Ground(Some(true))) | Some(Comparison::SameVar(true)) => {
-                    l.positive
-                }
-                Some(c) if l.positive => {
-                    specific_comps.iter().any(|sc| constraints::implies(sc, &c))
-                }
-                _ => false,
-            }
-        });
+        return comparisons_follow(comparisons, s, specific_comps);
     };
     for lit in cands {
-        let mark = s.len();
-        if match_into(&first.atom, &lit.atom, s)
+        let mark = s.mark();
+        if match_atom(&first.atom, &lit.atom, s)
             && map_db_literals(rest, s, comparisons, specific_comps)
         {
             return true;
         }
-        s.truncate(mark);
+        s.undo_to(mark);
     }
     false
+}
+
+/// True if each comparison literal of a general side, under `s`, is
+/// ground-true or entailed by a comparison of the specific side.
+fn comparisons_follow<'l>(
+    comparisons: impl IntoIterator<Item = &'l Literal>,
+    s: &Bindings,
+    specific_comps: &[Comparison],
+) -> bool {
+    comparisons
+        .into_iter()
+        .all(|l| match Comparison::from_atom(&s.apply_atom(&l.atom)) {
+            Some(Comparison::Ground(Some(true))) | Some(Comparison::SameVar(true)) => l.positive,
+            Some(c) if l.positive => specific_comps.iter().any(|sc| constraints::implies(sc, &c)),
+            _ => false,
+        })
 }
 
 /// Saturates a body under the IDB rules (bounded forward chaining at the
@@ -313,7 +265,7 @@ pub fn saturate_body(body: &[Literal], idb: &qdk_engine::Idb, rounds: usize) -> 
     for _ in 0..rounds {
         let mut added = false;
         for rule in idb.rules() {
-            let std_rule = standardize(rule);
+            let std_rule = standardize(rule, "_sem");
             let comps: Vec<Comparison> = lits
                 .iter()
                 .filter(|l| l.positive && l.is_builtin())
@@ -321,10 +273,17 @@ pub fn saturate_body(body: &[Literal], idb: &qdk_engine::Idb, rounds: usize) -> 
                 .collect();
             let (db, cmp): (Vec<&Literal>, Vec<&Literal>) =
                 std_rule.body.iter().partition(|l| !l.is_builtin());
-            let mut matches = Vec::new();
-            collect_matches(&db, &lits, Subst::new(), &cmp, &comps, &mut matches);
-            for s in matches {
-                let head = s.apply_atom(&std_rule.head);
+            let mut heads = Vec::new();
+            collect_heads(
+                &std_rule.head,
+                &db,
+                &lits,
+                &mut Bindings::new(),
+                &cmp,
+                &comps,
+                &mut heads,
+            );
+            for head in heads {
                 let lit = Literal::pos(head);
                 if !lits.contains(&lit) {
                     lits.push(lit);
@@ -342,30 +301,20 @@ pub fn saturate_body(body: &[Literal], idb: &qdk_engine::Idb, rounds: usize) -> 
     lits
 }
 
-/// Like [`map_db_literals`] but collecting every successful substitution.
-fn collect_matches(
+/// Like [`map_db_literals`], but collecting `head` under every successful
+/// match.
+fn collect_heads(
+    head: &Atom,
     remaining: &[&Literal],
     specific: &[Literal],
-    s: Subst,
+    s: &mut Bindings,
     comparisons: &[&Literal],
     specific_comps: &[Comparison],
-    out: &mut Vec<Subst>,
+    out: &mut Vec<Atom>,
 ) {
     let Some((first, rest)) = remaining.split_first() else {
-        let ok = comparisons.iter().all(|l| {
-            let inst = s.apply_atom(&l.atom);
-            match Comparison::from_atom(&inst) {
-                Some(Comparison::Ground(Some(true))) | Some(Comparison::SameVar(true)) => {
-                    l.positive
-                }
-                Some(c) if l.positive => {
-                    specific_comps.iter().any(|sc| constraints::implies(sc, &c))
-                }
-                _ => false,
-            }
-        });
-        if ok {
-            out.push(s);
+        if comparisons_follow(comparisons.iter().copied(), s, specific_comps) {
+            out.push(s.apply_atom(head));
         }
         return;
     };
@@ -373,9 +322,10 @@ fn collect_matches(
         if lit.positive != first.positive || lit.is_builtin() {
             continue;
         }
-        let mut s2 = s.clone();
-        if match_atom(&first.atom, &lit.atom, &mut s2) {
-            collect_matches(rest, specific, s2, comparisons, specific_comps, out);
+        let mark = s.mark();
+        if match_atom(&first.atom, &lit.atom, s) {
+            collect_heads(head, rest, specific, s, comparisons, specific_comps, out);
+            s.undo_to(mark);
         }
     }
 }

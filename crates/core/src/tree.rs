@@ -37,9 +37,8 @@ use crate::answer::DerivationStep;
 use crate::config::DescribeOptions;
 use crate::transform::{PredSet, RuleKind, TransformedIdb};
 use qdk_logic::governor::{Exhausted, Governor, Resource};
-use qdk_logic::{unify_atoms, Atom, Subst, Term, Var, VarGen};
+use qdk_logic::{unify_atoms, Atom, Bindings, Chain, Term, Var, VarGen};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Algorithm 2's node tags (§5.3): `None` is untagged; tag 0 prohibits
 /// applying a recursive rule to the node; tags 1 and 2 permit it and bound
@@ -69,7 +68,7 @@ pub(crate) struct EnumStats {
 #[derive(Clone, Debug)]
 pub(crate) struct RawAnswer {
     /// The accumulated global substitution of the branch.
-    pub subst: Arc<Subst>,
+    pub subst: Bindings,
     /// Unidentified leaf formulas (un-substituted; apply `subst`).
     pub leaves: Vec<Atom>,
     /// Hypothesis indexes identified somewhere in the tree.
@@ -97,115 +96,14 @@ impl RawAnswer {
     }
 }
 
-/// A persistent append-only sequence. Extending hands back a new tail
-/// node `Arc`-linked to the previous chain, so cloning a [`Branch`] is a
-/// few reference-count bumps instead of a deep copy of every atom and
-/// step accumulated so far. Those deep copies dominated enumeration: each
-/// visited node clones its context two or more times, and the copies grow
-/// linearly with depth.
-#[derive(Debug)]
-pub(crate) struct Chain<T>(Option<Arc<ChainNode<T>>>);
-
-#[derive(Debug)]
-struct ChainNode<T> {
-    items: Items<T>,
-    parent: Chain<T>,
-    /// Items in the whole chain up to and including this node.
-    len: usize,
-}
-
-/// A node's items: one held inline (a push, the common case), or several.
-#[derive(Debug)]
-enum Items<T> {
-    One(T),
-    Many(Vec<T>),
-}
-
-impl<T> Items<T> {
-    fn as_slice(&self) -> &[T] {
-        match self {
-            Items::One(item) => std::slice::from_ref(item),
-            Items::Many(items) => items,
-        }
-    }
-}
-
-impl<T> Default for Chain<T> {
-    fn default() -> Self {
-        Chain(None)
-    }
-}
-
-impl<T> Chain<T> {
-    pub(crate) fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |n| n.len)
-    }
-
-    fn append(&self, items: Items<T>) -> Self {
-        Chain(Some(Arc::new(ChainNode {
-            len: self.len() + items.as_slice().len(),
-            items,
-            parent: self.clone(),
-        })))
-    }
-
-    /// Appends `items`, returning the extended chain (`self` unchanged).
-    pub(crate) fn extend(&self, items: Vec<T>) -> Self {
-        if items.is_empty() {
-            return self.clone();
-        }
-        self.append(Items::Many(items))
-    }
-
-    /// Appends `item`, returning the extended chain (`self` unchanged).
-    pub(crate) fn push(&self, item: T) -> Self {
-        self.append(Items::One(item))
-    }
-
-    /// The items from index `from` onward, in append order.
-    pub(crate) fn items_from(&self, from: usize) -> impl Iterator<Item = &T> {
-        let mut segs: Vec<&[T]> = Vec::new();
-        let mut cur = self;
-        let base = loop {
-            match cur.0.as_deref() {
-                Some(n) if n.len > from => {
-                    segs.push(n.items.as_slice());
-                    cur = &n.parent;
-                }
-                node => break node.map_or(0, |n| n.len),
-            }
-        };
-        // `from` may fall inside the earliest collected node.
-        segs.into_iter().rev().flatten().skip(from - base)
-    }
-}
-
-impl<T> Clone for Chain<T> {
-    fn clone(&self) -> Self {
-        Chain(self.0.clone())
-    }
-}
-
-impl<T> Drop for ChainNode<T> {
-    fn drop(&mut self) {
-        // Unroll the tail-recursive drop of a uniquely owned parent chain
-        // so guard-length derivations cannot overflow the stack.
-        let mut parent = std::mem::take(&mut self.parent);
-        while let Some(arc) = parent.0.take() {
-            match Arc::try_unwrap(arc) {
-                Ok(mut node) => parent = std::mem::take(&mut node.parent),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
 /// One branch state during enumeration. Every field is shared with the
 /// branch it grew from, so the three possibilities at a tree formula
 /// start from the same context without copying it.
 #[derive(Clone, Debug)]
 struct Branch {
-    subst: Arc<Subst>,
+    /// The branch's global substitution, frozen: branches grown from this
+    /// one share it.
+    subst: Bindings,
     /// Every atom occurrence created so far in the whole tree (plus the
     /// subject and hypothesis), un-substituted — the "formulas of the
     /// tree" that typing preservation quantifies over. Recorded only when
@@ -227,7 +125,7 @@ impl Branch {
     /// This branch with `node` left as an unidentified leaf.
     fn with_leaf(&self, node: &Atom) -> Branch {
         Branch {
-            subst: Arc::clone(&self.subst),
+            subst: self.subst.clone(),
             occurrences: self.occurrences.clone(),
             untyped_uses: self.untyped_uses.clone(),
             leaves: self.leaves.push(node.clone()),
@@ -420,25 +318,26 @@ impl<'a> Enumerator<'a> {
                 break;
             }
             let (i, h) = &self.hyp_atoms[k];
-            if let Some(mgu) = unify_atoms(subject, h) {
-                if self.typing_ok(&base_chain, &Subst::new(), &mgu) {
-                    let used = [*i].into();
-                    let step = DerivationStep::Identified {
-                        depth: 0,
-                        node: subject.clone(),
-                        hypothesis: h.clone(),
-                    };
-                    self.stats.leaves_identified += 1;
-                    answers.push(RawAnswer {
-                        subst: Arc::new(mgu),
-                        leaves: Vec::new(),
-                        used,
-                        root_rule: None,
-                        trace: Chain::default().push(step),
-                        tree: Chain::default(),
-                        tree_from: 0,
-                    });
-                }
+            let mut subst = Bindings::new();
+            if unify_atoms(subject, h, &mut subst)
+                && self.typing_ok(&base_chain, &Bindings::new(), &subst)
+            {
+                let used = [*i].into();
+                let step = DerivationStep::Identified {
+                    depth: 0,
+                    node: subject.clone(),
+                    hypothesis: h.clone(),
+                };
+                self.stats.leaves_identified += 1;
+                answers.push(RawAnswer {
+                    subst,
+                    leaves: Vec::new(),
+                    used,
+                    root_rule: None,
+                    trace: Chain::default().push(step),
+                    tree: Chain::default(),
+                    tree_from: 0,
+                });
             }
         }
 
@@ -448,7 +347,7 @@ impl<'a> Enumerator<'a> {
         // need only be distinct within one derivation, and every rendering
         // canonicalizes them.
         let base = Branch {
-            subst: Arc::new(Subst::new()),
+            subst: Bindings::new(),
             occurrences: base_chain,
             untyped_uses: Chain::default(),
             leaves: Chain::default(),
@@ -462,7 +361,7 @@ impl<'a> Enumerator<'a> {
             }
             self.gen = VarGen::new();
             for b in self.apply_rule(subject, ri, Tag::Untagged, &base, 0) {
-                let productive = b.used.len() > 0;
+                let productive = !b.used.is_empty();
                 if !productive && !self.exhaustive {
                     // Tracked separately: the rule's unproductive branches
                     // are represented by its one-level answer (driver).
@@ -546,10 +445,11 @@ impl<'a> Enumerator<'a> {
         // re-collecting variables from the textual rule.
         let tidb = self.tidb;
         let renamed = tidb.compiled[ri].rename_apart(&mut self.gen);
-        let node_now = ctx.subst.apply_atom(node);
-        let Some(mgu) = unify_atoms(&node_now, &renamed.head) else {
+        let mut subst = ctx.subst.clone();
+        if !unify_atoms(node, &renamed.head, &mut subst) {
             return Vec::new();
-        };
+        }
+        subst.freeze();
 
         // Child tags per Figure 3 box 9e.
         let children: Vec<&Atom> = renamed.body.iter().map(|l| &l.atom).collect();
@@ -568,14 +468,14 @@ impl<'a> Enumerator<'a> {
             ctx.untyped_uses.clone()
         };
         let start = Branch {
-            subst: Arc::new(ctx.subst.compose(&mgu)),
+            subst,
             occurrences,
             untyped_uses,
             leaves: ctx.leaves.clone(),
             used: ctx.used.clone(),
             trace: ctx.trace.push(DerivationStep::Expanded {
                 depth,
-                node: node_now,
+                node: ctx.subst.apply_atom(node),
                 rule: ri,
                 text: tidb.rule_text(ri),
             }),
@@ -663,39 +563,37 @@ impl<'a> Enumerator<'a> {
         }
         let mut out = Vec::new();
 
-        // (1) Identify with a hypothesis formula. Unification needs the
-        // predicate and arity to agree, which no substitution changes, so
-        // a candidate of another signature is passed over unsubstituted.
-        let mut node_now: Option<Atom> = None;
+        // (1) Identify with a hypothesis formula.
+        let mut subst = ctx.subst.clone();
+        let mark = subst.mark();
         for k in 0..self.hyp_atoms.len() {
             self.tick();
             if self.stopped() {
                 return Vec::new();
             }
             let (i, h) = &self.hyp_atoms[k];
-            if !node.same_signature(h) {
+            if !unify_atoms(node, h, &mut subst) {
                 continue;
             }
-            let i = *i;
-            let h_now = ctx.subst.apply_atom(h);
-            let node_now = node_now.get_or_insert_with(|| ctx.subst.apply_atom(node));
-            if let Some(mgu) = unify_atoms(node_now, &h_now) {
-                if self.typing_ok(&ctx.occurrences, &ctx.subst, &mgu) {
-                    self.stats.leaves_identified += 1;
-                    out.push(Branch {
-                        subst: Arc::new(ctx.subst.compose(&mgu)),
-                        occurrences: ctx.occurrences.clone(),
-                        untyped_uses: ctx.untyped_uses.clone(),
-                        leaves: ctx.leaves.clone(),
-                        used: ctx.used.push(i),
-                        trace: ctx.trace.push(DerivationStep::Identified {
-                            depth,
-                            node: node_now.clone(),
-                            hypothesis: h_now,
-                        }),
-                    });
-                }
+            if !self.typing_ok(&ctx.occurrences, &ctx.subst, &subst) {
+                subst.undo_to(mark);
+                continue;
             }
+            self.stats.leaves_identified += 1;
+            let mut identified = std::mem::replace(&mut subst, ctx.subst.clone());
+            identified.freeze();
+            out.push(Branch {
+                subst: identified,
+                occurrences: ctx.occurrences.clone(),
+                untyped_uses: ctx.untyped_uses.clone(),
+                leaves: ctx.leaves.clone(),
+                used: ctx.used.push(*i),
+                trace: ctx.trace.push(DerivationStep::Identified {
+                    depth,
+                    node: ctx.subst.apply_atom(node),
+                    hypothesis: ctx.subst.apply_atom(h),
+                }),
+            });
         }
 
         // (2) Leave as an unidentified leaf.
@@ -736,13 +634,12 @@ impl<'a> Enumerator<'a> {
     /// `prereq(X, Z₁) ∧ prereq(Z₁, Z₂)` shape that linear recursion
     /// legitimately builds) are tolerated; only conflicts the candidate
     /// substitution *introduces* disqualify it.
-    fn typing_ok(&self, occurrences: &Chain<Atom>, before: &Subst, mgu: &Subst) -> bool {
+    fn typing_ok(&self, occurrences: &Chain<Atom>, before: &Bindings, after: &Bindings) -> bool {
         if !self.check_typing {
             return true;
         }
-        let after = before.compose(mgu);
         let conflicts_before = conflicts(occurrences.items_from(0), before);
-        let conflicts_after = conflicts(occurrences.items_from(0), &after);
+        let conflicts_after = conflicts(occurrences.items_from(0), after);
         conflicts_after.is_subset(&conflicts_before)
     }
 }
@@ -751,7 +648,7 @@ impl<'a> Enumerator<'a> {
 /// or more distinct argument positions across the substituted occurrences.
 fn conflicts<'a>(
     occurrences: impl Iterator<Item = &'a Atom>,
-    subst: &Subst,
+    subst: &Bindings,
 ) -> BTreeSet<(String, Var)> {
     let mut position_of: HashMap<(String, Var), usize> = HashMap::new();
     let mut bad = BTreeSet::new();

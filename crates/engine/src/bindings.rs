@@ -23,9 +23,7 @@ use crate::error::{EngineError, Result};
 use crate::plan::{Col, RulePlan, Step};
 use qdk_logic::fasthash::FxHashMap;
 use qdk_logic::governor::Governor;
-#[cfg(test)]
-use qdk_logic::Atom;
-use qdk_logic::{Frame, IrTerm, Subst, Sym, Term};
+use qdk_logic::{Frame, IrTerm, Sym};
 use qdk_storage::{builtins, Edb, Relation, StorageError, Tuple, Value};
 
 /// A store of derived facts for IDB predicates.
@@ -320,52 +318,6 @@ impl<'a> FactView<'a> {
     }
 }
 
-/// Matches an atom against a relation, extending `subst` per tuple.
-///
-/// This is the residual substitution-based matcher, kept as the reference
-/// the compiled executor's tests compare against. When the resolved
-/// pattern is fully ground it skips the per-tuple clone entirely: the
-/// relation is deduplicated, so at most one tuple can match, and `subst`
-/// itself is the one answer.
-#[cfg(test)]
-pub(crate) fn match_relation(rel: &Relation, atom: &Atom, subst: &Subst, out: &mut Vec<Subst>) {
-    if atom.arity() != rel.arity() {
-        return;
-    }
-    let resolved: Vec<Term> = atom.args.iter().map(|t| subst.apply_term(t)).collect();
-    let pattern: Vec<Option<Value>> = resolved.iter().map(|t| t.as_const().cloned()).collect();
-    if pattern.iter().all(Option::is_some) {
-        // Fully ground: membership test, no binding and no clone-per-tuple.
-        if rel.select(&pattern).next().is_some() {
-            out.push(subst.clone());
-        }
-        return;
-    }
-    'tuples: for tuple in rel.select(&pattern) {
-        let mut s = subst.clone();
-        for (term, value) in resolved.iter().zip(tuple.values()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => match s.apply_term(&Term::Var(v.clone())) {
-                    Term::Const(c) => {
-                        if &c != value {
-                            continue 'tuples;
-                        }
-                    }
-                    Term::Var(w) => {
-                        s.bind(w, Term::Const(value.clone()));
-                    }
-                },
-            }
-        }
-        out.push(s);
-    }
-}
-
 /// Executes `plan` from step `step` under `frame`, calling `emit` for
 /// every frame that satisfies the remaining schedule. Bindings made while
 /// matching are undone in place before returning, so the caller's frame
@@ -603,17 +555,14 @@ pub(crate) fn scan_relation(
     Ok(())
 }
 
-/// Converts a satisfying frame into a substitution over the plan's slot
-/// variables (unbound slots are simply absent). Used by the query layer
-/// and the top-down solver to surface answers in the term vocabulary.
-pub(crate) fn frame_subst(plan: &RulePlan, frame: &Frame) -> Subst {
-    let mut s = Subst::new();
-    for (i, v) in plan.compiled.slots.iter().enumerate() {
-        if let Some(c) = frame.get(i as u32) {
-            s.bind(v.clone(), Term::Const(c.clone()));
-        }
+/// The row a satisfying frame gives answer columns held in `slots`;
+/// `None` when a column is unbound (it has no slot, or its slot is unset).
+pub(crate) fn frame_row(frame: &Frame, slots: &[Option<u32>]) -> Option<Tuple> {
+    let mut row = Vec::with_capacity(slots.len());
+    for slot in slots {
+        row.push(slot.and_then(|s| frame.get(s))?.clone());
     }
-    s
+    Some(Tuple::new(row))
 }
 
 /// Fires a compiled rule once against a view: executes the plan and
@@ -975,29 +924,5 @@ mod tests {
             )
             .is_err());
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn match_relation_ground_pattern_skips_enumeration() {
-        let edb = edb();
-        let rel = edb.relation("enroll").unwrap();
-        let mut out = Vec::new();
-        let s: Subst = [
-            (qdk_logic::Var::new("X"), Term::sym("ann")),
-            (qdk_logic::Var::new("C"), Term::sym("databases")),
-        ]
-        .into_iter()
-        .collect();
-        match_relation(rel, &parse_atom("enroll(X, C)").unwrap(), &s, &mut out);
-        assert_eq!(out.len(), 1);
-        out.clear();
-        let s2: Subst = [
-            (qdk_logic::Var::new("X"), Term::sym("ann")),
-            (qdk_logic::Var::new("C"), Term::sym("calculus")),
-        ]
-        .into_iter()
-        .collect();
-        match_relation(rel, &parse_atom("enroll(X, C)").unwrap(), &s2, &mut out);
-        assert!(out.is_empty());
     }
 }

@@ -11,7 +11,7 @@
 //! predicate altogether, in which case it is taken to be defined through
 //! `ψ` (the paper's Example 2 uses the fresh predicate `answer`).
 
-use crate::bindings::{exec, DerivedFacts, FactView, FIRE_POLL_EMISSIONS};
+use crate::bindings::{exec, frame_row, DerivedFacts, FactView, FIRE_POLL_EMISSIONS};
 use crate::error::{EngineError, Result};
 use crate::idb::Idb;
 use crate::options::EvalOptions;
@@ -21,8 +21,8 @@ use crate::seminaive;
 use crate::topdown::Solver;
 use qdk_logic::governor::Governor;
 use qdk_logic::obs::ObsSink;
-use qdk_logic::{Atom, Frame, Interner, Literal, Rule, Subst, Term, Var};
-use qdk_storage::{Edb, Tuple, Value};
+use qdk_logic::{Atom, Frame, Interner, Literal, Rule, Term, Var};
+use qdk_storage::{Edb, Tuple};
 use std::fmt;
 
 /// Evaluation strategy for `retrieve`.
@@ -452,10 +452,10 @@ pub fn retrieve_tabled(
         None => solve(&DerivedFacts::new())?,
         Some(Strategy::TopDown) => {
             let span = obs.span("topdown", 0);
-            let substs = Solver::with_plan(edb, idb, plan, opts.clone()).solve_all(&goals)?;
+            let rows =
+                Solver::with_plan(edb, idb, plan, opts.clone()).solve_all(&goals, &columns)?;
             drop(span);
-            let _span = obs.span("project", 0);
-            project_rows(query, &columns, substs)?
+            rows.ok_or_else(|| unbound_column(query))?
         }
         Some(Strategy::Qsq) => {
             let span = obs.span("qsq", 0);
@@ -596,17 +596,10 @@ fn solve_projected(
             emitted = 0;
             gov.poll()?;
         }
-        let mut row: Vec<Value> = Vec::with_capacity(columns.len());
-        for slot in &slots {
-            match slot.and_then(|s| f.get(s)) {
-                Some(c) => row.push(c.clone()),
-                None => {
-                    unbound = true;
-                    return Ok(());
-                }
-            }
+        match frame_row(f, &slots) {
+            Some(row) => rows.push(row),
+            None => unbound = true,
         }
-        rows.push(Tuple::new(row));
         Ok(())
     })?;
     if unbound {
@@ -670,25 +663,6 @@ fn full_extension(
         return None;
     }
     Some(rel.iter().cloned().collect())
-}
-
-/// Projects satisfying substitutions onto the subject's variables.
-fn project_rows(query: &Retrieve, columns: &[Var], substs: Vec<Subst>) -> Result<Vec<Tuple>> {
-    // Constants in the subject are checked by the goal conjunction itself
-    // (p was a goal) or — for a new predicate — are simply echoed.
-    substs
-        .into_iter()
-        .map(|s| {
-            columns
-                .iter()
-                .map(|v| match s.apply_term(&Term::Var(v.clone())) {
-                    Term::Const(c) => Ok(c),
-                    Term::Var(_) => Err(unbound_column(query)),
-                })
-                .collect::<Result<Vec<Value>>>()
-                .map(Tuple::new)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //!
 //! This is the "top-down" comparator of the P1 experiment.
 
-use crate::bindings::{frame_subst, match_cols_into, probe_ids, scan_relation, DerivedFacts};
+use crate::bindings::{frame_row, match_cols_into, probe_ids, scan_relation, DerivedFacts};
 use crate::error::{EngineError, Result};
 use crate::graph::DependencyGraph;
 use crate::idb::Idb;
@@ -37,7 +37,7 @@ use crate::options::EvalOptions;
 use crate::plan::{Col, ProgramPlan, RulePlan, Step};
 use crate::seminaive;
 use qdk_logic::governor::Governor;
-use qdk_logic::{Frame, Interner, IrTerm, Literal, Subst, Sym};
+use qdk_logic::{Frame, Interner, IrTerm, Literal, Sym, Var};
 use qdk_storage::{builtins, Edb, StorageError, Tuple, Value};
 
 /// A goal-directed solver for one (EDB, IDB) pair.
@@ -74,9 +74,10 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Finds all substitutions (restricted to the goal's variables) that
-    /// make the conjunction of `goals` true.
-    pub fn solve_all(&mut self, goals: &[Literal]) -> Result<Vec<Subst>> {
+    /// Finds every answer to the conjunction of `goals`: one row of
+    /// `columns`' values per satisfying frame. `None` when a satisfying
+    /// frame leaves a column unbound.
+    pub fn solve_all(&mut self, goals: &[Literal], columns: &[Var]) -> Result<Option<Vec<Tuple>>> {
         // Pre-close every recursive predicate reachable from the goals.
         for lit in goals {
             if !lit.is_builtin() {
@@ -93,13 +94,19 @@ impl<'a> Solver<'a> {
             .join(", ");
         let qplan =
             RulePlan::for_query(goals, rule_str, &mut Interner::new(), self.program.stats());
+        let slots: Vec<Option<u32>> = columns.iter().map(|v| qplan.compiled.slot_of(v)).collect();
         let mut frame = Frame::new(qplan.compiled.num_slots());
-        let mut out = Vec::new();
+        let mut rows = Some(Vec::new());
         self.exec_plan(&qplan, 0, &mut frame, &mut |f| {
-            out.push(frame_subst(&qplan, f));
+            if let Some(out) = &mut rows {
+                match frame_row(f, &slots) {
+                    Some(row) => out.push(row),
+                    None => rows = None,
+                }
+            }
             Ok(())
         })?;
-        Ok(out)
+        Ok(rows)
     }
 
     /// Closes (computes bottom-up) every recursive SCC that `pred`
@@ -443,9 +450,7 @@ impl<'a> Solver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bindings::match_relation;
     use qdk_logic::parser::{parse_atom, parse_body, parse_program};
-    use qdk_logic::Term;
 
     fn setup() -> (Edb, Idb) {
         let mut edb = Edb::new();
@@ -477,15 +482,21 @@ mod tests {
         (edb, idb)
     }
 
-    fn solve(edb: &Edb, idb: &Idb, goals: &[Literal]) -> Result<Vec<Subst>> {
+    /// The rows of the conjunction `goals` over `columns`.
+    fn solve(edb: &Edb, idb: &Idb, goals: &str, columns: &[Var]) -> Vec<Tuple> {
+        let goals = parse_body(goals).unwrap();
         let plan = ProgramPlan::compile_with_stats(idb, edb.stats());
-        Solver::with_plan(edb, idb, &plan, EvalOptions::default()).solve_all(goals)
+        Solver::with_plan(edb, idb, &plan, EvalOptions::default())
+            .solve_all(&goals, columns)
+            .unwrap()
+            .unwrap()
     }
 
-    fn names(substs: &[Subst], v: &str) -> Vec<String> {
-        let mut n: Vec<String> = substs
+    /// The distinct values of `v` in the answers to `goals`.
+    fn names(edb: &Edb, idb: &Idb, goals: &str, v: &str) -> Vec<String> {
+        let mut n: Vec<String> = solve(edb, idb, goals, &[Var::new(v)])
             .iter()
-            .map(|s| s.apply_term(&Term::var(v)).to_string())
+            .map(|row| row.values()[0].to_string())
             .collect();
         n.sort();
         n.dedup();
@@ -495,33 +506,34 @@ mod tests {
     #[test]
     fn solves_nonrecursive_goal() {
         let (edb, idb) = setup();
-        let goals = parse_body("honor(X)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert_eq!(names(&substs, "X"), ["ann", "cara"]);
+        assert_eq!(names(&edb, &idb, "honor(X)", "X"), ["ann", "cara"]);
     }
 
     #[test]
     fn conjunction_with_edb_and_comparison() {
         let (edb, idb) = setup();
-        let goals = parse_body("honor(X), enroll(X, databases)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert_eq!(names(&substs, "X"), ["ann"]);
+        assert_eq!(
+            names(&edb, &idb, "honor(X), enroll(X, databases)", "X"),
+            ["ann"]
+        );
     }
 
     #[test]
     fn recursive_goal_reads_closed_relation() {
         let (edb, idb) = setup();
-        let goals = parse_body("prior(databases, Y)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert_eq!(names(&substs, "Y"), ["datastructures", "programming"]);
+        assert_eq!(
+            names(&edb, &idb, "prior(databases, Y)", "Y"),
+            ["datastructures", "programming"]
+        );
     }
 
     #[test]
     fn negation_in_goal() {
         let (edb, idb) = setup();
-        let goals = parse_body("student(X, M, G), not honor(X)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert_eq!(names(&substs, "X"), ["bob"]);
+        assert_eq!(
+            names(&edb, &idb, "student(X, M, G), not honor(X)", "X"),
+            ["bob"]
+        );
     }
 
     #[test]
@@ -529,7 +541,8 @@ mod tests {
         let (edb, idb) = setup();
         for goal in ["honor(X)", "prior(X, Y)", "prior(X, programming)"] {
             let goals = parse_body(goal).unwrap();
-            let td = solve(&edb, &idb, &goals).unwrap();
+            let vars = goals[0].atom.vars();
+            let td = solve(&edb, &idb, goal, &vars);
             // Bottom-up reference.
             let plan = ProgramPlan::compile_with_stats(&idb, edb.stats());
             let facts = seminaive::eval(
@@ -541,27 +554,30 @@ mod tests {
                 EvalOptions::default(),
             )
             .unwrap();
-            let pred = goals[0].atom.pred.as_str();
-            let rel = facts.relation(pred).unwrap();
-            let mut reference = Vec::new();
-            match_relation(rel, &goals[0].atom, &Subst::new(), &mut reference);
-            let vars = goals[0].atom.vars();
+            // The goals repeat no variable: a row is the matching tuple's
+            // values at the goal's variable positions.
+            let args = &goals[0].atom.args;
+            let pattern: Vec<Option<Value>> = args.iter().map(|t| t.as_const().cloned()).collect();
+            let rel = facts.relation(goals[0].atom.pred.as_str()).unwrap();
+            let render = |values: Vec<&Value>| {
+                let values: Vec<String> = values.iter().map(ToString::to_string).collect();
+                values.join(",")
+            };
             let mut td_set: Vec<String> = td
                 .iter()
-                .map(|s| {
-                    vars.iter()
-                        .map(|v| s.apply_term(&Term::Var(v.clone())).to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                })
+                .map(|row| render(row.values().iter().collect()))
                 .collect();
-            let mut ref_set: Vec<String> = reference
-                .iter()
-                .map(|s| {
-                    vars.iter()
-                        .map(|v| s.apply_term(&Term::Var(v.clone())).to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
+            let mut ref_set: Vec<String> = rel
+                .select(&pattern)
+                .map(|t| {
+                    render(
+                        t.values()
+                            .iter()
+                            .zip(args)
+                            .filter(|(_, a)| a.as_var().is_some())
+                            .map(|(v, _)| v)
+                            .collect(),
+                    )
                 })
                 .collect();
             td_set.sort();
@@ -575,17 +591,16 @@ mod tests {
     #[test]
     fn undefined_predicate_has_empty_extension() {
         let (edb, idb) = setup();
-        let goals = parse_body("ghost(X)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert!(substs.is_empty());
+        assert!(solve(&edb, &idb, "ghost(X)", &[Var::new("X")]).is_empty());
     }
 
     #[test]
     fn equality_binds_in_goals() {
         let (edb, idb) = setup();
-        let goals = parse_body("C = databases, enroll(X, C)").unwrap();
-        let substs = solve(&edb, &idb, &goals).unwrap();
-        assert_eq!(names(&substs, "X"), ["ann", "bob"]);
+        assert_eq!(
+            names(&edb, &idb, "C = databases, enroll(X, C)", "X"),
+            ["ann", "bob"]
+        );
     }
 
     #[test]
@@ -595,7 +610,7 @@ mod tests {
         let solve = |goal: &str| {
             let goals = parse_body(goal).unwrap();
             Solver::with_plan(&edb, &idb, &plan, EvalOptions::default())
-                .solve_all(&goals)
+                .solve_all(&goals, &[])
                 .unwrap();
         };
         // Two calls with the same binding shape share one specialization,

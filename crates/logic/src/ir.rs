@@ -1,12 +1,12 @@
 //! Compiled intermediate representation of rules.
 //!
-//! The tree-walking evaluator threads an idempotent
-//! [`Subst`](crate::Subst) — a `HashMap<Var, Term>` — through every rule
-//! firing, cloning it per matched tuple. The compiled representation
-//! instead assigns every distinct variable of a rule a *positional slot*
-//! once, at compile time, so execution state collapses to a flat
-//! [`Frame`]: a `Vec<Option<Const>>` indexed by slot. Binding is a vector
-//! write, unbinding on backtrack is a vector write of `None`, and no
+//! Term-level code (unification, subsumption, unfolding) binds variables
+//! on a [`Bindings`](crate::Bindings) trail, where a lookup searches the
+//! trail by variable name. The compiled representation instead assigns
+//! every distinct variable of a rule a *positional slot* once, at compile
+//! time, so execution state collapses to a flat [`Frame`]: a
+//! `Vec<Option<Const>>` indexed by slot. Binding is a vector write,
+//! unbinding on backtrack is a vector write of `None`, and no search or
 //! hashing happens on the hot path.
 //!
 //! A [`CompiledRule`] keeps its [`Rule`] source alongside the slot-mapped
@@ -291,7 +291,7 @@ mod tests {
         let c = CompiledRule::compile(&r, &mut i);
         let mut g1 = crate::VarGen::new();
         let mut g2 = crate::VarGen::new();
-        let (reference, _) = crate::rename_rule_apart(&r, &mut g1);
+        let reference = crate::rename_rule_apart(&r, &mut g1);
         let via_slots = c.rename_apart(&mut g2);
         assert_eq!(via_slots.to_string(), reference.to_string());
         assert_eq!(via_slots, reference);

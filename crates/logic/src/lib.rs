@@ -9,10 +9,13 @@
 //! * [`Atom`], [`Literal`], [`Rule`] — atomic formulas, literals and Horn
 //!   clauses in the two forms of §2.1 of the paper (rules and integrity
 //!   constraints);
-//! * [`Subst`] — substitutions, most-general unifiers ([`unify`]) and
-//!   one-way matching ([`match_atom`]);
-//! * variable renaming ([`VarGen`], [`rename_rule_apart`]) used to
-//!   standardize rules apart during resolution;
+//! * [`Bindings`] — substitutions held as a trail of bindings with
+//!   [`Mark`]s to undo to, which most-general unification
+//!   ([`unify_atoms`]) and one-way matching ([`match_atom`]) extend in
+//!   place; a frozen prefix is shared by `Arc` through a persistent
+//!   [`Chain`], so a branch of a search costs a pointer;
+//! * variable renaming ([`VarGen`], [`rename_rule_apart`], [`standardize`])
+//!   used to standardize rules apart during resolution and subsumption;
 //! * θ-subsumption ([`subsume::rule_subsumes`]) used for redundancy
 //!   elimination of knowledge answers;
 //! * a text [`parser`] and paper-style [`pretty`] printing;
@@ -28,9 +31,9 @@
 //!   both evaluation stacks report spans and counters through — disabled
 //!   by default and zero-cost when disabled.
 //!
-//! The crate is dependency-free and purely functional: all structures are
-//! immutable values, which keeps the term-rewriting layers above it easy to
-//! reason about.
+//! The crate is dependency-free. Its terms, atoms and rules are immutable
+//! values; a [`Bindings`] trail is extended in place, and an operation
+//! that fails leaves it as it found it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +41,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod atom;
+pub mod chain;
 mod clause;
 mod error;
 pub mod fasthash;
@@ -58,6 +62,7 @@ mod term;
 mod unify;
 
 pub use atom::{Atom, Literal};
+pub use chain::Chain;
 pub use clause::{Constraint, Program, Rule};
 pub use error::{ParseError, Result};
 pub use fasthash::{FxHashMap, FxHashSet, FxHasher, FxMixHashMap};
@@ -67,8 +72,8 @@ pub use ir::{CompiledRule, Frame, IrAtom, IrLiteral, IrTerm};
 pub use obs::{Event, ObsSink, Sink};
 #[doc(hidden)]
 pub use parallel::Parallelism;
-pub use rename::{rename_atoms_apart, rename_rule_apart, VarGen};
-pub use subst::Subst;
+pub use rename::{rename_atoms_apart, rename_rule_apart, standardize, VarGen};
+pub use subst::{Bindings, Mark};
 pub use symbol::Sym;
 pub use term::{Const, Term, Var};
-pub use unify::{match_atom, match_term, unify, unify_atoms};
+pub use unify::{match_atom, unify, unify_atoms};

@@ -8,7 +8,7 @@
 
 use crate::atom::{Atom, Literal};
 use crate::clause::Rule;
-use crate::subst::Subst;
+use crate::subst::Bindings;
 use crate::term::{Term, Var};
 use std::fmt;
 
@@ -26,7 +26,7 @@ pub fn canonicalize_rule(rule: &Rule) -> Rule {
         .filter(|v| !v.is_fresh())
         .map(|v| v.name().to_string())
         .collect();
-    let mut renaming = Subst::new();
+    let mut renaming = Bindings::new();
     let mut next_idx = 0usize;
     for v in &vars {
         if !v.is_fresh() {
@@ -113,6 +113,8 @@ const INLINE_FRESH: usize = 24;
 /// rule, as an index into the sequence of [`friendly_name`]s.
 struct FreshNames<'r> {
     inline: [Option<(&'r Var, usize)>; INLINE_FRESH],
+    /// The variables beyond the inline ones, sorted, so a guard-length
+    /// derivation's hundreds of variables are searched, not scanned.
     spill: Vec<(&'r Var, usize)>,
     len: usize,
 }
@@ -126,18 +128,27 @@ impl<'r> FreshNames<'r> {
             spill: Vec::new(),
             len: 0,
         };
+        let taken = |i: usize| {
+            rule_vars(rule).any(|u| !u.is_fresh() && friendly_index(u.name()) == Some(i))
+        };
+        // Past the largest friendly name a user variable has, none is taken.
+        let last_taken = rule_vars(rule)
+            .filter(|u| !u.is_fresh())
+            .filter_map(|u| friendly_index(u.name()))
+            .max();
         let mut next_idx = 0;
         for v in rule_vars(rule).filter(|v| v.is_fresh()) {
             if names.get(v).is_some() {
                 continue;
             }
-            while rule_vars(rule).any(|u| !u.is_fresh() && is_friendly_name(u.name(), next_idx)) {
+            while last_taken.is_some_and(|last| next_idx <= last) && taken(next_idx) {
                 next_idx += 1;
             }
             if names.len < INLINE_FRESH {
                 names.inline[names.len] = Some((v, next_idx));
             } else {
-                names.spill.push((v, next_idx));
+                let at = names.spill.partition_point(|(w, _)| *w < v);
+                names.spill.insert(at, (v, next_idx));
             }
             names.len += 1;
             next_idx += 1;
@@ -146,12 +157,12 @@ impl<'r> FreshNames<'r> {
     }
 
     fn get(&self, v: &Var) -> Option<usize> {
-        self.inline
-            .iter()
-            .map_while(|e| *e)
-            .chain(self.spill.iter().copied())
-            .find(|(w, _)| *w == v)
-            .map(|(_, i)| i)
+        let mut inline = self.inline.iter().map_while(|e| *e);
+        if let Some((_, i)) = inline.find(|(w, _)| *w == v) {
+            return Some(i);
+        }
+        let at = self.spill.binary_search_by(|(w, _)| (*w).cmp(v)).ok()?;
+        Some(self.spill[at].1)
     }
 }
 
@@ -162,18 +173,18 @@ fn rule_vars(rule: &Rule) -> impl Iterator<Item = &Var> {
         .flat_map(|a| a.args.iter().filter_map(Term::as_var))
 }
 
-/// True if `name` is `friendly_name(i)`.
-fn is_friendly_name(name: &str, i: usize) -> bool {
-    let Some(digits) = name.strip_prefix(FRIENDLY[i % FRIENDLY.len()]) else {
-        return false;
-    };
-    let n = i / FRIENDLY.len();
-    if n == 0 {
-        return digits.is_empty();
+/// The `i` whose `friendly_name(i)` is `name`, if there is one.
+fn friendly_index(name: &str) -> Option<usize> {
+    let k = FRIENDLY.iter().position(|f| name.starts_with(f))?;
+    let digits = &name[FRIENDLY[k].len()..];
+    if digits.is_empty() {
+        return Some(k);
     }
-    !digits.starts_with('0')
-        && digits.bytes().all(|b| b.is_ascii_digit())
-        && digits.parse() == Ok(n)
+    if digits.starts_with('0') || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let n: usize = digits.parse().ok()?;
+    Some(n * FRIENDLY.len() + k)
 }
 
 /// Writes an atom as its `Display` does, fresh variables under their

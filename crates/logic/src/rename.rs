@@ -2,7 +2,7 @@
 
 use crate::atom::Atom;
 use crate::clause::Rule;
-use crate::subst::Subst;
+use crate::subst::Bindings;
 use crate::term::{Term, Var};
 
 /// A generator of fresh variables.
@@ -38,11 +38,11 @@ impl VarGen {
     }
 }
 
-/// Renames all variables of `rule` to fresh ones, returning the renamed
-/// rule and the renaming used. The renaming is injective, so the result is
-/// a variant of the input (standardizing apart, §4 footnote 3).
-pub fn rename_rule_apart(rule: &Rule, gen: &mut VarGen) -> (Rule, Subst) {
-    let renaming: Subst = rule
+/// Renames all variables of `rule` to fresh ones. The renaming is
+/// injective, so the result is a variant of the input (standardizing
+/// apart, §4 footnote 3).
+pub fn rename_rule_apart(rule: &Rule, gen: &mut VarGen) -> Rule {
+    let renaming: Bindings = rule
         .vars()
         .into_iter()
         .map(|v| {
@@ -50,11 +50,11 @@ pub fn rename_rule_apart(rule: &Rule, gen: &mut VarGen) -> (Rule, Subst) {
             (v, Term::Var(fresh))
         })
         .collect();
-    (renaming.apply_rule(rule), renaming)
+    renaming.apply_rule(rule)
 }
 
 /// Renames all variables occurring in a slice of atoms to fresh ones.
-pub fn rename_atoms_apart(atoms: &[Atom], gen: &mut VarGen) -> (Vec<Atom>, Subst) {
+pub fn rename_atoms_apart(atoms: &[Atom], gen: &mut VarGen) -> Vec<Atom> {
     let mut vars = Vec::new();
     for a in atoms {
         a.collect_vars(&mut vars);
@@ -65,15 +65,30 @@ pub fn rename_atoms_apart(atoms: &[Atom], gen: &mut VarGen) -> (Vec<Atom>, Subst
             seen.push(v);
         }
     }
-    let renaming: Subst = seen
+    let renaming: Bindings = seen
         .into_iter()
         .map(|v| {
             let fresh = gen.fresh_from(&v);
             (v, Term::Var(fresh))
         })
         .collect();
-    let renamed = atoms.iter().map(|a| renaming.apply_atom(a)).collect();
-    (renamed, renaming)
+    atoms.iter().map(|a| renaming.apply_atom(a)).collect()
+}
+
+/// Renames the `i`-th variable of `rule` (in order of first occurrence,
+/// head first) to `{prefix}{i}`. With a prefix no other part of the system
+/// generates, matching the result against another rule never sees a
+/// shared variable: one-way matching records no binding for the identity
+/// `v ↦ v`, which would otherwise let a shared variable match two
+/// different terms.
+pub fn standardize(rule: &Rule, prefix: &str) -> Rule {
+    let renaming: Bindings = rule
+        .vars()
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| (v, Term::Var(Var::new(&format!("{prefix}{i}")))))
+        .collect();
+    renaming.apply_rule(rule)
 }
 
 #[cfg(test)]
@@ -99,7 +114,7 @@ mod tests {
             ],
         );
         let mut g = VarGen::new();
-        let (r2, _) = rename_rule_apart(&r, &mut g);
+        let r2 = rename_rule_apart(&r, &mut g);
         let orig: Vec<Var> = r.vars();
         for v in r2.vars() {
             assert!(!orig.contains(&v), "{v} leaked");
@@ -114,7 +129,7 @@ mod tests {
     fn renaming_is_injective() {
         let r = Rule::new(Atom::new("p", vec![Term::var("X"), Term::var("Y")]), vec![]);
         let mut g = VarGen::new();
-        let (r2, _) = rename_rule_apart(&r, &mut g);
+        let r2 = rename_rule_apart(&r, &mut g);
         assert_ne!(r2.head.args[0], r2.head.args[1]);
     }
 
@@ -125,7 +140,7 @@ mod tests {
             Atom::new("q", vec![Term::var("Y")]),
         ];
         let mut g = VarGen::new();
-        let (renamed, _) = rename_atoms_apart(&atoms, &mut g);
+        let renamed = rename_atoms_apart(&atoms, &mut g);
         assert_eq!(renamed[0].args[1], renamed[1].args[0]);
         assert_ne!(renamed[0].args[0], atoms[0].args[0]);
     }

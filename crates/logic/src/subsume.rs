@@ -11,46 +11,30 @@
 
 use crate::atom::Literal;
 use crate::clause::Rule;
-use crate::subst::Subst;
-use crate::term::{Term, Var};
+use crate::rename::standardize;
+use crate::subst::Bindings;
 use crate::unify::match_atom;
-
-/// Renames the variables of `rule` with names no other part of the system
-/// generates (`_sub{i}`), so matching `general` against `specific` never
-/// sees a shared variable. One-way matching records no binding for the
-/// identity `v ↦ v`, which would otherwise let a shared variable match two
-/// different terms.
-fn standardize(rule: &Rule) -> Rule {
-    let renaming: Subst = rule
-        .vars()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, Term::Var(Var::new(&format!("_sub{i}")))))
-        .collect();
-    renaming.apply_rule(rule)
-}
 
 /// True if `general` θ-subsumes `specific`.
 pub fn rule_subsumes(general: &Rule, specific: &Rule) -> bool {
-    let general = standardize(general);
-    let mut s = Subst::new();
-    if !match_atom(&general.head, &specific.head, &mut s) {
-        return false;
-    }
-    body_maps_into(&general.body, &specific.body, s)
+    let general = standardize(general, "_sub");
+    let mut s = Bindings::new();
+    match_atom(&general.head, &specific.head, &mut s)
+        && body_maps_into(&general.body, &specific.body, &mut s)
 }
 
 /// True if the conjunction `general` maps into the conjunction `specific`
-/// under some extension of the given substitution (each literal of
-/// `general` matched to some literal of `specific`; repeats allowed).
+/// under some substitution (each literal of `general` matched to some
+/// literal of `specific`; repeats allowed).
 pub fn body_subsumes(general: &[Literal], specific: &[Literal]) -> bool {
     // Reuse rule standardization by wrapping the literals in a dummy head.
     let dummy = crate::atom::Atom::new("_sub_head", vec![]);
-    let wrapped = standardize(&Rule::with_literals(dummy, general.to_vec()));
-    body_maps_into(&wrapped.body, specific, Subst::new())
+    let wrapped = standardize(&Rule::with_literals(dummy, general.to_vec()), "_sub");
+    body_maps_into(&wrapped.body, specific, &mut Bindings::new())
 }
 
-fn body_maps_into(general: &[Literal], specific: &[Literal], s: Subst) -> bool {
+/// True if `general` maps into `specific` under some extension of `s`.
+fn body_maps_into(general: &[Literal], specific: &[Literal], s: &mut Bindings) -> bool {
     let Some((first, rest)) = general.split_first() else {
         return true;
     };
@@ -58,10 +42,11 @@ fn body_maps_into(general: &[Literal], specific: &[Literal], s: Subst) -> bool {
         if lit.positive != first.positive {
             continue;
         }
-        let mut s2 = s.clone();
-        if match_atom(&first.atom, &lit.atom, &mut s2) && body_maps_into(rest, specific, s2) {
+        let mark = s.mark();
+        if match_atom(&first.atom, &lit.atom, s) && body_maps_into(rest, specific, s) {
             return true;
         }
+        s.undo_to(mark);
     }
     false
 }

@@ -1,68 +1,78 @@
-//! Unification and one-way matching.
+//! Unification and one-way matching, in place on a [`Bindings`] trail.
+//!
+//! Each function extends the bindings it is given and reports success. A
+//! failure binds nothing: every binding made on the way is undone, so a
+//! caller that tries candidates in turn needs no copy of its bindings.
 
 use crate::atom::Atom;
-use crate::subst::Subst;
+use crate::subst::Bindings;
 use crate::term::Term;
 
-/// Unifies two terms under an existing substitution, extending it in place.
-/// Returns `false` (substitution possibly partially extended — callers
-/// should clone first if they need rollback) if the terms do not unify.
-fn unify_term_into(a: &Term, b: &Term, s: &mut Subst) -> bool {
-    let a = s.apply_term(a);
-    let b = s.apply_term(b);
-    match (&a, &b) {
+/// Unifies two terms under `s`, extending it with their most general
+/// unifier. Between two unbound variables, the one on the left is bound to
+/// the one on the right.
+pub fn unify(a: &Term, b: &Term, s: &mut Bindings) -> bool {
+    let a = s.resolve(a).clone();
+    let b = s.resolve(b).clone();
+    match (a, b) {
         (Term::Const(x), Term::Const(y)) => x == y,
-        (Term::Var(v), t) | (t, Term::Var(v)) => s.bind(v.clone(), (*t).clone()),
-    }
-}
-
-/// Computes a most general unifier of two terms, if one exists.
-pub fn unify(a: &Term, b: &Term) -> Option<Subst> {
-    let mut s = Subst::new();
-    unify_term_into(a, b, &mut s).then_some(s)
-}
-
-/// Computes a most general unifier of two atoms, if one exists. The atoms
-/// must share predicate symbol and arity.
-pub fn unify_atoms(a: &Atom, b: &Atom) -> Option<Subst> {
-    if !a.same_signature(b) {
-        return None;
-    }
-    let mut s = Subst::new();
-    for (x, y) in a.args.iter().zip(&b.args) {
-        if !unify_term_into(x, y, &mut s) {
-            return None;
+        (Term::Var(v), t) | (t, Term::Var(v)) => {
+            s.push(v, t);
+            true
         }
     }
-    Some(s)
 }
 
-/// One-way matching of terms: finds a substitution binding only variables of
-/// `general` such that `general·σ == specific`. Used for subsumption and
-/// fact lookup, where the specific side must not be instantiated.
-pub fn match_term(general: &Term, specific: &Term, s: &mut Subst) -> bool {
+/// Unifies two atoms under `s`, extending it with their most general
+/// unifier. The atoms must share predicate symbol and arity.
+pub fn unify_atoms(a: &Atom, b: &Atom, s: &mut Bindings) -> bool {
+    if !a.same_signature(b) {
+        return false;
+    }
+    let mark = s.mark();
+    let unified = a.args.iter().zip(&b.args).all(|(x, y)| unify(x, y, s));
+    if !unified {
+        s.undo_to(mark);
+    }
+    unified
+}
+
+/// One-way matching of terms: binds only variables of `general`, so that
+/// `general·s == specific`.
+fn match_term(general: &Term, specific: &Term, s: &mut Bindings) -> bool {
     match (general, specific) {
         (Term::Const(x), Term::Const(y)) => x == y,
-        (Term::Var(v), t) => match s.get(v) {
+        (Term::Var(v), t) => match s.lookup(v) {
             Some(bound) => bound == t,
-            None => s.bind(v.clone(), t.clone()),
+            None => {
+                s.bind(v.clone(), t.clone());
+                true
+            }
         },
         (Term::Const(_), Term::Var(_)) => false,
     }
 }
 
 /// One-way matching of atoms: extends `s` so that `general·s == specific`,
-/// binding only variables of `general`. Returns `false` on failure (callers
-/// needing rollback should clone `s` first).
-pub fn match_atom(general: &Atom, specific: &Atom, s: &mut Subst) -> bool {
+/// binding only variables of `general`. Used for subsumption, where the
+/// specific side must not be instantiated. The two sides must share no
+/// variable (see [`standardize`](crate::standardize)), and `s` must bind
+/// only variables of the general side: a bound variable is then bound to a
+/// term of the specific side, which nothing binds.
+pub fn match_atom(general: &Atom, specific: &Atom, s: &mut Bindings) -> bool {
     if !general.same_signature(specific) {
         return false;
     }
-    general
+    let mark = s.mark();
+    let matched = general
         .args
         .iter()
         .zip(&specific.args)
-        .all(|(g, sp)| match_term(g, sp, s))
+        .all(|(g, sp)| match_term(g, sp, s));
+    if !matched {
+        s.undo_to(mark);
+    }
+    matched
 }
 
 #[cfg(test)]
@@ -74,15 +84,23 @@ mod tests {
         Atom::new(p, args)
     }
 
+    /// The unifier of two atoms, from empty bindings.
+    fn mgu(x: &Atom, y: &Atom) -> Option<Bindings> {
+        let mut s = Bindings::new();
+        unify_atoms(x, y, &mut s).then_some(s)
+    }
+
     #[test]
     fn unify_var_with_const() {
-        let s = unify(&Term::var("X"), &Term::sym("databases")).unwrap();
+        let mut s = Bindings::new();
+        assert!(unify(&Term::var("X"), &Term::sym("databases"), &mut s));
         assert_eq!(s.apply_term(&Term::var("X")), Term::sym("databases"));
     }
 
     #[test]
     fn unify_two_vars_is_mgu() {
-        let s = unify(&Term::var("X"), &Term::var("Y")).unwrap();
+        let mut s = Bindings::new();
+        assert!(unify(&Term::var("X"), &Term::var("Y"), &mut s));
         // One variable mapped to the other; applying makes them equal.
         assert_eq!(s.apply_term(&Term::var("X")), s.apply_term(&Term::var("Y")));
         assert_eq!(s.len(), 1);
@@ -90,8 +108,9 @@ mod tests {
 
     #[test]
     fn unify_conflicting_consts_fails() {
-        assert!(unify(&Term::int(1), &Term::int(2)).is_none());
-        assert!(unify(&Term::sym("a"), &Term::sym("b")).is_none());
+        let mut s = Bindings::new();
+        assert!(!unify(&Term::int(1), &Term::int(2), &mut s));
+        assert!(!unify(&Term::sym("a"), &Term::sym("b"), &mut s));
     }
 
     #[test]
@@ -104,28 +123,30 @@ mod tests {
             "complete",
             vec![Term::sym("ann"), Term::var("W"), Term::int(3)],
         );
-        let s = unify_atoms(&g, &h).unwrap();
+        let s = mgu(&g, &h).unwrap();
         assert_eq!(s.apply_atom(&g), s.apply_atom(&h));
     }
 
     #[test]
     fn unify_atoms_shared_var_conflict() {
-        // p(X, X) with p(1, 2) must fail.
+        // p(X, X) with p(1, 2) must fail, and bind nothing.
         let g = a("p", vec![Term::var("X"), Term::var("X")]);
         let h = a("p", vec![Term::int(1), Term::int(2)]);
-        assert!(unify_atoms(&g, &h).is_none());
+        let mut s = Bindings::new();
+        assert!(!unify_atoms(&g, &h, &mut s));
+        assert!(s.is_empty());
         // p(X, X) with p(1, 1) must succeed.
         let h2 = a("p", vec![Term::int(1), Term::int(1)]);
-        assert!(unify_atoms(&g, &h2).is_some());
+        assert!(mgu(&g, &h2).is_some());
     }
 
     #[test]
     fn unify_atoms_signature_mismatch() {
         let g = a("p", vec![Term::var("X")]);
         let h = a("q", vec![Term::var("X")]);
-        assert!(unify_atoms(&g, &h).is_none());
+        assert!(mgu(&g, &h).is_none());
         let h2 = a("p", vec![Term::var("X"), Term::var("Y")]);
-        assert!(unify_atoms(&g, &h2).is_none());
+        assert!(mgu(&g, &h2).is_none());
     }
 
     #[test]
@@ -133,7 +154,7 @@ mod tests {
         // p(X, Y, X) ≟ p(Y, 3, Z): X=Y, Y=3 ⇒ X=3, Z=X=3.
         let g = a("p", vec![Term::var("X"), Term::var("Y"), Term::var("X")]);
         let h = a("p", vec![Term::var("Y"), Term::int(3), Term::var("Z")]);
-        let s = unify_atoms(&g, &h).unwrap();
+        let s = mgu(&g, &h).unwrap();
         for v in ["X", "Y", "Z"] {
             assert_eq!(s.apply_term(&Term::var(v)), Term::int(3), "var {v}");
         }
@@ -143,12 +164,12 @@ mod tests {
     fn match_is_one_way() {
         let g = a("p", vec![Term::var("X")]);
         let sp = a("p", vec![Term::var("Y")]);
-        let mut s = Subst::new();
+        let mut s = Bindings::new();
         // general var matches specific var (X ↦ Y)...
         assert!(match_atom(&g, &sp, &mut s));
         // ...but a general constant never matches a specific variable.
         let g2 = a("p", vec![Term::int(1)]);
-        let mut s2 = Subst::new();
+        let mut s2 = Bindings::new();
         assert!(!match_atom(&g2, &sp, &mut s2));
     }
 
@@ -156,10 +177,11 @@ mod tests {
     fn match_respects_prior_bindings() {
         let g = a("p", vec![Term::var("X"), Term::var("X")]);
         let sp = a("p", vec![Term::int(1), Term::int(2)]);
-        let mut s = Subst::new();
+        let mut s = Bindings::new();
         assert!(!match_atom(&g, &sp, &mut s));
+        assert!(s.is_empty());
         let sp2 = a("p", vec![Term::int(1), Term::int(1)]);
-        let mut s2 = Subst::new();
+        let mut s2 = Bindings::new();
         assert!(match_atom(&g, &sp2, &mut s2));
         assert_eq!(s2.apply_term(&Term::var("X")), Term::int(1));
     }
@@ -167,15 +189,16 @@ mod tests {
     #[test]
     fn mgu_is_most_general() {
         // For p(X) ≟ p(Y), any unifier factors through the mgu. We check a
-        // representative case: the ground unifier {X↦1, Y↦1}.
+        // representative case: the ground unifier {X↦1, Y↦1}, reached by
+        // extending the mgu.
         let g = a("p", vec![Term::var("X")]);
         let h = a("p", vec![Term::var("Y")]);
-        let mgu = unify_atoms(&g, &h).unwrap();
-        let ground: Subst = [(Var::new("X"), Term::int(1)), (Var::new("Y"), Term::int(1))]
+        let mut extended = mgu(&g, &h).unwrap();
+        extended.bind(Var::new("Y"), Term::int(1));
+        let ground: Bindings = [(Var::new("X"), Term::int(1)), (Var::new("Y"), Term::int(1))]
             .into_iter()
             .collect();
-        let composed = mgu.compose(&ground);
-        assert_eq!(composed.apply_atom(&g), ground.apply_atom(&g));
-        assert_eq!(composed.apply_atom(&h), ground.apply_atom(&h));
+        assert_eq!(extended.apply_atom(&g), ground.apply_atom(&g));
+        assert_eq!(extended.apply_atom(&h), ground.apply_atom(&h));
     }
 }

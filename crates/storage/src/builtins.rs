@@ -10,7 +10,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::Value;
-use qdk_logic::{Atom, Subst, Term};
+use qdk_logic::{Atom, Bindings, Term};
 
 /// True if `name` is a built-in comparison predicate.
 pub fn is_builtin(name: &str) -> bool {
@@ -48,7 +48,7 @@ pub fn eval(op: &str, l: &Value, r: &Value) -> Result<bool> {
 /// * `Ok(None)` if either argument is still a variable (the comparison is
 ///   not yet decidable — callers typically defer it);
 /// * `Err` for arity/type errors.
-pub fn eval_atom(atom: &Atom, subst: &Subst) -> Result<Option<bool>> {
+pub fn eval_atom(atom: &Atom, subst: &Bindings) -> Result<Option<bool>> {
     if atom.args.len() != 2 {
         return Err(StorageError::ArityMismatch {
             predicate: atom.pred.to_string(),
@@ -56,10 +56,8 @@ pub fn eval_atom(atom: &Atom, subst: &Subst) -> Result<Option<bool>> {
             found: atom.args.len(),
         });
     }
-    let l = subst.apply_term(&atom.args[0]);
-    let r = subst.apply_term(&atom.args[1]);
-    match (l, r) {
-        (Term::Const(lc), Term::Const(rc)) => eval(atom.pred.as_str(), &lc, &rc).map(Some),
+    match (subst.resolve(&atom.args[0]), subst.resolve(&atom.args[1])) {
+        (Term::Const(lc), Term::Const(rc)) => eval(atom.pred.as_str(), lc, rc).map(Some),
         _ => Ok(None),
     }
 }
@@ -133,18 +131,18 @@ mod tests {
     #[test]
     fn eval_atom_ground_and_deferred() {
         let a = Atom::new(">", vec![Term::var("Z"), Term::num(3.7)]);
-        let empty = Subst::new();
+        let empty = Bindings::new();
         assert_eq!(eval_atom(&a, &empty).unwrap(), None);
-        let s: Subst = [(Var::new("Z"), Term::num(3.9))].into_iter().collect();
+        let s: Bindings = [(Var::new("Z"), Term::num(3.9))].into_iter().collect();
         assert_eq!(eval_atom(&a, &s).unwrap(), Some(true));
-        let s2: Subst = [(Var::new("Z"), Term::num(3.5))].into_iter().collect();
+        let s2: Bindings = [(Var::new("Z"), Term::num(3.5))].into_iter().collect();
         assert_eq!(eval_atom(&a, &s2).unwrap(), Some(false));
     }
 
     #[test]
     fn eval_atom_checks_arity() {
         let a = Atom::new(">", vec![Term::int(1)]);
-        assert!(eval_atom(&a, &Subst::new()).is_err());
+        assert!(eval_atom(&a, &Bindings::new()).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::{builtins, Value};
-use qdk_logic::{Atom, Subst, Sym, Term};
+use qdk_logic::{Atom, Bindings, Sym, Term};
 
 /// The extensional database: a catalog of declared predicates and their
 /// stored fact relations (the sets `P` and `R` of §2.1 — stored predicates
@@ -226,7 +226,7 @@ impl Edb {
     /// For a built-in atom this evaluates the comparison if ground (a
     /// still-variable comparison is an error here — callers order body
     /// literals so built-ins are evaluated last).
-    pub fn match_atom(&self, atom: &Atom, subst: &Subst, out: &mut Vec<Subst>) -> Result<()> {
+    pub fn match_atom(&self, atom: &Atom, subst: &Bindings, out: &mut Vec<Bindings>) -> Result<()> {
         if atom.is_builtin() {
             match builtins::eval_atom(atom, subst)? {
                 Some(true) => out.push(subst.clone()),
@@ -254,31 +254,24 @@ impl Edb {
         // Build the selection pattern from the bound positions.
         let resolved: Vec<Term> = atom.args.iter().map(|t| subst.apply_term(t)).collect();
         let pattern: Vec<Option<Value>> = resolved.iter().map(|t| t.as_const().cloned()).collect();
+        let mut s = subst.clone();
+        let mark = s.mark();
         'tuples: for tuple in rel.select(&pattern) {
-            let mut s = subst.clone();
+            s.undo_to(mark);
             for (term, value) in resolved.iter().zip(tuple.values()) {
-                match term {
+                match s.resolve(term) {
                     Term::Const(c) => {
                         if c != value {
                             continue 'tuples;
                         }
                     }
-                    Term::Var(v) => {
-                        let resolved_now = s.apply_term(&Term::Var(v.clone()));
-                        match resolved_now {
-                            Term::Const(c) => {
-                                if &c != value {
-                                    continue 'tuples;
-                                }
-                            }
-                            Term::Var(w) => {
-                                s.bind(w, Term::Const(value.clone()));
-                            }
-                        }
+                    Term::Var(w) => {
+                        let w = w.clone();
+                        s.bind(w, Term::Const(value.clone()));
                     }
                 }
             }
-            out.push(s);
+            out.push(s.clone());
         }
         Ok(())
     }
@@ -351,7 +344,7 @@ mod tests {
         let mut out = Vec::new();
         edb.match_atom(
             &parse_atom("enroll(X, databases)").unwrap(),
-            &Subst::new(),
+            &Bindings::new(),
             &mut out,
         )
         .unwrap();
@@ -361,7 +354,7 @@ mod tests {
     #[test]
     fn match_atom_respects_existing_bindings() {
         let edb = db();
-        let s: Subst = [(qdk_logic::Var::new("X"), Term::sym("ann"))]
+        let s: Bindings = [(qdk_logic::Var::new("X"), Term::sym("ann"))]
             .into_iter()
             .collect();
         let mut out = Vec::new();
@@ -378,8 +371,12 @@ mod tests {
         edb.insert_fact(&parse_atom("pair(a, a)").unwrap()).unwrap();
         edb.insert_fact(&parse_atom("pair(a, b)").unwrap()).unwrap();
         let mut out = Vec::new();
-        edb.match_atom(&parse_atom("pair(X, X)").unwrap(), &Subst::new(), &mut out)
-            .unwrap();
+        edb.match_atom(
+            &parse_atom("pair(X, X)").unwrap(),
+            &Bindings::new(),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].apply_term(&Term::var("X")), Term::sym("a"));
     }
@@ -388,14 +385,14 @@ mod tests {
     fn match_builtin_ground_and_undecidable() {
         let edb = db();
         let mut out = Vec::new();
-        let s: Subst = [(qdk_logic::Var::new("Z"), Term::num(3.9))]
+        let s: Bindings = [(qdk_logic::Var::new("Z"), Term::num(3.9))]
             .into_iter()
             .collect();
         edb.match_atom(&parse_atom("(Z > 3.7)").unwrap(), &s, &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         // False comparison adds nothing.
-        let s2: Subst = [(qdk_logic::Var::new("Z"), Term::num(3.0))]
+        let s2: Bindings = [(qdk_logic::Var::new("Z"), Term::num(3.0))]
             .into_iter()
             .collect();
         edb.match_atom(&parse_atom("(Z > 3.7)").unwrap(), &s2, &mut out)
@@ -403,7 +400,11 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Undecidable comparison errors.
         assert!(edb
-            .match_atom(&parse_atom("(Z > 3.7)").unwrap(), &Subst::new(), &mut out)
+            .match_atom(
+                &parse_atom("(Z > 3.7)").unwrap(),
+                &Bindings::new(),
+                &mut out
+            )
             .is_err());
     }
 

@@ -4,10 +4,11 @@
 //! scheduler with plans computed once per (rule, adornment). These tests
 //! pin its semantics against an independent reference:
 //!
-//! * a tiny substitution-based naive evaluator (the pre-refactor
-//!   semantics, reimplemented here with nothing but `unify_atoms` and
-//!   `Subst`) must derive exactly the facts the three compiled strategies
-//!   derive, on randomly generated safe programs and random EDBs;
+//! * a tiny term-level naive evaluator (the pre-refactor semantics,
+//!   reimplemented here with nothing but `unify_atoms` on one `Bindings`
+//!   trail, undone after each fact it tries) must derive exactly the
+//!   facts the three compiled strategies derive, on randomly generated
+//!   safe programs and random EDBs;
 //! * `Strategy::Auto` must return, on random programs with negation and
 //!   random goal shapes, the rows of the engine's naive reference and of
 //!   the strategy it resolved to;
@@ -20,7 +21,7 @@
 //! * `describe`'s derivation-tree enumeration renames rules through the
 //!   compiled slot maps — standardizing apart via
 //!   [`qdk::logic::CompiledRule::rename_apart`] must be indistinguishable
-//!   from the substitution-based [`qdk::logic::rename_rule_apart`], and
+//!   from the term-level [`qdk::logic::rename_rule_apart`], and
 //!   one-level theorems must mirror the textual rules they came from.
 
 use proptest::prelude::*;
@@ -30,7 +31,7 @@ use qdk::engine::{
 };
 use qdk::logic::parser::{parse_atom, parse_body, parse_rule};
 use qdk::logic::{
-    rename_rule_apart, unify_atoms, Atom, CompiledRule, Interner, Literal, Rule, Subst, Term,
+    rename_rule_apart, unify_atoms, Atom, Bindings, CompiledRule, Interner, Literal, Rule, Term,
     VarGen,
 };
 use qdk::storage::Edb;
@@ -39,19 +40,21 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------
-// Reference semantics: naive fixpoint with substitution-based matching.
+// Reference semantics: naive fixpoint with term-level unification.
 // ---------------------------------------------------------------------
 
-/// Enumerates every substitution that grounds `goals` against `facts`.
-fn join(goals: &[Atom], facts: &[Atom], subst: &Subst, out: &mut Vec<Subst>) {
+/// Pushes `head` under every extension of `subst` that grounds `goals`
+/// against `facts`.
+fn join(head: &Atom, goals: &[Atom], facts: &[Atom], subst: &mut Bindings, out: &mut Vec<Atom>) {
     let Some((goal, rest)) = goals.split_first() else {
-        out.push(subst.clone());
+        out.push(subst.apply_atom(head));
         return;
     };
-    let goal_now = subst.apply_atom(goal);
     for fact in facts {
-        if let Some(mgu) = unify_atoms(&goal_now, fact) {
-            join(rest, facts, &subst.compose(&mgu), out);
+        let mark = subst.mark();
+        if unify_atoms(goal, fact, subst) {
+            join(head, rest, facts, subst, out);
+            subst.undo_to(mark);
         }
     }
 }
@@ -65,10 +68,9 @@ fn reference_eval(edb_facts: &[Atom], rules: &[Rule]) -> BTreeSet<String> {
         let mut fresh = Vec::new();
         for rule in rules {
             let goals: Vec<Atom> = rule.body.iter().map(|l| l.atom.clone()).collect();
-            let mut substs = Vec::new();
-            join(&goals, &facts, &Subst::new(), &mut substs);
-            for s in substs {
-                let head = s.apply_atom(&rule.head);
+            let mut heads = Vec::new();
+            join(&rule.head, &goals, &facts, &mut Bindings::new(), &mut heads);
+            for head in heads {
                 if seen.insert(head.to_string()) {
                     fresh.push(head);
                 }
@@ -514,7 +516,7 @@ proptest! {
         for (h, ha, body) in &specs {
             let rule = build_rule(*h, ha, body);
             let compiled = CompiledRule::compile(&rule, &mut interner);
-            let (reference, _) = rename_rule_apart(&rule, &mut gen_ref);
+            let reference = rename_rule_apart(&rule, &mut gen_ref);
             prop_assert_eq!(compiled.rename_apart(&mut gen_ir), reference);
         }
     }

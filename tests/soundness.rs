@@ -15,7 +15,7 @@ use qdk::core::transform::{transform_idb, TransformedIdb};
 use qdk::core::{describe, Describe, DescribeOptions, TransformPolicy};
 use qdk::engine::{seminaive, DerivedFacts, EvalOptions, Idb, ProgramPlan};
 use qdk::logic::parser::{parse_atom, parse_body, parse_program};
-use qdk::logic::{Literal, Subst, Term};
+use qdk::logic::{Bindings, Literal, Term};
 use qdk::storage::Edb;
 
 /// The full semi-naive model of `idb` over `edb`.
@@ -100,11 +100,11 @@ fn solve_against_model(
     edb: &Edb,
     model: &qdk::engine::DerivedFacts,
     goals: &[Literal],
-) -> Vec<Subst> {
+) -> Vec<Bindings> {
     // Order goals: database atoms first, then builtins (the naive
     // scheduler in the engine handles this; here a simple reorder works
     // because all database atoms are materialized).
-    let mut substs = vec![Subst::new()];
+    let mut substs = vec![Bindings::new()];
     let (db, builtins): (Vec<&Literal>, Vec<&Literal>) =
         goals.iter().partition(|l| !l.is_builtin());
     for lit in db.iter().chain(&builtins) {
@@ -116,10 +116,9 @@ fn solve_against_model(
                     Ok(Some(false)) | Ok(None) => {
                         if lit.atom.pred.as_str() == "=" {
                             // Equality may bind.
-                            let l = s.apply_term(&lit.atom.args[0]);
-                            let r = s.apply_term(&lit.atom.args[1]);
-                            if let Some(u) = qdk::logic::unify(&l, &r) {
-                                next.push(s.compose(&u));
+                            let mut s = s.clone();
+                            if qdk::logic::unify(&lit.atom.args[0], &lit.atom.args[1], &mut s) {
+                                next.push(s);
                             }
                         }
                     }
@@ -149,15 +148,17 @@ fn solve_against_model(
 fn qdk_match_relation(
     rel: &qdk::storage::Relation,
     atom: &qdk::logic::Atom,
-    subst: &Subst,
-    out: &mut Vec<Subst>,
+    subst: &Bindings,
+    out: &mut Vec<Bindings>,
 ) {
     // Match by scanning (test-only; relations are small).
+    let mut s = subst.clone();
+    let mark = s.mark();
     'tuples: for tuple in rel.iter() {
-        let mut s = subst.clone();
         if atom.arity() != tuple.arity() {
             return;
         }
+        s.undo_to(mark);
         for (term, value) in atom.args.iter().zip(tuple.values()) {
             match s.apply_term(term) {
                 Term::Const(c) => {
@@ -170,7 +171,7 @@ fn qdk_match_relation(
                 }
             }
         }
-        out.push(s);
+        out.push(s.clone());
     }
 }
 
