@@ -17,7 +17,7 @@
 //! makes the judgements exact for variable–constant and variable–variable
 //! comparisons over identical variables.
 
-use qdk_logic::{Atom, Term, Var};
+use qdk_logic::{Atom, Literal, Term, Var};
 use qdk_storage::Value;
 
 /// A comparison operator.
@@ -280,6 +280,14 @@ fn region_disjoint(op1: Op, a: &Value, op2: Op, b: &Value) -> bool {
             lt(hi, lo)
         }
     }
+}
+
+/// The positive comparison literals of a body, normalized.
+pub fn comparisons<'l>(body: impl IntoIterator<Item = &'l Literal>) -> Vec<Comparison> {
+    body.into_iter()
+        .filter(|l| l.positive && l.is_builtin())
+        .filter_map(|l| Comparison::from_atom(&l.atom))
+        .collect()
 }
 
 /// Does α entail β (α ⊨ β)? Defined only for comparisons over identical

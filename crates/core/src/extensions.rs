@@ -18,7 +18,7 @@
 
 use crate::answer::DescribeAnswer;
 use crate::config::DescribeOptions;
-use crate::constraints::{self, Comparison};
+use crate::constraints;
 use crate::describe::Describe;
 use crate::error::{DescribeError, Result};
 use crate::expand;
@@ -312,12 +312,7 @@ pub fn describe_possible(
             if forbidden(&merged) {
                 continue;
             }
-            let comps: Vec<Comparison> = merged
-                .iter()
-                .filter(|l| l.positive && l.is_builtin())
-                .filter_map(|l| Comparison::from_atom(&l.atom))
-                .collect();
-            if constraints::satisfiable(&comps) {
+            if constraints::satisfiable(&constraints::comparisons(&merged)) {
                 return Ok(PossibilityAnswer {
                     possible: true,
                     witness: Some(merged),

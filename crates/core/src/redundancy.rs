@@ -148,11 +148,7 @@ pub fn prepare_general(rule: &Rule) -> PreparedGeneral<'_> {
 /// Preprocesses a rule for use as the specific side of [`subsumes_prepared`].
 pub fn prepare_specific<'r>(rule: &'r Rule, trans: &[Sym]) -> PreparedSpecific<'r> {
     let closed = transitive_closure(&rule.body, trans);
-    let comps = closed
-        .iter()
-        .filter(|l| l.positive && l.is_builtin())
-        .filter_map(|l| Comparison::from_atom(&l.atom))
-        .collect();
+    let comps = constraints::comparisons(closed.iter());
     let shapes = shapes(closed.iter());
     PreparedSpecific {
         head: &rule.head,
@@ -212,23 +208,52 @@ pub fn subsumes_prepared(general: &PreparedGeneral, specific: &PreparedSpecific)
         cands.push((g, c));
     }
     cands.sort_by_key(|(_, c)| c.len());
-    map_db_literals(&cands, &mut s, &general.cmp_lits, &specific.comps)
+    // Each comparison is checked once the head and the literals mapped so
+    // far bind its variables: later literals cannot change its verdict,
+    // and a failed comparison then prunes every mapping of the rest.
+    let mut due: Vec<(usize, &Literal)> =
+        general.cmp_lits.iter().map(|c| (cands.len(), c)).collect();
+    if !due.is_empty() {
+        let mut bound = Vec::new();
+        general.head.collect_vars(&mut bound);
+        for (k, (g, _)) in cands.iter().enumerate() {
+            for (d, c) in &mut due {
+                let args = &c.atom.args;
+                if *d > k
+                    && args
+                        .iter()
+                        .all(|t| t.as_var().is_none_or(|v| bound.contains(v)))
+                {
+                    *d = k;
+                }
+            }
+            g.atom.collect_vars(&mut bound);
+        }
+    }
+    map_db_literals(&cands, 0, &mut s, &due, &specific.comps)
 }
 
+/// Maps the general database literals in `remaining`, `mapped` of them
+/// mapped already. Each comparison of `due` is checked once as many
+/// literals as its number are mapped.
 fn map_db_literals(
     remaining: &[(&Literal, Vec<&Literal>)],
+    mapped: usize,
     s: &mut Bindings,
-    comparisons: &[Literal],
+    due: &[(usize, &Literal)],
     specific_comps: &[Comparison],
 ) -> bool {
+    let now = due.iter().filter(|(d, _)| *d == mapped).map(|(_, l)| *l);
+    if !comparisons_follow(now, s, specific_comps) {
+        return false;
+    }
     let Some(((first, cands), rest)) = remaining.split_first() else {
-        // All database literals mapped; now the comparisons must follow.
-        return comparisons_follow(comparisons, s, specific_comps);
+        return true;
     };
     for lit in cands {
         let mark = s.mark();
         if match_atom(&first.atom, &lit.atom, s)
-            && map_db_literals(rest, s, comparisons, specific_comps)
+            && map_db_literals(rest, mapped + 1, s, due, specific_comps)
         {
             return true;
         }
@@ -239,7 +264,7 @@ fn map_db_literals(
 
 /// True if each comparison literal of a general side, under `s`, is
 /// ground-true or entailed by a comparison of the specific side.
-fn comparisons_follow<'l>(
+pub(crate) fn comparisons_follow<'l>(
     comparisons: impl IntoIterator<Item = &'l Literal>,
     s: &Bindings,
     specific_comps: &[Comparison],
@@ -266,11 +291,7 @@ pub fn saturate_body(body: &[Literal], idb: &qdk_engine::Idb, rounds: usize) -> 
         let mut added = false;
         for rule in idb.rules() {
             let std_rule = standardize(rule, "_sem");
-            let comps: Vec<Comparison> = lits
-                .iter()
-                .filter(|l| l.positive && l.is_builtin())
-                .filter_map(|l| Comparison::from_atom(&l.atom))
-                .collect();
+            let comps = constraints::comparisons(&lits);
             let (db, cmp): (Vec<&Literal>, Vec<&Literal>) =
                 std_rule.body.iter().partition(|l| !l.is_builtin());
             let mut heads = Vec::new();
